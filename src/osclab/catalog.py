@@ -136,13 +136,13 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
 
     def ev(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        rho = np.linalg.norm(x, axis=-1)
+        rho = np.sqrt(np.einsum("...i,...i->...", x, x))
         s = np.clip((rho - ri) / w, 0.0, 1.0)
         return A * (1.0 - _taper(s))
 
     def gr(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        rho = np.linalg.norm(x, axis=-1)
+        rho = np.sqrt(np.einsum("...i,...i->...", x, x))
         s = np.clip((rho - ri) / w, 0.0, 1.0)
         mag = -A * _taper_d1(s) / w
         safe = np.where(rho > 0.0, rho, 1.0)

@@ -57,6 +57,10 @@ from .weaknorm import (
 
 DEFAULT_SEED = 20260819
 
+# Monte Carlo nodes per ball for curves in d >= 2 (the node count of the
+# d = 2 limit criteria); single-ball queries keep a larger default
+_CURVE_MC_NODES = 512
+
 _FAULT_PRESETS = {
     # ~5 percent perturbations, one per sentinel family
     "slope": {"slope_factor": 1.05},
@@ -249,11 +253,15 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 # oscillation
 # ---------------------------------------------------------------------------
 
-def _default_spec(d: int, nodes: Optional[int], seed: int) -> QuadratureSpec:
+def _default_spec(d: int, nodes: Optional[int], seed: int,
+                  mc_nodes: int = 65536) -> QuadratureSpec:
+    """Gauss route in d = 1, else Monte Carlo with mc_nodes per ball unless
+    nodes is given.  One ball query affords the large default; a curve asks
+    for one ball per scan radius and center, so it passes a smaller one."""
     if d == 1:
         return QuadratureSpec(method="gauss_1d", node_count=nodes or 16,
                               seed=seed)
-    return QuadratureSpec(method="monte_carlo", node_count=nodes or 65536,
+    return QuadratureSpec(method="monte_carlo", node_count=nodes or mc_nodes,
                           seed=seed)
 
 
@@ -363,7 +371,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     try:
         domain = Domain(box=box, r_max=r_max, r_min=r_min)
         grid, kappa_echo = _kappa_grid_from(args, cfg, f)
-        spec = _default_spec(f.dim, nodes, seed)
+        spec = _default_spec(f.dim, nodes, seed, mc_nodes=_CURVE_MC_NODES)
         curve = distribution_curve(f, p, grid, domain, spec,
                                    samples=samples, threads=threads,
                                    fault=fault)
@@ -508,7 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="center samples (default 1024)")
     p_cur.add_argument("--threads", type=int,
                        help="worker threads (default 1; results identical)")
-    p_cur.add_argument("--nodes", type=int, help="quadrature nodes per ball")
+    p_cur.add_argument("--nodes", type=int,
+                       help=f"quadrature nodes per ball (default "
+                            f"{_CURVE_MC_NODES} by Monte Carlo for d >= 2)")
     p_cur.add_argument("--fault-inject", dest="fault_inject",
                        metavar="NAME[,NAME]",
                        help=f"perturb a verified constant; names: "

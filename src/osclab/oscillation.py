@@ -298,7 +298,7 @@ def maximal_gradient(f: TestFunction, a, r_grid,
     u = unit_ball_nodes(f.dim, spec.node_count, stream(spec.seed, KEY_OUTER))
     x = a[None, None, :] + r_grid[:, None, None] * u[None, :, :]
     g = np.asarray(f.grad(x), dtype=float)
-    mag = np.linalg.norm(g, axis=-1)
+    mag = np.sqrt(np.einsum("...i,...i->...", g, g))
     if not np.all(np.isfinite(mag)):
         raise QuadratureError("gradient produced non-finite values")
     return float(np.max(np.mean(mag, axis=1)))

@@ -5,8 +5,10 @@ threshold kappa > 0 the object of interest is the measure of the superlevel
 set {(a, r): m_f(a, r) > kappa}, restricted to a box window in the center
 variable and to radii at most r_max.  The radius section at fixed center is
 resolved deterministically: a geometric scan brackets every sign change of
-m_f(a, .) - kappa, bisection refines each bracket, and the weight of the
-resulting union of intervals has the closed form (lo^-p - hi^-p) / p per
+m_f(a, .) - kappa, an ITP solve started from the scanned end values shrinks
+each bracket and a replay of the bisection path on it picks the crossing
+(the bisection result at a fraction of its evaluations), and the weight of
+the resulting union of intervals has the closed form (lo^-p - hi^-p) / p per
 interval.  Only the center integral is statistical, by (optionally
 stratified) uniform sampling over the window.
 
@@ -334,14 +336,64 @@ def _merge_ambiguity(rises_row, falls_row, grid, max_slots, p, fault):
     return max(merged - strict, 0.0)
 
 
-def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters):
-    """Lockstep bisection of m(row, .) - kappa on the given brackets."""
+def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi):
+    """Crossing of m(row, .) through kappa in each bracket [lo, hi].
+
+    Returns what iters lockstep bisection steps return, the midpoint of the
+    final cell, at a fraction of the evaluations.  m_lo and m_hi are the
+    values of m at the bracket ends (from the scan, so they cost nothing).
+    A side counts as high when (m > kappa) == rising, as in bisection.
+
+    First an ITP solve (Oliveira and Takahashi, ACM TOMS 47(1), 2020) with
+    kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1 shrinks each bracket
+    to [a, b], no wider than bisection's last cell; it uses the values of
+    m - kappa only to place its next point.  Then the bisection path is
+    replayed from [lo, hi]: a midpoint <= a goes low, one >= b goes high,
+    and only a midpoint strictly inside (a, b) is evaluated.  With one
+    crossing in the bracket the result is bit-identical to plain
+    bisection; with several it is another crossing, within the same
+    tolerance.  Each row costs at most 2 * iters + 1 evaluations.
+    """
+    width = hi - lo
+    eps = width / 2.0 ** (iters + 1)
+    k1 = 0.2 / width
+    sign = np.where(rising, 1.0, -1.0)
+    a = lo.copy()
+    b = hi.copy()
+    ya = sign * (m_lo - kappa)
+    yb = sign * (m_hi - kappa)
+    n_max = iters + 1
+    act = np.arange(rows.size)
+    for j in range(n_max):
+        act = act[b[act] - a[act] > 2.0 * eps[act]]
+        if not act.size:
+            break
+        aa, bb, fa, fb = a[act], b[act], ya[act], yb[act]
+        half = 0.5 * (aa + bb)
+        span = bb - aa
+        reach = eps[act] * 2.0 ** (n_max - j) - 0.5 * span
+        delta = k1[act] * span * span
+        x_f = (fb * aa - fa * bb) / (fb - fa)
+        sigma = np.sign(half - x_f)
+        x_t = np.where(delta <= np.abs(half - x_f), x_f + sigma * delta, half)
+        x = np.where(np.abs(x_t - half) <= reach, x_t, half - sigma * reach)
+        m = m_at(rows[act], x)
+        high = (m > kappa) == rising[act]
+        y = sign[act] * (m - kappa)
+        b[act] = np.where(high, x, bb)
+        yb[act] = np.where(high, y, fb)
+        a[act] = np.where(high, aa, x)
+        ya[act] = np.where(high, fa, y)
+
     lo = lo.copy()
     hi = hi.copy()
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        above_mid = m_at(rows, mid) > kappa
-        take_hi = above_mid == rising
+        take_hi = mid >= b
+        inside = np.nonzero((mid > a) & (mid < b))[0]
+        if inside.size:
+            take_hi[inside] = ((m_at(rows[inside], mid[inside]) > kappa)
+                               == rising[inside])
         hi = np.where(take_hi, mid, hi)
         lo = np.where(take_hi, lo, mid)
     return 0.5 * (lo + hi)
@@ -378,17 +430,17 @@ def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
     return lo, hi
 
 
-def _resolve_sections(m_at, above, grid, kappa, iters, f, centers,
+def _resolve_sections(m_at, scan, grid, kappa, iters, f, centers,
                       p, fault, max_slots=_MAX_SLOTS):
-    """Radius sections per row for one threshold.
+    """Radius sections per row for one threshold, from the scanned m values.
 
     Returns lo, hi, valid, below_floor masks of shape (C, max_slots), the
-    per-row ambiguity weight (bracket spreads plus merge gaps), and event
-    counters.
+    per-row ambiguity weight (bracket spreads plus merge gaps), event
+    counters, and the fall positions and overflow rows of _slot_positions.
     """
-    c_rows, j = above.shape
+    c_rows, j = scan.shape
     rise_pos, fall_pos, valid, overflow, rises, falls = _slot_positions(
-        above, max_slots)
+        scan > kappa, max_slots)
     lo = np.full((c_rows, max_slots), grid[-1])
     hi = np.full((c_rows, max_slots), grid[-1])
     ambig = np.zeros(c_rows)
@@ -404,9 +456,11 @@ def _resolve_sections(m_at, above, grid, kappa, iters, f, centers,
 
         rows = np.nonzero(v & (rp > 0))[0]
         if rows.size:
+            jr = rp[rows]
             lo[rows, s] = _bisect_crossings(
-                m_at, rows, grid[rp[rows] - 1], grid[rp[rows]], kappa,
-                np.ones(rows.size, dtype=bool), iters)
+                m_at, rows, grid[jr - 1], grid[jr], kappa,
+                np.ones(rows.size, dtype=bool), iters,
+                scan[rows, jr - 1], scan[rows, jr])
         rows0 = np.nonzero(v & (rp == 0))[0]
         if rows0.size:
             blo, bhi = _below_floor_bracket(f, centers, rows0, kappa, grid[0])
@@ -417,9 +471,11 @@ def _resolve_sections(m_at, above, grid, kappa, iters, f, centers,
 
         rows = np.nonzero(v & (fp < j))[0]
         if rows.size:
+            jf = fp[rows]
             hi[rows, s] = _bisect_crossings(
-                m_at, rows, grid[fp[rows] - 1], grid[fp[rows]], kappa,
-                np.zeros(rows.size, dtype=bool), iters)
+                m_at, rows, grid[jf - 1], grid[jf], kappa,
+                np.zeros(rows.size, dtype=bool), iters,
+                scan[rows, jf - 1], scan[rows, jf])
         at_end = v & (fp == j)
         hi[at_end, s] = grid[-1]
         counters["open_at_r_max"] += int(np.count_nonzero(at_end))
@@ -430,7 +486,7 @@ def _resolve_sections(m_at, above, grid, kappa, iters, f, centers,
                                      max_slots, p, fault)
     counters["merged"] = int(over_rows.size)
     hi = np.maximum(hi, lo)
-    return lo, hi, valid, below, ambig, counters
+    return lo, hi, valid, below, ambig, counters, fall_pos, overflow
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +575,9 @@ def superlevel_radius_set(f: TestFunction, a, kappa: float, domain: Domain,
     """Connected radius intervals where m_f(a, .) exceeds kappa.
 
     Geometric scan at the given ratio from min(domain.r_min, certified
-    floor) up to domain.r_max, then bisection of each bracketed crossing to
-    relative tolerance rel_tol.  Honest about its blind spots via the
-    RadiusInterval flags; see that class.
+    floor) up to domain.r_max, then refinement of each bracketed crossing
+    to relative tolerance rel_tol (see _bisect_crossings).  Honest about
+    its blind spots via the RadiusInterval flags; see that class.
     """
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -535,10 +591,8 @@ def superlevel_radius_set(f: TestFunction, a, kappa: float, domain: Domain,
     eng = _make_engine(f, centers, spec, 0)
     scan = eng.scan(grid)
     iters = _bisect_iters(scan_ratio, rel_tol)
-    above = scan > kappa
-    lo, hi, valid, below, _, _ = _resolve_sections(
-        eng.m_at, above, grid, kappa, iters, f, centers, p=1.0, fault=None)
-    _, fall_pos, _, overflow, _, _ = _slot_positions(above, _MAX_SLOTS)
+    lo, hi, valid, below, _, _, fall_pos, overflow = _resolve_sections(
+        eng.m_at, scan, grid, kappa, iters, f, centers, p=1.0, fault=None)
     out = []
     j = grid.size
     for s in range(_MAX_SLOTS):
@@ -617,8 +671,8 @@ def _curve_chunk(f, centers, global_start, kappas, p, domain, spec,
     ambig = np.zeros((k_count, c_rows))
     counters = {"below_floor": 0, "open_at_r_max": 0, "merged": 0}
     for ki, kappa in enumerate(kappas):
-        lo, hi, valid, _, amb, cnt = _resolve_sections(
-            eng.m_at, scan > kappa, grid, kappa, iters, f, centers, p, fault)
+        lo, hi, valid, _, amb, cnt, _, _ = _resolve_sections(
+            eng.m_at, scan, grid, kappa, iters, f, centers, p, fault)
         w = np.where(valid & (hi > lo),
                      interval_weight(np.maximum(lo, 1e-300), hi, p, fault),
                      0.0)
@@ -647,7 +701,7 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
                             spec, fault, grid, iters)
 
     if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = [run(job) for job in jobs]

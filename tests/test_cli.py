@@ -153,6 +153,17 @@ def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
     assert payload["config"]["seed"] == 777
 
 
+def test_curve_monte_carlo_default_nodes(tmp_path):
+    # a curve in d >= 2 without --nodes uses 512 nodes per ball, not the
+    # single-query default
+    assert main(["curve", "--function", "plateau:d=2:a=1:ri=0.5:ro=1",
+                 "--samples", "8", "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "curve.json").read_text())
+    assert payload["config"]["quadrature"] == {"method": "monte_carlo",
+                                               "node_count": 512}
+    assert payload["summary"]["node_count"] == 512
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["curve", "--config", str(tmp_path / "absent.ini")])

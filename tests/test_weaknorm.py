@@ -36,6 +36,7 @@ from osclab import (
 )
 from osclab.weaknorm import (
     DistributionCurve,
+    _bisect_crossings,
     _slot_positions,
     sample_centers,
 )
@@ -229,6 +230,133 @@ def test_slot_overflow_flagged():
     above = np.array([[True, False] * 5])  # five separate intervals
     _, _, _, overflow, _, _ = _slot_positions(above, 4)
     assert overflow[0]
+
+
+# ---------------------------------------------------------------------------
+# crossing solver
+# ---------------------------------------------------------------------------
+
+ITERS = 18
+
+
+def _reference_bisection(m_at, rows, lo, hi, kappa, rising, iters):
+    """Plain lockstep bisection, the behavior the solver must reproduce."""
+    lo = lo.copy()
+    hi = hi.copy()
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        take_hi = (m_at(rows, mid) > kappa) == rising
+        hi = np.where(take_hi, mid, hi)
+        lo = np.where(take_hi, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class _Counted:
+    """m(row, r) wrapper that counts evaluations per row."""
+
+    def __init__(self, m, n_rows):
+        self.m = m
+        self.per_row = np.zeros(n_rows, dtype=np.intp)
+
+    def __call__(self, rows, r):
+        np.add.at(self.per_row, rows, 1)
+        return self.m(rows, r)
+
+
+def _solve(m, lo, hi, kappa, rising, iters=ITERS):
+    rows = np.arange(lo.size)
+    counted = _Counted(m, lo.size)
+    flags = np.full(lo.size, rising)
+    got = _bisect_crossings(counted, rows, lo, hi, kappa, flags, iters,
+                            m(rows, lo), m(rows, hi))
+    want = _reference_bisection(m, rows, lo, hi, kappa, flags, iters)
+    return got, want, counted.per_row
+
+
+def _geometric_cells(n, ratio=1.25, seed=3):
+    lo = np.geomspace(1e-3, 10.0, n) * np.random.default_rng(seed).uniform(
+        0.9, 1.1, n)
+    return lo, lo * ratio
+
+
+def test_solver_matches_bisection_on_monotone_brackets():
+    lo, hi = _geometric_cells(200)
+    t = lo + np.random.default_rng(4).uniform(0.05, 0.95, lo.size) * (hi - lo)
+    scale = 1.0 / t ** 1.5     # each row crosses kappa = 1 at its own t
+
+    def rising_m(rows, r):
+        return scale[rows] * r ** 1.5
+
+    def falling_m(rows, r):
+        return 2.0 - scale[rows] * r ** 1.5
+
+    for m, rising in ((rising_m, True), (falling_m, False)):
+        got, want, per_row = _solve(m, lo, hi, 1.0, rising)
+        np.testing.assert_array_equal(got, want)
+        assert per_row.max() <= 2 * ITERS + 1
+
+
+def test_solver_matches_bisection_on_ties_at_midpoints():
+    # m(r) = r and 3 - r are exact on these dyadic brackets; kappa = 1.5 is
+    # the first midpoint of three rows and the second of the last one
+    lo = np.array([1.0, 1.25, 0.5, 1.0])
+    hi = np.array([2.0, 1.75, 2.5, 3.0])
+
+    def rising_m(rows, r):
+        return np.asarray(r, dtype=float).copy()
+
+    def falling_m(rows, r):
+        return 3.0 - np.asarray(r, dtype=float)
+
+    for m, rising in ((rising_m, True), (falling_m, False)):
+        got, want, per_row = _solve(m, lo, hi, 1.5, rising)
+        np.testing.assert_array_equal(got, want)
+        assert per_row.max() <= 2 * ITERS + 1
+
+
+def test_solver_with_three_crossings_returns_a_crossing():
+    # kappa + sin(2 pi r) rises through kappa at r = 1 and 2 and falls at
+    # 1.5; every bracket holds all three
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(0.55, 0.95, 64)
+    hi = rng.uniform(2.05, 2.45, 64)
+    kappa = 0.3
+
+    def m(rows, r):
+        return kappa + np.sin(2.0 * np.pi * np.asarray(r, dtype=float))
+
+    got, _, per_row = _solve(m, lo, hi, kappa, True)
+    roots = np.array([1.0, 1.5, 2.0])
+    dist = np.abs(got[:, None] - roots[None, :]).min(axis=1)
+    tol = (hi - lo) / 2.0 ** (ITERS + 1)
+    assert np.all(dist <= tol * (1.0 + 1e-9))
+    assert per_row.max() <= 2 * ITERS + 1
+
+
+def test_solver_worst_case_on_a_step():
+    # a jump gives the interpolation nothing to work with; the evaluation
+    # count per row must still stay within twice the bisection budget
+    lo, hi = _geometric_cells(100)
+    t = lo + np.random.default_rng(6).uniform(0.01, 0.99, lo.size) * (hi - lo)
+
+    def m(rows, r):
+        return np.where(np.asarray(r) > t[rows], 1.0, 0.0)
+
+    got, want, per_row = _solve(m, lo, hi, 0.5, True)
+    np.testing.assert_array_equal(got, want)
+    assert per_row.max() <= 2 * ITERS + 1
+
+
+def test_solver_saves_evaluations_on_smooth_m():
+    lo, hi = _geometric_cells(300)
+    t = lo + np.random.default_rng(7).uniform(0.02, 0.98, lo.size) * (hi - lo)
+
+    def m(rows, r):
+        return np.log1p(np.asarray(r) / t[rows])
+
+    got, want, per_row = _solve(m, lo, hi, math.log(2.0), True)
+    np.testing.assert_array_equal(got, want)
+    assert per_row.sum() <= 0.5 * lo.size * ITERS
 
 
 # ---------------------------------------------------------------------------

@@ -256,10 +256,11 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def _default_spec(d: int, nodes: Optional[int], seed: int,
                   mc_nodes: int = 65536) -> QuadratureSpec:
     """Gauss route in d = 1, else Monte Carlo with mc_nodes per ball unless
-    nodes is given.  One ball query affords the large default; a curve asks
-    for one ball per scan radius and center, so it passes a smaller one."""
+    nodes is given (in d = 1 the Gauss order of the inner mean, default 8).
+    One ball query affords the large default; a curve asks for one ball
+    per scan radius and center, so it passes a smaller one."""
     if d == 1:
-        return QuadratureSpec(method="gauss_1d", node_count=nodes or 16,
+        return QuadratureSpec(method="gauss_1d", node_count=nodes or 8,
                               seed=seed)
     return QuadratureSpec(method="monte_carlo", node_count=nodes or mc_nodes,
                           seed=seed)
@@ -518,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker threads (default 1; results identical)")
     p_cur.add_argument("--nodes", type=int,
                        help=f"quadrature nodes per ball (default "
-                            f"{_CURVE_MC_NODES} by Monte Carlo for d >= 2)")
+                            f"{_CURVE_MC_NODES} by Monte Carlo for d >= 2, "
+                            f"Gauss order 8 for d = 1)")
     p_cur.add_argument("--fault-inject", dest="fault_inject",
                        metavar="NAME[,NAME]",
                        help=f"perturb a verified constant; names: "

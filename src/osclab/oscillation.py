@@ -7,18 +7,23 @@ The central object is
 computed as a genuine two-pass estimate: the inner ball average first, then
 the average of the absolute deviation, on an independent node set.
 
-Dimension one with method "gauss_1d" is fully deterministic: the interval is
-split at the function's breakpoints, the inner mean is a per-segment
-Gauss-Legendre rule (exact for piecewise polynomials), the sign changes of
-f - mean are located by bisection, and the outer integral is evaluated per
-sign-constant segment.  For the piecewise-polynomial catalog entries the
-result is exact to roundoff and std_error is reported as 0.
+There is one kernel per rule, vectorized over (center, radius) arrays, and
+both single-ball queries and the curve scans of weaknorm call it.
 
-Any dimension with method "monte_carlo" uses two independent uniform node
-sets in the ball's local frame.  The inner pass is antithetic (u, -u pairs),
-which integrates odd functions exactly; the outer pass is plain.  Error
-propagation is first-order additive: the mean-to-deviation map is
-1-Lipschitz in the inner mean, so the two standard errors add.
+exact_oscillation_1d (dimension one, method "gauss_1d") is fully
+deterministic: the interval is split at the function's breakpoints, the
+inner mean is a per-segment Gauss-Legendre rule of order node_count (exact
+for piecewise polynomials), the sign changes of f - mean are located by
+bisection, and the outer integral is evaluated per sign-constant segment.
+Both integrals use the segment rule of quadrature.  For the piecewise-
+polynomial catalog entries the result is exact to roundoff and std_error
+is reported as 0.
+
+mc_deviations (any dimension, method "monte_carlo") uses two independent
+uniform node sets in the ball's local frame.  The inner pass is antithetic
+(u, -u pairs), which integrates odd functions exactly; the outer pass is
+plain.  Error propagation is first-order additive: the mean-to-deviation
+map is 1-Lipschitz in the inner mean, so the two standard errors add.
 """
 from __future__ import annotations
 
@@ -26,8 +31,8 @@ import numpy as np
 
 from .catalog import TestFunction
 from .quadrature import (BallSample, EstimatedValue, QuadratureError,
-                         QuadratureSpec, ball_average, gauss_rule, stream,
-                         unit_ball_nodes)
+                         QuadratureSpec, segment_edges, segment_integrals,
+                         stream, unit_ball_nodes)
 
 # stream keys: distinct sub-streams of one master seed
 KEY_OUTER = 0
@@ -46,35 +51,6 @@ class UnsupportedFunctionError(ValueError):
 # ---------------------------------------------------------------------------
 # deterministic dimension-one machinery, vectorized over (a, r) pair arrays
 # ---------------------------------------------------------------------------
-
-def _edges_1d(breakpoints, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Segment edges of [lo, hi] split at breakpoints, shape (..., K+2).
-
-    Breakpoints outside an interval are clipped to its ends; the zero-width
-    segments that result integrate to zero, so every row has one fixed
-    layout regardless of which breakpoints it actually contains.
-    """
-    cols = [lo]
-    for b in sorted(breakpoints):
-        cols.append(np.clip(b, lo, hi))
-    cols.append(hi)
-    return np.stack(cols, axis=-1)
-
-
-def _segment_integrals(fev, edges: np.ndarray, n: int,
-                       shift=None) -> np.ndarray:
-    """Per-segment Gauss-Legendre integrals of fev (minus shift), (..., K+1)."""
-    t, w = gauss_rule(n)
-    lo = edges[..., :-1]
-    hi = edges[..., 1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid[..., None] + half[..., None] * t
-    v = fev(x)
-    if shift is not None:
-        v = v - shift[..., None, None]
-    return half * (v @ w)
-
 
 def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Insert one bisected root of f - mu per segment where the sign flips.
@@ -121,10 +97,11 @@ def _abs_moment_1d(fev, breakpoints, a: np.ndarray, r: np.ndarray,
     a = np.asarray(a, dtype=float)
     r = np.asarray(r, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    edges = _edges_1d(breakpoints, a - r, a + r)
+    edges = segment_edges(breakpoints, a - r, a + r)
     refined = _root_refined_edges(fev, edges, mu)
     if q == 1.0:
-        seg = _segment_integrals(fev, refined, _GL_ORDER, shift=mu)
+        seg = segment_integrals(lambda x: fev(x) - mu[..., None, None],
+                                refined, _GL_ORDER)
         total = np.abs(seg).sum(axis=-1)
         return total / (2.0 * r)
     # graded subdivision toward segment ends handles the |.|^q kink
@@ -132,15 +109,10 @@ def _abs_moment_1d(fev, breakpoints, a: np.ndarray, r: np.ndarray,
     lo = refined[..., :-1]
     hi = refined[..., 1:]
     sub = lo[..., None] + (hi - lo)[..., None] * frac
-    t, w = gauss_rule(_GL_ORDER)
-    slo = sub[..., :-1]
-    shi = sub[..., 1:]
-    half = 0.5 * (shi - slo)
-    mid = 0.5 * (shi + slo)
-    x = mid[..., None] + half[..., None] * t
-    v = np.abs(fev(x) - mu[..., None, None, None]) ** q
-    total = (half * (v @ w)).sum(axis=(-2, -1))
-    return total / (2.0 * r)
+    seg = segment_integrals(
+        lambda x: np.abs(fev(x) - mu[..., None, None, None]) ** q,
+        sub, _GL_ORDER)
+    return seg.sum(axis=(-2, -1)) / (2.0 * r)
 
 
 def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
@@ -157,12 +129,34 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
     a = np.asarray(a, dtype=float)
     r = np.asarray(r, dtype=float)
     a, r = np.broadcast_arrays(a, r)
-    edges = _edges_1d(f.breakpoints_1d, a - r, a + r)
-    mu = _segment_integrals(fev, edges, mu_nodes).sum(axis=-1) / (2.0 * r)
+    edges = segment_edges(f.breakpoints_1d, a - r, a + r)
+    mu = segment_integrals(fev, edges, mu_nodes).sum(axis=-1) / (2.0 * r)
     moment = _abs_moment_1d(fev, f.breakpoints_1d, a, r, mu, q)
     if q != 1.0:
         moment = np.maximum(moment, 0.0) ** (1.0 / q)
     return moment, mu
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo two-pass kernel, any dimension
+# ---------------------------------------------------------------------------
+
+def mc_deviations(ev, centers, radii, u_out, u_in, rows=slice(None)):
+    """(f - mu at the outer nodes, antithetic pair sums) for each ball.
+
+    The balls are (c, r) = (centers[rows], radii), centers of shape (..., d);
+    u_out[rows] and u_in[rows] are unit-ball nodes of shape (..., n, d) and
+    (..., m, d).  The pair sums s = f(c + r u) + f(c - r u) over u_in give
+    mu = mean(s) / 2; f - mu over c + r u_out is computed in place.
+    """
+    c = centers[rows][..., None, :]
+    r = np.asarray(radii, dtype=float)[..., None, None]
+    u = u_in[rows]
+    dev = np.asarray(ev(c + r * u_out[rows]), dtype=float)
+    pair_sums = (np.asarray(ev(c + r * u), dtype=float)
+                 + np.asarray(ev(c - r * u), dtype=float))
+    dev -= 0.5 * pair_sums.mean(axis=-1)[..., None]
+    return dev, pair_sums
 
 
 # ---------------------------------------------------------------------------
@@ -181,35 +175,22 @@ def q_oscillation(f: TestFunction, ball: BallSample, q: float,
         raise ValueError(f"ball dimension {ball.dim} does not match function dimension {f.dim}")
 
     if spec.method == "gauss_1d":
-        mu = ball_average(lambda x: f.eval(x), ball, spec,
-                          breakpoints=f.breakpoints_1d).value
-        mom = _abs_moment_1d(f.eval_1d, f.breakpoints_1d,
-                             ball.center[0], ball.radius,
-                             np.asarray(mu), q)
-        val = float(mom)
-        if q != 1.0:
-            val = max(val, 0.0) ** (1.0 / q)
-        if not np.isfinite(val):
-            raise QuadratureError("oscillation evaluated to a non-finite value")
-        return EstimatedValue(val, 0.0)
+        mom, _ = exact_oscillation_1d(f, ball.center[0], ball.radius, q,
+                                      mu_nodes=spec.node_count)
+        return EstimatedValue(float(mom), 0.0)
 
     n = spec.node_count
     d = ball.dim
     half = max((n + 1) // 2, 1)
-    u_in = unit_ball_nodes(d, half, stream(spec.seed, KEY_INNER))
-    x_plus = ball.center[None, :] + ball.radius * u_in
-    x_minus = ball.center[None, :] - ball.radius * u_in
-    pair_vals = 0.5 * (np.asarray(f.eval(x_plus), dtype=float)
-                       + np.asarray(f.eval(x_minus), dtype=float))
-    mu = float(np.mean(pair_vals))
-    se_mu = float(np.std(pair_vals, ddof=1) / np.sqrt(half)) if half > 1 else 0.0
-
     u_out = unit_ball_nodes(d, n, stream(spec.seed, KEY_OUTER))
-    vals = np.asarray(f.eval(ball.center[None, :] + ball.radius * u_out),
-                      dtype=float)
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(pair_vals))):
+    u_in = unit_ball_nodes(d, half, stream(spec.seed, KEY_INNER))
+    dev, pair_sums = mc_deviations(f.eval, ball.center, ball.radius,
+                                   u_out, u_in)
+    if not (np.all(np.isfinite(dev)) and np.all(np.isfinite(pair_sums))):
         raise QuadratureError("integrand produced non-finite values")
-    y = np.abs(vals - mu) ** q
+    pair_vals = 0.5 * pair_sums
+    se_mu = float(np.std(pair_vals, ddof=1) / np.sqrt(half)) if half > 1 else 0.0
+    y = np.abs(dev, out=dev) ** q
     m_q = float(np.mean(y))
     se_m = float(np.std(y, ddof=1) / np.sqrt(n))
     if q == 1.0:
@@ -290,8 +271,8 @@ def maximal_gradient(f: TestFunction, a, r_grid,
         def gmag(x):
             return np.abs(f.grad(x[..., None])[..., 0])
 
-        edges = _edges_1d(f.breakpoints_1d, a[0] - r_grid, a[0] + r_grid)
-        seg = _segment_integrals(gmag, edges, _GL_ORDER)
+        edges = segment_edges(f.breakpoints_1d, a[0] - r_grid, a[0] + r_grid)
+        seg = segment_integrals(gmag, edges, _GL_ORDER)
         means = seg.sum(axis=-1) / (2.0 * r_grid)
         return float(np.max(means))
 

@@ -2,9 +2,11 @@
 
 Two rules are provided behind one interface: a deterministic split-interval
 Gauss-Legendre rule for dimension one, and uniform Monte-Carlo sampling for
-any dimension.  Every random stream is counter-based: a node set is derived
-from (seed, key...) through an independent Philox generator, so results never
-depend on evaluation order, chunking, or thread count.
+any dimension.  segment_integrals is osclab's one Gauss segment rule, on
+edges that segment_edges splits at breakpoints.  Every random stream is
+counter-based: a node set is derived from (seed, key...) through
+an independent Philox generator, so results never depend on evaluation
+order, chunking, or thread count.
 
 Monte-Carlo ball points are drawn in the ball's local frame (offsets relative
 to the center, scaled by the radius).  Translating or dilating the ball moves
@@ -70,7 +72,10 @@ class QuadratureSpec:
     """Recipe for a ball average.
 
     method: "gauss_1d" (deterministic, dimension one only) or "monte_carlo".
-    node_count: nodes per pass; at least 2.
+    node_count: at least 2.  For monte_carlo, the nodes per pass.  For
+    gauss_1d, the Gauss order per segment of the inner mean; the deviation
+    integral of the oscillation keeps a fixed 8-point rule on root-refined
+    segments.
     seed: master seed for node generation; ignored by gauss_1d.
     target_rel_error: advisory accuracy goal, used by callers that classify
     results as conclusive or not; it does not change the rule itself.
@@ -146,28 +151,29 @@ def sample_ball_uniform(ball: BallSample, n: int, seed: int) -> np.ndarray:
     return ball.center[None, :] + ball.radius * unit_ball_nodes(ball.dim, n, rng)
 
 
-def _clipped_edges(lo: float, hi: float, breakpoints: Iterable[float]) -> np.ndarray:
-    """Sorted segment edges of [lo, hi] split at the given interior points.
+def segment_edges(breakpoints, lo, hi) -> np.ndarray:
+    """Segment edges of [lo, hi] split at breakpoints, shape (..., K+2).
 
-    Breakpoints outside the interval are clipped to the nearest endpoint, so
-    the segment count is fixed and empty segments contribute nothing.
+    Breakpoints outside an interval are clipped to its ends; the zero-width
+    segments that result integrate to zero, so every row has one layout.
     """
-    bp = np.sort(np.asarray(list(breakpoints), dtype=float))
-    return np.concatenate(([lo], np.clip(bp, lo, hi), [hi]))
+    cols = [lo]
+    for b in sorted(breakpoints):
+        cols.append(np.clip(b, lo, hi))
+    cols.append(hi)
+    return np.stack(cols, axis=-1)
 
 
-def _gauss_segments_value(g: Callable, edges: np.ndarray, n: int) -> float:
-    """Sum of integrals of g over consecutive [edges[k], edges[k+1]] segments."""
+def segment_integrals(g: Callable, edges: np.ndarray, n: int) -> np.ndarray:
+    """Per-segment n-point Gauss-Legendre integrals of g over consecutive
+    edges, shape (..., K+1); g maps points to values of the same shape."""
     t, w = gauss_rule(n)
-    lo = edges[:-1]
-    hi = edges[1:]
+    lo = edges[..., :-1]
+    hi = edges[..., 1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    x = mid[:, None] + half[:, None] * t[None, :]
-    vals = g(x.reshape(-1, 1)).reshape(x.shape)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("integrand produced non-finite values")
-    return float(np.sum(half * (vals @ w)))
+    x = mid[..., None] + half[..., None] * t
+    return half * (g(x) @ w)
 
 
 def ball_average(g: Callable, ball: BallSample, spec: QuadratureSpec,
@@ -195,9 +201,12 @@ def ball_average(g: Callable, ball: BallSample, spec: QuadratureSpec,
             raise QuadratureError("gauss_1d applies to dimension one only")
         a = float(ball.center[0])
         r = ball.radius
-        edges = _clipped_edges(a - r, a + r, breakpoints)
-        total = _gauss_segments_value(g, edges, spec.node_count)
-        return EstimatedValue(total / (2.0 * r), 0.0)
+        seg = segment_integrals(
+            lambda x: g(x.reshape(-1, 1)).reshape(x.shape),
+            segment_edges(breakpoints, a - r, a + r), spec.node_count)
+        if not np.all(np.isfinite(seg)):
+            raise QuadratureError("integrand produced non-finite values")
+        return EstimatedValue(float(np.sum(seg)) / (2.0 * r), 0.0)
 
     n = spec.node_count
     rng = stream(spec.seed, 0)

@@ -27,7 +27,8 @@ from .catalog import (TestFunction, default_catalog, grad_norm_p, make_linear,
 from .oscillation import (UnsupportedFunctionError, default_r_grid,
                           exact_oscillation_1d, maximal_gradient,
                           mean_oscillation)
-from .quadrature import BallSample, QuadratureSpec, gauss_rule, stream
+from .quadrature import (BallSample, QuadratureSpec, gauss_rule,
+                         segment_integrals, stream)
 from .weaknorm import (Domain, FaultSpec, c_d_prime, c_dp, distribution_curve,
                        expansion_remainder_coeff, interval_weight)
 
@@ -180,25 +181,21 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
     if f.dim != 1:
         raise UnsupportedFunctionError("mollification route applies to dimension one")
     t = phi.scale
-    x_gl, w_gl = gauss_rule(12)
     bps = tuple(f.breakpoints_1d)
 
     def ev(x):
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)[..., None]
+        # the window's breakpoints z = x - b move with x: sort per point
         cols = [np.full_like(flat, -t)]
         for b in bps:
             cols.append(np.clip(flat - b, -t, t))
         cols.append(np.full_like(flat, t))
         edges = np.sort(np.concatenate(cols, axis=-1), axis=-1)
-        lo = edges[..., :-1]
-        hi = edges[..., 1:]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        z = mid[..., None] + half[..., None] * x_gl
-        vals = phi.density(z) * f.eval_1d(flat[..., None] - z)
-        out = ((vals @ w_gl) * half).sum(axis=-1)
-        return out.reshape(x.shape)
+        seg = segment_integrals(
+            lambda z: phi.density(z) * f.eval_1d(flat[..., None] - z),
+            edges, 12)
+        return seg.sum(axis=-1).reshape(x.shape)
 
     # eval contract takes (..., 1) points
     def ev_nd(pts):
@@ -323,14 +320,10 @@ def _oscillation_convolved_with(f: TestFunction, phi: Mollifier, a: float,
         for lo, hi in zip(base[:-1], base[1:]):
             edges.append(np.linspace(lo, hi, k + 1)[:-1])
         edges = np.concatenate(edges + [base[-1:]])
-        x_gl, w_gl = gauss_rule(8)
-        lo = edges[:-1]
-        hi = edges[1:]
-        half = 0.5 * (hi - lo)
-        z = (0.5 * (hi + lo))[:, None] + half[:, None] * x_gl
-        m, _ = exact_oscillation_1d(f, a - z, r)
-        vals = phi.density(z) * m
-        return float(((vals @ w_gl) * half).sum())
+        seg = segment_integrals(
+            lambda z: phi.density(z) * exact_oscillation_1d(f, a - z, r)[0],
+            edges, 8)
+        return float(seg.sum())
 
     coarse = integrate_panels(panels)
     fine = integrate_panels(2 * panels)

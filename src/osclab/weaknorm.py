@@ -26,10 +26,12 @@ see, and centers outside the box contribute nothing by construction (for a
 compactly supported function and a box containing its support, that
 contribution vanishes in the kappa^p-scaled limit).
 
-Every center gets its own node stream keyed by global sample index, so
-results are independent of chunking and thread count, and one scan is
-shared across all thresholds (common random numbers), which makes the
-curve exactly monotone in kappa up to bisection tolerance.
+m_f comes from the kernels of oscillation (exact_oscillation_1d, and
+mc_deviations for Monte Carlo), as for single-ball queries.  Every center
+gets its own node stream keyed by global sample index, so results are
+independent of chunking and thread count, and one scan is shared across
+all thresholds (common random numbers), which makes the curve exactly
+monotone in kappa up to bisection tolerance.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import TestFunction, grad_norm_p, unit_ball_volume
-from .oscillation import exact_oscillation_1d
+from .oscillation import exact_oscillation_1d, mc_deviations
 from .quadrature import EstimatedValue, QuadratureError, QuadratureSpec, stream, unit_ball_nodes
 
 KEY_CENTERS = 3
@@ -50,6 +52,11 @@ KEY_BALL_IN = 5
 
 _CHUNK = 256
 _MAX_SLOTS = 4
+
+_COUNTER_KEYS = ("below_floor", "open_at_r_max", "merged")
+# scan ratio and crossing tolerance of the curve estimators
+_SCAN_RATIO = 1.25
+_REL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +452,7 @@ def _resolve_sections(m_at, scan, grid, kappa, iters, f, centers,
     hi = np.full((c_rows, max_slots), grid[-1])
     ambig = np.zeros(c_rows)
     below = np.zeros((c_rows, max_slots), dtype=bool)
-    counters = {"below_floor": 0, "open_at_r_max": 0, "merged": 0}
+    counters = dict.fromkeys(_COUNTER_KEYS, 0)
 
     for s in range(max_slots):
         v = valid[:, s]
@@ -494,16 +501,19 @@ def _resolve_sections(m_at, scan, grid, kappa, iters, f, centers,
 # ---------------------------------------------------------------------------
 
 class _Exact1D:
-    def __init__(self, f: TestFunction, centers: np.ndarray):
+    def __init__(self, f: TestFunction, centers: np.ndarray, mu_nodes: int):
         self.f = f
         self.a = centers[:, 0]
+        self.mu_nodes = mu_nodes
 
     def scan(self, grid: np.ndarray) -> np.ndarray:
-        m, _ = exact_oscillation_1d(self.f, self.a[:, None], grid[None, :])
+        m, _ = exact_oscillation_1d(self.f, self.a[:, None], grid[None, :],
+                                    mu_nodes=self.mu_nodes)
         return m
 
     def m_at(self, rows, r):
-        m, _ = exact_oscillation_1d(self.f, self.a[rows], r)
+        m, _ = exact_oscillation_1d(self.f, self.a[rows], r,
+                                    mu_nodes=self.mu_nodes)
         return m
 
 
@@ -532,27 +542,16 @@ class _McScan:
             self.u_in[i] = unit_ball_nodes(d, m, stream(seed, KEY_BALL_IN, g))
 
     def m_at(self, rows, r):
-        r = np.asarray(r, dtype=float)
-        c = self.centers[rows][:, None, :]
-        rr = r[:, None, None]
-        ev = self.f.eval
-        vo = np.asarray(ev(c + rr * self.u_out[rows]), dtype=float)
-        vp = np.asarray(ev(c + rr * self.u_in[rows]), dtype=float)
-        vm = np.asarray(ev(c - rr * self.u_in[rows]), dtype=float)
-        mu = 0.5 * (vp + vm).mean(axis=1)
-        return np.abs(vo - mu[:, None]).mean(axis=1)
+        dev, _ = mc_deviations(self.f.eval, self.centers, r, self.u_out,
+                               self.u_in, rows)
+        return np.abs(dev, out=dev).mean(axis=1)
 
     def scan(self, grid: np.ndarray) -> np.ndarray:
-        c_rows = self.centers.shape[0]
-        out = np.empty((c_rows, grid.size))
-        c = self.centers[:, None, :]
-        ev = self.f.eval
+        out = np.empty((self.centers.shape[0], grid.size))
         for jj, r in enumerate(grid):
-            vo = np.asarray(ev(c + r * self.u_out), dtype=float)
-            vp = np.asarray(ev(c + r * self.u_in), dtype=float)
-            vm = np.asarray(ev(c - r * self.u_in), dtype=float)
-            mu = 0.5 * (vp + vm).mean(axis=1)
-            out[:, jj] = np.abs(vo - mu[:, None]).mean(axis=1)
+            dev, _ = mc_deviations(self.f.eval, self.centers, r, self.u_out,
+                                   self.u_in)
+            out[:, jj] = np.abs(dev, out=dev).mean(axis=1)
         return out
 
 
@@ -560,7 +559,7 @@ def _make_engine(f, centers, spec, global_start):
     if spec.method == "gauss_1d":
         if f.dim != 1:
             raise QuadratureError("gauss_1d applies to dimension one only")
-        return _Exact1D(f, centers)
+        return _Exact1D(f, centers, spec.node_count)
     return _McScan(f, centers, spec.seed, spec.node_count, global_start)
 
 
@@ -571,7 +570,7 @@ def _bisect_iters(ratio: float, rel_tol: float) -> int:
 
 def superlevel_radius_set(f: TestFunction, a, kappa: float, domain: Domain,
                           spec: QuadratureSpec, scan_ratio: float = 1.02,
-                          rel_tol: float = 1e-6) -> list:
+                          rel_tol: float = _REL_TOL) -> list:
     """Connected radius intervals where m_f(a, .) exceeds kappa.
 
     Geometric scan at the given ratio from min(domain.r_min, certified
@@ -669,7 +668,7 @@ def _curve_chunk(f, centers, global_start, kappas, p, domain, spec,
     k_count = kappas.size
     weights = np.zeros((k_count, c_rows))
     ambig = np.zeros((k_count, c_rows))
-    counters = {"below_floor": 0, "open_at_r_max": 0, "merged": 0}
+    counters = dict.fromkeys(_COUNTER_KEYS, 0)
     for ki, kappa in enumerate(kappas):
         lo, hi, valid, _, amb, cnt, _, _ = _resolve_sections(
             eng.m_at, scan, grid, kappa, iters, f, centers, p, fault)
@@ -709,7 +708,7 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
     k_count = kappas.size
     weights = np.empty((k_count, samples))
     ambig = np.empty((k_count, samples))
-    counters = {"below_floor": 0, "open_at_r_max": 0, "merged": 0}
+    counters = dict.fromkeys(_COUNTER_KEYS, 0)
     for (w, am, cnt), start in zip(results, starts):
         weights[:, start:start + w.shape[1]] = w
         ambig[:, start:start + am.shape[1]] = am
@@ -744,8 +743,8 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
                        samples: int = 4096, threads: int = 1,
                        stratify: bool = True,
                        fault: Optional[FaultSpec] = None,
-                       scan_ratio: float = 1.25,
-                       rel_tol: float = 1e-6) -> DistributionCurve:
+                       scan_ratio: float = _SCAN_RATIO,
+                       rel_tol: float = _REL_TOL) -> DistributionCurve:
     """Estimate the superlevel measure for a whole threshold grid at once.
 
     The grid must be geometric-like: at least 8 decreasing points spanning
@@ -778,7 +777,8 @@ def superlevel_measure(f: TestFunction, p: float, kappa: float,
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive, got {kappa}")
     curve = _curve_engine(f, float(p), np.array([float(kappa)]), domain,
-                          spec, samples, 1, stratify, fault, 1.25, 1e-6)
+                          spec, samples, 1, stratify, fault,
+                          _SCAN_RATIO, _REL_TOL)
     return EstimatedValue(float(curve.nu[0]), float(curve.nu_stderr[0]))
 
 

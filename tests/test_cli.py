@@ -153,15 +153,20 @@ def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
     assert payload["config"]["seed"] == 777
 
 
-def test_curve_monte_carlo_default_nodes(tmp_path):
+@pytest.mark.parametrize("d, method, nodes", [
+    pytest.param(1, "gauss_1d", 8, id="d1"),
+    pytest.param(2, "monte_carlo", 512, id="d2"),
+])
+def test_curve_monte_carlo_default_nodes(tmp_path, d, method, nodes):
     # a curve in d >= 2 without --nodes uses 512 nodes per ball, not the
-    # single-query default
-    assert main(["curve", "--function", "plateau:d=2:a=1:ri=0.5:ro=1",
+    # single-query default; in d = 1 the echoed count is the Gauss order
+    # the curve uses
+    assert main(["curve", "--function", f"plateau:d={d}:a=1:ri=0.5:ro=1",
                  "--samples", "8", "--out-dir", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "curve.json").read_text())
-    assert payload["config"]["quadrature"] == {"method": "monte_carlo",
-                                               "node_count": 512}
-    assert payload["summary"]["node_count"] == 512
+    assert payload["config"]["quadrature"] == {"method": method,
+                                               "node_count": nodes}
+    assert payload["summary"]["node_count"] == nodes
 
 
 def test_missing_config_file_is_usage_error(tmp_path):

@@ -86,6 +86,18 @@ def test_ball_average_gauss_exact_linear():
     assert abs(est.value - (3.0 * 0.25 + 1.0)) <= 1e-14
 
 
+def test_ball_average_gauss_calls_g_on_point_rows():
+    # g receives (n, 1) points, as in the Monte Carlo branch
+    def g(x):
+        assert x.ndim == 2 and x.shape[1] == 1, x.shape
+        return x[:, 0] ** 2
+
+    ball = BallSample(center=np.array([0.5]), radius=0.5)
+    spec = QuadratureSpec(method="gauss_1d", node_count=8, seed=0)
+    est = ball_average(g, ball, spec, breakpoints=(0.25,))
+    assert abs(est.value - 1.0 / 3.0) <= 1e-14
+
+
 def test_ball_average_breakpoints_make_kinks_exact():
     # average of an indicator over an interval straddling its jump
     b = 0.2

@@ -34,9 +34,11 @@ from osclab import (
     weak_sup,
     write_curve_csv,
 )
+from osclab import catalog
 from osclab.weaknorm import (
     DistributionCurve,
     _bisect_crossings,
+    _McScan,
     _slot_positions,
     sample_centers,
 )
@@ -428,6 +430,45 @@ def test_threads_do_not_change_results():
     c4 = distribution_curve(f, 2.0, grid, dom, GAUSS, samples=256, threads=4)
     np.testing.assert_array_equal(c1.nu, c4.nu)
     np.testing.assert_array_equal(c1.nu_stderr, c4.nu_stderr)
+
+
+def test_mc_scan_columns_equal_single_radius_calls():
+    # the scan and the crossing search share one kernel, so a scan column
+    # is the value m_at returns at that radius, bit for bit
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    centers, _, _ = sample_centers(
+        Domain(box=((-1.25, 1.25), (-1.25, 1.25)), r_max=5.0, r_min=1e-3),
+        12, seed=5)
+    eng = _McScan(f, centers, seed=5, node_count=64, global_start=40)
+    grid = np.geomspace(1e-2, 5.0, 7)
+    scan = eng.scan(grid)
+    rows = np.arange(centers.shape[0])
+    for j, r in enumerate(grid):
+        np.testing.assert_array_equal(scan[:, j],
+                                      eng.m_at(rows, np.full(rows.size, r)))
+
+
+def test_gauss_node_count_drives_exact_curve():
+    # a Gaussian is no piecewise polynomial, so the inner mean's Gauss
+    # order shows in the curve; node_count must reach the 1-d route
+    def ev(x):
+        return np.exp(-x[..., 0] ** 2)
+
+    def gr(x):
+        return -2.0 * x * np.exp(-x ** 2)
+
+    f = catalog.TestFunction(
+        function_id="gaussian", dim=1, eval=ev, grad=gr, grad_lipschitz=2.0,
+        support_radius=None, smoothness_tag="custom",
+        grad_max=math.sqrt(2 / math.e), breakpoints_1d=(0.0,))
+    dom = Domain(box=((-2.0, 2.0),), r_max=20.0, r_min=1e-3)
+    grid = np.geomspace(0.3, 3e-4, 9)
+    curves = [distribution_curve(
+        f, 2.0, grid, dom,
+        QuadratureSpec(method="gauss_1d", node_count=n, seed=1), samples=32)
+        for n in (2, 8)]
+    assert [c.node_count for c in curves] == [2, 8]
+    assert not np.array_equal(curves[0].nu, curves[1].nu)
 
 
 def test_grid_validation():

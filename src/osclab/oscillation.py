@@ -151,10 +151,10 @@ def mc_deviations(ev, centers, radii, u_out, u_in, rows=slice(None)):
     """
     c = centers[rows][..., None, :]
     r = np.asarray(radii, dtype=float)[..., None, None]
-    u = u_in[rows]
+    ru = r * u_in[rows]
     dev = np.asarray(ev(c + r * u_out[rows]), dtype=float)
-    pair_sums = (np.asarray(ev(c + r * u), dtype=float)
-                 + np.asarray(ev(c - r * u), dtype=float))
+    pair_sums = (np.asarray(ev(c + ru), dtype=float)
+                 + np.asarray(ev(c - ru), dtype=float))
     dev -= 0.5 * pair_sums.mean(axis=-1)[..., None]
     return dev, pair_sums
 

@@ -9,8 +9,11 @@ m_f(a, .) - kappa, an ITP solve started from the scanned end values shrinks
 each bracket and a replay of the bisection path on it picks the crossing
 (the bisection result at a fraction of its evaluations), and the weight of
 the resulting union of intervals has the closed form (lo^-p - hi^-p) / p per
-interval.  Only the center integral is statistical, by (optionally
-stratified) uniform sampling over the window.
+interval.  The brackets of every threshold, slot and direction in a chunk
+of centers go into one such solve, whose rows are independent, so the
+crossing search costs a fixed number of calls of m per chunk however many
+thresholds the grid holds.  Only the center integral is statistical, by
+(optionally stratified) uniform sampling over the window.
 
 The window's r_min is a numerical floor, not a truncation: scanning starts
 at min(r_min, certified floor) and any section already above threshold at
@@ -52,6 +55,8 @@ KEY_BALL_IN = 5
 
 _CHUNK = 256
 _MAX_SLOTS = 4
+# f evaluation points per Monte Carlo kernel call on the curve path
+_BLOCK_POINTS = 2 ** 15
 
 _COUNTER_KEYS = ("below_floor", "open_at_r_max", "merged")
 # scan ratio and crossing tolerance of the curve estimators
@@ -347,9 +352,12 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi):
     """Crossing of m(row, .) through kappa in each bracket [lo, hi].
 
     Returns what iters lockstep bisection steps return, the midpoint of the
-    final cell, at a fraction of the evaluations.  m_lo and m_hi are the
-    values of m at the bracket ends (from the scan, so they cost nothing).
-    A side counts as high when (m > kappa) == rising, as in bisection.
+    final cell, at a fraction of the evaluations.  There is one entry of
+    rows (the row of m, which may repeat), lo, hi and rising per bracket,
+    and kappa is a scalar or one threshold per bracket.  m_lo and m_hi are
+    the values of m at the bracket ends (from the scan, so they cost
+    nothing).  A side counts as high when (m > kappa) == rising, as in
+    bisection.
 
     First an ITP solve (Oliveira and Takahashi, ACM TOMS 47(1), 2020) with
     kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1 shrinks each bracket
@@ -359,8 +367,10 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi):
     and only a midpoint strictly inside (a, b) is evaluated.  With one
     crossing in the bracket the result is bit-identical to plain
     bisection; with several it is another crossing, within the same
-    tolerance.  Each row costs at most 2 * iters + 1 evaluations.
+    tolerance.  Each row costs at most 2 * iters + 1 evaluations, and the
+    whole call at most 2 * iters + 1 calls of m_at, however many rows.
     """
+    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), rows.shape)
     width = hi - lo
     eps = width / 2.0 ** (iters + 1)
     k1 = 0.2 / width
@@ -385,8 +395,8 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi):
         x_t = np.where(delta <= np.abs(half - x_f), x_f + sigma * delta, half)
         x = np.where(np.abs(x_t - half) <= reach, x_t, half - sigma * reach)
         m = m_at(rows[act], x)
-        high = (m > kappa) == rising[act]
-        y = sign[act] * (m - kappa)
+        high = (m > kappa[act]) == rising[act]
+        y = sign[act] * (m - kappa[act])
         b[act] = np.where(high, x, bb)
         yb[act] = np.where(high, y, fb)
         a[act] = np.where(high, aa, x)
@@ -399,16 +409,18 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi):
         take_hi = mid >= b
         inside = np.nonzero((mid > a) & (mid < b))[0]
         if inside.size:
-            take_hi[inside] = ((m_at(rows[inside], mid[inside]) > kappa)
-                               == rising[inside])
+            take_hi[inside] = ((m_at(rows[inside], mid[inside])
+                                > kappa[inside]) == rising[inside])
         hi = np.where(take_hi, mid, hi)
         lo = np.where(take_hi, lo, mid)
     return 0.5 * (lo + hi)
 
 
 def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
-                         kappa: float, floor: float):
+                         kappa, floor: float):
     """Certified (lo, hi) bracket for a crossing below the scanned range.
+
+    kappa is a scalar or one threshold per row.
 
     For indicator entries in dimension one the oscillation vanishes while
     the ball stays clear of the jump set, so the breakpoint distance is a
@@ -437,63 +449,62 @@ def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
     return lo, hi
 
 
-def _resolve_sections(m_at, scan, grid, kappa, iters, f, centers,
+def _resolve_sections(m_at, scan, grid, kappas, iters, f, centers,
                       p, fault, max_slots=_MAX_SLOTS):
-    """Radius sections per row for one threshold, from the scanned m values.
+    """Radius sections per threshold and row, from the scanned m values.
 
-    Returns lo, hi, valid, below_floor masks of shape (C, max_slots), the
-    per-row ambiguity weight (bracket spreads plus merge gaps), event
-    counters, and the fall positions and overflow rows of _slot_positions.
+    kappas is the array of K thresholds sharing the scan.  Slot positions
+    are found per threshold; then every bracket (threshold x slot x
+    rise/fall) goes into one _bisect_crossings call, and its crossings are
+    scattered back.  Returns lo, hi, valid, below_floor of shape
+    (K, C, max_slots), the ambiguity weight (bracket spreads plus merge
+    gaps) of shape (K, C), event counters summed over the thresholds, and
+    the fall positions (K, C, max_slots) and overflow rows (K, C) of
+    _slot_positions.
     """
+    kappas = np.asarray(kappas, dtype=float)
     c_rows, j = scan.shape
+    shape = (kappas.size, c_rows, max_slots)
+    # flat row t is threshold t // C at center t % C
     rise_pos, fall_pos, valid, overflow, rises, falls = _slot_positions(
-        scan > kappa, max_slots)
-    lo = np.full((c_rows, max_slots), grid[-1])
-    hi = np.full((c_rows, max_slots), grid[-1])
-    ambig = np.zeros(c_rows)
-    below = np.zeros((c_rows, max_slots), dtype=bool)
-    counters = dict.fromkeys(_COUNTER_KEYS, 0)
+        (scan[None, :, :] > kappas[:, None, None]).reshape(-1, j), max_slots)
+    kap = np.repeat(kappas, c_rows)
+    cen = np.tile(np.arange(c_rows), kappas.size)
+    lo = np.full(valid.shape, grid[-1])
+    hi = np.full(valid.shape, grid[-1])
+    ambig = np.zeros(valid.shape[0])
+    below = np.zeros(valid.shape, dtype=bool)
 
-    for s in range(max_slots):
-        v = valid[:, s]
-        if not np.any(v):
-            continue
-        rp = rise_pos[:, s]
-        fp = fall_pos[:, s]
+    rise_t, rise_s = np.nonzero(valid & (rise_pos > 0))
+    fall_t, fall_s = np.nonzero(valid & (fall_pos < j))
+    t = np.concatenate([rise_t, fall_t])
+    rows = cen[t]
+    jb = np.concatenate([rise_pos[rise_t, rise_s], fall_pos[fall_t, fall_s]])
+    rising = np.arange(t.size) < rise_t.size
+    x = _bisect_crossings(m_at, rows, grid[jb - 1], grid[jb], kap[t], rising,
+                          iters, scan[rows, jb - 1], scan[rows, jb])
+    lo[rise_t, rise_s] = x[rising]
+    hi[fall_t, fall_s] = x[~rising]
 
-        rows = np.nonzero(v & (rp > 0))[0]
-        if rows.size:
-            jr = rp[rows]
-            lo[rows, s] = _bisect_crossings(
-                m_at, rows, grid[jr - 1], grid[jr], kappa,
-                np.ones(rows.size, dtype=bool), iters,
-                scan[rows, jr - 1], scan[rows, jr])
-        rows0 = np.nonzero(v & (rp == 0))[0]
-        if rows0.size:
-            blo, bhi = _below_floor_bracket(f, centers, rows0, kappa, grid[0])
-            lo[rows0, s] = 0.5 * (blo + bhi)
-            ambig[rows0] += interval_weight(blo, bhi, p, fault)
-            below[rows0, s] = True
-            counters["below_floor"] += rows0.size
-
-        rows = np.nonzero(v & (fp < j))[0]
-        if rows.size:
-            jf = fp[rows]
-            hi[rows, s] = _bisect_crossings(
-                m_at, rows, grid[jf - 1], grid[jf], kappa,
-                np.zeros(rows.size, dtype=bool), iters,
-                scan[rows, jf - 1], scan[rows, jf])
-        at_end = v & (fp == j)
-        hi[at_end, s] = grid[-1]
-        counters["open_at_r_max"] += int(np.count_nonzero(at_end))
+    t0, s0 = np.nonzero(valid & (rise_pos == 0))
+    if t0.size:
+        blo, bhi = _below_floor_bracket(f, centers, cen[t0], kap[t0], grid[0])
+        lo[t0, s0] = 0.5 * (blo + bhi)
+        np.add.at(ambig, t0, interval_weight(blo, bhi, p, fault))
+        below[t0, s0] = True
 
     over_rows = np.nonzero(overflow)[0]
     for c in over_rows:
         ambig[c] += _merge_ambiguity(rises[c], falls[c], grid,
                                      max_slots, p, fault)
-    counters["merged"] = int(over_rows.size)
+    counters = {
+        "below_floor": int(t0.size),
+        "open_at_r_max": int(np.count_nonzero(valid & (fall_pos == j))),
+        "merged": int(over_rows.size)}
     hi = np.maximum(hi, lo)
-    return lo, hi, valid, below, ambig, counters, fall_pos, overflow
+    return (lo.reshape(shape), hi.reshape(shape), valid.reshape(shape),
+            below.reshape(shape), ambig.reshape(shape[:2]), counters,
+            fall_pos.reshape(shape), overflow.reshape(shape[:2]))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +535,10 @@ class _McScan:
     a deterministic, r-continuous function per center and results do not
     depend on chunk boundaries or thread count.  The inner mean uses an
     independent antithetic stream, which keeps the two-pass estimate
-    unbiased for odd perturbations.
+    unbiased for odd perturbations.  The kernel runs on blocks of rows
+    whose n + 2 * ceil(n / 2) points per row add up to at most
+    _BLOCK_POINTS (at least one row), so a large crossing batch does not
+    grow the working set; each row's arithmetic is the same in any block.
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, seed: int,
@@ -534,6 +548,7 @@ class _McScan:
         m = max((n + 1) // 2, 1)
         self.f = f
         self.centers = centers
+        self.block = max(1, _BLOCK_POINTS // (n + 2 * m))
         self.u_out = np.empty((c_rows, n, d))
         self.u_in = np.empty((c_rows, m, d))
         for i in range(c_rows):
@@ -542,16 +557,20 @@ class _McScan:
             self.u_in[i] = unit_ball_nodes(d, m, stream(seed, KEY_BALL_IN, g))
 
     def m_at(self, rows, r):
-        dev, _ = mc_deviations(self.f.eval, self.centers, r, self.u_out,
-                               self.u_in, rows)
-        return np.abs(dev, out=dev).mean(axis=1)
+        out = np.empty(rows.size)
+        for start in range(0, rows.size, self.block):
+            blk = slice(start, start + self.block)
+            dev, _ = mc_deviations(self.f.eval, self.centers, r[blk],
+                                   self.u_out, self.u_in, rows[blk])
+            out[blk] = np.abs(dev, out=dev).mean(axis=1)
+        return out
 
     def scan(self, grid: np.ndarray) -> np.ndarray:
-        out = np.empty((self.centers.shape[0], grid.size))
+        c_rows = self.centers.shape[0]
+        rows = np.arange(c_rows)
+        out = np.empty((c_rows, grid.size))
         for jj, r in enumerate(grid):
-            dev, _ = mc_deviations(self.f.eval, self.centers, r, self.u_out,
-                                   self.u_in)
-            out[:, jj] = np.abs(dev, out=dev).mean(axis=1)
+            out[:, jj] = self.m_at(rows, np.full(c_rows, r))
         return out
 
 
@@ -591,23 +610,27 @@ def superlevel_radius_set(f: TestFunction, a, kappa: float, domain: Domain,
     scan = eng.scan(grid)
     iters = _bisect_iters(scan_ratio, rel_tol)
     lo, hi, valid, below, _, _, fall_pos, overflow = _resolve_sections(
-        eng.m_at, scan, grid, kappa, iters, f, centers, p=1.0, fault=None)
+        eng.m_at, scan, grid, np.array([kappa]), iters, f, centers,
+        p=1.0, fault=None)
+    # the one threshold, the one center
+    lo, hi, valid, below, fall_pos, overflow = (
+        x[0, 0] for x in (lo, hi, valid, below, fall_pos, overflow))
     out = []
     j = grid.size
     for s in range(_MAX_SLOTS):
-        if not valid[0, s]:
+        if not valid[s]:
             continue
         flags = []
-        err = rel_tol * hi[0, s]
-        if below[0, s]:
+        err = rel_tol * hi[s]
+        if below[s]:
             flags.append("below_scan_floor")
             err = max(err, 0.5 * grid[0])
-        if fall_pos[0, s] == j:
+        if fall_pos[s] == j:
             flags.append("open_at_r_max")
-        if overflow[0] and s == _MAX_SLOTS - 1:
+        if overflow and s == _MAX_SLOTS - 1:
             flags.append("merged")
             err = max(err, float(np.diff(grid).max()))
-        out.append(RadiusInterval(float(lo[0, s]), float(hi[0, s]),
+        out.append(RadiusInterval(float(lo[s]), float(hi[s]),
                                   tuple(flags), float(err)))
     return out
 
@@ -662,24 +685,13 @@ def _r_tail_bound(f: TestFunction, kappa: float, p: float,
 
 def _curve_chunk(f, centers, global_start, kappas, p, domain, spec,
                  fault, grid, iters):
-    c_rows = centers.shape[0]
     eng = _make_engine(f, centers, spec, global_start)
     scan = eng.scan(grid)
-    k_count = kappas.size
-    weights = np.zeros((k_count, c_rows))
-    ambig = np.zeros((k_count, c_rows))
-    counters = dict.fromkeys(_COUNTER_KEYS, 0)
-    for ki, kappa in enumerate(kappas):
-        lo, hi, valid, _, amb, cnt, _, _ = _resolve_sections(
-            eng.m_at, scan, grid, kappa, iters, f, centers, p, fault)
-        w = np.where(valid & (hi > lo),
-                     interval_weight(np.maximum(lo, 1e-300), hi, p, fault),
-                     0.0)
-        weights[ki] = w.sum(axis=1)
-        ambig[ki] = amb
-        for key in counters:
-            counters[key] += cnt[key]
-    return weights, ambig, counters
+    lo, hi, valid, _, ambig, counters, _, _ = _resolve_sections(
+        eng.m_at, scan, grid, kappas, iters, f, centers, p, fault)
+    w = np.where(valid & (hi > lo),
+                 interval_weight(np.maximum(lo, 1e-300), hi, p, fault), 0.0)
+    return w.sum(axis=-1), ambig, counters
 
 
 def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,

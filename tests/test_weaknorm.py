@@ -1,6 +1,7 @@
 """Distribution curves over (center, radius): constants, closed forms,
 transform laws, the jump-function divergence evaluator, and machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import lambertw
 
 from osclab import (
     Domain,
@@ -34,11 +36,13 @@ from osclab import (
     weak_sup,
     write_curve_csv,
 )
-from osclab import catalog
+from osclab import catalog, weaknorm
 from osclab.weaknorm import (
     DistributionCurve,
     _bisect_crossings,
+    _bisect_iters,
     _McScan,
+    _scan_grid,
     _slot_positions,
     sample_centers,
 )
@@ -254,14 +258,16 @@ def _reference_bisection(m_at, rows, lo, hi, kappa, rising, iters):
 
 
 class _Counted:
-    """m(row, r) wrapper that counts evaluations per row."""
+    """m(row, r) wrapper that counts evaluations per row, and calls."""
 
     def __init__(self, m, n_rows):
         self.m = m
         self.per_row = np.zeros(n_rows, dtype=np.intp)
+        self.calls = 0
 
     def __call__(self, rows, r):
         np.add.at(self.per_row, rows, 1)
+        self.calls += 1
         return self.m(rows, r)
 
 
@@ -361,6 +367,45 @@ def test_solver_saves_evaluations_on_smooth_m():
     assert per_row.sum() <= 0.5 * lo.size * ITERS
 
 
+def test_batched_solve_equals_per_threshold_calls():
+    # m(row, r) = h r e^(1 - r/s) / s rises to h at r = s and falls after;
+    # every threshold below 0.7 h crosses once on each side, in its own cell
+    rng = np.random.default_rng(8)
+    n = 40
+    h = rng.uniform(1.0, 2.0, n)
+    s = np.geomspace(1e-2, 10.0, n)
+
+    def m(rows, r):
+        x = np.asarray(r, dtype=float) / s[rows]
+        return h[rows] * x * np.exp(1.0 - x)
+
+    cells = []
+    for kappa in (0.3, 0.5, 0.7):
+        for rising in (True, False):
+            # x e^(1 - x) = c at x = -W(-c / e), branch 0 below 1, -1 above
+            w = lambertw(-kappa / h / math.e, 0 if rising else -1).real
+            lo = -w * s / 1.25 ** rng.uniform(0.05, 0.95, n)
+            cells.append((lo, 1.25 * lo, np.full(n, kappa),
+                          np.full(n, rising)))
+
+    rows = np.arange(n)
+    want = [_bisect_crossings(m, rows, lo, hi, kappa[0], rising, ITERS,
+                              m(rows, lo), m(rows, hi))
+            for lo, hi, kappa, rising in cells]
+    lo, hi, kappa, rising = (np.concatenate(x) for x in zip(*cells))
+    rows = np.tile(rows, len(cells))
+    assert np.all((m(rows, lo) > kappa) != (m(rows, hi) > kappa))
+    counted = _Counted(m, n)
+    got = _bisect_crossings(counted, rows, lo, hi, kappa, rising, ITERS,
+                            m(rows, lo), m(rows, hi))
+    np.testing.assert_array_equal(got, np.concatenate(want))
+    np.testing.assert_array_equal(got, _reference_bisection(
+        m, rows, lo, hi, kappa, rising, ITERS))
+    # each center holds len(cells) brackets of the batch
+    assert counted.per_row.max() <= len(cells) * (2 * ITERS + 1)
+    assert counted.calls <= 2 * ITERS + 1
+
+
 # ---------------------------------------------------------------------------
 # distribution curves
 # ---------------------------------------------------------------------------
@@ -430,6 +475,15 @@ def test_threads_do_not_change_results():
     c4 = distribution_curve(f, 2.0, grid, dom, GAUSS, samples=256, threads=4)
     np.testing.assert_array_equal(c1.nu, c4.nu)
     np.testing.assert_array_equal(c1.nu_stderr, c4.nu_stderr)
+    # Monte Carlo in d = 2 over two chunks, each split into kernel blocks
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    dom = Domain(box=((-1.25, 1.25),) * 2, r_max=5.0, r_min=1e-3)
+    spec = QuadratureSpec(method="monte_carlo", node_count=256, seed=9)
+    grid = np.geomspace(2.0, 2e-3, 9)
+    c1, c2 = (distribution_curve(f, 2.0, grid, dom, spec, samples=320,
+                                 threads=t) for t in (1, 2))
+    np.testing.assert_array_equal(c1.nu, c2.nu)
+    np.testing.assert_array_equal(c1.nu_stderr, c2.nu_stderr)
 
 
 def test_mc_scan_columns_equal_single_radius_calls():
@@ -469,6 +523,66 @@ def test_gauss_node_count_drives_exact_curve():
         for n in (2, 8)]
     assert [c.node_count for c in curves] == [2, 8]
     assert not np.array_equal(curves[0].nu, curves[1].nu)
+
+
+@pytest.mark.parametrize("count", [9, 17])
+def test_crossing_search_calls_do_not_grow_with_thresholds(monkeypatch,
+                                                           count):
+    # one chunk solves every threshold's crossings in one batch, so its
+    # m_at calls stay within one solve's budget of 2 * iters + 1
+    engines = []
+    make = weaknorm._make_engine
+
+    def counting(f, centers, *args):
+        eng = make(f, centers, *args)
+        eng.m_at = _Counted(eng.m_at, centers.shape[0])
+        engines.append(eng)
+        return eng
+
+    monkeypatch.setattr(weaknorm, "_make_engine", counting)
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    grid = np.geomspace(0.4, 4e-4, count)
+    distribution_curve(f, 2.0, grid, default_domain(f), GAUSS, samples=256)
+    iters = _bisect_iters(weaknorm._SCAN_RATIO, weaknorm._REL_TOL)
+    assert len(engines) == 1
+    assert 0 < engines[0].m_at.calls <= 2 * iters + 1
+
+
+def test_mc_kernel_calls_stay_within_block_budget():
+    # no f.eval call on the Monte Carlo curve path gets more points than
+    # one kernel block, however many rows the scan or the batch holds
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    sizes = []
+
+    def ev(x):
+        sizes.append(math.prod(x.shape[:-1]))
+        return f.eval(x)
+
+    g = dataclasses.replace(f, eval=ev)
+    dom = Domain(box=((-1.25, 1.25),) * 2, r_max=5.0, r_min=1e-3)
+    spec = QuadratureSpec(method="monte_carlo", node_count=512, seed=4)
+    distribution_curve(g, 2.0, np.geomspace(2.0, 2e-3, 9), dom, spec,
+                       samples=128)
+    assert sizes and max(sizes) <= weaknorm._BLOCK_POINTS
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_thresholds_are_solved_independently(d):
+    # with r_min below every threshold's certified floor the scan grid is
+    # the same for one threshold as for the whole grid, so batching the
+    # crossing search must reproduce each single-threshold measure exactly
+    f = make_plateau_bump(d, 1.0, 0.5, 1.0)
+    dom = Domain(box=((-1.25, 1.25),) * d, r_max=5.0, r_min=1e-7)
+    spec = (GAUSS if d == 1 else
+            QuadratureSpec(method="monte_carlo", node_count=64, seed=3))
+    grid = np.geomspace(0.4, 4e-4, 9)
+    scan = _scan_grid(f, dom, grid[-1], weaknorm._SCAN_RATIO)
+    cur = distribution_curve(f, 2.0, grid, dom, spec, samples=64)
+    for i, kappa in enumerate(grid):
+        np.testing.assert_array_equal(
+            _scan_grid(f, dom, kappa, weaknorm._SCAN_RATIO), scan)
+        est = superlevel_measure(f, 2.0, float(kappa), dom, spec, samples=64)
+        assert (est.value, est.std_error) == (cur.nu[i], cur.nu_stderr[i])
 
 
 def test_grid_validation():

@@ -3,8 +3,9 @@
 Every entry is a pure, vectorized function of points in R^d together with
 whatever certificates downstream estimators need: an exact gradient where one
 exists, an upper bound for the Lipschitz constant of that gradient, the
-radius outside which the function is constant, and, in dimension one, the
-breakpoints between which the function is a polynomial.  Entries are
+radius outside which the function is constant, the radius of a ball around
+each point on which it is constant, and, in dimension one, the breakpoints
+between which the function is a polynomial.  Entries are
 immutable and safe to share across threads.
 
 String identifiers:
@@ -52,6 +53,11 @@ class TestFunction:
     grad_max bounds sup |grad f|; breakpoints_1d lists the points (dimension
     one only) between which f is a single polynomial.
     l1_mass is the integral of |f - far_value| when finite, else None.
+    flat_radius, when present, maps centers of shape (..., dim) to radii of
+    shape (...,) such that f is constant on the open ball of that radius
+    around each center (a lower bound; 0 where no such ball is known).  It
+    lets estimators certify m_f(a, r) = 0 for r below it without evaluating
+    f; None (linear and custom entries) means no such certificate.
     """
     function_id: str
     dim: int
@@ -64,6 +70,7 @@ class TestFunction:
     breakpoints_1d: tuple = ()
     far_value: float = 0.0
     l1_mass: Optional[float] = None
+    flat_radius: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -148,6 +155,12 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
         safe = np.where(rho > 0.0, rho, 1.0)
         return (mag / safe)[..., None] * x
 
+    def flat(a: np.ndarray) -> np.ndarray:
+        # f is A on the core |x| <= ri and 0 outside |x| >= ro
+        a = np.asarray(a, dtype=float)
+        rho = np.sqrt(np.einsum("...i,...i->...", a, a))
+        return np.maximum(np.maximum(ri - rho, rho - ro), 0.0)
+
     # |f - 0| integrates to the core volume plus the taper shell
     shell = quad(lambda rho: (1.0 - _taper((rho - ri) / w)) * rho ** (d - 1),
                  ri, ro, epsabs=1e-14, epsrel=1e-13)[0]
@@ -159,7 +172,7 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
         grad_lipschitz=lip, support_radius=ro,
         smoothness_tag="smooth_compact_gradient", grad_max=gmax,
         breakpoints_1d=(-ro, -ri, ri, ro) if d == 1 else (),
-        far_value=0.0, l1_mass=mass)
+        far_value=0.0, l1_mass=mass, flat_radius=flat)
 
 
 def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
@@ -186,13 +199,18 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
         x = np.asarray(x, dtype=float)
         return (np.linalg.norm(x - c, axis=-1) <= R).astype(float)
 
+    def flat(a: np.ndarray) -> np.ndarray:
+        # distance to the sphere |x - c| = R, where the only jump sits
+        a = np.asarray(a, dtype=float)
+        return np.abs(np.linalg.norm(a - c, axis=-1) - R)
+
     bps = (float(c[0]) - R, float(c[0]) + R) if d == 1 else ()
     return TestFunction(
         function_id=fid, dim=d, eval=ev, grad=None,
         grad_lipschitz=None, support_radius=R + float(np.linalg.norm(c)),
         smoothness_tag="indicator", grad_max=None,
         breakpoints_1d=bps, far_value=0.0,
-        l1_mass=unit_ball_volume(d) * R ** d)
+        l1_mass=unit_ball_volume(d) * R ** d, flat_radius=flat)
 
 
 def translate(f: TestFunction, shift) -> TestFunction:
@@ -211,11 +229,14 @@ def translate(f: TestFunction, shift) -> TestFunction:
               else (lambda x, _g=f.grad: _g(np.asarray(x, dtype=float) - h))),
         support_radius=sup,
         breakpoints_1d=tuple(b + h[0] for b in f.breakpoints_1d),
+        flat_radius=(None if f.flat_radius is None
+                     else (lambda a, _r=f.flat_radius:
+                           _r(np.asarray(a, dtype=float) - h))),
         smoothness_tag=f.smoothness_tag if f.smoothness_tag != "linear" else "custom")
 
 
 def scale_values(f: TestFunction, lam: float) -> TestFunction:
-    """g(x) = lam * f(x)."""
+    """g(x) = lam * f(x); flat_radius carries over unchanged."""
     lam = float(lam)
     return replace(
         f,
@@ -247,6 +268,9 @@ def dilate(f: TestFunction, s: float) -> TestFunction:
         support_radius=(None if f.support_radius is None
                         else f.support_radius * s),
         breakpoints_1d=tuple(b * s for b in f.breakpoints_1d),
+        flat_radius=(None if f.flat_radius is None
+                     else (lambda a, _r=f.flat_radius:
+                           s * _r(np.asarray(a, dtype=float) / s))),
         l1_mass=(None if f.l1_mass is None else f.l1_mass * s ** f.dim))
 
 

@@ -389,9 +389,13 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
     Asserts the sampled ratio m_f(a, r) / (r * maximal_gradient(a)) stays
     below the frozen per-dimension regression bound (an observed constant
     of this implementation, reported with every case).  When the maximal
-    gradient vanishes the oscillation must vanish too.  A weight-integral
-    identity case recomputes the tail weight (R, infinity) against direct
-    quadrature, which makes exponent faults visible.
+    gradient vanishes the oscillation must vanish too.  Each ball also gets
+    the theorem case m_f(a, r) <= r * (ball average of |grad f|), the L^1
+    Poincare inequality on a convex set with constant diam / 2 (Acosta and
+    Duran, Proc. AMS 132, 2004); on Monte Carlo routes m enters it lowered
+    by three standard errors.  A weight-integral identity case recomputes
+    the tail weight (R, infinity) against direct quadrature, which makes
+    exponent faults visible.
     """
     if f.grad is None:
         raise UnsupportedFunctionError(
@@ -401,25 +405,18 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
     scale = f.support_radius if f.support_radius is not None else 1.0
     rng = stream(spec.seed, KEY_VERIFY, 2)
     grid = default_r_grid(f, ratio=1.05 if d == 1 else 1.1)
-
-    def ratio_samples(count: int, salt: int):
-        out = []
-        local = stream(spec.seed, KEY_VERIFY, 2, salt)
-        for i in range(count):
-            a = local.uniform(-1.3 * scale, 1.3 * scale, size=d)
-            r = float(np.exp(local.uniform(np.log(5e-3 * scale),
-                                           np.log(5.0 * scale))))
-            sub = spec if spec.method == "gauss_1d" else QuadratureSpec(
-                method=spec.method, node_count=spec.node_count,
-                seed=spec.seed + 7919 * salt + i)
-            mg = maximal_gradient(f, a, grid, sub)
-            est = mean_oscillation(f, BallSample(a, r), sub)
-            out.append((a, r, est, mg))
-        return out
+    local = stream(spec.seed, KEY_VERIFY, 2, 0)
 
     cases = []
     ratios = []
-    for i, (a, r, est, mg) in enumerate(ratio_samples(n_samples, 0)):
+    for i in range(n_samples):
+        a = local.uniform(-1.3 * scale, 1.3 * scale, size=d)
+        r = float(np.exp(local.uniform(np.log(5e-3 * scale),
+                                       np.log(5.0 * scale))))
+        sub = spec if spec.method == "gauss_1d" else QuadratureSpec(
+            method=spec.method, node_count=spec.node_count, seed=spec.seed + i)
+        mg = maximal_gradient(f, a, grid, sub)
+        est = mean_oscillation(f, BallSample(a, r), sub)
         if mg == 0.0:
             # the 0/0 guard: no gradient mass anywhere means no oscillation
             margin = est.value - 3.0 * est.std_error
@@ -428,13 +425,21 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
                 {"a": a, "r": r, "m": est.value},
                 margin, 1e-12))
             continue
-        ratio = max(est.value - 3.0 * est.std_error, 0.0) / (r * mg)
+        low = max(est.value - 3.0 * est.std_error, 0.0)
         ratios.append(est.value / (r * mg))
         cases.append(_case(
             f"domination[{i}]",
             {"a": a, "r": r, "m": est.value, "maximal_gradient": mg,
              "ratio": est.value / (r * mg)},
-            ratio, bound))
+            low / (r * mg), bound))
+        avg = maximal_gradient(f, a, [r], sub)
+        cases.append(_case(
+            f"poincare[{i}]",
+            {"a": a, "r": r, "m": est.value, "ball_gradient_average": avg,
+             "ratio": est.value / (r * avg) if avg > 0 else math.inf},
+            low - r * avg, 1e-12,
+            note="m <= r * ball average of |grad f| (L^1 Poincare); "
+                 "the tolerance is the zero guard's rounding allowance"))
 
     if ratios:
         max_ratio = max(ratios)
@@ -443,14 +448,6 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
             {"max_ratio": max_ratio, "frozen_bound": bound},
             0.0 if np.isfinite(max_ratio) else math.inf, 0.0,
             note="largest observed ratio, recorded"))
-        half = ratio_samples(max(n_samples // 2, 4), 1)
-        alt = [e.value / (r * mg) for _, r, e, mg in half if mg > 0]
-        if alt:
-            drift = abs(max(alt + ratios) - max_ratio) / max_ratio
-            cases.append(_case(
-                "ratio_stability_under_doubling",
-                {"max_ratio": max_ratio, "enlarged_max": max(alt + ratios)},
-                drift, 0.10))
         if f.smoothness_tag == "linear" and d == 1 and spec.method == "gauss_1d":
             cases.append(_case(
                 "linear_exact_ratio",

@@ -22,6 +22,13 @@ small-radius expansion for differentiable entries, the constancy radius for
 indicator entries), with the bracket's weight spread reported as ambiguity.
 For entries with gradient certificates the certified floor sits below every
 crossing, so the analytic path is a guard rather than the common case.
+The grid itself never moves, but the scan skips the cells whose estimate
+is certified below the smallest threshold before any quadrature (see
+_skip_mask): balls inside the region where f is constant (the catalog's
+flat_radius), and balls too small for f to vary by that threshold
+(2 r grad_max below it).  They read 0, which is on the same side of every
+threshold as the estimate they stand for, so the sign pattern, and with it
+every crossing the replayed bisection returns, stays the same.
 
 Two systematic truncations stay visible rather than hidden: the per-kappa
 tail_bound column bounds the weight beyond r_max that the window cannot
@@ -59,6 +66,9 @@ _MAX_SLOTS = 4
 _BLOCK_POINTS = 2 ** 15
 
 _COUNTER_KEYS = ("below_floor", "open_at_r_max", "merged")
+# relative slack of the skip certificates against the rounding of a + r u,
+# of |x| and of f itself, which are a few ulps of the coordinates and values
+_SKIP_MARGIN = 1e-9
 # scan ratio and crossing tolerance of the curve estimators
 _SCAN_RATIO = 1.25
 _REL_TOL = 1e-6
@@ -291,6 +301,35 @@ def _scan_grid(f: TestFunction, domain: Domain, kappa_min: float,
     return np.geomspace(start, domain.r_max, max(n, 3))
 
 
+def _skip_mask(f: TestFunction, centers: np.ndarray, grid: np.ndarray,
+               kappa_min: float) -> np.ndarray:
+    """Scan cells (center, grid radius), shape (C, J), whose estimate of m
+    is certified below kappa_min without evaluating f.
+
+    Both certificates bound the estimator on either route, not only the
+    true m_f: the inner mean is a convex combination of values of f in the
+    ball (antithetic Monte Carlo mean, positive-weight Gauss rule), and m
+    averages |f - mean| over points of the ball, so m <= osc of f on the
+    ball.  That oscillation is 0 when r < flat_radius(a), and at most
+    2 r grad_max always.  Both conditions hold on a prefix of radii in each
+    row.  (The 0.3 factor of _certified_floor bounds the true m_f only, so
+    it cannot serve here.)  Rounding aside: on a constant ball the Monte
+    Carlo estimate is a mean of equal values minus itself, and the exact
+    route's Gauss weights sum to the rounded width (a + r) - (a - r), which
+    adds about eps (|a| + r) / r times |f|; both stay orders of magnitude
+    below the thresholds a scan grid is built for.
+    """
+    r = grid[None, :]
+    skip = np.zeros((centers.shape[0], grid.size), dtype=bool)
+    if f.grad_max is not None:
+        skip |= 2.0 * r * f.grad_max * (1.0 + _SKIP_MARGIN) < kappa_min
+    if f.flat_radius is not None:
+        rho = np.asarray(f.flat_radius(centers), dtype=float)[:, None]
+        size = np.linalg.norm(centers, axis=1)[:, None]
+        skip |= r + _SKIP_MARGIN * (size + r) < rho
+    return skip
+
+
 def _slot_positions(above: np.ndarray, max_slots: int):
     """Crossing positions per row from a boolean scan.
 
@@ -356,8 +395,9 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi):
     rows (the row of m, which may repeat), lo, hi and rising per bracket,
     and kappa is a scalar or one threshold per bracket.  m_lo and m_hi are
     the values of m at the bracket ends (from the scan, so they cost
-    nothing).  A side counts as high when (m > kappa) == rising, as in
-    bisection.
+    nothing); any value on the same side of kappa as m serves, such as the
+    0 a skipped scan cell holds.  A side counts as high when
+    (m > kappa) == rising, as in bisection.
 
     First an ITP solve (Oliveira and Takahashi, ACM TOMS 47(1), 2020) with
     kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1 shrinks each bracket
@@ -511,34 +551,50 @@ def _resolve_sections(m_at, scan, grid, kappas, iters, f, centers,
 # scan engines
 # ---------------------------------------------------------------------------
 
-class _Exact1D:
+class _Engine:
+    """m(row, r) on a chunk of centers, plus the radius scan built on it."""
+
+    def scan(self, grid: np.ndarray, skip=None) -> np.ndarray:
+        """m at every (row, grid radius) cell, shape (C, J).
+
+        Cells where skip is True are not evaluated and read 0; the others
+        go to m_at as one gather of (row, radius) pairs, so each value is
+        the one m_at returns for that pair.
+        """
+        if skip is None:
+            skip = np.zeros((self.centers.shape[0], grid.size), dtype=bool)
+        rows, cols = np.nonzero(~skip)
+        out = np.zeros(skip.shape)
+        out[rows, cols] = self.m_at(rows, grid[cols])
+        return out
+
+
+class _Exact1D(_Engine):
+    """The deterministic Gauss route of exact_oscillation_1d, d = 1."""
+
     def __init__(self, f: TestFunction, centers: np.ndarray, mu_nodes: int):
         self.f = f
-        self.a = centers[:, 0]
+        self.centers = centers
         self.mu_nodes = mu_nodes
 
-    def scan(self, grid: np.ndarray) -> np.ndarray:
-        m, _ = exact_oscillation_1d(self.f, self.a[:, None], grid[None, :],
-                                    mu_nodes=self.mu_nodes)
-        return m
-
     def m_at(self, rows, r):
-        m, _ = exact_oscillation_1d(self.f, self.a[rows], r,
+        m, _ = exact_oscillation_1d(self.f, self.centers[rows, 0], r,
                                     mu_nodes=self.mu_nodes)
         return m
 
 
-class _McScan:
+class _McScan(_Engine):
     """Per-center pinned node sets in the ball-local frame.
 
     Each center's nodes are keyed by its global sample index, so m(a, r) is
     a deterministic, r-continuous function per center and results do not
     depend on chunk boundaries or thread count.  The inner mean uses an
     independent antithetic stream, which keeps the two-pass estimate
-    unbiased for odd perturbations.  The kernel runs on blocks of rows
-    whose n + 2 * ceil(n / 2) points per row add up to at most
-    _BLOCK_POINTS (at least one row), so a large crossing batch does not
-    grow the working set; each row's arithmetic is the same in any block.
+    unbiased for odd perturbations.  The kernel runs on blocks of (row,
+    radius) pairs whose n + 2 * ceil(n / 2) points per pair add up to at
+    most _BLOCK_POINTS (at least one pair), so neither a large crossing
+    batch nor a scan gather grows the working set; each pair's arithmetic
+    is the same in any block.
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, seed: int,
@@ -563,14 +619,6 @@ class _McScan:
             dev, _ = mc_deviations(self.f.eval, self.centers, r[blk],
                                    self.u_out, self.u_in, rows[blk])
             out[blk] = np.abs(dev, out=dev).mean(axis=1)
-        return out
-
-    def scan(self, grid: np.ndarray) -> np.ndarray:
-        c_rows = self.centers.shape[0]
-        rows = np.arange(c_rows)
-        out = np.empty((c_rows, grid.size))
-        for jj, r in enumerate(grid):
-            out[:, jj] = self.m_at(rows, np.full(c_rows, r))
         return out
 
 
@@ -607,7 +655,7 @@ def superlevel_radius_set(f: TestFunction, a, kappa: float, domain: Domain,
     grid = _scan_grid(f, domain, kappa, scan_ratio)
     centers = a[None, :]
     eng = _make_engine(f, centers, spec, 0)
-    scan = eng.scan(grid)
+    scan = eng.scan(grid, _skip_mask(f, centers, grid, kappa))
     iters = _bisect_iters(scan_ratio, rel_tol)
     lo, hi, valid, below, _, _, fall_pos, overflow = _resolve_sections(
         eng.m_at, scan, grid, np.array([kappa]), iters, f, centers,
@@ -686,7 +734,7 @@ def _r_tail_bound(f: TestFunction, kappa: float, p: float,
 def _curve_chunk(f, centers, global_start, kappas, p, domain, spec,
                  fault, grid, iters):
     eng = _make_engine(f, centers, spec, global_start)
-    scan = eng.scan(grid)
+    scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas.min())))
     lo, hi, valid, _, ambig, counters, _, _ = _resolve_sections(
         eng.m_at, scan, grid, kappas, iters, f, centers, p, fault)
     w = np.where(valid & (hi > lo),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from osclab import (
@@ -19,7 +19,9 @@ from osclab import (
     scale_values,
     stream,
     translate,
+    unit_ball_nodes,
 )
+from osclab.weaknorm import _SKIP_MARGIN
 
 DIFFERENTIABLE = [f for f in default_catalog() if f.grad is not None]
 
@@ -178,6 +180,58 @@ def test_translate_shifts_argument(h, x):
     pt = np.array([x])
     assert math.isclose(float(g.eval(pt)), float(f.eval(pt - h)),
                         rel_tol=1e-12, abs_tol=1e-300)
+
+
+FLAT_ENTRIES = [
+    make_plateau_bump(1, 1.0, 0.5, 1.0),
+    make_plateau_bump(2, 1.0, 0.5, 1.0),
+    make_plateau_bump(3, -2.0, 0.3, 0.9),
+    make_ball_indicator(1, 0.5),
+    make_ball_indicator(1, 0.5, center=[0.25]),
+    make_ball_indicator(2, 0.6, center=[0.3, -0.2]),
+    translate(make_plateau_bump(2, 1.0, 0.5, 1.0), [0.4, -0.3]),
+    dilate(make_plateau_bump(1, 1.0, 0.5, 1.0), 2.5),
+    dilate(make_ball_indicator(2, 0.5), 0.4),
+    scale_values(make_plateau_bump(2, 1.0, 0.5, 1.0), 0.7),
+    scale_values(translate(make_ball_indicator(3, 0.5), [0.1, 0.0, -0.2]),
+                 -3.0),
+]
+
+
+@given(f=st.sampled_from(FLAT_ENTRIES),
+       a=st.lists(st.floats(-2.5, 2.5), min_size=3, max_size=3),
+       t=st.floats(0.0, 1.0, exclude_max=True),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=300, deadline=None)
+def test_flat_radius_certifies_constancy(f, a, t, seed):
+    # f is exactly constant on B(a, r) for every r the scan may skip by
+    # constancy: r + margin * (|a| + r) < flat_radius(a), which leaves room
+    # for the rounding of a + r u, even for nodes on the sphere
+    a = np.array(a[:f.dim])
+    rho = float(f.flat_radius(a))
+    r = t * rho
+    assume(r + _SKIP_MARGIN * (np.linalg.norm(a) + r) < rho)
+    u = unit_ball_nodes(f.dim, 64, stream(seed, 53))
+    u = np.concatenate([u, u / np.linalg.norm(u, axis=1, keepdims=True)])
+    vals = f.eval(a + r * u)
+    assert np.all(vals == f.eval(a)), (f.function_id, a, r)
+
+
+def test_flat_radius_values():
+    plateau = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    pts = np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.75], [3.0, 4.0]])
+    np.testing.assert_allclose(plateau.flat_radius(pts), [0.5, 0.2, 0.0, 4.0])
+    ind = make_ball_indicator(1, 0.5, center=[0.25])
+    np.testing.assert_allclose(ind.flat_radius(np.array([[0.25], [1.0]])),
+                               [0.5, 0.25])
+    g = dilate(translate(plateau, [1.0, 0.0]), 2.0)
+    np.testing.assert_allclose(g.flat_radius(np.array([[2.0, 0.0]])), [1.0])
+
+
+def test_flat_radius_absent_without_a_constancy_certificate():
+    for f in (make_linear(1, [1.0]), make_linear(2, [1.0, 0.0]),
+              translate(make_linear(2, [1.0, 2.0]), [0.5, 0.5])):
+        assert f.flat_radius is None
 
 
 def test_plateau_l1_mass_matches_quadrature():

@@ -158,6 +158,27 @@ def test_maximal_domination_zero_gradient():
     assert any(c.name.startswith("zero_gradient_guard") for c in rep.cases)
 
 
+def test_poincare_case_catches_inflated_oscillation(monkeypatch):
+    # m <= r * ball average of |grad f| is a theorem; on plateau d=1 these
+    # 60 balls reach a ratio of 0.935, so m scaled by 1.1 breaks it there
+    from osclab import verify
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    rep = check_maximal_domination(f, 60, GAUSS)
+    poincare = [c for c in rep.cases if c.name.startswith("poincare")]
+    assert len(poincare) == 60 and rep.passed
+    assert "ratio_stability_under_doubling" not in {c.name for c in rep.cases}
+    honest = verify.mean_oscillation
+
+    def inflated(*args):
+        est = honest(*args)
+        return type(est)(1.1 * est.value, est.std_error)
+
+    monkeypatch.setattr(verify, "mean_oscillation", inflated)
+    rep = check_maximal_domination(f, 60, GAUSS)
+    failed = {c.name.split("[")[0] for c in rep.cases if c.verdict == "fail"}
+    assert failed == {"poincare"}
+
+
 def test_tail_bounds_plateau_and_indicator():
     spec = QuadratureSpec(method="gauss_1d", node_count=16, seed=3)
     for f in (make_plateau_bump(1, 1.0, 0.5, 1.0),

@@ -31,6 +31,7 @@ from osclab import (
     reference_scaled_limit,
     scale_values,
     dilate,
+    default_catalog,
     superlevel_measure,
     superlevel_radius_set,
     weak_sup,
@@ -41,8 +42,10 @@ from osclab.weaknorm import (
     DistributionCurve,
     _bisect_crossings,
     _bisect_iters,
+    _make_engine,
     _McScan,
     _scan_grid,
+    _skip_mask,
     _slot_positions,
     sample_centers,
 )
@@ -583,6 +586,116 @@ def test_thresholds_are_solved_independently(d):
             _scan_grid(f, dom, kappa, weaknorm._SCAN_RATIO), scan)
         est = superlevel_measure(f, 2.0, float(kappa), dom, spec, samples=64)
         assert (est.value, est.std_error) == (cur.nu[i], cur.nu_stderr[i])
+
+
+# ---------------------------------------------------------------------------
+# skipped scan cells
+# ---------------------------------------------------------------------------
+
+def _skip_setup(f):
+    # a floor below the certified one, so the Lipschitz skip has cells
+    dom = default_domain(f)
+    dom = dataclasses.replace(dom, r_min=1e-2 * dom.r_min)
+    kappa_min = (default_kappa_grid(f)[-1] if f.grad_max is not None
+                 else 1e-3)
+    return dom, kappa_min
+
+
+SKIP_ENTRIES = default_catalog() + [
+    dilate(make_plateau_bump(1, 1.0, 0.5, 1.0), 3.0),
+    scale_values(make_plateau_bump(2, 1.0, 0.5, 1.0), 0.7),
+    make_ball_indicator(2, 0.5, center=[0.2, -0.1]),
+]
+SKIP_ROUTES = [(f, method) for f in SKIP_ENTRIES
+               for method in (("gauss_1d", "monte_carlo") if f.dim == 1
+                              else ("monte_carlo",))]
+
+
+@pytest.mark.parametrize(
+    "f,method", SKIP_ROUTES,
+    ids=[f"{f.function_id}-{m}" for f, m in SKIP_ROUTES])
+def test_skipped_cells_are_below_kappa_min(f, method):
+    # the skip certifies the estimator, so evaluating a skipped cell on
+    # either route gives a value below kappa_min, and 0 up to rounding on
+    # a ball where f is constant: at most 1e-12 by Monte Carlo; the exact
+    # route integrates over the width (a + r) - (a - r), whose rounding
+    # against 2 r adds eps (|a| + r) / r relative to |f|
+    dom, kappa_min = _skip_setup(f)
+    centers, _, _ = sample_centers(dom, 96, seed=8)
+    grid = _scan_grid(f, dom, kappa_min, weaknorm._SCAN_RATIO)
+    skip = _skip_mask(f, centers, grid, kappa_min)
+    assert skip.any() and not skip.all()
+    spec = QuadratureSpec(method=method, node_count=64, seed=8)
+    eng = _make_engine(f, centers, spec, 0)
+    rows, cols = np.nonzero(skip)
+    m = eng.m_at(rows, grid[cols])
+    assert m.max() < kappa_min
+    if f.flat_radius is not None:
+        a, r = centers[rows], grid[cols]
+        flat = r < f.flat_radius(a)
+        assert flat.any()
+        allowance = np.full(rows.size, 1e-12)
+        if method == "gauss_1d":
+            allowance += (4.0 * np.finfo(float).eps * np.abs(f.eval(a))
+                          * (np.abs(a[:, 0]) + r) / r)
+        assert np.all(np.abs(m[flat]) <= allowance[flat])
+    # the unskipped cells read what m_at returns there
+    scan = eng.scan(grid, skip)
+    assert np.all(scan[skip] == 0.0)
+    keep_r, keep_c = np.nonzero(~skip)
+    np.testing.assert_array_equal(scan[keep_r, keep_c],
+                                  eng.m_at(keep_r, grid[keep_c]))
+
+
+def _no_skip(f, centers, grid, kappa_min):
+    return np.zeros((centers.shape[0], grid.size), dtype=bool)
+
+
+SKIP_CURVES = {
+    "plateau-d1-exact": (
+        make_plateau_bump(1, 1.0, 0.5, 1.0), GAUSS, None, None, 512),
+    "plateau-d2-mc": (
+        make_plateau_bump(2, 1.0, 0.5, 1.0),
+        QuadratureSpec(method="monte_carlo", node_count=128, seed=11),
+        Domain(box=((-1.25, 1.25),) * 2, r_max=22.5, r_min=1e-4),
+        np.geomspace(20.0, 0.02, 13), 256),
+    "indicator-d1-exact": (
+        make_ball_indicator(1, 0.5), GAUSS,
+        Domain(box=((-2.0, 2.0),), r_max=10.0, r_min=1e-3),
+        np.geomspace(0.4, 4e-4, 9), 512),
+    "dilated-plateau-d1-exact": (
+        dilate(make_plateau_bump(1, 1.0, 0.5, 1.0), 3.0), GAUSS, None, None,
+        512),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CURVES))
+def test_skip_mask_keeps_curve_bytes_and_saves_points(monkeypatch, tmp_path,
+                                                      case):
+    # skipped cells only move where the crossing solve places its points,
+    # so the curve is byte-identical to the one scanned at every cell,
+    # while f is evaluated at fewer points
+    f, spec, dom, grid, samples = SKIP_CURVES[case]
+    dom = dom or default_domain(f)
+    grid = default_kappa_grid(f) if grid is None else grid
+    points = []
+
+    def ev(x):
+        points.append(math.prod(x.shape[:-1]))
+        return f.eval(x)
+
+    g = dataclasses.replace(f, eval=ev)
+    out = {}
+    for label in ("masked", "full"):
+        if label == "full":
+            monkeypatch.setattr(weaknorm, "_skip_mask", _no_skip)
+        points.clear()
+        cur = distribution_curve(g, 2.0 if f.grad is not None else 1.0,
+                                 grid, dom, spec, samples=samples)
+        write_curve_csv(cur, tmp_path / f"{label}.csv")
+        out[label] = ((tmp_path / f"{label}.csv").read_bytes(), sum(points))
+    assert out["masked"][0] == out["full"][0]
+    assert out["masked"][1] < out["full"][1]
 
 
 def test_grid_validation():

@@ -14,6 +14,7 @@ from scipy.special import lambertw
 from osclab import (
     Domain,
     FaultSpec,
+    QuadratureError,
     QuadratureSpec,
     c_d_prime,
     c_dp,
@@ -409,6 +410,99 @@ def test_batched_solve_equals_per_threshold_calls():
     assert counted.calls <= 2 * ITERS + 1
 
 
+def _shape_value(kind, par, t, r):
+    """Increasing g(r) per row, by kind: s r^par with s = t^-par,
+    e^(par (r - t) / t), or log1p(r / t)."""
+    out = np.empty(r.shape)
+    for k, g in enumerate((lambda a, c, x: c ** -a * x ** a,
+                           lambda a, c, x: np.exp(a * (x - c) / c),
+                           lambda a, c, x: np.log1p(x / c))):
+        sel = kind == k
+        out[sel] = g(par[sel], t[sel], r[sel])
+    return out
+
+
+_BRACKET = st.tuples(
+    st.integers(0, 2),                        # shape of m
+    st.floats(0.2, 50.0),                     # power or exponential rate
+    st.floats(1e-3, 10.0),                    # lo
+    st.floats(1.01, 2.0),                     # hi / lo
+    st.booleans(),                            # rising
+    st.one_of(st.floats(0.01, 0.99),          # crossing inside the bracket
+              st.lists(st.booleans(), min_size=1, max_size=8)),  # or a tie
+    st.booleans())                            # lo holds a skipped cell's 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_BRACKET, min_size=1, max_size=6), st.integers(4, 24))
+def test_solver_matches_bisection_on_random_brackets(brackets, iters):
+    # a single crossing per bracket, wherever it falls: at a random point,
+    # or a tie m == kappa at a midpoint of the bisection path (reached by
+    # the listed turns); a rising row's low end may hold the 0 of a skipped
+    # scan cell while m there is positive and below kappa
+    kind, par, lo, ratio, rising, skipped = (
+        np.array([b[i] for b in brackets]) for i in (0, 1, 2, 3, 4, 6))
+    hi = lo * ratio
+    t = np.empty(lo.size)
+    for i, where in enumerate(b[5] for b in brackets):
+        if isinstance(where, float):
+            t[i] = lo[i] + where * (hi[i] - lo[i])
+            continue
+        a, b = lo[i], hi[i]
+        for go_hi in where:
+            mid = 0.5 * (a + b)
+            a, b = (a, mid) if go_hi else (mid, b)
+        t[i] = 0.5 * (a + b)
+
+    def m(rows, r):
+        g = _shape_value(kind[rows], par[rows], t[rows], np.asarray(r, float))
+        return np.where(rising[rows], g, 1.0 / g)
+
+    rows = np.arange(lo.size)
+    kappa = m(rows, t)
+    m_lo = np.where(rising & skipped, 0.0, m(rows, lo))
+    assert np.all(m(rows, lo) > 0.0)
+    assert np.all((m_lo > kappa) != (m(rows, hi) > kappa))
+    counted = _Counted(m, lo.size)
+    got = _bisect_crossings(counted, rows, lo, hi, kappa, rising, iters,
+                            m_lo, m(rows, hi))
+    np.testing.assert_array_equal(got, _reference_bisection(
+        m, rows, lo, hi, kappa, rising, iters))
+    assert counted.per_row.max() <= 2 * iters + 1
+    assert counted.calls <= 2 * iters + 1
+
+
+def _mean_evaluations(m, lo, hi, kappa, rising):
+    rows = np.arange(lo.size)
+    counted = _Counted(m, lo.size)
+    _bisect_crossings(counted, rows, lo, hi, kappa, np.full(lo.size, rising),
+                      ITERS, m(rows, lo), m(rows, hi))
+    return counted.per_row.mean()
+
+
+def test_solver_evaluations_per_bracket():
+    # the crossing search's work, independent of the machine: smooth m
+    # needs about 4 evaluations of m per bracket, a steep power law about
+    # 9, where an ITP phase (Oliveira and Takahashi 2020) needs about 6.7
+    # and 16
+    lo, hi = _geometric_cells(300)
+    t = lo + np.random.default_rng(7).uniform(0.02, 0.98, lo.size) * (hi - lo)
+    assert _mean_evaluations(lambda rows, r: np.log1p(np.asarray(r) / t[rows]),
+                             lo, hi, math.log(2.0), True) <= 5.0
+    lo, hi = _geometric_cells(200)
+    t = lo + np.random.default_rng(4).uniform(0.05, 0.95, lo.size) * (hi - lo)
+    scale = 1.0 / t ** 1.5
+    assert _mean_evaluations(lambda rows, r: scale[rows] * r ** 1.5,
+                             lo, hi, 1.0, True) <= 5.0
+    assert _mean_evaluations(lambda rows, r: 2.0 - scale[rows] * r ** 1.5,
+                             lo, hi, 1.0, False) <= 5.0
+    lo, hi = _geometric_cells(200, ratio=2.0)
+    t = lo + np.random.default_rng(4).uniform(0.05, 0.95, lo.size) * (hi - lo)
+    scale = 1.0 / t ** 20
+    assert _mean_evaluations(lambda rows, r: scale[rows] * r ** 20,
+                             lo, hi, 1.0, True) <= 14.0
+
+
 # ---------------------------------------------------------------------------
 # distribution curves
 # ---------------------------------------------------------------------------
@@ -549,6 +643,43 @@ def test_crossing_search_calls_do_not_grow_with_thresholds(monkeypatch,
     iters = _bisect_iters(weaknorm._SCAN_RATIO, weaknorm._REL_TOL)
     assert len(engines) == 1
     assert 0 < engines[0].m_at.calls <= 2 * iters + 1
+
+
+def test_crossing_search_evaluations_per_bracket_on_a_curve(monkeypatch):
+    # the brackets of a real chunk (plateau d = 1, exact route, 256 centers)
+    # cost about 4.5 evaluations of m each, about 6.7 with an ITP phase;
+    # counted on the m_at the crossing search gets
+    seen = {"brackets": 0, "evaluations": 0}
+    solve = weaknorm._bisect_crossings
+
+    def counting(m_at, rows, *args):
+        def counted(r, x):
+            seen["evaluations"] += r.size
+            return m_at(r, x)
+        seen["brackets"] += rows.size
+        return solve(counted, rows, *args)
+
+    monkeypatch.setattr(weaknorm, "_bisect_crossings", counting)
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    distribution_curve(f, 2.0, default_kappa_grid(f), default_domain(f),
+                       GAUSS, samples=256)
+    assert seen["brackets"] > 1000
+    assert seen["evaluations"] <= 5.0 * seen["brackets"]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_curve_rejects_non_finite_oscillation(d):
+    # m > kappa is False for NaN, so a ball where f is not finite would
+    # count as below every threshold and the curve would come out finite
+    # and wrong; both routes raise instead, as single-ball queries do
+    f = make_plateau_bump(d, 1.0, 0.5, 1.0)
+    g = dataclasses.replace(f, eval=lambda x: np.where(
+        x[..., 0] > 0.7, np.nan, f.eval(x)))
+    spec = (GAUSS if d == 1 else
+            QuadratureSpec(method="monte_carlo", node_count=64, seed=3))
+    with pytest.raises(QuadratureError, match="non-finite"):
+        distribution_curve(g, 2.0, default_kappa_grid(g), default_domain(g),
+                           spec, samples=64)
 
 
 def test_mc_kernel_calls_stay_within_block_budget():

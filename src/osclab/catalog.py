@@ -6,7 +6,9 @@ exists, an upper bound for the Lipschitz constant of that gradient, the
 radius outside which the function is constant, the radius of a ball around
 each point on which it is constant, and, in dimension one, the breakpoints
 between which the function is a polynomial.  Entries are
-immutable and safe to share across threads.
+immutable and safe to share across threads.  The plateau's L1 mass and
+gradient norms are closed forms (integrals of polynomials and Beta
+functions), so the catalog needs numpy only.
 
 String identifiers:
     linear:d=2:v=1,0
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 SMOOTHNESS_TAGS = ("smooth_compact_gradient", "linear", "indicator", "custom")
 
@@ -41,6 +42,24 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
+def _shell_sum(ri: float, w: float, d: int,
+               moment: Callable[[int], float]) -> float:
+    """w * integral over s in [0, 1] of g(s) (ri + w s)^(d-1), for a profile
+    g with moments moment(k) = integral of s^k g(s): the binomial expansion
+    of the radial weight rho^(d-1) on the taper shell rho = ri + w s."""
+    return w * sum(math.comb(d - 1, k) * ri ** (d - 1 - k) * w ** k * moment(k)
+                   for k in range(d))
+
+
+def _beta(a: float, b: float) -> float:
+    # math.gamma keeps the ratio within a few ulps where it does not
+    # overflow; exp(lgamma) loses several more
+    try:
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    except OverflowError:
+        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """A catalog entry.
@@ -55,9 +74,11 @@ class TestFunction:
     l1_mass is the integral of |f - far_value| when finite, else None.
     flat_radius, when present, maps centers of shape (..., dim) to radii of
     shape (...,) such that f is constant on the open ball of that radius
-    around each center (a lower bound; 0 where no such ball is known).  It
-    lets estimators certify m_f(a, r) = 0 for r below it without evaluating
-    f; None (linear and custom entries) means no such certificate.
+    around each center (a lower bound; 0 where no such ball is known), and
+    grad, where present, is exactly 0 on that ball.  It lets estimators
+    certify m_f(a, r) = 0, and a zero ball average of |grad f|, for r below
+    it without evaluating f or grad; None (linear and custom entries) means
+    no such certificate.
     """
     function_id: str
     dim: int
@@ -123,7 +144,9 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
 
     The gradient Lipschitz certificate comes from the closed-form Hessian of
     the taper: |f''| <= |A| max|S''| / w^2 radially and, for d >= 2, the
-    tangential curvature adds |A| max(S') / (w ri) on the annulus.
+    tangential curvature adds |A| max(S') / (w ri) on the annulus.  The
+    L1 mass integrates the polynomial (1 - S(s)) (ri + w s)^(d-1) over the
+    taper shell exactly, term by term.
     """
     A = float(amplitude)
     ri = float(inner_radius)
@@ -161,9 +184,10 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
         rho = np.sqrt(np.einsum("...i,...i->...", a, a))
         return np.maximum(np.maximum(ri - rho, rho - ro), 0.0)
 
-    # |f - 0| integrates to the core volume plus the taper shell
-    shell = quad(lambda rho: (1.0 - _taper((rho - ri) / w)) * rho ** (d - 1),
-                 ri, ro, epsabs=1e-14, epsrel=1e-13)[0]
+    # |f - 0| integrates to the core volume plus the taper shell, where
+    # 1 - S(s) = 1 - 10 s^3 + 15 s^4 - 6 s^5 integrates in closed form
+    shell = _shell_sum(ri, w, d, lambda k: (1.0 / (k + 1) - 10.0 / (k + 4)
+                                            + 15.0 / (k + 5) - 6.0 / (k + 6)))
     surf = d * unit_ball_volume(d)
     mass = abs(A) * (surf * ri ** d / d + surf * shell)
 
@@ -275,26 +299,34 @@ def dilate(f: TestFunction, s: float) -> TestFunction:
 
 
 def grad_norm_p(f: TestFunction, p: float) -> float:
-    """Integral of |grad f|^p over R^d by adaptive radial quadrature.
+    """Integral of |grad f|^p over R^d, in closed form.
 
-    Available for catalog entries whose gradient is radial or constant with
-    bounded support of the gradient; used as an independent reference for
-    distribution limits.
+    Available for plateau entries as built by make_plateau_bump.  With
+    s = (|x| - ri) / w the gradient magnitude is (30 |A| / w) s^2 (1 - s)^2,
+    so for any p > 0 the integral is
+
+        d omega_d w (30 |A| / w)^p sum_k C(d-1, k) ri^(d-1-k) w^k
+            B(2p + k + 1, 2p + 1).
+
+    Used as an independent reference for distribution limits.  Raises
+    ValueError for any other entry, including a plateau whose identifier
+    carries a transform suffix (translate, dilate, scale_values), which
+    this formula does not model.
     """
     fid = f.function_id
     if fid.startswith("plateau:"):
         params = _parse_fields(fid)
-        A = abs(float(params["a"]))
-        ri = float(params["ri"])
-        ro = float(params["ro"])
+        A = abs(float(params.pop("a")))
+        ri = float(params.pop("ri"))
+        ro = float(params.pop("ro"))
+        params.pop("kind")
+        params.pop("d")
+        _reject_extras(fid, params)
         w = ro - ri
         d = f.dim
-
-        def g(rho):
-            return (A * _taper_d1((rho - ri) / w) / w) ** p * rho ** (d - 1)
-
-        val = quad(g, ri, ro, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-        return d * unit_ball_volume(d) * val
+        shell = _shell_sum(ri, w, d,
+                           lambda k: _beta(2.0 * p + k + 1.0, 2.0 * p + 1.0))
+        return d * unit_ball_volume(d) * (30.0 * A / w) ** p * shell
     raise ValueError(f"no closed gradient-norm route for {fid!r}")
 
 

@@ -39,6 +39,11 @@ KEY_OUTER = 0
 KEY_INNER = 1
 KEY_PAIR = 2
 
+# relative slack of the flat_radius certificate (here and in the curve
+# scan's skip mask) against the rounding of a + r u, of |x| and of f
+# itself, which are a few ulps of the coordinates and values
+_SKIP_MARGIN = 1e-9
+
 _ROOT_ITERS = 30
 _GL_ORDER = 8
 _GRADE_PANELS = 8
@@ -98,12 +103,13 @@ def _abs_moment_1d(fev, breakpoints, a: np.ndarray, r: np.ndarray,
     r = np.asarray(r, dtype=float)
     mu = np.asarray(mu, dtype=float)
     edges = segment_edges(breakpoints, a - r, a + r)
+    width = edges[..., -1] - edges[..., 0]
     refined = _root_refined_edges(fev, edges, mu)
     if q == 1.0:
         seg = segment_integrals(lambda x: fev(x) - mu[..., None, None],
                                 refined, _GL_ORDER)
         total = np.abs(seg).sum(axis=-1)
-        return total / (2.0 * r)
+        return total / width
     # graded subdivision toward segment ends handles the |.|^q kink
     frac = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, _GRADE_PANELS + 1)))
     lo = refined[..., :-1]
@@ -112,7 +118,7 @@ def _abs_moment_1d(fev, breakpoints, a: np.ndarray, r: np.ndarray,
     seg = segment_integrals(
         lambda x: np.abs(fev(x) - mu[..., None, None, None]) ** q,
         sub, _GL_ORDER)
-    return seg.sum(axis=(-2, -1)) / (2.0 * r)
+    return seg.sum(axis=(-2, -1)) / width
 
 
 def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
@@ -130,7 +136,10 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
     r = np.asarray(r, dtype=float)
     a, r = np.broadcast_arrays(a, r)
     edges = segment_edges(f.breakpoints_1d, a - r, a + r)
-    mu = segment_integrals(fev, edges, mu_nodes).sum(axis=-1) / (2.0 * r)
+    # the Gauss weights sum to the integrated width (a + r) - (a - r), not
+    # to 2 r: dividing by it keeps a constant f's mean exact at any radius
+    mu = (segment_integrals(fev, edges, mu_nodes).sum(axis=-1)
+          / (edges[..., -1] - edges[..., 0]))
     moment = _abs_moment_1d(fev, f.breakpoints_1d, a, r, mu, q)
     if q != 1.0:
         moment = np.maximum(moment, 0.0) ** (1.0 / q)
@@ -254,7 +263,10 @@ def maximal_gradient(f: TestFunction, a, r_grid,
 
     A grid restriction of the centered maximal function of |grad f|, hence a
     lower bound for it (exact in dimension one with gauss_1d, statistical
-    otherwise).  Functions without a gradient are rejected.
+    otherwise).  Functions without a gradient are rejected.  Radii on which
+    flat_radius certifies f constant are dropped before any evaluation:
+    grad is exactly 0 there, every other average is >= 0, so the maximum
+    is unchanged, and 0.0 when no radius is left.
     """
     if f.grad is None:
         raise UnsupportedFunctionError(
@@ -263,11 +275,17 @@ def maximal_gradient(f: TestFunction, a, r_grid,
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or r_grid.size == 0 or np.any(r_grid <= 0):
         raise ValueError("r_grid must be a nonempty array of positive radii")
+    if spec.method == "gauss_1d" and f.dim != 1:
+        raise QuadratureError("gauss_1d applies to dimension one only")
+
+    if f.flat_radius is not None:
+        rho = float(f.flat_radius(a))
+        size = float(np.linalg.norm(a))
+        r_grid = r_grid[~(r_grid + _SKIP_MARGIN * (size + r_grid) < rho)]
+        if r_grid.size == 0:
+            return 0.0
 
     if spec.method == "gauss_1d":
-        if f.dim != 1:
-            raise QuadratureError("gauss_1d applies to dimension one only")
-
         def gmag(x):
             return np.abs(f.grad(x[..., None])[..., 0])
 

@@ -12,6 +12,10 @@ an independent quadrature route and compare against the closed form in use.
 Their purpose is mutation sensitivity: a deliberately corrupted constant
 (see weaknorm.FaultSpec) must flip at least one suite from green to red,
 otherwise the battery would be vacuous.
+
+The oracles that integrate with scipy.integrate.quad import scipy when they
+are called, never at module level.  They stay independent of osclab's own
+Gauss rule, and importing osclab or running a curve does not load scipy.
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .catalog import (TestFunction, default_catalog, grad_norm_p, make_linear,
                       make_plateau_bump, unit_ball_volume)
@@ -232,6 +235,8 @@ def _slope_constant_oracle(d: int) -> float:
     Independent of the gamma-function closed form: only unit ball volumes
     and a one-dimensional integral of t (1 - t^2)^((d-1)/2).
     """
+    from scipy import integrate
+
     val, err = integrate.quad(lambda t: t * (1.0 - t * t) ** ((d - 1) / 2.0),
                               0.0, 1.0)
     ratio = unit_ball_volume(d - 1) / unit_ball_volume(d) if d > 1 else 0.5
@@ -240,6 +245,8 @@ def _slope_constant_oracle(d: int) -> float:
 
 def _moment_coeff_oracle(d: int) -> float:
     """Mean of |x|^2 over the unit ball, radially: d / (d + 2)."""
+    from scipy import integrate
+
     num, _ = integrate.quad(lambda s: s ** (d + 1), 0.0, 1.0)
     den, _ = integrate.quad(lambda s: s ** (d - 1), 0.0, 1.0)
     return num / den
@@ -397,6 +404,8 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
     the tail weight (R, infinity) against direct quadrature, which makes
     exponent faults visible.
     """
+    from scipy import integrate
+
     if f.grad is None:
         raise UnsupportedFunctionError(
             f"{f.function_id} lacks a gradient; domination does not apply")
@@ -512,6 +521,8 @@ def indicator_measure_1d(kappa: float, radius: float, box, r_lo: float,
     center approaches an edge), so the value is certified +inf without
     numerical work.
     """
+    from scipy import integrate
+
     if kappa >= 0.5 or kappa <= 0.0:
         return 0.0
     lo_box, hi_box = float(box[0]), float(box[1])

@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import TestFunction, grad_norm_p, unit_ball_volume
-from .oscillation import exact_oscillation_1d, mc_deviations
+from .oscillation import _SKIP_MARGIN, exact_oscillation_1d, mc_deviations
 from .quadrature import EstimatedValue, QuadratureError, QuadratureSpec, stream, unit_ball_nodes
 
 KEY_CENTERS = 3
@@ -70,9 +70,6 @@ _MAX_SLOTS = 4
 _BLOCK_POINTS = 2 ** 15
 
 _COUNTER_KEYS = ("below_floor", "open_at_r_max", "merged")
-# relative slack of the skip certificates against the rounding of a + r u,
-# of |x| and of f itself, which are a few ulps of the coordinates and values
-_SKIP_MARGIN = 1e-9
 # scan ratio and crossing tolerance of the curve estimators
 _SCAN_RATIO = 1.25
 _REL_TOL = 1e-6
@@ -981,9 +978,10 @@ def reference_scaled_limit(f: TestFunction, p: float,
                            domain: Domain) -> Optional[float]:
     """Independent value of c_dp times the window integral of |grad f|^p.
 
-    Closed form for linear entries; radial quadrature for plateau entries
-    whose gradient support fits inside the window (the integral then equals
-    the whole-space one).  None when no independent route exists.
+    Closed form for linear entries, and for plateau entries (see
+    catalog.grad_norm_p) whose gradient support fits inside the window (the
+    integral then equals the whole-space one).  None when no independent
+    route exists, transformed plateaus included.
     """
     if f.smoothness_tag == "linear" and f.grad_max is not None:
         return c_dp(f.dim, p) * f.grad_max ** p * domain.volume
@@ -991,7 +989,11 @@ def reference_scaled_limit(f: TestFunction, p: float,
         inside = all(lo <= -f.support_radius and hi >= f.support_radius
                      for lo, hi in domain.box)
         if inside:
-            return c_dp(f.dim, p) * grad_norm_p(f, p)
+            try:
+                norm = grad_norm_p(f, p)
+            except ValueError:
+                return None  # a transformed plateau, not modelled there
+            return c_dp(f.dim, p) * norm
     return None
 
 

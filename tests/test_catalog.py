@@ -97,6 +97,54 @@ def test_plateau_l1_gradient_norm_is_two():
     assert abs(grad_norm_p(f, 1.0) - 2.0) <= 1e-9
 
 
+def test_plateau_gradient_norm_squared_is_40_over_7_to_two_ulps():
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    exact = 40.0 / 7.0
+    assert abs(grad_norm_p(f, 2.0) - exact) <= 2.0 * math.ulp(exact)
+
+
+PLATEAU_PARAMS = [(1.0, 0.5, 1.0), (-2.0, 0.3, 0.9), (0.4, 1.5, 1.75)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7])
+def test_plateau_gradient_norm_closed_form_matches_quadrature(d, p):
+    # radial quadrature of |grad f|^p over the taper shell is the oracle
+    from scipy.integrate import quad
+    from osclab import unit_ball_volume
+    for A, ri, ro in PLATEAU_PARAMS:
+        f = make_plateau_bump(d, A, ri, ro)
+
+        def integrand(rho):
+            g = f.grad(np.array([rho] + [0.0] * (d - 1)))
+            return float(np.linalg.norm(g)) ** p * rho ** (d - 1)
+
+        val, err = quad(integrand, ri, ro, epsabs=0.0, epsrel=2e-14,
+                        limit=200)
+        oracle = d * unit_ball_volume(d) * val
+        got = grad_norm_p(f, p)
+        assert isinstance(got, float)
+        assert abs(got - oracle) <= 1e-13 * oracle, (A, ri, ro, got, oracle)
+
+
+@pytest.mark.parametrize("transform", [
+    lambda f: dilate(f, 3.0),
+    lambda f: scale_values(f, 2.0),
+    lambda f: translate(f, [0.25]),
+], ids=["dilate", "scale_values", "translate"])
+def test_grad_norm_p_rejects_transformed_plateaus(transform):
+    # the closed form reads the plateau's own parameters, so a suffix it
+    # does not model must not pass as the untransformed value
+    g = transform(make_plateau_bump(1, 1.0, 0.5, 1.0))
+    with pytest.raises(ValueError):
+        grad_norm_p(g, 2.0)
+
+
+def test_plateau_l1_mass_is_a_float():
+    for d in (1, 2, 3):
+        assert type(make_plateau_bump(d, 1.0, 0.5, 1.0).l1_mass) is float
+
+
 def test_identifier_round_trip():
     for fid in DEFAULT_IDS:
         f = parse_function_id(fid)
@@ -204,9 +252,10 @@ FLAT_ENTRIES = [
        seed=st.integers(0, 2 ** 16))
 @settings(max_examples=300, deadline=None)
 def test_flat_radius_certifies_constancy(f, a, t, seed):
-    # f is exactly constant on B(a, r) for every r the scan may skip by
-    # constancy: r + margin * (|a| + r) < flat_radius(a), which leaves room
-    # for the rounding of a + r u, even for nodes on the sphere
+    # f is exactly constant, and grad f exactly 0, on B(a, r) for every r
+    # the scan or maximal_gradient may skip by constancy: r + margin *
+    # (|a| + r) < flat_radius(a), which leaves room for the rounding of
+    # a + r u, even for nodes on the sphere
     a = np.array(a[:f.dim])
     rho = float(f.flat_radius(a))
     r = t * rho
@@ -215,6 +264,10 @@ def test_flat_radius_certifies_constancy(f, a, t, seed):
     u = np.concatenate([u, u / np.linalg.norm(u, axis=1, keepdims=True)])
     vals = f.eval(a + r * u)
     assert np.all(vals == f.eval(a)), (f.function_id, a, r)
+    # and the gradient, where there is one, is exactly 0 on that ball
+    if f.grad is not None:
+        assert np.all(f.grad(a + r * u) == 0.0), (f.function_id, a, r)
+        assert np.all(f.grad(a) == 0.0), (f.function_id, a, r)
 
 
 def test_flat_radius_values():

@@ -1,8 +1,10 @@
 """Command line front end: flags, config, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,3 +225,36 @@ def test_console_script_end_to_end():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "= 0.5 " in proc.stdout
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import osclab.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, ("import", loaded[:5])
+out = sys.argv[1]
+assert osclab.cli.main(["curve", "--function", "plateau:d=1:a=1:ri=0.5:ro=1",
+                        "--samples", "16", "--out-dir", out + "/d1"]) == 0
+assert osclab.cli.main(["curve", "--function", "plateau:d=2:a=1:ri=0.5:ro=1",
+                        "--nodes", "32", "--samples", "16",
+                        "--out-dir", out + "/d2"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, ("curve", loaded[:5])
+"""
+
+
+def test_import_and_curve_runs_leave_scipy_unloaded(tmp_path):
+    # scipy is only for the verify oracles: importing the CLI and running a
+    # Gauss (d = 1) and a Monte Carlo (d = 2) curve must not load it.  A
+    # fresh interpreter, since other tests import scipy in this one.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for d in ("d1", "d2"):
+        payload = json.loads((tmp_path / d / "curve.json").read_text())
+        assert payload["summary"]["reference_value"] is not None

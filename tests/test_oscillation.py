@@ -1,5 +1,6 @@
 """Ball oscillation evaluators: closed forms, q-ladder, transform laws."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from osclab import (
     pair_oscillation,
     q_oscillation,
     scale_values,
+    stream,
     translate,
 )
 
@@ -197,6 +199,61 @@ def test_maximal_gradient_dominates_pointwise_gradient():
         mg = maximal_gradient(f, np.array([a]), grid, GAUSS)
         g = abs(float(f.grad(np.array([a]))[0]))
         assert mg >= g - 1e-3 * max(1.0, g)
+
+
+SKIP_ENTRIES = [
+    (make_plateau_bump(1, 1.0, 0.5, 1.0), GAUSS),
+    (make_plateau_bump(1, 1.0, 0.5, 1.0), _mc(n=256)),
+    (make_plateau_bump(2, 1.0, 0.5, 1.0), _mc(n=256)),
+    (dilate(make_plateau_bump(1, 1.0, 0.5, 1.0), 2.5), GAUSS),
+    (translate(make_plateau_bump(2, 1.0, 0.5, 1.0), [0.4, -0.3]), _mc(n=256)),
+    (scale_values(make_plateau_bump(2, 1.0, 0.5, 1.0), -0.7), _mc(n=256)),
+    (scale_values(make_plateau_bump(1, 1.0, 0.5, 1.0), 3.0), GAUSS),
+]
+
+
+@pytest.mark.parametrize("f,spec", SKIP_ENTRIES,
+                         ids=[f"{f.function_id}-{s.method}"
+                              for f, s in SKIP_ENTRIES])
+def test_maximal_gradient_skip_is_bit_identical(f, spec):
+    # radii on which flat_radius certifies f constant have a zero gradient
+    # average, so dropping them leaves the maximum, and a one-radius call,
+    # bit for bit as they were; grad is then called at fewer points
+    points = []
+
+    def counted(x):
+        points.append(math.prod(x.shape[:-1]))
+        return f.grad(x)
+
+    g = dataclasses.replace(f, grad=counted)
+    bare = dataclasses.replace(g, flat_radius=None)
+    scale = f.support_radius
+    grid = default_r_grid(f, ratio=1.05 if f.dim == 1 else 1.1)
+    centers = stream(4, 31).uniform(-1.3 * scale, 1.3 * scale,
+                                    size=(40, f.dim))
+    counts = {"skip": 0, "bare": 0}
+    skipped = 0
+    for a in centers:
+        rho = float(f.flat_radius(a))
+        skipped += rho > grid[0]
+        for radii in (grid, [0.5 * rho] if rho > 0 else [grid[0]]):
+            out = {}
+            for label, h in (("skip", g), ("bare", bare)):
+                points.clear()
+                out[label] = maximal_gradient(h, a, radii, spec)
+                counts[label] += sum(points)
+            assert out["skip"] == out["bare"], (a, radii)
+            assert out["skip"] >= 0.0
+    assert skipped > 0
+    assert counts["skip"] < counts["bare"]
+
+
+def test_maximal_gradient_is_zero_when_every_radius_is_flat():
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    g = dataclasses.replace(f, grad=lambda x: pytest.fail("grad was called"))
+    for a in ([0.0, 0.0], [2.0, 1.0]):
+        grid = np.geomspace(1e-3, 0.1, 12)
+        assert maximal_gradient(g, np.array(a), grid, _mc(n=64)) == 0.0
 
 
 def test_default_r_grid_spans_and_ratio():

@@ -33,6 +33,34 @@ def test_gauss_rule_weights_positive_sum_two():
     assert np.all(np.diff(x) > 0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 64, 200])
+def test_gauss_rule_matches_scipy_roots_legendre(n):
+    # scipy's generator is the oracle; the weights differ mostly at the
+    # ends, where 1 - x^2 is small and scipy is the less accurate of the two
+    from scipy.special import roots_legendre
+    x, w = gauss_rule(n)
+    xs, ws = roots_legendre(n)
+    assert np.max(np.abs(x - xs)) <= 4e-16
+    assert np.max(np.abs(w - ws) / ws) <= 1e-10
+
+
+def test_gauss_rule_exact_to_degree_2n_minus_1_and_symmetric():
+    for n in range(1, 13):
+        x, w = gauss_rule(n)
+        assert x.shape == w.shape == (n,)
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(float(w @ x**k) - exact) <= 4e-15, (n, k)
+
+
+def test_gauss_rule_integrates_exp_at_high_order():
+    x, w = gauss_rule(4096)
+    exact = np.e - 1.0 / np.e
+    assert abs(float(w @ np.exp(x)) - exact) <= 1e-15 * exact
+
+
 def test_stream_deterministic_and_key_separated():
     a = stream(123, 0, 5).standard_normal(8)
     b = stream(123, 0, 5).standard_normal(8)

@@ -31,7 +31,9 @@ from osclab import (
     make_plateau_bump,
     reference_scaled_limit,
     scale_values,
+    curve_summary,
     dilate,
+    translate,
     default_catalog,
     superlevel_measure,
     superlevel_radius_set,
@@ -749,8 +751,8 @@ def test_skipped_cells_are_below_kappa_min(f, method):
     # the skip certifies the estimator, so evaluating a skipped cell on
     # either route gives a value below kappa_min, and 0 up to rounding on
     # a ball where f is constant: at most 1e-12 by Monte Carlo; the exact
-    # route integrates over the width (a + r) - (a - r), whose rounding
-    # against 2 r adds eps (|a| + r) / r relative to |f|
+    # route divides by the width it integrates over, so its inner mean is
+    # |f| to an ulp or two at any radius
     dom, kappa_min = _skip_setup(f)
     centers, _, _ = sample_centers(dom, 96, seed=8)
     grid = _scan_grid(f, dom, kappa_min, weaknorm._SCAN_RATIO)
@@ -765,10 +767,10 @@ def test_skipped_cells_are_below_kappa_min(f, method):
         a, r = centers[rows], grid[cols]
         flat = r < f.flat_radius(a)
         assert flat.any()
-        allowance = np.full(rows.size, 1e-12)
         if method == "gauss_1d":
-            allowance += (4.0 * np.finfo(float).eps * np.abs(f.eval(a))
-                          * (np.abs(a[:, 0]) + r) / r)
+            allowance = 4.0 * np.finfo(float).eps * np.abs(f.eval(a))
+        else:
+            allowance = np.full(rows.size, 1e-12)
         assert np.all(np.abs(m[flat]) <= allowance[flat])
     # the unskipped cells read what m_at returns there
     scan = eng.scan(grid, skip)
@@ -905,6 +907,24 @@ def test_reference_scaled_limit_catalog():
     assert reference_scaled_limit(pla, 2.0, dom2) == pytest.approx(want2)
     ind = make_ball_indicator(1, 0.5)
     assert reference_scaled_limit(ind, 1.0, dom) is None
+
+
+@pytest.mark.parametrize("transform", [
+    lambda f: dilate(f, 3.0),
+    lambda f: scale_values(f, 2.0),
+    lambda f: translate(f, [0.25]),
+], ids=["dilate", "scale_values", "translate"])
+def test_curve_summary_has_no_reference_for_transformed_plateaus(transform):
+    # grad_norm_p models the bare plateau only: a transformed one gets no
+    # reference value, rather than the untransformed value or an exception
+    g = transform(make_plateau_bump(1, 1.0, 0.5, 1.0))
+    dom = default_domain(g)
+    assert all(lo <= -g.support_radius and hi >= g.support_radius
+               for lo, hi in dom.box)
+    cur = distribution_curve(g, 2.0, default_kappa_grid(g), dom, GAUSS,
+                             samples=16)
+    assert reference_scaled_limit(g, 2.0, dom) is None
+    assert curve_summary(cur, f=g)["reference_value"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,22 @@ def _taper_d1(s: np.ndarray) -> np.ndarray:
     return 30.0 * s * s * (1.0 - s) ** 2
 
 
+def coordinate_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum over k of x[..., k] * y[..., k], added in index order.
+
+    einsum and matmul choose their order of summation, and whether to fuse
+    a multiply into an add, from the memory layout of their operands, so
+    points stored coordinate-major (see TestFunction) could differ in the
+    last bit from the same points stored point-major.  Adding the
+    coordinates one at a time, first to last, gives the same bits for
+    either layout.
+    """
+    out = x[..., 0] * y[..., 0]
+    for k in range(1, x.shape[-1]):
+        out = out + x[..., k] * y[..., k]
+    return out
+
+
 def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
@@ -65,7 +81,13 @@ class TestFunction:
     """A catalog entry.
 
     eval maps an array of shape (..., dim) to values of shape (...,).
-    grad, when present, maps (..., dim) to (..., dim).
+    grad, when present, maps (..., dim) to (..., dim).  Both, and
+    flat_radius, accept any memory layout and give the same bits for
+    every layout of the same values: the Monte Carlo kernels pass
+    coordinate-major views (the node axis contiguous, x.strides[-1] >
+    x.strides[-2]), so entries sum over coordinates with coordinate_dot,
+    never with einsum, matmul or a reduction whose order follows the
+    strides.
     grad_lipschitz is a certified upper bound for |grad f(x) - grad f(y)| / |x - y|,
     or None when the gradient does not exist as a function.
     support_radius is a radius outside which f is constant, or None.
@@ -124,7 +146,7 @@ def make_linear(d: int, v) -> TestFunction:
     fid = f"linear:d={d}:v=" + ",".join(_fmt(c) for c in v)
 
     def ev(x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ v
+        return coordinate_dot(np.asarray(x, dtype=float), v)
 
     def gr(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -166,13 +188,13 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
 
     def ev(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        rho = np.sqrt(np.einsum("...i,...i->...", x, x))
+        rho = np.sqrt(coordinate_dot(x, x))
         s = np.clip((rho - ri) / w, 0.0, 1.0)
         return A * (1.0 - _taper(s))
 
     def gr(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        rho = np.sqrt(np.einsum("...i,...i->...", x, x))
+        rho = np.sqrt(coordinate_dot(x, x))
         s = np.clip((rho - ri) / w, 0.0, 1.0)
         mag = -A * _taper_d1(s) / w
         safe = np.where(rho > 0.0, rho, 1.0)
@@ -181,7 +203,7 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
     def flat(a: np.ndarray) -> np.ndarray:
         # f is A on the core |x| <= ri and 0 outside |x| >= ro
         a = np.asarray(a, dtype=float)
-        rho = np.sqrt(np.einsum("...i,...i->...", a, a))
+        rho = np.sqrt(coordinate_dot(a, a))
         return np.maximum(np.maximum(ri - rho, rho - ro), 0.0)
 
     # |f - 0| integrates to the core volume plus the taper shell, where
@@ -220,13 +242,13 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
     fid = f"indicator:d={d}:r={_fmt(R)}" + cid
 
     def ev(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (np.linalg.norm(x - c, axis=-1) <= R).astype(float)
+        y = np.asarray(x, dtype=float) - c
+        return (np.sqrt(coordinate_dot(y, y)) <= R).astype(float)
 
     def flat(a: np.ndarray) -> np.ndarray:
         # distance to the sphere |x - c| = R, where the only jump sits
-        a = np.asarray(a, dtype=float)
-        return np.abs(np.linalg.norm(a - c, axis=-1) - R)
+        y = np.asarray(a, dtype=float) - c
+        return np.abs(np.sqrt(coordinate_dot(y, y)) - R)
 
     bps = (float(c[0]) - R, float(c[0]) + R) if d == 1 else ()
     return TestFunction(

@@ -24,12 +24,15 @@ uniform node sets in the ball's local frame.  The inner pass is antithetic
 (u, -u pairs), which integrates odd functions exactly; the outer pass is
 plain.  Error propagation is first-order additive: the mean-to-deviation
 map is 1-Lipschitz in the inner mean, so the two standard errors add.
+Its nodes, and those of pair_oscillation and maximal_gradient, are stored
+coordinate-major, (d, n), so each array operation on the points runs over
+the n nodes instead of the d coordinates; f receives (n, d) views.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .catalog import TestFunction
+from .catalog import TestFunction, coordinate_dot
 from .quadrature import (BallSample, EstimatedValue, QuadratureError,
                          QuadratureSpec, segment_edges, segment_integrals,
                          stream, unit_ball_nodes)
@@ -154,18 +157,34 @@ def mc_deviations(ev, centers, radii, u_out, u_in, rows=slice(None)):
     """(f - mu at the outer nodes, antithetic pair sums) for each ball.
 
     The balls are (c, r) = (centers[rows], radii), centers of shape (..., d);
-    u_out[rows] and u_in[rows] are unit-ball nodes of shape (..., n, d) and
-    (..., m, d).  The pair sums s = f(c + r u) + f(c - r u) over u_in give
-    mu = mean(s) / 2; f - mu over c + r u_out is computed in place.
+    u_out[rows] and u_in[rows] are unit-ball nodes stored coordinate-major,
+    shape (..., d, n) and (..., d, m).  The points c + r u are built in that
+    layout, so each broadcast operation runs over n contiguous values
+    rather than d, and ev receives them as (..., n, d) views with the node
+    axis contiguous (the catalog's eval gives the same bits for any layout).
+    The pair sums s = f(c + r u) + f(c - r u) over u_in, shape (..., m),
+    give mu = mean(s) / 2; f - mu over c + r u_out, shape (..., n), is
+    computed in place.
     """
-    c = centers[rows][..., None, :]
+    c = centers[rows][..., :, None]
     r = np.asarray(radii, dtype=float)[..., None, None]
     ru = r * u_in[rows]
-    dev = np.asarray(ev(c + r * u_out[rows]), dtype=float)
-    pair_sums = (np.asarray(ev(c + ru), dtype=float)
-                 + np.asarray(ev(c - ru), dtype=float))
+    dev = np.asarray(ev(_point_major(c + r * u_out[rows])), dtype=float)
+    pair_sums = (np.asarray(ev(_point_major(c + ru)), dtype=float)
+                 + np.asarray(ev(_point_major(c - ru)), dtype=float))
     dev -= 0.5 * pair_sums.mean(axis=-1)[..., None]
     return dev, pair_sums
+
+
+def _point_major(x: np.ndarray) -> np.ndarray:
+    """The (..., n, d) view of coordinate-major points x of shape (..., d, n),
+    which is the shape the catalog's eval and grad take."""
+    return np.swapaxes(x, -1, -2)
+
+
+def _ball_nodes(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """unit_ball_nodes, the same values stored coordinate-major, (d, n)."""
+    return np.ascontiguousarray(unit_ball_nodes(d, n, rng).T)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +210,8 @@ def q_oscillation(f: TestFunction, ball: BallSample, q: float,
     n = spec.node_count
     d = ball.dim
     half = max((n + 1) // 2, 1)
-    u_out = unit_ball_nodes(d, n, stream(spec.seed, KEY_OUTER))
-    u_in = unit_ball_nodes(d, half, stream(spec.seed, KEY_INNER))
+    u_out = _ball_nodes(d, n, stream(spec.seed, KEY_OUTER))
+    u_in = _ball_nodes(d, half, stream(spec.seed, KEY_INNER))
     dev, pair_sums = mc_deviations(f.eval, ball.center, ball.radius,
                                    u_out, u_in)
     if not (np.all(np.isfinite(dev)) and np.all(np.isfinite(pair_sums))):
@@ -231,10 +250,11 @@ def pair_oscillation(f: TestFunction, ball: BallSample, q: float,
         raise ValueError(f"ball dimension {ball.dim} does not match function dimension {f.dim}")
     n = spec.node_count
     d = ball.dim
-    ux = unit_ball_nodes(d, n, stream(spec.seed, KEY_OUTER))
-    uy = unit_ball_nodes(d, n, stream(spec.seed, KEY_PAIR))
-    vx = np.asarray(f.eval(ball.center[None, :] + ball.radius * ux), dtype=float)
-    vy = np.asarray(f.eval(ball.center[None, :] + ball.radius * uy), dtype=float)
+    c = ball.center[:, None]
+    ux = _ball_nodes(d, n, stream(spec.seed, KEY_OUTER))
+    uy = _ball_nodes(d, n, stream(spec.seed, KEY_PAIR))
+    vx = np.asarray(f.eval(_point_major(c + ball.radius * ux)), dtype=float)
+    vy = np.asarray(f.eval(_point_major(c + ball.radius * uy)), dtype=float)
     if not (np.all(np.isfinite(vx)) and np.all(np.isfinite(vy))):
         raise QuadratureError("integrand produced non-finite values")
     z = np.abs(vx - vy) ** q
@@ -291,13 +311,14 @@ def maximal_gradient(f: TestFunction, a, r_grid,
 
         edges = segment_edges(f.breakpoints_1d, a[0] - r_grid, a[0] + r_grid)
         seg = segment_integrals(gmag, edges, _GL_ORDER)
-        means = seg.sum(axis=-1) / (2.0 * r_grid)
+        # divide by the integrated width, as exact_oscillation_1d does
+        means = seg.sum(axis=-1) / (edges[..., -1] - edges[..., 0])
         return float(np.max(means))
 
-    u = unit_ball_nodes(f.dim, spec.node_count, stream(spec.seed, KEY_OUTER))
-    x = a[None, None, :] + r_grid[:, None, None] * u[None, :, :]
-    g = np.asarray(f.grad(x), dtype=float)
-    mag = np.sqrt(np.einsum("...i,...i->...", g, g))
+    u = _ball_nodes(f.dim, spec.node_count, stream(spec.seed, KEY_OUTER))
+    x = a[None, :, None] + r_grid[:, None, None] * u[None, :, :]
+    g = np.asarray(f.grad(_point_major(x)), dtype=float)
+    mag = np.sqrt(coordinate_dot(g, g))
     if not np.all(np.isfinite(mag)):
         raise QuadratureError("gradient produced non-finite values")
     return float(np.max(np.mean(mag, axis=1)))

@@ -12,7 +12,11 @@ depend on evaluation order, chunking, or thread count.
 Monte-Carlo ball points are drawn in the ball's local frame (offsets relative
 to the center, scaled by the radius).  Translating or dilating the ball moves
 the same node layout rigidly, which makes covariance identities of downstream
-estimators exact rather than statistical.
+estimators exact rather than statistical.  unit_ball_nodes,
+sample_ball_uniform and ball_average hand out points as (n, d) arrays, one
+point per row; the oscillation kernels store the same node values
+transposed, coordinate-major as (d, n), so that their arithmetic runs along
+the long node axis (see oscillation.mc_deviations).
 """
 from __future__ import annotations
 
@@ -241,12 +245,15 @@ def ball_average(g: Callable, ball: BallSample, spec: QuadratureSpec,
             raise QuadratureError("gauss_1d applies to dimension one only")
         a = float(ball.center[0])
         r = ball.radius
+        edges = segment_edges(breakpoints, a - r, a + r)
         seg = segment_integrals(
             lambda x: g(x.reshape(-1, 1)).reshape(x.shape),
-            segment_edges(breakpoints, a - r, a + r), spec.node_count)
+            edges, spec.node_count)
         if not np.all(np.isfinite(seg)):
             raise QuadratureError("integrand produced non-finite values")
-        return EstimatedValue(float(np.sum(seg)) / (2.0 * r), 0.0)
+        # the Gauss weights sum to the integrated width (a + r) - (a - r),
+        # not to 2 r: dividing by it keeps a constant g's average exact
+        return EstimatedValue(float(np.sum(seg)) / (edges[-1] - edges[0]), 0.0)
 
     n = spec.node_count
     rng = stream(spec.seed, 0)

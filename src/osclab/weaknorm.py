@@ -619,7 +619,10 @@ class _McScan(_Engine):
     a deterministic, r-continuous function per center and results do not
     depend on chunk boundaries or thread count.  The inner mean uses an
     independent antithetic stream, which keeps the two-pass estimate
-    unbiased for odd perturbations.  The kernel runs on blocks of (row,
+    unbiased for odd perturbations.  The node sets are stored
+    coordinate-major, u_out of shape (C, d, n) and u_in of shape (C, d, m),
+    holding the values of unit_ball_nodes transposed, which is the layout
+    mc_deviations builds its points in.  The kernel runs on blocks of (row,
     radius) pairs whose n + 2 * ceil(n / 2) points per pair add up to at
     most _BLOCK_POINTS (at least one pair), so neither a large crossing
     batch nor a scan gather grows the working set; each pair's arithmetic
@@ -634,12 +637,12 @@ class _McScan(_Engine):
         self.f = f
         self.centers = centers
         self.block = max(1, _BLOCK_POINTS // (n + 2 * m))
-        self.u_out = np.empty((c_rows, n, d))
-        self.u_in = np.empty((c_rows, m, d))
+        self.u_out = np.empty((c_rows, d, n))
+        self.u_in = np.empty((c_rows, d, m))
         for i in range(c_rows):
             g = global_start + i
-            self.u_out[i] = unit_ball_nodes(d, n, stream(seed, KEY_BALL_OUT, g))
-            self.u_in[i] = unit_ball_nodes(d, m, stream(seed, KEY_BALL_IN, g))
+            self.u_out[i] = unit_ball_nodes(d, n, stream(seed, KEY_BALL_OUT, g)).T
+            self.u_in[i] = unit_ball_nodes(d, m, stream(seed, KEY_BALL_IN, g)).T
 
     def m_at(self, rows, r):
         out = np.empty(rows.size)

@@ -305,3 +305,53 @@ def test_plateau_l1_mass_matches_quadrature():
                 lambda t: abs(f.eval_1d(np.array([t]))[0]) * surf * t**(d - 1),
                 0.0, 1.0, limit=200)
         assert abs(val - f.l1_mass) <= 1e-8 + 10 * err, (d, val, f.l1_mass)
+
+
+# ---------------------------------------------------------------------------
+# memory layout: the Monte Carlo kernels pass coordinate-major views
+# ---------------------------------------------------------------------------
+
+LAYOUT_ENTRIES = (default_catalog() + [
+    make_linear(2, [0.3, -1.7]),
+    make_linear(3, [0.3, -1.7, 2.9]),
+    make_ball_indicator(2, 0.6, center=[0.3, -0.2]),
+    make_ball_indicator(3, 0.5),
+    translate(make_plateau_bump(2, 1.0, 0.5, 1.0), [0.4, -0.3]),
+    translate(make_plateau_bump(3, 1.0, 0.3, 0.9), [0.1, 0.0, -0.2]),
+    dilate(make_plateau_bump(3, 1.0, 0.5, 1.0), 0.7),
+    dilate(make_ball_indicator(2, 0.5), 0.4),
+    scale_values(make_plateau_bump(3, -2.0, 0.3, 0.9), 0.7),
+    scale_values(translate(make_ball_indicator(3, 0.5), [0.1, 0.0, -0.2]),
+                 -3.0),
+])
+
+
+def _coordinate_major(x):
+    """The values of x, stored with the second-to-last axis contiguous."""
+    store = np.empty(x.shape[:-2] + (x.shape[-1], x.shape[-2]))
+    store[...] = np.swapaxes(x, -1, -2)
+    y = np.swapaxes(store, -1, -2)
+    assert np.array_equal(y, x) and y.strides[-1] > y.strides[-2]
+    return y
+
+
+def _same_bits(a, b):
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(f=st.sampled_from(LAYOUT_ENTRIES),
+       rows=st.integers(1, 4), n=st.integers(2, 40),
+       scale=st.floats(0.1, 2.0), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=200, deadline=None)
+def test_catalog_is_layout_independent(f, rows, n, scale, seed):
+    # eval, grad and flat_radius give the same bits on a coordinate-major
+    # view as on the contiguous copy of the same points
+    x = scale * stream(seed, 71).uniform(-1.5, 1.5, size=(rows, n, f.dim))
+    view = _coordinate_major(x)
+    assert _same_bits(f.eval(view), f.eval(x)), f.function_id
+    if f.grad is not None:
+        assert _same_bits(f.grad(view), f.grad(x)), f.function_id
+    if f.flat_radius is not None:
+        assert _same_bits(f.flat_radius(view), f.flat_radius(x)), f.function_id

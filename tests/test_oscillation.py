@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from osclab import (
     BallSample,
+    Domain,
     QuadratureSpec,
     UnsupportedFunctionError,
     default_r_grid,
     dilate,
+    distribution_curve,
     exact_oscillation_1d,
     make_ball_indicator,
     make_linear,
@@ -25,7 +27,9 @@ from osclab import (
     scale_values,
     stream,
     translate,
+    unit_ball_nodes,
 )
+from osclab.oscillation import mc_deviations
 
 GAUSS = QuadratureSpec(method="gauss_1d", node_count=16, seed=9)
 
@@ -269,3 +273,91 @@ def test_invalid_radius_rejected():
     f = make_linear(1, [1.0])
     with pytest.raises(ValueError):
         BallSample(np.array([0.0]), -1.0)
+
+
+def test_maximal_gradient_gauss_divides_by_the_integrated_width():
+    # at a = 3, r = 1e-9 the rounded width (a + r) - (a - r) is not 2 r;
+    # the average of |grad| = 1 over it must still read exactly 1
+    f = make_linear(1, [1.0])
+    spec = QuadratureSpec(method="gauss_1d", node_count=8, seed=0)
+    assert maximal_gradient(f, np.array([3.0]), [1e-9], spec) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# memory layout of the Monte Carlo ball points
+# ---------------------------------------------------------------------------
+
+def _mc_deviations_point_major(ev, centers, radii, u_out, u_in, rows):
+    # the kernel as written for nodes stored one point per row, (..., n, d)
+    c = centers[rows][..., None, :]
+    r = np.asarray(radii, dtype=float)[..., None, None]
+    ru = r * u_in[rows]
+    dev = np.asarray(ev(c + r * u_out[rows]), dtype=float)
+    pair_sums = (np.asarray(ev(c + ru), dtype=float)
+                 + np.asarray(ev(c - ru), dtype=float))
+    dev -= 0.5 * pair_sums.mean(axis=-1)[..., None]
+    return dev, pair_sums
+
+
+@pytest.mark.parametrize("f", [
+    make_plateau_bump(1, 1.0, 0.5, 1.0),
+    make_plateau_bump(2, 1.0, 0.5, 1.0),
+    make_plateau_bump(3, -2.0, 0.3, 0.9),
+    make_linear(3, [0.3, -1.7, 2.9]),
+    make_ball_indicator(3, 0.5),
+], ids=lambda f: f.function_id)
+def test_mc_deviations_match_the_point_major_formula(f):
+    # coordinate-major nodes change the layout, not one bit of the result
+    d, n, m, c_rows = f.dim, 96, 48, 7
+    centers = stream(6, 1).uniform(-1.2, 1.2, size=(c_rows, d))
+    u_out = np.stack([unit_ball_nodes(d, n, stream(6, 2, i))
+                      for i in range(c_rows)])
+    u_in = np.stack([unit_ball_nodes(d, m, stream(6, 3, i))
+                     for i in range(c_rows)])
+    rows = np.array([0, 3, 3, 6, 1, 5, 2, 4, 0])
+    radii = np.geomspace(1e-3, 3.0, rows.size)
+    want = _mc_deviations_point_major(f.eval, centers, radii, u_out, u_in,
+                                      rows)
+    got = mc_deviations(f.eval, centers, radii,
+                        np.ascontiguousarray(np.swapaxes(u_out, 1, 2)),
+                        np.ascontiguousarray(np.swapaxes(u_in, 1, 2)), rows)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _recording(f):
+    """f whose eval and grad record the arrays they are handed."""
+    seen = []
+
+    def ev(x):
+        seen.append(x)
+        return f.eval(x)
+
+    def gr(x):
+        seen.append(x)
+        return f.grad(x)
+
+    return dataclasses.replace(f, eval=ev, grad=gr), seen
+
+
+def _not_coordinate_major(seen):
+    # the node axis is the contiguous one: arithmetic runs along n, not d
+    return [(x.shape, x.strides) for x in seen
+            if not x.strides[-1] > x.strides[-2]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_monte_carlo_points_reach_f_coordinate_major(d):
+    f, seen = _recording(make_plateau_bump(d, 1.0, 0.5, 1.0))
+    spec = _mc(seed=3, n=64)
+    ball = BallSample(np.full(d, 0.3), 0.6)
+    q_oscillation(f, ball, 1.0, spec)
+    q_oscillation(f, ball, 2.5, spec)
+    pair_oscillation(f, ball, 1.0, spec)
+    maximal_gradient(f, np.full(d, 0.6), default_r_grid(f, ratio=1.5), spec)
+    dom = Domain(box=((-1.25, 1.25),) * d, r_max=5.0, r_min=1e-3)
+    curve = distribution_curve(f, 2.0, np.geomspace(2.0, 2e-3, 9), dom,
+                               spec, samples=16)
+    assert curve.counters["below_floor"] == 0
+    assert len(seen) > 10
+    assert _not_coordinate_major(seen) == []

@@ -126,6 +126,14 @@ def test_ball_average_gauss_calls_g_on_point_rows():
     assert abs(est.value - 1.0 / 3.0) <= 1e-14
 
 
+def test_ball_average_gauss_divides_by_the_integrated_width():
+    # at a = 3, r = 1e-9 the rounded width (a + r) - (a - r) is not 2 r;
+    # the average of the constant 1 over it must still read exactly 1
+    ball = BallSample(center=np.array([3.0]), radius=1e-9)
+    spec = QuadratureSpec(method="gauss_1d", node_count=8, seed=0)
+    assert ball_average(lambda x: np.ones(x.shape[0]), ball, spec).value == 1.0
+
+
 def test_ball_average_breakpoints_make_kinks_exact():
     # average of an indicator over an interval straddling its jump
     b = 0.2

@@ -3,10 +3,11 @@ jump-function closed forms agree with direct evaluation."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osclab import (
@@ -34,10 +35,13 @@ GAUSS = QuadratureSpec(method="gauss_1d", node_count=16, seed=8)
 
 
 def _m_indicator(a, r, R=0.5):
+    # exact rational arithmetic on the float inputs: a section end can lie
+    # far below the spacing of doubles near a, where a - r rounds to a
+    a, r, R = Fraction(a), Fraction(r), Fraction(R)
     lo = max(a - r, -R)
     hi = min(a + r, R)
-    lam = max(0.0, hi - lo) / (2 * r)
-    return 2 * lam * (1 - lam)
+    lam = max(Fraction(0), hi - lo) / (2 * r)
+    return float(2 * lam * (1 - lam))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +216,10 @@ def test_bv_divergence_suite_green():
     radius=st.floats(0.1, 2.0),
 )
 @settings(max_examples=120, deadline=None)
+# a section whose lower end (about 2e-17) is far below the spacing of
+# doubles near a
+@example(a=0.1, kappa=0.3125, radius=math.nextafter(0.1, 1.0))
+@example(a=0.1, kappa=0.25, radius=math.nextafter(0.1, 1.0))
 def test_indicator_section_membership(a, kappa, radius):
     # endpoints of the closed-form section flip the superlevel property
     # of the directly evaluated oscillation

@@ -81,21 +81,16 @@ class QuadratureSpec:
     integral of the oscillation keeps a fixed 8-point rule on root-refined
     segments.
     seed: master seed for node generation; ignored by gauss_1d.
-    target_rel_error: advisory accuracy goal, used by callers that classify
-    results as conclusive or not; it does not change the rule itself.
     """
     method: str = "monte_carlo"
     node_count: int = 4096
     seed: int = 0
-    target_rel_error: float = 1e-3
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise QuadratureError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if int(self.node_count) < 2:
             raise QuadratureError("node_count must be at least 2")
-        if not (np.isfinite(self.target_rel_error) and self.target_rel_error > 0):
-            raise QuadratureError("target_rel_error must be finite and positive")
         object.__setattr__(self, "node_count", int(self.node_count))
         object.__setattr__(self, "seed", int(self.seed))
 

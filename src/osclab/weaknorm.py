@@ -4,26 +4,29 @@ The reference measure on R^d x (0, infinity) is da x dr / r^(p+1).  For a
 threshold kappa > 0 the object of interest is the measure of the superlevel
 set {(a, r): m_f(a, r) > kappa}, restricted to a box window in the center
 variable and to radii at most r_max.  The radius section at fixed center is
-resolved deterministically: a geometric scan brackets every sign change of
-m_f(a, .) - kappa, a bracketed inverse quadratic interpolation
-(Chandrupatla's method) started from the scanned end values shrinks each
-bracket and a replay of the bisection path on it picks the crossing (the
-bisection result at a fraction of its evaluations: about 4.5 per bracket on
-the plateau curves, against the 2 * iters + 1 it may spend), and the weight
-of the resulting union of intervals has the closed form (lo^-p - hi^-p) / p
-per interval.  The brackets of every threshold, slot and direction in a
-chunk of centers go into one such solve, whose rows are independent, so the
-crossing search costs a fixed number of calls of m per chunk however many
-thresholds the grid holds.  A side is decided by m > kappa, so a ball where
-f is not finite raises QuadratureError rather than count as below every
-threshold.  Only the center integral is statistical, by (optionally
-stratified) uniform sampling over the window.
+resolved deterministically.  A geometric scan brackets every sign change of
+m_f(a, .) - kappa, and each run of scanned radii above kappa is one
+interval, however many runs a row holds (nothing in the theory bounds
+their number).  A bracketed inverse quadratic interpolation (Chandrupatla's
+method) started from the scanned end values shrinks each bracket, and a
+replay of the bisection path on it picks the crossing (the bisection
+result at a fraction of its evaluations: about 4.5 per bracket on the
+plateau curves, against the 2 * iters + 1 it may spend).  The weight of the
+resulting union of intervals has the closed form (lo^-p - hi^-p) / p per
+interval.  The brackets of every threshold, interval and direction in a
+chunk of centers go into one such solve, whose rows are independent, so
+the crossing search costs a fixed number of calls of m per chunk however
+many thresholds the grid holds.  A side is decided by m > kappa, so a ball
+where f is not finite raises QuadratureError rather than count as below
+every threshold.  Only the center integral is statistical, by stratified
+uniform sampling over the window.
 
 The window's r_min is a numerical floor, not a truncation: scanning starts
 at min(r_min, certified floor) and any section already above threshold at
 the first scanned radius is resolved by a certified analytic bracket (the
-small-radius expansion for differentiable entries, the constancy radius for
-indicator entries), with the bracket's weight spread reported as ambiguity.
+small-radius expansion for differentiable entries, the constancy radius
+flat_radius for entries without a gradient), with the bracket's weight
+spread reported as ambiguity.
 For entries with gradient certificates the certified floor sits below every
 crossing, so the analytic path is a guard rather than the common case.
 The grid itself never moves, but the scan skips the cells whose estimate
@@ -65,10 +68,11 @@ KEY_BALL_OUT = 4
 KEY_BALL_IN = 5
 
 _CHUNK = 256
-_MAX_SLOTS = 4
 # f evaluation points per Monte Carlo kernel call on the curve path
 _BLOCK_POINTS = 2 ** 15
 
+# merged always reads 0, since every interval is resolved; the key stays in
+# the byte-stable outputs until their schema changes
 _COUNTER_KEYS = ("below_floor", "open_at_r_max", "merged")
 # scan ratio and crossing tolerance of the curve estimators
 _SCAN_RATIO = 1.25
@@ -91,11 +95,6 @@ class FaultSpec:
     slope_factor: float = 1.0
     expansion_factor: float = 1.0
     weight_exponent_shift: float = 0.0
-
-    @property
-    def active(self) -> bool:
-        return (self.slope_factor != 1.0 or self.expansion_factor != 1.0
-                or self.weight_exponent_shift != 0.0)
 
 
 def c_d_prime(d: int, fault: Optional[FaultSpec] = None) -> float:
@@ -225,13 +224,13 @@ def default_kappa_grid(f: TestFunction, ratio: float = 10.0 ** 0.25,
     return np.geomspace(top, top * 10.0 ** (-decades), count)
 
 
-def sample_centers(domain: Domain, count: int, seed: int,
-                   stratify: bool = True):
+def sample_centers(domain: Domain, count: int, seed: int):
     """Uniform centers over the window; returns (centers, stratum_ids, n_strata).
 
-    With stratify the box is split into equal sub-cells, each receiving an
-    equal share of the budget (the remainder spread one per cell), and one
-    jittered point is drawn per slot.  The estimator stays unbiased (every
+    The box is split into k^d equal sub-cells, k = floor((count / 16)^(1/d)),
+    each receiving an equal share of the budget (the remainder spread one
+    per cell), and one jittered point is drawn per slot; below 16 * 2^d
+    samples there is one cell and the draw is plain uniform.  The estimator stays unbiased (every
     point is uniform in its cell and the cells tile the box evenly) and the
     stratum ids support a per-stratum variance estimate.  Sampling order is
     sorted by stratum, so chunked consumers see a deterministic layout.
@@ -242,7 +241,7 @@ def sample_centers(domain: Domain, count: int, seed: int,
     rng = stream(seed, KEY_CENTERS)
     lo = np.array([s[0] for s in domain.box])
     hi = np.array([s[1] for s in domain.box])
-    k = max(1, int((count / 16) ** (1.0 / d))) if stratify else 1
+    k = max(1, int((count / 16) ** (1.0 / d)))
     base = k ** d
     if base <= 1:
         u = rng.uniform(size=(count, d))
@@ -258,7 +257,7 @@ def sample_centers(domain: Domain, count: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# radius-section location: scan, slots, bisection
+# radius-section location: scan, runs, crossings
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -267,9 +266,8 @@ class RadiusInterval:
 
     flags may contain "below_scan_floor" (already above threshold at the
     smallest scanned radius; r_lo comes from a certified analytic bracket
-    whose half-width is endpoint_uncertainty), "open_at_r_max" (still above
-    threshold at r_max, where the interval is truncated), and "merged"
-    (more sign changes than slots; trailing pieces were merged).
+    whose half-width is endpoint_uncertainty) and "open_at_r_max" (still
+    above threshold at r_max, where the interval is truncated).
     """
     r_lo: float
     r_hi: float
@@ -314,11 +312,10 @@ def _skip_mask(f: TestFunction, centers: np.ndarray, grid: np.ndarray,
     ball.  That oscillation is 0 when r < flat_radius(a), and at most
     2 r grad_max always.  Both conditions hold on a prefix of radii in each
     row.  (The 0.3 factor of _certified_floor bounds the true m_f only, so
-    it cannot serve here.)  Rounding aside: on a constant ball the Monte
-    Carlo estimate is a mean of equal values minus itself, and the exact
-    route's Gauss weights sum to the rounded width (a + r) - (a - r), which
-    adds about eps (|a| + r) / r times |f|; both stay orders of magnitude
-    below the thresholds a scan grid is built for.
+    it cannot serve here.)  On a constant ball both routes read 0 up to
+    rounding: the Monte Carlo estimate is a mean of equal values minus
+    itself, and the exact route divides its Gauss sums by the width it
+    integrates over.
     """
     r = grid[None, :]
     skip = np.zeros((centers.shape[0], grid.size), dtype=bool)
@@ -329,63 +326,6 @@ def _skip_mask(f: TestFunction, centers: np.ndarray, grid: np.ndarray,
         size = np.linalg.norm(centers, axis=1)[:, None]
         skip |= r + _SKIP_MARGIN * (size + r) < rho
     return skip
-
-
-def _slot_positions(above: np.ndarray, max_slots: int):
-    """Crossing positions per row from a boolean scan.
-
-    Returns rise/fall position arrays of shape (C, max_slots) indexed into
-    [0, J] (gap index: position j means between grid[j-1] and grid[j], with
-    0 = below the scan start and J = beyond the last point), a validity
-    mask, and the overflow rows whose extra crossings were merged into the
-    last slot.
-    """
-    c_rows, j = above.shape
-    pad = np.zeros((c_rows, 1), dtype=bool)
-    padded = np.concatenate([pad, above, pad], axis=1)
-    rises = padded[:, 1:] & ~padded[:, :-1]
-    falls = ~padded[:, 1:] & padded[:, :-1]
-    n_int = rises.sum(axis=1)
-    overflow = n_int > max_slots
-
-    rise_rank = np.cumsum(rises, axis=1)
-    fall_rank = np.cumsum(falls, axis=1)
-    rise_pos = np.zeros((c_rows, max_slots), dtype=np.intp)
-    fall_pos = np.zeros((c_rows, max_slots), dtype=np.intp)
-    valid = np.zeros((c_rows, max_slots), dtype=bool)
-    for s in range(max_slots):
-        mr = rises & (rise_rank == s + 1)
-        mf = falls & (fall_rank == s + 1)
-        valid[:, s] = mr.any(axis=1)
-        rise_pos[:, s] = np.argmax(mr, axis=1)
-        fall_pos[:, s] = np.argmax(mf, axis=1)
-    if np.any(overflow):
-        # merge everything past the last slot into it, ending at the final fall
-        last_fall = j - np.argmax(falls[:, ::-1], axis=1)
-        rows = np.nonzero(overflow)[0]
-        fall_pos[rows, max_slots - 1] = last_fall[rows]
-    return rise_pos, fall_pos, valid, overflow, rises, falls
-
-
-def _merge_ambiguity(rises_row, falls_row, grid, max_slots, p, fault):
-    """Grid-level weight gap introduced by merging overflow intervals."""
-    rise_j = np.nonzero(rises_row)[0]
-    fall_j = np.nonzero(falls_row)[0]
-
-    def rad(j):
-        if j <= 0:
-            return grid[0]
-        if j >= grid.size:
-            return grid[-1]
-        return math.sqrt(grid[j - 1] * grid[j])
-
-    lo_m = rad(rise_j[max_slots - 1])
-    hi_m = rad(fall_j[-1])
-    merged = float(interval_weight(lo_m, hi_m, p, fault))
-    strict = 0.0
-    for i in range(max_slots - 1, len(rise_j)):
-        strict += float(interval_weight(rad(rise_j[i]), rad(fall_j[i]), p, fault))
-    return max(merged - strict, 0.0)
 
 
 def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi):
@@ -477,18 +417,20 @@ def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
 
     kappa is a scalar or one threshold per row.
 
-    For indicator entries in dimension one the oscillation vanishes while
-    the ball stays clear of the jump set, so the breakpoint distance is a
-    valid lower bound.  For differentiable entries the small-radius
-    expansion m <= c' |grad f(a)| r + coeff r^2 gives the quadratic root.
-    The scanned value at the floor being above threshold caps the bracket.
+    For differentiable entries the small-radius expansion
+    m <= c' |grad f(a)| r + coeff r^2 gives the quadratic root.  For entries
+    without a gradient the constancy radius serves: m(a, r) = 0 while
+    r < flat_radius(a), in every dimension and under translate and dilate.
+    It is kept above floor * 1e-6, so a center on the jump set still gets a
+    finite weight.  Other entries fall back to 0.1 * floor, which nothing
+    certifies.  The scanned value at the floor being above threshold caps
+    the bracket.
     """
     hi = np.full(rows.size, floor)
     lo = np.full(rows.size, floor * 0.1)
-    if f.smoothness_tag == "indicator" and f.dim == 1 and f.breakpoints_1d:
-        bps = np.asarray(f.breakpoints_1d, dtype=float)
-        t = np.abs(centers[rows, 0][:, None] - bps).min(axis=1)
-        lo = np.clip(t, floor * 1e-6, hi * 0.999999)
+    if f.grad is None and f.flat_radius is not None:
+        rho = np.asarray(f.flat_radius(centers[rows]), dtype=float)
+        lo = np.clip(rho, floor * 1e-6, hi * 0.999999)
     elif f.grad is not None and f.grad_max:
         g = np.linalg.norm(np.asarray(f.grad(centers[rows]), dtype=float),
                            axis=-1)
@@ -504,62 +446,56 @@ def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
     return lo, hi
 
 
-def _resolve_sections(m_at, scan, grid, kappas, iters, f, centers,
-                      p, fault, max_slots=_MAX_SLOTS):
+def _resolve_sections(m_at, scan, grid, kappas, iters, f, centers, p, fault):
     """Radius sections per threshold and row, from the scanned m values.
 
-    kappas is the array of K thresholds sharing the scan.  Slot positions
-    are found per threshold; then every bracket (threshold x slot x
-    rise/fall) goes into one _bisect_crossings call, and its crossings are
-    scattered back.  Returns lo, hi, valid, below_floor of shape
-    (K, C, max_slots), the ambiguity weight (bracket spreads plus merge
-    gaps) of shape (K, C), event counters summed over the thresholds, and
-    the fall positions (K, C, max_slots) and overflow rows (K, C) of
-    _slot_positions.
+    kappas is the array of K thresholds sharing the scan.  Each run of scan
+    cells above a threshold is one interval, however many runs a row
+    holds.  The interval starts at the crossing in the gap before the run
+    and ends at the crossing in the gap after it; gap g lies between
+    grid[g - 1] and grid[g], gap 0 below the scan and gap J beyond it.
+    Every bracket of every threshold goes into one _bisect_crossings call.
+    A run that starts at grid[0] takes the midpoint of _below_floor_bracket
+    as its lower end and that bracket's weight as its ambiguity; a run
+    still above at r_max ends there.
+
+    Returns flat arrays, one entry per interval, ordered by threshold, row
+    and radius: the threshold index, the row, lo, hi, the ambiguity weight,
+    and the below-floor and open-at-r_max flags.
     """
     kappas = np.asarray(kappas, dtype=float)
-    c_rows, j = scan.shape
-    shape = (kappas.size, c_rows, max_slots)
-    # flat row t is threshold t // C at center t % C
-    rise_pos, fall_pos, valid, overflow, rises, falls = _slot_positions(
-        (scan[None, :, :] > kappas[:, None, None]).reshape(-1, j), max_slots)
-    kap = np.repeat(kappas, c_rows)
-    cen = np.tile(np.arange(c_rows), kappas.size)
-    lo = np.full(valid.shape, grid[-1])
-    hi = np.full(valid.shape, grid[-1])
-    ambig = np.zeros(valid.shape[0])
-    below = np.zeros(valid.shape, dtype=bool)
+    j = scan.shape[1]
+    above = scan[None, :, :] > kappas[:, None, None]
+    pad = np.zeros(above.shape[:2] + (1,), dtype=bool)
+    above = np.concatenate([pad, above, pad], axis=2)
+    # rises and falls alternate along a row, so in C order the i-th rise
+    # and the i-th fall bound the same interval
+    k, row, rise = np.nonzero(above[..., 1:] & ~above[..., :-1])
+    fall = np.nonzero(above[..., :-1] & ~above[..., 1:])[2]
+    below_floor = rise == 0
+    at_r_max = fall == j
+    lo = np.empty(k.size)
+    hi = np.full(k.size, grid[-1])
+    ambig = np.zeros(k.size)
 
-    rise_t, rise_s = np.nonzero(valid & (rise_pos > 0))
-    fall_t, fall_s = np.nonzero(valid & (fall_pos < j))
-    t = np.concatenate([rise_t, fall_t])
-    rows = cen[t]
-    jb = np.concatenate([rise_pos[rise_t, rise_s], fall_pos[fall_t, fall_s]])
-    rising = np.arange(t.size) < rise_t.size
-    x = _bisect_crossings(m_at, rows, grid[jb - 1], grid[jb], kap[t], rising,
-                          iters, scan[rows, jb - 1], scan[rows, jb])
-    lo[rise_t, rise_s] = x[rising]
-    hi[fall_t, fall_s] = x[~rising]
+    # the intervals whose lower (upper) end is a crossing inside the scan
+    inner_lo = np.nonzero(~below_floor)[0]
+    inner_hi = np.nonzero(~at_r_max)[0]
+    t = np.concatenate([inner_lo, inner_hi])
+    rows = row[t]
+    jb = np.concatenate([rise[inner_lo], fall[inner_hi]])
+    rising = np.arange(t.size) < inner_lo.size
+    x = _bisect_crossings(m_at, rows, grid[jb - 1], grid[jb], kappas[k[t]],
+                          rising, iters, scan[rows, jb - 1], scan[rows, jb])
+    lo[inner_lo] = x[rising]
+    hi[inner_hi] = x[~rising]
 
-    t0, s0 = np.nonzero(valid & (rise_pos == 0))
-    if t0.size:
-        blo, bhi = _below_floor_bracket(f, centers, cen[t0], kap[t0], grid[0])
-        lo[t0, s0] = 0.5 * (blo + bhi)
-        np.add.at(ambig, t0, interval_weight(blo, bhi, p, fault))
-        below[t0, s0] = True
-
-    over_rows = np.nonzero(overflow)[0]
-    for c in over_rows:
-        ambig[c] += _merge_ambiguity(rises[c], falls[c], grid,
-                                     max_slots, p, fault)
-    counters = {
-        "below_floor": int(t0.size),
-        "open_at_r_max": int(np.count_nonzero(valid & (fall_pos == j))),
-        "merged": int(over_rows.size)}
-    hi = np.maximum(hi, lo)
-    return (lo.reshape(shape), hi.reshape(shape), valid.reshape(shape),
-            below.reshape(shape), ambig.reshape(shape[:2]), counters,
-            fall_pos.reshape(shape), overflow.reshape(shape[:2]))
+    if below_floor.any():
+        blo, bhi = _below_floor_bracket(f, centers, row[below_floor],
+                                        kappas[k[below_floor]], grid[0])
+        lo[below_floor] = 0.5 * (blo + bhi)
+        ambig[below_floor] = interval_weight(blo, bhi, p, fault)
+    return k, row, lo, hi, ambig, below_floor, at_r_max
 
 
 # ---------------------------------------------------------------------------
@@ -689,28 +625,19 @@ def superlevel_radius_set(f: TestFunction, a, kappa: float, domain: Domain,
     eng = _make_engine(f, centers, spec, 0)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, kappa))
     iters = _bisect_iters(scan_ratio, rel_tol)
-    lo, hi, valid, below, _, _, fall_pos, overflow = _resolve_sections(
+    _, _, lo, hi, _, below_floor, at_r_max = _resolve_sections(
         eng.m_at, scan, grid, np.array([kappa]), iters, f, centers,
         p=1.0, fault=None)
-    # the one threshold, the one center
-    lo, hi, valid, below, fall_pos, overflow = (
-        x[0, 0] for x in (lo, hi, valid, below, fall_pos, overflow))
     out = []
-    j = grid.size
-    for s in range(_MAX_SLOTS):
-        if not valid[s]:
-            continue
+    for i in range(lo.size):
         flags = []
-        err = rel_tol * hi[s]
-        if below[s]:
+        err = rel_tol * hi[i]
+        if below_floor[i]:
             flags.append("below_scan_floor")
             err = max(err, 0.5 * grid[0])
-        if fall_pos[s] == j:
+        if at_r_max[i]:
             flags.append("open_at_r_max")
-        if overflow and s == _MAX_SLOTS - 1:
-            flags.append("merged")
-            err = max(err, float(np.diff(grid).max()))
-        out.append(RadiusInterval(float(lo[s]), float(hi[s]),
+        out.append(RadiusInterval(float(lo[i]), float(hi[i]),
                                   tuple(flags), float(err)))
     return out
 
@@ -767,19 +694,24 @@ def _curve_chunk(f, centers, global_start, kappas, p, domain, spec,
                  fault, grid, iters):
     eng = _make_engine(f, centers, spec, global_start)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas.min())))
-    lo, hi, valid, _, ambig, counters, _, _ = _resolve_sections(
+    k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
         eng.m_at, scan, grid, kappas, iters, f, centers, p, fault)
-    w = np.where(valid & (hi > lo),
-                 interval_weight(np.maximum(lo, 1e-300), hi, p, fault), 0.0)
-    return w.sum(axis=-1), ambig, counters
+    # each (threshold, row) cell adds its intervals in radius order
+    shape = (kappas.size, centers.shape[0])
+    w = np.zeros(shape)
+    np.add.at(w, (k, row), interval_weight(lo, hi, p, fault))
+    ambig = np.zeros(shape)
+    np.add.at(ambig, (k, row), amb)
+    counters = {"below_floor": int(below_floor.sum()),
+                "open_at_r_max": int(at_r_max.sum())}
+    return w, ambig, counters
 
 
 def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
                   domain: Domain, spec: QuadratureSpec, samples: int,
-                  threads: int, stratify: bool, fault, scan_ratio: float,
+                  threads: int, fault, scan_ratio: float,
                   rel_tol: float) -> DistributionCurve:
-    centers, strata, n_strata = sample_centers(domain, samples, spec.seed,
-                                               stratify)
+    centers, strata, n_strata = sample_centers(domain, samples, spec.seed)
     grid = _scan_grid(f, domain, float(kappas[-1]), scan_ratio)
     iters = _bisect_iters(scan_ratio, rel_tol)
 
@@ -804,7 +736,7 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
     for (w, am, cnt), start in zip(results, starts):
         weights[:, start:start + w.shape[1]] = w
         ambig[:, start:start + am.shape[1]] = am
-        for key in counters:
+        for key in cnt:
             counters[key] += cnt[key]
 
     vol = domain.volume
@@ -833,7 +765,6 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
 def distribution_curve(f: TestFunction, p: float, kappa_grid,
                        domain: Domain, spec: QuadratureSpec,
                        samples: int = 4096, threads: int = 1,
-                       stratify: bool = True,
                        fault: Optional[FaultSpec] = None,
                        scan_ratio: float = _SCAN_RATIO,
                        rel_tol: float = _REL_TOL) -> DistributionCurve:
@@ -858,18 +789,18 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
     if kappas[0] / kappas[-1] < 999.99:
         raise ValueError("threshold grid must span at least 3 decades")
     return _curve_engine(f, float(p), kappas, domain, spec, samples,
-                         threads, stratify, fault, scan_ratio, rel_tol)
+                         threads, fault, scan_ratio, rel_tol)
 
 
 def superlevel_measure(f: TestFunction, p: float, kappa: float,
                        domain: Domain, spec: QuadratureSpec,
-                       samples: int = 4096, stratify: bool = True,
+                       samples: int = 4096,
                        fault: Optional[FaultSpec] = None) -> EstimatedValue:
     """Window-restricted measure of {m_f > kappa} at a single threshold."""
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive, got {kappa}")
     curve = _curve_engine(f, float(p), np.array([float(kappa)]), domain,
-                          spec, samples, 1, stratify, fault,
+                          spec, samples, 1, fault,
                           _SCAN_RATIO, _REL_TOL)
     return EstimatedValue(float(curve.nu[0]), float(curve.nu_stderr[0]))
 

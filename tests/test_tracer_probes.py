@@ -5,9 +5,14 @@ metrics from the benchmark, so every probe must resolve here.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from osclab import (Domain, QuadratureSpec, distribution_curve,
+                    make_ball_indicator)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,3 +37,19 @@ def test_every_catalog_builder_resolves(spans):
     for builder in spans._CATALOG_BUILDERS:
         _, _, fn = spans._resolve(f"catalog.{builder}")
         assert callable(fn), builder
+
+
+def test_curve_counters_reach_the_traced_benchmark(spans):
+    # the traced benchmark sums each curve's own counters by key, so a key
+    # it reads must stay in DistributionCurve.counters; a floor of 0.2 puts
+    # many indicator sections below the scan
+    f = make_ball_indicator(1, 0.5)
+    dom = Domain(box=((-1.0, 1.0),), r_max=10.0, r_min=0.2)
+    spec = QuadratureSpec(method="gauss_1d", node_count=8, seed=1)
+    curve = distribution_curve(f, 1.0, np.geomspace(0.4, 4e-4, 9), dom,
+                               spec, samples=32)
+    counts = Counter()
+    spans._curve_counters(counts, (), {}, curve)
+    assert counts["weaknorm.below_floor"] == curve.counters["below_floor"] > 0
+    assert "weaknorm.merged" in counts
+    assert counts["weaknorm.merged"] == curve.counters["merged"] == 0

@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import lambertw
 
 from osclab import (
+    BallSample,
     Domain,
     FaultSpec,
     QuadratureError,
@@ -21,6 +22,7 @@ from osclab import (
     default_domain,
     default_kappa_grid,
     distribution_curve,
+    exact_oscillation_1d,
     expansion_remainder_coeff,
     grad_norm_p,
     indicator_measure_1d,
@@ -29,6 +31,7 @@ from osclab import (
     make_ball_indicator,
     make_linear,
     make_plateau_bump,
+    mean_oscillation,
     reference_scaled_limit,
     scale_values,
     curve_summary,
@@ -43,13 +46,14 @@ from osclab import (
 from osclab import catalog, weaknorm
 from osclab.weaknorm import (
     DistributionCurve,
+    _below_floor_bracket,
     _bisect_crossings,
     _bisect_iters,
     _make_engine,
     _McScan,
+    _resolve_sections,
     _scan_grid,
     _skip_mask,
-    _slot_positions,
     sample_centers,
 )
 
@@ -224,24 +228,57 @@ def test_below_floor_crossing_is_bracketed():
     assert abs(iv.r_lo - true_lo) <= iv.endpoint_uncertainty
 
 
-def test_slot_positions_synthetic():
-    above = np.array([
-        [False, True, True, False, False, True, True, True],
-        [True, True, False, False, True, False, False, False],
-        [False, False, False, False, False, False, False, False],
-    ])
-    rise, fall, valid, overflow, rises, falls = _slot_positions(above, 4)
-    assert rise[0, :2].tolist() == [1, 5] and fall[0, :2].tolist() == [3, 8]
-    assert rise[1, :2].tolist() == [0, 4] and fall[1, :2].tolist() == [2, 5]
-    assert valid[0, :2].tolist() == [True, True] and not valid[0, 2]
-    assert not valid[2].any()
-    assert not overflow.any()
+BELOW_FLOOR_INDICATORS = {
+    "d2": (make_ball_indicator(2, 0.5), [0.5 + 1e-7, 0.0], [0.0, 0.0]),
+    "d3": (make_ball_indicator(3, 0.5), [0.0, 0.0, -0.5 - 1e-7],
+           [0.0, 0.0, 0.0]),
+    "d2-translated": (translate(make_ball_indicator(2, 0.5), [0.3, -0.2]),
+                      [0.8 + 1e-7, -0.2], [0.3, -0.2]),
+}
 
 
-def test_slot_overflow_flagged():
-    above = np.array([[True, False] * 5])  # five separate intervals
-    _, _, _, overflow, _, _ = _slot_positions(above, 4)
-    assert overflow[0]
+@pytest.mark.parametrize("case", sorted(BELOW_FLOOR_INDICATORS))
+def test_below_floor_bracket_reaches_the_sphere(case):
+    # a center 1e-7 outside the sphere: m is 0 on balls that miss it and
+    # well above kappa once the radius doubles, so the crossing lies in
+    # [t, 2 t] for the distance t, far below the scan floor; the bracket
+    # must reach down to t, which only the constancy radius certifies
+    f, a, c = BELOW_FLOOR_INDICATORS[case]
+    a = np.array(a)
+    t = abs(float(np.linalg.norm(a - np.array(c))) - 0.5)
+    kappa = 0.01
+    spec = QuadratureSpec(method="monte_carlo", node_count=512, seed=7)
+    assert mean_oscillation(f, BallSample(a, 2.0 * t), spec).value > kappa
+    dom = Domain(box=((-1.0, 1.0),) * f.dim, r_max=5.0, r_min=5e-5)
+    ivs = superlevel_radius_set(f, a, kappa, dom, spec)
+    iv = ivs[0]
+    assert "below_scan_floor" in iv.flags
+    assert iv.r_lo - iv.endpoint_uncertainty <= t
+    assert iv.r_lo + iv.endpoint_uncertainty >= 2.0 * t
+    lo, hi = _below_floor_bracket(f, a[None, :], np.array([0]), kappa,
+                                  dom.r_min)
+    assert 0.0 < lo[0] <= t and hi[0] == dom.r_min
+
+
+@given(a=st.floats(-2.0, 2.0), c=st.sampled_from([0.0, 0.25, -0.7]),
+       floor=st.floats(1e-6, 1e-2))
+@settings(max_examples=200, deadline=None)
+def test_below_floor_bracket_of_the_1d_indicator(a, c, floor):
+    # in d = 1 the constancy radius is the distance to the nearer jump
+    # c -+ R; for c = 0 it equals that breakpoint distance bit for bit;
+    # off center the two round differently, by at most an ulp of |a - c|
+    # and one of c -+ R
+    f = make_ball_indicator(1, 0.5, center=[c])
+    lo, hi = _below_floor_bracket(f, np.array([[a]]), np.array([0]), 0.1,
+                                  floor)
+    t = min(abs(a - (c - 0.5)), abs(a - (c + 0.5)))
+    want = min(max(t, floor * 1e-6), floor * 0.999999)
+    if c == 0.0:
+        assert lo[0] == want
+    else:
+        assert lo[0] == pytest.approx(want, rel=1e-15,
+                                      abs=2.0 * np.spacing(1.2))
+    assert hi[0] == floor
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +540,131 @@ def test_solver_evaluations_per_bracket():
     scale = 1.0 / t ** 20
     assert _mean_evaluations(lambda rows, r: scale[rows] * r ** 20,
                              lo, hi, 1.0, True) <= 14.0
+
+
+# ---------------------------------------------------------------------------
+# radius sections from the scan
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _step_scans(draw):
+    """Step-profile rows: level[row, g] of 0..3 on the radii from the
+    crossing in gap g to the one in gap g + 1, each at a drawn fraction of
+    its gap, so m at grid[g] is level[row, g]; plus a set of thresholds."""
+    n_rows = draw(st.integers(1, 4))
+    j = draw(st.integers(2, 24))
+    level = draw(st.lists(st.lists(st.integers(0, 3), min_size=j, max_size=j),
+                          min_size=n_rows, max_size=n_rows))
+    cut = draw(st.lists(st.lists(st.floats(0.05, 0.95), min_size=j - 1,
+                                 max_size=j - 1),
+                        min_size=n_rows, max_size=n_rows))
+    kappas = draw(st.lists(st.sampled_from([2.5, 1.5, 0.5]), min_size=1,
+                           max_size=3, unique=True))
+    return level, cut, kappas
+
+
+def _runs(above):
+    """(first, end) grid indices of each run of True, in order."""
+    edges = np.diff(np.concatenate([[0], above.astype(int), [0]]))
+    return list(zip(np.nonzero(edges == 1)[0], np.nonzero(edges == -1)[0]))
+
+
+# six runs from grid[0] to r_max, an empty row, and five inner runs
+_MANY_RUNS = ([[3, 0] * 5 + [3], [0] * 11, [0, 2, 0, 2, 1, 2, 0, 2, 0, 2, 0]],
+              [[0.5] * 10] * 3, [1.5, 0.5])
+
+
+@example(scans=_MANY_RUNS)
+@given(scans=_step_scans())
+@settings(max_examples=150, deadline=None)
+def test_sections_are_the_runs_of_the_scan(scans):
+    # each run of scan cells above a threshold is one interval, however
+    # many a row holds; an inner end is the crossing in the gap next to the
+    # run, bit for bit what plain bisection returns on that gap, a run at
+    # grid[0] starts at the midpoint of the below-floor bracket and one at
+    # the last radius ends at r_max
+    level, cut, kappas = (np.array(x, dtype=float) for x in scans)
+    n_rows, j = level.shape
+    grid = np.geomspace(1e-3, 10.0, j)
+    cross = grid[:-1] + cut * np.diff(grid)
+
+    def m(rows, r):
+        r = np.asarray(r, dtype=float)
+        return level[rows, (r[:, None] > cross[rows]).sum(axis=1)]
+
+    f = make_ball_indicator(1, 0.5)
+    centers = np.linspace(-0.9, 0.9, n_rows)[:, None]
+    got = _resolve_sections(m, level, grid, kappas, ITERS, f, centers, 2.0,
+                            None)
+    assert all(x.shape == got[0].shape for x in got)
+    want = []
+    for ki, kappa in enumerate(kappas):
+        for row in range(n_rows):
+            for first, end in _runs(level[row] > kappa):
+                one = np.array([row])
+                if first == 0:
+                    blo, bhi = _below_floor_bracket(f, centers, one, kappa,
+                                                    grid[0])
+                    lo = 0.5 * (blo + bhi)
+                    ambig = interval_weight(blo, bhi, 2.0)
+                else:
+                    lo = _reference_bisection(m, one, grid[first - 1:first],
+                                              grid[first:first + 1], kappa,
+                                              True, ITERS)
+                    ambig = [0.0]
+                hi = (grid[-1:] if end == j else _reference_bisection(
+                    m, one, grid[end - 1:end], grid[end:end + 1], kappa,
+                    False, ITERS))
+                want.append((ki, row, lo[0], hi[0], ambig[0], first == 0,
+                             end == j))
+    assert len(want) == got[0].size
+    for i, interval in enumerate(want):
+        assert tuple(x[i] for x in got) == interval
+
+
+def _cosine():
+    """cos(2 pi x): a breakpoint at every extremum out to |x| = 6, so the
+    1-d route sees monotone pieces on every ball below r_max = 3 over the
+    window (-1/2, 1/2)."""
+    return catalog.TestFunction(
+        function_id="cosine", dim=1,
+        eval=lambda x: np.cos(2.0 * np.pi * x[..., 0]), grad=None,
+        grad_lipschitz=None, support_radius=None, smoothness_tag="custom",
+        breakpoints_1d=tuple(k / 2.0 for k in range(-12, 13)))
+
+
+def test_every_interval_of_a_many_interval_row_is_resolved():
+    # m_f(a, .) of a cosine oscillates about 2 / pi with decaying
+    # amplitude, so kappa just below it cuts the radius section into many
+    # intervals; the section lists every one, each really above kappa and
+    # separated by radii below it, and the curve weight of each center is
+    # the sum of their closed-form weights
+    f = _cosine()
+    dom = Domain(box=((-0.5, 0.5),), r_max=3.0, r_min=1e-3)
+    kappa = 0.63
+    samples = 16
+    cur = distribution_curve(f, 1.0, np.geomspace(kappa, kappa * 1e-3, 8),
+                             dom, GAUSS, samples=samples, scan_ratio=1.02)
+    centers, _, _ = sample_centers(dom, samples, GAUSS.seed)
+    weights = []
+    most = 0
+    for a in centers:
+        ivs = superlevel_radius_set(f, a, kappa, dom, GAUSS, scan_ratio=1.02)
+        most = max(most, len(ivs))
+        lo = np.array([iv.r_lo for iv in ivs])
+        hi = np.array([iv.r_hi for iv in ivs])
+        inside, _ = exact_oscillation_1d(f, np.full(lo.size, a[0]),
+                                         0.5 * (lo + hi), mu_nodes=8)
+        between, _ = exact_oscillation_1d(f, np.full(lo.size - 1, a[0]),
+                                          0.5 * (hi[:-1] + lo[1:]),
+                                          mu_nodes=8)
+        assert np.all(inside > kappa) and np.all(between < kappa)
+        assert np.all(hi[:-1] < lo[1:])
+        weights.append(sum(float(interval_weight(iv.r_lo, iv.r_hi, 1.0))
+                           for iv in ivs))
+    assert most >= 5
+    assert cur.nu[0] == dom.volume * np.mean(weights)
+    assert cur.counters["merged"] == 0
 
 
 # ---------------------------------------------------------------------------

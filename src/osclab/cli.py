@@ -284,14 +284,14 @@ def cmd_oscillation(args: argparse.Namespace) -> int:
     q = _resolve(args, cfg, "q", 1.0, float)
     seed = _resolve_seed(args, cfg)
     nodes = _resolve(args, cfg, "nodes", None, int)
-    samples = _resolve(args, cfg, "samples", None, int)
-    spec = _default_spec(f.dim, nodes or samples, seed)
-    ball = BallSample(center=center, radius=float(r))
     kind = "pair" if args.pairwise else "mean" if q == 1.0 else "q"
-    if args.pairwise:
-        est = pair_oscillation(f, ball, q, spec)
-    else:
-        est = q_oscillation(f, ball, q, spec)
+    try:
+        spec = _default_spec(f.dim, nodes, seed)
+        ball = BallSample(center=center, radius=float(r))
+        oscillation = pair_oscillation if args.pairwise else q_oscillation
+        est = oscillation(f, ball, q, spec)
+    except (ValueError, UnsupportedFunctionError, QuadratureError) as exc:
+        raise _UsageError(str(exc)) from exc
     print(f"{kind}_oscillation[{fid}](a={a_text or '0'}, r={r!r}, q={q!r}) "
           f"= {est.value:.12g} +/- {est.std_error:.3g}")
     out = _out_dir(args, cfg)
@@ -359,7 +359,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
     samples = _resolve(args, cfg, "samples", 1024, int)
     threads = _resolve(args, cfg, "threads", 1, int)
     nodes = _resolve(args, cfg, "nodes", None, int)
-    fault = _parse_fault(_resolve(args, cfg, "fault_inject", None, str))
 
     base = default_domain(f)
     omega = _resolve(args, cfg, "omega", None, str)
@@ -374,8 +373,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         grid, kappa_echo = _kappa_grid_from(args, cfg, f)
         spec = _default_spec(f.dim, nodes, seed, mc_nodes=_CURVE_MC_NODES)
         curve = distribution_curve(f, p, grid, domain, spec,
-                                   samples=samples, threads=threads,
-                                   fault=fault)
+                                   samples=samples, threads=threads)
         limit = limit_extrapolate(curve)
     except (ValueError, UnsupportedFunctionError, QuadratureError) as exc:
         raise _UsageError(str(exc)) from exc
@@ -394,7 +392,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
                            "node_count": spec.node_count},
             "samples": samples,
             "seed": seed,
-            "fault": _fault_echo(fault),
         },
         "summary": summary,
     }
@@ -488,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="two-point oscillation instead of "
                             "mean-centered")
     p_osc.add_argument("--nodes", type=int, help="quadrature nodes")
-    p_osc.add_argument("--samples", type=int,
-                       help="alias for --nodes on this subcommand")
     _add_common(p_osc)
     p_osc.set_defaults(func=cmd_oscillation)
 
@@ -521,10 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"quadrature nodes per ball (default "
                             f"{_CURVE_MC_NODES} by Monte Carlo for d >= 2, "
                             f"Gauss order 8 for d = 1)")
-    p_cur.add_argument("--fault-inject", dest="fault_inject",
-                       metavar="NAME[,NAME]",
-                       help=f"perturb a verified constant; names: "
-                            f"{sorted(_FAULT_PRESETS)}")
     _add_common(p_cur)
     p_cur.set_defaults(func=cmd_curve)
 

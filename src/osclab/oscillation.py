@@ -35,7 +35,7 @@ import numpy as np
 from .catalog import TestFunction, coordinate_dot
 from .quadrature import (BallSample, EstimatedValue, QuadratureError,
                          QuadratureSpec, segment_edges, segment_integrals,
-                         stream, unit_ball_nodes)
+                         segment_mean, stream, unit_ball_nodes)
 
 # stream keys: distinct sub-streams of one master seed
 KEY_OUTER = 0
@@ -96,16 +96,13 @@ def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _abs_moment_1d(fev, breakpoints, a: np.ndarray, r: np.ndarray,
-                   mu: np.ndarray, q: float = 1.0) -> np.ndarray:
+def _abs_moment_1d(fev, edges: np.ndarray, mu: np.ndarray,
+                   q: float = 1.0) -> np.ndarray:
     """Ball average of |f - mu|^q in dimension one, exact segment route.
 
-    a, r, mu are broadcast-compatible arrays; returns the same shape.
+    edges are the ball's segment edges, shape (..., K+2), and mu has the
+    shape of their leading axes; returns that shape.
     """
-    a = np.asarray(a, dtype=float)
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    edges = segment_edges(breakpoints, a - r, a + r)
     width = edges[..., -1] - edges[..., 0]
     refined = _root_refined_edges(fev, edges, mu)
     if q == 1.0:
@@ -139,11 +136,8 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
     r = np.asarray(r, dtype=float)
     a, r = np.broadcast_arrays(a, r)
     edges = segment_edges(f.breakpoints_1d, a - r, a + r)
-    # the Gauss weights sum to the integrated width (a + r) - (a - r), not
-    # to 2 r: dividing by it keeps a constant f's mean exact at any radius
-    mu = (segment_integrals(fev, edges, mu_nodes).sum(axis=-1)
-          / (edges[..., -1] - edges[..., 0]))
-    moment = _abs_moment_1d(fev, f.breakpoints_1d, a, r, mu, q)
+    mu = segment_mean(fev, edges, mu_nodes)
+    moment = _abs_moment_1d(fev, edges, mu, q)
     if q != 1.0:
         moment = np.maximum(moment, 0.0) ** (1.0 / q)
     return moment, mu
@@ -310,10 +304,7 @@ def maximal_gradient(f: TestFunction, a, r_grid,
             return np.abs(f.grad(x[..., None])[..., 0])
 
         edges = segment_edges(f.breakpoints_1d, a[0] - r_grid, a[0] + r_grid)
-        seg = segment_integrals(gmag, edges, _GL_ORDER)
-        # divide by the integrated width, as exact_oscillation_1d does
-        means = seg.sum(axis=-1) / (edges[..., -1] - edges[..., 0])
-        return float(np.max(means))
+        return float(np.max(segment_mean(gmag, edges, _GL_ORDER)))
 
     u = _ball_nodes(f.dim, spec.node_count, stream(spec.seed, KEY_OUTER))
     x = a[None, :, None] + r_grid[:, None, None] * u[None, :, :]

@@ -3,7 +3,8 @@
 Two rules are provided behind one interface: a deterministic split-interval
 Gauss-Legendre rule for dimension one, and uniform Monte-Carlo sampling for
 any dimension.  segment_integrals is osclab's one Gauss segment rule, on
-edges that segment_edges splits at breakpoints; its nodes and weights come
+edges that segment_edges splits at breakpoints, and segment_mean turns its
+sums into the mean over the integrated width; the nodes and weights come
 from gauss_rule, which needs numpy only, so importing osclab does not load
 scipy.  Every random stream is counter-based: a node set is derived from
 (seed, key...) through an independent Philox generator, so results never
@@ -215,6 +216,17 @@ def segment_integrals(g: Callable, edges: np.ndarray, n: int) -> np.ndarray:
     return half * (g(x) @ w)
 
 
+def segment_mean(g: Callable, edges: np.ndarray, n: int) -> np.ndarray:
+    """Mean of g over edges[..., 0] to edges[..., -1] by segment_integrals.
+
+    The sum of the segment integrals is divided by the width the edges
+    span, not by the nominal interval length: the Gauss weights sum to
+    that width, so a constant g has exactly its value as mean.
+    """
+    return (segment_integrals(g, edges, n).sum(axis=-1)
+            / (edges[..., -1] - edges[..., 0]))
+
+
 def ball_average(g: Callable, ball: BallSample, spec: QuadratureSpec,
                  breakpoints: Iterable[float] = (),
                  antithetic: bool = False) -> EstimatedValue:
@@ -240,15 +252,12 @@ def ball_average(g: Callable, ball: BallSample, spec: QuadratureSpec,
             raise QuadratureError("gauss_1d applies to dimension one only")
         a = float(ball.center[0])
         r = ball.radius
-        edges = segment_edges(breakpoints, a - r, a + r)
-        seg = segment_integrals(
+        mean = segment_mean(
             lambda x: g(x.reshape(-1, 1)).reshape(x.shape),
-            edges, spec.node_count)
-        if not np.all(np.isfinite(seg)):
+            segment_edges(breakpoints, a - r, a + r), spec.node_count)
+        if not np.isfinite(mean):
             raise QuadratureError("integrand produced non-finite values")
-        # the Gauss weights sum to the integrated width (a + r) - (a - r),
-        # not to 2 r: dividing by it keeps a constant g's average exact
-        return EstimatedValue(float(np.sum(seg)) / (edges[-1] - edges[0]), 0.0)
+        return EstimatedValue(float(mean), 0.0)
 
     n = spec.node_count
     rng = stream(spec.seed, 0)

@@ -46,6 +46,9 @@ _DOMINATION_BOUND = {1: 0.70, 2: 0.62, 3: 0.52}
 # Relative error above which a comparison is not trusted either way.
 _INCONCLUSIVE_RTOL = 1e-3
 
+# Weight exponent p of the domination suite's tail-weight identity case.
+_WEIGHT_P = 2.0
+
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -389,8 +392,8 @@ def check_mollification(f: TestFunction, phi: Mollifier, n_samples: int,
 
 def check_maximal_domination(f: TestFunction, n_samples: int,
                              spec: QuadratureSpec,
-                             fault: Optional[FaultSpec] = None,
-                             p_weight: float = 2.0) -> VerificationReport:
+                             fault: Optional[FaultSpec] = None
+                             ) -> VerificationReport:
     """Oscillation against radius times the grid-maximal gradient.
 
     Asserts the sampled ratio m_f(a, r) / (r * maximal_gradient(a)) stays
@@ -464,12 +467,12 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
                 abs(max_ratio - c_d_prime(1)), 1e-10))
 
     r_edge = float(np.exp(rng.uniform(np.log(0.2), np.log(2.0))))
-    claimed = float(interval_weight(r_edge, None, p_weight, fault))
+    claimed = float(interval_weight(r_edge, None, _WEIGHT_P, fault))
     oracle, quad_err = integrate.quad(
-        lambda r: r ** (-p_weight - 1.0), r_edge, np.inf)
+        lambda r: r ** (-_WEIGHT_P - 1.0), r_edge, np.inf)
     cases.append(_case(
         "weight_integral_identity",
-        {"r_lo": r_edge, "p": p_weight, "claimed": claimed,
+        {"r_lo": r_edge, "p": _WEIGHT_P, "claimed": claimed,
          "quadrature_oracle": oracle},
         abs(claimed - oracle), 1e-8 * oracle + 10.0 * quad_err,
         note="tail weight closed form vs direct quadrature"))

@@ -77,6 +77,17 @@ _COUNTER_KEYS = ("below_floor", "open_at_r_max", "merged")
 # scan ratio and crossing tolerance of the curve estimators
 _SCAN_RATIO = 1.25
 _REL_TOL = 1e-6
+# the finer scan of superlevel_radius_set, the default window's margin and
+# the default threshold grid's span in decades
+_SECTION_SCAN_RATIO = 1.02
+_DOMAIN_MARGIN = 0.25
+_KAPPA_DECADES = 4.0
+# limit_extrapolate's fit window, exponents and ok bounds
+_FIT_SPAN = 10.0
+_FIT_MIN_POINTS = 5
+_FIT_ALPHAS = (0.5, 0.75, 1.0, 1.25, 1.5)
+_FIT_MAX_REL_STDERR = 0.02
+_FIT_MAX_REL_RESIDUAL = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -195,33 +206,30 @@ class Domain:
         return out
 
 
-def default_domain(f: TestFunction, margin: float = 0.25,
-                   r_max: Optional[float] = None) -> Domain:
-    """Window with the support (or unit) scale padded by the margin.
+def default_domain(f: TestFunction) -> Domain:
+    """Window with the support (or unit) scale padded by a quarter per side.
 
-    r_max defaults to 10 times (window diameter + support scale), where the
-    certified tail bound makes the unseen weight negligible; r_min defaults
-    to 1e-4 of the feature scale.
+    r_max is 10 times (window diameter + support scale), where the
+    certified tail bound makes the unseen weight negligible; r_min is 1e-4
+    of the feature scale.
     """
     scale = f.support_radius if f.support_radius is not None else 1.0
-    half = scale * (1.0 + margin)
+    half = scale * (1.0 + _DOMAIN_MARGIN)
     box = tuple((-half, half) for _ in range(f.dim))
-    if r_max is None:
-        diag = 2.0 * half * math.sqrt(f.dim)
-        r_max = 10.0 * (diag + scale)
-    return Domain(box=box, r_max=float(r_max), r_min=1e-4 * scale)
+    r_max = 10.0 * (2.0 * half * math.sqrt(f.dim) + scale)
+    return Domain(box=box, r_max=r_max, r_min=1e-4 * scale)
 
 
-def default_kappa_grid(f: TestFunction, ratio: float = 10.0 ** 0.25,
-                       decades: float = 4.0) -> np.ndarray:
-    """Decreasing geometric threshold grid, top set by the gradient scale."""
+def default_kappa_grid(f: TestFunction,
+                       ratio: float = 10.0 ** 0.25) -> np.ndarray:
+    """Decreasing geometric grid of four decades, top at the gradient scale."""
     if f.grad_max is None or f.grad_max <= 0:
         raise ValueError(
             f"{f.function_id} has no gradient bound; pass thresholds explicitly")
     r_typ = f.support_radius if f.support_radius is not None else 1.0
     top = c_d_prime(f.dim) * r_typ * f.grad_max
-    count = int(round(decades / math.log10(ratio))) + 1
-    return np.geomspace(top, top * 10.0 ** (-decades), count)
+    count = int(round(_KAPPA_DECADES / math.log10(ratio))) + 1
+    return np.geomspace(top, top * 10.0 ** (-_KAPPA_DECADES), count)
 
 
 def sample_centers(domain: Domain, count: int, seed: int):
@@ -446,7 +454,7 @@ def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
     return lo, hi
 
 
-def _resolve_sections(m_at, scan, grid, kappas, iters, f, centers, p, fault):
+def _resolve_sections(m_at, scan, grid, kappas, iters, f, centers, p):
     """Radius sections per threshold and row, from the scanned m values.
 
     kappas is the array of K thresholds sharing the scan.  Each run of scan
@@ -494,7 +502,7 @@ def _resolve_sections(m_at, scan, grid, kappas, iters, f, centers, p, fault):
         blo, bhi = _below_floor_bracket(f, centers, row[below_floor],
                                         kappas[k[below_floor]], grid[0])
         lo[below_floor] = 0.5 * (blo + bhi)
-        ambig[below_floor] = interval_weight(blo, bhi, p, fault)
+        ambig[below_floor] = interval_weight(blo, bhi, p)
     return k, row, lo, hi, ambig, below_floor, at_r_max
 
 
@@ -604,14 +612,13 @@ def _bisect_iters(ratio: float, rel_tol: float) -> int:
 
 
 def superlevel_radius_set(f: TestFunction, a, kappa: float, domain: Domain,
-                          spec: QuadratureSpec, scan_ratio: float = 1.02,
-                          rel_tol: float = _REL_TOL) -> list:
+                          spec: QuadratureSpec) -> list:
     """Connected radius intervals where m_f(a, .) exceeds kappa.
 
-    Geometric scan at the given ratio from min(domain.r_min, certified
-    floor) up to domain.r_max, then refinement of each bracketed crossing
-    to relative tolerance rel_tol (see _bisect_crossings).  Honest about
-    its blind spots via the RadiusInterval flags; see that class.
+    Geometric scan at ratio 1.02 from min(domain.r_min, certified floor) up
+    to domain.r_max, then refinement of each bracketed crossing to relative
+    tolerance 1e-6 (see _bisect_crossings).  Honest about its blind spots
+    via the RadiusInterval flags; see that class.
     """
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -620,18 +627,17 @@ def superlevel_radius_set(f: TestFunction, a, kappa: float, domain: Domain,
         raise ValueError(f"center must have shape ({f.dim},)")
     if domain.dim != f.dim:
         raise ValueError("domain dimension mismatch")
-    grid = _scan_grid(f, domain, kappa, scan_ratio)
+    grid = _scan_grid(f, domain, kappa, _SECTION_SCAN_RATIO)
     centers = a[None, :]
     eng = _make_engine(f, centers, spec, 0)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, kappa))
-    iters = _bisect_iters(scan_ratio, rel_tol)
+    iters = _bisect_iters(_SECTION_SCAN_RATIO, _REL_TOL)
     _, _, lo, hi, _, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, np.array([kappa]), iters, f, centers,
-        p=1.0, fault=None)
+        eng.m_at, scan, grid, np.array([kappa]), iters, f, centers, p=1.0)
     out = []
     for i in range(lo.size):
         flags = []
-        err = rel_tol * hi[i]
+        err = _REL_TOL * hi[i]
         if below_floor[i]:
             flags.append("below_scan_floor")
             err = max(err, 0.5 * grid[0])
@@ -691,15 +697,15 @@ def _r_tail_bound(f: TestFunction, kappa: float, p: float,
 
 
 def _curve_chunk(f, centers, global_start, kappas, p, domain, spec,
-                 fault, grid, iters):
+                 grid, iters):
     eng = _make_engine(f, centers, spec, global_start)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas.min())))
     k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, kappas, iters, f, centers, p, fault)
+        eng.m_at, scan, grid, kappas, iters, f, centers, p)
     # each (threshold, row) cell adds its intervals in radius order
     shape = (kappas.size, centers.shape[0])
     w = np.zeros(shape)
-    np.add.at(w, (k, row), interval_weight(lo, hi, p, fault))
+    np.add.at(w, (k, row), interval_weight(lo, hi, p))
     ambig = np.zeros(shape)
     np.add.at(ambig, (k, row), amb)
     counters = {"below_floor": int(below_floor.sum()),
@@ -709,11 +715,10 @@ def _curve_chunk(f, centers, global_start, kappas, p, domain, spec,
 
 def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
                   domain: Domain, spec: QuadratureSpec, samples: int,
-                  threads: int, fault, scan_ratio: float,
-                  rel_tol: float) -> DistributionCurve:
+                  threads: int, scan_ratio: float) -> DistributionCurve:
     centers, strata, n_strata = sample_centers(domain, samples, spec.seed)
     grid = _scan_grid(f, domain, float(kappas[-1]), scan_ratio)
-    iters = _bisect_iters(scan_ratio, rel_tol)
+    iters = _bisect_iters(scan_ratio, _REL_TOL)
 
     starts = list(range(0, samples, _CHUNK))
     jobs = [(centers[s:s + _CHUNK], s) for s in starts]
@@ -721,7 +726,7 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
     def run(job):
         chunk_centers, start = job
         return _curve_chunk(f, chunk_centers, start, kappas, p, domain,
-                            spec, fault, grid, iters)
+                            spec, grid, iters)
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
@@ -765,9 +770,7 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
 def distribution_curve(f: TestFunction, p: float, kappa_grid,
                        domain: Domain, spec: QuadratureSpec,
                        samples: int = 4096, threads: int = 1,
-                       fault: Optional[FaultSpec] = None,
-                       scan_ratio: float = _SCAN_RATIO,
-                       rel_tol: float = _REL_TOL) -> DistributionCurve:
+                       scan_ratio: float = _SCAN_RATIO) -> DistributionCurve:
     """Estimate the superlevel measure for a whole threshold grid at once.
 
     The grid must be geometric-like: at least 8 decreasing points spanning
@@ -789,19 +792,17 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
     if kappas[0] / kappas[-1] < 999.99:
         raise ValueError("threshold grid must span at least 3 decades")
     return _curve_engine(f, float(p), kappas, domain, spec, samples,
-                         threads, fault, scan_ratio, rel_tol)
+                         threads, scan_ratio)
 
 
 def superlevel_measure(f: TestFunction, p: float, kappa: float,
                        domain: Domain, spec: QuadratureSpec,
-                       samples: int = 4096,
-                       fault: Optional[FaultSpec] = None) -> EstimatedValue:
+                       samples: int = 4096) -> EstimatedValue:
     """Window-restricted measure of {m_f > kappa} at a single threshold."""
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive, got {kappa}")
     curve = _curve_engine(f, float(p), np.array([float(kappa)]), domain,
-                          spec, samples, 1, fault,
-                          _SCAN_RATIO, _REL_TOL)
+                          spec, samples, 1, _SCAN_RATIO)
     return EstimatedValue(float(curve.nu[0]), float(curve.nu_stderr[0]))
 
 
@@ -851,23 +852,21 @@ class LimitEstimate:
     notes: tuple = ()
 
 
-def limit_extrapolate(curve: DistributionCurve, min_points: int = 5,
-                      span: float = 10.0, max_rel_stderr: float = 0.02,
-                      alphas=(0.5, 0.75, 1.0, 1.25, 1.5),
-                      max_rel_residual: float = 0.05) -> LimitEstimate:
+def limit_extrapolate(curve: DistributionCurve) -> LimitEstimate:
     """Fit scaled(kappa) = L + c * kappa^alpha on the smallest thresholds.
 
-    Uses the points within a factor of span of the smallest kappa (at
-    least min_points required).  Weighted least squares per alpha on a
-    small grid; the winner by residual provides L.  The exponent alpha is
-    purely empirical and reported, never asserted.
+    Uses the points within a factor of 10 of the smallest kappa (at least 5
+    required).  Weighted least squares for each alpha in 0.5, 0.75, ...,
+    1.5; the winner by residual provides L.  The exponent alpha is purely
+    empirical and reported, never asserted.  The estimate is not ok when a
+    point's relative stderr exceeds 0.02 or the relative fit residual 0.05.
     """
     kap = curve.kappa_grid
-    mask = kap <= span * kap.min() * (1.0 + 1e-12)
-    if int(mask.sum()) < min_points:
+    mask = kap <= _FIT_SPAN * kap.min() * (1.0 + 1e-12)
+    if int(mask.sum()) < _FIT_MIN_POINTS:
         raise ValueError(
-            f"need at least {min_points} thresholds within a factor of {span} "
-            f"of the smallest, got {int(mask.sum())}")
+            f"need at least {_FIT_MIN_POINTS} thresholds within a factor of "
+            f"{_FIT_SPAN} of the smallest, got {int(mask.sum())}")
     x = kap[mask]
     y = curve.scaled[mask]
     sig = curve.scaled_stderr[mask]
@@ -877,7 +876,7 @@ def limit_extrapolate(curve: DistributionCurve, min_points: int = 5,
     floor = max(1e-12 * max(abs(y).max(), 1e-300), 1e-300)
     w = 1.0 / np.maximum(sig, floor) ** 2
     best = None
-    for alpha in alphas:
+    for alpha in _FIT_ALPHAS:
         design = np.stack([np.ones_like(x), x ** alpha], axis=1)
         a_mat = design.T @ (design * w[:, None])
         b_vec = design.T @ (y * w)
@@ -897,12 +896,12 @@ def limit_extrapolate(curve: DistributionCurve, min_points: int = 5,
     rel_resid = score / abs(level) if level != 0 else math.inf
 
     rel_noise = float(np.max(sig / np.maximum(np.abs(y), 1e-300)))
-    if rel_noise > max_rel_stderr:
+    if rel_noise > _FIT_MAX_REL_STDERR:
         ok = False
-        notes.append(f"sampling noise {rel_noise:.3g} exceeds {max_rel_stderr:g}")
-    if rel_resid > max_rel_residual:
+        notes.append(f"sampling noise {rel_noise:.3g} exceeds {_FIT_MAX_REL_STDERR:g}")
+    if rel_resid > _FIT_MAX_REL_RESIDUAL:
         ok = False
-        notes.append(f"fit residual {rel_resid:.3g} exceeds {max_rel_residual:g}")
+        notes.append(f"fit residual {rel_resid:.3g} exceeds {_FIT_MAX_REL_RESIDUAL:g}")
     return LimitEstimate(value=level, uncertainty=max(score, level_se),
                          alpha=alpha, rel_residual=rel_resid,
                          points_used=int(mask.sum()), ok=ok, notes=tuple(notes))

@@ -83,11 +83,32 @@ def test_oscillation_writes_json_with_config_echo(tmp_path, capsys):
     ["oscillation", "--function", "linear:d=1:v=1", "--r", "-1"],
     ["oscillation", "--function", "linear:d=2:v=1,0", "--r", "1",
      "--d", "1"],                                             # dim mismatch
+    ["oscillation", "--function", "linear:d=1:v=1", "--r", "1",
+     "--q", "0.5"],
+    ["oscillation", "--function", "linear:d=2:v=1,0", "--r", "1",
+     "--nodes", "1"],
+    ["oscillation", "--function", "linear:d=1:v=1", "--r", "1",
+     "--a", "nan"],
+    ["oscillation", "--function", "linear:d=2:v=1,0", "--r", "1",
+     "--samples", "64"],                                      # not a flag
 ])
 def test_oscillation_usage_errors(args):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
+
+
+def test_oscillation_ignores_the_curve_samples_key(tmp_path, capsys):
+    # config keys are global, so a file shared with curve runs may hold
+    # samples; it is the curve's center count, never the node count here
+    ini = tmp_path / "shared.ini"
+    ini.write_text("[run]\nfunction = linear:d=2:v=1,0\nr = 1\n"
+                   "samples = 64\n")
+    assert main(["oscillation", "--config", str(ini),
+                 "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "oscillation.json").read_text())
+    assert payload["config"]["quadrature"] == {"method": "monte_carlo",
+                                               "node_count": 65536}
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +208,13 @@ def test_curve_rejects_narrow_grid():
 def test_curve_rejects_q_not_one():
     with pytest.raises(SystemExit) as exc:
         main(LINEAR_CURVE_FLAGS + ["--q", "2"])
+    assert exc.value.code == 2
+
+
+def test_curve_has_no_fault_injection():
+    # fault presets only reach the verify battery, whose sentinels see them
+    with pytest.raises(SystemExit) as exc:
+        main(LINEAR_CURVE_FLAGS + ["--fault-inject", "weight"])
     assert exc.value.code == 2
 
 

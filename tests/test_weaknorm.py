@@ -594,8 +594,7 @@ def test_sections_are_the_runs_of_the_scan(scans):
 
     f = make_ball_indicator(1, 0.5)
     centers = np.linspace(-0.9, 0.9, n_rows)[:, None]
-    got = _resolve_sections(m, level, grid, kappas, ITERS, f, centers, 2.0,
-                            None)
+    got = _resolve_sections(m, level, grid, kappas, ITERS, f, centers, 2.0)
     assert all(x.shape == got[0].shape for x in got)
     want = []
     for ki, kappa in enumerate(kappas):
@@ -649,7 +648,7 @@ def test_every_interval_of_a_many_interval_row_is_resolved():
     weights = []
     most = 0
     for a in centers:
-        ivs = superlevel_radius_set(f, a, kappa, dom, GAUSS, scan_ratio=1.02)
+        ivs = superlevel_radius_set(f, a, kappa, dom, GAUSS)
         most = max(most, len(ivs))
         lo = np.array([iv.r_lo for iv in ivs])
         hi = np.array([iv.r_hi for iv in ivs])

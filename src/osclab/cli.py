@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -42,11 +43,11 @@ import numpy as np
 
 from .catalog import DEFAULT_IDS, TestFunction, parse_function_id
 from .oscillation import UnsupportedFunctionError, pair_oscillation, q_oscillation
-from .quadrature import BallSample, QuadratureError, QuadratureSpec
-from .verify import battery_to_dict, run_all
+from .quadrature import BallSample, QuadratureError, default_spec
+from .verify import (DEFAULT_NODE_COUNT, DEFAULT_SAMPLES, DEFAULT_SEED,
+                     FaultSpec, battery_to_dict, run_all)
 from .weaknorm import (
     Domain,
-    FaultSpec,
     curve_summary,
     default_domain,
     default_kappa_grid,
@@ -55,10 +56,10 @@ from .weaknorm import (
     write_curve_csv,
 )
 
-DEFAULT_SEED = 20260819
-
-# Monte Carlo nodes per ball for curves in d >= 2 (the node count of the
-# d = 2 limit criteria); single-ball queries keep a larger default
+# Monte Carlo nodes per ball in d >= 2.  One ball query affords the large
+# default; a curve asks for one ball per scan radius and center, so it
+# takes the node count of the d = 2 limit criteria.
+_QUERY_MC_NODES = 65536
 _CURVE_MC_NODES = 512
 
 _FAULT_PRESETS = {
@@ -174,16 +175,6 @@ def _parse_fault(text: Optional[str]) -> Optional[FaultSpec]:
     return FaultSpec(**fields)
 
 
-def _fault_echo(fault: Optional[FaultSpec]) -> Optional[dict]:
-    if fault is None:
-        return None
-    return {
-        "slope_factor": fault.slope_factor,
-        "expansion_factor": fault.expansion_factor,
-        "weight_exponent_shift": fault.weight_exponent_shift,
-    }
-
-
 def _load_function(fid: str, want_d: Optional[int]) -> TestFunction:
     try:
         f = parse_function_id(fid)
@@ -253,19 +244,6 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 # oscillation
 # ---------------------------------------------------------------------------
 
-def _default_spec(d: int, nodes: Optional[int], seed: int,
-                  mc_nodes: int = 65536) -> QuadratureSpec:
-    """Gauss route in d = 1, else Monte Carlo with mc_nodes per ball unless
-    nodes is given (in d = 1 the Gauss order of the inner mean, default 8).
-    One ball query affords the large default; a curve asks for one ball
-    per scan radius and center, so it passes a smaller one."""
-    if d == 1:
-        return QuadratureSpec(method="gauss_1d", node_count=nodes or 8,
-                              seed=seed)
-    return QuadratureSpec(method="monte_carlo", node_count=nodes or mc_nodes,
-                          seed=seed)
-
-
 def cmd_oscillation(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config) if args.config else {}
     fid = _resolve(args, cfg, "function", None, str)
@@ -286,7 +264,7 @@ def cmd_oscillation(args: argparse.Namespace) -> int:
     nodes = _resolve(args, cfg, "nodes", None, int)
     kind = "pair" if args.pairwise else "mean" if q == 1.0 else "q"
     try:
-        spec = _default_spec(f.dim, nodes, seed)
+        spec = default_spec(f.dim, seed, _QUERY_MC_NODES, nodes)
         ball = BallSample(center=center, radius=float(r))
         oscillation = pair_oscillation if args.pairwise else q_oscillation
         est = oscillation(f, ball, q, spec)
@@ -371,7 +349,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     try:
         domain = Domain(box=box, r_max=r_max, r_min=r_min)
         grid, kappa_echo = _kappa_grid_from(args, cfg, f)
-        spec = _default_spec(f.dim, nodes, seed, mc_nodes=_CURVE_MC_NODES)
+        spec = default_spec(f.dim, seed, _CURVE_MC_NODES, nodes)
         curve = distribution_curve(f, p, grid, domain, spec,
                                    samples=samples, threads=threads)
         limit = limit_extrapolate(curve)
@@ -415,8 +393,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config) if args.config else {}
     seed = _resolve_seed(args, cfg)
-    n_samples = _resolve(args, cfg, "samples", 60, int)
-    nodes = _resolve(args, cfg, "nodes", 16384, int)
+    n_samples = _resolve(args, cfg, "samples", DEFAULT_SAMPLES, int)
+    nodes = _resolve(args, cfg, "nodes", DEFAULT_NODE_COUNT, int)
     fault = _parse_fault(_resolve(args, cfg, "fault_inject", None, str))
     reports = run_all(seed=seed, fault=fault, node_count=nodes,
                       n_samples=n_samples)
@@ -439,7 +417,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "seed": seed,
                 "samples": n_samples,
                 "node_count": nodes,
-                "fault": _fault_echo(fault),
+                "fault": None if fault is None else dataclasses.asdict(fault),
             },
             "report": digest,
         }
@@ -521,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = subs.add_parser("verify", help="run the verification battery")
     p_ver.add_argument("--samples", type=int,
-                       help="per-suite sample budget (default 60)")
+                       help=f"per-suite sample budget (default {DEFAULT_SAMPLES})")
     p_ver.add_argument("--nodes", type=int,
-                       help="quadrature nodes (default 16384)")
+                       help=f"quadrature nodes (default {DEFAULT_NODE_COUNT})")
     p_ver.add_argument("--fault-inject", dest="fault_inject",
                        metavar="NAME[,NAME]",
                        help=f"perturb a verified constant; names: "

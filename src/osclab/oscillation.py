@@ -33,19 +33,14 @@ from __future__ import annotations
 import numpy as np
 
 from .catalog import TestFunction, coordinate_dot
-from .quadrature import (BallSample, EstimatedValue, QuadratureError,
-                         QuadratureSpec, segment_edges, segment_integrals,
+from .quadrature import (KEY_INNER, KEY_OUTER, KEY_PAIR, BallSample,
+                         EstimatedValue, QuadratureError, QuadratureSpec,
+                         require_finite, segment_edges, segment_integrals,
                          segment_mean, stream, unit_ball_nodes)
 
-# stream keys: distinct sub-streams of one master seed
-KEY_OUTER = 0
-KEY_INNER = 1
-KEY_PAIR = 2
-
-# relative slack of the flat_radius certificate (here and in the curve
-# scan's skip mask) against the rounding of a + r u, of |x| and of f
-# itself, which are a few ulps of the coordinates and values
-_SKIP_MARGIN = 1e-9
+# relative slack of flat_balls against the rounding of a + r u, of |x| and
+# of f itself, which are a few ulps of the coordinates and values
+SKIP_MARGIN = 1e-9
 
 _ROOT_ITERS = 30
 _GL_ORDER = 8
@@ -208,8 +203,8 @@ def q_oscillation(f: TestFunction, ball: BallSample, q: float,
     u_in = _ball_nodes(d, half, stream(spec.seed, KEY_INNER))
     dev, pair_sums = mc_deviations(f.eval, ball.center, ball.radius,
                                    u_out, u_in)
-    if not (np.all(np.isfinite(dev)) and np.all(np.isfinite(pair_sums))):
-        raise QuadratureError("integrand produced non-finite values")
+    require_finite(dev)
+    require_finite(pair_sums)
     pair_vals = 0.5 * pair_sums
     se_mu = float(np.std(pair_vals, ddof=1) / np.sqrt(half)) if half > 1 else 0.0
     y = np.abs(dev, out=dev) ** q
@@ -247,10 +242,10 @@ def pair_oscillation(f: TestFunction, ball: BallSample, q: float,
     c = ball.center[:, None]
     ux = _ball_nodes(d, n, stream(spec.seed, KEY_OUTER))
     uy = _ball_nodes(d, n, stream(spec.seed, KEY_PAIR))
-    vx = np.asarray(f.eval(_point_major(c + ball.radius * ux)), dtype=float)
-    vy = np.asarray(f.eval(_point_major(c + ball.radius * uy)), dtype=float)
-    if not (np.all(np.isfinite(vx)) and np.all(np.isfinite(vy))):
-        raise QuadratureError("integrand produced non-finite values")
+    vx = require_finite(np.asarray(
+        f.eval(_point_major(c + ball.radius * ux)), dtype=float))
+    vy = require_finite(np.asarray(
+        f.eval(_point_major(c + ball.radius * uy)), dtype=float))
     z = np.abs(vx - vy) ** q
     m_q = float(np.mean(z))
     se_m = float(np.std(z, ddof=1) / np.sqrt(n))
@@ -269,6 +264,15 @@ def default_r_grid(f: TestFunction, ratio: float = 1.05) -> np.ndarray:
     hi = 1e2 * scale
     count = int(np.ceil(np.log(hi / lo) / np.log(ratio))) + 1
     return lo * (hi / lo) ** (np.arange(count) / (count - 1))
+
+
+def flat_balls(f: TestFunction, centers, radii) -> np.ndarray:
+    """r + SKIP_MARGIN (|a| + r) < f.flat_radius(a): the balls B_r(a) on
+    which f is certified constant.  centers (..., d) and radii (J,) give
+    shape (..., J)."""
+    rho = np.asarray(f.flat_radius(centers), dtype=float)[..., None]
+    size = np.linalg.norm(centers, axis=-1)[..., None]
+    return radii + SKIP_MARGIN * (size + radii) < rho
 
 
 def maximal_gradient(f: TestFunction, a, r_grid,
@@ -293,9 +297,7 @@ def maximal_gradient(f: TestFunction, a, r_grid,
         raise QuadratureError("gauss_1d applies to dimension one only")
 
     if f.flat_radius is not None:
-        rho = float(f.flat_radius(a))
-        size = float(np.linalg.norm(a))
-        r_grid = r_grid[~(r_grid + _SKIP_MARGIN * (size + r_grid) < rho)]
+        r_grid = r_grid[~flat_balls(f, a, r_grid)]
         if r_grid.size == 0:
             return 0.0
 
@@ -309,7 +311,5 @@ def maximal_gradient(f: TestFunction, a, r_grid,
     u = _ball_nodes(f.dim, spec.node_count, stream(spec.seed, KEY_OUTER))
     x = a[None, :, None] + r_grid[:, None, None] * u[None, :, :]
     g = np.asarray(f.grad(_point_major(x)), dtype=float)
-    mag = np.sqrt(coordinate_dot(g, g))
-    if not np.all(np.isfinite(mag)):
-        raise QuadratureError("gradient produced non-finite values")
+    mag = require_finite(np.sqrt(coordinate_dot(g, g)), "gradient")
     return float(np.max(np.mean(mag, axis=1)))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -32,6 +32,17 @@ METHODS = ("gauss_1d", "monte_carlo")
 
 class QuadratureError(ValueError):
     """Raised when a quadrature request is malformed or an integrand misbehaves."""
+
+
+# Stream keys: the first entry of a stream's key tuple, one per use of the
+# master seed, so no two uses ever draw from the same stream.
+KEY_OUTER = 0      # single-ball nodes: outer pass and one-set rules
+KEY_INNER = 1      # single-ball inner (antithetic) pass
+KEY_PAIR = 2       # second sample of pair_oscillation
+KEY_CENTERS = 3    # curve centers
+KEY_BALL_OUT = 4   # curve outer nodes, one stream per center
+KEY_BALL_IN = 5    # curve inner nodes, one stream per center
+KEY_VERIFY = 6     # verification suites' sampled inputs
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -44,6 +55,13 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed) & ((1 << 128) - 1),
                                 spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def require_finite(values, what: str = "integrand"):
+    """values itself, once every entry is finite; QuadratureError otherwise."""
+    if not np.all(np.isfinite(values)):
+        raise QuadratureError(f"{what} produced non-finite values")
+    return values
 
 
 @dataclass(frozen=True)
@@ -80,7 +98,10 @@ class QuadratureSpec:
     node_count: at least 2.  For monte_carlo, the nodes per pass.  For
     gauss_1d, the Gauss order per segment of the inner mean; the deviation
     integral of the oscillation keeps a fixed 8-point rule on root-refined
-    segments.
+    segments.  default_spec picks order 8 for the inner mean as well: it
+    is exact to degree 15 per segment, and the catalog's 1-d entries are
+    piecewise polynomials of degree at most 5 (the plateau's quintic
+    taper), their mollifications (verify.mollify_1d) of degree at most 12.
     seed: master seed for node generation; ignored by gauss_1d.
     """
     method: str = "monte_carlo"
@@ -94,6 +115,16 @@ class QuadratureSpec:
             raise QuadratureError("node_count must be at least 2")
         object.__setattr__(self, "node_count", int(self.node_count))
         object.__setattr__(self, "seed", int(self.seed))
+
+
+def default_spec(dim: int, seed: int, mc_nodes: int,
+                 nodes: Optional[int] = None) -> QuadratureSpec:
+    """osclab's rule for a dimension: gauss_1d of order nodes (default 8,
+    see QuadratureSpec) in d = 1, else monte_carlo with nodes per ball
+    (default mc_nodes).  Any given nodes, 0 included, goes to
+    QuadratureSpec unchanged, which rejects counts below 2."""
+    method, count = ("gauss_1d", 8) if dim == 1 else ("monte_carlo", mc_nodes)
+    return QuadratureSpec(method, count if nodes is None else nodes, seed)
 
 
 @dataclass(frozen=True)
@@ -187,7 +218,7 @@ def sample_ball_uniform(ball: BallSample, n: int, seed: int) -> np.ndarray:
     """n iid uniform points in the ball, shape (n, d), deterministic in seed."""
     if n < 1:
         raise QuadratureError("need at least one sample")
-    rng = stream(seed, 0)
+    rng = stream(seed, KEY_OUTER)
     return ball.center[None, :] + ball.radius * unit_ball_nodes(ball.dim, n, rng)
 
 
@@ -255,12 +286,10 @@ def ball_average(g: Callable, ball: BallSample, spec: QuadratureSpec,
         mean = segment_mean(
             lambda x: g(x.reshape(-1, 1)).reshape(x.shape),
             segment_edges(breakpoints, a - r, a + r), spec.node_count)
-        if not np.isfinite(mean):
-            raise QuadratureError("integrand produced non-finite values")
-        return EstimatedValue(float(mean), 0.0)
+        return EstimatedValue(float(require_finite(mean)), 0.0)
 
     n = spec.node_count
-    rng = stream(spec.seed, 0)
+    rng = stream(spec.seed, KEY_OUTER)
     if antithetic:
         half = (n + 1) // 2
         u = unit_ball_nodes(ball.dim, half, rng)
@@ -271,8 +300,7 @@ def ball_average(g: Callable, ball: BallSample, spec: QuadratureSpec,
         u = unit_ball_nodes(ball.dim, n, rng)
         x = ball.center[None, :] + ball.radius * u
         vals = np.asarray(g(x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("integrand produced non-finite values")
+    require_finite(vals)
     m = vals.size
     mean = float(np.mean(vals))
     if m > 1:

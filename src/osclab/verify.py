@@ -10,7 +10,7 @@ counted and reported.
 Several suites carry identity sentinel cases that recompute a constant by
 an independent quadrature route and compare against the closed form in use.
 Their purpose is mutation sensitivity: a deliberately corrupted constant
-(see weaknorm.FaultSpec) must flip at least one suite from green to red,
+(see verify.FaultSpec) must flip at least one suite from green to red,
 otherwise the battery would be vacuous.
 
 The oracles that integrate with scipy.integrate.quad import scipy when they
@@ -30,12 +30,15 @@ from .catalog import (TestFunction, default_catalog, grad_norm_p, make_linear,
 from .oscillation import (UnsupportedFunctionError, default_r_grid,
                           exact_oscillation_1d, maximal_gradient,
                           mean_oscillation)
-from .quadrature import (BallSample, QuadratureSpec, gauss_rule,
-                         segment_integrals, stream)
-from .weaknorm import (Domain, FaultSpec, c_d_prime, c_dp, distribution_curve,
+from .quadrature import (KEY_VERIFY, BallSample, QuadratureSpec, default_spec,
+                         gauss_rule, segment_integrals, stream)
+from .weaknorm import (Domain, c_d_prime, c_dp, distribution_curve,
                        expansion_remainder_coeff, interval_weight)
 
-KEY_VERIFY = 6
+# run_all's defaults, which the command line reads and echoes
+DEFAULT_SEED = 20260819
+DEFAULT_NODE_COUNT = 16384
+DEFAULT_SAMPLES = 60
 
 # Largest observed plateau-bump value of m_f(a, r) / (r * grid-maximal
 # gradient), measured over wide (a, r) sweeps at development time and
@@ -51,8 +54,23 @@ _WEIGHT_P = 2.0
 
 
 # ---------------------------------------------------------------------------
-# report plumbing
+# fault injection and report plumbing
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FaultSpec:
+    """Deliberate defects for mutation-sensitivity checks.
+
+    The suites apply them to the constants their identity cases check:
+    slope_factor multiplies the oscillation slope constant c_d_prime,
+    expansion_factor the certified quadratic remainder coefficient, and
+    weight_exponent_shift is added to the exponent of the tail weight.
+    All defaults are the identity.
+    """
+    slope_factor: float = 1.0
+    expansion_factor: float = 1.0
+    weight_exponent_shift: float = 0.0
+
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -273,8 +291,9 @@ def check_local_expansion(f: TestFunction, n_samples: int, r_ceiling: float,
     lip = f.grad_lipschitz
     scale = f.support_radius if f.support_radius is not None else 1.0
     rng = stream(spec.seed, KEY_VERIFY, 0)
-    slope = c_d_prime(d, fault)
-    coeff = expansion_remainder_coeff(d, lip, fault)
+    fault = fault or FaultSpec()
+    slope = c_d_prime(d) * fault.slope_factor
+    coeff = expansion_remainder_coeff(d, lip) * fault.expansion_factor
 
     cases = []
     for i in range(n_samples):
@@ -298,7 +317,7 @@ def check_local_expansion(f: TestFunction, n_samples: int, r_ceiling: float,
         {"claimed": slope, "quadrature_oracle": oracle},
         abs(slope - oracle), 1e-8 * oracle,
         note="slope constant vs slice quadrature"))
-    claimed_unit = expansion_remainder_coeff(d, 1.0, fault)
+    claimed_unit = expansion_remainder_coeff(d, 1.0) * fault.expansion_factor
     moment_oracle = 3.0 * _moment_coeff_oracle(d)
     cases.append(_case(
         "remainder_moment_identity",
@@ -412,6 +431,7 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
     if f.grad is None:
         raise UnsupportedFunctionError(
             f"{f.function_id} lacks a gradient; domination does not apply")
+    fault = fault or FaultSpec()
     d = f.dim
     bound = _DOMINATION_BOUND[d]
     scale = f.support_radius if f.support_radius is not None else 1.0
@@ -467,7 +487,8 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
                 abs(max_ratio - c_d_prime(1)), 1e-10))
 
     r_edge = float(np.exp(rng.uniform(np.log(0.2), np.log(2.0))))
-    claimed = float(interval_weight(r_edge, None, _WEIGHT_P, fault))
+    claimed = float(interval_weight(r_edge, None,
+                                    _WEIGHT_P + fault.weight_exponent_shift))
     oracle, quad_err = integrate.quad(
         lambda r: r ** (-_WEIGHT_P - 1.0), r_edge, np.inf)
     cases.append(_case(
@@ -729,15 +750,9 @@ def check_tail_bounds(f: TestFunction, n_samples: int,
 # full battery
 # ---------------------------------------------------------------------------
 
-def _spec_for(f: TestFunction, seed: int, node_count: int) -> QuadratureSpec:
-    if f.dim == 1:
-        return QuadratureSpec(method="gauss_1d", node_count=8, seed=seed)
-    return QuadratureSpec(method="monte_carlo", node_count=node_count,
-                          seed=seed)
-
-
-def run_all(seed: int = 20260819, fault: Optional[FaultSpec] = None,
-            node_count: int = 16384, n_samples: int = 60) -> list:
+def run_all(seed: int = DEFAULT_SEED, fault: Optional[FaultSpec] = None,
+            node_count: int = DEFAULT_NODE_COUNT,
+            n_samples: int = DEFAULT_SAMPLES) -> list:
     """Every suite over the default catalog matrix.
 
     Suites run independently; an exception in one is captured in its report
@@ -754,7 +769,8 @@ def run_all(seed: int = 20260819, fault: Optional[FaultSpec] = None,
         for f in (plateau[d], linear[d]):
             jobs.append((f"local_expansion[{f.function_id}]",
                          lambda f=f, d=d: check_local_expansion(
-                             f, n_samples, 0.05, _spec_for(f, seed, node_count),
+                             f, n_samples, 0.05,
+                             default_spec(f.dim, seed, node_count),
                              fault=fault)))
     moll_targets = [linear[1], plateau[1], indicator]
     for t in (0.05, 0.2):
@@ -762,36 +778,35 @@ def run_all(seed: int = 20260819, fault: Optional[FaultSpec] = None,
             jobs.append((f"mollification[{f.function_id};t={t!r}]",
                          lambda f=f, t=t: check_mollification(
                              f, Mollifier(t), max(n_samples // 3, 8),
-                             _spec_for(f, seed, node_count))))
+                             default_spec(f.dim, seed, node_count))))
     jobs.append((f"mollification[{indicator.function_id};t=0.1]",
                  lambda: check_mollification(
                      indicator, Mollifier(0.1), max(n_samples // 3, 8),
-                     _spec_for(indicator, seed, node_count))))
+                     default_spec(indicator.dim, seed, node_count))))
     for d in (1, 2):
         f = plateau[d]
         jobs.append((f"maximal_domination[{f.function_id}]",
                      lambda f=f: check_maximal_domination(
                          f, max(n_samples // 2, 10),
-                         _spec_for(f, seed, node_count), fault=fault)))
+                         default_spec(f.dim, seed, node_count), fault=fault)))
     jobs.append(("maximal_domination[zero]",
                  lambda: check_maximal_domination(
                      make_linear(1, [0.0]), 8,
-                     QuadratureSpec(method="gauss_1d", node_count=8, seed=seed),
-                     fault=fault)))
+                     default_spec(1, seed, node_count), fault=fault)))
     jobs.append(("bv_divergence", lambda: check_bv_divergence(
         1.0, (1e-1, 1e-2, 1e-3, 1e-4),
         Domain(box=((-2.0, 2.0),), r_max=10.0, r_min=1e-3),
-        spec=QuadratureSpec(method="gauss_1d", node_count=8, seed=seed))))
+        spec=default_spec(1, seed, node_count))))
     for d in (1, 2, 3):
         f = plateau[d]
         jobs.append((f"tail_bounds[{f.function_id}]",
                      lambda f=f: check_tail_bounds(
                          f, max(n_samples // 2, 10),
-                         _spec_for(f, seed, node_count))))
+                         default_spec(f.dim, seed, node_count))))
     jobs.append((f"tail_bounds[{indicator.function_id}]",
                  lambda: check_tail_bounds(
                      indicator, max(n_samples // 2, 10),
-                     _spec_for(indicator, seed, node_count))))
+                     default_spec(indicator.dim, seed, node_count))))
 
     reports = []
     for name, job in jobs:

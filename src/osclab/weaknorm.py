@@ -60,12 +60,10 @@ from typing import Optional
 import numpy as np
 
 from .catalog import TestFunction, grad_norm_p, unit_ball_volume
-from .oscillation import _SKIP_MARGIN, exact_oscillation_1d, mc_deviations
-from .quadrature import EstimatedValue, QuadratureError, QuadratureSpec, stream, unit_ball_nodes
-
-KEY_CENTERS = 3
-KEY_BALL_OUT = 4
-KEY_BALL_IN = 5
+from .oscillation import SKIP_MARGIN, exact_oscillation_1d, flat_balls, mc_deviations
+from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS, EstimatedValue,
+                         QuadratureError, QuadratureSpec, require_finite,
+                         stream, unit_ball_nodes)
 
 _CHUNK = 256
 # f evaluation points per Monte Carlo kernel call on the curve path
@@ -91,24 +89,10 @@ _FIT_MAX_REL_RESIDUAL = 0.05
 
 
 # ---------------------------------------------------------------------------
-# constants and fault injection
+# constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """Deliberate defects for mutation-sensitivity checks.
-
-    slope_factor multiplies the oscillation slope constant, expansion_factor
-    multiplies the certified quadratic remainder coefficient, and
-    weight_exponent_shift perturbs the exponent used in measure weights.
-    All defaults are the identity.
-    """
-    slope_factor: float = 1.0
-    expansion_factor: float = 1.0
-    weight_exponent_shift: float = 0.0
-
-
-def c_d_prime(d: int, fault: Optional[FaultSpec] = None) -> float:
+def c_d_prime(d: int) -> float:
     """Slope of the oscillation of a unit-gradient linear function.
 
     The mean absolute deviation of one coordinate over the unit ball:
@@ -116,35 +100,27 @@ def c_d_prime(d: int, fault: Optional[FaultSpec] = None) -> float:
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    val = math.exp(math.lgamma((d + 2) / 2.0)
-                   - math.lgamma((d + 3) / 2.0)) / math.sqrt(math.pi)
-    if fault is not None:
-        val *= fault.slope_factor
-    return val
+    return math.exp(math.lgamma((d + 2) / 2.0)
+                    - math.lgamma((d + 3) / 2.0)) / math.sqrt(math.pi)
 
 
-def c_dp(d: int, p: float, fault: Optional[FaultSpec] = None) -> float:
+def c_dp(d: int, p: float) -> float:
     """Limit constant for the scaled superlevel measure: c'_d^p / p."""
     if not (np.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be a real number >= 1, got {p}")
-    return c_d_prime(d, fault) ** p / p
+    return c_d_prime(d) ** p / p
 
 
-def expansion_remainder_coeff(d: int, grad_lipschitz: float,
-                              fault: Optional[FaultSpec] = None) -> float:
+def expansion_remainder_coeff(d: int, grad_lipschitz: float) -> float:
     """Certified coefficient of the r^2 remainder in the small-r expansion.
 
     For f whose gradient is grad_lipschitz-Lipschitz, the deviation
     |m_f(a,r) - c'_d r |grad f(a)|| is at most this coefficient times r^2.
     """
-    coeff = 3.0 * d / (d + 2.0) * grad_lipschitz
-    if fault is not None:
-        coeff *= fault.expansion_factor
-    return coeff
+    return 3.0 * d / (d + 2.0) * grad_lipschitz
 
 
-def interval_weight(r_lo, r_hi, p: float,
-                    fault: Optional[FaultSpec] = None):
+def interval_weight(r_lo, r_hi, p: float):
     """Measure of a radius interval under dr / r^(p+1): (lo^-p - hi^-p) / p.
 
     r_hi may be None or inf for the full tail above r_lo.  Vectorized over
@@ -152,16 +128,15 @@ def interval_weight(r_lo, r_hi, p: float,
     """
     if not (np.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be a real number >= 1, got {p}")
-    pe = p + (fault.weight_exponent_shift if fault is not None else 0.0)
     lo = np.asarray(r_lo, dtype=float)
     if np.any(lo <= 0):
         raise ValueError("interval weight requires a positive lower radius")
     if r_hi is None:
-        return lo ** (-pe) / pe
+        return lo ** (-p) / p
     hi = np.asarray(r_hi, dtype=float)
     if np.any(hi < lo):
         raise ValueError("interval must have r_hi >= r_lo")
-    return (lo ** (-pe) - np.where(np.isinf(hi), 0.0, hi) ** (-pe)) / pe
+    return (lo ** (-p) - np.where(np.isinf(hi), 0.0, hi) ** (-p)) / p
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +303,9 @@ def _skip_mask(f: TestFunction, centers: np.ndarray, grid: np.ndarray,
     r = grid[None, :]
     skip = np.zeros((centers.shape[0], grid.size), dtype=bool)
     if f.grad_max is not None:
-        skip |= 2.0 * r * f.grad_max * (1.0 + _SKIP_MARGIN) < kappa_min
+        skip |= 2.0 * r * f.grad_max * (1.0 + SKIP_MARGIN) < kappa_min
     if f.flat_radius is not None:
-        rho = np.asarray(f.flat_radius(centers), dtype=float)[:, None]
-        size = np.linalg.norm(centers, axis=1)[:, None]
-        skip |= r + _SKIP_MARGIN * (size + r) < rho
+        skip |= flat_balls(f, centers, grid)
     return skip
 
 
@@ -510,21 +483,12 @@ def _resolve_sections(m_at, scan, grid, kappas, iters, f, centers, p):
 # scan engines
 # ---------------------------------------------------------------------------
 
-def _finite(m: np.ndarray) -> np.ndarray:
-    """m itself, once every value is finite.
-
-    A side is decided by m > kappa, which is False for NaN, so a ball where
-    f is not finite would silently count as below every threshold.
-    """
-    if not np.all(np.isfinite(m)):
-        raise QuadratureError("integrand produced non-finite values")
-    return m
-
-
 class _Engine:
     """m(row, r) on a chunk of centers, plus the radius scan built on it.
 
-    m_at raises QuadratureError on a ball where f is not finite.
+    m_at raises QuadratureError on a ball where f is not finite: a side is
+    decided by m > kappa, which is False for NaN, so such a ball would
+    otherwise count as below every threshold.
     """
 
     def scan(self, grid: np.ndarray, skip=None) -> np.ndarray:
@@ -553,7 +517,7 @@ class _Exact1D(_Engine):
     def m_at(self, rows, r):
         m, _ = exact_oscillation_1d(self.f, self.centers[rows, 0], r,
                                     mu_nodes=self.mu_nodes)
-        return _finite(m)
+        return require_finite(m)
 
 
 class _McScan(_Engine):
@@ -595,7 +559,7 @@ class _McScan(_Engine):
             dev, _ = mc_deviations(self.f.eval, self.centers, r[blk],
                                    self.u_out, self.u_in, rows[blk])
             out[blk] = np.abs(dev, out=dev).mean(axis=1)
-        return _finite(out)
+        return require_finite(out)
 
 
 def _make_engine(f, centers, spec, global_start):

@@ -21,7 +21,7 @@ from osclab import (
     translate,
     unit_ball_nodes,
 )
-from osclab.weaknorm import _SKIP_MARGIN
+from osclab.oscillation import SKIP_MARGIN as _SKIP_MARGIN
 
 DIFFERENTIABLE = [f for f in default_catalog() if f.grad is not None]
 

@@ -91,6 +91,8 @@ def test_oscillation_writes_json_with_config_echo(tmp_path, capsys):
      "--a", "nan"],
     ["oscillation", "--function", "linear:d=2:v=1,0", "--r", "1",
      "--samples", "64"],                                      # not a flag
+    ["oscillation", "--function", "linear:d=1:v=1", "--r", "1",
+     "--nodes", "0"],                                         # not the default
 ])
 def test_oscillation_usage_errors(args):
     with pytest.raises(SystemExit) as exc:
@@ -208,6 +210,14 @@ def test_curve_rejects_narrow_grid():
 def test_curve_rejects_q_not_one():
     with pytest.raises(SystemExit) as exc:
         main(LINEAR_CURVE_FLAGS + ["--q", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("fid", ["linear:d=1:v=1", "linear:d=2:v=1,0"])
+def test_curve_rejects_zero_nodes(fid):
+    # --nodes 0 is a count below 2, not a request for the default
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--function", fid, "--nodes", "0", "--samples", "8"])
     assert exc.value.code == 2
 
 

@@ -18,12 +18,15 @@ from osclab import (
     UnsupportedFunctionError,
     battery_passed,
     battery_to_dict,
+    c_d_prime,
     check_bv_divergence,
     check_local_expansion,
     check_maximal_domination,
     check_mollification,
     check_tail_bounds,
+    expansion_remainder_coeff,
     indicator_section_1d,
+    interval_weight,
     make_ball_indicator,
     make_linear,
     make_plateau_bump,
@@ -73,6 +76,32 @@ def test_fault_injection_flips_battery(fault, expect_suite):
     assert not digest["passed"]
     assert any(name.startswith(expect_suite)
                for name in digest["failed_suites"]), digest["failed_suites"]
+
+
+def _claimed(report, name):
+    return next(c for c in report.cases if c.name == name).inputs["claimed"]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fault_presets_perturb_the_checked_constants(d):
+    # each preset moves exactly the value its identity case claims, by the
+    # same floating-point operation on the unperturbed constant
+    f = make_plateau_bump(d, 1.0, 0.5, 1.0)
+    spec = GAUSS if d == 1 else QuadratureSpec(node_count=256, seed=8)
+    rep = check_local_expansion(f, 2, 0.05, spec,
+                                fault=FaultSpec(slope_factor=1.05))
+    assert _claimed(rep, "slope_constant_identity") == 1.05 * c_d_prime(d)
+    rep = check_local_expansion(f, 2, 0.05, spec,
+                                fault=FaultSpec(expansion_factor=0.95))
+    assert (_claimed(rep, "remainder_moment_identity")
+            == expansion_remainder_coeff(d, 1.0) * 0.95)
+    rep = check_maximal_domination(f, 2, spec,
+                                   fault=FaultSpec(weight_exponent_shift=0.15))
+    case = next(c for c in rep.cases if c.name == "weight_integral_identity")
+    assert case.inputs["claimed"] == float(
+        interval_weight(case.inputs["r_lo"], None, case.inputs["p"] + 0.15))
+    assert case.inputs["claimed"] != float(
+        interval_weight(case.inputs["r_lo"], None, case.inputs["p"]))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +249,8 @@ def test_bv_divergence_suite_green():
 # doubles near a
 @example(a=0.1, kappa=0.3125, radius=math.nextafter(0.1, 1.0))
 @example(a=0.1, kappa=0.25, radius=math.nextafter(0.1, 1.0))
+# a section about 0.05 percent wide, just below the peak at the cover radius
+@example(a=0.91015625, kappa=0.283203125, radius=0.1875)
 def test_indicator_section_membership(a, kappa, radius):
     # endpoints of the closed-form section flip the superlevel property
     # of the directly evaluated oscillation
@@ -232,11 +263,12 @@ def test_indicator_section_membership(a, kappa, radius):
     assert 0.0 <= lo < hi
     mid = math.sqrt(max(lo, 1e-12) * hi)
     assert _m_indicator(a, mid, radius) > kappa - 1e-12
+    # the inner probes stay inside a section narrower than 1 percent
     if lo > 0:
         assert _m_indicator(a, lo * 0.995, radius) <= kappa + 1e-9
-        assert _m_indicator(a, lo * 1.005, radius) >= kappa - 1e-9
+        assert _m_indicator(a, min(lo * 1.005, mid), radius) >= kappa - 1e-9
     assert _m_indicator(a, hi * 1.005, radius) <= kappa + 1e-9
-    assert _m_indicator(a, hi * 0.995, radius) >= kappa - 1e-9
+    assert _m_indicator(a, max(hi * 0.995, mid), radius) >= kappa - 1e-9
 
 
 def test_report_passed_semantics():

@@ -14,7 +14,6 @@ from scipy.special import lambertw
 from osclab import (
     BallSample,
     Domain,
-    FaultSpec,
     QuadratureError,
     QuadratureSpec,
     c_d_prime,
@@ -75,12 +74,6 @@ def test_limit_constants_closed_form():
     assert abs(c_dp(2, 2.0) - 8.0 / (9.0 * math.pi**2)) <= 1e-12
     assert abs(c_dp(1, 1.0) - 0.5) <= 1e-12
     assert abs(c_dp(3, 3.0) - 0.375**3 / 3.0) <= 1e-12
-
-
-def test_constants_respond_to_fault_injection():
-    clean = c_d_prime(2)
-    warped = c_d_prime(2, fault=FaultSpec(slope_factor=1.05))
-    assert abs(warped - 1.05 * clean) <= 1e-15
 
 
 def test_expansion_remainder_coefficient():

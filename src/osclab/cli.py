@@ -395,6 +395,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args, cfg)
     n_samples = _resolve(args, cfg, "samples", DEFAULT_SAMPLES, int)
     nodes = _resolve(args, cfg, "nodes", DEFAULT_NODE_COUNT, int)
+    if nodes < 2:
+        raise _UsageError("verify needs --nodes >= 2")
+    if n_samples < 1:
+        raise _UsageError("verify needs --samples >= 1")
     fault = _parse_fault(_resolve(args, cfg, "fault_inject", None, str))
     reports = run_all(seed=seed, fault=fault, node_count=nodes,
                       n_samples=n_samples)

@@ -41,6 +41,9 @@ from .quadrature import (KEY_INNER, KEY_OUTER, KEY_PAIR, BallSample,
 # relative slack of flat_balls against the rounding of a + r u, of |x| and
 # of f itself, which are a few ulps of the coordinates and values
 SKIP_MARGIN = 1e-9
+# f or grad evaluation points per Monte Carlo kernel call, in the curve
+# engine's blocks and in maximal_gradient's radius blocks
+BLOCK_POINTS = 2 ** 15
 
 _ROOT_ITERS = 30
 _GL_ORDER = 8
@@ -284,12 +287,18 @@ def maximal_gradient(f: TestFunction, a, r_grid,
     otherwise).  Functions without a gradient are rejected.  Radii on which
     flat_radius certifies f constant are dropped before any evaluation:
     grad is exactly 0 there, every other average is >= 0, so the maximum
-    is unchanged, and 0.0 when no radius is left.
+    is unchanged, and 0.0 when no radius is left.  The Monte Carlo route
+    evaluates the grid in blocks of radii holding at most BLOCK_POINTS
+    points (at least one radius); each radius's average reduces over its
+    own nodes and the maximum is exact, so the result has the same bits as
+    one pass over the whole grid.
     """
     if f.grad is None:
         raise UnsupportedFunctionError(
             f"{f.function_id} has no gradient; maximal averages are undefined")
     a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.shape != (f.dim,):
+        raise ValueError(f"center must have shape ({f.dim},)")
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or r_grid.size == 0 or np.any(r_grid <= 0):
         raise ValueError("r_grid must be a nonempty array of positive radii")
@@ -309,7 +318,11 @@ def maximal_gradient(f: TestFunction, a, r_grid,
         return float(np.max(segment_mean(gmag, edges, _GL_ORDER)))
 
     u = _ball_nodes(f.dim, spec.node_count, stream(spec.seed, KEY_OUTER))
-    x = a[None, :, None] + r_grid[:, None, None] * u[None, :, :]
-    g = np.asarray(f.grad(_point_major(x)), dtype=float)
-    mag = require_finite(np.sqrt(coordinate_dot(g, g)), "gradient")
-    return float(np.max(np.mean(mag, axis=1)))
+    step = max(1, BLOCK_POINTS // spec.node_count)
+    means = np.empty(r_grid.size)
+    for start in range(0, r_grid.size, step):
+        r = r_grid[start:start + step, None, None]
+        g = np.asarray(f.grad(_point_major(a[:, None] + r * u)), dtype=float)
+        mag = require_finite(np.sqrt(coordinate_dot(g, g)), "gradient")
+        means[start:start + step] = np.mean(mag, axis=1)
+    return float(np.max(means))

@@ -60,14 +60,13 @@ from typing import Optional
 import numpy as np
 
 from .catalog import TestFunction, grad_norm_p, unit_ball_volume
-from .oscillation import SKIP_MARGIN, exact_oscillation_1d, flat_balls, mc_deviations
+from .oscillation import (BLOCK_POINTS, SKIP_MARGIN, exact_oscillation_1d,
+                          flat_balls, mc_deviations)
 from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS, EstimatedValue,
                          QuadratureError, QuadratureSpec, require_finite,
                          stream, unit_ball_nodes)
 
 _CHUNK = 256
-# f evaluation points per Monte Carlo kernel call on the curve path
-_BLOCK_POINTS = 2 ** 15
 
 # merged always reads 0, since every interval is resolved; the key stays in
 # the byte-stable outputs until their schema changes
@@ -532,9 +531,9 @@ class _McScan(_Engine):
     holding the values of unit_ball_nodes transposed, which is the layout
     mc_deviations builds its points in.  The kernel runs on blocks of (row,
     radius) pairs whose n + 2 * ceil(n / 2) points per pair add up to at
-    most _BLOCK_POINTS (at least one pair), so neither a large crossing
-    batch nor a scan gather grows the working set; each pair's arithmetic
-    is the same in any block.
+    most oscillation.BLOCK_POINTS (at least one pair), so neither a large
+    crossing batch nor a scan gather grows the working set; each pair's
+    arithmetic is the same in any block.
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, seed: int,
@@ -544,7 +543,7 @@ class _McScan(_Engine):
         m = max((n + 1) // 2, 1)
         self.f = f
         self.centers = centers
-        self.block = max(1, _BLOCK_POINTS // (n + 2 * m))
+        self.block = max(1, BLOCK_POINTS // (n + 2 * m))
         self.u_out = np.empty((c_rows, d, n))
         self.u_in = np.empty((c_rows, d, m))
         for i in range(c_rows):

@@ -250,6 +250,22 @@ def test_verify_fault_injection_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args", [
+    ["--nodes", "0", "--samples", "8"],
+    ["--nodes", "1", "--samples", "8"],
+    ["--nodes", "-3", "--samples", "8"],
+    ["--nodes", "1024", "--samples", "0"],
+    ["--nodes", "1024", "--samples", "-3"],
+])
+def test_verify_usage_errors(args, tmp_path):
+    # a count the battery cannot run is refused before any suite runs,
+    # as oscillation and curve refuse it, and nothing is written
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *args, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_verify_unknown_fault_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--fault-inject", "gremlins"])

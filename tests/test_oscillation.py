@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from osclab import (
     translate,
     unit_ball_nodes,
 )
-from osclab.oscillation import mc_deviations
+from osclab.catalog import coordinate_dot
+from osclab.oscillation import BLOCK_POINTS, flat_balls, mc_deviations
+from osclab.quadrature import KEY_OUTER
 
 GAUSS = QuadratureSpec(method="gauss_1d", node_count=16, seed=9)
 
@@ -258,6 +261,92 @@ def test_maximal_gradient_is_zero_when_every_radius_is_flat():
     for a in ([0.0, 0.0], [2.0, 1.0]):
         grid = np.geomspace(1e-3, 0.1, 12)
         assert maximal_gradient(g, np.array(a), grid, _mc(n=64)) == 0.0
+
+
+def _maximal_gradient_one_shot(f, a, r_grid, spec):
+    # the Monte Carlo route as one pass over every point of the grid
+    a = np.asarray(a, dtype=float)
+    r_grid = np.asarray(r_grid, dtype=float)
+    if f.flat_radius is not None:
+        r_grid = r_grid[~flat_balls(f, a, r_grid)]
+        if r_grid.size == 0:
+            return 0.0
+    u = np.ascontiguousarray(unit_ball_nodes(
+        f.dim, spec.node_count, stream(spec.seed, KEY_OUTER)).T)
+    x = a[None, :, None] + r_grid[:, None, None] * u[None, :, :]
+    g = np.asarray(f.grad(np.swapaxes(x, -1, -2)), dtype=float)
+    mag = np.sqrt(coordinate_dot(g, g))
+    return float(np.max(np.mean(mag, axis=1)))
+
+
+_PLATEAU_2 = make_plateau_bump(2, 1.0, 0.5, 1.0)
+_PLATEAU_3 = make_plateau_bump(3, 1.0, 0.5, 1.0)
+BLOCK_CASES = {
+    # 122 radii in blocks of 8
+    "plateau-2d": (_PLATEAU_2, [0.6, 0.3], default_r_grid(_PLATEAU_2, 1.1),
+                   4096),
+    "plateau-3d": (_PLATEAU_3, [0.5, 0.2, -0.3],
+                   default_r_grid(_PLATEAU_3, 1.1), 512),
+    "translated": (translate(_PLATEAU_2, [0.4, -0.3]), [0.9, 0.1],
+                   default_r_grid(_PLATEAU_2, 1.1), 1000),
+    # 100 radii in blocks of 32: the last block holds 4
+    "linear-partial": (make_linear(2, [1.0, 0.5]), [0.2, -0.1],
+                       np.geomspace(1e-3, 10.0, 100), 1000),
+    # more nodes than one block: one radius per block
+    "above-block": (_PLATEAU_2, [0.7, -0.2], np.geomspace(0.05, 2.0, 5),
+                    BLOCK_POINTS + 1),
+    "one-radius": (_PLATEAU_2, [0.7, 0.0], [0.4], 4096),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_maximal_gradient_blocks_are_bit_identical(case):
+    # each radius averages over its own nodes and the maximum is exact, so
+    # walking the grid in point blocks gives the one-pass value bit for bit
+    f, a, grid, n = BLOCK_CASES[case]
+    sizes = []
+
+    def counted(x):
+        sizes.append(math.prod(x.shape[:-1]))
+        return f.grad(x)
+
+    spec = _mc(seed=12, n=n)
+    got = maximal_gradient(dataclasses.replace(f, grad=counted),
+                           np.array(a), grid, spec)
+    assert got == _maximal_gradient_one_shot(f, a, grid, spec)
+    assert got > 0.0
+    # full blocks of the budget, then whatever radii are left
+    step = max(1, BLOCK_POINTS // n)
+    assert all(size == step * n for size in sizes[:-1])
+    assert 0 < sizes[-1] <= step * n <= max(BLOCK_POINTS, n)
+
+
+def test_maximal_gradient_working_set_is_bounded():
+    # d = 2 plateau at the battery's node count and grid: the points of one
+    # block, not of the whole grid, set the traced peak
+    f = _PLATEAU_2
+    spec = _mc(seed=5, n=16384)
+    grid = default_r_grid(f, ratio=1.1)
+    a = np.array([0.6, 0.3])
+    assert not flat_balls(f, a, grid).any()
+    tracemalloc.start()
+    try:
+        maximal_gradient(f, a, grid, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * BLOCK_POINTS * 8
+
+
+@pytest.mark.parametrize("f,a", [
+    (_PLATEAU_2, [0.7]),
+    (make_plateau_bump(1, 1.0, 0.5, 1.0), [0.7, 99.0]),
+    (_PLATEAU_2, [0.7, 0.1, 0.2]),
+], ids=["short", "long-1d", "long-2d"])
+def test_maximal_gradient_rejects_a_center_of_the_wrong_shape(f, a):
+    spec = GAUSS if f.dim == 1 else _mc(n=256)
+    with pytest.raises(ValueError, match="center must have shape"):
+        maximal_gradient(f, np.array(a), default_r_grid(f, 1.1), spec)
 
 
 def test_default_r_grid_spans_and_ratio():

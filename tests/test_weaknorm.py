@@ -43,6 +43,7 @@ from osclab import (
     write_curve_csv,
 )
 from osclab import catalog, weaknorm
+from osclab.oscillation import BLOCK_POINTS
 from osclab.weaknorm import (
     DistributionCurve,
     _below_floor_bracket,
@@ -853,7 +854,7 @@ def test_mc_kernel_calls_stay_within_block_budget():
     spec = QuadratureSpec(method="monte_carlo", node_count=512, seed=4)
     distribution_curve(g, 2.0, np.geomspace(2.0, 2e-3, 9), dom, spec,
                        samples=128)
-    assert sizes and max(sizes) <= weaknorm._BLOCK_POINTS
+    assert sizes and max(sizes) <= BLOCK_POINTS
 
 
 @pytest.mark.parametrize("d", [1, 2])

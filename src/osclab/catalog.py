@@ -238,6 +238,8 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
         c = np.atleast_1d(np.asarray(center, dtype=float))
         if c.shape != (d,):
             raise ValueError(f"center must have shape ({d},)")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("center must be finite")
         cid = ":c=" + ",".join(_fmt(x) for x in c)
     fid = f"indicator:d={d}:r={_fmt(R)}" + cid
 

@@ -312,8 +312,8 @@ def _kappa_grid_from(args: argparse.Namespace, cfg: dict,
         if kmax is None or kmin is None:
             raise _UsageError(
                 "--kappa-min and --kappa-max must be given together")
-        if not (0 < kmin < kmax):
-            raise _UsageError("need 0 < kappa-min < kappa-max")
+        if not (0 < kmin < kmax < math.inf):
+            raise _UsageError("need 0 < kappa-min < kappa-max < inf")
         count = int(round(math.log(kmax / kmin) / math.log(ratio))) + 1
         grid = np.geomspace(kmax, kmin, max(count, 2))
     echo = {"min": float(grid[-1]), "max": float(grid[0]),

@@ -300,8 +300,9 @@ def maximal_gradient(f: TestFunction, a, r_grid,
     if a.shape != (f.dim,):
         raise ValueError(f"center must have shape ({f.dim},)")
     r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.ndim != 1 or r_grid.size == 0 or np.any(r_grid <= 0):
-        raise ValueError("r_grid must be a nonempty array of positive radii")
+    if (r_grid.ndim != 1 or r_grid.size == 0
+            or not np.all(np.isfinite(r_grid) & (r_grid > 0))):
+        raise ValueError("r_grid must be a nonempty array of finite positive radii")
     if spec.method == "gauss_1d" and f.dim != 1:
         raise QuadratureError("gauss_1d applies to dimension one only")
 
@@ -315,7 +316,8 @@ def maximal_gradient(f: TestFunction, a, r_grid,
             return np.abs(f.grad(x[..., None])[..., 0])
 
         edges = segment_edges(f.breakpoints_1d, a[0] - r_grid, a[0] + r_grid)
-        return float(np.max(segment_mean(gmag, edges, _GL_ORDER)))
+        return float(np.max(require_finite(segment_mean(gmag, edges, _GL_ORDER),
+                                           "gradient")))
 
     u = _ball_nodes(f.dim, spec.node_count, stream(spec.seed, KEY_OUTER))
     step = max(1, BLOCK_POINTS // spec.node_count)

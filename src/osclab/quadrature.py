@@ -1,7 +1,7 @@
-"""Quadrature over Euclidean balls.
+"""Quadrature over Euclidean balls: the rules the oscillation kernels use.
 
-Two rules are provided behind one interface: a deterministic split-interval
-Gauss-Legendre rule for dimension one, and uniform Monte-Carlo sampling for
+Two rules serve the kernels of oscillation: a deterministic split-interval
+Gauss-Legendre rule for dimension one, and uniform Monte-Carlo nodes for
 any dimension.  segment_integrals is osclab's one Gauss segment rule, on
 edges that segment_edges splits at breakpoints, and segment_mean turns its
 sums into the mean over the integrated width; the nodes and weights come
@@ -10,20 +10,20 @@ scipy.  Every random stream is counter-based: a node set is derived from
 (seed, key...) through an independent Philox generator, so results never
 depend on evaluation order, chunking, or thread count.
 
-Monte-Carlo ball points are drawn in the ball's local frame (offsets relative
-to the center, scaled by the radius).  Translating or dilating the ball moves
-the same node layout rigidly, which makes covariance identities of downstream
-estimators exact rather than statistical.  unit_ball_nodes,
-sample_ball_uniform and ball_average hand out points as (n, d) arrays, one
-point per row; the oscillation kernels store the same node values
-transposed, coordinate-major as (d, n), so that their arithmetic runs along
-the long node axis (see oscillation.mc_deviations).
+Monte-Carlo nodes are drawn in the unit ball, the ball's local frame: the
+kernels place them at center + radius * u, so translating or dilating the
+ball moves the same node layout rigidly, which makes covariance identities
+of downstream estimators exact rather than statistical.  unit_ball_nodes
+hands out points as an (n, d) array, one point per row; the oscillation
+kernels store the same node values transposed, coordinate-major as (d, n),
+so that their arithmetic runs along the long node axis (see
+oscillation.mc_deviations).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class BallSample:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Recipe for a ball average.
+    """Which rule the oscillation kernels use on a ball, and how finely.
 
     method: "gauss_1d" (deterministic, dimension one only) or "monte_carlo".
     node_count: at least 2.  For monte_carlo, the nodes per pass.  For
@@ -214,14 +214,6 @@ def unit_ball_nodes(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return z / norms * u
 
 
-def sample_ball_uniform(ball: BallSample, n: int, seed: int) -> np.ndarray:
-    """n iid uniform points in the ball, shape (n, d), deterministic in seed."""
-    if n < 1:
-        raise QuadratureError("need at least one sample")
-    rng = stream(seed, KEY_OUTER)
-    return ball.center[None, :] + ball.radius * unit_ball_nodes(ball.dim, n, rng)
-
-
 def segment_edges(breakpoints, lo, hi) -> np.ndarray:
     """Segment edges of [lo, hi] split at breakpoints, shape (..., K+2).
 
@@ -256,55 +248,3 @@ def segment_mean(g: Callable, edges: np.ndarray, n: int) -> np.ndarray:
     """
     return (segment_integrals(g, edges, n).sum(axis=-1)
             / (edges[..., -1] - edges[..., 0]))
-
-
-def ball_average(g: Callable, ball: BallSample, spec: QuadratureSpec,
-                 breakpoints: Iterable[float] = (),
-                 antithetic: bool = False) -> EstimatedValue:
-    """Average of g over the ball.
-
-    g maps an (n, d) array of points to an (n,) array of values.
-
-    gauss_1d: dimension one only.  The interval is split at the supplied
-    breakpoints and each segment gets a Gauss-Legendre rule with node_count
-    nodes, so piecewise polynomials of degree up to 2*node_count - 1 are
-    integrated exactly.  std_error is 0.
-
-    monte_carlo: node_count uniform nodes in the ball's local frame, seeded
-    from spec.seed.  With antithetic=True the nodes come in (u, -u) pairs,
-    which cancels the odd part of g exactly; the error estimate then treats
-    each pair average as one sample.  std_error is the standard error of the
-    mean.
-
-    Non-finite integrand values raise QuadratureError.
-    """
-    if spec.method == "gauss_1d":
-        if ball.dim != 1:
-            raise QuadratureError("gauss_1d applies to dimension one only")
-        a = float(ball.center[0])
-        r = ball.radius
-        mean = segment_mean(
-            lambda x: g(x.reshape(-1, 1)).reshape(x.shape),
-            segment_edges(breakpoints, a - r, a + r), spec.node_count)
-        return EstimatedValue(float(require_finite(mean)), 0.0)
-
-    n = spec.node_count
-    rng = stream(spec.seed, KEY_OUTER)
-    if antithetic:
-        half = (n + 1) // 2
-        u = unit_ball_nodes(ball.dim, half, rng)
-        x = ball.center[None, :] + ball.radius * u
-        xm = ball.center[None, :] - ball.radius * u
-        vals = 0.5 * (np.asarray(g(x), dtype=float) + np.asarray(g(xm), dtype=float))
-    else:
-        u = unit_ball_nodes(ball.dim, n, rng)
-        x = ball.center[None, :] + ball.radius * u
-        vals = np.asarray(g(x), dtype=float)
-    require_finite(vals)
-    m = vals.size
-    mean = float(np.mean(vals))
-    if m > 1:
-        se = float(np.std(vals, ddof=1) / np.sqrt(m))
-    else:
-        se = 0.0
-    return EstimatedValue(mean, se)

@@ -161,6 +161,8 @@ def test_identifier_round_trip():
     "plateau:d=1:a=1:ri=0.9:ro=0.5",   # inner >= outer
     "linear:d=1:v=1:extra=2",
     "indicator:d=1",
+    "indicator:d=2:r=0.5:c=inf,0",   # non-finite center
+    "indicator:d=1:r=0.5:c=nan",
 ])
 def test_identifier_rejects_malformed(bad):
     with pytest.raises(ValueError):

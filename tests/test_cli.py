@@ -207,6 +207,22 @@ def test_curve_rejects_narrow_grid():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("kmin, kmax", [("0.01", "inf"), ("nan", "0.02")])
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+def test_curve_rejects_non_finite_kappa_bounds(tmp_path, kmin, kmax,
+                                               from_config):
+    if from_config:
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[kappa]\nkappa_min = {kmin}\nkappa_max = {kmax}\n")
+        bounds = ["--config", str(ini)]
+    else:
+        bounds = ["--kappa-min", kmin, "--kappa-max", kmax]
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--function", "linear:d=1:v=1", "--samples", "8",
+              "--out-dir", str(tmp_path / "out")] + bounds)
+    assert exc.value.code == 2
+
+
 def test_curve_rejects_q_not_one():
     with pytest.raises(SystemExit) as exc:
         main(LINEAR_CURVE_FLAGS + ["--q", "2"])

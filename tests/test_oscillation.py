@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from osclab import (
     BallSample,
     Domain,
+    QuadratureError,
     QuadratureSpec,
     UnsupportedFunctionError,
     default_r_grid,
@@ -349,6 +350,21 @@ def test_maximal_gradient_rejects_a_center_of_the_wrong_shape(f, a):
         maximal_gradient(f, np.array(a), default_r_grid(f, 1.1), spec)
 
 
+@pytest.mark.parametrize("grid", [[np.nan], [np.inf, 0.1]], ids=["nan", "inf"])
+@pytest.mark.parametrize("spec", [GAUSS, _mc(n=256)], ids=["gauss", "mc"])
+def test_maximal_gradient_rejects_non_finite_radii(grid, spec):
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="finite positive radii"):
+        maximal_gradient(f, np.array([0.7]), grid, spec)
+
+
+def test_maximal_gradient_gauss_rejects_a_non_finite_gradient():
+    f = make_linear(1, [1.0])
+    g = dataclasses.replace(f, grad=lambda x: np.full(x.shape, np.nan))
+    with pytest.raises(QuadratureError, match="gradient"):
+        maximal_gradient(g, np.array([0.2]), [0.1, 1.0], GAUSS)
+
+
 def test_default_r_grid_spans_and_ratio():
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
     grid = default_r_grid(f)
@@ -412,6 +428,17 @@ def test_mc_deviations_match_the_point_major_formula(f):
                         np.ascontiguousarray(np.swapaxes(u_in, 1, 2)), rows)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_mc_deviations_antithetic_pairs_kill_the_odd_part():
+    # the inner pass pairs u with -u, so the mean of f = 5 + (x0 - c0)^3,
+    # odd about the center up to the constant, is 5 to roundoff
+    c = np.array([0.3, -0.1])
+    u_out = np.ascontiguousarray(unit_ball_nodes(2, 64, stream(3, 0)).T)
+    u_in = np.ascontiguousarray(unit_ball_nodes(2, 1024, stream(3, 1)).T)
+    _, pair_sums = mc_deviations(lambda x: 5.0 + (x[..., 0] - c[0]) ** 3,
+                                 c, 1.0, u_out, u_in)
+    assert abs(0.5 * pair_sums.mean() - 5.0) <= 1e-12
 
 
 def _recording(f):

@@ -173,8 +173,8 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
     A = float(amplitude)
     ri = float(inner_radius)
     ro = float(outer_radius)
-    if not (0.0 < ri < ro):
-        raise ValueError("need 0 < inner_radius < outer_radius")
+    if not (0.0 < ri < ro < math.inf):
+        raise ValueError("need 0 < inner_radius < outer_radius < inf")
     if not np.isfinite(A):
         raise ValueError("amplitude must be finite")
     w = ro - ri

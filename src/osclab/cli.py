@@ -187,8 +187,9 @@ def _load_function(fid: str, want_d: Optional[int]) -> TestFunction:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    # strict JSON: a non-finite value fails here, not in the reader's parser
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _out_dir(args: argparse.Namespace, cfg: dict) -> Optional[Path]:

@@ -103,7 +103,7 @@ class CaseResult:
 
 def _plain(v):
     if isinstance(v, (np.floating, np.integer)):
-        return v.item()
+        v = v.item()
     if isinstance(v, np.ndarray):
         return v.tolist()
     if isinstance(v, float) and math.isinf(v):

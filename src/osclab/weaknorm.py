@@ -62,7 +62,7 @@ import numpy as np
 from .catalog import TestFunction, grad_norm_p, unit_ball_volume
 from .oscillation import (BLOCK_POINTS, SKIP_MARGIN, exact_oscillation_1d,
                           flat_balls, mc_deviations)
-from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS, EstimatedValue,
+from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS,
                          QuadratureError, QuadratureSpec, require_finite,
                          stream, unit_ball_nodes)
 
@@ -212,7 +212,7 @@ def sample_centers(domain: Domain, count: int, seed: int):
     The box is split into k^d equal sub-cells, k = floor((count / 16)^(1/d)),
     each receiving an equal share of the budget (the remainder spread one
     per cell), and one jittered point is drawn per slot; below 16 * 2^d
-    samples there is one cell and the draw is plain uniform.  The estimator stays unbiased (every
+    samples there is one cell.  The estimator stays unbiased (every
     point is uniform in its cell and the cells tile the box evenly) and the
     stratum ids support a per-stratum variance estimate.  Sampling order is
     sorted by stratum, so chunked consumers see a deterministic layout.
@@ -225,9 +225,6 @@ def sample_centers(domain: Domain, count: int, seed: int):
     hi = np.array([s[1] for s in domain.box])
     k = max(1, int((count / 16) ** (1.0 / d)))
     base = k ** d
-    if base <= 1:
-        u = rng.uniform(size=(count, d))
-        return lo + u * (hi - lo), np.zeros(count, dtype=np.intp), 1
     per, extra = divmod(count, base)
     counts = np.full(base, per, dtype=np.intp)
     counts[:extra] += 1
@@ -683,8 +680,7 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
     grid = _scan_grid(f, domain, float(kappas[-1]), scan_ratio)
     iters = _bisect_iters(scan_ratio, _REL_TOL)
 
-    starts = list(range(0, samples, _CHUNK))
-    jobs = [(centers[s:s + _CHUNK], s) for s in starts]
+    jobs = [(centers[s:s + _CHUNK], s) for s in range(0, samples, _CHUNK)]
 
     def run(job):
         chunk_centers, start = job
@@ -697,29 +693,20 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
     else:
         results = [run(job) for job in jobs]
 
-    k_count = kappas.size
-    weights = np.empty((k_count, samples))
-    ambig = np.empty((k_count, samples))
-    counters = dict.fromkeys(_COUNTER_KEYS, 0)
-    for (w, am, cnt), start in zip(results, starts):
-        weights[:, start:start + w.shape[1]] = w
-        ambig[:, start:start + am.shape[1]] = am
-        for key in cnt:
-            counters[key] += cnt[key]
+    weights = np.concatenate([w for w, _, _ in results], axis=1)
+    ambig = np.concatenate([am for _, am, _ in results], axis=1)
+    counters = {key: sum(cnt.get(key, 0) for _, _, cnt in results)
+                for key in _COUNTER_KEYS}
 
     vol = domain.volume
     nu = vol * weights.mean(axis=1)
-    if n_strata > 1:
-        se = np.empty(k_count)
-        for ki in range(k_count):
-            acc = 0.0
-            for s in range(n_strata):
-                grp = weights[ki, strata == s]
-                if grp.size > 1:
-                    acc += grp.var(ddof=1) / grp.size
-            se[ki] = vol * math.sqrt(acc) / n_strata
-    else:
-        se = vol * weights.std(axis=1, ddof=1) / math.sqrt(samples)
+    se = np.empty(kappas.size)
+    for ki in range(kappas.size):
+        acc = 0.0
+        for s in range(n_strata):
+            grp = weights[ki, strata == s]
+            acc += grp.var(ddof=1) / grp.size
+        se[ki] = vol * math.sqrt(acc) / n_strata
     se = se + vol * ambig.mean(axis=1)
 
     tail = np.array([_r_tail_bound(f, float(k), p, domain) for k in kappas])
@@ -754,19 +741,10 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
         raise ValueError("threshold grid must be strictly decreasing")
     if kappas[0] / kappas[-1] < 999.99:
         raise ValueError("threshold grid must span at least 3 decades")
+    if samples < 2:
+        raise ValueError("need at least 2 center samples for a standard error")
     return _curve_engine(f, float(p), kappas, domain, spec, samples,
                          threads, scan_ratio)
-
-
-def superlevel_measure(f: TestFunction, p: float, kappa: float,
-                       domain: Domain, spec: QuadratureSpec,
-                       samples: int = 4096) -> EstimatedValue:
-    """Window-restricted measure of {m_f > kappa} at a single threshold."""
-    if not (np.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    curve = _curve_engine(f, float(p), np.array([float(kappa)]), domain,
-                          spec, samples, 1, _SCAN_RATIO)
-    return EstimatedValue(float(curve.nu[0]), float(curve.nu_stderr[0]))
 
 
 @dataclass(frozen=True)
@@ -881,15 +859,13 @@ def reference_scaled_limit(f: TestFunction, p: float,
     """
     if f.smoothness_tag == "linear" and f.grad_max is not None:
         return c_dp(f.dim, p) * f.grad_max ** p * domain.volume
-    if f.function_id.startswith("plateau:") and f.support_radius is not None:
-        inside = all(lo <= -f.support_radius and hi >= f.support_radius
-                     for lo, hi in domain.box)
-        if inside:
-            try:
-                norm = grad_norm_p(f, p)
-            except ValueError:
-                return None  # a transformed plateau, not modelled there
-            return c_dp(f.dim, p) * norm
+    if f.support_radius is not None and all(
+            lo <= -f.support_radius and hi >= f.support_radius
+            for lo, hi in domain.box):
+        try:
+            return c_dp(f.dim, p) * grad_norm_p(f, p)
+        except ValueError:
+            return None  # no closed form for this entry
     return None
 
 

@@ -159,6 +159,7 @@ def test_identifier_round_trip():
     "linear:v=1",            # missing d
     "linear:d=1",            # missing v
     "plateau:d=1:a=1:ri=0.9:ro=0.5",   # inner >= outer
+    "plateau:d=1:a=1:ri=0.5:ro=inf",   # infinite outer radius
     "linear:d=1:v=1:extra=2",
     "indicator:d=1",
     "indicator:d=2:r=0.5:c=inf,0",   # non-finite center

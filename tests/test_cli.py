@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from osclab import cli
 from osclab.cli import main
 
 LINEAR_CURVE_FLAGS = [
@@ -221,6 +222,22 @@ def test_curve_rejects_non_finite_kappa_bounds(tmp_path, kmin, kmax,
         main(["curve", "--function", "linear:d=1:v=1", "--samples", "8",
               "--out-dir", str(tmp_path / "out")] + bounds)
     assert exc.value.code == 2
+
+
+def test_curve_rejects_a_single_sample(tmp_path):
+    # one centre has no standard error: nothing NaN may reach curve.json
+    with pytest.raises(SystemExit) as exc:
+        main(LINEAR_CURVE_FLAGS + ["--samples", "1", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "curve.json").exists()
+
+
+def test_write_json_refuses_non_finite_values(tmp_path):
+    # outputs are strict JSON: a NaN or Infinity token fails the write
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "out.json", {"v": value})
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_curve_rejects_q_not_one():

@@ -286,3 +286,17 @@ def test_report_passed_semantics():
     assert not rep2.passed
     rep3 = VerificationReport(suite_name="s", cases=(ok,), error="boom")
     assert not rep3.passed
+
+
+def test_case_digest_writes_infinities_as_strings():
+    # a numpy infinity reads "inf" as a Python one does, so the digest stays
+    # strict JSON
+    from osclab.verify import CaseResult
+    case = CaseResult(name="a", inputs={"np": np.float64(np.inf),
+                                        "py": -math.inf, "x": np.float64(2.0)},
+                      measured_margin=np.float64(-np.inf), tolerance=0.0,
+                      passed=True, verdict="pass", note="")
+    out = case.to_dict()
+    assert out["inputs"] == {"np": "inf", "py": "-inf", "x": 2.0}
+    assert out["measured_margin"] == "-inf"
+    json.dumps(out, allow_nan=False)

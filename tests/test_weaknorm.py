@@ -37,13 +37,13 @@ from osclab import (
     dilate,
     translate,
     default_catalog,
-    superlevel_measure,
     superlevel_radius_set,
     weak_sup,
     write_curve_csv,
 )
 from osclab import catalog, weaknorm
 from osclab.oscillation import BLOCK_POINTS
+from osclab.quadrature import KEY_CENTERS, stream
 from osclab.weaknorm import (
     DistributionCurve,
     _below_floor_bracket,
@@ -167,6 +167,21 @@ def test_sample_centers_in_box_and_stratified():
     assert counts.max() - counts.min() <= 1
     again, _, _ = sample_centers(dom, 300, seed=5)
     np.testing.assert_array_equal(pts, again)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sample_centers_one_cell_is_plain_uniform(d):
+    # below 16 * 2^d samples the box is one stratum, whose jittered draw is
+    # the plain uniform draw of the centre stream, bit for bit
+    dom = Domain(box=((-1.0, 3.0), (0.0, 2.0))[:d], r_max=5.0, r_min=1e-3)
+    lo = np.array([side[0] for side in dom.box])
+    hi = np.array([side[1] for side in dom.box])
+    for n in (1, 2, 16 * 2 ** d - 1):
+        pts, sid, n_strata = sample_centers(dom, n, seed=5)
+        assert n_strata == 1
+        np.testing.assert_array_equal(sid, np.zeros(n, dtype=np.intp))
+        u = stream(5, KEY_CENTERS).uniform(size=(n, d))
+        assert pts.tobytes() == (lo + u * (hi - lo)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +887,9 @@ def test_thresholds_are_solved_independently(d):
     for i, kappa in enumerate(grid):
         np.testing.assert_array_equal(
             _scan_grid(f, dom, kappa, weaknorm._SCAN_RATIO), scan)
-        est = superlevel_measure(f, 2.0, float(kappa), dom, spec, samples=64)
-        assert (est.value, est.std_error) == (cur.nu[i], cur.nu_stderr[i])
+        one = weaknorm._curve_engine(f, 2.0, np.array([kappa]), dom, spec,
+                                     64, 1, weaknorm._SCAN_RATIO)
+        assert (one.nu[0], one.nu_stderr[0]) == (cur.nu[i], cur.nu_stderr[i])
 
 
 # ---------------------------------------------------------------------------
@@ -995,12 +1011,14 @@ def test_grid_validation():
         distribution_curve(f, 2.0, np.geomspace(1e-5, 0.02, 13), dom, GAUSS)
 
 
-def test_superlevel_measure_single_threshold():
-    f, cur = _linear_curve()
+@pytest.mark.parametrize("samples", [1, 0])
+def test_distribution_curve_needs_two_samples(samples):
+    # one centre has no standard error, so no NaN may reach the curve
+    f = make_linear(1, [1.0])
     dom = Domain(box=((-0.5, 0.5),), r_max=50.0, r_min=1e-4)
-    k = float(cur.kappa_grid[4])
-    est = superlevel_measure(f, 2.0, k, dom, GAUSS, samples=128)
-    assert abs(est.value - cur.nu[4]) <= 1e-4 * cur.nu[4]
+    with pytest.raises(ValueError, match="2 center samples"):
+        distribution_curve(f, 2.0, np.geomspace(0.02, 2e-5, 13), dom, GAUSS,
+                           samples=samples)
 
 
 # ---------------------------------------------------------------------------

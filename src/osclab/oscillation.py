@@ -63,8 +63,9 @@ def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
     Returns edges of shape (..., 2K+3): original edges interleaved with the
     roots; segments without a sign change get a zero-width placeholder at
-    their right end.  Assumes at most one root per segment, which holds for
-    the catalog entries (each is monotone between its breakpoints).
+    their right end, which segment_integrals skips.  Assumes at most one
+    root per segment, which holds for the catalog entries (each is
+    monotone between its breakpoints).
     """
     g_edges = fev(edges) - mu[..., None]
     lo = edges[..., :-1]
@@ -104,8 +105,8 @@ def _abs_moment_1d(fev, edges: np.ndarray, mu: np.ndarray,
     width = edges[..., -1] - edges[..., 0]
     refined = _root_refined_edges(fev, edges, mu)
     if q == 1.0:
-        seg = segment_integrals(lambda x: fev(x) - mu[..., None, None],
-                                refined, _GL_ORDER)
+        seg = segment_integrals(lambda x, m: fev(x) - m, refined,
+                                _GL_ORDER, mu)
         total = np.abs(seg).sum(axis=-1)
         return total / width
     # graded subdivision toward segment ends handles the |.|^q kink
@@ -113,9 +114,8 @@ def _abs_moment_1d(fev, edges: np.ndarray, mu: np.ndarray,
     lo = refined[..., :-1]
     hi = refined[..., 1:]
     sub = lo[..., None] + (hi - lo)[..., None] * frac
-    seg = segment_integrals(
-        lambda x: np.abs(fev(x) - mu[..., None, None, None]) ** q,
-        sub, _GL_ORDER)
+    seg = segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q, sub,
+                            _GL_ORDER, mu)
     return seg.sum(axis=(-2, -1)) / width
 
 

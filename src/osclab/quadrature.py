@@ -6,7 +6,13 @@ any dimension.  segment_integrals is osclab's one Gauss segment rule, on
 edges that segment_edges splits at breakpoints, and segment_mean turns its
 sums into the mean over the integrated width; the nodes and weights come
 from gauss_rule, which needs numpy only, so importing osclab does not load
-scipy.  Every random stream is counter-based: a node set is derived from
+scipy.  The integrand is called as g(x, *args) on the nodes of the live
+segments only, those with hi > lo, gathered into one (L, n) array; each
+arg is indexed like the edges' leading axes and reaches g gathered the
+same way.  Dead segments, the zero-width ones that clipped breakpoints and
+root placeholders leave, integrate to exactly 0 without evaluating g.
+
+Every random stream is counter-based: a node set is derived from
 (seed, key...) through an independent Philox generator, so results never
 depend on evaluation order, chunking, or thread count.
 
@@ -227,24 +233,52 @@ def segment_edges(breakpoints, lo, hi) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def segment_integrals(g: Callable, edges: np.ndarray, n: int) -> np.ndarray:
+def segment_integrals(g: Callable, edges: np.ndarray, n: int,
+                      *args) -> np.ndarray:
     """Per-segment n-point Gauss-Legendre integrals of g over consecutive
-    edges, shape (..., K+1); g maps points to values of the same shape."""
+    edges, shape (..., K+1).
+
+    g(x, *args) maps an (L, n) array of nodes, n for each of the L
+    segments of positive width (hi > lo), to values of the same shape.
+    Each arg is indexed like the leading axes of edges: it is extended with
+    trailing axes to the segment shape (..., K+1), broadcast to it, and
+    handed to g as the (L, 1) column of its entries on those segments.  A
+    zero-width segment is not evaluated: its integral, 0 * (g @ w), is 0.
+    The values go into a zero-filled (..., K+1, n) array and the sums run
+    as half * (vals @ w) on that full shape, since the BLAS row sum depends
+    on the row count and a matmul over the live rows alone moves last bits.
+    """
     t, w = gauss_rule(n)
     lo = edges[..., :-1]
     hi = edges[..., 1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    x = mid[..., None] + half[..., None] * t
-    return half * (g(x) @ w)
+    # flat indices of the live segments; take gathers from a flat view
+    live = np.flatnonzero(hi > lo)
+    x = mid.take(live)[:, None] + half.take(live)[:, None] * t
+    cols = []
+    for arg in args:
+        arg = np.asarray(arg)
+        arg = arg.reshape(arg.shape + (1,) * (half.ndim - arg.ndim))
+        cols.append(np.broadcast_to(arg, half.shape).reshape(-1)
+                    .take(live)[:, None])
+    vals = np.zeros(half.shape + (n,))
+    vals.reshape(-1, n)[live] = g(x, *cols)
+    return half * (vals @ w)
 
 
-def segment_mean(g: Callable, edges: np.ndarray, n: int) -> np.ndarray:
-    """Mean of g over edges[..., 0] to edges[..., -1] by segment_integrals.
+def segment_mean(g: Callable, edges: np.ndarray, n: int,
+                 *args) -> np.ndarray:
+    """Mean of g over edges[..., 0] to edges[..., -1] by segment_integrals,
+    which receives args unchanged.
 
     The sum of the segment integrals is divided by the width the edges
     span, not by the nominal interval length: the Gauss weights sum to
-    that width, so a constant g has exactly its value as mean.
+    that width, so a constant g has exactly its value as mean.  A width of
+    0, as when a + r rounds to a - r, has no mean: QuadratureError.
     """
-    return (segment_integrals(g, edges, n).sum(axis=-1)
-            / (edges[..., -1] - edges[..., 0]))
+    width = edges[..., -1] - edges[..., 0]
+    if np.any(width == 0.0):
+        raise QuadratureError("interval has zero width: its ends round to "
+                              "the same point, so it has no mean")
+    return segment_integrals(g, edges, n, *args).sum(axis=-1) / width

@@ -217,8 +217,7 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
         cols.append(np.full_like(flat, t))
         edges = np.sort(np.concatenate(cols, axis=-1), axis=-1)
         seg = segment_integrals(
-            lambda z: phi.density(z) * f.eval_1d(flat[..., None] - z),
-            edges, 12)
+            lambda z, y: phi.density(z) * f.eval_1d(y - z), edges, 12, flat)
         return seg.sum(axis=-1).reshape(x.shape)
 
     # eval contract takes (..., 1) points

@@ -743,6 +743,8 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
         raise ValueError("threshold grid must span at least 3 decades")
     if samples < 2:
         raise ValueError("need at least 2 center samples for a standard error")
+    if threads < 1:
+        raise ValueError(f"need at least 1 worker thread, got {threads}")
     return _curve_engine(f, float(p), kappas, domain, spec, samples,
                          threads, scan_ratio)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,17 @@ def test_oscillation_usage_errors(args):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
+
+
+def test_oscillation_on_a_zero_width_ball_is_a_usage_error(capsys):
+    # 3 +- 1e-17 rounds to 3: a clean usage error, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["oscillation", "--function", "plateau:d=1:a=1:ri=0.5:ro=1",
+                  "--a", "3", "--r", "1e-17"])
+    assert exc.value.code == 2
+    assert "zero width" in capsys.readouterr().err
 
 
 def test_oscillation_ignores_the_curve_samples_key(tmp_path, capsys):
@@ -230,6 +242,22 @@ def test_curve_rejects_a_single_sample(tmp_path):
         main(LINEAR_CURVE_FLAGS + ["--samples", "1", "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
     assert not (tmp_path / "curve.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+def test_curve_rejects_threads_below_one(tmp_path, threads, from_config):
+    # a thread count below 1 is a usage error, not a quiet single thread
+    if from_config:
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[run]\nthreads = {threads}\n")
+        extra = ["--config", str(ini)]
+    else:
+        extra = ["--threads", threads]
+    with pytest.raises(SystemExit) as exc:
+        main(LINEAR_CURVE_FLAGS + ["--out-dir", str(tmp_path / "out")] + extra)
+    assert exc.value.code == 2
+    assert not (tmp_path / "out" / "curve.json").exists()
 
 
 def test_write_json_refuses_non_finite_values(tmp_path):

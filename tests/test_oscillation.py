@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,53 @@ def test_maximal_gradient_gauss_divides_by_the_integrated_width():
     f = make_linear(1, [1.0])
     spec = QuadratureSpec(method="gauss_1d", node_count=8, seed=0)
     assert maximal_gradient(f, np.array([3.0]), [1e-9], spec) == 1.0
+
+
+def test_zero_width_balls_fail_loudly():
+    # a +- 1e-17 rounds to a = 3: the width is 0 and no mean exists; the
+    # kernels must say so instead of dividing 0 by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="zero width"):
+            exact_oscillation_1d(make_plateau_bump(1, 1.0, 0.5, 1.0),
+                                 3.0, 1e-17)
+        with pytest.raises(QuadratureError, match="zero width"):
+            maximal_gradient(make_linear(1, [1.0]), np.array([3.0]), [1e-17],
+                             GAUSS)
+
+
+def _eval_counted(f):
+    # f with an eval that adds the points it is given, as perfbench counts
+    # catalog.eval_points: the product of all axes but the coordinate one
+    seen = [0]
+
+    def ev(x):
+        seen[0] += math.prod(np.shape(x)[:-1])
+        return f.eval(x)
+
+    return dataclasses.replace(f, eval=ev), seen
+
+
+@pytest.mark.parametrize("a, r, points", [
+    # inside the core, [-0.2, 0.2]: the edges are clip(-1), clip(-0.5),
+    # clip(0.5), clip(1) between the ends, [-.2, -.2, -.2, .2, .2, .2], so
+    # 1 of 5 segments is live.  Inner mean: 1 x 8 = 8.  Root search: the 6
+    # edges, and f - mu has no sign change (f is constant).  The refined
+    # edges put each segment's right end after it as a placeholder,
+    # [-.2, -.2, -.2, -.2, -.2, .2, .2, .2, .2, .2, .2]: 1 of 10 live, 8.
+    # 8 + 6 + 8 = 22 (the dense rule: 40 + 6 + 80 = 126).
+    (0.0, 0.2, 22),
+    # straddling ri, [0.3, 0.7]: edges [.3, .3, .3, .5, .7, .7], 2 live
+    # segments, 16.  Root search: 6 edges, then f - mu changes sign on
+    # [.5, .7] only (f = 1 > mu at .5, f < mu at .7), 30 bisection steps of
+    # one point, 36.  Refined: [.3, .3, .3, .3, .3, .5, .5, root, .7, .7,
+    # .7], 3 live, 24.  16 + 36 + 24 = 76 (dense: 40 + 36 + 80 = 156).
+    (0.5, 0.2, 76),
+])
+def test_exact_oscillation_1d_evaluates_live_segments_only(a, r, points):
+    f, seen = _eval_counted(make_plateau_bump(1, 1.0, 0.5, 1.0))
+    exact_oscillation_1d(f, a, r)
+    assert seen[0] == points
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Seeded quadrature: exactness, uniform law, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from osclab import gauss_rule, stream, unit_ball_nodes, unit_ball_volume
-from osclab.quadrature import segment_edges, segment_mean
+from osclab import (QuadratureError, gauss_rule, make_plateau_bump,
+                    oscillation, stream, unit_ball_nodes, unit_ball_volume)
+from osclab.quadrature import segment_edges, segment_integrals, segment_mean
 
 
 def test_gauss_rule_polynomial_exactness():
@@ -110,3 +113,127 @@ def test_unit_ball_volume_closed_forms():
     assert abs(unit_ball_volume(1) - 2.0) <= 1e-12
     assert abs(unit_ball_volume(2) - np.pi) <= 1e-12
     assert abs(unit_ball_volume(3) - 4.0 * np.pi / 3.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the segment rule skips zero-width segments without moving a bit
+# ---------------------------------------------------------------------------
+
+PLATEAU_1D = make_plateau_bump(1, 1.0, 0.5, 1.0)
+
+
+def _dense_segment_integrals(g, edges, n):
+    # the rule as it reads with every segment evaluated, dead ones included
+    t, w = gauss_rule(n)
+    lo = edges[..., :-1]
+    hi = edges[..., 1:]
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (hi + lo))[..., None] + half[..., None] * t
+    return half * (g(x) @ w)
+
+
+def _has_dead_segments(edges):
+    return bool(np.any(edges[..., 1:] == edges[..., :-1]))
+
+
+# balls inside the core, straddling ri and ro, outside the support and
+# covering all of it: each keeps some clipped, zero-width segments
+_A = np.array([0.0, 0.5, -0.45, 0.9, 1.7, 0.2, -0.8, 0.05])
+_R = np.array([0.2, 0.2, 0.3, 0.25, 0.4, 3.0, 0.05, 1.0])
+
+
+def test_segment_integrals_match_the_dense_rule_on_a_scalar_ball():
+    fev = PLATEAU_1D.eval_1d
+    edges = segment_edges(PLATEAU_1D.breakpoints_1d, 0.5 - 0.2, 0.5 + 0.2)
+    assert edges.shape == (6,) and _has_dead_segments(edges)
+    for n in (2, 8, 13):
+        assert np.array_equal(segment_integrals(fev, edges, n),
+                              _dense_segment_integrals(fev, edges, n))
+
+
+def test_segment_integrals_match_the_dense_rule_on_a_batch_of_balls():
+    fev = PLATEAU_1D.eval_1d
+    edges = segment_edges(PLATEAU_1D.breakpoints_1d, _A - _R, _A + _R)
+    assert edges.shape == (_A.size, 6) and _has_dead_segments(edges)
+    assert np.array_equal(segment_integrals(fev, edges, 8),
+                          _dense_segment_integrals(fev, edges, 8))
+    # and a (2, N) stack of the same balls, as the curve engine's blocks
+    stacked = np.stack([edges, edges[::-1]])
+    assert np.array_equal(segment_integrals(fev, stacked, 8),
+                          _dense_segment_integrals(fev, stacked, 8))
+
+
+def _refined_batch():
+    fev = PLATEAU_1D.eval_1d
+    edges = segment_edges(PLATEAU_1D.breakpoints_1d, _A - _R, _A + _R)
+    mu = segment_mean(fev, edges, 8)
+    refined = oscillation._root_refined_edges(fev, edges, mu)
+    assert _has_dead_segments(refined)
+    return fev, refined, mu
+
+
+def test_segment_integrals_with_an_arg_match_the_dense_rule():
+    # the q = 1 deviation integral: mu is indexed like the balls
+    fev, refined, mu = _refined_batch()
+    got = segment_integrals(lambda x, m: fev(x) - m, refined, 8, mu)
+    want = _dense_segment_integrals(lambda x: fev(x) - mu[:, None, None],
+                                    refined, 8)
+    assert np.array_equal(got, want)
+
+
+def test_segment_integrals_on_graded_sub_panels_match_the_dense_rule():
+    # the q != 1 route: (N, S, G) sub-panels, the arg still indexed by ball
+    fev, refined, mu = _refined_batch()
+    frac = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 9)))
+    lo = refined[..., :-1]
+    hi = refined[..., 1:]
+    sub = lo[..., None] + (hi - lo)[..., None] * frac
+    assert sub.shape == (_A.size, 10, 9) and _has_dead_segments(sub)
+    q = 2.5
+    got = segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q, sub, 8, mu)
+    want = _dense_segment_integrals(
+        lambda x: np.abs(fev(x) - mu[:, None, None, None]) ** q, sub, 8)
+    assert np.array_equal(got, want)
+
+
+def test_segment_integrals_broadcast_a_column_arg_per_row():
+    # mollify_1d's call: points y of shape (P, 1), one window row each
+    fev = PLATEAU_1D.eval_1d
+    y = np.linspace(-1.3, 1.3, 11)[:, None]
+    t = 0.3
+    cols = [np.full_like(y, -t)]
+    cols += [np.clip(y - b, -t, t) for b in PLATEAU_1D.breakpoints_1d]
+    cols.append(np.full_like(y, t))
+    edges = np.sort(np.concatenate(cols, axis=-1), axis=-1)
+    assert _has_dead_segments(edges)
+    got = segment_integrals(lambda z, p: np.cos(z) * fev(p - z), edges, 12, y)
+    want = _dense_segment_integrals(
+        lambda z: np.cos(z) * fev(y[..., None] - z), edges, 12)
+    assert np.array_equal(got, want)
+
+
+def test_segment_integrals_call_g_on_live_segments_only():
+    calls = []
+
+    def g(x, m):
+        calls.append((x.shape, m.shape))
+        return x + m
+
+    edges = np.array([[0.0, 0.0, 1.0, 1.0], [2.0, 2.5, 2.5, 3.0]])
+    out = segment_integrals(g, edges, 4, np.array([10.0, 20.0]))
+    assert calls == [((3, 4), (3, 1))]
+    assert out[0, 0] == out[0, 2] == out[1, 1] == 0.0
+    assert abs(out[0, 1] - 10.5) <= 1e-14
+    assert abs(out[1, 0] - 0.5 * 22.25) <= 1e-13
+
+
+def test_segment_mean_refuses_a_zero_width_interval():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="zero width"):
+            segment_mean(lambda x: x, segment_edges((), 3.0 - 1e-17,
+                                                    3.0 + 1e-17), 8)
+        with pytest.raises(QuadratureError, match="zero width"):
+            segment_mean(lambda x: x,
+                         segment_edges((), np.array([0.0, 3.0 - 1e-17]),
+                                       np.array([1.0, 3.0 + 1e-17])), 8)

@@ -30,10 +30,6 @@ _SPRIME_MAX = 15.0 / 8.0           # max of S' = 30 s^2 (1-s)^2, at s = 1/2
 _SSECOND_MAX = 10.0 / math.sqrt(3)  # max of |S''| = |60 s (1-s) (1-2s)|
 
 
-def _taper(s: np.ndarray) -> np.ndarray:
-    return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
-
-
 def _taper_d1(s: np.ndarray) -> np.ndarray:
     return 30.0 * s * s * (1.0 - s) ** 2
 
@@ -187,10 +183,29 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
     fid = f"plateau:d={d}:a={_fmt(A)}:ri={_fmt(ri)}:ro={_fmt(ro)}"
 
     def ev(x: np.ndarray) -> np.ndarray:
+        # A (1 - S(s)) with s = clip((|x| - ri) / w, 0, 1), by the operations
+        # of coordinate_dot and the taper in their order, written into three
+        # buffers instead of a new array per operation: the same bits
         x = np.asarray(x, dtype=float)
-        rho = np.sqrt(coordinate_dot(x, x))
-        s = np.clip((rho - ri) / w, 0.0, 1.0)
-        return A * (1.0 - _taper(s))
+        s = np.multiply(x[..., 0], x[..., 0], out=np.empty(x.shape[:-1]))
+        tmp = np.empty_like(s)
+        for k in range(1, x.shape[-1]):
+            s += np.multiply(x[..., k], x[..., k], out=tmp)
+        np.sqrt(s, out=s)
+        s -= ri
+        s /= w
+        np.maximum(s, 0.0, out=s)
+        np.minimum(s, 1.0, out=s)
+        val = np.multiply(s, s, out=np.empty_like(s))
+        val *= s
+        np.multiply(s, 6.0, out=tmp)
+        tmp += -15.0
+        tmp *= s
+        tmp += 10.0
+        val *= tmp
+        np.subtract(1.0, val, out=val)
+        val *= A
+        return val if val.ndim else val[()]
 
     def gr(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -27,8 +27,18 @@ map is 1-Lipschitz in the inner mean, so the two standard errors add.
 Its nodes, and those of pair_oscillation and maximal_gradient, are stored
 coordinate-major, (d, n), so each array operation on the points runs over
 the n nodes instead of the d coordinates; f receives (n, d) views.
+
+The single-ball rules (q_oscillation, pair_oscillation, maximal_gradient)
+take their node sets from _ball_nodes, which memoizes the draw on
+(d, n, seed, key) and keeps the 8 most recently used sets.  Repeated
+queries under one spec, such as a suite's balls, then draw each set once
+and get the same bits.  The cached arrays are read-only because every
+caller shares them.  The curve engine draws one stream per centre and does
+not use the memo.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -44,6 +54,9 @@ SKIP_MARGIN = 1e-9
 # f or grad evaluation points per Monte Carlo kernel call, in the curve
 # engine's blocks and in maximal_gradient's radius blocks
 BLOCK_POINTS = 2 ** 15
+# single-ball node sets _ball_nodes keeps: the three a spec can draw
+# (outer, inner, pair) with room to spare; 8 x 16384 x 3 doubles is 3.1 MB
+_NODE_SETS_KEPT = 8
 
 _ROOT_ITERS = 30
 _GL_ORDER = 8
@@ -174,9 +187,20 @@ def _point_major(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-def _ball_nodes(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """unit_ball_nodes, the same values stored coordinate-major, (d, n)."""
-    return np.ascontiguousarray(unit_ball_nodes(d, n, rng).T)
+@functools.lru_cache(maxsize=_NODE_SETS_KEPT)
+def _ball_nodes(d: int, n: int, seed: int, key: int) -> np.ndarray:
+    """unit_ball_nodes(d, n, stream(seed, key)) stored coordinate-major,
+    (d, n), and read-only.
+
+    Memoized on (d, n, seed, key), the whole input of the draw, keeping the
+    _NODE_SETS_KEPT (8) most recently used sets: a single-ball rule called
+    again with the same spec gets the same bits without drawing them
+    again.  The array is shared by every caller that asks for the key, so
+    it is made read-only; a write raises instead of corrupting later calls.
+    """
+    u = np.ascontiguousarray(unit_ball_nodes(d, n, stream(seed, key)).T)
+    u.flags.writeable = False
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +226,8 @@ def q_oscillation(f: TestFunction, ball: BallSample, q: float,
     n = spec.node_count
     d = ball.dim
     half = max((n + 1) // 2, 1)
-    u_out = _ball_nodes(d, n, stream(spec.seed, KEY_OUTER))
-    u_in = _ball_nodes(d, half, stream(spec.seed, KEY_INNER))
+    u_out = _ball_nodes(d, n, spec.seed, KEY_OUTER)
+    u_in = _ball_nodes(d, half, spec.seed, KEY_INNER)
     dev, pair_sums = mc_deviations(f.eval, ball.center, ball.radius,
                                    u_out, u_in)
     require_finite(dev)
@@ -243,8 +267,8 @@ def pair_oscillation(f: TestFunction, ball: BallSample, q: float,
     n = spec.node_count
     d = ball.dim
     c = ball.center[:, None]
-    ux = _ball_nodes(d, n, stream(spec.seed, KEY_OUTER))
-    uy = _ball_nodes(d, n, stream(spec.seed, KEY_PAIR))
+    ux = _ball_nodes(d, n, spec.seed, KEY_OUTER)
+    uy = _ball_nodes(d, n, spec.seed, KEY_PAIR)
     vx = require_finite(np.asarray(
         f.eval(_point_major(c + ball.radius * ux)), dtype=float))
     vy = require_finite(np.asarray(
@@ -319,7 +343,7 @@ def maximal_gradient(f: TestFunction, a, r_grid,
         return float(np.max(require_finite(segment_mean(gmag, edges, _GL_ORDER),
                                            "gradient")))
 
-    u = _ball_nodes(f.dim, spec.node_count, stream(spec.seed, KEY_OUTER))
+    u = _ball_nodes(f.dim, spec.node_count, spec.seed, KEY_OUTER)
     step = max(1, BLOCK_POINTS // spec.node_count)
     means = np.empty(r_grid.size)
     for start in range(0, r_grid.size, step):

@@ -358,3 +358,19 @@ def test_catalog_is_layout_independent(f, rows, n, scale, seed):
         assert _same_bits(f.grad(view), f.grad(x)), f.function_id
     if f.flat_radius is not None:
         assert _same_bits(f.flat_radius(view), f.flat_radius(x)), f.function_id
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("amp, ri, ro", [(1.0, 0.5, 1.0), (-2.5, 0.3, 1.7)])
+def test_plateau_eval_matches_its_formula_bit_for_bit(d, amp, ri, ro):
+    # eval works in place; these are the plain operations in the same order
+    f = make_plateau_bump(d, amp, ri, ro)
+    x = stream(d, 72).uniform(-1.2 * ro, 1.2 * ro, size=(3, 50, d))
+    x[0, :4] = 0.0
+    x[0, 0, 0], x[0, 1, 0], x[0, 2, 0] = ri, ro, -ri
+    rho = np.sqrt(sum(x[..., k] * x[..., k] for k in range(d)))
+    s = np.minimum(np.maximum((rho - ri) / (ro - ri), 0.0), 1.0)
+    expect = amp * (1.0 - s * s * s * (10.0 + s * (-15.0 + 6.0 * s)))
+    assert _same_bits(f.eval(x), expect)
+    one = f.eval(x[0, 5])
+    assert type(one) is np.float64 and one == expect[0, 5]

@@ -32,9 +32,11 @@ from osclab import (
     translate,
     unit_ball_nodes,
 )
+from osclab import oscillation
 from osclab.catalog import coordinate_dot
 from osclab.oscillation import BLOCK_POINTS, flat_balls, mc_deviations
-from osclab.quadrature import KEY_OUTER
+from osclab.quadrature import KEY_INNER, KEY_OUTER, KEY_PAIR
+from osclab.verify import check_local_expansion, check_maximal_domination
 
 GAUSS = QuadratureSpec(method="gauss_1d", node_count=16, seed=9)
 
@@ -525,3 +527,79 @@ def test_monte_carlo_points_reach_f_coordinate_major(d):
     assert curve.counters["below_floor"] == 0
     assert len(seen) > 10
     assert _not_coordinate_major(seen) == []
+
+
+# ---------------------------------------------------------------------------
+# the single-ball node memo
+# ---------------------------------------------------------------------------
+
+_ball_nodes = oscillation._ball_nodes
+
+
+def _fresh_nodes(d, n, seed, key):
+    return np.ascontiguousarray(unit_ball_nodes(d, n, stream(seed, key)).T)
+
+
+@pytest.mark.parametrize("d, n, seed, key", [
+    (1, 64, 3, KEY_OUTER), (2, 1000, 7, KEY_INNER), (3, 257, 11, KEY_PAIR)])
+def test_ball_nodes_memo_returns_a_fresh_draw(d, n, seed, key):
+    _ball_nodes.cache_clear()
+    for _ in range(2):  # the miss, then the hit
+        u = _ball_nodes(d, n, seed, key)
+        assert u.shape == (d, n) and u.flags.c_contiguous
+        assert u.tobytes() == _fresh_nodes(d, n, seed, key).tobytes()
+    assert _ball_nodes.cache_info().hits == 1
+
+
+def test_ball_nodes_memo_is_read_only():
+    _ball_nodes.cache_clear()
+    u = _ball_nodes(2, 64, 5, KEY_OUTER)
+    with pytest.raises(ValueError):
+        u[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        u *= 2.0
+    assert u.tobytes() == _fresh_nodes(2, 64, 5, KEY_OUTER).tobytes()
+
+
+def test_ball_nodes_memo_redraws_an_evicted_set_bit_for_bit():
+    _ball_nodes.cache_clear()
+    kept = _ball_nodes.cache_info().maxsize
+    first = _ball_nodes(2, 128, 0, KEY_OUTER).tobytes()
+    for seed in range(1, kept + 3):
+        _ball_nodes(2, 128, seed, KEY_OUTER)
+        _ball_nodes(2, 64, seed, KEY_INNER)
+    assert _ball_nodes.cache_info().currsize == kept
+    misses = _ball_nodes.cache_info().misses
+    assert _ball_nodes(2, 128, 0, KEY_OUTER).tobytes() == first
+    assert _ball_nodes.cache_info().misses == misses + 1
+
+
+def _count_draws(monkeypatch):
+    calls = []
+    real = oscillation.unit_ball_nodes
+
+    def counting(d, n, rng):
+        calls.append((d, n))
+        return real(d, n, rng)
+
+    _ball_nodes.cache_clear()
+    monkeypatch.setattr(oscillation, "unit_ball_nodes", counting)
+    return calls
+
+
+def test_local_expansion_draws_each_node_set_once(monkeypatch):
+    # five balls under one spec share its outer and inner sets
+    calls = _count_draws(monkeypatch)
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    rep = check_local_expansion(f, 5, 0.05, _mc(seed=8, n=256))
+    assert sum(c.name.startswith("expansion[") for c in rep.cases) == 5
+    assert calls == [(2, 256), (2, 128)]
+
+
+def test_maximal_domination_draws_two_node_sets_per_ball(monkeypatch):
+    # each ball has its own seed; its gradient average reuses the outer
+    # set its oscillation drew
+    calls = _count_draws(monkeypatch)
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    check_maximal_domination(f, 6, _mc(seed=8, n=256))
+    assert calls == [(2, 256), (2, 128)] * 6

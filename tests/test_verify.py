@@ -1,6 +1,7 @@
 """Verification battery: suites pass clean, faults flip them, and the
 jump-function closed forms agree with direct evaluation."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -210,6 +211,70 @@ def test_poincare_case_catches_inflated_oscillation(monkeypatch):
     rep = check_maximal_domination(f, 60, GAUSS)
     failed = {c.name.split("[")[0] for c in rep.cases if c.verdict == "fail"}
     assert failed == {"poincare"}
+
+
+def _ball_index(case):
+    return int(case.name.split("[")[1].rstrip("]"))
+
+
+@pytest.mark.parametrize("f, n, spec", [
+    (make_plateau_bump(1, 1.0, 0.5, 1.0), 60, GAUSS),
+    (make_plateau_bump(2, 1.0, 0.5, 1.0), 30,
+     QuadratureSpec(node_count=256, seed=8)),
+    (make_linear(1, [0.0]), 8, GAUSS),
+], ids=["plateau-d1", "plateau-d2", "zero"])
+def test_maximal_domination_case_layout(f, n, spec):
+    # one Poincare case per ball and a zero guard exactly where the ball
+    # has no gradient mass; nothing compares against a frozen bound
+    rep = check_maximal_domination(f, n, spec)
+    assert rep.passed
+    assert not any(c.name.startswith("domination[") for c in rep.cases)
+    poincare = [c for c in rep.cases if c.name.startswith("poincare[")]
+    assert [_ball_index(c) for c in poincare] == list(range(n))
+    guarded = {_ball_index(c) for c in rep.cases
+               if c.name.startswith("zero_gradient_guard[")}
+    assert guarded == {_ball_index(c) for c in poincare
+                       if c.inputs["ball_gradient_average"] == 0.0}
+    ratio = [c for c in rep.cases if c.name == "max_ratio_finite"]
+    if len(guarded) < n:
+        assert ratio[0].inputs == {"max_ratio": max(
+            c.inputs["ratio"] for c in poincare
+            if c.inputs["ball_gradient_average"] > 0.0)}
+    else:
+        assert ratio == []
+
+
+def test_maximal_domination_evaluates_grad_once_per_ball(monkeypatch):
+    # each ball pays at most one f.grad call, for its own radius, and none
+    # when flat_radius certifies f constant on it
+    from osclab import verify
+    from osclab.oscillation import flat_balls
+    plateau = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    grad_calls = []
+
+    def counting_grad(x):
+        grad_calls.append(np.shape(x))
+        return plateau.grad(x)
+
+    f = dataclasses.replace(plateau, grad=counting_grad)
+    per_ball = []
+    honest = verify.maximal_gradient
+
+    def recording(*args):
+        before = len(grad_calls)
+        out = honest(*args)
+        per_ball.append(len(grad_calls) - before)
+        return out
+
+    monkeypatch.setattr(verify, "maximal_gradient", recording)
+    rep = check_maximal_domination(f, 60, GAUSS)
+    balls = [c.inputs for c in rep.cases if c.name.startswith("poincare[")]
+    flat = [bool(flat_balls(f, b["a"], np.array([b["r"]]))[0]) for b in balls]
+    assert per_ball == [0 if fl else 1 for fl in flat]
+    assert len(grad_calls) == sum(per_ball)
+    # these 60 balls hold both kinds, so the layout test above sees both
+    # the guard and the ratio branch on plateau-d1
+    assert any(flat) and not all(flat)
 
 
 def test_tail_bounds_plateau_and_indicator():

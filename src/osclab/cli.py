@@ -43,7 +43,8 @@ import numpy as np
 
 from .catalog import DEFAULT_IDS, TestFunction, parse_function_id
 from .oscillation import UnsupportedFunctionError, pair_oscillation, q_oscillation
-from .quadrature import BallSample, QuadratureError, default_spec
+from .quadrature import (BallSample, QuadratureError, QuadratureSpec,
+                         default_spec)
 from .verify import (DEFAULT_NODE_COUNT, DEFAULT_SAMPLES, DEFAULT_SEED,
                      FaultSpec, battery_to_dict, run_all)
 from .weaknorm import (
@@ -56,9 +57,10 @@ from .weaknorm import (
     write_curve_csv,
 )
 
-# Monte Carlo nodes per ball in d >= 2.  One ball query affords the large
-# default; a curve asks for one ball per scan radius and center, so it
-# takes the node count of the d = 2 limit criteria.
+# Monte Carlo nodes per ball in d >= 2, and in every dimension for
+# oscillation --pairwise.  One ball query affords the large default; a
+# curve asks for one ball per scan radius and center, so it takes the node
+# count of the d = 2 limit criteria.
 _QUERY_MC_NODES = 65536
 _CURVE_MC_NODES = 512
 
@@ -265,7 +267,11 @@ def cmd_oscillation(args: argparse.Namespace) -> int:
     nodes = _resolve(args, cfg, "nodes", None, int)
     kind = "pair" if args.pairwise else "mean" if q == 1.0 else "q"
     try:
-        spec = default_spec(f.dim, seed, _QUERY_MC_NODES, nodes)
+        # pair_oscillation is a Monte Carlo rule in every dimension
+        spec = (QuadratureSpec("monte_carlo", _QUERY_MC_NODES
+                               if nodes is None else nodes, seed)
+                if args.pairwise
+                else default_spec(f.dim, seed, _QUERY_MC_NODES, nodes))
         ball = BallSample(center=center, radius=float(r))
         oscillation = pair_oscillation if args.pairwise else q_oscillation
         est = oscillation(f, ball, q, spec)
@@ -466,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_osc.add_argument("--q", type=float, help="inner exponent (default 1)")
     p_osc.add_argument("--pairwise", action="store_true",
                        help="two-point oscillation instead of "
-                            "mean-centered")
+                            "mean-centered (Monte Carlo in every dimension)")
     p_osc.add_argument("--nodes", type=int, help="quadrature nodes")
     _add_common(p_osc)
     p_osc.set_defaults(func=cmd_oscillation)

@@ -28,13 +28,16 @@ Its nodes, and those of pair_oscillation and maximal_gradient, are stored
 coordinate-major, (d, n), so each array operation on the points runs over
 the n nodes instead of the d coordinates; f receives (n, d) views.
 
-The single-ball rules (q_oscillation, pair_oscillation, maximal_gradient)
-take their node sets from _ball_nodes, which memoizes the draw on
-(d, n, seed, key) and keeps the 8 most recently used sets.  Repeated
-queries under one spec, such as a suite's balls, then draw each set once
-and get the same bits.  The cached arrays are read-only because every
-caller shares them.  The curve engine draws one stream per centre and does
-not use the memo.
+The single-ball rules take one BallSample and a QuadratureSpec:
+q_oscillation and mean_oscillation follow the spec's method;
+pair_oscillation is Monte Carlo in every dimension and refuses gauss_1d;
+maximal_gradient gives the ball average of |grad f|, the radius-r term of
+the centered maximal function.  On Monte Carlo routes they take their
+node sets from _ball_nodes, which memoizes the draw on (d, n, seed, key)
+and keeps the 8 most recently used sets.  Repeated queries under one spec,
+such as a suite's balls, then draw each set once and get the same bits.
+The cached arrays are read-only because every caller shares them.  The
+curve engine draws one stream per centre and does not use the memo.
 """
 from __future__ import annotations
 
@@ -51,9 +54,6 @@ from .quadrature import (KEY_INNER, KEY_OUTER, KEY_PAIR, BallSample,
 # relative slack of flat_balls against the rounding of a + r u, of |x| and
 # of f itself, which are a few ulps of the coordinates and values
 SKIP_MARGIN = 1e-9
-# f or grad evaluation points per Monte Carlo kernel call, in the curve
-# engine's blocks and in maximal_gradient's radius blocks
-BLOCK_POINTS = 2 ** 15
 # single-ball node sets _ball_nodes keeps: the three a spec can draw
 # (outer, inner, pair) with room to spare; 8 x 16384 x 3 doubles is 3.1 MB
 _NODE_SETS_KEPT = 8
@@ -257,13 +257,18 @@ def pair_oscillation(f: TestFunction, ball: BallSample, q: float,
                      spec: QuadratureSpec) -> EstimatedValue:
     """(double ball average of |f(x) - f(y)|^q)^(1/q).
 
-    Statistical in every dimension: two independent uniform samples are
-    paired.  Sandwiched between the centered variant and twice it.
+    Statistical in every dimension: two independent uniform samples of
+    spec.node_count points are paired, so spec must be monte_carlo; a
+    gauss_1d spec, whose node_count is a Gauss order, raises
+    QuadratureError.  Sandwiched between the centered variant and twice it.
     """
     if not (np.isfinite(q) and q >= 1.0):
         raise ValueError(f"q must be a real number >= 1, got {q}")
     if ball.dim != f.dim:
         raise ValueError(f"ball dimension {ball.dim} does not match function dimension {f.dim}")
+    if spec.method != "monte_carlo":
+        raise QuadratureError(
+            f"pair_oscillation is a Monte Carlo rule; got method {spec.method!r}")
     n = spec.node_count
     d = ball.dim
     c = ball.center[:, None]
@@ -284,15 +289,6 @@ def pair_oscillation(f: TestFunction, ball: BallSample, q: float,
                           (1.0 / q) * m_q ** (1.0 / q - 1.0) * se_m)
 
 
-def default_r_grid(f: TestFunction, ratio: float = 1.05) -> np.ndarray:
-    """Geometric radius grid spanning [1e-3, 1e2] times the feature scale."""
-    scale = f.support_radius if f.support_radius is not None else 1.0
-    lo = 1e-3 * scale
-    hi = 1e2 * scale
-    count = int(np.ceil(np.log(hi / lo) / np.log(ratio))) + 1
-    return lo * (hi / lo) ** (np.arange(count) / (count - 1))
-
-
 def flat_balls(f: TestFunction, centers, radii) -> np.ndarray:
     """r + SKIP_MARGIN (|a| + r) < f.flat_radius(a): the balls B_r(a) on
     which f is certified constant.  centers (..., d) and radii (J,) give
@@ -302,53 +298,38 @@ def flat_balls(f: TestFunction, centers, radii) -> np.ndarray:
     return radii + SKIP_MARGIN * (size + radii) < rho
 
 
-def maximal_gradient(f: TestFunction, a, r_grid,
+def maximal_gradient(f: TestFunction, ball: BallSample,
                      spec: QuadratureSpec) -> float:
-    """Max over the radius grid of the ball average of |grad f| at center a.
+    """Ball average of |grad f| over the ball B_r(a).
 
-    A grid restriction of the centered maximal function of |grad f|, hence a
-    lower bound for it (exact in dimension one with gauss_1d, statistical
-    otherwise).  Functions without a gradient are rejected.  Radii on which
-    flat_radius certifies f constant are dropped before any evaluation:
-    grad is exactly 0 there, every other average is >= 0, so the maximum
-    is unchanged, and 0.0 when no radius is left.  The Monte Carlo route
-    evaluates the grid in blocks of radii holding at most BLOCK_POINTS
-    points (at least one radius); each radius's average reduces over its
-    own nodes and the maximum is exact, so the result has the same bits as
-    one pass over the whole grid.
+    This is the radius-r term of the centered maximal function of |grad f|
+    at a, hence a lower bound for M|grad f|(a) (exact in dimension one with
+    gauss_1d, statistical otherwise).  Functions without a gradient are
+    rejected.  A ball on which flat_radius certifies f constant returns 0.0
+    before any evaluation, since grad is exactly 0 there.  The Monte Carlo
+    route averages over the outer node set that q_oscillation draws for the
+    same spec.
     """
     if f.grad is None:
         raise UnsupportedFunctionError(
             f"{f.function_id} has no gradient; maximal averages are undefined")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.shape != (f.dim,):
-        raise ValueError(f"center must have shape ({f.dim},)")
-    r_grid = np.asarray(r_grid, dtype=float)
-    if (r_grid.ndim != 1 or r_grid.size == 0
-            or not np.all(np.isfinite(r_grid) & (r_grid > 0))):
-        raise ValueError("r_grid must be a nonempty array of finite positive radii")
+    if ball.dim != f.dim:
+        raise ValueError(f"ball dimension {ball.dim} does not match function dimension {f.dim}")
     if spec.method == "gauss_1d" and f.dim != 1:
         raise QuadratureError("gauss_1d applies to dimension one only")
-
-    if f.flat_radius is not None:
-        r_grid = r_grid[~flat_balls(f, a, r_grid)]
-        if r_grid.size == 0:
-            return 0.0
+    a, r = ball.center, ball.radius
+    if f.flat_radius is not None and flat_balls(f, a, np.array([r]))[0]:
+        return 0.0
 
     if spec.method == "gauss_1d":
         def gmag(x):
             return np.abs(f.grad(x[..., None])[..., 0])
 
-        edges = segment_edges(f.breakpoints_1d, a[0] - r_grid, a[0] + r_grid)
-        return float(np.max(require_finite(segment_mean(gmag, edges, _GL_ORDER),
-                                           "gradient")))
+        edges = segment_edges(f.breakpoints_1d, a[0] - r, a[0] + r)
+        return float(require_finite(segment_mean(gmag, edges, _GL_ORDER),
+                                    "gradient"))
 
     u = _ball_nodes(f.dim, spec.node_count, spec.seed, KEY_OUTER)
-    step = max(1, BLOCK_POINTS // spec.node_count)
-    means = np.empty(r_grid.size)
-    for start in range(0, r_grid.size, step):
-        r = r_grid[start:start + step, None, None]
-        g = np.asarray(f.grad(_point_major(a[:, None] + r * u)), dtype=float)
-        mag = require_finite(np.sqrt(coordinate_dot(g, g)), "gradient")
-        means[start:start + step] = np.mean(mag, axis=1)
-    return float(np.max(means))
+    g = np.asarray(f.grad(_point_major(a[:, None] + r * u)), dtype=float)
+    return float(np.mean(require_finite(np.sqrt(coordinate_dot(g, g)),
+                                        "gradient")))

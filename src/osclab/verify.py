@@ -442,8 +442,9 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
             method=spec.method, node_count=spec.node_count, seed=spec.seed + i)
         # the oscillation draws the outer node set first, and the gradient
         # average reuses it from oscillation's node memo
-        est = mean_oscillation(f, BallSample(a, r), sub)
-        avg = maximal_gradient(f, a, [r], sub)
+        ball = BallSample(a, r)
+        est = mean_oscillation(f, ball, sub)
+        avg = maximal_gradient(f, ball, sub)
         low = max(est.value - 3.0 * est.std_error, 0.0)
         ratio = est.value / (r * avg) if avg > 0 else math.inf
         cases.append(_case(

@@ -60,13 +60,15 @@ from typing import Optional
 import numpy as np
 
 from .catalog import TestFunction, grad_norm_p, unit_ball_volume
-from .oscillation import (BLOCK_POINTS, SKIP_MARGIN, exact_oscillation_1d,
-                          flat_balls, mc_deviations)
+from .oscillation import (SKIP_MARGIN, exact_oscillation_1d, flat_balls,
+                          mc_deviations)
 from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS,
                          QuadratureError, QuadratureSpec, require_finite,
                          stream, unit_ball_nodes)
 
 _CHUNK = 256
+# f evaluation points per Monte Carlo kernel call in _McScan's blocks
+BLOCK_POINTS = 2 ** 15
 
 # merged always reads 0, since every interval is resolved; the key stays in
 # the byte-stable outputs until their schema changes
@@ -528,9 +530,9 @@ class _McScan(_Engine):
     holding the values of unit_ball_nodes transposed, which is the layout
     mc_deviations builds its points in.  The kernel runs on blocks of (row,
     radius) pairs whose n + 2 * ceil(n / 2) points per pair add up to at
-    most oscillation.BLOCK_POINTS (at least one pair), so neither a large
-    crossing batch nor a scan gather grows the working set; each pair's
-    arithmetic is the same in any block.
+    most BLOCK_POINTS (at least one pair), so neither a large crossing
+    batch nor a scan gather grows the working set; each pair's arithmetic
+    is the same in any block.
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, seed: int,
@@ -719,8 +721,8 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
 
 def distribution_curve(f: TestFunction, p: float, kappa_grid,
                        domain: Domain, spec: QuadratureSpec,
-                       samples: int = 4096, threads: int = 1,
-                       scan_ratio: float = _SCAN_RATIO) -> DistributionCurve:
+                       samples: int = 4096, threads: int = 1
+                       ) -> DistributionCurve:
     """Estimate the superlevel measure for a whole threshold grid at once.
 
     The grid must be geometric-like: at least 8 decreasing points spanning
@@ -746,7 +748,7 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
     if threads < 1:
         raise ValueError(f"need at least 1 worker thread, got {threads}")
     return _curve_engine(f, float(p), kappas, domain, spec, samples,
-                         threads, scan_ratio)
+                         threads, _SCAN_RATIO)
 
 
 @dataclass(frozen=True)

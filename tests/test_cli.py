@@ -79,6 +79,18 @@ def test_oscillation_writes_json_with_config_echo(tmp_path, capsys):
     assert payload["config"]["function"] == "indicator:d=1:r=0.5"
 
 
+def test_oscillation_pairwise_is_monte_carlo_in_one_dimension(tmp_path):
+    # d = 1 defaults to gauss_1d of order 8; --pairwise must not read that
+    # order as a sample count, but take the query's Monte Carlo default
+    assert main(["oscillation", "--function", "plateau:d=1:a=1:ri=0.5:ro=1",
+                 "--a", "0.7", "--r", "0.3", "--pairwise",
+                 "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "oscillation.json").read_text())
+    assert payload["config"]["quadrature"] == {"method": "monte_carlo",
+                                               "node_count": 65536}
+    assert 0 < payload["std_error"] < 0.01
+
+
 @pytest.mark.parametrize("args", [
     ["oscillation", "--function", "nope:d=1", "--r", "1"],
     ["oscillation", "--function", "linear:d=1:v=1"],          # missing r

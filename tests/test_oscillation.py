@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +15,6 @@ from osclab import (
     QuadratureError,
     QuadratureSpec,
     UnsupportedFunctionError,
-    default_r_grid,
     dilate,
     distribution_curve,
     exact_oscillation_1d,
@@ -34,7 +32,7 @@ from osclab import (
 )
 from osclab import oscillation
 from osclab.catalog import coordinate_dot
-from osclab.oscillation import BLOCK_POINTS, flat_balls, mc_deviations
+from osclab.oscillation import mc_deviations
 from osclab.quadrature import KEY_INNER, KEY_OUTER, KEY_PAIR
 from osclab.verify import check_local_expansion, check_maximal_domination
 
@@ -73,6 +71,15 @@ def test_linear_pairwise_q2_closed_form_1d():
     target = math.sqrt(2.0 / 3.0)
     assert est.std_error > 0
     assert abs(est.value - target) <= 3 * est.std_error
+
+
+def test_pair_oscillation_refuses_a_gauss_spec():
+    # node_count of a gauss_1d spec is a Gauss order (8 by default), not a
+    # sample count; pairing that many random points is not the rule asked for
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    with pytest.raises(QuadratureError, match="Monte Carlo"):
+        pair_oscillation(f, BallSample(np.array([0.7]), 0.3), 1.0,
+                         QuadratureSpec(method="gauss_1d", node_count=8))
 
 
 def test_indicator_mean_oscillation_closed_form():
@@ -197,19 +204,22 @@ def test_dilation_invariance_monte_carlo_2d():
 
 def test_maximal_gradient_requires_gradient():
     f = make_ball_indicator(1, 0.5)
-    grid = np.geomspace(1e-3, 10.0, 50)
     with pytest.raises(UnsupportedFunctionError):
-        maximal_gradient(f, np.array([0.2]), grid, GAUSS)
+        maximal_gradient(f, BallSample(np.array([0.2]), 0.1), GAUSS)
 
 
-def test_maximal_gradient_dominates_pointwise_gradient():
-    # sup over r of the averaged |grad| is at least |grad| at the center
+def test_maximal_gradient_is_within_lipschitz_reach_of_the_center_gradient():
+    # |f'| is grad_lipschitz-Lipschitz, so its average over [a - r, a + r]
+    # differs from |f'(a)| by at most the average of L |x - a|, which is
+    # L r / 2; the exact Gauss route meets that bound on the taper, up to
+    # roundoff
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
-    grid = default_r_grid(f)
+    lip = f.grad_lipschitz
     for a in (0.55, 0.7, 0.95):
-        mg = maximal_gradient(f, np.array([a]), grid, GAUSS)
         g = abs(float(f.grad(np.array([a]))[0]))
-        assert mg >= g - 1e-3 * max(1.0, g)
+        for r in (1e-3, 1e-2, 0.04):
+            mg = maximal_gradient(f, BallSample(np.array([a]), r), GAUSS)
+            assert abs(mg - g) <= lip * r / 2 + 1e-12, (a, r)
 
 
 SKIP_ENTRIES = [
@@ -227,9 +237,9 @@ SKIP_ENTRIES = [
                          ids=[f"{f.function_id}-{s.method}"
                               for f, s in SKIP_ENTRIES])
 def test_maximal_gradient_skip_is_bit_identical(f, spec):
-    # radii on which flat_radius certifies f constant have a zero gradient
-    # average, so dropping them leaves the maximum, and a one-radius call,
-    # bit for bit as they were; grad is then called at fewer points
+    # a ball on which flat_radius certifies f constant has a zero gradient
+    # average, so skipping it leaves the result bit for bit as it was;
+    # grad is then called at fewer points
     points = []
 
     def counted(x):
@@ -239,21 +249,24 @@ def test_maximal_gradient_skip_is_bit_identical(f, spec):
     g = dataclasses.replace(f, grad=counted)
     bare = dataclasses.replace(g, flat_radius=None)
     scale = f.support_radius
-    grid = default_r_grid(f, ratio=1.05 if f.dim == 1 else 1.1)
     centers = stream(4, 31).uniform(-1.3 * scale, 1.3 * scale,
                                     size=(40, f.dim))
     counts = {"skip": 0, "bare": 0}
     skipped = 0
     for a in centers:
         rho = float(f.flat_radius(a))
-        skipped += rho > grid[0]
-        for radii in (grid, [0.5 * rho] if rho > 0 else [grid[0]]):
+        skipped += rho > 1e-3 * scale
+        radii = [1e-3 * scale, 0.1 * scale, 2.0 * scale]
+        if rho > 0:
+            radii.append(0.5 * rho)
+        for r in radii:
+            ball = BallSample(a, r)
             out = {}
             for label, h in (("skip", g), ("bare", bare)):
                 points.clear()
-                out[label] = maximal_gradient(h, a, radii, spec)
+                out[label] = maximal_gradient(h, ball, spec)
                 counts[label] += sum(points)
-            assert out["skip"] == out["bare"], (a, radii)
+            assert out["skip"] == out["bare"], (a, r)
             assert out["skip"] >= 0.0
     assert skipped > 0
     assert counts["skip"] < counts["bare"]
@@ -263,83 +276,30 @@ def test_maximal_gradient_is_zero_when_every_radius_is_flat():
     f = make_plateau_bump(2, 1.0, 0.5, 1.0)
     g = dataclasses.replace(f, grad=lambda x: pytest.fail("grad was called"))
     for a in ([0.0, 0.0], [2.0, 1.0]):
-        grid = np.geomspace(1e-3, 0.1, 12)
-        assert maximal_gradient(g, np.array(a), grid, _mc(n=64)) == 0.0
-
-
-def _maximal_gradient_one_shot(f, a, r_grid, spec):
-    # the Monte Carlo route as one pass over every point of the grid
-    a = np.asarray(a, dtype=float)
-    r_grid = np.asarray(r_grid, dtype=float)
-    if f.flat_radius is not None:
-        r_grid = r_grid[~flat_balls(f, a, r_grid)]
-        if r_grid.size == 0:
-            return 0.0
-    u = np.ascontiguousarray(unit_ball_nodes(
-        f.dim, spec.node_count, stream(spec.seed, KEY_OUTER)).T)
-    x = a[None, :, None] + r_grid[:, None, None] * u[None, :, :]
-    g = np.asarray(f.grad(np.swapaxes(x, -1, -2)), dtype=float)
-    mag = np.sqrt(coordinate_dot(g, g))
-    return float(np.max(np.mean(mag, axis=1)))
+        for r in np.geomspace(1e-3, 0.1, 12):
+            assert maximal_gradient(g, BallSample(np.array(a), r),
+                                    _mc(n=64)) == 0.0
 
 
 _PLATEAU_2 = make_plateau_bump(2, 1.0, 0.5, 1.0)
-_PLATEAU_3 = make_plateau_bump(3, 1.0, 0.5, 1.0)
 BLOCK_CASES = {
-    # 122 radii in blocks of 8
-    "plateau-2d": (_PLATEAU_2, [0.6, 0.3], default_r_grid(_PLATEAU_2, 1.1),
-                   4096),
-    "plateau-3d": (_PLATEAU_3, [0.5, 0.2, -0.3],
-                   default_r_grid(_PLATEAU_3, 1.1), 512),
-    "translated": (translate(_PLATEAU_2, [0.4, -0.3]), [0.9, 0.1],
-                   default_r_grid(_PLATEAU_2, 1.1), 1000),
-    # 100 radii in blocks of 32: the last block holds 4
-    "linear-partial": (make_linear(2, [1.0, 0.5]), [0.2, -0.1],
-                       np.geomspace(1e-3, 10.0, 100), 1000),
-    # more nodes than one block: one radius per block
-    "above-block": (_PLATEAU_2, [0.7, -0.2], np.geomspace(0.05, 2.0, 5),
-                    BLOCK_POINTS + 1),
-    "one-radius": (_PLATEAU_2, [0.7, 0.0], [0.4], 4096),
+    "one-radius": (_PLATEAU_2, [0.7, 0.0], 0.4, 4096),
 }
 
 
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
 def test_maximal_gradient_blocks_are_bit_identical(case):
-    # each radius averages over its own nodes and the maximum is exact, so
-    # walking the grid in point blocks gives the one-pass value bit for bit
-    f, a, grid, n = BLOCK_CASES[case]
-    sizes = []
-
-    def counted(x):
-        sizes.append(math.prod(x.shape[:-1]))
-        return f.grad(x)
-
+    # the Monte Carlo route is the mean of |grad f| over a + r u, u the
+    # outer node set of the spec, bit for bit
+    f, a, r, n = BLOCK_CASES[case]
     spec = _mc(seed=12, n=n)
-    got = maximal_gradient(dataclasses.replace(f, grad=counted),
-                           np.array(a), grid, spec)
-    assert got == _maximal_gradient_one_shot(f, a, grid, spec)
+    got = maximal_gradient(f, BallSample(np.array(a), r), spec)
+    u = np.ascontiguousarray(unit_ball_nodes(
+        f.dim, n, stream(spec.seed, KEY_OUTER)).T)
+    x = np.array(a)[:, None] + r * u
+    g = np.asarray(f.grad(np.swapaxes(x, -1, -2)), dtype=float)
+    assert got == float(np.mean(np.sqrt(coordinate_dot(g, g))))
     assert got > 0.0
-    # full blocks of the budget, then whatever radii are left
-    step = max(1, BLOCK_POINTS // n)
-    assert all(size == step * n for size in sizes[:-1])
-    assert 0 < sizes[-1] <= step * n <= max(BLOCK_POINTS, n)
-
-
-def test_maximal_gradient_working_set_is_bounded():
-    # d = 2 plateau at the battery's node count and grid: the points of one
-    # block, not of the whole grid, set the traced peak
-    f = _PLATEAU_2
-    spec = _mc(seed=5, n=16384)
-    grid = default_r_grid(f, ratio=1.1)
-    a = np.array([0.6, 0.3])
-    assert not flat_balls(f, a, grid).any()
-    tracemalloc.start()
-    try:
-        maximal_gradient(f, a, grid, spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * BLOCK_POINTS * 8
 
 
 @pytest.mark.parametrize("f,a", [
@@ -349,32 +309,24 @@ def test_maximal_gradient_working_set_is_bounded():
 ], ids=["short", "long-1d", "long-2d"])
 def test_maximal_gradient_rejects_a_center_of_the_wrong_shape(f, a):
     spec = GAUSS if f.dim == 1 else _mc(n=256)
-    with pytest.raises(ValueError, match="center must have shape"):
-        maximal_gradient(f, np.array(a), default_r_grid(f, 1.1), spec)
+    with pytest.raises(ValueError, match="does not match function dimension"):
+        maximal_gradient(f, BallSample(np.array(a), 0.3), spec)
 
 
-@pytest.mark.parametrize("grid", [[np.nan], [np.inf, 0.1]], ids=["nan", "inf"])
+@pytest.mark.parametrize("r", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("spec", [GAUSS, _mc(n=256)], ids=["gauss", "mc"])
-def test_maximal_gradient_rejects_non_finite_radii(grid, spec):
+def test_maximal_gradient_rejects_non_finite_radii(r, spec):
+    # the radius check is BallSample's, before any rule runs
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
-    with pytest.raises(ValueError, match="finite positive radii"):
-        maximal_gradient(f, np.array([0.7]), grid, spec)
+    with pytest.raises(ValueError, match="finite and positive"):
+        maximal_gradient(f, BallSample(np.array([0.7]), r), spec)
 
 
 def test_maximal_gradient_gauss_rejects_a_non_finite_gradient():
     f = make_linear(1, [1.0])
     g = dataclasses.replace(f, grad=lambda x: np.full(x.shape, np.nan))
     with pytest.raises(QuadratureError, match="gradient"):
-        maximal_gradient(g, np.array([0.2]), [0.1, 1.0], GAUSS)
-
-
-def test_default_r_grid_spans_and_ratio():
-    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
-    grid = default_r_grid(f)
-    assert grid[0] <= 1e-3 * f.support_radius * (1 + 1e-12)
-    assert grid[-1] >= 1e2 * f.support_radius * (1 - 1e-12)
-    ratios = grid[1:] / grid[:-1]
-    assert ratios.max() <= 1.05 + 1e-12
+        maximal_gradient(g, BallSample(np.array([0.2]), 0.1), GAUSS)
 
 
 def test_invalid_radius_rejected():
@@ -388,7 +340,8 @@ def test_maximal_gradient_gauss_divides_by_the_integrated_width():
     # the average of |grad| = 1 over it must still read exactly 1
     f = make_linear(1, [1.0])
     spec = QuadratureSpec(method="gauss_1d", node_count=8, seed=0)
-    assert maximal_gradient(f, np.array([3.0]), [1e-9], spec) == 1.0
+    assert maximal_gradient(f, BallSample(np.array([3.0]), 1e-9),
+                            spec) == 1.0
 
 
 def test_zero_width_balls_fail_loudly():
@@ -400,8 +353,8 @@ def test_zero_width_balls_fail_loudly():
             exact_oscillation_1d(make_plateau_bump(1, 1.0, 0.5, 1.0),
                                  3.0, 1e-17)
         with pytest.raises(QuadratureError, match="zero width"):
-            maximal_gradient(make_linear(1, [1.0]), np.array([3.0]), [1e-17],
-                             GAUSS)
+            maximal_gradient(make_linear(1, [1.0]),
+                             BallSample(np.array([3.0]), 1e-17), GAUSS)
 
 
 def _eval_counted(f):
@@ -520,7 +473,7 @@ def test_monte_carlo_points_reach_f_coordinate_major(d):
     q_oscillation(f, ball, 1.0, spec)
     q_oscillation(f, ball, 2.5, spec)
     pair_oscillation(f, ball, 1.0, spec)
-    maximal_gradient(f, np.full(d, 0.6), default_r_grid(f, ratio=1.5), spec)
+    maximal_gradient(f, BallSample(np.full(d, 0.6), 0.4), spec)
     dom = Domain(box=((-1.25, 1.25),) * d, r_max=5.0, r_min=1e-3)
     curve = distribution_curve(f, 2.0, np.geomspace(2.0, 2e-3, 9), dom,
                                spec, samples=16)

@@ -42,9 +42,9 @@ from osclab import (
     write_curve_csv,
 )
 from osclab import catalog, weaknorm
-from osclab.oscillation import BLOCK_POINTS
 from osclab.quadrature import KEY_CENTERS, stream
 from osclab.weaknorm import (
+    BLOCK_POINTS,
     DistributionCurve,
     _below_floor_bracket,
     _bisect_crossings,
@@ -651,8 +651,9 @@ def test_every_interval_of_a_many_interval_row_is_resolved():
     dom = Domain(box=((-0.5, 0.5),), r_max=3.0, r_min=1e-3)
     kappa = 0.63
     samples = 16
-    cur = distribution_curve(f, 1.0, np.geomspace(kappa, kappa * 1e-3, 8),
-                             dom, GAUSS, samples=samples, scan_ratio=1.02)
+    cur = weaknorm._curve_engine(f, 1.0, np.geomspace(kappa, kappa * 1e-3, 8),
+                                 dom, GAUSS, samples, 1,
+                                 weaknorm._SECTION_SCAN_RATIO)
     centers, _, _ = sample_centers(dom, samples, GAUSS.seed)
     weights = []
     most = 0

@@ -23,6 +23,13 @@ runtime knobs, not experiment parameters, and are deliberately excluded
 from the echo: outputs are byte-identical across ``--threads`` values and
 across repeated runs with the same configuration.
 
+The front end checks only what no library function checks: a missing
+``--function`` or ``--r``, ``curve --q`` other than 1, kappa bounds that
+must come together with 0 < min < max < inf, and the parsing of flags,
+config and environment.  Every other input (p, ball, window, node and
+sample counts) goes to the library, which raises ValueError on a value it
+cannot use; that is reported as a usage error and nothing is written.
+
 Exit codes: 0 success, 1 verification failure (``verify`` with at least
 one failing suite), 2 usage or configuration errors.
 """
@@ -42,9 +49,8 @@ from typing import Optional
 import numpy as np
 
 from .catalog import DEFAULT_IDS, TestFunction, parse_function_id
-from .oscillation import UnsupportedFunctionError, pair_oscillation, q_oscillation
-from .quadrature import (BallSample, QuadratureError, QuadratureSpec,
-                         default_spec)
+from .oscillation import pair_oscillation, q_oscillation
+from .quadrature import BallSample, QuadratureSpec, default_spec
 from .verify import (DEFAULT_NODE_COUNT, DEFAULT_SAMPLES, DEFAULT_SEED,
                      FaultSpec, battery_to_dict, run_all)
 from .weaknorm import (
@@ -120,13 +126,9 @@ def _resolve(args: argparse.Namespace, cfg: dict, key: str, default,
 
 
 def _resolve_seed(args: argparse.Namespace, cfg: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in cfg:
-        try:
-            return int(cfg["seed"])
-        except ValueError as exc:
-            raise _UsageError(f"config key 'seed': {exc}") from exc
+    seed = _resolve(args, cfg, "seed", None, int)
+    if seed is not None:
+        return seed
     env = os.environ.get("OSCLAB_SEED")
     if env is not None:
         try:
@@ -177,15 +179,11 @@ def _parse_fault(text: Optional[str]) -> Optional[FaultSpec]:
     return FaultSpec(**fields)
 
 
-def _load_function(fid: str, want_d: Optional[int]) -> TestFunction:
+def _load_function(fid: str) -> TestFunction:
     try:
-        f = parse_function_id(fid)
+        return parse_function_id(fid)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if want_d is not None and f.dim != want_d:
-        raise _UsageError(
-            f"--d {want_d} contradicts {fid!r} (dimension {f.dim})")
-    return f
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -212,8 +210,6 @@ _FILTER_KEYS = ("d", "kind", "tag")
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     filters: dict = {}
-    if args.d is not None:
-        filters["d"] = args.d
     for item in args.filter or ():
         key, sep, value = item.partition("=")
         if not sep or key not in _FILTER_KEYS:
@@ -252,16 +248,13 @@ def cmd_oscillation(args: argparse.Namespace) -> int:
     fid = _resolve(args, cfg, "function", None, str)
     if fid is None:
         raise _UsageError("oscillation needs --function (or config key)")
-    f = _load_function(fid, _resolve(args, cfg, "d", None, int))
+    f = _load_function(fid)
     r = _resolve(args, cfg, "r", None, float)
-    if r is None or not (r > 0 and math.isfinite(r)):
-        raise _UsageError("oscillation needs --r > 0")
+    if r is None:
+        raise _UsageError("oscillation needs --r (or config key)")
     a_text = _resolve(args, cfg, "a", None, str)
     center = (np.zeros(f.dim) if a_text is None
               else _parse_point(a_text))
-    if center.shape != (f.dim,):
-        raise _UsageError(
-            f"--a has {center.size} coordinates, function has dim {f.dim}")
     q = _resolve(args, cfg, "q", 1.0, float)
     seed = _resolve_seed(args, cfg)
     nodes = _resolve(args, cfg, "nodes", None, int)
@@ -272,10 +265,10 @@ def cmd_oscillation(args: argparse.Namespace) -> int:
                                if nodes is None else nodes, seed)
                 if args.pairwise
                 else default_spec(f.dim, seed, _QUERY_MC_NODES, nodes))
-        ball = BallSample(center=center, radius=float(r))
+        ball = BallSample(center=center, radius=r)
         oscillation = pair_oscillation if args.pairwise else q_oscillation
         est = oscillation(f, ball, q, spec)
-    except (ValueError, UnsupportedFunctionError, QuadratureError) as exc:
+    except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     print(f"{kind}_oscillation[{fid}](a={a_text or '0'}, r={r!r}, q={q!r}) "
           f"= {est.value:.12g} +/- {est.std_error:.3g}")
@@ -333,10 +326,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     fid = _resolve(args, cfg, "function", None, str)
     if fid is None:
         raise _UsageError("curve needs --function (or config key)")
-    f = _load_function(fid, _resolve(args, cfg, "d", None, int))
+    f = _load_function(fid)
     p = _resolve(args, cfg, "p", 2.0, float)
-    if not p >= 1.0:
-        raise _UsageError("--p must be >= 1")
     q = _resolve(args, cfg, "q", 1.0, float)
     if q != 1.0:
         raise _UsageError("curve supports q = 1 only (mean oscillation)")
@@ -348,9 +339,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
     base = default_domain(f)
     omega = _resolve(args, cfg, "omega", None, str)
     box = _parse_box(omega) if omega is not None else base.box
-    if len(box) != f.dim:
-        raise _UsageError(
-            f"--omega has {len(box)} axes, function has dim {f.dim}")
     r_max = _resolve(args, cfg, "r_max", base.r_max, float)
     r_min = _resolve(args, cfg, "r_min", base.r_min, float)
     try:
@@ -360,7 +348,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         curve = distribution_curve(f, p, grid, domain, spec,
                                    samples=samples, threads=threads)
         limit = limit_extrapolate(curve)
-    except (ValueError, UnsupportedFunctionError, QuadratureError) as exc:
+    except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
     summary = curve_summary(curve, limit=limit, f=f)
@@ -402,13 +390,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args, cfg)
     n_samples = _resolve(args, cfg, "samples", DEFAULT_SAMPLES, int)
     nodes = _resolve(args, cfg, "nodes", DEFAULT_NODE_COUNT, int)
-    if nodes < 2:
-        raise _UsageError("verify needs --nodes >= 2")
-    if n_samples < 1:
-        raise _UsageError("verify needs --samples >= 1")
     fault = _parse_fault(_resolve(args, cfg, "fault_inject", None, str))
-    reports = run_all(seed=seed, fault=fault, node_count=nodes,
-                      n_samples=n_samples)
+    try:
+        reports = run_all(seed=seed, fault=fault, node_count=nodes,
+                          n_samples=n_samples)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     digest = battery_to_dict(reports)
     for rep in reports:
         mark = "OK " if rep.passed else "FAIL"
@@ -458,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_cat = subs.add_parser("catalog", help="list built-in test functions")
-    p_cat.add_argument("--d", type=int, help="keep only this dimension")
     p_cat.add_argument("--filter", action="append", metavar="KEY=VALUE",
                        help=f"filter by key in {_FILTER_KEYS} (repeatable)")
     p_cat.set_defaults(func=cmd_catalog)
@@ -466,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_osc = subs.add_parser("oscillation",
                             help="one ball oscillation query")
     p_osc.add_argument("--function", help="catalog identifier")
-    p_osc.add_argument("--d", type=int, help="expected dimension (checked)")
     p_osc.add_argument("--a", help="ball center, comma separated")
     p_osc.add_argument("--r", type=float, help="ball radius")
     p_osc.add_argument("--q", type=float, help="inner exponent (default 1)")
@@ -480,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cur = subs.add_parser("curve",
                             help="superlevel distribution experiment")
     p_cur.add_argument("--function", help="catalog identifier")
-    p_cur.add_argument("--d", type=int, help="expected dimension (checked)")
     p_cur.add_argument("--p", type=float, help="weight exponent (default 2)")
     p_cur.add_argument("--q", type=float,
                        help="inner exponent; curve accepts 1 only")

@@ -207,17 +207,40 @@ def _ball_nodes(d: int, n: int, seed: int, key: int) -> np.ndarray:
 # public single-ball operations
 # ---------------------------------------------------------------------------
 
+def _check_query(f: TestFunction, ball: BallSample, spec: QuadratureSpec,
+                 q: float = 1.0) -> None:
+    """Refuse a single-ball query that has no meaning: an exponent q that
+    is not a finite real >= 1, a ball of another dimension than f, or the
+    gauss_1d rule off dimension one.  BallSample checks the ball itself."""
+    if not (np.isfinite(q) and q >= 1.0):
+        raise ValueError(f"q must be a real number >= 1, got {q}")
+    if ball.dim != f.dim:
+        raise ValueError(f"ball dimension {ball.dim} does not match function dimension {f.dim}")
+    if spec.method == "gauss_1d" and f.dim != 1:
+        raise QuadratureError("gauss_1d applies to dimension one only")
+
+
+def _power_mean(y: np.ndarray, q: float, se_extra: float) -> EstimatedValue:
+    """mean(y)^(1/q) for samples y of |deviation|^q, with its standard
+    error: the delta method on the q-th moment plus se_extra, the error
+    carried in from an estimated inner mean (1-Lipschitz propagation)."""
+    m_q = float(np.mean(y))
+    se_m = float(np.std(y, ddof=1) / np.sqrt(y.size))
+    if q == 1.0:
+        return EstimatedValue(m_q, se_m + se_extra)
+    if m_q <= 0.0:
+        return EstimatedValue(0.0, se_extra)
+    return EstimatedValue(m_q ** (1.0 / q),
+                          (1.0 / q) * m_q ** (1.0 / q - 1.0) * se_m + se_extra)
+
+
 def q_oscillation(f: TestFunction, ball: BallSample, q: float,
                   spec: QuadratureSpec) -> EstimatedValue:
     """(average over the ball of |f - mean|^q)^(1/q).
 
     Nondecreasing in q for fixed inputs; q = 1 is the plain mean oscillation.
     """
-    if not (np.isfinite(q) and q >= 1.0):
-        raise ValueError(f"q must be a real number >= 1, got {q}")
-    if ball.dim != f.dim:
-        raise ValueError(f"ball dimension {ball.dim} does not match function dimension {f.dim}")
-
+    _check_query(f, ball, spec, q)
     if spec.method == "gauss_1d":
         mom, _ = exact_oscillation_1d(f, ball.center[0], ball.radius, q,
                                       mu_nodes=spec.node_count)
@@ -234,17 +257,7 @@ def q_oscillation(f: TestFunction, ball: BallSample, q: float,
     require_finite(pair_sums)
     pair_vals = 0.5 * pair_sums
     se_mu = float(np.std(pair_vals, ddof=1) / np.sqrt(half)) if half > 1 else 0.0
-    y = np.abs(dev, out=dev) ** q
-    m_q = float(np.mean(y))
-    se_m = float(np.std(y, ddof=1) / np.sqrt(n))
-    if q == 1.0:
-        return EstimatedValue(m_q, se_m + se_mu)
-    if m_q <= 0.0:
-        return EstimatedValue(0.0, se_mu)
-    val = m_q ** (1.0 / q)
-    # delta method on the q-th moment, plus the 1-Lipschitz mean propagation
-    se = (1.0 / q) * m_q ** (1.0 / q - 1.0) * se_m + se_mu
-    return EstimatedValue(val, se)
+    return _power_mean(np.abs(dev, out=dev) ** q, q, se_mu)
 
 
 def mean_oscillation(f: TestFunction, ball: BallSample,
@@ -262,10 +275,7 @@ def pair_oscillation(f: TestFunction, ball: BallSample, q: float,
     gauss_1d spec, whose node_count is a Gauss order, raises
     QuadratureError.  Sandwiched between the centered variant and twice it.
     """
-    if not (np.isfinite(q) and q >= 1.0):
-        raise ValueError(f"q must be a real number >= 1, got {q}")
-    if ball.dim != f.dim:
-        raise ValueError(f"ball dimension {ball.dim} does not match function dimension {f.dim}")
+    _check_query(f, ball, spec, q)
     if spec.method != "monte_carlo":
         raise QuadratureError(
             f"pair_oscillation is a Monte Carlo rule; got method {spec.method!r}")
@@ -278,15 +288,7 @@ def pair_oscillation(f: TestFunction, ball: BallSample, q: float,
         f.eval(_point_major(c + ball.radius * ux)), dtype=float))
     vy = require_finite(np.asarray(
         f.eval(_point_major(c + ball.radius * uy)), dtype=float))
-    z = np.abs(vx - vy) ** q
-    m_q = float(np.mean(z))
-    se_m = float(np.std(z, ddof=1) / np.sqrt(n))
-    if q == 1.0:
-        return EstimatedValue(m_q, se_m)
-    if m_q <= 0.0:
-        return EstimatedValue(0.0, 0.0)
-    return EstimatedValue(m_q ** (1.0 / q),
-                          (1.0 / q) * m_q ** (1.0 / q - 1.0) * se_m)
+    return _power_mean(np.abs(vx - vy) ** q, q, 0.0)
 
 
 def flat_balls(f: TestFunction, centers, radii) -> np.ndarray:
@@ -313,10 +315,7 @@ def maximal_gradient(f: TestFunction, ball: BallSample,
     if f.grad is None:
         raise UnsupportedFunctionError(
             f"{f.function_id} has no gradient; maximal averages are undefined")
-    if ball.dim != f.dim:
-        raise ValueError(f"ball dimension {ball.dim} does not match function dimension {f.dim}")
-    if spec.method == "gauss_1d" and f.dim != 1:
-        raise QuadratureError("gauss_1d applies to dimension one only")
+    _check_query(f, ball, spec)
     a, r = ball.center, ball.radius
     if f.flat_radius is not None and flat_balls(f, a, np.array([r]))[0]:
         return 0.0

@@ -19,6 +19,7 @@ Gauss rule, and importing osclab or running a curve does not load scipy.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -438,8 +439,7 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
         a = local.uniform(-1.3 * scale, 1.3 * scale, size=d)
         r = float(np.exp(local.uniform(np.log(5e-3 * scale),
                                        np.log(5.0 * scale))))
-        sub = spec if spec.method == "gauss_1d" else QuadratureSpec(
-            method=spec.method, node_count=spec.node_count, seed=spec.seed + i)
+        sub = dataclasses.replace(spec, seed=spec.seed + i)
         # the oscillation draws the outer node set first, and the gradient
         # average reuses it from oscillation's node memo
         ball = BallSample(a, r)
@@ -745,63 +745,53 @@ def run_all(seed: int = DEFAULT_SEED, fault: Optional[FaultSpec] = None,
             n_samples: int = DEFAULT_SAMPLES) -> list:
     """Every suite over the default catalog matrix.
 
-    Suites run independently; an exception in one is captured in its report
-    and never aborts the battery.  Returns the list of reports (use
-    battery_passed / battery_to_dict for aggregation).
+    A budget the battery cannot run, node_count < 2 or n_samples < 1,
+    raises ValueError before any suite runs.  Suites run independently; an
+    exception in one is captured in its report and never aborts the
+    battery.  Returns the list of reports (use battery_passed /
+    battery_to_dict for aggregation).
     """
+    if node_count < 2:
+        raise ValueError(f"node_count must be at least 2, got {node_count}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     plateau = {d: make_plateau_bump(d, 1.0, 0.5, 1.0) for d in (1, 2, 3)}
     linear = {d: make_linear(d, [1.0] + [0.5] * (d - 1)) for d in (1, 2)}
     indicator = [f for f in default_catalog()
                  if f.smoothness_tag == "indicator"][0]
+    zero = make_linear(1, [0.0])
 
-    jobs = []
-    for d in (1, 2):
-        for f in (plateau[d], linear[d]):
-            jobs.append((f"local_expansion[{f.function_id}]",
-                         lambda f=f, d=d: check_local_expansion(
-                             f, n_samples, 0.05,
-                             default_spec(f.dim, seed, node_count),
-                             fault=fault)))
-    moll_targets = [linear[1], plateau[1], indicator]
-    for t in (0.05, 0.2):
-        for f in moll_targets:
-            jobs.append((f"mollification[{f.function_id};t={t!r}]",
-                         lambda f=f, t=t: check_mollification(
-                             f, Mollifier(t), max(n_samples // 3, 8),
-                             default_spec(f.dim, seed, node_count))))
+    def spec(f: TestFunction) -> QuadratureSpec:
+        return default_spec(f.dim, seed, node_count)
+
+    moll_samples = max(n_samples // 3, 8)
+    half_samples = max(n_samples // 2, 10)
+    jobs = [(f"local_expansion[{f.function_id}]", check_local_expansion,
+             (f, n_samples, 0.05, spec(f), fault))
+            for d in (1, 2) for f in (plateau[d], linear[d])]
+    jobs += [(f"mollification[{f.function_id};t={t!r}]", check_mollification,
+              (f, Mollifier(t), moll_samples, spec(f)))
+             for t in (0.05, 0.2) for f in (linear[1], plateau[1], indicator)]
     jobs.append((f"mollification[{indicator.function_id};t=0.1]",
-                 lambda: check_mollification(
-                     indicator, Mollifier(0.1), max(n_samples // 3, 8),
-                     default_spec(indicator.dim, seed, node_count))))
-    for d in (1, 2):
-        f = plateau[d]
-        jobs.append((f"maximal_domination[{f.function_id}]",
-                     lambda f=f: check_maximal_domination(
-                         f, max(n_samples // 2, 10),
-                         default_spec(f.dim, seed, node_count), fault=fault)))
-    jobs.append(("maximal_domination[zero]",
-                 lambda: check_maximal_domination(
-                     make_linear(1, [0.0]), 8,
-                     default_spec(1, seed, node_count), fault=fault)))
-    jobs.append(("bv_divergence", lambda: check_bv_divergence(
-        1.0, (1e-1, 1e-2, 1e-3, 1e-4),
-        Domain(box=((-2.0, 2.0),), r_max=10.0, r_min=1e-3),
-        spec=default_spec(1, seed, node_count))))
-    for d in (1, 2, 3):
-        f = plateau[d]
-        jobs.append((f"tail_bounds[{f.function_id}]",
-                     lambda f=f: check_tail_bounds(
-                         f, max(n_samples // 2, 10),
-                         default_spec(f.dim, seed, node_count))))
-    jobs.append((f"tail_bounds[{indicator.function_id}]",
-                 lambda: check_tail_bounds(
-                     indicator, max(n_samples // 2, 10),
-                     default_spec(indicator.dim, seed, node_count))))
+                 check_mollification,
+                 (indicator, Mollifier(0.1), moll_samples, spec(indicator))))
+    jobs += [(f"maximal_domination[{f.function_id}]", check_maximal_domination,
+              (f, half_samples, spec(f), fault))
+             for f in (plateau[1], plateau[2])]
+    jobs.append(("maximal_domination[zero]", check_maximal_domination,
+                 (zero, 8, spec(zero), fault)))
+    jobs.append(("bv_divergence", check_bv_divergence,
+                 (1.0, (1e-1, 1e-2, 1e-3, 1e-4),
+                  Domain(box=((-2.0, 2.0),), r_max=10.0, r_min=1e-3),
+                  spec(indicator))))
+    jobs += [(f"tail_bounds[{f.function_id}]", check_tail_bounds,
+              (f, half_samples, spec(f)))
+             for f in (plateau[1], plateau[2], plateau[3], indicator)]
 
     reports = []
-    for name, job in jobs:
+    for name, suite, args in jobs:
         try:
-            reports.append(job())
+            reports.append(suite(*args))
         except Exception as exc:  # noqa: BLE001 - collect, never abort
             reports.append(VerificationReport(
                 suite_name=name, cases=(),

@@ -105,10 +105,16 @@ def c_d_prime(d: int) -> float:
                     - math.lgamma((d + 3) / 2.0)) / math.sqrt(math.pi)
 
 
-def c_dp(d: int, p: float) -> float:
-    """Limit constant for the scaled superlevel measure: c'_d^p / p."""
+def _check_p(p: float) -> None:
+    """Refuse a weight exponent outside [1, inf): the theorem is for
+    1 < p < inf, and p = 1 is the jump's divergent case."""
     if not (np.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be a real number >= 1, got {p}")
+
+
+def c_dp(d: int, p: float) -> float:
+    """Limit constant for the scaled superlevel measure: c'_d^p / p."""
+    _check_p(p)
     return c_d_prime(d) ** p / p
 
 
@@ -127,8 +133,7 @@ def interval_weight(r_lo, r_hi, p: float):
     r_hi may be None or inf for the full tail above r_lo.  Vectorized over
     array inputs.
     """
-    if not (np.isfinite(p) and p >= 1.0):
-        raise ValueError(f"p must be a real number >= 1, got {p}")
+    _check_p(p)
     lo = np.asarray(r_lo, dtype=float)
     if np.any(lo <= 0):
         raise ValueError("interval weight requires a positive lower radius")
@@ -658,8 +663,7 @@ def _r_tail_bound(f: TestFunction, kappa: float, p: float,
     return domain.volume * float(interval_weight(domain.r_max, r_top, p))
 
 
-def _curve_chunk(f, centers, global_start, kappas, p, domain, spec,
-                 grid, iters):
+def _curve_chunk(f, centers, global_start, kappas, p, spec, grid, iters):
     eng = _make_engine(f, centers, spec, global_start)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas.min())))
     k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
@@ -686,8 +690,8 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
 
     def run(job):
         chunk_centers, start = job
-        return _curve_chunk(f, chunk_centers, start, kappas, p, domain,
-                            spec, grid, iters)
+        return _curve_chunk(f, chunk_centers, start, kappas, p, spec, grid,
+                            iters)
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
@@ -730,8 +734,10 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
     threshold (common random numbers), so the returned curve is monotone in
     kappa up to bisection tolerance.  Work is split into fixed-size chunks
     whose results are combined in order; threads changes wall time only,
-    never the values.
+    never the values.  p must be a finite real >= 1 (ValueError otherwise),
+    and it is checked before any scan.
     """
+    _check_p(p)
     if domain.dim != f.dim:
         raise ValueError(f"domain dimension {domain.dim} does not match function dimension {f.dim}")
     kappas = np.asarray(kappa_grid, dtype=float)
@@ -805,6 +811,8 @@ def limit_extrapolate(curve: DistributionCurve) -> LimitEstimate:
     1.5; the winner by residual provides L.  The exponent alpha is purely
     empirical and reported, never asserted.  The estimate is not ok when a
     point's relative stderr exceeds 0.02 or the relative fit residual 0.05.
+    A curve that reads 0 with stderr 0 at every fitted threshold has the
+    exact limit 0, returned as ok without a fit.
     """
     kap = curve.kappa_grid
     mask = kap <= _FIT_SPAN * kap.min() * (1.0 + 1e-12)
@@ -815,6 +823,11 @@ def limit_extrapolate(curve: DistributionCurve) -> LimitEstimate:
     x = kap[mask]
     y = curve.scaled[mask]
     sig = curve.scaled_stderr[mask]
+    if not (y.any() or sig.any()):
+        # the weights 1 / stderr^2 below would all be infinite
+        return LimitEstimate(value=0.0, uncertainty=0.0,
+                             alpha=_FIT_ALPHAS[0], rel_residual=0.0,
+                             points_used=int(mask.sum()), ok=True)
     notes = []
     ok = True
 

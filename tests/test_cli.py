@@ -35,7 +35,7 @@ def test_catalog_lists_entries(capsys):
 
 
 def test_catalog_filter_by_dimension(capsys):
-    assert main(["catalog", "--d", "2"]) == 0
+    assert main(["catalog", "--filter", "d=2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines and all("d=2" in ln for ln in lines)
 
@@ -217,6 +217,42 @@ def test_curve_monte_carlo_default_nodes(tmp_path, d, method, nodes):
     assert payload["config"]["quadrature"] == {"method": method,
                                                "node_count": nodes}
     assert payload["summary"]["node_count"] == nodes
+
+
+def test_env_seed_is_not_read_when_the_flag_sets_one(tmp_path, monkeypatch):
+    # a malformed OSCLAB_SEED only matters when neither flag nor config
+    # gives a seed
+    monkeypatch.setenv("OSCLAB_SEED", "not-a-seed")
+    assert main(["oscillation", "--function", "linear:d=1:v=1", "--r", "1",
+                 "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "oscillation.json").read_text())
+    assert payload["config"]["seed"] == 5
+
+
+def test_curve_of_a_constant_has_limit_zero(tmp_path):
+    # every scaled point is 0 with stderr 0: the limit is 0, not NaN, and
+    # the run neither warns nor crashes on writing curve.json
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["curve", "--function", "linear:d=1:v=0",
+                     "--kappa-min", "0.001", "--kappa-max", "1",
+                     "--samples", "64", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "curve.json").read_text())["summary"]
+    assert summary["limit_estimate"] == summary["reference_value"] == 0.0
+    assert summary["limit_ok"] is True
+
+
+@pytest.mark.parametrize("extra", [
+    ["--p", "0.5"], ["--p", "nan"], ["--p", "inf"],
+    ["--omega=-1:1,-1:1"],                                    # 2 axes, d = 1
+    ["--r-max", "-1"],
+])
+def test_curve_inputs_the_library_refuses(tmp_path, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(LINEAR_CURVE_FLAGS + ["--out-dir", str(tmp_path)] + extra)
+    assert exc.value.code == 2
+    assert not (tmp_path / "curve.csv").exists()
+    assert not (tmp_path / "curve.json").exists()
 
 
 def test_missing_config_file_is_usage_error(tmp_path):

@@ -34,6 +34,7 @@ from osclab import (
     mollify_1d,
     run_all,
 )
+from osclab import verify
 
 GAUSS = QuadratureSpec(method="gauss_1d", node_count=16, seed=8)
 
@@ -63,6 +64,19 @@ def test_run_all_green():
     total = sum(len(r.cases) for r in reports)
     assert digest["inconclusive_total"] <= 0.05 * total
     json.dumps(digest)  # report must be JSON-clean
+
+
+@pytest.mark.parametrize("budget", [{"n_samples": 0}, {"node_count": 1}])
+def test_run_all_refuses_a_budget_before_any_suite(monkeypatch, budget):
+    called = []
+    for name in ("check_local_expansion", "check_mollification",
+                 "check_maximal_domination", "check_bv_divergence",
+                 "check_tail_bounds"):
+        monkeypatch.setattr(verify, name,
+                            lambda *args, name=name, **kw: called.append(name))
+    with pytest.raises(ValueError, match="at least"):
+        run_all(**budget)
+    assert called == []
 
 
 @pytest.mark.parametrize("fault,expect_suite", [

@@ -3,6 +3,7 @@ transform laws, the jump-function divergence evaluator, and machinery."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1022,6 +1023,19 @@ def test_distribution_curve_needs_two_samples(samples):
                            samples=samples)
 
 
+@pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+def test_distribution_curve_refuses_p_before_any_scan(monkeypatch, p):
+    def no_engine(*args):
+        raise AssertionError("an engine was built for a refused p")
+
+    monkeypatch.setattr(weaknorm, "_make_engine", no_engine)
+    f = make_linear(1, [1.0])
+    dom = Domain(box=((-0.5, 0.5),), r_max=50.0, r_min=1e-4)
+    with pytest.raises(ValueError, match="p must be"):
+        distribution_curve(f, p, np.geomspace(0.02, 2e-5, 13), dom, GAUSS,
+                           samples=8)
+
+
 # ---------------------------------------------------------------------------
 # weak sup and limit extrapolation
 # ---------------------------------------------------------------------------
@@ -1058,6 +1072,17 @@ def test_limit_extrapolate_flags_noise():
     lim = limit_extrapolate(cur)
     assert not lim.ok
     assert lim.notes
+
+
+def test_limit_extrapolate_of_a_zero_curve_is_zero():
+    # stderr 0 everywhere once made every fit weight infinite and the
+    # level NaN, reported as ok
+    cur = _synthetic_curve(0.0, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lim = limit_extrapolate(cur)
+    assert (lim.value, lim.uncertainty, lim.ok) == (0.0, 0.0, True)
+    assert math.isfinite(lim.alpha) and math.isfinite(lim.rel_residual)
 
 
 def test_weak_sup_at_least_limit_for_plateau():

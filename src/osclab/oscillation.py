@@ -48,8 +48,9 @@ import numpy as np
 from .catalog import TestFunction, coordinate_dot
 from .quadrature import (KEY_INNER, KEY_OUTER, KEY_PAIR, BallSample,
                          EstimatedValue, QuadratureError, QuadratureSpec,
-                         require_finite, segment_edges, segment_integrals,
-                         segment_mean, stream, unit_ball_nodes)
+                         require_finite, require_method_dimension,
+                         segment_edges, segment_integrals, segment_mean,
+                         stream, unit_ball_nodes)
 
 # relative slack of flat_balls against the rounding of a + r u, of |x| and
 # of f itself, which are a few ulps of the coordinates and values
@@ -140,8 +141,7 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
     piecewise-polynomial f of degree <= 2*mu_nodes - 1 per segment when q
     is 1, 2, or 3.
     """
-    if f.dim != 1:
-        raise QuadratureError("exact oscillation route applies to dimension one")
+    require_method_dimension("gauss_1d", f.dim)
     fev = f.eval_1d
     a = np.asarray(a, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -216,8 +216,7 @@ def _check_query(f: TestFunction, ball: BallSample, spec: QuadratureSpec,
         raise ValueError(f"q must be a real number >= 1, got {q}")
     if ball.dim != f.dim:
         raise ValueError(f"ball dimension {ball.dim} does not match function dimension {f.dim}")
-    if spec.method == "gauss_1d" and f.dim != 1:
-        raise QuadratureError("gauss_1d applies to dimension one only")
+    require_method_dimension(spec.method, f.dim)
 
 
 def _power_mean(y: np.ndarray, q: float, se_extra: float) -> EstimatedValue:

@@ -70,6 +70,13 @@ def require_finite(values, what: str = "integrand"):
     return values
 
 
+def require_method_dimension(method: str, dim: int) -> None:
+    """Refuse the gauss_1d rule off dimension one: QuadratureError."""
+    if method == "gauss_1d" and dim != 1:
+        raise QuadratureError(
+            f"gauss_1d applies to dimension one only, got dimension {dim}")
+
+
 @dataclass(frozen=True)
 class BallSample:
     """A Euclidean ball, the basic averaging region.

@@ -4,10 +4,11 @@ The reference measure on R^d x (0, infinity) is da x dr / r^(p+1).  For a
 threshold kappa > 0 the object of interest is the measure of the superlevel
 set {(a, r): m_f(a, r) > kappa}, restricted to a box window in the center
 variable and to radii at most r_max.  The radius section at fixed center is
-resolved deterministically.  A geometric scan brackets every sign change of
-m_f(a, .) - kappa, and each run of scanned radii above kappa is one
-interval, however many runs a row holds (nothing in the theory bounds
-their number).  A bracketed inverse quadratic interpolation (Chandrupatla's
+resolved deterministically.  A geometric scan at ratio 1.25 brackets every
+sign change of m_f(a, .) - kappa between neighbouring scanned radii (an
+interval narrower than one scan step can fall between two of them), and
+each run of scanned radii above kappa is one interval, however many runs
+a row holds (nothing in the theory bounds their number).  A bracketed inverse quadratic interpolation (Chandrupatla's
 method) started from the scanned end values shrinks each bracket, and a
 replay of the bisection path on it picks the crossing (the bisection
 result at a fraction of its evaluations: about 4.5 per bracket on the
@@ -63,8 +64,8 @@ from .catalog import TestFunction, grad_norm_p, unit_ball_volume
 from .oscillation import (SKIP_MARGIN, exact_oscillation_1d, flat_balls,
                           mc_deviations)
 from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS,
-                         QuadratureError, QuadratureSpec, require_finite,
-                         stream, unit_ball_nodes)
+                         QuadratureSpec, require_finite,
+                         require_method_dimension, stream, unit_ball_nodes)
 
 _CHUNK = 256
 # f evaluation points per Monte Carlo kernel call in _McScan's blocks
@@ -73,12 +74,13 @@ BLOCK_POINTS = 2 ** 15
 # merged always reads 0, since every interval is resolved; the key stays in
 # the byte-stable outputs until their schema changes
 _COUNTER_KEYS = ("below_floor", "open_at_r_max", "merged")
-# scan ratio and crossing tolerance of the curve estimators
+# the scan ratio of the radius grid and the bisection steps that bring a
+# crossing to relative tolerance 1e-6 inside one scan cell (18): every
+# radius section is resolved on this grid, by _resolve_sections
 _SCAN_RATIO = 1.25
-_REL_TOL = 1e-6
-# the finer scan of superlevel_radius_set, the default window's margin and
-# the default threshold grid's span in decades
-_SECTION_SCAN_RATIO = 1.02
+_BISECT_ITERS = math.ceil(math.log2(math.log(_SCAN_RATIO) / 1e-6))
+# the default window's margin and the default threshold grid's span in
+# decades
 _DOMAIN_MARGIN = 0.25
 _KAPPA_DECADES = 4.0
 # limit_extrapolate's fit window, exponents and ok bounds
@@ -230,7 +232,12 @@ def sample_centers(domain: Domain, count: int, seed: int):
     rng = stream(seed, KEY_CENTERS)
     lo = np.array([s[0] for s in domain.box])
     hi = np.array([s[1] for s in domain.box])
-    k = max(1, int((count / 16) ** (1.0 / d)))
+    # the largest k with 16 k^d <= count; the float root only seeds it,
+    # since it can land below an exact root (64 ** (1/3) < 4)
+    k = round((count / 16) ** (1.0 / d))
+    if 16 * k ** d > count:
+        k -= 1
+    k = max(k, 1)
     base = k ** d
     per, extra = divmod(count, base)
     counts = np.full(base, per, dtype=np.intp)
@@ -246,21 +253,6 @@ def sample_centers(domain: Domain, count: int, seed: int):
 # radius-section location: scan, runs, crossings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadiusInterval:
-    """One connected piece of the radius section, with honesty flags.
-
-    flags may contain "below_scan_floor" (already above threshold at the
-    smallest scanned radius; r_lo comes from a certified analytic bracket
-    whose half-width is endpoint_uncertainty) and "open_at_r_max" (still
-    above threshold at r_max, where the interval is truncated).
-    """
-    r_lo: float
-    r_hi: float
-    flags: tuple = ()
-    endpoint_uncertainty: float = 0.0
-
-
 def _certified_floor(f: TestFunction, kappa: float) -> Optional[float]:
     """A radius certified to sit below every crossing of the threshold."""
     d = f.dim
@@ -273,16 +265,17 @@ def _certified_floor(f: TestFunction, kappa: float) -> Optional[float]:
     return None
 
 
-def _scan_grid(f: TestFunction, domain: Domain, kappa_min: float,
-               ratio: float) -> np.ndarray:
-    if not 1.0 < ratio <= 1.3:
-        raise ValueError("scan ratio must lie in (1, 1.3]")
+def _scan_grid(f: TestFunction, domain: Domain,
+               kappa_min: float) -> np.ndarray:
+    """Geometric radius grid at ratio _SCAN_RATIO from min(r_min, certified
+    floor of kappa_min) up to r_max, with at least 3 radii."""
     start = domain.r_min
     floor = _certified_floor(f, kappa_min)
     if floor is not None:
         start = min(start, floor)
-    start = min(start, domain.r_max / ratio ** 2)
-    n = int(math.ceil(math.log(domain.r_max / start) / math.log(ratio))) + 1
+    start = min(start, domain.r_max / _SCAN_RATIO ** 2)
+    n = int(math.ceil(math.log(domain.r_max / start)
+                      / math.log(_SCAN_RATIO))) + 1
     return np.geomspace(start, domain.r_max, max(n, 3))
 
 
@@ -494,15 +487,13 @@ class _Engine:
     otherwise count as below every threshold.
     """
 
-    def scan(self, grid: np.ndarray, skip=None) -> np.ndarray:
+    def scan(self, grid: np.ndarray, skip: np.ndarray) -> np.ndarray:
         """m at every (row, grid radius) cell, shape (C, J).
 
-        Cells where skip is True are not evaluated and read 0; the others
-        go to m_at as one gather of (row, radius) pairs, so each value is
-        the one m_at returns for that pair.
+        Cells where the (C, J) mask skip is True are not evaluated and read
+        0; the others go to m_at as one gather of (row, radius) pairs, so
+        each value is the one m_at returns for that pair.
         """
-        if skip is None:
-            skip = np.zeros((self.centers.shape[0], grid.size), dtype=bool)
         rows, cols = np.nonzero(~skip)
         out = np.zeros(skip.shape)
         out[rows, cols] = self.m_at(rows, grid[cols])
@@ -567,52 +558,8 @@ class _McScan(_Engine):
 
 def _make_engine(f, centers, spec, global_start):
     if spec.method == "gauss_1d":
-        if f.dim != 1:
-            raise QuadratureError("gauss_1d applies to dimension one only")
         return _Exact1D(f, centers, spec.node_count)
     return _McScan(f, centers, spec.seed, spec.node_count, global_start)
-
-
-def _bisect_iters(ratio: float, rel_tol: float) -> int:
-    width = math.log(ratio)
-    return max(4, int(math.ceil(math.log2(width / rel_tol))))
-
-
-def superlevel_radius_set(f: TestFunction, a, kappa: float, domain: Domain,
-                          spec: QuadratureSpec) -> list:
-    """Connected radius intervals where m_f(a, .) exceeds kappa.
-
-    Geometric scan at ratio 1.02 from min(domain.r_min, certified floor) up
-    to domain.r_max, then refinement of each bracketed crossing to relative
-    tolerance 1e-6 (see _bisect_crossings).  Honest about its blind spots
-    via the RadiusInterval flags; see that class.
-    """
-    if not (np.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.shape != (f.dim,):
-        raise ValueError(f"center must have shape ({f.dim},)")
-    if domain.dim != f.dim:
-        raise ValueError("domain dimension mismatch")
-    grid = _scan_grid(f, domain, kappa, _SECTION_SCAN_RATIO)
-    centers = a[None, :]
-    eng = _make_engine(f, centers, spec, 0)
-    scan = eng.scan(grid, _skip_mask(f, centers, grid, kappa))
-    iters = _bisect_iters(_SECTION_SCAN_RATIO, _REL_TOL)
-    _, _, lo, hi, _, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, np.array([kappa]), iters, f, centers, p=1.0)
-    out = []
-    for i in range(lo.size):
-        flags = []
-        err = _REL_TOL * hi[i]
-        if below_floor[i]:
-            flags.append("below_scan_floor")
-            err = max(err, 0.5 * grid[0])
-        if at_r_max[i]:
-            flags.append("open_at_r_max")
-        out.append(RadiusInterval(float(lo[i]), float(hi[i]),
-                                  tuple(flags), float(err)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +610,11 @@ def _r_tail_bound(f: TestFunction, kappa: float, p: float,
     return domain.volume * float(interval_weight(domain.r_max, r_top, p))
 
 
-def _curve_chunk(f, centers, global_start, kappas, p, spec, grid, iters):
+def _curve_chunk(f, centers, global_start, kappas, p, spec, grid):
     eng = _make_engine(f, centers, spec, global_start)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas.min())))
     k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, kappas, iters, f, centers, p)
+        eng.m_at, scan, grid, kappas, _BISECT_ITERS, f, centers, p)
     # each (threshold, row) cell adds its intervals in radius order
     shape = (kappas.size, centers.shape[0])
     w = np.zeros(shape)
@@ -681,17 +628,15 @@ def _curve_chunk(f, centers, global_start, kappas, p, spec, grid, iters):
 
 def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
                   domain: Domain, spec: QuadratureSpec, samples: int,
-                  threads: int, scan_ratio: float) -> DistributionCurve:
+                  threads: int) -> DistributionCurve:
     centers, strata, n_strata = sample_centers(domain, samples, spec.seed)
-    grid = _scan_grid(f, domain, float(kappas[-1]), scan_ratio)
-    iters = _bisect_iters(scan_ratio, _REL_TOL)
+    grid = _scan_grid(f, domain, float(kappas[-1]))
 
     jobs = [(centers[s:s + _CHUNK], s) for s in range(0, samples, _CHUNK)]
 
     def run(job):
         chunk_centers, start = job
-        return _curve_chunk(f, chunk_centers, start, kappas, p, spec, grid,
-                            iters)
+        return _curve_chunk(f, chunk_centers, start, kappas, p, spec, grid)
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
@@ -735,11 +680,13 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
     kappa up to bisection tolerance.  Work is split into fixed-size chunks
     whose results are combined in order; threads changes wall time only,
     never the values.  p must be a finite real >= 1 (ValueError otherwise),
-    and it is checked before any scan.
+    and a gauss_1d spec needs dimension one (QuadratureError otherwise);
+    both are checked before any scan.
     """
     _check_p(p)
     if domain.dim != f.dim:
         raise ValueError(f"domain dimension {domain.dim} does not match function dimension {f.dim}")
+    require_method_dimension(spec.method, f.dim)
     kappas = np.asarray(kappa_grid, dtype=float)
     if kappas.ndim != 1 or kappas.size < 8:
         raise ValueError("threshold grid needs at least 8 points")
@@ -753,8 +700,7 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
         raise ValueError("need at least 2 center samples for a standard error")
     if threads < 1:
         raise ValueError(f"need at least 1 worker thread, got {threads}")
-    return _curve_engine(f, float(p), kappas, domain, spec, samples,
-                         threads, _SCAN_RATIO)
+    return _curve_engine(f, float(p), kappas, domain, spec, samples, threads)
 
 
 @dataclass(frozen=True)

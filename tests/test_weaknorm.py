@@ -4,6 +4,7 @@ transform laws, the jump-function divergence evaluator, and machinery."""
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,14 +32,16 @@ from osclab import (
     make_ball_indicator,
     make_linear,
     make_plateau_bump,
+    maximal_gradient,
     mean_oscillation,
+    q_oscillation,
     reference_scaled_limit,
     scale_values,
     curve_summary,
     dilate,
     translate,
     default_catalog,
-    superlevel_radius_set,
+    parse_function_id,
     weak_sup,
     write_curve_csv,
 )
@@ -49,7 +52,6 @@ from osclab.weaknorm import (
     DistributionCurve,
     _below_floor_bracket,
     _bisect_crossings,
-    _bisect_iters,
     _make_engine,
     _McScan,
     _resolve_sections,
@@ -185,15 +187,58 @@ def test_sample_centers_one_cell_is_plain_uniform(d):
         assert pts.tobytes() == (lo + u * (hi - lo)).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sample_centers_splits_into_the_integer_root_of_cells(d):
+    # k is the largest integer with 16 k^d <= count, also when count / 16
+    # is an exact d-th power, where a float root can fall short of it
+    # (64 ** (1/3) < 4)
+    dom = Domain(box=((-1.0, 3.0), (0.0, 2.0), (-1.0, 1.0))[:d], r_max=5.0,
+                 r_min=1e-3)
+    for m in range(2, 9):
+        for count, k in ((16 * m ** d, m), (16 * m ** d - 1, m - 1)):
+            _, sid, n_strata = sample_centers(dom, count, seed=5)
+            assert n_strata == k ** d, (count, n_strata)
+            assert sid[-1] == n_strata - 1
+
+
 # ---------------------------------------------------------------------------
 # superlevel radius sections
 # ---------------------------------------------------------------------------
+
+def _section(f, a, kappa, dom, spec, grid=None):
+    """The radius intervals where m_f(a, .) > kappa, resolved as the curve
+    resolves them: one centre's engine scanned on grid (by default the
+    curve's own _scan_grid), then _resolve_sections.  An interval's flags
+    may hold "below_scan_floor" and "open_at_r_max"; its
+    endpoint_uncertainty is the crossing tolerance 1e-6 * r_hi, or half the
+    first scanned radius for a lower end below the scan."""
+    centers = np.atleast_1d(np.asarray(a, dtype=float))[None, :]
+    if grid is None:
+        grid = _scan_grid(f, dom, kappa)
+    eng = _make_engine(f, centers, spec, 0)
+    scan = eng.scan(grid, _skip_mask(f, centers, grid, kappa))
+    _, _, lo, hi, _, below_floor, at_r_max = _resolve_sections(
+        eng.m_at, scan, grid, np.array([kappa]), weaknorm._BISECT_ITERS, f,
+        centers, 1.0)
+    out = []
+    for i in range(lo.size):
+        flags = ()
+        err = 1e-6 * hi[i]
+        if below_floor[i]:
+            flags += ("below_scan_floor",)
+            err = max(err, 0.5 * grid[0])
+        if at_r_max[i]:
+            flags += ("open_at_r_max",)
+        out.append(SimpleNamespace(r_lo=lo[i], r_hi=hi[i], flags=flags,
+                                   endpoint_uncertainty=err))
+    return out
+
 
 def test_linear_section_single_interval():
     # v.x exceeds threshold kappa on radii above 2 kappa / |v|, up to r_max
     f = make_linear(1, [1.0])
     dom = Domain(box=((-1.0, 1.0),), r_max=50.0, r_min=1e-4)
-    ivs = superlevel_radius_set(f, np.array([0.3]), 0.1, dom, GAUSS)
+    ivs = _section(f, np.array([0.3]), 0.1, dom, GAUSS)
     assert len(ivs) == 1
     iv = ivs[0]
     assert abs(iv.r_lo - 0.2) <= 2e-6 * 0.2
@@ -209,7 +254,7 @@ def test_indicator_section_matches_closed_form():
     dom = Domain(box=((-1.0, 1.0),), r_max=30.0, r_min=1e-5)
     for a, k in [(0.3, 0.1), (0.45, 0.2), (0.62, 0.05), (0.0, 0.3)]:
         want = indicator_section_1d(a, k, 0.5)
-        got = superlevel_radius_set(f, np.array([a]), k, dom, GAUSS)
+        got = _section(f, np.array([a]), k, dom, GAUSS)
         assert want is not None and len(got) == 1, (a, k, got, want)
         lo, hi = want
         iv = got[0]
@@ -231,7 +276,7 @@ def test_below_floor_crossing_is_bracketed():
     k = 0.1
     s = math.sqrt(1 - 2 * k)
     true_lo = 0.1 / s
-    ivs = superlevel_radius_set(f, np.array([0.4]), k, dom, GAUSS)
+    ivs = _section(f, np.array([0.4]), k, dom, GAUSS)
     assert len(ivs) == 1
     iv = ivs[0]
     assert "below_scan_floor" in iv.flags
@@ -260,7 +305,7 @@ def test_below_floor_bracket_reaches_the_sphere(case):
     spec = QuadratureSpec(method="monte_carlo", node_count=512, seed=7)
     assert mean_oscillation(f, BallSample(a, 2.0 * t), spec).value > kappa
     dom = Domain(box=((-1.0, 1.0),) * f.dim, r_max=5.0, r_min=5e-5)
-    ivs = superlevel_radius_set(f, a, kappa, dom, spec)
+    ivs = _section(f, a, kappa, dom, spec)
     iv = ivs[0]
     assert "below_scan_floor" in iv.flags
     assert iv.r_lo - iv.endpoint_uncertainty <= t
@@ -645,21 +690,17 @@ def _cosine():
 def test_every_interval_of_a_many_interval_row_is_resolved():
     # m_f(a, .) of a cosine oscillates about 2 / pi with decaying
     # amplitude, so kappa just below it cuts the radius section into many
-    # intervals; the section lists every one, each really above kappa and
-    # separated by radii below it, and the curve weight of each center is
-    # the sum of their closed-form weights
+    # intervals; on a scan of ratio 1.02 the section lists every one, each
+    # really above kappa and separated by radii below it
     f = _cosine()
     dom = Domain(box=((-0.5, 0.5),), r_max=3.0, r_min=1e-3)
     kappa = 0.63
-    samples = 16
-    cur = weaknorm._curve_engine(f, 1.0, np.geomspace(kappa, kappa * 1e-3, 8),
-                                 dom, GAUSS, samples, 1,
-                                 weaknorm._SECTION_SCAN_RATIO)
-    centers, _, _ = sample_centers(dom, samples, GAUSS.seed)
-    weights = []
+    n = math.ceil(math.log(dom.r_max / dom.r_min) / math.log(1.02)) + 1
+    grid = np.geomspace(dom.r_min, dom.r_max, n)
+    centers, _, _ = sample_centers(dom, 16, GAUSS.seed)
     most = 0
     for a in centers:
-        ivs = superlevel_radius_set(f, a, kappa, dom, GAUSS)
+        ivs = _section(f, a, kappa, dom, GAUSS, grid)
         most = max(most, len(ivs))
         lo = np.array([iv.r_lo for iv in ivs])
         hi = np.array([iv.r_hi for iv in ivs])
@@ -670,9 +711,22 @@ def test_every_interval_of_a_many_interval_row_is_resolved():
                                           mu_nodes=8)
         assert np.all(inside > kappa) and np.all(between < kappa)
         assert np.all(hi[:-1] < lo[1:])
-        weights.append(sum(float(interval_weight(iv.r_lo, iv.r_hi, 1.0))
-                           for iv in ivs))
     assert most >= 5
+
+
+def test_curve_weight_of_a_many_interval_row_is_the_sum_of_its_sections():
+    # the curve weight of each center is the sum of the closed-form
+    # weights of the intervals its section lists on the curve's own grid
+    f = _cosine()
+    dom = Domain(box=((-0.5, 0.5),), r_max=3.0, r_min=1e-3)
+    kappa = 0.63
+    samples = 16
+    cur = weaknorm._curve_engine(f, 1.0, np.geomspace(kappa, kappa * 1e-3, 8),
+                                 dom, GAUSS, samples, 1)
+    centers, _, _ = sample_centers(dom, samples, GAUSS.seed)
+    weights = [sum(float(interval_weight(iv.r_lo, iv.r_hi, 1.0))
+                   for iv in _section(f, a, kappa, dom, GAUSS))
+               for a in centers]
     assert cur.nu[0] == dom.volume * np.mean(weights)
     assert cur.counters["merged"] == 0
 
@@ -766,7 +820,7 @@ def test_mc_scan_columns_equal_single_radius_calls():
         12, seed=5)
     eng = _McScan(f, centers, seed=5, node_count=64, global_start=40)
     grid = np.geomspace(1e-2, 5.0, 7)
-    scan = eng.scan(grid)
+    scan = eng.scan(grid, _no_skip(f, centers, grid, 0.0))
     rows = np.arange(centers.shape[0])
     for j, r in enumerate(grid):
         np.testing.assert_array_equal(scan[:, j],
@@ -814,9 +868,8 @@ def test_crossing_search_calls_do_not_grow_with_thresholds(monkeypatch,
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
     grid = np.geomspace(0.4, 4e-4, count)
     distribution_curve(f, 2.0, grid, default_domain(f), GAUSS, samples=256)
-    iters = _bisect_iters(weaknorm._SCAN_RATIO, weaknorm._REL_TOL)
     assert len(engines) == 1
-    assert 0 < engines[0].m_at.calls <= 2 * iters + 1
+    assert 0 < engines[0].m_at.calls <= 2 * weaknorm._BISECT_ITERS + 1
 
 
 def test_crossing_search_evaluations_per_bracket_on_a_curve(monkeypatch):
@@ -884,13 +937,13 @@ def test_thresholds_are_solved_independently(d):
     spec = (GAUSS if d == 1 else
             QuadratureSpec(method="monte_carlo", node_count=64, seed=3))
     grid = np.geomspace(0.4, 4e-4, 9)
-    scan = _scan_grid(f, dom, grid[-1], weaknorm._SCAN_RATIO)
+    scan = _scan_grid(f, dom, grid[-1])
     cur = distribution_curve(f, 2.0, grid, dom, spec, samples=64)
     for i, kappa in enumerate(grid):
         np.testing.assert_array_equal(
-            _scan_grid(f, dom, kappa, weaknorm._SCAN_RATIO), scan)
+            _scan_grid(f, dom, kappa), scan)
         one = weaknorm._curve_engine(f, 2.0, np.array([kappa]), dom, spec,
-                                     64, 1, weaknorm._SCAN_RATIO)
+                                     64, 1)
         assert (one.nu[0], one.nu_stderr[0]) == (cur.nu[i], cur.nu_stderr[i])
 
 
@@ -928,7 +981,7 @@ def test_skipped_cells_are_below_kappa_min(f, method):
     # |f| to an ulp or two at any radius
     dom, kappa_min = _skip_setup(f)
     centers, _, _ = sample_centers(dom, 96, seed=8)
-    grid = _scan_grid(f, dom, kappa_min, weaknorm._SCAN_RATIO)
+    grid = _scan_grid(f, dom, kappa_min)
     skip = _skip_mask(f, centers, grid, kappa_min)
     assert skip.any() and not skip.all()
     spec = QuadratureSpec(method=method, node_count=64, seed=8)
@@ -1034,6 +1087,34 @@ def test_distribution_curve_refuses_p_before_any_scan(monkeypatch, p):
     with pytest.raises(ValueError, match="p must be"):
         distribution_curve(f, p, np.geomspace(0.02, 2e-5, 13), dom, GAUSS,
                            samples=8)
+
+
+GAUSS_OFF_D1 = {
+    "q_oscillation": lambda f, spec: q_oscillation(
+        f, BallSample(np.zeros(2), 0.5), 2.0, spec),
+    "maximal_gradient": lambda f, spec: maximal_gradient(
+        f, BallSample(np.zeros(2), 0.5), spec),
+    "exact_oscillation_1d": lambda f, spec: exact_oscillation_1d(
+        f, 0.0, 0.5, mu_nodes=spec.node_count),
+    "distribution_curve": lambda f, spec: distribution_curve(
+        f, 2.0, default_kappa_grid(f), default_domain(f), spec, samples=8),
+}
+
+
+@pytest.mark.parametrize("call", sorted(GAUSS_OFF_D1))
+def test_gauss_rule_off_dimension_one_is_refused_with_one_message(
+        monkeypatch, call):
+    # every route that reads a gauss_1d spec refuses it in d = 2 with the
+    # same message, and the curve does so before it builds an engine
+    def no_engine(*args):
+        raise AssertionError("an engine was built for a refused spec")
+
+    monkeypatch.setattr(weaknorm, "_make_engine", no_engine)
+    f = parse_function_id("plateau:d=2:a=1:ri=0.5:ro=1")
+    with pytest.raises(QuadratureError,
+                       match="^gauss_1d applies to dimension one only, "
+                             "got dimension 2$"):
+        GAUSS_OFF_D1[call](f, GAUSS)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ from the echo: outputs are byte-identical across ``--threads`` values and
 across repeated runs with the same configuration.
 
 The front end checks only what no library function checks: a missing
-``--function`` or ``--r``, ``curve --q`` other than 1, kappa bounds that
-must come together with 0 < min < max < inf, and the parsing of flags,
-config and environment.  Every other input (p, ball, window, node and
-sample counts) goes to the library, which raises ValueError on a value it
-cannot use; that is reported as a usage error and nothing is written.
+``--function`` or ``--r``, kappa bounds that must come together, and the
+parsing of flags, config and environment.  Every other input (p, ball,
+window, threshold grid, node and sample counts) goes to the library, which
+raises ValueError on a value it cannot use; that is reported as a usage
+error and nothing is written.
 
 Exit codes: 0 success, 1 verification failure (``verify`` with at least
 one failing suite), 2 usage or configuration errors.
@@ -40,7 +40,6 @@ import argparse
 import configparser
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -54,11 +53,13 @@ from .quadrature import BallSample, QuadratureSpec, default_spec
 from .verify import (DEFAULT_NODE_COUNT, DEFAULT_SAMPLES, DEFAULT_SEED,
                      FaultSpec, battery_to_dict, run_all)
 from .weaknorm import (
+    DEFAULT_KAPPA_RATIO,
     Domain,
     curve_summary,
     default_domain,
     default_kappa_grid,
     distribution_curve,
+    kappa_grid,
     limit_extrapolate,
     write_curve_csv,
 )
@@ -271,7 +272,7 @@ def cmd_oscillation(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     print(f"{kind}_oscillation[{fid}](a={a_text or '0'}, r={r!r}, q={q!r}) "
-          f"= {est.value:.12g} +/- {est.std_error:.3g}")
+          f"= {est}")
     out = _out_dir(args, cfg)
     if out is not None:
         payload = {
@@ -299,23 +300,17 @@ def cmd_oscillation(args: argparse.Namespace) -> int:
 
 def _kappa_grid_from(args: argparse.Namespace, cfg: dict,
                      f: TestFunction) -> tuple:
-    """Grid plus its echo dict.  Explicit bounds force a geomspace whose
-    point count comes from the requested ratio."""
-    ratio = _resolve(args, cfg, "kappa_ratio", 10.0 ** 0.25, float)
-    if not ratio > 1.0:
-        raise _UsageError("--kappa-ratio must be > 1")
+    """Grid plus its echo dict: the default grid of f, or kappa_grid
+    between explicit bounds, at the requested ratio."""
+    ratio = _resolve(args, cfg, "kappa_ratio", DEFAULT_KAPPA_RATIO, float)
     kmax = _resolve(args, cfg, "kappa_max", None, float)
     kmin = _resolve(args, cfg, "kappa_min", None, float)
     if kmax is None and kmin is None:
         grid = default_kappa_grid(f, ratio=ratio)
+    elif kmax is None or kmin is None:
+        raise _UsageError("--kappa-min and --kappa-max must be given together")
     else:
-        if kmax is None or kmin is None:
-            raise _UsageError(
-                "--kappa-min and --kappa-max must be given together")
-        if not (0 < kmin < kmax < math.inf):
-            raise _UsageError("need 0 < kappa-min < kappa-max < inf")
-        count = int(round(math.log(kmax / kmin) / math.log(ratio))) + 1
-        grid = np.geomspace(kmax, kmin, max(count, 2))
+        grid = kappa_grid(kmax, kmin, ratio)
     echo = {"min": float(grid[-1]), "max": float(grid[0]),
             "points": int(grid.size)}
     return grid, echo
@@ -328,9 +323,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise _UsageError("curve needs --function (or config key)")
     f = _load_function(fid)
     p = _resolve(args, cfg, "p", 2.0, float)
-    q = _resolve(args, cfg, "q", 1.0, float)
-    if q != 1.0:
-        raise _UsageError("curve supports q = 1 only (mean oscillation)")
     seed = _resolve_seed(args, cfg)
     samples = _resolve(args, cfg, "samples", 1024, int)
     threads = _resolve(args, cfg, "threads", 1, int)
@@ -357,7 +349,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
             "function": fid,
             "d": f.dim,
             "p": float(p),
-            "q": float(q),
+            "q": 1.0,  # the mean oscillation; echoed until schema 2
             "domain": {"box": [[lo, hi] for lo, hi in domain.box],
                        "r_min": domain.r_min, "r_max": domain.r_max},
             "kappa": kappa_echo,
@@ -466,14 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="superlevel distribution experiment")
     p_cur.add_argument("--function", help="catalog identifier")
     p_cur.add_argument("--p", type=float, help="weight exponent (default 2)")
-    p_cur.add_argument("--q", type=float,
-                       help="inner exponent; curve accepts 1 only")
     p_cur.add_argument("--kappa-min", dest="kappa_min", type=float,
                        help="smallest threshold")
     p_cur.add_argument("--kappa-max", dest="kappa_max", type=float,
                        help="largest threshold")
     p_cur.add_argument("--kappa-ratio", dest="kappa_ratio", type=float,
-                       help="grid step ratio (default 10^0.25)")
+                       help="grid step ratio (default 4 steps per decade)")
     p_cur.add_argument("--omega", help="center box, lo:hi per axis, comma "
                                        "separated; write --omega=-1:1 when "
                                        "the value starts with a dash")

@@ -46,6 +46,9 @@ _INCONCLUSIVE_RTOL = 1e-3
 # Weight exponent p of the domination suite's tail-weight identity case.
 _WEIGHT_P = 2.0
 
+# Largest radius of the expansion suite's balls; the smallest is 1/50 of it.
+_EXPANSION_R_CEILING = 0.05
+
 
 # ---------------------------------------------------------------------------
 # fault injection and report plumbing
@@ -199,17 +202,17 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
     if f.dim != 1:
         raise UnsupportedFunctionError("mollification route applies to dimension one")
     t = phi.scale
-    bps = tuple(f.breakpoints_1d)
+    bps = tuple(sorted(f.breakpoints_1d, reverse=True))
 
     def ev(x):
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)[..., None]
-        # the window's breakpoints z = x - b move with x: sort per point
+        # the window's breakpoints z = x - b ascend per point: bps descend
         cols = [np.full_like(flat, -t)]
         for b in bps:
             cols.append(np.clip(flat - b, -t, t))
         cols.append(np.full_like(flat, t))
-        edges = np.sort(np.concatenate(cols, axis=-1), axis=-1)
+        edges = np.concatenate(cols, axis=-1)
         seg = segment_integrals(
             lambda z, y: phi.density(z) * f.eval_1d(y - z), edges, 12, flat)
         return seg.sum(axis=-1).reshape(x.shape)
@@ -266,12 +269,12 @@ def _moment_coeff_oracle(d: int) -> float:
     return num / den
 
 
-def check_local_expansion(f: TestFunction, n_samples: int, r_ceiling: float,
+def check_local_expansion(f: TestFunction, n_samples: int,
                           spec: QuadratureSpec,
                           fault: Optional[FaultSpec] = None) -> VerificationReport:
     """Certified small-radius control of the oscillation.
 
-    For every sampled (a, r) with r at most r_ceiling, the oscillation must
+    For every sampled (a, r) with r at most 0.05, the oscillation must
     deviate from slope * r * |grad f(a)| by at most the quadratic remainder
     bound plus three standard errors.  Two identity sentinel cases pin the
     slope constant and the remainder coefficient against independent
@@ -291,8 +294,8 @@ def check_local_expansion(f: TestFunction, n_samples: int, r_ceiling: float,
     cases = []
     for i in range(n_samples):
         a = rng.uniform(-1.1 * scale, 1.1 * scale, size=d)
-        r = float(np.exp(rng.uniform(np.log(r_ceiling / 50.0),
-                                     np.log(r_ceiling))))
+        r = float(np.exp(rng.uniform(np.log(_EXPANSION_R_CEILING / 50.0),
+                                     np.log(_EXPANSION_R_CEILING))))
         est = mean_oscillation(f, BallSample(a, r), spec)
         g = float(np.linalg.norm(np.asarray(f.grad(a[None, :]))[0]))
         ref = slope * r * g
@@ -353,7 +356,7 @@ def _oscillation_convolved_with(f: TestFunction, phi: Mollifier, a: float,
 
 
 def check_mollification(f: TestFunction, phi: Mollifier, n_samples: int,
-                        spec: QuadratureSpec) -> VerificationReport:
+                        seed: int) -> VerificationReport:
     """Smoothing can only shrink the oscillation, in the averaged sense.
 
     For sampled (a, r): the oscillation of the mollified function is at
@@ -367,7 +370,7 @@ def check_mollification(f: TestFunction, phi: Mollifier, n_samples: int,
         raise UnsupportedFunctionError("mollification checks run in dimension one")
     g = mollify_1d(f, phi)
     scale = f.support_radius if f.support_radius is not None else 1.0
-    rng = stream(spec.seed, KEY_VERIFY, 1)
+    rng = stream(seed, KEY_VERIFY, 1)
 
     cases = [_case(
         "mollifier_unit_mass",
@@ -572,7 +575,7 @@ def indicator_measure_1d(kappa: float, radius: float, box, r_lo: float,
 
 
 def check_bv_divergence(radius: float, kappa_grid, domain: Domain,
-                        spec: Optional[QuadratureSpec] = None) -> VerificationReport:
+                        seed: int = DEFAULT_SEED) -> VerificationReport:
     """A jump has no weak-integrable oscillation at p = 1.
 
     Everything here is deterministic: section endpoints in closed form and
@@ -585,8 +588,8 @@ def check_bv_divergence(radius: float, kappa_grid, domain: Domain,
     proportionally to the threshold, and at fixed threshold the truncated
     measure grows by sides * sqrt(1-2 kappa) * ln(factor) per radius-floor
     refinement, without saturating.  A smooth contrast case checks the
-    plateau bump stays bounded at p = 1, and the p = 2 behavior of the jump
-    is recorded as divergent too (excluded from any summability claim).
+    plateau bump stays bounded at p = 1 (1024 centers drawn from seed), and
+    the p = 2 behavior of the jump is recorded as divergent too.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))[::-1]
     if kappas.size < 2 or np.any(kappas <= 0) or np.any(kappas >= 0.5):
@@ -667,21 +670,20 @@ def check_bv_divergence(radius: float, kappa_grid, domain: Domain,
         note="the jump diverges at p = 2 as well; excluded from any "
              "summability claim"))
 
-    if spec is not None:
-        f = make_plateau_bump(1, 1.0, 0.5, 1.0)
-        dom = Domain(box=((-1.5, 1.5),), r_max=20.0, r_min=1e-4)
-        top = 0.25
-        grid = np.geomspace(top, top * 1e-3, 9)
-        curve = distribution_curve(f, 1.0, grid, dom, spec, samples=1024)
-        ref = c_dp(1, 1.0) * grad_norm_p(f, 1.0)
-        # The scaled curve peaks near 1.68 * ref around kappa ~ 0.2 before
-        # descending to the gradient limit, so 2 * ref is a boundedness
-        # regression bound, not a limit statement.
-        cases.append(_case(
-            "smooth_contrast_bounded",
-            {"max_scaled": float(curve.scaled.max()), "reference": ref},
-            float(curve.scaled.max()), 2.0 * ref,
-            note="plateau bump at p = 1 stays bounded where the jump diverges"))
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    dom = Domain(box=((-1.5, 1.5),), r_max=20.0, r_min=1e-4)
+    grid = np.geomspace(0.25, 0.25 * 1e-3, 9)
+    spec = QuadratureSpec("gauss_1d", 8, seed)
+    curve = distribution_curve(f, 1.0, grid, dom, spec, samples=1024)
+    ref = c_dp(1, 1.0) * grad_norm_p(f, 1.0)
+    # The scaled curve peaks near 1.68 * ref around kappa ~ 0.2 before
+    # descending to the gradient limit, so 2 * ref is a boundedness
+    # regression bound, not a limit statement.
+    cases.append(_case(
+        "smooth_contrast_bounded",
+        {"max_scaled": float(curve.scaled.max()), "reference": ref},
+        float(curve.scaled.max()), 2.0 * ref,
+        note="plateau bump at p = 1 stays bounded where the jump diverges"))
 
     return VerificationReport(suite_name="bv_divergence", cases=tuple(cases))
 
@@ -767,14 +769,14 @@ def run_all(seed: int = DEFAULT_SEED, fault: Optional[FaultSpec] = None,
     moll_samples = max(n_samples // 3, 8)
     half_samples = max(n_samples // 2, 10)
     jobs = [(f"local_expansion[{f.function_id}]", check_local_expansion,
-             (f, n_samples, 0.05, spec(f), fault))
+             (f, n_samples, spec(f), fault))
             for d in (1, 2) for f in (plateau[d], linear[d])]
     jobs += [(f"mollification[{f.function_id};t={t!r}]", check_mollification,
-              (f, Mollifier(t), moll_samples, spec(f)))
+              (f, Mollifier(t), moll_samples, seed))
              for t in (0.05, 0.2) for f in (linear[1], plateau[1], indicator)]
     jobs.append((f"mollification[{indicator.function_id};t=0.1]",
                  check_mollification,
-                 (indicator, Mollifier(0.1), moll_samples, spec(indicator))))
+                 (indicator, Mollifier(0.1), moll_samples, seed)))
     jobs += [(f"maximal_domination[{f.function_id}]", check_maximal_domination,
               (f, half_samples, spec(f), fault))
              for f in (plateau[1], plateau[2])]
@@ -783,7 +785,7 @@ def run_all(seed: int = DEFAULT_SEED, fault: Optional[FaultSpec] = None,
     jobs.append(("bv_divergence", check_bv_divergence,
                  (1.0, (1e-1, 1e-2, 1e-3, 1e-4),
                   Domain(box=((-2.0, 2.0),), r_max=10.0, r_min=1e-3),
-                  spec(indicator))))
+                  seed)))
     jobs += [(f"tail_bounds[{f.function_id}]", check_tail_bounds,
               (f, half_samples, spec(f)))
              for f in (plateau[1], plateau[2], plateau[3], indicator)]

@@ -79,10 +79,11 @@ _COUNTER_KEYS = ("below_floor", "open_at_r_max", "merged")
 # radius section is resolved on this grid, by _resolve_sections
 _SCAN_RATIO = 1.25
 _BISECT_ITERS = math.ceil(math.log2(math.log(_SCAN_RATIO) / 1e-6))
-# the default window's margin and the default threshold grid's span in
-# decades
+# the default window's margin, the default threshold grid's span in
+# decades, and the grid step of every threshold grid that names none
 _DOMAIN_MARGIN = 0.25
 _KAPPA_DECADES = 4.0
+DEFAULT_KAPPA_RATIO = 10.0 ** 0.25
 # limit_extrapolate's fit window, exponents and ok bounds
 _FIT_SPAN = 10.0
 _FIT_MIN_POINTS = 5
@@ -203,16 +204,29 @@ def default_domain(f: TestFunction) -> Domain:
     return Domain(box=box, r_max=r_max, r_min=1e-4 * scale)
 
 
+def kappa_grid(kappa_max: float, kappa_min: float,
+               ratio: float) -> np.ndarray:
+    """Decreasing geometric grid from kappa_max to kappa_min with
+    round(log(kappa_max / kappa_min) / log(ratio)) + 1 points, at least 2.
+    ValueError unless ratio > 1 is finite and 0 < kappa_min < kappa_max < inf.
+    """
+    if not (math.isfinite(ratio) and ratio > 1.0):
+        raise ValueError(f"kappa ratio must be a finite real > 1, got {ratio}")
+    if not 0.0 < kappa_min < kappa_max < math.inf:
+        raise ValueError("need 0 < kappa_min < kappa_max < inf")
+    count = int(round(math.log(kappa_max / kappa_min) / math.log(ratio))) + 1
+    return np.geomspace(kappa_max, kappa_min, max(count, 2))
+
+
 def default_kappa_grid(f: TestFunction,
-                       ratio: float = 10.0 ** 0.25) -> np.ndarray:
-    """Decreasing geometric grid of four decades, top at the gradient scale."""
+                       ratio: float = DEFAULT_KAPPA_RATIO) -> np.ndarray:
+    """kappa_grid over four decades, top at the gradient scale."""
     if f.grad_max is None or f.grad_max <= 0:
         raise ValueError(
             f"{f.function_id} has no gradient bound; pass thresholds explicitly")
     r_typ = f.support_radius if f.support_radius is not None else 1.0
     top = c_d_prime(f.dim) * r_typ * f.grad_max
-    count = int(round(_KAPPA_DECADES / math.log10(ratio))) + 1
-    return np.geomspace(top, top * 10.0 ** (-_KAPPA_DECADES), count)
+    return kappa_grid(top, top * 10.0 ** (-_KAPPA_DECADES), ratio)
 
 
 def sample_centers(domain: Domain, count: int, seed: int):
@@ -423,7 +437,7 @@ def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
     return lo, hi
 
 
-def _resolve_sections(m_at, scan, grid, kappas, iters, f, centers, p):
+def _resolve_sections(m_at, scan, grid, kappas, f, centers, p):
     """Radius sections per threshold and row, from the scanned m values.
 
     kappas is the array of K thresholds sharing the scan.  Each run of scan
@@ -463,7 +477,8 @@ def _resolve_sections(m_at, scan, grid, kappas, iters, f, centers, p):
     jb = np.concatenate([rise[inner_lo], fall[inner_hi]])
     rising = np.arange(t.size) < inner_lo.size
     x = _bisect_crossings(m_at, rows, grid[jb - 1], grid[jb], kappas[k[t]],
-                          rising, iters, scan[rows, jb - 1], scan[rows, jb])
+                          rising, _BISECT_ITERS, scan[rows, jb - 1],
+                          scan[rows, jb])
     lo[inner_lo] = x[rising]
     hi[inner_hi] = x[~rising]
 
@@ -614,7 +629,7 @@ def _curve_chunk(f, centers, global_start, kappas, p, spec, grid):
     eng = _make_engine(f, centers, spec, global_start)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas.min())))
     k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, kappas, _BISECT_ITERS, f, centers, p)
+        eng.m_at, scan, grid, kappas, f, centers, p)
     # each (threshold, row) cell adds its intervals in radius order
     shape = (kappas.size, centers.shape[0])
     w = np.zeros(shape)
@@ -670,8 +685,7 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
 
 def distribution_curve(f: TestFunction, p: float, kappa_grid,
                        domain: Domain, spec: QuadratureSpec,
-                       samples: int = 4096, threads: int = 1
-                       ) -> DistributionCurve:
+                       samples: int, threads: int = 1) -> DistributionCurve:
     """Estimate the superlevel measure for a whole threshold grid at once.
 
     The grid must be geometric-like: at least 8 decreasing points spanning
@@ -861,19 +875,14 @@ def write_curve_csv(curve: DistributionCurve, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def curve_summary(curve: DistributionCurve,
-                  limit: Optional[LimitEstimate] = None,
-                  f: Optional[TestFunction] = None) -> dict:
-    """JSON-ready digest of a curve in the documented report schema.
-
-    Pass the function to fill reference_value (the independent target
-    c_dp * integral of |grad f|^p) when one is computable.
+def curve_summary(curve: DistributionCurve, limit: LimitEstimate,
+                  f: TestFunction) -> dict:
+    """JSON-ready digest of a curve and its limit in the documented report
+    schema.  reference_value is the independent target c_dp * integral of
+    |grad f|^p when one is computable, else None.
     """
     sup = weak_sup(curve)
-    reference = None
-    if f is not None:
-        reference = reference_scaled_limit(f, curve.p, curve.domain)
-    out = {
+    return {
         "function_id": curve.function_id,
         "d": curve.dim,
         "p": curve.p,
@@ -884,20 +893,14 @@ def curve_summary(curve: DistributionCurve,
         },
         "sup_estimate": sup.value,
         "sup_at_kappa": sup.kappa_at_max,
-        "limit_estimate": None,
-        "limit_uncertainty": None,
-        "limit_ok": None,
-        "limit_notes": [],
-        "reference_value": reference,
+        "limit_estimate": limit.value,
+        "limit_uncertainty": limit.uncertainty,
+        "limit_ok": limit.ok,
+        "limit_notes": list(limit.notes),
+        "reference_value": reference_scaled_limit(f, curve.p, curve.domain),
         "seeds": {"master": curve.seed},
         "samples": curve.samples,
         "method": curve.method,
         "node_count": curve.node_count,
         "counters": dict(curve.counters),
     }
-    if limit is not None:
-        out["limit_estimate"] = limit.value
-        out["limit_uncertainty"] = limit.uncertainty
-        out["limit_ok"] = limit.ok
-        out["limit_notes"] = list(limit.notes)
-    return out

@@ -134,7 +134,7 @@ def test_criterion_05_local_expansion_two_hundred_samples():
         f = make_plateau_bump(d, 1.0, 0.5, 1.0)
         method = "gauss_1d" if d == 1 else "monte_carlo"
         spec = QuadratureSpec(method=method, node_count=16384, seed=SEED)
-        rep = check_local_expansion(f, 200, 0.05, spec)
+        rep = check_local_expansion(f, 200, spec)
         sample_cases = [c for c in rep.cases
                         if c.name.startswith("expansion[")]
         assert len(sample_cases) >= 200
@@ -149,9 +149,7 @@ def test_criterion_06_mollification_matrix():
                   lambda: make_plateau_bump(1, 1.0, 0.5, 1.0),
                   lambda: make_ball_indicator(1, 0.5)):
         for t in (0.05, 0.2):
-            spec = QuadratureSpec(method="gauss_1d", node_count=16,
-                                  seed=SEED)
-            rep = check_mollification(maker(), Mollifier(t), 40, spec)
+            rep = check_mollification(maker(), Mollifier(t), 40, SEED)
             assert rep.fail_count == 0, (rep.suite_name, t)
             total += len(rep.cases)
             inconclusive += rep.inconclusive_count

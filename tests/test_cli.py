@@ -316,6 +316,19 @@ def test_write_json_refuses_non_finite_values(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_a_config_with_q_serves_oscillation_and_curve(tmp_path, capsys):
+    # curve reads no q: a config file shared with oscillation may set it
+    ini = tmp_path / "shared.ini"
+    ini.write_text("[experiment]\nfunction = linear:d=1:v=1\nr = 1\n"
+                   "q = 2\nsamples = 16\n")
+    assert main(["oscillation", "--config", str(ini)]) == 0
+    assert "0.57735" in capsys.readouterr().out
+    out = tmp_path / "curve"
+    assert main(["curve", "--config", str(ini), "--out-dir", str(out)]) == 0
+    config = json.loads((out / "curve.json").read_text())["config"]
+    assert config["q"] == 1.0 and config["samples"] == 16
+
+
 def test_curve_rejects_q_not_one():
     with pytest.raises(SystemExit) as exc:
         main(LINEAR_CURVE_FLAGS + ["--q", "2"])

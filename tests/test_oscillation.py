@@ -544,7 +544,7 @@ def test_local_expansion_draws_each_node_set_once(monkeypatch):
     # five balls under one spec share its outer and inner sets
     calls = _count_draws(monkeypatch)
     f = make_plateau_bump(2, 1.0, 0.5, 1.0)
-    rep = check_local_expansion(f, 5, 0.05, _mc(seed=8, n=256))
+    rep = check_local_expansion(f, 5, _mc(seed=8, n=256))
     assert sum(c.name.startswith("expansion[") for c in rep.cases) == 5
     assert calls == [(2, 256), (2, 128)]
 

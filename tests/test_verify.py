@@ -103,10 +103,10 @@ def test_fault_presets_perturb_the_checked_constants(d):
     # same floating-point operation on the unperturbed constant
     f = make_plateau_bump(d, 1.0, 0.5, 1.0)
     spec = GAUSS if d == 1 else QuadratureSpec(node_count=256, seed=8)
-    rep = check_local_expansion(f, 2, 0.05, spec,
+    rep = check_local_expansion(f, 2, spec,
                                 fault=FaultSpec(slope_factor=1.05))
     assert _claimed(rep, "slope_constant_identity") == 1.05 * c_d_prime(d)
-    rep = check_local_expansion(f, 2, 0.05, spec,
+    rep = check_local_expansion(f, 2, spec,
                                 fault=FaultSpec(expansion_factor=0.95))
     assert (_claimed(rep, "remainder_moment_identity")
             == expansion_remainder_coeff(d, 1.0) * 0.95)
@@ -125,18 +125,18 @@ def test_fault_presets_perturb_the_checked_constants(d):
 
 def test_local_expansion_plateau_small_radius():
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
-    rep = check_local_expansion(f, 40, 0.05, GAUSS)
+    rep = check_local_expansion(f, 40, GAUSS)
     assert rep.passed and rep.fail_count == 0
 
 
 def test_local_expansion_needs_gradient_data():
     with pytest.raises(UnsupportedFunctionError):
-        check_local_expansion(make_ball_indicator(1, 0.5), 5, 0.05, GAUSS)
+        check_local_expansion(make_ball_indicator(1, 0.5), 5, GAUSS)
 
 
 def test_local_expansion_identity_sentinels_present():
     f = make_linear(1, [1.0])
-    rep = check_local_expansion(f, 5, 0.05, GAUSS)
+    rep = check_local_expansion(f, 5, GAUSS)
     names = {c.name for c in rep.cases}
     assert "slope_constant_identity" in names
     assert "remainder_moment_identity" in names
@@ -171,7 +171,7 @@ def test_mollification_inequality_suites():
     for fid_make, t in [(lambda: make_linear(1, [1.0]), 0.05),
                         (lambda: make_plateau_bump(1, 1.0, 0.5, 1.0), 0.2),
                         (lambda: make_ball_indicator(1, 0.5), 0.1)]:
-        rep = check_mollification(fid_make(), Mollifier(t), 20, GAUSS)
+        rep = check_mollification(fid_make(), Mollifier(t), 20, GAUSS.seed)
         assert rep.passed, (rep.suite_name,
                             [c.name for c in rep.cases if not c.passed])
 
@@ -180,7 +180,7 @@ def test_mollification_strictly_helps_the_jump():
     # smoothing the indicator strictly lowers the oscillation for some
     # balls: the averaged inequality is not an equality there
     rep = check_mollification(make_ball_indicator(1, 0.5), Mollifier(0.1),
-                              40, GAUSS)
+                              40, GAUSS.seed)
     strict = [c for c in rep.cases
               if c.name.startswith("mollified_vs_averaged")
               and c.measured_margin < -1e-3]

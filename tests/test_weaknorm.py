@@ -28,6 +28,7 @@ from osclab import (
     grad_norm_p,
     indicator_measure_1d,
     interval_weight,
+    kappa_grid,
     limit_extrapolate,
     make_ball_indicator,
     make_linear,
@@ -159,6 +160,47 @@ def test_default_kappa_grid_shape():
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
 
 
+@pytest.mark.parametrize("ratio", [1.0, 0.5, math.nan, math.inf])
+def test_threshold_grids_refuse_a_ratio_not_above_one(ratio):
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="ratio"):
+        default_kappa_grid(f, ratio=ratio)
+    with pytest.raises(ValueError, match="ratio"):
+        kappa_grid(1.0, 1e-3, ratio)
+
+
+@pytest.mark.parametrize("kmax, kmin", [
+    (1e-3, 1e-3), (1e-3, 1.0), (1.0, 0.0), (1.0, -1.0), (math.inf, 1.0),
+    (1.0, math.nan), (math.nan, 1.0)])
+def test_kappa_grid_refuses_bounds_out_of_order(kmax, kmin):
+    with pytest.raises(ValueError, match="kappa_min < kappa_max"):
+        kappa_grid(kmax, kmin, 10.0 ** 0.25)
+
+
+@pytest.mark.parametrize("ratio", [10.0 ** 0.125, 10.0 ** 0.25, 10.0 ** 0.5,
+                                   1.1, 1.5, 2.0, 3.0])
+def test_kappa_grid_keeps_the_grids_it_replaced(ratio):
+    # the default grid of every catalog entry with a gradient, against the
+    # four-decade formula default_kappa_grid had of its own
+    for f in default_catalog():
+        if f.grad_max is None:
+            continue
+        r_typ = f.support_radius if f.support_radius is not None else 1.0
+        top = c_d_prime(f.dim) * r_typ * f.grad_max
+        count = int(round(4.0 / math.log10(ratio))) + 1
+        want = np.geomspace(top, top * 10.0 ** -4.0, count)
+        assert np.array_equal(default_kappa_grid(f, ratio=ratio), want), (
+            f.function_id)
+
+
+def test_kappa_grid_keeps_the_grid_of_the_2d_benchmark_flags():
+    # curve --kappa-max 20 --kappa-min 0.02 --kappa-ratio 1.7782794100389228
+    ratio = 1.7782794100389228
+    want = np.geomspace(20.0, 0.02, 13)
+    assert np.array_equal(kappa_grid(20.0, 0.02, ratio), want)
+    assert ratio == 10.0 ** 0.25
+
+
 def test_sample_centers_in_box_and_stratified():
     dom = Domain(box=((-1.0, 3.0), (0.0, 2.0)), r_max=5.0, r_min=1e-3)
     pts, sid, n_strata = sample_centers(dom, 300, seed=5)
@@ -218,8 +260,7 @@ def _section(f, a, kappa, dom, spec, grid=None):
     eng = _make_engine(f, centers, spec, 0)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, kappa))
     _, _, lo, hi, _, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, np.array([kappa]), weaknorm._BISECT_ITERS, f,
-        centers, 1.0)
+        eng.m_at, scan, grid, np.array([kappa]), f, centers, 1.0)
     out = []
     for i in range(lo.size):
         flags = ()
@@ -649,7 +690,7 @@ def test_sections_are_the_runs_of_the_scan(scans):
 
     f = make_ball_indicator(1, 0.5)
     centers = np.linspace(-0.9, 0.9, n_rows)[:, None]
-    got = _resolve_sections(m, level, grid, kappas, ITERS, f, centers, 2.0)
+    got = _resolve_sections(m, level, grid, kappas, f, centers, 2.0)
     assert all(x.shape == got[0].shape for x in got)
     want = []
     for ki, kappa in enumerate(kappas):
@@ -1061,9 +1102,11 @@ def test_grid_validation():
     f = make_linear(1, [1.0])
     dom = Domain(box=((-0.5, 0.5),), r_max=50.0, r_min=1e-4)
     with pytest.raises(ValueError):
-        distribution_curve(f, 2.0, np.geomspace(0.02, 0.01, 8), dom, GAUSS)
+        distribution_curve(f, 2.0, np.geomspace(0.02, 0.01, 8), dom, GAUSS,
+                           samples=8)
     with pytest.raises(ValueError):
-        distribution_curve(f, 2.0, np.geomspace(1e-5, 0.02, 13), dom, GAUSS)
+        distribution_curve(f, 2.0, np.geomspace(1e-5, 0.02, 13), dom, GAUSS,
+                           samples=8)
 
 
 @pytest.mark.parametrize("samples", [1, 0])
@@ -1204,7 +1247,8 @@ def test_curve_summary_has_no_reference_for_transformed_plateaus(transform):
     cur = distribution_curve(g, 2.0, default_kappa_grid(g), dom, GAUSS,
                              samples=16)
     assert reference_scaled_limit(g, 2.0, dom) is None
-    assert curve_summary(cur, f=g)["reference_value"] is None
+    assert curve_summary(cur, limit_extrapolate(cur),
+                         g)["reference_value"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ from .weaknorm import (
     distribution_curve,
     kappa_grid,
     limit_extrapolate,
+    limit_fit_mask,
     write_curve_csv,
 )
 
@@ -336,6 +337,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     try:
         domain = Domain(box=box, r_max=r_max, r_min=r_min)
         grid, kappa_echo = _kappa_grid_from(args, cfg, f)
+        # a grid the limit fit cannot use is refused before any scan
+        limit_fit_mask(grid)
         spec = default_spec(f.dim, seed, _CURVE_MC_NODES, nodes)
         curve = distribution_curve(f, p, grid, domain, spec,
                                    samples=samples, threads=threads)

@@ -13,9 +13,12 @@ Their purpose is mutation sensitivity: a deliberately corrupted constant
 (see verify.FaultSpec) must flip at least one suite from green to red,
 otherwise the battery would be vacuous.
 
-The oracles that integrate with scipy.integrate.quad import scipy when they
-are called, never at module level.  They stay independent of osclab's own
-Gauss rule, and importing osclab or running a curve does not load scipy.
+The oracles integrate with Gauss-Legendre rules from numpy's
+numpy.polynomial.legendre.leggauss, on panels split where the integrand
+has kinks and graded toward its singularities.  They are independent of
+osclab's own Gauss rule (quadrature.gauss_rule, segment_integrals), which
+they check, and they load no scipy: neither importing osclab nor running a
+curve or the battery does.
 """
 from __future__ import annotations
 
@@ -246,27 +249,40 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
 # suite: small-radius expansion
 # ---------------------------------------------------------------------------
 
+def _legendre_panels(n: int, lo, hi):
+    """Nodes and weights of numpy's n-point Gauss-Legendre rule on [lo, hi].
+
+    lo and hi broadcast, one panel per entry; nodes and weights gain a
+    trailing axis of length n.  The rule comes from leggauss, not from
+    osclab's quadrature.gauss_rule, so the oracles stay independent of it.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    half = 0.5 * (np.asarray(hi, dtype=float)[..., None] - lo)
+    return lo + half * (x + 1.0), half * w
+
+
 def _slope_constant_oracle(d: int) -> float:
     """Mean of |x_1| over the unit ball by slice quadrature.
 
     Independent of the gamma-function closed form: only unit ball volumes
-    and a one-dimensional integral of t (1 - t^2)^((d-1)/2).
+    and a one-dimensional integral of t (1 - t^2)^((d-1)/2), taken with
+    t = sin(theta) as the smooth integral of sin cos^d over [0, pi/2].
     """
-    from scipy import integrate
-
-    val, err = integrate.quad(lambda t: t * (1.0 - t * t) ** ((d - 1) / 2.0),
-                              0.0, 1.0)
+    theta, w = _legendre_panels(32, 0.0, 0.5 * math.pi)
+    val = float(w @ (np.sin(theta) * np.cos(theta) ** d))
     ratio = unit_ball_volume(d - 1) / unit_ball_volume(d) if d > 1 else 0.5
     return 2.0 * ratio * val
 
 
 def _moment_coeff_oracle(d: int) -> float:
-    """Mean of |x|^2 over the unit ball, radially: d / (d + 2)."""
-    from scipy import integrate
+    """Mean of |x|^2 over the unit ball, radially: d / (d + 2).
 
-    num, _ = integrate.quad(lambda s: s ** (d + 1), 0.0, 1.0)
-    den, _ = integrate.quad(lambda s: s ** (d - 1), 0.0, 1.0)
-    return num / den
+    Both radial integrands are polynomials of degree at most d + 1, which
+    the (d + 2)-point rule integrates exactly.
+    """
+    s, w = _legendre_panels(d + 2, 0.0, 1.0)
+    return float(w @ s ** (d + 1)) / float(w @ s ** (d - 1))
 
 
 def check_local_expansion(f: TestFunction, n_samples: int,
@@ -405,6 +421,17 @@ def check_mollification(f: TestFunction, phi: Mollifier, n_samples: int,
 # suite: pointwise domination by the maximal gradient
 # ---------------------------------------------------------------------------
 
+def _tail_weight_quadrature(r_edge: float, n: int) -> float:
+    """The tail weight of r^-(p+1) over (r_edge, inf), p = _WEIGHT_P.
+
+    The substitution r = r_edge / u maps the tail onto (0, 1], where the
+    n-point rule integrates r^-(p+1) dr/du = r^-(p+1) r_edge / u^2.
+    """
+    u, w = _legendre_panels(n, 0.0, 1.0)
+    r = r_edge / u
+    return float(w @ (r ** (-_WEIGHT_P - 1.0) * r_edge / u ** 2))
+
+
 def check_maximal_domination(f: TestFunction, n_samples: int,
                              spec: QuadratureSpec,
                              fault: Optional[FaultSpec] = None
@@ -423,10 +450,10 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
     must vanish.  The largest ratio m / (r * average) over the other balls
     is recorded.  A weight-integral identity case recomputes the tail
     weight (R, infinity) against direct quadrature, which makes exponent
-    faults visible.
+    faults visible.  The tail is mapped onto (0, 1], where the integrand
+    is a polynomial for p = 2; the quadrature error in its tolerance is
+    |I_16 - I_8|, the gap between the 16- and 8-point rules.
     """
-    from scipy import integrate
-
     if f.grad is None:
         raise UnsupportedFunctionError(
             f"{f.function_id} lacks a gradient; domination does not apply")
@@ -482,8 +509,8 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
     r_edge = float(np.exp(rng.uniform(np.log(0.2), np.log(2.0))))
     claimed = float(interval_weight(r_edge, None,
                                     _WEIGHT_P + fault.weight_exponent_shift))
-    oracle, quad_err = integrate.quad(
-        lambda r: r ** (-_WEIGHT_P - 1.0), r_edge, np.inf)
+    fine, coarse = (_tail_weight_quadrature(r_edge, n) for n in (16, 8))
+    oracle, quad_err = fine, abs(fine - coarse)
     cases.append(_case(
         "weight_integral_identity",
         {"r_lo": r_edge, "p": _WEIGHT_P, "claimed": claimed,
@@ -499,7 +526,7 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
 # suite: failure of weak integrability at p = 1 for a jump
 # ---------------------------------------------------------------------------
 
-def indicator_section_1d(a: float, kappa: float, radius: float):
+def indicator_section_1d(a, kappa: float, radius: float):
     """Exact superlevel radius interval for the interval indicator, or None.
 
     The oscillation of the indicator of [-radius, radius] at center a rises
@@ -509,69 +536,77 @@ def indicator_section_1d(a: float, kappa: float, radius: float):
     whole profile is unimodal, so the section is a single interval.  The
     one-edge crossing t / s is only valid below the cover radius; past it
     the crossing solves the covered branch, giving radius (1 - s) / kappa.
+
+    A float a gives the pair (lo, hi) or None.  An array of centers gives
+    two arrays lo, hi of its shape, NaN where the section is empty.
     """
+    a = np.asarray(a, dtype=float)
     if kappa >= 0.5 or kappa <= 0.0:
-        return None
-    s = math.sqrt(1.0 - 2.0 * kappa)
-    u = abs(a)
-    t = abs(u - radius)
-    cover = u + radius
-    r2 = radius * (1.0 + s) / kappa
-    if u > radius:
+        lo = hi = np.full(a.shape, np.nan)
+    else:
+        s = math.sqrt(1.0 - 2.0 * kappa)
+        u = np.abs(a)
+        t = np.abs(u - radius)
+        cover = u + radius
+        inside = np.where(t <= s * cover, t / s, radius * (1.0 - s) / kappa)
+        lo = np.where(u > radius, t / s, inside)
         # outside the support the profile peaks at the cover radius; the
         # section is empty once that peak falls below the threshold
-        if t > 2.0 * radius * s / (1.0 - s):
-            return None
-        return (t / s, r2)
-    r1 = t / s if t <= s * cover else radius * (1.0 - s) / kappa
-    return (r1, r2)
+        empty = (u > radius) & (t > 2.0 * radius * s / (1.0 - s))
+        lo = np.where(empty, np.nan, lo)
+        hi = np.where(empty, np.nan, radius * (1.0 + s) / kappa)
+    if a.ndim:
+        return lo, hi
+    return None if np.isnan(lo) else (float(lo), float(hi))
 
 
 def indicator_measure_1d(kappa: float, radius: float, box, r_lo: float,
                          r_hi: float, p: float = 1.0):
     """Deterministic superlevel measure for the interval indicator.
 
-    Exact section endpoints, then adaptive quadrature over the center with
-    every branch point supplied explicitly; no statistical noise.  With
-    r_lo = 0 and a support edge interior to the box the center integral has
-    a non-integrable 1/t edge (the section's weight grows like s/t as the
-    center approaches an edge), so the value is certified +inf without
-    numerical work.
+    Exact section endpoints, then a composite 20-point Gauss-Legendre rule
+    over the center; no statistical noise.  The panels split at every
+    branch point of the section, and geometrically at ratio 2 away from
+    each support edge, starting at sqrt(1 - 2 kappa) r_lo, since the
+    section's weight grows like s/t as the center approaches an edge at
+    distance t.  With r_lo = 0 and a support edge in the box that growth
+    is not integrable, so the value is certified +inf without numerical
+    work.
     """
-    from scipy import integrate
-
     if kappa >= 0.5 or kappa <= 0.0:
         return 0.0
     lo_box, hi_box = float(box[0]), float(box[1])
     s = math.sqrt(1.0 - 2.0 * kappa)
     if r_lo <= 0.0:
         for edge in (-radius, radius):
-            if lo_box < edge < hi_box:
+            if lo_box <= edge <= hi_box:
                 return math.inf
-
-    def w(a: float) -> float:
-        sec = indicator_section_1d(a, kappa, radius)
-        if sec is None:
-            return 0.0
-        lo = max(sec[0], r_lo)
-        hi = min(sec[1], r_hi)
-        if hi <= lo:
-            return 0.0
-        return float(interval_weight(lo, hi, p))
 
     t_star = 2.0 * radius * s / (1.0 - s)
     cover_kink = 2.0 * radius * s / (1.0 + s)
-    pts = set()
+    pts = {lo_box, hi_box}
     for edge in (-radius, radius):
-        for off in (0.0, s * r_lo, s * r_hi, t_star,
-                    min(t_star, radius), cover_kink):
+        offs = [0.0, s * r_lo, s * r_hi, t_star, min(t_star, radius),
+                cover_kink]
+        reach = max(abs(edge - lo_box), abs(edge - hi_box))
+        off = max(s * r_lo, lo_box - edge, edge - hi_box)
+        while off < reach:
+            offs.append(off)
+            off *= 2.0
+        for off in offs:
             for sign in (-1.0, 1.0):
                 q = edge + sign * off
                 if lo_box < q < hi_box:
                     pts.add(q)
-    val, _ = integrate.quad(w, lo_box, hi_box, points=sorted(pts),
-                            limit=400, epsabs=1e-12, epsrel=1e-11)
-    return val
+    edges = np.array(sorted(pts))
+    a, w = _legendre_panels(20, edges[:-1], edges[1:])
+    lo, hi = indicator_section_1d(a, kappa, radius)
+    lo = np.maximum(lo, r_lo)
+    hi = np.minimum(hi, r_hi)
+    live = hi > lo
+    weight = np.zeros_like(a)
+    weight[live] = interval_weight(lo[live], hi[live], p)
+    return float(np.sum(w * weight))
 
 
 def check_bv_divergence(radius: float, kappa_grid, domain: Domain,
@@ -579,7 +614,7 @@ def check_bv_divergence(radius: float, kappa_grid, domain: Domain,
     """A jump has no weak-integrable oscillation at p = 1.
 
     Everything here is deterministic: section endpoints in closed form and
-    adaptive center quadrature.  The untruncated measure is +inf at every
+    graded Gauss panels over the center.  The untruncated measure is +inf at every
     threshold below one half (certified analytically: the section weight
     grows like 1/t toward the support edges), so the smallest-threshold
     scaled value dominates any multiple of the largest one in the extended

@@ -763,24 +763,35 @@ class LimitEstimate:
     notes: tuple = ()
 
 
+def limit_fit_mask(kappa_grid) -> np.ndarray:
+    """The thresholds limit_extrapolate fits: those within a factor of 10
+    of the smallest.
+
+    Raises ValueError when fewer than 5 are, so that a grid the fit cannot
+    use is refused before any curve is computed on it.
+    """
+    kap = np.asarray(kappa_grid, dtype=float)
+    mask = kap <= _FIT_SPAN * kap.min() * (1.0 + 1e-12)
+    if int(mask.sum()) < _FIT_MIN_POINTS:
+        raise ValueError(
+            f"need at least {_FIT_MIN_POINTS} thresholds within a factor of "
+            f"{_FIT_SPAN} of the smallest, got {int(mask.sum())}")
+    return mask
+
+
 def limit_extrapolate(curve: DistributionCurve) -> LimitEstimate:
     """Fit scaled(kappa) = L + c * kappa^alpha on the smallest thresholds.
 
     Uses the points within a factor of 10 of the smallest kappa (at least 5
-    required).  Weighted least squares for each alpha in 0.5, 0.75, ...,
+    required; see limit_fit_mask).  Weighted least squares for each alpha in 0.5, 0.75, ...,
     1.5; the winner by residual provides L.  The exponent alpha is purely
     empirical and reported, never asserted.  The estimate is not ok when a
     point's relative stderr exceeds 0.02 or the relative fit residual 0.05.
     A curve that reads 0 with stderr 0 at every fitted threshold has the
     exact limit 0, returned as ok without a fit.
     """
-    kap = curve.kappa_grid
-    mask = kap <= _FIT_SPAN * kap.min() * (1.0 + 1e-12)
-    if int(mask.sum()) < _FIT_MIN_POINTS:
-        raise ValueError(
-            f"need at least {_FIT_MIN_POINTS} thresholds within a factor of "
-            f"{_FIT_SPAN} of the smallest, got {int(mask.sum())}")
-    x = kap[mask]
+    mask = limit_fit_mask(curve.kappa_grid)
+    x = curve.kappa_grid[mask]
     y = curve.scaled[mask]
     sig = curve.scaled_stderr[mask]
     if not (y.any() or sig.any()):

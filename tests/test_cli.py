@@ -268,6 +268,26 @@ def test_curve_rejects_narrow_grid():
     assert exc.value.code == 2
 
 
+def test_curve_refuses_an_unfittable_grid_before_it_scans(tmp_path,
+                                                         monkeypatch, capsys):
+    # at ratio 2 only 4 thresholds lie within a factor of 10 of the
+    # smallest; the limit fit needs 5, so no curve may be computed
+    def no_curve(*args, **kwargs):
+        raise AssertionError("distribution_curve was called")
+
+    monkeypatch.setattr(cli, "distribution_curve", no_curve)
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--function", "plateau:d=1:a=1:ri=0.5:ro=1",
+              "--kappa-max", "1", "--kappa-min", "0.0001",
+              "--kappa-ratio", "2", "--samples", "2048",
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert ("need at least 5 thresholds within a factor of 10.0 of the "
+            "smallest, got 4") in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+    assert not (tmp_path / "curve.json").exists()
+
+
 @pytest.mark.parametrize("kmin, kmax", [("0.01", "inf"), ("nan", "0.02")])
 @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
 def test_curve_rejects_non_finite_kappa_bounds(tmp_path, kmin, kmax,
@@ -434,3 +454,28 @@ def test_import_and_curve_runs_leave_scipy_unloaded(tmp_path):
     for d in ("d1", "d2"):
         payload = json.loads((tmp_path / d / "curve.json").read_text())
         assert payload["summary"]["reference_value"] is not None
+
+
+_NO_SCIPY_VERIFY_SCRIPT = """
+import sys
+import osclab.cli
+code = osclab.cli.main(["verify", "--samples", "2", "--nodes", "1024",
+                        "--out-dir", sys.argv[1]])
+assert code in (0, 1), code
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, ("verify", loaded[:5])
+"""
+
+
+def test_verify_run_leaves_scipy_unloaded(tmp_path):
+    # the battery's quadrature oracles are numpy rules: a whole verify run
+    # in a fresh interpreter loads no scipy module
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_VERIFY_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "verify.json").read_text())["report"]["reports"]

@@ -142,6 +142,20 @@ def test_local_expansion_identity_sentinels_present():
     assert "remainder_moment_identity" in names
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_sentinel_oracles_match_their_closed_forms(d):
+    # the slope constant c'_d, the radial moment d / (d + 2) and the tail
+    # weight r^-p / p, each against the oracle its sentinel case uses
+    assert verify._slope_constant_oracle(d) == pytest.approx(
+        c_d_prime(d), rel=1e-13, abs=0.0)
+    assert verify._moment_coeff_oracle(d) == pytest.approx(
+        d / (d + 2), rel=1e-13, abs=0.0)
+    r_edge = 0.2 * 10.0 ** ((d - 1) / 4)   # 0.2 ... 2, the sampled range
+    for n in (8, 16):
+        assert verify._tail_weight_quadrature(r_edge, n) == pytest.approx(
+            r_edge ** -verify._WEIGHT_P / verify._WEIGHT_P, rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # mollification
 # ---------------------------------------------------------------------------
@@ -348,6 +362,65 @@ def test_indicator_section_membership(a, kappa, radius):
         assert _m_indicator(a, min(lo * 1.005, mid), radius) >= kappa - 1e-9
     assert _m_indicator(a, hi * 1.005, radius) <= kappa + 1e-9
     assert _m_indicator(a, max(hi * 0.995, mid), radius) >= kappa - 1e-9
+
+
+def test_indicator_section_of_an_array_is_the_section_of_each_centre():
+    # one formula serves both forms: NaN in the arrays where the float
+    # form returns None
+    a = np.linspace(-3.0, 3.0, 240)
+    for kappa, radius in [(0.49, 0.5), (0.1, 1.0), (1e-4, 0.5), (0.6, 1.0)]:
+        lo, hi = indicator_section_1d(a.reshape(3, -1), kappa, radius)
+        assert lo.shape == hi.shape == (3, a.size // 3)
+        for x, l, h in zip(a, lo.ravel(), hi.ravel()):
+            want = indicator_section_1d(float(x), kappa, radius)
+            if want is None:
+                assert math.isnan(l) and math.isnan(h), (x, kappa, radius)
+            else:
+                assert (l, h) == want, (x, kappa, radius)
+
+
+def test_indicator_measure_with_an_edge_on_the_box_end_is_infinite():
+    # the weight grows like s / t on the side of the edge inside the box,
+    # which is not integrable without a radius floor
+    for box in [(-0.5, 0.5), (0.5, 2.0), (-2.0, -0.5)]:
+        assert math.isinf(verify.indicator_measure_1d(0.1, 0.5, box, 0.0, 40.0))
+
+
+def _adaptive_indicator_measure(kappa, radius, box, r_lo, r_hi, p):
+    # scipy's adaptive quadrature of the section weight, one centre at a
+    # time, with the branch points of the section supplied explicitly
+    from scipy.integrate import quad
+
+    s = math.sqrt(1.0 - 2.0 * kappa)
+
+    def w(a):
+        sec = indicator_section_1d(a, kappa, radius)
+        if sec is None:
+            return 0.0
+        lo, hi = max(sec[0], r_lo), min(sec[1], r_hi)
+        return float(interval_weight(lo, hi, p)) if hi > lo else 0.0
+
+    t_star = 2.0 * radius * s / (1.0 - s)
+    pts = sorted({edge + sign * off
+                  for edge in (-radius, radius)
+                  for off in (0.0, s * r_lo, s * r_hi, t_star,
+                              min(t_star, radius), 2.0 * radius * s / (1.0 + s))
+                  for sign in (-1.0, 1.0) if box[0] < edge + sign * off < box[1]})
+    return quad(w, box[0], box[1], points=pts, limit=400,
+                epsabs=1e-12, epsrel=1e-11)[0]
+
+
+@pytest.mark.parametrize("box", [(-2.0, 2.0), (-0.4, 0.45), (1.2, 3.0)],
+                         ids=["edges-inside", "within-support", "beyond-support"])
+@pytest.mark.parametrize("radius", [0.5, 1.0])
+@pytest.mark.parametrize("kappa", [0.49, 0.1, 1e-2, 1e-4])
+def test_indicator_measure_matches_adaptive_quadrature(kappa, radius, box):
+    # the composite Gauss rule against scipy's quad, an independent route
+    for r_lo in (1e-5, 1e-3, 0.1):
+        for p in (1.0, 1.5, 2.0):
+            got = verify.indicator_measure_1d(kappa, radius, box, r_lo, 40.0, p)
+            want = _adaptive_indicator_measure(kappa, radius, box, r_lo, 40.0, p)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), (r_lo, p)
 
 
 def test_report_passed_semantics():

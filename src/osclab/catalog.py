@@ -4,10 +4,11 @@ Every entry is a pure, vectorized function of points in R^d together with
 whatever certificates downstream estimators need: an exact gradient where one
 exists, an upper bound for the Lipschitz constant of that gradient, the
 radius outside which the function is constant, the radius of a ball around
-each point on which it is constant, and, in dimension one, the breakpoints
-between which the function is a polynomial.  Entries are
-immutable and safe to share across threads.  The plateau's L1 mass and
-gradient norms are closed forms (integrals of polynomials and Beta
+each point on which it is constant, the integral of |grad f|^p over a box,
+and, in dimension one, the breakpoints between which the function is a
+polynomial.  translate, dilate and scale_values map every certificate.
+Entries are immutable and safe to share across threads.  The plateau's L1
+mass and gradient norms are closed forms (integrals of polynomials and Beta
 functions), so the catalog needs numpy only.
 
 String identifiers:
@@ -97,6 +98,8 @@ class TestFunction:
     certify m_f(a, r) = 0, and a zero ball average of |grad f|, for r below
     it without evaluating f or grad; None (linear and custom entries) means
     no such certificate.
+    grad_norm_p, when present, maps (p, box ((lo, hi), ...)) to the integral
+    of |grad f|^p over the box in closed form, or to None if it has none.
     """
     function_id: str
     dim: int
@@ -110,6 +113,7 @@ class TestFunction:
     far_value: float = 0.0
     l1_mass: Optional[float] = None
     flat_radius: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad_norm_p: Optional[Callable[[float, tuple], Optional[float]]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -148,11 +152,15 @@ def make_linear(d: int, v) -> TestFunction:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(v, x.shape).copy()
 
+    def gnorm(p: float, box: tuple) -> float:
+        # |grad f| = |v| everywhere, times the volume of the box
+        return vn ** p * math.prod(hi - lo for lo, hi in box)
+
     return TestFunction(
         function_id=fid, dim=d, eval=ev, grad=gr,
         grad_lipschitz=0.0, support_radius=None,
         smoothness_tag="linear", grad_max=vn,
-        breakpoints_1d=(), far_value=0.0, l1_mass=None)
+        breakpoints_1d=(), far_value=0.0, l1_mass=None, grad_norm_p=gnorm)
 
 
 def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
@@ -165,6 +173,10 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
     tangential curvature adds |A| max(S') / (w ri) on the annulus.  The
     L1 mass integrates the polynomial (1 - S(s)) (ri + w s)^(d-1) over the
     taper shell exactly, term by term.
+    With s = (|x| - ri) / w, |grad f| = (30 |A| / w) s^2 (1 - s)^2, so over
+    a box that holds the ball |x| <= ro (else grad_norm_p is None) the
+    integral of |grad f|^p, p > 0, is d omega_d w (30 |A| / w)^p times
+    sum_k C(d-1, k) ri^(d-1-k) w^k B(2p + k + 1, 2p + 1).
     """
     A = float(amplitude)
     ri = float(inner_radius)
@@ -228,12 +240,19 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
     surf = d * unit_ball_volume(d)
     mass = abs(A) * (surf * ri ** d / d + surf * shell)
 
+    def gnorm(p: float, box: tuple) -> Optional[float]:
+        if not all(lo <= -ro and hi >= ro for lo, hi in box):
+            return None
+        shell = _shell_sum(ri, w, d,
+                           lambda k: _beta(2.0 * p + k + 1.0, 2.0 * p + 1.0))
+        return surf * (30.0 * abs(A) / w) ** p * shell
+
     return TestFunction(
         function_id=fid, dim=d, eval=ev, grad=gr,
         grad_lipschitz=lip, support_radius=ro,
         smoothness_tag="smooth_compact_gradient", grad_max=gmax,
         breakpoints_1d=(-ro, -ri, ri, ro) if d == 1 else (),
-        far_value=0.0, l1_mass=mass, flat_radius=flat)
+        far_value=0.0, l1_mass=mass, flat_radius=flat, grad_norm_p=gnorm)
 
 
 def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
@@ -276,46 +295,55 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
         l1_mass=unit_ball_volume(d) * R ** d, flat_radius=flat)
 
 
+def _then(value, fn):
+    """fn(value), or None when value (a certificate) is None."""
+    return None if value is None else fn(value)
+
+
 def translate(f: TestFunction, shift) -> TestFunction:
-    """g(x) = f(x - shift); metadata moves rigidly."""
+    """g(x) = f(x - shift); metadata moves rigidly, and the gradient norm
+    over a box is f's over the box shifted by -shift."""
     h = np.atleast_1d(np.asarray(shift, dtype=float))
     if h.shape != (f.dim,):
         raise ValueError("shift dimension mismatch")
-    sup = None
-    if f.support_radius is not None:
-        sup = f.support_radius + float(np.linalg.norm(h))
+
+    def shifted(g):
+        return lambda x: g(np.asarray(x, dtype=float) - h)
+
     return replace(
         f,
         function_id=f.function_id + ":shifted",
-        eval=lambda x, _f=f.eval: _f(np.asarray(x, dtype=float) - h),
-        grad=(None if f.grad is None
-              else (lambda x, _g=f.grad: _g(np.asarray(x, dtype=float) - h))),
-        support_radius=sup,
+        eval=shifted(f.eval),
+        grad=_then(f.grad, shifted),
+        support_radius=_then(f.support_radius,
+                             lambda R: R + float(np.linalg.norm(h))),
         breakpoints_1d=tuple(b + h[0] for b in f.breakpoints_1d),
-        flat_radius=(None if f.flat_radius is None
-                     else (lambda a, _r=f.flat_radius:
-                           _r(np.asarray(a, dtype=float) - h))),
+        flat_radius=_then(f.flat_radius, shifted),
+        grad_norm_p=_then(f.grad_norm_p, lambda n: lambda p, box: n(
+            p, tuple((lo - hk, hi - hk) for (lo, hi), hk in zip(box, h)))),
         smoothness_tag=f.smoothness_tag if f.smoothness_tag != "linear" else "custom")
 
 
 def scale_values(f: TestFunction, lam: float) -> TestFunction:
-    """g(x) = lam * f(x); flat_radius carries over unchanged."""
+    """g(x) = lam * f(x); flat_radius carries over unchanged and gradient
+    norms gain |lam|^p."""
     lam = float(lam)
     return replace(
         f,
         function_id=f.function_id + f":times={_fmt(lam)}",
         eval=lambda x, _f=f.eval: lam * _f(x),
-        grad=(None if f.grad is None
-              else (lambda x, _g=f.grad: lam * _g(x))),
-        grad_lipschitz=(None if f.grad_lipschitz is None
-                        else abs(lam) * f.grad_lipschitz),
-        grad_max=(None if f.grad_max is None else abs(lam) * f.grad_max),
+        grad=_then(f.grad, lambda g: lambda x: lam * g(x)),
+        grad_lipschitz=_then(f.grad_lipschitz, lambda L: abs(lam) * L),
+        grad_max=_then(f.grad_max, lambda m: abs(lam) * m),
         far_value=lam * f.far_value,
-        l1_mass=(None if f.l1_mass is None else abs(lam) * f.l1_mass))
+        l1_mass=_then(f.l1_mass, lambda m: abs(lam) * m),
+        grad_norm_p=_then(f.grad_norm_p, lambda n: lambda p, box: _then(
+            n(p, box), lambda v: abs(lam) ** p * v)))
 
 
 def dilate(f: TestFunction, s: float) -> TestFunction:
-    """g(x) = f(x / s) for s > 0; lengths scale by s."""
+    """g(x) = f(x / s) for s > 0; lengths scale by s, and the gradient norm
+    over a box is s^(d - p) times f's over the box divided by s."""
     s = float(s)
     if s <= 0:
         raise ValueError("dilation factor must be positive")
@@ -323,50 +351,18 @@ def dilate(f: TestFunction, s: float) -> TestFunction:
         f,
         function_id=f.function_id + f":dilated={_fmt(s)}",
         eval=lambda x, _f=f.eval: _f(np.asarray(x, dtype=float) / s),
-        grad=(None if f.grad is None
-              else (lambda x, _g=f.grad: _g(np.asarray(x, dtype=float) / s) / s)),
-        grad_lipschitz=(None if f.grad_lipschitz is None
-                        else f.grad_lipschitz / s ** 2),
-        grad_max=(None if f.grad_max is None else f.grad_max / s),
-        support_radius=(None if f.support_radius is None
-                        else f.support_radius * s),
+        grad=_then(f.grad, lambda g: lambda x:
+                   g(np.asarray(x, dtype=float) / s) / s),
+        grad_lipschitz=_then(f.grad_lipschitz, lambda L: L / s ** 2),
+        grad_max=_then(f.grad_max, lambda m: m / s),
+        support_radius=_then(f.support_radius, lambda R: R * s),
         breakpoints_1d=tuple(b * s for b in f.breakpoints_1d),
-        flat_radius=(None if f.flat_radius is None
-                     else (lambda a, _r=f.flat_radius:
-                           s * _r(np.asarray(a, dtype=float) / s))),
-        l1_mass=(None if f.l1_mass is None else f.l1_mass * s ** f.dim))
-
-
-def grad_norm_p(f: TestFunction, p: float) -> float:
-    """Integral of |grad f|^p over R^d, in closed form.
-
-    Available for plateau entries as built by make_plateau_bump.  With
-    s = (|x| - ri) / w the gradient magnitude is (30 |A| / w) s^2 (1 - s)^2,
-    so for any p > 0 the integral is
-
-        d omega_d w (30 |A| / w)^p sum_k C(d-1, k) ri^(d-1-k) w^k
-            B(2p + k + 1, 2p + 1).
-
-    Used as an independent reference for distribution limits.  Raises
-    ValueError for any other entry, including a plateau whose identifier
-    carries a transform suffix (translate, dilate, scale_values), which
-    this formula does not model.
-    """
-    fid = f.function_id
-    if fid.startswith("plateau:"):
-        params = _parse_fields(fid)
-        A = abs(float(params.pop("a")))
-        ri = float(params.pop("ri"))
-        ro = float(params.pop("ro"))
-        params.pop("kind")
-        params.pop("d")
-        _reject_extras(fid, params)
-        w = ro - ri
-        d = f.dim
-        shell = _shell_sum(ri, w, d,
-                           lambda k: _beta(2.0 * p + k + 1.0, 2.0 * p + 1.0))
-        return d * unit_ball_volume(d) * (30.0 * A / w) ** p * shell
-    raise ValueError(f"no closed gradient-norm route for {fid!r}")
+        flat_radius=_then(f.flat_radius, lambda r: lambda a:
+                          s * r(np.asarray(a, dtype=float) / s)),
+        l1_mass=_then(f.l1_mass, lambda m: m * s ** f.dim),
+        grad_norm_p=_then(f.grad_norm_p, lambda n: lambda p, box: _then(
+            n(p, tuple((lo / s, hi / s) for lo, hi in box)),
+            lambda v: s ** (f.dim - p) * v)))
 
 
 def _parse_fields(fid: str) -> dict:

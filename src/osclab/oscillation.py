@@ -79,9 +79,18 @@ def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray) -> np.ndarray:
     roots; segments without a sign change get a zero-width placeholder at
     their right end, which segment_integrals skips.  Assumes at most one
     root per segment, which holds for the catalog entries (each is
-    monotone between its breakpoints).
+    monotone between its breakpoints).  f is evaluated once at each end of
+    the ball and at each breakpoint strictly inside it; segment_edges
+    clips the other breakpoints onto an end, whose value they copy.
     """
-    g_edges = fev(edges) - mu[..., None]
+    first = edges[..., :1]
+    live = (edges > first) & (edges < edges[..., -1:])
+    live[..., [0, -1]] = True
+    at = np.flatnonzero(live)  # take and put index the flat views
+    f_edges = np.empty(edges.shape)
+    f_edges.put(at, fev(edges.take(at)))
+    g_edges = np.where(live, f_edges, np.where(
+        edges == first, f_edges[..., :1], f_edges[..., -1:])) - mu[..., None]
     lo = edges[..., :-1]
     hi = edges[..., 1:]
     glo = g_edges[..., :-1]

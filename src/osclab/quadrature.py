@@ -108,14 +108,16 @@ class QuadratureSpec:
     """Which rule the oscillation kernels use on a ball, and how finely.
 
     method: "gauss_1d" (deterministic, dimension one only) or "monte_carlo".
-    node_count: at least 2.  For monte_carlo, the nodes per pass.  For
-    gauss_1d, the Gauss order per segment of the inner mean; the deviation
-    integral of the oscillation keeps a fixed 8-point rule on root-refined
-    segments.  default_spec picks order 8 for the inner mean as well: it
-    is exact to degree 15 per segment, and the catalog's 1-d entries are
-    piecewise polynomials of degree at most 5 (the plateau's quintic
-    taper), their mollifications (verify.mollify_1d) of degree at most 12.
-    seed: master seed for node generation; ignored by gauss_1d.
+    node_count: an integer, at least 2.  For monte_carlo, the nodes per
+    pass.  For gauss_1d, the Gauss order per segment of the inner mean; the
+    deviation integral of the oscillation keeps a fixed 8-point rule on
+    root-refined segments.  default_spec picks order 8 for the inner mean
+    as well: it is exact to degree 15 per segment, and the catalog's 1-d
+    entries are piecewise polynomials of degree at most 5 (the plateau's
+    quintic taper), their mollifications (verify.mollify_1d) of degree at
+    most 12.
+    seed: integer master seed for node generation; ignored by gauss_1d.
+    A node_count or seed that is not integral raises QuadratureError.
     """
     method: str = "monte_carlo"
     node_count: int = 4096
@@ -124,10 +126,18 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise QuadratureError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if int(self.node_count) < 2:
+        for name in ("node_count", "seed"):
+            value = getattr(self, name)
+            try:
+                whole = int(value) == value
+            except (TypeError, ValueError, OverflowError):
+                whole = False
+            if not whole:
+                raise QuadratureError(
+                    f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.node_count < 2:
             raise QuadratureError("node_count must be at least 2")
-        object.__setattr__(self, "node_count", int(self.node_count))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def default_spec(dim: int, seed: int, mc_nodes: int,

@@ -29,14 +29,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .catalog import (TestFunction, default_catalog, grad_norm_p, make_linear,
+from .catalog import (TestFunction, default_catalog, make_linear,
                       make_plateau_bump, unit_ball_volume)
 from .oscillation import (UnsupportedFunctionError, exact_oscillation_1d,
                           maximal_gradient, mean_oscillation)
 from .quadrature import (KEY_VERIFY, BallSample, QuadratureSpec, default_spec,
                          gauss_rule, segment_integrals, stream)
-from .weaknorm import (Domain, c_d_prime, c_dp, distribution_curve,
-                       expansion_remainder_coeff, interval_weight)
+from .weaknorm import (Domain, c_d_prime, distribution_curve,
+                       expansion_remainder_coeff, interval_weight,
+                       reference_scaled_limit)
 
 # run_all's defaults, which the command line reads and echoes
 DEFAULT_SEED = 20260819
@@ -710,7 +711,7 @@ def check_bv_divergence(radius: float, kappa_grid, domain: Domain,
     grid = np.geomspace(0.25, 0.25 * 1e-3, 9)
     spec = QuadratureSpec("gauss_1d", 8, seed)
     curve = distribution_curve(f, 1.0, grid, dom, spec, samples=1024)
-    ref = c_dp(1, 1.0) * grad_norm_p(f, 1.0)
+    ref = reference_scaled_limit(f, 1.0, dom)
     # The scaled curve peaks near 1.68 * ref around kappa ~ 0.2 before
     # descending to the gradient limit, so 2 * ref is a boundedness
     # regression bound, not a limit statement.

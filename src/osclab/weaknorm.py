@@ -60,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import TestFunction, grad_norm_p, unit_ball_volume
+from .catalog import TestFunction, unit_ball_volume
 from .oscillation import (SKIP_MARGIN, exact_oscillation_1d, flat_balls,
                           mc_deviations)
 from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS,
@@ -184,10 +184,7 @@ class Domain:
 
     @property
     def volume(self) -> float:
-        out = 1.0
-        for lo, hi in self.box:
-            out *= hi - lo
-        return out
+        return math.prod(hi - lo for lo, hi in self.box)
 
 
 def default_domain(f: TestFunction) -> Domain:
@@ -666,14 +663,12 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
 
     vol = domain.volume
     nu = vol * weights.mean(axis=1)
-    se = np.empty(kappas.size)
-    for ki in range(kappas.size):
-        acc = 0.0
-        for s in range(n_strata):
-            grp = weights[ki, strata == s]
-            acc += grp.var(ddof=1) / grp.size
-        se[ki] = vol * math.sqrt(acc) / n_strata
-    se = se + vol * ambig.mean(axis=1)
+    # sample_centers sorts the centres by stratum, so each stratum is one
+    # run of columns; the variances add up in stratum order
+    acc = np.zeros(kappas.size)
+    for grp in np.split(weights, np.flatnonzero(np.diff(strata)) + 1, axis=1):
+        acc += grp.var(axis=1, ddof=1) / grp.shape[1]
+    se = vol * np.sqrt(acc) / n_strata + vol * ambig.mean(axis=1)
 
     tail = np.array([_r_tail_bound(f, float(k), p, domain) for k in kappas])
     return DistributionCurve(
@@ -840,21 +835,11 @@ def reference_scaled_limit(f: TestFunction, p: float,
                            domain: Domain) -> Optional[float]:
     """Independent value of c_dp times the window integral of |grad f|^p.
 
-    Closed form for linear entries, and for plateau entries (see
-    catalog.grad_norm_p) whose gradient support fits inside the window (the
-    integral then equals the whole-space one).  None when no independent
-    route exists, transformed plateaus included.
+    The integral is the entry's closed form (TestFunction.grad_norm_p) over
+    the window's box.  None when the entry has none for that box.
     """
-    if f.smoothness_tag == "linear" and f.grad_max is not None:
-        return c_dp(f.dim, p) * f.grad_max ** p * domain.volume
-    if f.support_radius is not None and all(
-            lo <= -f.support_radius and hi >= f.support_radius
-            for lo, hi in domain.box):
-        try:
-            return c_dp(f.dim, p) * grad_norm_p(f, p)
-        except ValueError:
-            return None  # no closed form for this entry
-    return None
+    norm = None if f.grad_norm_p is None else f.grad_norm_p(p, domain.box)
+    return None if norm is None else c_dp(f.dim, p) * norm
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from osclab import (
     default_domain,
     default_kappa_grid,
     distribution_curve,
-    grad_norm_p,
     indicator_measure_1d,
     limit_extrapolate,
     make_ball_indicator,
@@ -112,7 +111,7 @@ def test_criterion_04_limit_theorem_desk_scale():
     cur1 = distribution_curve(f1, 2.0, default_kappa_grid(f1), dom1, spec1,
                               samples=2048)
     lim1 = limit_extrapolate(cur1)
-    ref1 = c_dp(1, 2.0) * grad_norm_p(f1, 2.0)
+    ref1 = c_dp(1, 2.0) * f1.grad_norm_p(2.0, dom1.box)
     assert lim1.ok, lim1.notes
     assert abs(lim1.value - ref1) <= 0.05 * ref1, (lim1.value, ref1)
     # d = 2 at 4096 center samples: within 10 percent
@@ -123,7 +122,7 @@ def test_criterion_04_limit_theorem_desk_scale():
     cur2 = distribution_curve(f2, 2.0, np.geomspace(20.0, 0.02, 13), dom2,
                               spec2, samples=4096)
     lim2 = limit_extrapolate(cur2)
-    ref2 = c_dp(2, 2.0) * grad_norm_p(f2, 2.0)
+    ref2 = c_dp(2, 2.0) * f2.grad_norm_p(2.0, dom2.box)
     assert lim2.ok, lim2.notes
     assert abs(lim2.value - ref2) <= 0.10 * ref2, (lim2.value, ref2)
     _ok(4, "scaled superlevel limit matches gradient norm (d=1 5%, d=2 10%)")

@@ -1,5 +1,6 @@
 """Test function catalog: certificates, identifiers, transforms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from osclab import (
     DEFAULT_IDS,
     default_catalog,
     dilate,
-    grad_norm_p,
     make_ball_indicator,
     make_linear,
     make_plateau_bump,
@@ -84,47 +84,86 @@ def test_support_certificate(f):
         assert f.eval(x) == f.far_value
 
 
+def _support_box(f, center=None):
+    """The cube of half-side support_radius about center (default 0)."""
+    c = np.zeros(f.dim) if center is None else np.asarray(center, float)
+    return tuple((ck - f.support_radius, ck + f.support_radius) for ck in c)
+
+
 def test_plateau_gradient_norm_squared_is_40_over_7():
     # the quintic taper's derivative is 30 s^2 (1 - s)^2; integrating its
     # square over both ramps of the unit-amplitude profile gives 40/7
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
-    assert abs(grad_norm_p(f, 2.0) - 40.0 / 7.0) <= 1e-9
+    assert abs(f.grad_norm_p(2.0, _support_box(f)) - 40.0 / 7.0) <= 1e-9
 
 
 def test_plateau_l1_gradient_norm_is_two():
     # f rises 0 -> 1 and falls 1 -> 0, so the total variation is exactly 2
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
-    assert abs(grad_norm_p(f, 1.0) - 2.0) <= 1e-9
+    assert abs(f.grad_norm_p(1.0, _support_box(f)) - 2.0) <= 1e-9
 
 
 def test_plateau_gradient_norm_squared_is_40_over_7_to_two_ulps():
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
     exact = 40.0 / 7.0
-    assert abs(grad_norm_p(f, 2.0) - exact) <= 2.0 * math.ulp(exact)
+    got = f.grad_norm_p(2.0, _support_box(f))
+    assert abs(got - exact) <= 2.0 * math.ulp(exact)
 
 
 PLATEAU_PARAMS = [(1.0, 0.5, 1.0), (-2.0, 0.3, 0.9), (0.4, 1.5, 1.75)]
+
+# transforms of a d-dimensional entry: (transform, image's centre, radius
+# factor of the image's taper shell)
+PLATEAU_TRANSFORMS = [
+    (lambda f: f, lambda d: np.zeros(d), 1.0),
+    (lambda f: dilate(f, 1.7), lambda d: np.zeros(d), 1.7),
+    (lambda f: scale_values(f, -2.5), lambda d: np.zeros(d), 1.0),
+    (lambda f: translate(f, [0.3, -0.2, 0.1][:f.dim]),
+     lambda d: np.array([0.3, -0.2, 0.1][:d]), 1.0),
+]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7])
 def test_plateau_gradient_norm_closed_form_matches_quadrature(d, p):
-    # radial quadrature of |grad f|^p over the taper shell is the oracle
+    # radial quadrature of |grad g|^p over the taper shell about g's centre
+    # is the oracle, for the plateau and its dilate, scale_values and
+    # translate images, over the cube of half-side support_radius about it
     from scipy.integrate import quad
     from osclab import unit_ball_volume
-    for A, ri, ro in PLATEAU_PARAMS:
-        f = make_plateau_bump(d, A, ri, ro)
+    for (A, ri, ro), (transform, centre, stretch) in itertools.product(
+            PLATEAU_PARAMS, PLATEAU_TRANSFORMS):
+        g = transform(make_plateau_bump(d, A, ri, ro))
+        c = centre(d)
 
         def integrand(rho):
-            g = f.grad(np.array([rho] + [0.0] * (d - 1)))
-            return float(np.linalg.norm(g)) ** p * rho ** (d - 1)
+            x = c + np.array([rho] + [0.0] * (d - 1))
+            return float(np.linalg.norm(g.grad(x))) ** p * rho ** (d - 1)
 
-        val, err = quad(integrand, ri, ro, epsabs=0.0, epsrel=2e-14,
-                        limit=200)
+        val, err = quad(integrand, stretch * ri, stretch * ro, epsabs=0.0,
+                        epsrel=2e-14, limit=200)
         oracle = d * unit_ball_volume(d) * val
-        got = grad_norm_p(f, p)
+        got = g.grad_norm_p(p, _support_box(g, c))
         assert isinstance(got, float)
-        assert abs(got - oracle) <= 1e-13 * oracle, (A, ri, ro, got, oracle)
+        assert abs(got - oracle) <= 1e-13 * oracle, (g.function_id, got,
+                                                     oracle)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.7])
+def test_grad_norm_p_transform_laws(d, p):
+    # over boxes that hold the whole support: translation leaves the
+    # integral of |grad f|^p unchanged, dilation by s multiplies it by
+    # s^(d - p) and scaling the values by lam multiplies it by |lam|^p
+    f = make_plateau_bump(d, -2.0, 0.3, 0.9)
+    base = f.grad_norm_p(p, _support_box(f))
+    h = np.array([0.8, -0.6, 0.4][:d])
+    assert translate(f, h).grad_norm_p(p, _support_box(f, h)) == base
+    g = dilate(f, 2.5)
+    got = g.grad_norm_p(p, _support_box(g))
+    assert got == pytest.approx(2.5 ** (d - p) * base, rel=1e-15)
+    got = scale_values(f, -0.3).grad_norm_p(p, _support_box(f))
+    assert got == pytest.approx(0.3 ** p * base, rel=1e-15)
 
 
 @pytest.mark.parametrize("transform", [
@@ -132,12 +171,21 @@ def test_plateau_gradient_norm_closed_form_matches_quadrature(d, p):
     lambda f: scale_values(f, 2.0),
     lambda f: translate(f, [0.25]),
 ], ids=["dilate", "scale_values", "translate"])
-def test_grad_norm_p_rejects_transformed_plateaus(transform):
-    # the closed form reads the plateau's own parameters, so a suffix it
-    # does not model must not pass as the untransformed value
+def test_grad_norm_p_needs_the_transformed_support_in_the_box(transform):
+    # a box that cuts the image's taper shell has no closed form, whether
+    # or not it would hold the untransformed support
     g = transform(make_plateau_bump(1, 1.0, 0.5, 1.0))
-    with pytest.raises(ValueError):
-        grad_norm_p(g, 2.0)
+    lo, hi = -g.support_radius, g.support_radius
+    assert g.grad_norm_p(2.0, ((lo, hi),)) is not None
+    assert g.grad_norm_p(2.0, ((0.5 * lo, hi),)) is None
+
+
+def test_transforms_keep_a_missing_gradient_norm_missing():
+    ind = make_ball_indicator(2, 0.5)
+    assert ind.grad_norm_p is None
+    for g in (translate(ind, [0.1, 0.2]), dilate(ind, 2.0),
+              scale_values(ind, 3.0)):
+        assert g.grad_norm_p is None
 
 
 def test_plateau_l1_mass_is_a_float():

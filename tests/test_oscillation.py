@@ -372,23 +372,51 @@ def _eval_counted(f):
 @pytest.mark.parametrize("a, r, points", [
     # inside the core, [-0.2, 0.2]: the edges are clip(-1), clip(-0.5),
     # clip(0.5), clip(1) between the ends, [-.2, -.2, -.2, .2, .2, .2], so
-    # 1 of 5 segments is live.  Inner mean: 1 x 8 = 8.  Root search: the 6
-    # edges, and f - mu has no sign change (f is constant).  The refined
-    # edges put each segment's right end after it as a placeholder,
+    # 1 of 5 segments is live.  Inner mean: 1 x 8 = 8.  Root search: the 2
+    # ends, which the 4 clipped breakpoints copy, and f - mu has no sign
+    # change (f is constant).  The refined edges put each segment's right
+    # end after it as a placeholder,
     # [-.2, -.2, -.2, -.2, -.2, .2, .2, .2, .2, .2, .2]: 1 of 10 live, 8.
-    # 8 + 6 + 8 = 22 (the dense rule: 40 + 6 + 80 = 126).
-    (0.0, 0.2, 22),
+    # 8 + 2 + 8 = 18 (the dense rule: 40 + 6 + 80 = 126).
+    (0.0, 0.2, 18),
     # straddling ri, [0.3, 0.7]: edges [.3, .3, .3, .5, .7, .7], 2 live
-    # segments, 16.  Root search: 6 edges, then f - mu changes sign on
-    # [.5, .7] only (f = 1 > mu at .5, f < mu at .7), 30 bisection steps of
-    # one point, 36.  Refined: [.3, .3, .3, .3, .3, .5, .5, root, .7, .7,
-    # .7], 3 live, 24.  16 + 36 + 24 = 76 (dense: 40 + 36 + 80 = 156).
-    (0.5, 0.2, 76),
+    # segments, 16.  Root search: the 2 ends and the breakpoint .5 inside,
+    # then f - mu changes sign on [.5, .7] only (f = 1 > mu at .5, f < mu
+    # at .7), 30 bisection steps of one point, 33.  Refined: [.3, .3, .3,
+    # .3, .3, .5, .5, root, .7, .7, .7], 3 live, 24.  16 + 33 + 24 = 73
+    # (dense: 40 + 36 + 80 = 156).
+    (0.5, 0.2, 73),
 ])
 def test_exact_oscillation_1d_evaluates_live_segments_only(a, r, points):
     f, seen = _eval_counted(make_plateau_bump(1, 1.0, 0.5, 1.0))
     exact_oscillation_1d(f, a, r)
     assert seen[0] == points
+
+
+@pytest.mark.parametrize("f", [
+    make_plateau_bump(1, 1.0, 0.5, 1.0),
+    make_plateau_bump(1, -2.0, 0.3, 0.9),
+    make_ball_indicator(1, 0.5, center=[0.25]),
+], ids=lambda f: f.function_id)
+def test_root_refined_edges_follow_the_sign_of_f_at_every_edge(f):
+    # the clipped breakpoints copy the values at the ends instead of
+    # evaluating f there; the segments with a root must still be those
+    # where f - mu changes sign between f's values at all K + 2 edges
+    from osclab.quadrature import segment_edges, segment_mean
+    rng = np.random.default_rng(7)
+    a = rng.uniform(-1.5, 1.5, 400)
+    r = np.exp(rng.uniform(np.log(1e-3), np.log(3.0), 400))
+    edges = segment_edges(f.breakpoints_1d, a - r, a + r)
+    mu = segment_mean(f.eval_1d, edges, 8)
+    g = f.eval_1d(edges) - mu[..., None]
+    cross = np.sign(g[..., :-1]) * np.sign(g[..., 1:]) < 0
+    lo, hi = edges[..., :-1], edges[..., 1:]
+    out = oscillation._root_refined_edges(f.eval_1d, edges, mu)
+    roots = out[..., 1::2]
+    assert cross.any()
+    assert np.array_equal(out[..., 0::2], edges)
+    assert np.array_equal(roots[~cross], hi[~cross])
+    assert np.all((lo[cross] < roots[cross]) & (roots[cross] < hi[cross]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from osclab import (QuadratureError, gauss_rule, make_plateau_bump,
-                    oscillation, stream, unit_ball_nodes, unit_ball_volume)
+from osclab import (QuadratureError, QuadratureSpec, gauss_rule,
+                    make_plateau_bump, oscillation, stream, unit_ball_nodes,
+                    unit_ball_volume)
 from osclab.quadrature import segment_edges, segment_integrals, segment_mean
 
 
@@ -237,3 +238,20 @@ def test_segment_mean_refuses_a_zero_width_interval():
             segment_mean(lambda x: x,
                          segment_edges((), np.array([0.0, 3.0 - 1e-17]),
                                        np.array([1.0, 3.0 + 1e-17])), 8)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"node_count": 8.9}, {"node_count": float("nan")},
+    {"node_count": float("inf")}, {"node_count": "8"},
+    {"seed": 1.7}, {"seed": None}, {"seed": "1"},
+])
+def test_spec_refuses_a_count_or_seed_that_is_not_integral(kwargs):
+    # int() would truncate 8.9 to order 8 and seed 1.7 to 1
+    with pytest.raises(QuadratureError, match="must be an integer"):
+        QuadratureSpec("gauss_1d", **{"node_count": 8, "seed": 1, **kwargs})
+
+
+def test_spec_keeps_integral_counts_and_seeds_as_ints():
+    spec = QuadratureSpec("monte_carlo", np.int64(16), 3.0)
+    assert (spec.node_count, spec.seed) == (16, 3)
+    assert type(spec.node_count) is int and type(spec.seed) is int

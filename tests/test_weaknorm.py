@@ -25,7 +25,6 @@ from osclab import (
     distribution_curve,
     exact_oscillation_1d,
     expansion_remainder_coeff,
-    grad_norm_p,
     indicator_measure_1d,
     interval_weight,
     kappa_grid,
@@ -1226,29 +1225,70 @@ def test_reference_scaled_limit_catalog():
     assert reference_scaled_limit(lin, 2.0, dom) == pytest.approx(want)
     pla = make_plateau_bump(1, 1.0, 0.5, 1.0)
     dom2 = default_domain(pla)
-    want2 = c_dp(1, 2.0) * grad_norm_p(pla, 2.0)
+    want2 = c_dp(1, 2.0) * pla.grad_norm_p(2.0, dom2.box)
     assert reference_scaled_limit(pla, 2.0, dom2) == pytest.approx(want2)
     ind = make_ball_indicator(1, 0.5)
     assert reference_scaled_limit(ind, 1.0, dom) is None
+    bare = catalog.TestFunction(
+        function_id="custom", dim=1, eval=lambda x: x[..., 0], grad=None,
+        grad_lipschitz=None, support_radius=None, smoothness_tag="custom")
+    assert bare.grad_norm_p is None
+    assert reference_scaled_limit(bare, 2.0, dom) is None
 
 
-@pytest.mark.parametrize("transform", [
-    lambda f: dilate(f, 3.0),
-    lambda f: scale_values(f, 2.0),
-    lambda f: translate(f, [0.25]),
+def test_plateau_reference_reads_the_amplitude_not_its_identifier():
+    # the identifier prints a = 1.23457; the reference must use the entry's
+    # own 1.23456789: c_(1,2) = 1/8 and the d = 1 integral is A^2 * 40/7
+    A = 1.23456789
+    pla = make_plateau_bump(1, A, 0.5, 1.0)
+    assert "a=1.23457:" in pla.function_id
+    assert reference_scaled_limit(pla, 2.0, default_domain(pla)) == (
+        pytest.approx(A ** 2 * 40.0 / 7.0 / 8.0, rel=1e-15))
+
+
+def test_translated_linear_keeps_its_reference():
+    # |grad f| = |v| on the whole window, shifted or not
+    v = [1.0, 2.0]
+    dom = Domain(box=((-0.5, 1.5), (-1.0, 0.25)), r_max=50.0, r_min=1e-4)
+    want = c_dp(2, 3.0) * 5.0 ** 1.5 * 2.5
+    for g in (make_linear(2, v), translate(make_linear(2, v), [0.5, -0.75])):
+        assert reference_scaled_limit(g, 3.0, dom) == pytest.approx(
+            want, rel=1e-15)
+
+
+def test_translated_plateau_reference_needs_only_its_shifted_support():
+    # the window holds the shifted support [-0.2, 1.8] x [-1.6, 0.4] but not
+    # the cube [-(ro + |h|), ro + |h|]^2 = [-2, 2]^2 about the origin
+    pla = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    g = translate(pla, [0.8, -0.6])
+    dom = Domain(box=((-0.25, 1.85), (-1.65, 0.45)), r_max=22.5, r_min=1e-4)
+    assert not all(lo <= -g.support_radius and hi >= g.support_radius
+                   for lo, hi in dom.box)
+    want = reference_scaled_limit(pla, 2.0, default_domain(pla))
+    assert reference_scaled_limit(g, 2.0, dom) == want
+    # a window that cuts the shifted taper shell gets none
+    cut = Domain(box=((-0.1, 1.85), (-1.65, 0.45)), r_max=22.5, r_min=1e-4)
+    assert reference_scaled_limit(g, 2.0, cut) is None
+
+
+@pytest.mark.parametrize("transform,factor", [
+    (lambda f: dilate(f, 3.0), 3.0 ** (1 - 2)),
+    (lambda f: scale_values(f, -2.0), 2.0 ** 2),
+    (lambda f: translate(f, [0.25]), 1.0),
 ], ids=["dilate", "scale_values", "translate"])
-def test_curve_summary_has_no_reference_for_transformed_plateaus(transform):
-    # grad_norm_p models the bare plateau only: a transformed one gets no
-    # reference value, rather than the untransformed value or an exception
-    g = transform(make_plateau_bump(1, 1.0, 0.5, 1.0))
+def test_curve_summary_reference_follows_the_transform_laws(transform,
+                                                            factor):
+    # dilation by s multiplies the integral of |grad f|^p by s^(d - p),
+    # scaling the values by lam by |lam|^p, and translation leaves it as is
+    pla = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    g = transform(pla)
     dom = default_domain(g)
-    assert all(lo <= -g.support_radius and hi >= g.support_radius
-               for lo, hi in dom.box)
     cur = distribution_curve(g, 2.0, default_kappa_grid(g), dom, GAUSS,
                              samples=16)
-    assert reference_scaled_limit(g, 2.0, dom) is None
+    want = factor * reference_scaled_limit(pla, 2.0, default_domain(pla))
     assert curve_summary(cur, limit_extrapolate(cur),
-                         g)["reference_value"] is None
+                         g)["reference_value"] == pytest.approx(want,
+                                                                rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

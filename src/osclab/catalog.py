@@ -300,15 +300,30 @@ def _then(value, fn):
     return None if value is None else fn(value)
 
 
+def require_box_dimension(box, dim: int) -> None:
+    """Refuse a box ((lo, hi), ...) with other than dim sides: ValueError."""
+    if len(box) != dim:
+        raise ValueError(f"domain dimension {len(box)} does not match "
+                         f"function dimension {dim}")
+
+
 def translate(f: TestFunction, shift) -> TestFunction:
     """g(x) = f(x - shift); metadata moves rigidly, and the gradient norm
-    over a box is f's over the box shifted by -shift."""
+    over a box is f's over the box shifted by -shift.  A box of another
+    dimension than f's raises ValueError (require_box_dimension)."""
     h = np.atleast_1d(np.asarray(shift, dtype=float))
     if h.shape != (f.dim,):
         raise ValueError("shift dimension mismatch")
 
     def shifted(g):
         return lambda x: g(np.asarray(x, dtype=float) - h)
+
+    def shifted_norm(n):
+        def norm(p, box):
+            require_box_dimension(box, f.dim)
+            return n(p, tuple((lo - hk, hi - hk)
+                              for (lo, hi), hk in zip(box, h)))
+        return norm
 
     return replace(
         f,
@@ -319,8 +334,7 @@ def translate(f: TestFunction, shift) -> TestFunction:
                              lambda R: R + float(np.linalg.norm(h))),
         breakpoints_1d=tuple(b + h[0] for b in f.breakpoints_1d),
         flat_radius=_then(f.flat_radius, shifted),
-        grad_norm_p=_then(f.grad_norm_p, lambda n: lambda p, box: n(
-            p, tuple((lo - hk, hi - hk) for (lo, hi), hk in zip(box, h)))),
+        grad_norm_p=_then(f.grad_norm_p, shifted_norm),
         smoothness_tag=f.smoothness_tag if f.smoothness_tag != "linear" else "custom")
 
 

@@ -264,6 +264,10 @@ def segment_integrals(g: Callable, edges: np.ndarray, n: int,
     The values go into a zero-filled (..., K+1, n) array and the sums run
     as half * (vals @ w) on that full shape, since the BLAS row sum depends
     on the row count and a matmul over the live rows alone moves last bits.
+    Rows of different lengths can share one call when each is padded by
+    repeating its last edge: the padding integrates to exactly 0, and a row
+    of 4k segments keeps the bits it has alone (BLAS takes the rows of the
+    matmul in blocks of four; a row of another count may move a last bit).
     """
     t, w = gauss_rule(n)
     lo = edges[..., :-1]

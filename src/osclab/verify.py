@@ -19,6 +19,13 @@ has kinks and graded toward its singularities.  They are independent of
 osclab's own Gauss rule (quadrature.gauss_rule, segment_integrals), which
 they check, and they load no scipy: neither importing osclab nor running a
 curve or the battery does.
+
+The mollification suite draws all its balls first, in the order of its
+random stream, and then evaluates them together: one exact_oscillation_1d
+call gives every left side, and one segment_integrals call gives every
+right side, whose integrand calls the oscillation kernel on blocks of at
+most _MOLLIFY_BLOCK balls, so the suite's memory does not grow with its
+sample count.
 """
 from __future__ import annotations
 
@@ -346,30 +353,62 @@ def check_local_expansion(f: TestFunction, n_samples: int,
 # suite: mollification comparison
 # ---------------------------------------------------------------------------
 
-def _oscillation_convolved_with(f: TestFunction, phi: Mollifier, a: float,
-                                r: float, panels: int):
-    """Quadrature of z -> phi(z) m_f(a - z, r) with a refinement error bar."""
+# Balls per exact_oscillation_1d call on the right-hand side of the
+# mollification suite: the blocks bound the suite's working set, whatever
+# the number of cases.  With 2048 the battery's peak memory stays that of
+# its bv_divergence curve (60.3 MB); blocks of 8192 raised it to 62.1 MB.
+_MOLLIFY_BLOCK = 2048
+# Coarse panels per piece of the mollifier's window (the fine rule takes
+# twice as many); a multiple of 4, see _oscillation_convolved_with.
+_MOLLIFY_PANELS = 12
+
+
+def _oscillation_convolved_with(f: TestFunction, phi: Mollifier, a, r):
+    """Quadrature of z -> phi(z) m_f(a_i - z, r_i) for every case i, with a
+    refinement error bar; returns the arrays (fine, |fine - coarse|).
+
+    Each case's window [-t, t] is split where a ball edge a_i +- r_i - z
+    meets a breakpoint of f, and each piece into _MOLLIFY_PANELS (coarse)
+    and twice as many (fine) equal parts.  All rows go to one segment_integrals
+    call, each padded by repeating its last edge, which gives zero-width
+    segments that are never evaluated.  The integrand hands the nodes to
+    exact_oscillation_1d in blocks of _MOLLIFY_BLOCK balls, and each row
+    is summed over its own segments only.  With a panel count that is a
+    multiple of 4 (segment_integrals) every case then gets the bits of its
+    own one-case computation.
+    """
     t = phi.scale
-    pts = {-t, t}
-    for b in f.breakpoints_1d:
-        for edge in (a - r - b, a + r - b):
-            if -t < edge < t:
-                pts.add(edge)
-    base = np.array(sorted(pts))
+    rows = []
+    for ai, ri in zip(a, r):
+        pts = {-t, t}
+        for b in f.breakpoints_1d:
+            for edge in (ai - ri - b, ai + ri - b):
+                if -t < edge < t:
+                    pts.add(edge)
+        base = np.array(sorted(pts))
+        for k in (_MOLLIFY_PANELS, 2 * _MOLLIFY_PANELS):
+            rows.append(np.concatenate(
+                [np.linspace(lo, hi, k + 1)[:-1]
+                 for lo, hi in zip(base[:-1], base[1:])] + [base[-1:]]))
+    width = max(row.size for row in rows)
+    edges = np.stack([np.pad(row, (0, width - row.size), mode="edge")
+                      for row in rows])
 
-    def integrate_panels(k: int) -> float:
-        edges = []
-        for lo, hi in zip(base[:-1], base[1:]):
-            edges.append(np.linspace(lo, hi, k + 1)[:-1])
-        edges = np.concatenate(edges + [base[-1:]])
-        seg = segment_integrals(
-            lambda z: phi.density(z) * exact_oscillation_1d(f, a - z, r)[0],
-            edges, 8)
-        return float(seg.sum())
+    def integrand(z, centre, radius):
+        x = (centre - z).reshape(-1)
+        rad = np.broadcast_to(radius, z.shape).reshape(-1)
+        m = np.empty_like(x)
+        for lo in range(0, x.size, _MOLLIFY_BLOCK):
+            hi = lo + _MOLLIFY_BLOCK
+            m[lo:hi] = exact_oscillation_1d(f, x[lo:hi], rad[lo:hi])[0]
+        return phi.density(z) * m.reshape(z.shape)
 
-    coarse = integrate_panels(panels)
-    fine = integrate_panels(2 * panels)
-    return fine, abs(fine - coarse)
+    seg = segment_integrals(integrand, edges, 8,
+                            np.repeat(a, 2), np.repeat(r, 2))
+    sums = np.array([seg[i, :row.size - 1].sum()
+                     for i, row in enumerate(rows)])
+    coarse, fine = sums[0::2], sums[1::2]
+    return fine, np.abs(fine - coarse)
 
 
 def check_mollification(f: TestFunction, phi: Mollifier, n_samples: int,
@@ -381,7 +420,12 @@ def check_mollification(f: TestFunction, phi: Mollifier, n_samples: int,
     Both sides are deterministic in dimension one (exact piecewise rules on
     the left, refined panel quadrature with an error estimate on the
     right); a case whose error estimate swamps the comparison is recorded
-    as inconclusive rather than failed.
+    as inconclusive rather than failed.  The n_samples balls are drawn one
+    (a, r) pair at a time from the suite's stream, then evaluated in a
+    batch: one exact_oscillation_1d call for the left sides and one
+    segment_integrals call for the right sides, whose oscillations run in
+    blocks of _MOLLIFY_BLOCK balls.  Each case has the bits it would get
+    evaluated on its own.
     """
     if f.dim != 1:
         raise UnsupportedFunctionError("mollification checks run in dimension one")
@@ -393,22 +437,24 @@ def check_mollification(f: TestFunction, phi: Mollifier, n_samples: int,
         "mollifier_unit_mass",
         {"scale": phi.scale, "mass_defect": phi.mass_defect},
         phi.mass_defect, 1e-10)]
+    a = np.empty(n_samples)
+    r = np.empty(n_samples)
     for i in range(n_samples):
-        a = float(rng.uniform(-1.1 * scale, 1.1 * scale))
-        r = float(np.exp(rng.uniform(np.log(0.05 * scale),
-                                     np.log(0.8 * scale))))
-        lhs, _ = exact_oscillation_1d(g, a, r)
-        lhs = float(lhs)
-        rhs, err = _oscillation_convolved_with(f, phi, a, r, panels=12)
-        ref = max(abs(lhs), abs(rhs), 1e-300)
-        margin = lhs - rhs
-        tol = 3.0 * err + 1e-10 * max(1.0, ref)
+        a[i] = rng.uniform(-1.1 * scale, 1.1 * scale)
+        r[i] = np.exp(rng.uniform(np.log(0.05 * scale), np.log(0.8 * scale)))
+    lhs = exact_oscillation_1d(g, a, r)[0]
+    rhs, err = _oscillation_convolved_with(f, phi, a, r)
+    for i in range(n_samples):
+        ref = max(abs(lhs[i]), abs(rhs[i]), 1e-300)
+        margin = lhs[i] - rhs[i]
+        tol = 3.0 * err[i] + 1e-10 * max(1.0, ref)
         # an error estimate at roundoff scale is decisive even when both
         # sides vanish (ball far from where f varies)
-        murky = err > max(_INCONCLUSIVE_RTOL * ref, 1e-12)
+        murky = err[i] > max(_INCONCLUSIVE_RTOL * ref, 1e-12)
         cases.append(_case(
             f"mollified_vs_averaged[{i}]",
-            {"a": a, "r": r, "lhs": lhs, "rhs": rhs, "quad_error": err},
+            {"a": float(a[i]), "r": float(r[i]), "lhs": float(lhs[i]),
+             "rhs": float(rhs[i]), "quad_error": float(err[i])},
             margin, tol,
             inconclusive=murky,
             note="" if not murky
@@ -545,20 +591,27 @@ def indicator_section_1d(a, kappa: float, radius: float):
     if kappa >= 0.5 or kappa <= 0.0:
         lo = hi = np.full(a.shape, np.nan)
     else:
-        s = math.sqrt(1.0 - 2.0 * kappa)
         u = np.abs(a)
-        t = np.abs(u - radius)
-        cover = u + radius
-        inside = np.where(t <= s * cover, t / s, radius * (1.0 - s) / kappa)
-        lo = np.where(u > radius, t / s, inside)
-        # outside the support the profile peaks at the cover radius; the
-        # section is empty once that peak falls below the threshold
-        empty = (u > radius) & (t > 2.0 * radius * s / (1.0 - s))
-        lo = np.where(empty, np.nan, lo)
-        hi = np.where(empty, np.nan, radius * (1.0 + s) / kappa)
+        lo, hi = _edge_section(np.abs(u - radius), u > radius, u + radius,
+                               kappa, radius)
     if a.ndim:
         return lo, hi
     return None if np.isnan(lo) else (float(lo), float(hi))
+
+
+def _edge_section(t, outside, cover, kappa: float, radius: float):
+    """The section (lo, hi) of indicator_section_1d for 0 < kappa < 1/2,
+    from each centre's distance t to the nearer edge, its side (outside:
+    |a| > radius) and its cover radius |a| + radius; NaN where empty."""
+    s = math.sqrt(1.0 - 2.0 * kappa)
+    inside = np.where(t <= s * cover, t / s, radius * (1.0 - s) / kappa)
+    lo = np.where(outside, t / s, inside)
+    # outside the support the profile peaks at the cover radius; the
+    # section is empty once that peak falls below the threshold
+    empty = outside & (t > 2.0 * radius * s / (1.0 - s))
+    lo = np.where(empty, np.nan, lo)
+    hi = np.where(empty, np.nan, radius * (1.0 + s) / kappa)
+    return lo, hi
 
 
 def indicator_measure_1d(kappa: float, radius: float, box, r_lo: float,
@@ -566,9 +619,13 @@ def indicator_measure_1d(kappa: float, radius: float, box, r_lo: float,
     """Deterministic superlevel measure for the interval indicator.
 
     Exact section endpoints, then a composite 20-point Gauss-Legendre rule
-    over the center; no statistical noise.  The panels split at every
-    branch point of the section, and geometrically at ratio 2 away from
-    each support edge, starting at sqrt(1 - 2 kappa) r_lo, since the
+    over the center; no statistical noise.  The centres a = edge +- t are
+    taken by their distance t to the nearer support edge, on each side of
+    each edge, and the panels are built in t: a node near an edge then
+    carries t to full relative precision, where forming t = ||a| - radius|
+    from a node a would lose its leading digits.  On each side the panels
+    split at every branch point of the section, and geometrically at ratio
+    2 away from the edge, starting at sqrt(1 - 2 kappa) r_lo, since the
     section's weight grows like s/t as the center approaches an edge at
     distance t.  With r_lo = 0 and a support edge in the box that growth
     is not integrable, so the value is certified +inf without numerical
@@ -585,27 +642,37 @@ def indicator_measure_1d(kappa: float, radius: float, box, r_lo: float,
 
     t_star = 2.0 * radius * s / (1.0 - s)
     cover_kink = 2.0 * radius * s / (1.0 + s)
-    pts = {lo_box, hi_box}
+    lo_t, hi_t, outside = [], [], []
     for edge in (-radius, radius):
-        offs = [0.0, s * r_lo, s * r_hi, t_star, min(t_star, radius),
-                cover_kink]
-        reach = max(abs(edge - lo_box), abs(edge - hi_box))
-        off = max(s * r_lo, lo_box - edge, edge - hi_box)
-        while off < reach:
-            offs.append(off)
-            off *= 2.0
-        for off in offs:
-            for sign in (-1.0, 1.0):
-                q = edge + sign * off
-                if lo_box < q < hi_box:
-                    pts.add(q)
-    edges = np.array(sorted(pts))
-    a, w = _legendre_panels(20, edges[:-1], edges[1:])
-    lo, hi = indicator_section_1d(a, kappa, radius)
+        for out in (False, True):
+            # a = edge + step * t runs away from the support when out,
+            # else toward its midpoint 0, which bounds t by radius
+            step = math.copysign(1.0, edge) * (1.0 if out else -1.0)
+            near, far = sorted(((lo_box - edge) * step,
+                                (hi_box - edge) * step))
+            t0 = max(near, 0.0)
+            t1 = far if out else min(far, radius)
+            if t1 <= t0:
+                continue
+            pts = {t0, t1}
+            pts.update(off for off in (s * r_lo, s * r_hi, t_star, cover_kink)
+                       if t0 < off < t1)
+            off = max(s * r_lo, t0)
+            while off < t1:
+                pts.add(off)
+                off *= 2.0
+            edges = sorted(pts)
+            lo_t += edges[:-1]
+            hi_t += edges[1:]
+            outside += [out] * (len(edges) - 1)
+    t, w = _legendre_panels(20, lo_t, hi_t)
+    outside = np.array(outside)[:, None]
+    cover = np.where(outside, 2.0 * radius + t, 2.0 * radius - t)
+    lo, hi = _edge_section(t, outside, cover, kappa, radius)
     lo = np.maximum(lo, r_lo)
     hi = np.minimum(hi, r_hi)
     live = hi > lo
-    weight = np.zeros_like(a)
+    weight = np.zeros_like(t)
     weight[live] = interval_weight(lo[live], hi[live], p)
     return float(np.sum(w * weight))
 

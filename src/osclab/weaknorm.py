@@ -60,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import TestFunction, unit_ball_volume
+from .catalog import TestFunction, require_box_dimension, unit_ball_volume
 from .oscillation import (SKIP_MARGIN, exact_oscillation_1d, flat_balls,
                           mc_deviations)
 from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS,
@@ -693,8 +693,7 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
     both are checked before any scan.
     """
     _check_p(p)
-    if domain.dim != f.dim:
-        raise ValueError(f"domain dimension {domain.dim} does not match function dimension {f.dim}")
+    require_box_dimension(domain.box, f.dim)
     require_method_dimension(spec.method, f.dim)
     kappas = np.asarray(kappa_grid, dtype=float)
     if kappas.ndim != 1 or kappas.size < 8:
@@ -836,8 +835,10 @@ def reference_scaled_limit(f: TestFunction, p: float,
     """Independent value of c_dp times the window integral of |grad f|^p.
 
     The integral is the entry's closed form (TestFunction.grad_norm_p) over
-    the window's box.  None when the entry has none for that box.
+    the window's box.  None when the entry has none for that box; a window
+    of another dimension than f's raises ValueError.
     """
+    require_box_dimension(domain.box, f.dim)
     norm = None if f.grad_norm_p is None else f.grad_norm_p(p, domain.box)
     return None if norm is None else c_dp(f.dim, p) * norm
 

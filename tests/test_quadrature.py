@@ -213,6 +213,32 @@ def test_segment_integrals_broadcast_a_column_arg_per_row():
     assert np.array_equal(got, want)
 
 
+def test_segment_integrals_of_a_row_padded_by_its_last_edge_keep_their_bits():
+    # ragged rows stacked into one call, each padded by repeating its last
+    # edge, as the mollification suite stacks its cases: the padding adds
+    # zero-width segments worth exactly 0.  A row of 4k segments keeps the
+    # bits it has alone, sums included; the suite's rows have 12k and 24k.
+    # BLAS takes the rows of vals @ w in blocks of four, so a row of another
+    # count may move in its last bits, but no further.
+    rng = np.random.default_rng(5)
+    fev = PLATEAU_1D.eval_1d
+    rows = [np.sort(rng.uniform(-1.3, 1.3, size=n + 1))
+            for n in (4, 12, 24, 48, 1, 3, 15, 37)]
+    width = max(row.size for row in rows)
+    padded = np.stack([np.pad(row, (0, width - row.size), mode="edge")
+                       for row in rows])
+    shift = rng.uniform(-0.2, 0.2, size=len(rows))
+    got = segment_integrals(lambda x, c: fev(x - c), padded, 8, shift)
+    for i, row in enumerate(rows):
+        alone = segment_integrals(lambda x: fev(x - shift[i]), row, 8)
+        own = got[i, :row.size - 1]
+        assert np.all(got[i, row.size - 1:] == 0.0)
+        if (row.size - 1) % 4 == 0:
+            assert np.array_equal(own, alone)
+            assert own.sum() == alone.sum()
+        np.testing.assert_allclose(own, alone, rtol=1e-15, atol=1e-300)
+
+
 def test_segment_integrals_call_g_on_live_segments_only():
     calls = []
 

@@ -35,6 +35,8 @@ from osclab import (
     run_all,
 )
 from osclab import verify
+from osclab.oscillation import exact_oscillation_1d
+from osclab.quadrature import segment_integrals
 
 GAUSS = QuadratureSpec(method="gauss_1d", node_count=16, seed=8)
 
@@ -199,6 +201,73 @@ def test_mollification_strictly_helps_the_jump():
               if c.name.startswith("mollified_vs_averaged")
               and c.measured_margin < -1e-3]
     assert len(strict) >= 3, len(strict)
+
+
+def _one_case_rhs(f, phi, a, r, panels=verify._MOLLIFY_PANELS):
+    # the right side of one case on its own: its own panel edges, one
+    # segment_integrals call per refinement, the oscillation of scalar a
+    t = phi.scale
+    pts = {-t, t}
+    for b in f.breakpoints_1d:
+        for edge in (a - r - b, a + r - b):
+            if -t < edge < t:
+                pts.add(edge)
+    base = np.array(sorted(pts))
+    sums = []
+    for k in (panels, 2 * panels):
+        edges = np.concatenate([np.linspace(lo, hi, k + 1)[:-1]
+                                for lo, hi in zip(base[:-1], base[1:])]
+                               + [base[-1:]])
+        seg = segment_integrals(
+            lambda z: phi.density(z) * exact_oscillation_1d(f, a - z, r)[0],
+            edges, 8)
+        sums.append(float(seg.sum()))
+    coarse, fine = sums
+    return fine, abs(fine - coarse)
+
+
+@pytest.mark.parametrize("t", [0.05, 0.2])
+@pytest.mark.parametrize("make", [lambda: make_linear(1, [1.0]),
+                                  lambda: make_plateau_bump(1, 1.0, 0.5, 1.0),
+                                  lambda: make_ball_indicator(1, 0.5)],
+                         ids=["linear", "plateau", "indicator"])
+def test_batched_mollification_matches_one_case_evaluation(make, t):
+    f, phi = make(), Mollifier(t)
+    g = mollify_1d(f, phi)
+    rep = check_mollification(f, phi, 6, GAUSS.seed)
+    cases = [c for c in rep.cases if c.name.startswith("mollified_vs_averaged")]
+    assert len(cases) == 6
+    for case in cases:
+        a, r = case.inputs["a"], case.inputs["r"]
+        assert case.inputs["lhs"] == float(exact_oscillation_1d(g, a, r)[0])
+        rhs, err = _one_case_rhs(f, phi, a, r)
+        assert case.inputs["rhs"] == rhs
+        assert abs(case.inputs["quad_error"] - err) <= 4 * np.finfo(float).eps * abs(rhs)
+
+
+def test_mollification_kernel_calls_do_not_grow_with_samples(monkeypatch):
+    sizes = []
+    kernel = verify.exact_oscillation_1d
+
+    def counted(f, a, r, *args, **kwargs):
+        sizes.append(np.size(a))
+        return kernel(f, a, r, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "exact_oscillation_1d", counted)
+    f, phi = make_plateau_bump(1, 1.0, 0.5, 1.0), Mollifier(0.2)
+    block = verify._MOLLIFY_BLOCK
+    for n in (2, 40):
+        sizes.clear()
+        check_mollification(f, phi, n, GAUSS.seed)
+        # one call for every left side, then blocks of at most block balls
+        assert sizes[0] == n
+        assert max(sizes[1:]) <= block
+        assert len(sizes) == 1 + math.ceil(sum(sizes[1:]) / block)
+    monkeypatch.setattr(verify, "_MOLLIFY_BLOCK", 10 ** 7)
+    for n in (2, 40):
+        sizes.clear()
+        check_mollification(f, phi, n, GAUSS.seed)
+        assert len(sizes) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +477,45 @@ def _adaptive_indicator_measure(kappa, radius, box, r_lo, r_hi, p):
                   for sign in (-1.0, 1.0) if box[0] < edge + sign * off < box[1]})
     return quad(w, box[0], box[1], points=pts, limit=400,
                 epsabs=1e-12, epsrel=1e-11)[0]
+
+
+def _mpmath_indicator_measure(kappa, radius, box, r_lo, r_hi, p):
+    # the section weight integrated over the centre a in 30-digit
+    # arithmetic, where forming ||a| - radius| loses no digits that matter
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    k, R, p = mp.mpf(kappa), mp.mpf(radius), mp.mpf(p)
+    s = mp.sqrt(1 - 2 * k)
+
+    def w(a):
+        u = abs(a)
+        t = abs(u - R)
+        if u > R:
+            if t > 2 * R * s / (1 - s):
+                return mp.zero
+            lo = t / s
+        else:
+            lo = t / s if t <= s * (u + R) else R * (1 - s) / k
+        lo, hi = max(lo, r_lo), min(R * (1 + s) / k, r_hi)
+        return (lo ** -p - hi ** -p) / p if hi > lo else mp.zero
+
+    offs = [s * r_lo, s * r_hi, 2 * R * s / (1 - s), 2 * R * s / (1 + s)]
+    offs += [s * r_lo * 2 ** j for j in range(40)]
+    pts = {mp.mpf(box[0]), mp.mpf(box[1])}
+    pts.update(edge + sign * off for edge in (-R, R) for off in [0] + offs
+               for sign in (-1, 1) if box[0] < edge + sign * off < box[1])
+    return mp.quad(w, sorted(pts))
+
+
+def test_indicator_measure_near_the_jump_matches_a_30_digit_reference():
+    # the weight peaks within s r_lo = 1.4e-6 of each edge; nodes formed
+    # from the centre a would carry that distance to about 1e-10 relative
+    args = (0.49, 1.0, (-2.0, 2.0), 1e-5, 40.0, 2.0)
+    got = verify.indicator_measure_1d(*args)
+    want = _mpmath_indicator_measure(*args)
+    assert abs(got - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("box", [(-2.0, 2.0), (-0.4, 0.45), (1.2, 3.0)],

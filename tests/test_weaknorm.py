@@ -1271,6 +1271,24 @@ def test_translated_plateau_reference_needs_only_its_shifted_support():
     assert reference_scaled_limit(g, 2.0, cut) is None
 
 
+def test_reference_refuses_a_window_of_another_dimension():
+    # a 1-d window for a 2-d entry used to give the 1-d volume's value 0.180
+    lin = make_linear(2, [1.0, 0.0])
+    with pytest.raises(ValueError, match="does not match function dimension"):
+        reference_scaled_limit(lin, 2.0, Domain(((-1.0, 1.0),), 10.0, 1e-3))
+    # translate's mapped integral zipped the box with the shift, which cut
+    # a 3-d box to 2 sides; it refuses it, as the entry itself is refused
+    cube = ((-2.0, 2.0),) * 3
+    for g in (translate(lin, [0.5, 0.0]),
+              translate(make_plateau_bump(2, 1.0, 0.5, 1.0), [0.1, 0.2])):
+        with pytest.raises(ValueError,
+                           match="does not match function dimension"):
+            g.grad_norm_p(2.0, cube)
+        with pytest.raises(ValueError,
+                           match="does not match function dimension"):
+            reference_scaled_limit(g, 2.0, Domain(cube, 10.0, 1e-3))
+
+
 @pytest.mark.parametrize("transform,factor", [
     (lambda f: dilate(f, 3.0), 3.0 ** (1 - 2)),
     (lambda f: scale_values(f, -2.0), 2.0 ** 2),

@@ -19,8 +19,12 @@ chunk of centers go into one such solve, whose rows are independent, so
 the crossing search costs a fixed number of calls of m per chunk however
 many thresholds the grid holds.  A side is decided by m > kappa, so a ball
 where f is not finite raises QuadratureError rather than count as below
-every threshold.  Only the center integral is statistical, by stratified
-uniform sampling over the window.
+every threshold.  Only the center integral is approximated, in one of two
+ways.  distribution_curve samples it, stratified and uniform over the
+window, which makes it statistical, with a standard error.
+center_rule_measure_1d integrates it in d = 1 on Gauss panels aligned
+with f's breakpoints, where the weight of a center is a deterministic,
+piecewise smooth function of it, with a deterministic error estimate.
 
 The window's r_min is a numerical floor, not a truncation: scanning starts
 at min(r_min, certified floor) and any section already above threshold at
@@ -64,10 +68,13 @@ from .catalog import TestFunction, require_box_dimension, unit_ball_volume
 from .oscillation import (SKIP_MARGIN, exact_oscillation_1d, flat_balls,
                           mc_deviations)
 from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS,
-                         QuadratureSpec, require_finite,
-                         require_method_dimension, stream, unit_ball_nodes)
+                         QuadratureError, QuadratureSpec, gauss_rule,
+                         require_finite, require_method_dimension, stream,
+                         unit_ball_nodes)
 
 _CHUNK = 256
+# Gauss order per panel of center_rule_measure_1d
+_CENTER_RULE_ORDER = 8
 # f evaluation points per Monte Carlo kernel call in _McScan's blocks
 BLOCK_POINTS = 2 ** 15
 
@@ -638,13 +645,15 @@ def _curve_chunk(f, centers, global_start, kappas, p, spec, grid):
     return w, ambig, counters
 
 
-def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
-                  domain: Domain, spec: QuadratureSpec, samples: int,
-                  threads: int) -> DistributionCurve:
-    centers, strata, n_strata = sample_centers(domain, samples, spec.seed)
-    grid = _scan_grid(f, domain, float(kappas[-1]))
+def _center_weights(f, centers, kappas, p, spec, grid, threads):
+    """Per-centre weights and bracket ambiguities, each of shape (K, C),
+    and the counters summed over every chunk.
 
-    jobs = [(centers[s:s + _CHUNK], s) for s in range(0, samples, _CHUNK)]
+    The centres run in chunks of _CHUNK, each keyed by its global start, and
+    the chunk results join in order, so threads changes wall time only.
+    """
+    jobs = [(centers[s:s + _CHUNK], s)
+            for s in range(0, centers.shape[0], _CHUNK)]
 
     def run(job):
         chunk_centers, start = job
@@ -660,6 +669,16 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
     ambig = np.concatenate([am for _, am, _ in results], axis=1)
     counters = {key: sum(cnt.get(key, 0) for _, _, cnt in results)
                 for key in _COUNTER_KEYS}
+    return weights, ambig, counters
+
+
+def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
+                  domain: Domain, spec: QuadratureSpec, samples: int,
+                  threads: int) -> DistributionCurve:
+    centers, strata, n_strata = sample_centers(domain, samples, spec.seed)
+    grid = _scan_grid(f, domain, float(kappas[-1]))
+    weights, ambig, counters = _center_weights(f, centers, kappas, p, spec,
+                                               grid, threads)
 
     vol = domain.volume
     nu = vol * weights.mean(axis=1)
@@ -678,6 +697,25 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
         node_count=spec.node_count, counters=counters)
 
 
+def _checked_grid(f: TestFunction, p: float, kappa_grid, domain: Domain,
+                  spec: QuadratureSpec) -> np.ndarray:
+    """The input checks of every curve, before any scan; returns the
+    threshold grid as a float array."""
+    _check_p(p)
+    require_box_dimension(domain.box, f.dim)
+    require_method_dimension(spec.method, f.dim)
+    kappas = np.asarray(kappa_grid, dtype=float)
+    if kappas.ndim != 1 or kappas.size < 8:
+        raise ValueError("threshold grid needs at least 8 points")
+    if not (np.all(np.isfinite(kappas)) and np.all(kappas > 0)):
+        raise ValueError("thresholds must be positive finite reals")
+    if not np.all(np.diff(kappas) < 0):
+        raise ValueError("threshold grid must be strictly decreasing")
+    if kappas[0] / kappas[-1] < 999.99:
+        raise ValueError("threshold grid must span at least 3 decades")
+    return kappas
+
+
 def distribution_curve(f: TestFunction, p: float, kappa_grid,
                        domain: Domain, spec: QuadratureSpec,
                        samples: int, threads: int = 1) -> DistributionCurve:
@@ -692,23 +730,66 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
     and a gauss_1d spec needs dimension one (QuadratureError otherwise);
     both are checked before any scan.
     """
-    _check_p(p)
-    require_box_dimension(domain.box, f.dim)
-    require_method_dimension(spec.method, f.dim)
-    kappas = np.asarray(kappa_grid, dtype=float)
-    if kappas.ndim != 1 or kappas.size < 8:
-        raise ValueError("threshold grid needs at least 8 points")
-    if not (np.all(np.isfinite(kappas)) and np.all(kappas > 0)):
-        raise ValueError("thresholds must be positive finite reals")
-    if not np.all(np.diff(kappas) < 0):
-        raise ValueError("threshold grid must be strictly decreasing")
-    if kappas[0] / kappas[-1] < 999.99:
-        raise ValueError("threshold grid must span at least 3 decades")
+    kappas = _checked_grid(f, p, kappa_grid, domain, spec)
     if samples < 2:
         raise ValueError("need at least 2 center samples for a standard error")
     if threads < 1:
         raise ValueError(f"need at least 1 worker thread, got {threads}")
     return _curve_engine(f, float(p), kappas, domain, spec, samples, threads)
+
+
+def center_rule_measure_1d(f: TestFunction, p: float, kappa_grid,
+                           domain: Domain, spec: QuadratureSpec,
+                           panels: int):
+    """The superlevel measure of a d = 1 entry by a composite Gauss rule in
+    the centre, with a deterministic error estimate.
+
+    On the gauss_1d route the weight w(a, kappa) of a centre a is a
+    deterministic function of a, smooth between f's breakpoints, so a
+    composite Gauss-Legendre rule integrates it far better than sampling
+    (Davis and Rabinowitz, Methods of Numerical Integration, 1984, ch. 2).
+    The box splits at its ends and at the breakpoints_1d inside it; each
+    piece splits into panels equal panels of _CENTER_RULE_ORDER nodes, and
+    nu = sum_i g_i w(a_i, kappa) over the nodes a_i and Gauss weights g_i.
+    The weights come from the scan and crossing search of
+    distribution_curve.
+
+    Returns (nu, err), one entry per threshold.  err is |nu - nu_half|,
+    where nu_half is the same rule on panels / 2 panels per piece, plus
+    the rule's sum of the nodes' bracket ambiguities.  Both rules' nodes
+    share one weight evaluation.  The inputs get distribution_curve's
+    checks; a spec other than gauss_1d raises QuadratureError, and panels
+    must be an even integer >= 2 (ValueError).
+    """
+    kappas = _checked_grid(f, p, kappa_grid, domain, spec)
+    if spec.method != "gauss_1d":
+        raise QuadratureError(
+            f"the centre rule needs the gauss_1d route, got {spec.method}")
+    if not (isinstance(panels, (int, np.integer)) and panels >= 2
+            and panels % 2 == 0):
+        raise ValueError(f"panels must be an even integer >= 2, got {panels}")
+    lo, hi = domain.box[0]
+    cuts = np.array(sorted({lo, hi} | {float(b) for b in f.breakpoints_1d
+                                       if lo < b < hi}))
+    t, g = gauss_rule(_CENTER_RULE_ORDER)
+
+    def rule(n):
+        # n equal panels on each piece, as (nodes, Gauss weights)
+        s = np.linspace(0.0, 1.0, n + 1)
+        edges = cuts[:-1, None] + (cuts[1:] - cuts[:-1])[:, None] * s
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])[..., None]
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None]
+        return (mid + half * t).ravel(), (half * g).ravel()
+
+    fine, g_fine = rule(panels)
+    coarse, g_coarse = rule(panels // 2)
+    centers = np.concatenate([fine, coarse])[:, None]
+    grid = _scan_grid(f, domain, float(kappas[-1]))
+    w, ambig, _ = _center_weights(f, centers, kappas, float(p), spec, grid, 1)
+    nu = w[:, :fine.size] @ g_fine
+    err = (np.abs(nu - w[:, fine.size:] @ g_coarse)
+           + ambig[:, :fine.size] @ g_fine)
+    return nu, err
 
 
 @dataclass(frozen=True)

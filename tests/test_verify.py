@@ -34,7 +34,7 @@ from osclab import (
     mollify_1d,
     run_all,
 )
-from osclab import verify
+from osclab import verify, weaknorm
 from osclab.oscillation import exact_oscillation_1d
 from osclab.quadrature import segment_integrals
 
@@ -399,6 +399,23 @@ def test_bv_divergence_suite_green():
     assert "kappa_ratio_divergence" in names
     assert "floor_refinement_divergence" in names
     assert "fixed_window_scaled_decreases" in names
+
+
+def test_smooth_contrast_case_runs_on_at_most_256_centres(monkeypatch):
+    # the centre rule's 160 + 80 nodes, where a sampled curve took 1024
+    centres = []
+    make = weaknorm._make_engine
+
+    def counting(f, centers, *args):
+        centres.append(centers.shape[0])
+        return make(f, centers, *args)
+
+    monkeypatch.setattr(weaknorm, "_make_engine", counting)
+    dom = Domain(box=((-2.0, 2.0),), r_max=10.0, r_min=1e-3)
+    rep = check_bv_divergence(1.0, (1e-1, 1e-2, 1e-3, 1e-4), dom)
+    case = {c.name: c for c in rep.cases}["smooth_contrast_bounded"]
+    assert case.passed
+    assert 0 < sum(centres) <= 256
 
 
 @given(

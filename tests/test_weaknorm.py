@@ -20,6 +20,7 @@ from osclab import (
     QuadratureSpec,
     c_d_prime,
     c_dp,
+    center_rule_measure_1d,
     default_domain,
     default_kappa_grid,
     distribution_curve,
@@ -1140,6 +1141,8 @@ GAUSS_OFF_D1 = {
         f, 0.0, 0.5, mu_nodes=spec.node_count),
     "distribution_curve": lambda f, spec: distribution_curve(
         f, 2.0, default_kappa_grid(f), default_domain(f), spec, samples=8),
+    "center_rule_measure_1d": lambda f, spec: center_rule_measure_1d(
+        f, 2.0, default_kappa_grid(f), default_domain(f), spec, panels=2),
 }
 
 
@@ -1157,6 +1160,67 @@ def test_gauss_rule_off_dimension_one_is_refused_with_one_message(
                        match="^gauss_1d applies to dimension one only, "
                              "got dimension 2$"):
         GAUSS_OFF_D1[call](f, GAUSS)
+
+
+# ---------------------------------------------------------------------------
+# the d = 1 centre rule
+# ---------------------------------------------------------------------------
+
+# the p = 1 plateau set-up of check_bv_divergence's smooth_contrast_bounded
+SMOOTH_CONTRAST = (make_plateau_bump(1, 1.0, 0.5, 1.0), 1.0,
+                   np.geomspace(0.25, 0.25 * 1e-3, 9),
+                   Domain(box=((-1.5, 1.5),), r_max=20.0, r_min=1e-4))
+
+
+@pytest.fixture(scope="module")
+def smooth_contrast_rule():
+    return center_rule_measure_1d(*SMOOTH_CONTRAST, GAUSS, panels=4)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_center_rule_matches_the_linear_closed_form(p):
+    # m = r / 2 for v = 1, so each centre's section is (2 kappa, r_max]
+    f = parse_function_id("linear:d=1:v=1")
+    dom = default_domain(f)
+    grid = default_kappa_grid(f)
+    nu, err = center_rule_measure_1d(f, p, grid, dom, GAUSS, panels=2)
+    exact = dom.volume * ((2.0 * grid) ** -p - dom.r_max ** -p) / p
+    # the crossing tolerance, 1e-6 in r, moves the weight by about p 1e-6
+    np.testing.assert_allclose(nu, exact, rtol=2e-6, atol=0.0)
+    assert np.all(err <= 2e-6 * nu)
+
+
+def test_center_rule_error_bounds_a_rule_with_16_times_the_panels(
+        smooth_contrast_rule):
+    nu, err = smooth_contrast_rule
+    fine, _ = center_rule_measure_1d(*SMOOTH_CONTRAST, GAUSS, panels=64)
+    assert np.all(np.abs(nu - fine) <= err)
+    assert np.all(err <= 1e-4 * nu)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_stratified_curve_agrees_with_the_center_rule(smooth_contrast_rule,
+                                                      seed):
+    nu, _ = smooth_contrast_rule
+    spec = dataclasses.replace(GAUSS, seed=seed)
+    curve = distribution_curve(*SMOOTH_CONTRAST, spec, samples=1024)
+    assert np.all(np.abs(curve.nu - nu) <= 4.0 * curve.nu_stderr)
+
+
+@pytest.mark.parametrize("spec,panels,error", [
+    (GAUSS, 3, ValueError),
+    (GAUSS, 0, ValueError),
+    (GAUSS, 2.0, ValueError),
+    (QuadratureSpec("monte_carlo", 64, 1), 2, QuadratureError),
+])
+def test_center_rule_refuses_its_inputs_before_any_scan(monkeypatch, spec,
+                                                        panels, error):
+    def no_engine(*args):
+        raise AssertionError("an engine was built for refused inputs")
+
+    monkeypatch.setattr(weaknorm, "_make_engine", no_engine)
+    with pytest.raises(error):
+        center_rule_measure_1d(*SMOOTH_CONTRAST, spec, panels=panels)
 
 
 # ---------------------------------------------------------------------------

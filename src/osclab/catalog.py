@@ -11,7 +11,8 @@ Entries are immutable and safe to share across threads.  The plateau's L1
 mass and gradient norms are closed forms (integrals of polynomials and Beta
 functions), so the catalog needs numpy only.
 
-String identifiers:
+String identifiers, whose first field is the one name of an entry's family
+(no other field repeats it; estimators read the certificates, not a label):
     linear:d=2:v=1,0
     plateau:d=1:a=1:ri=0.5:ro=1
     indicator:d=1:r=0.5          (optional :c=0.25 recenters the ball)
@@ -23,8 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-
-SMOOTHNESS_TAGS = ("smooth_compact_gradient", "linear", "indicator", "custom")
 
 # quintic taper shape S on [0, 1]: S(0)=0, S(1)=1, S'=S''=0 at both ends
 _SPRIME_MAX = 15.0 / 8.0           # max of S' = 30 s^2 (1-s)^2, at s = 1/2
@@ -77,6 +76,9 @@ def _beta(a: float, b: float) -> float:
 class TestFunction:
     """A catalog entry.
 
+    function_id names the entry, and the kind that begins a catalog
+    identifier is its family's one name; behaviour rests on the
+    certificates below (grad_lipschitz 0, for one, means f is affine).
     eval maps an array of shape (..., dim) to values of shape (...,).
     grad, when present, maps (..., dim) to (..., dim).  Both, and
     flat_radius, accept any memory layout and give the same bits for
@@ -107,7 +109,6 @@ class TestFunction:
     grad: Optional[Callable[[np.ndarray], np.ndarray]]
     grad_lipschitz: Optional[float]
     support_radius: Optional[float]
-    smoothness_tag: str
     grad_max: Optional[float] = None
     breakpoints_1d: tuple = ()
     far_value: float = 0.0
@@ -118,8 +119,6 @@ class TestFunction:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        if self.smoothness_tag not in SMOOTHNESS_TAGS:
-            raise ValueError(f"unknown smoothness tag {self.smoothness_tag!r}")
         if self.support_radius is not None and self.support_radius <= 0:
             raise ValueError("support_radius must be positive when present")
         if self.grad_lipschitz is not None and self.grad_lipschitz < 0:
@@ -158,8 +157,7 @@ def make_linear(d: int, v) -> TestFunction:
 
     return TestFunction(
         function_id=fid, dim=d, eval=ev, grad=gr,
-        grad_lipschitz=0.0, support_radius=None,
-        smoothness_tag="linear", grad_max=vn,
+        grad_lipschitz=0.0, support_radius=None, grad_max=vn,
         breakpoints_1d=(), far_value=0.0, l1_mass=None, grad_norm_p=gnorm)
 
 
@@ -249,8 +247,7 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
 
     return TestFunction(
         function_id=fid, dim=d, eval=ev, grad=gr,
-        grad_lipschitz=lip, support_radius=ro,
-        smoothness_tag="smooth_compact_gradient", grad_max=gmax,
+        grad_lipschitz=lip, support_radius=ro, grad_max=gmax,
         breakpoints_1d=(-ro, -ri, ri, ro) if d == 1 else (),
         far_value=0.0, l1_mass=mass, flat_radius=flat, grad_norm_p=gnorm)
 
@@ -290,8 +287,7 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
     return TestFunction(
         function_id=fid, dim=d, eval=ev, grad=None,
         grad_lipschitz=None, support_radius=R + float(np.linalg.norm(c)),
-        smoothness_tag="indicator", grad_max=None,
-        breakpoints_1d=bps, far_value=0.0,
+        grad_max=None, breakpoints_1d=bps, far_value=0.0,
         l1_mass=unit_ball_volume(d) * R ** d, flat_radius=flat)
 
 
@@ -334,8 +330,7 @@ def translate(f: TestFunction, shift) -> TestFunction:
                              lambda R: R + float(np.linalg.norm(h))),
         breakpoints_1d=tuple(b + h[0] for b in f.breakpoints_1d),
         flat_radius=_then(f.flat_radius, shifted),
-        grad_norm_p=_then(f.grad_norm_p, shifted_norm),
-        smoothness_tag=f.smoothness_tag if f.smoothness_tag != "linear" else "custom")
+        grad_norm_p=_then(f.grad_norm_p, shifted_norm))
 
 
 def scale_values(f: TestFunction, lam: float) -> TestFunction:

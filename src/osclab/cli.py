@@ -8,14 +8,15 @@ oscillation  evaluate one ball oscillation query and print value +/- stderr
 curve        run a superlevel distribution experiment, writing CSV and JSON
 verify       run the quantitative verification battery, writing a JSON report
 
-Settings resolve in priority order: command line flag, then config file
-entry, then the OSCLAB_SEED environment variable (seed only), then the
-built-in default.  Config files are plain INI text (``key = value`` under
-arbitrary ``[section]`` headers); section names are organizational only,
-keys are globally scoped and must be unique across sections.  Recognized
-keys match the long flag names with dashes turned into underscores
-(``function``, ``p``, ``kappa_min``, ``r_max``, ``samples``, ``seed``,
-``nodes``, ...).
+argparse declares each setting once, with its type and the default that
+``--help`` shows.  ``--config`` names an INI file (``key = value`` under
+any ``[section]`` headers; keys are global and unique across sections).
+A key that is exactly the destination of a value-taking flag of the
+subcommand (``function``, ``p``, ``kappa_min``, ``r_max``, ``seed``, ...)
+reads as that flag, put before the command line's own; other keys, and
+switches such as ``--pairwise``, are not read.  The last occurrence of a
+flag wins, so a setting comes from the command line, then the config file,
+then OSCLAB_SEED (seed only), then its default.
 
 Every output JSON embeds the resolved experiment configuration so a run
 can be replayed from its artifacts.  Thread count and output paths are
@@ -113,24 +114,25 @@ class _UsageError(Exception):
     """Bad flags or config; reported like an argparse error (exit 2)."""
 
 
-def _resolve(args: argparse.Namespace, cfg: dict, key: str, default,
-             cast):
-    """Flag beats config beats default.  Flags arrive already typed."""
-    flag_val = getattr(args, key, None)
-    if flag_val is not None:
-        return flag_val
-    if key in cfg:
+def _config_argv(path: str, flags: dict) -> list:
+    """``--flag=value`` for each entry of the config file whose key is in
+    flags (dest -> Action); a value its type refuses names the key."""
+    argv = []
+    for key, value in _load_config(path).items():
+        action = flags.get(key)
+        if action is None:
+            continue
         try:
-            return cast(cfg[key])
+            (action.type or str)(value)
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"config key {key!r}: {exc}") from exc
-    return default
+        argv.append(f"{action.option_strings[0]}={value}")
+    return argv
 
 
-def _resolve_seed(args: argparse.Namespace, cfg: dict) -> int:
-    seed = _resolve(args, cfg, "seed", None, int)
-    if seed is not None:
-        return seed
+def _resolve_seed(args: argparse.Namespace) -> int:
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get("OSCLAB_SEED")
     if env is not None:
         try:
@@ -153,8 +155,6 @@ def _parse_box(text: str) -> tuple:
             lo, hi = float(lo_s), float(hi_s)
         except ValueError as exc:
             raise _UsageError(f"bad box axis {part!r}: {exc}") from exc
-        if not (lo < hi):
-            raise _UsageError(f"box axis {part!r} needs lo < hi")
         axes.append((lo, hi))
     return tuple(axes)
 
@@ -194,11 +194,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _out_dir(args: argparse.Namespace, cfg: dict) -> Optional[Path]:
-    raw = _resolve(args, cfg, "out_dir", None, str)
-    if raw is None:
+def _out_dir(args: argparse.Namespace) -> Optional[Path]:
+    if args.out_dir is None:
         return None
-    path = Path(raw)
+    path = Path(args.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -207,7 +206,7 @@ def _out_dir(args: argparse.Namespace, cfg: dict) -> Optional[Path]:
 # catalog
 # ---------------------------------------------------------------------------
 
-_FILTER_KEYS = ("d", "kind", "tag")
+_FILTER_KEYS = ("d", "kind")
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -231,13 +230,11 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             continue
         if "kind" in filters and not fid.startswith(filters["kind"] + ":"):
             continue
-        if "tag" in filters and f.smoothness_tag != filters["tag"]:
-            continue
         support = ("unbounded" if f.support_radius is None
                    else repr(f.support_radius))
         grad = "n/a" if f.grad_max is None else repr(f.grad_max)
-        print(f"{fid}  d={f.dim}  tag={f.smoothness_tag}  "
-              f"support_radius={support}  grad_max={grad}")
+        print(f"{fid}  d={f.dim}  support_radius={support}  "
+              f"grad_max={grad}")
     return 0
 
 
@@ -246,20 +243,15 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oscillation(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    fid = _resolve(args, cfg, "function", None, str)
+    fid, r, a_text, q, nodes = args.function, args.r, args.a, args.q, args.nodes
     if fid is None:
         raise _UsageError("oscillation needs --function (or config key)")
     f = _load_function(fid)
-    r = _resolve(args, cfg, "r", None, float)
     if r is None:
         raise _UsageError("oscillation needs --r (or config key)")
-    a_text = _resolve(args, cfg, "a", None, str)
     center = (np.zeros(f.dim) if a_text is None
               else _parse_point(a_text))
-    q = _resolve(args, cfg, "q", 1.0, float)
-    seed = _resolve_seed(args, cfg)
-    nodes = _resolve(args, cfg, "nodes", None, int)
+    seed = _resolve_seed(args)
     kind = "pair" if args.pairwise else "mean" if q == 1.0 else "q"
     try:
         # pair_oscillation is a Monte Carlo rule in every dimension
@@ -274,7 +266,7 @@ def cmd_oscillation(args: argparse.Namespace) -> int:
         raise _UsageError(str(exc)) from exc
     print(f"{kind}_oscillation[{fid}](a={a_text or '0'}, r={r!r}, q={q!r}) "
           f"= {est}")
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     if out is not None:
         payload = {
             "config": {
@@ -299,13 +291,10 @@ def cmd_oscillation(args: argparse.Namespace) -> int:
 # curve
 # ---------------------------------------------------------------------------
 
-def _kappa_grid_from(args: argparse.Namespace, cfg: dict,
-                     f: TestFunction) -> tuple:
+def _kappa_grid_from(args: argparse.Namespace, f: TestFunction) -> tuple:
     """Grid plus its echo dict: the default grid of f, or kappa_grid
     between explicit bounds, at the requested ratio."""
-    ratio = _resolve(args, cfg, "kappa_ratio", DEFAULT_KAPPA_RATIO, float)
-    kmax = _resolve(args, cfg, "kappa_max", None, float)
-    kmin = _resolve(args, cfg, "kappa_min", None, float)
+    ratio, kmax, kmin = args.kappa_ratio, args.kappa_max, args.kappa_min
     if kmax is None and kmin is None:
         grid = default_kappa_grid(f, ratio=ratio)
     elif kmax is None or kmin is None:
@@ -318,30 +307,24 @@ def _kappa_grid_from(args: argparse.Namespace, cfg: dict,
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    fid = _resolve(args, cfg, "function", None, str)
+    fid, p, samples = args.function, args.p, args.samples
     if fid is None:
         raise _UsageError("curve needs --function (or config key)")
     f = _load_function(fid)
-    p = _resolve(args, cfg, "p", 2.0, float)
-    seed = _resolve_seed(args, cfg)
-    samples = _resolve(args, cfg, "samples", 1024, int)
-    threads = _resolve(args, cfg, "threads", 1, int)
-    nodes = _resolve(args, cfg, "nodes", None, int)
+    seed = _resolve_seed(args)
 
     base = default_domain(f)
-    omega = _resolve(args, cfg, "omega", None, str)
-    box = _parse_box(omega) if omega is not None else base.box
-    r_max = _resolve(args, cfg, "r_max", base.r_max, float)
-    r_min = _resolve(args, cfg, "r_min", base.r_min, float)
+    box = base.box if args.omega is None else _parse_box(args.omega)
+    r_max = base.r_max if args.r_max is None else args.r_max
+    r_min = base.r_min if args.r_min is None else args.r_min
     try:
         domain = Domain(box=box, r_max=r_max, r_min=r_min)
-        grid, kappa_echo = _kappa_grid_from(args, cfg, f)
+        grid, kappa_echo = _kappa_grid_from(args, f)
         # a grid the limit fit cannot use is refused before any scan
         limit_fit_mask(grid)
-        spec = default_spec(f.dim, seed, _CURVE_MC_NODES, nodes)
+        spec = default_spec(f.dim, seed, _CURVE_MC_NODES, args.nodes)
         curve = distribution_curve(f, p, grid, domain, spec,
-                                   samples=samples, threads=threads)
+                                   samples=samples, threads=args.threads)
         limit = limit_extrapolate(curve)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -363,7 +346,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         },
         "summary": summary,
     }
-    out = _out_dir(args, cfg) or Path(".")
+    out = _out_dir(args) or Path(".")
     write_curve_csv(curve, out / "curve.csv")
     _write_json(out / "curve.json", payload)
     sup = summary["sup_estimate"]
@@ -381,11 +364,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    seed = _resolve_seed(args, cfg)
-    n_samples = _resolve(args, cfg, "samples", DEFAULT_SAMPLES, int)
-    nodes = _resolve(args, cfg, "nodes", DEFAULT_NODE_COUNT, int)
-    fault = _parse_fault(_resolve(args, cfg, "fault_inject", None, str))
+    seed = _resolve_seed(args)
+    n_samples, nodes = args.samples, args.nodes
+    fault = _parse_fault(args.fault_inject)
     try:
         reports = run_all(seed=seed, fault=fault, node_count=nodes,
                           n_samples=n_samples)
@@ -403,7 +384,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"suites: {digest['suite_count']}, "
           f"failed: {len(digest['failed_suites'])}, "
           f"inconclusive cases: {digest['inconclusive_total']}")
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     if out is not None:
         payload = {
             "config": {
@@ -423,13 +404,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="FILE",
-                     help="INI config file; flags override its keys")
-    sub.add_argument("--seed", type=int,
-                     help="master seed (fallback: config, then OSCLAB_SEED)")
-    sub.add_argument("--out-dir", dest="out_dir", metavar="DIR",
-                     help="directory for output files")
+def _run_command(subs, name: str, help: str, func):
+    """Add a subcommand and return its add_argument, which also files each
+    value-taking flag but --config under its dest, the key that reads as it."""
+    sub = subs.add_parser(name, help=help)
+    flags: dict = {}
+    sub.set_defaults(func=func, config_flags=flags)
+
+    def add(*names, **kwargs) -> None:
+        action = sub.add_argument(*names, **kwargs)
+        if action.nargs != 0 and action.dest != "config":
+            flags[action.dest] = action
+    return add
+
+
+def _add_common(add) -> None:
+    add("--config", metavar="FILE",
+        help="INI config file; flags override its keys")
+    add("--seed", type=int,
+        help=f"master seed (default: OSCLAB_SEED, else {DEFAULT_SEED})")
+    add("--out-dir", dest="out_dir", metavar="DIR",
+        help="directory for output files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,65 +439,71 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"filter by key in {_FILTER_KEYS} (repeatable)")
     p_cat.set_defaults(func=cmd_catalog)
 
-    p_osc = subs.add_parser("oscillation",
-                            help="one ball oscillation query")
-    p_osc.add_argument("--function", help="catalog identifier")
-    p_osc.add_argument("--a", help="ball center, comma separated")
-    p_osc.add_argument("--r", type=float, help="ball radius")
-    p_osc.add_argument("--q", type=float, help="inner exponent (default 1)")
-    p_osc.add_argument("--pairwise", action="store_true",
-                       help="two-point oscillation instead of "
-                            "mean-centered (Monte Carlo in every dimension)")
-    p_osc.add_argument("--nodes", type=int, help="quadrature nodes")
-    _add_common(p_osc)
-    p_osc.set_defaults(func=cmd_oscillation)
+    add = _run_command(subs, "oscillation", "one ball oscillation query",
+                       cmd_oscillation)
+    add("--function", help="catalog identifier")
+    add("--a", help="ball center, comma separated (default: the origin)")
+    add("--r", type=float, help="ball radius")
+    add("--q", type=float, default=1.0,
+        help="inner exponent (default %(default)s)")
+    add("--pairwise", action="store_true",
+        help="two-point oscillation instead of mean-centered (Monte Carlo "
+             "in every dimension)")
+    add("--nodes", type=int,
+        help=f"quadrature nodes (default {_QUERY_MC_NODES} by Monte Carlo, "
+             f"Gauss order 8 for d = 1 without --pairwise)")
+    _add_common(add)
 
-    p_cur = subs.add_parser("curve",
-                            help="superlevel distribution experiment")
-    p_cur.add_argument("--function", help="catalog identifier")
-    p_cur.add_argument("--p", type=float, help="weight exponent (default 2)")
-    p_cur.add_argument("--kappa-min", dest="kappa_min", type=float,
-                       help="smallest threshold")
-    p_cur.add_argument("--kappa-max", dest="kappa_max", type=float,
-                       help="largest threshold")
-    p_cur.add_argument("--kappa-ratio", dest="kappa_ratio", type=float,
-                       help="grid step ratio (default 4 steps per decade)")
-    p_cur.add_argument("--omega", help="center box, lo:hi per axis, comma "
-                                       "separated; write --omega=-1:1 when "
-                                       "the value starts with a dash")
-    p_cur.add_argument("--r-max", dest="r_max", type=float,
-                       help="largest radius included in the measure")
-    p_cur.add_argument("--r-min", dest="r_min", type=float,
-                       help="radius scan floor (analysis continues below)")
-    p_cur.add_argument("--samples", type=int,
-                       help="center samples (default 1024)")
-    p_cur.add_argument("--threads", type=int,
-                       help="worker threads (default 1; results identical)")
-    p_cur.add_argument("--nodes", type=int,
-                       help=f"quadrature nodes per ball (default "
-                            f"{_CURVE_MC_NODES} by Monte Carlo for d >= 2, "
-                            f"Gauss order 8 for d = 1)")
-    _add_common(p_cur)
-    p_cur.set_defaults(func=cmd_curve)
+    add = _run_command(subs, "curve", "superlevel distribution experiment",
+                       cmd_curve)
+    add("--function", help="catalog identifier")
+    add("--p", type=float, default=2.0,
+        help="weight exponent (default %(default)s)")
+    add("--kappa-min", dest="kappa_min", type=float,
+        help="smallest threshold")
+    add("--kappa-max", dest="kappa_max", type=float, help="largest threshold")
+    add("--kappa-ratio", dest="kappa_ratio", type=float,
+        default=DEFAULT_KAPPA_RATIO,
+        help="grid step ratio (default %(default).6g, 4 steps per decade)")
+    add("--omega", help="center box, lo:hi per axis, comma separated; write "
+                        "--omega=-1:1 when the value starts with a dash")
+    add("--r-max", dest="r_max", type=float,
+        help="largest radius included in the measure")
+    add("--r-min", dest="r_min", type=float,
+        help="radius scan floor (analysis continues below)")
+    add("--samples", type=int, default=1024,
+        help="center samples (default %(default)s)")
+    add("--threads", type=int, default=1,
+        help="worker threads (default %(default)s; results identical)")
+    add("--nodes", type=int,
+        help=f"quadrature nodes per ball (default {_CURVE_MC_NODES} by Monte "
+             f"Carlo for d >= 2, Gauss order 8 for d = 1)")
+    _add_common(add)
 
-    p_ver = subs.add_parser("verify", help="run the verification battery")
-    p_ver.add_argument("--samples", type=int,
-                       help=f"per-suite sample budget (default {DEFAULT_SAMPLES})")
-    p_ver.add_argument("--nodes", type=int,
-                       help=f"quadrature nodes (default {DEFAULT_NODE_COUNT})")
-    p_ver.add_argument("--fault-inject", dest="fault_inject",
-                       metavar="NAME[,NAME]",
-                       help=f"perturb a verified constant; names: "
-                            f"{sorted(_FAULT_PRESETS)}")
-    _add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
+    add = _run_command(subs, "verify", "run the verification battery",
+                       cmd_verify)
+    add("--samples", type=int, default=DEFAULT_SAMPLES,
+        help="per-suite sample budget (default %(default)s)")
+    add("--nodes", type=int, default=DEFAULT_NODE_COUNT,
+        help="quadrature nodes (default %(default)s)")
+    add("--fault-inject", dest="fault_inject", metavar="NAME[,NAME]",
+        help=f"perturb a verified constant; names: "
+             f"{sorted(_FAULT_PRESETS)}")
+    _add_common(add)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # after the subcommand, before the command line's own flags
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + _config_argv(args.config, args.config_flags)
+                + argv[at:])
         return args.func(args)
     except _UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

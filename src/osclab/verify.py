@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .catalog import (TestFunction, default_catalog, make_linear,
+from .catalog import (TestFunction, make_ball_indicator, make_linear,
                       make_plateau_bump, unit_ball_volume)
 from .oscillation import (UnsupportedFunctionError, exact_oscillation_1d,
                           maximal_gradient, mean_oscillation)
@@ -45,6 +45,8 @@ from .quadrature import (KEY_VERIFY, BallSample, QuadratureSpec, default_spec,
 from .weaknorm import (Domain, c_d_prime, center_rule_measure_1d,
                        expansion_remainder_coeff, interval_weight,
                        reference_scaled_limit)
+# check_bv_divergence's kappa_grid parameter would shadow the builder
+from .weaknorm import kappa_grid as _kappa_grid
 
 # run_all's defaults, which the command line reads and echoes
 DEFAULT_SEED = 20260819
@@ -189,10 +191,6 @@ class Mollifier:
         if self.mass_defect > 1e-10:
             raise ValueError(f"mollifier mass off by {self.mass_defect:.3e}")
 
-    @property
-    def support_radius(self) -> float:
-        return self.scale
-
     def density(self, z):
         z = np.asarray(z, dtype=float)
         u = z / self.scale
@@ -246,7 +244,6 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
         grad=None,
         grad_lipschitz=None,
         support_radius=support,
-        smoothness_tag="custom",
         breakpoints_1d=tuple(sorted(new_bps)),
         far_value=f.far_value,
         l1_mass=None,
@@ -355,8 +352,10 @@ def check_local_expansion(f: TestFunction, n_samples: int,
 
 # Balls per exact_oscillation_1d call on the right-hand side of the
 # mollification suite: the blocks bound the suite's working set, whatever
-# the number of cases.  With 2048 the battery's peak memory stays that of
-# its bv_divergence curve (60.3 MB); blocks of 8192 raised it to 62.1 MB.
+# the number of cases.  A verify run at its defaults peaks at 59.2 MB with
+# blocks of 2048 and of 8192 alike (medians over seeds 11-18, Python 3.11
+# on an Intel Xeon; the spread is 0.45 MB), so at the default sample count
+# this suite does not set the battery's peak.
 _MOLLIFY_BLOCK = 2048
 # Coarse panels per piece of the mollifier's window (the fine rule takes
 # twice as many); a multiple of 4, see _oscillation_convolved_with.
@@ -547,7 +546,8 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
             {"max_ratio": max_ratio},
             0.0 if np.isfinite(max_ratio) else math.inf, 0.0,
             note="largest observed Poincare ratio, recorded"))
-        if f.smoothness_tag == "linear" and d == 1 and spec.method == "gauss_1d":
+        # grad_lipschitz 0 means f is affine: its ratio is c'_1 exactly
+        if f.grad_lipschitz == 0 and d == 1 and spec.method == "gauss_1d":
             cases.append(_case(
                 "linear_exact_ratio",
                 {"max_ratio": max_ratio, "expected": c_d_prime(1)},
@@ -777,7 +777,7 @@ def check_bv_divergence(radius: float, kappa_grid,
 
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
     dom = Domain(box=((-1.5, 1.5),), r_max=20.0, r_min=1e-4)
-    grid = np.geomspace(0.25, 0.25 * 1e-3, 9)
+    grid = _kappa_grid(0.25, 2.5e-4, 10.0 ** 0.375)
     nu, err = center_rule_measure_1d(f, 1.0, grid, dom,
                                      QuadratureSpec("gauss_1d", 8), panels=4)
     ref = reference_scaled_limit(f, 1.0, dom)
@@ -865,8 +865,7 @@ def run_all(seed: int = DEFAULT_SEED, fault: Optional[FaultSpec] = None,
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     plateau = {d: make_plateau_bump(d, 1.0, 0.5, 1.0) for d in (1, 2, 3)}
     linear = {d: make_linear(d, [1.0] + [0.5] * (d - 1)) for d in (1, 2)}
-    indicator = [f for f in default_catalog()
-                 if f.smoothness_tag == "indicator"][0]
+    indicator = make_ball_indicator(1, 0.5)
     zero = make_linear(1, [0.0])
 
     def spec(f: TestFunction) -> QuadratureSpec:

@@ -1,7 +1,13 @@
-"""README's "Quick start in Python" block runs against the current API."""
+"""README's "Quick start in Python" block runs against the current API,
+and its "Command line" block against the current parser."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from osclab.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +26,27 @@ def test_quick_start_runs(capsys):
     printed = capsys.readouterr().out.split("\n")
     assert len([line for line in printed if line]) == 2
     assert namespace["limit"].ok
+
+
+def _command_lines() -> list:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    match = re.search(r"```sh\n(.*?)```", section, re.DOTALL)
+    assert match, "no sh block under Command line"
+    lines = [shlex.split(line) for line in match.group(1).splitlines()
+             if line.startswith("osclab ")]
+    assert lines, "no osclab command in the Command line block"
+    return [line[1:] for line in lines]
+
+
+@pytest.mark.parametrize("argv", _command_lines(), ids=" ".join)
+def test_command_line_parses(argv):
+    build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    argv for argv in _command_lines()
+    if argv[0] in ("catalog", "oscillation")], ids=" ".join)
+def test_command_line_runs(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out

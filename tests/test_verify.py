@@ -33,6 +33,7 @@ from osclab import (
     make_plateau_bump,
     mollify_1d,
     run_all,
+    translate,
 )
 from osclab import verify, weaknorm
 from osclab.oscillation import exact_oscillation_1d
@@ -287,6 +288,20 @@ def test_maximal_domination_zero_gradient():
     rep = check_maximal_domination(make_linear(1, [0.0]), 10, GAUSS)
     assert rep.passed
     assert any(c.name.startswith("zero_gradient_guard") for c in rep.cases)
+
+
+@pytest.mark.parametrize("shift", [None, [0.3]], ids=["linear", "shifted"])
+def test_maximal_domination_linear_ratio_is_exact(shift):
+    # an affine entry (grad_lipschitz 0) in d = 1 attains the Poincare
+    # constant: its largest ratio m / (r |grad f|) is c'_1 to rounding,
+    # and its translate image is still affine
+    f = make_linear(1, [1.5])
+    f = f if shift is None else translate(f, shift)
+    rep = check_maximal_domination(f, 20, QuadratureSpec("gauss_1d", 8))
+    exact = [c for c in rep.cases if c.name == "linear_exact_ratio"]
+    assert len(exact) == 1 and exact[0].verdict == "pass"
+    assert exact[0].inputs["expected"] == c_d_prime(1)
+    assert rep.passed
 
 
 def test_poincare_case_catches_inflated_oscillation(monkeypatch):

@@ -724,7 +724,7 @@ def _cosine():
     return catalog.TestFunction(
         function_id="cosine", dim=1,
         eval=lambda x: np.cos(2.0 * np.pi * x[..., 0]), grad=None,
-        grad_lipschitz=None, support_radius=None, smoothness_tag="custom",
+        grad_lipschitz=None, support_radius=None,
         breakpoints_1d=tuple(k / 2.0 for k in range(-12, 13)))
 
 
@@ -879,7 +879,7 @@ def test_gauss_node_count_drives_exact_curve():
 
     f = catalog.TestFunction(
         function_id="gaussian", dim=1, eval=ev, grad=gr, grad_lipschitz=2.0,
-        support_radius=None, smoothness_tag="custom",
+        support_radius=None,
         grad_max=math.sqrt(2 / math.e), breakpoints_1d=(0.0,))
     dom = Domain(box=((-2.0, 2.0),), r_max=20.0, r_min=1e-3)
     grid = np.geomspace(0.3, 3e-4, 9)
@@ -1295,7 +1295,7 @@ def test_reference_scaled_limit_catalog():
     assert reference_scaled_limit(ind, 1.0, dom) is None
     bare = catalog.TestFunction(
         function_id="custom", dim=1, eval=lambda x: x[..., 0], grad=None,
-        grad_lipschitz=None, support_radius=None, smoothness_tag="custom")
+        grad_lipschitz=None, support_radius=None)
     assert bare.grad_norm_p is None
     assert reference_scaled_limit(bare, 2.0, dom) is None
 

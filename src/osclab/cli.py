@@ -10,7 +10,7 @@ verify       run the quantitative verification battery, writing a JSON report
 
 argparse declares each setting once, with its type and the default that
 ``--help`` shows.  ``--config`` names an INI file (``key = value`` under
-any ``[section]`` headers; keys are global and unique across sections).
+any ``[section]``, ``[DEFAULT]`` too; keys are global, values literal).
 A key that is exactly the destination of a value-taking flag of the
 subcommand (``function``, ``p``, ``kappa_min``, ``r_max``, ``seed``, ...)
 reads as that flag, put before the command line's own; other keys, and
@@ -91,8 +91,9 @@ def _load_config(path: str) -> dict:
     """Flatten an INI file into one key -> string dict.
 
     Duplicate keys across sections are an error: keys are globally scoped.
+    Values are read literally, and [DEFAULT] is an ordinary section.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)

@@ -7,8 +7,9 @@ The central object is
 computed as a genuine two-pass estimate: the inner ball average first, then
 the average of the absolute deviation, on an independent node set.
 
-There is one kernel per rule, vectorized over (center, radius) arrays, and
-both single-ball queries and the curve scans of weaknorm call it.
+There is one kernel per rule, and one batch entry per rule, which runs it
+on any number of balls in passes of bounded size: exact_oscillation_1d and
+mc_oscillation.  No other module splits a batch into passes.
 
 exact_oscillation_1d (dimension one, method "gauss_1d") is fully
 deterministic: the interval is split at the function's breakpoints, the
@@ -58,6 +59,12 @@ SKIP_MARGIN = 1e-9
 # single-ball node sets _ball_nodes keeps: the three a spec can draw
 # (outer, inner, pair) with room to spare; 8 x 16384 x 3 doubles is 3.1 MB
 _NODE_SETS_KEPT = 8
+# f evaluation points per Monte Carlo pass of mc_oscillation
+BLOCK_POINTS = 2 ** 15
+# balls per pass of exact_oscillation_1d: on the 2048-centre d = 1 curve
+# (Python 3.11, Xeon, one BLAS thread) 8192 cut the peak from 69.5 to 56-58
+# MB in the same time; 4096 and 2048 took x1.09 and x1.19 (1 ms per pass)
+_EXACT_PASS = 8192
 
 _ROOT_ITERS = 30
 _GL_ORDER = 8
@@ -118,20 +125,40 @@ def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _abs_moment_1d(fev, edges: np.ndarray, mu: np.ndarray,
-                   q: float = 1.0) -> np.ndarray:
-    """Ball average of |f - mu|^q in dimension one, exact segment route.
+def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
+                         mu_nodes: int = _GL_ORDER):
+    """Deterministic (m_f, inner mean) over arrays of 1-d balls.
 
-    edges are the ball's segment edges, shape (..., K+2), and mu has the
-    shape of their leading axes; returns that shape.
+    Vectorized over broadcastable a and r arrays, in passes of at most
+    _EXACT_PASS balls, so the working set does not grow with the batch and
+    a ball's bits do not depend on its pass.  Exact to roundoff for
+    piecewise-polynomial f of degree <= 2*mu_nodes - 1 per segment when q
+    is 1, 2, or 3.
     """
+    require_method_dimension("gauss_1d", f.dim)
+    a, r = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(r, dtype=float))
+    out = np.empty((2, a.size))
+    for lo in range(0, a.size, _EXACT_PASS):
+        at = slice(lo, lo + _EXACT_PASS)
+        out[:, at] = _exact_pass(f, a.flat[at], r.flat[at], q, mu_nodes)
+    return out[0].reshape(a.shape), out[1].reshape(a.shape)
+
+
+def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,
+                mu_nodes: int):
+    """(m, inner mean) of the balls (a, r), shape (B,), on one pass of the
+    exact segment route: the average of |f - mu|^q over the segments
+    between f's breakpoints and the roots of f - mu."""
+    fev = f.eval_1d
+    edges = segment_edges(f.breakpoints_1d, a - r, a + r)
     width = edges[..., -1] - edges[..., 0]
+    mu = segment_mean(fev, edges, mu_nodes)
     refined = _root_refined_edges(fev, edges, mu)
     if q == 1.0:
         seg = segment_integrals(lambda x, m: fev(x) - m, refined,
                                 _GL_ORDER, mu)
-        total = np.abs(seg).sum(axis=-1)
-        return total / width
+        return np.abs(seg).sum(axis=-1) / width, mu
     # graded subdivision toward segment ends handles the |.|^q kink
     frac = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, _GRADE_PANELS + 1)))
     lo = refined[..., :-1]
@@ -139,28 +166,8 @@ def _abs_moment_1d(fev, edges: np.ndarray, mu: np.ndarray,
     sub = lo[..., None] + (hi - lo)[..., None] * frac
     seg = segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q, sub,
                             _GL_ORDER, mu)
-    return seg.sum(axis=(-2, -1)) / width
-
-
-def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
-                         mu_nodes: int = _GL_ORDER):
-    """Deterministic (m_f, inner mean) over arrays of 1-d balls.
-
-    Vectorized over broadcastable a and r arrays.  Exact to roundoff for
-    piecewise-polynomial f of degree <= 2*mu_nodes - 1 per segment when q
-    is 1, 2, or 3.
-    """
-    require_method_dimension("gauss_1d", f.dim)
-    fev = f.eval_1d
-    a = np.asarray(a, dtype=float)
-    r = np.asarray(r, dtype=float)
-    a, r = np.broadcast_arrays(a, r)
-    edges = segment_edges(f.breakpoints_1d, a - r, a + r)
-    mu = segment_mean(fev, edges, mu_nodes)
-    moment = _abs_moment_1d(fev, edges, mu, q)
-    if q != 1.0:
-        moment = np.maximum(moment, 0.0) ** (1.0 / q)
-    return moment, mu
+    moment = seg.sum(axis=(-2, -1)) / width
+    return np.maximum(moment, 0.0) ** (1.0 / q), mu
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +195,20 @@ def mc_deviations(ev, centers, radii, u_out, u_in, rows=slice(None)):
                  + np.asarray(ev(_point_major(c - ru)), dtype=float))
     dev -= 0.5 * pair_sums.mean(axis=-1)[..., None]
     return dev, pair_sums
+
+
+def mc_oscillation(ev, centers, radii, u_out, u_in, rows) -> np.ndarray:
+    """m for each (row, radius) pair of mc_deviations' balls, in passes
+    whose n + 2m points per pair add up to at most BLOCK_POINTS (at least
+    one pair), so the working set does not grow with the batch."""
+    radii = np.asarray(radii, dtype=float)
+    per_pass = max(1, BLOCK_POINTS // (u_out.shape[-1] + 2 * u_in.shape[-1]))
+    out = np.empty(len(rows))
+    for lo in range(0, len(rows), per_pass):
+        at = slice(lo, lo + per_pass)
+        dev, _ = mc_deviations(ev, centers, radii[at], u_out, u_in, rows[at])
+        out[at] = np.abs(dev, out=dev).mean(axis=-1)
+    return out
 
 
 def _point_major(x: np.ndarray) -> np.ndarray:

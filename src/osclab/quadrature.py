@@ -294,8 +294,10 @@ def segment_mean(g: Callable, edges: np.ndarray, n: int,
     which receives args unchanged.
 
     The sum of the segment integrals is divided by the width the edges
-    span, not by the nominal interval length: the Gauss weights sum to
-    that width, so a constant g has exactly its value as mean.  A width of
+    span, not by the nominal interval length.  The Gauss weights of order 8
+    sum to exactly 2, so a constant g has exactly its value as mean; those
+    of 49 of the orders 1-64 miss 2 by up to 6.7e-16 relative (order 2
+    gives a constant 1 the mean 1.0000000000000002).  A width of
     0, as when a + r rounds to a - r, has no mean: QuadratureError.
     """
     width = edges[..., -1] - edges[..., 0]

@@ -22,10 +22,8 @@ curve or the battery does.
 
 The mollification suite draws all its balls first, in the order of its
 random stream, and then evaluates them together: one exact_oscillation_1d
-call gives every left side, and one segment_integrals call gives every
-right side, whose integrand calls the oscillation kernel on blocks of at
-most _MOLLIFY_BLOCK balls, so the suite's memory does not grow with its
-sample count.
+call gives every left side, and one more, inside one segment_integrals
+call, every right side; the kernel bounds the size of its own passes.
 """
 from __future__ import annotations
 
@@ -213,8 +211,9 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
     t = phi.scale
     bps = tuple(sorted(f.breakpoints_1d, reverse=True))
 
-    def ev(x):
-        x = np.asarray(x, dtype=float)
+    def ev(pts):
+        # eval contract takes (..., 1) points
+        x = np.asarray(pts, dtype=float)[..., 0]
         flat = x.reshape(-1)[..., None]
         # the window's breakpoints z = x - b ascend per point: bps descend
         cols = [np.full_like(flat, -t)]
@@ -226,11 +225,6 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
             lambda z, y: phi.density(z) * f.eval_1d(y - z), edges, 12, flat)
         return seg.sum(axis=-1).reshape(x.shape)
 
-    # eval contract takes (..., 1) points
-    def ev_nd(pts):
-        pts = np.asarray(pts, dtype=float)
-        return ev(pts[..., 0])
-
     new_bps = set()
     for b in bps:
         new_bps.update((b - t, b, b + t))
@@ -240,7 +234,7 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
     return TestFunction(
         function_id=f"mollified:base={f.function_id};t={t!r}",
         dim=1,
-        eval=ev_nd,
+        eval=ev,
         grad=None,
         grad_lipschitz=None,
         support_radius=support,
@@ -350,13 +344,6 @@ def check_local_expansion(f: TestFunction, n_samples: int,
 # suite: mollification comparison
 # ---------------------------------------------------------------------------
 
-# Balls per exact_oscillation_1d call on the right-hand side of the
-# mollification suite: the blocks bound the suite's working set, whatever
-# the number of cases.  A verify run at its defaults peaks at 59.2 MB with
-# blocks of 2048 and of 8192 alike (medians over seeds 11-18, Python 3.11
-# on an Intel Xeon; the spread is 0.45 MB), so at the default sample count
-# this suite does not set the battery's peak.
-_MOLLIFY_BLOCK = 2048
 # Coarse panels per piece of the mollifier's window (the fine rule takes
 # twice as many); a multiple of 4, see _oscillation_convolved_with.
 _MOLLIFY_PANELS = 12
@@ -370,11 +357,11 @@ def _oscillation_convolved_with(f: TestFunction, phi: Mollifier, a, r):
     meets a breakpoint of f, and each piece into _MOLLIFY_PANELS (coarse)
     and twice as many (fine) equal parts.  All rows go to one segment_integrals
     call, each padded by repeating its last edge, which gives zero-width
-    segments that are never evaluated.  The integrand hands the nodes to
-    exact_oscillation_1d in blocks of _MOLLIFY_BLOCK balls, and each row
-    is summed over its own segments only.  With a panel count that is a
-    multiple of 4 (segment_integrals) every case then gets the bits of its
-    own one-case computation.
+    segments that are never evaluated.  The integrand hands all the nodes to
+    one exact_oscillation_1d call, and each row is summed over its own
+    segments only.  With a panel count that is a multiple of 4
+    (segment_integrals) every case then gets the bits of its own one-case
+    computation.
     """
     t = phi.scale
     rows = []
@@ -394,13 +381,7 @@ def _oscillation_convolved_with(f: TestFunction, phi: Mollifier, a, r):
                       for row in rows])
 
     def integrand(z, centre, radius):
-        x = (centre - z).reshape(-1)
-        rad = np.broadcast_to(radius, z.shape).reshape(-1)
-        m = np.empty_like(x)
-        for lo in range(0, x.size, _MOLLIFY_BLOCK):
-            hi = lo + _MOLLIFY_BLOCK
-            m[lo:hi] = exact_oscillation_1d(f, x[lo:hi], rad[lo:hi])[0]
-        return phi.density(z) * m.reshape(z.shape)
+        return phi.density(z) * exact_oscillation_1d(f, centre - z, radius)[0]
 
     seg = segment_integrals(integrand, edges, 8,
                             np.repeat(a, 2), np.repeat(r, 2))
@@ -422,9 +403,8 @@ def check_mollification(f: TestFunction, phi: Mollifier, n_samples: int,
     as inconclusive rather than failed.  The n_samples balls are drawn one
     (a, r) pair at a time from the suite's stream, then evaluated in a
     batch: one exact_oscillation_1d call for the left sides and one
-    segment_integrals call for the right sides, whose oscillations run in
-    blocks of _MOLLIFY_BLOCK balls.  Each case has the bits it would get
-    evaluated on its own.
+    segment_integrals call for the right sides, whose integrand makes one
+    more.  Each case has the bits it would get evaluated on its own.
     """
     if f.dim != 1:
         raise UnsupportedFunctionError("mollification checks run in dimension one")
@@ -694,12 +674,21 @@ def check_bv_divergence(radius: float, kappa_grid,
     plateau bump stays bounded at p = 1, on the composite Gauss centre rule
     of center_rule_measure_1d (160 nodes, with the 80-node rule for its
     error estimate), and the p = 2 behavior of the jump is recorded as
-    divergent too.
+    divergent too.  Fewer than two thresholds inside (0, 1/2), or a window
+    whose box holds neither support edge +-radius, raise ValueError before
+    any case: on such a window the measure is finite.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))[::-1]
     if kappas.size < 2 or np.any(kappas <= 0) or np.any(kappas >= 0.5):
         raise ValueError("need at least two thresholds inside (0, 1/2)")
     box = domain.box[0]
+    # the jump's sides inside the window; with none the measure is finite
+    sides = sum(1 for edge in (-radius, radius) for sgn in (-1, 1)
+                if box[0] < edge + sgn * 1e-9 < box[1])
+    if sides == 0 or not any(box[0] <= edge <= box[1]
+                             for edge in (-radius, radius)):
+        raise ValueError(f"no support edge of the indicator (+-{radius!r}) "
+                         f"lies inside the window {box!r}")
     cases = []
 
     values = {}
@@ -709,11 +698,10 @@ def check_bv_divergence(radius: float, kappa_grid,
         values[float(kappa)] = nu
         cases.append(_case(
             f"exact_measure[kappa={kappa:g}]",
-            {"kappa": float(kappa), "nu": nu,
-             "scaled": kappa * nu if math.isfinite(nu) else math.inf},
-            -math.inf if math.isinf(nu) else 0.0, 0.0,
+            {"kappa": float(kappa), "nu": nu, "scaled": kappa * nu},
+            -math.inf if math.isinf(nu) else math.inf, 0.0,
             note="weight grows like sqrt(1-2k)/edge-distance; center "
-                 "integral certified divergent" if math.isinf(nu) else ""))
+                 "integral certified divergent"))
 
     k_small, k_big = float(kappas[-1]), float(kappas[0])
     s_small = k_small * values[k_small]
@@ -747,8 +735,6 @@ def check_bv_divergence(radius: float, kappa_grid,
 
     kappa_mid = float(kappas[min(1, kappas.size - 1)])
     s_mid = math.sqrt(1.0 - 2.0 * kappa_mid)
-    sides = sum(1 for edge in (-radius, radius) for sgn in (-1, 1)
-                if box[0] < edge + sgn * 1e-9 < box[1])
     factor = 4.0
     floors = [0.1 * radius * factor ** (-k) for k in range(6)]
     nus = [indicator_measure_1d(kappa_mid, radius, box, fl, domain.r_max)

@@ -48,8 +48,9 @@ see, and centers outside the box contribute nothing by construction (for a
 compactly supported function and a box containing its support, that
 contribution vanishes in the kappa^p-scaled limit).
 
-m_f comes from the kernels of oscillation (exact_oscillation_1d, and
-mc_deviations for Monte Carlo), as for single-ball queries.  Every center
+m_f comes from the batch entries of oscillation (exact_oscillation_1d, and
+mc_oscillation for Monte Carlo), which bound the size of their own kernel
+passes; single-ball queries run the same kernels.  Every center
 gets its own node stream keyed by global sample index, so results are
 independent of chunking and thread count, and one scan is shared across
 all thresholds (common random numbers), which makes the curve exactly
@@ -66,7 +67,7 @@ import numpy as np
 
 from .catalog import TestFunction, require_box_dimension, unit_ball_volume
 from .oscillation import (SKIP_MARGIN, exact_oscillation_1d, flat_balls,
-                          mc_deviations)
+                          mc_oscillation)
 from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS,
                          QuadratureError, QuadratureSpec, gauss_rule,
                          require_finite, require_method_dimension, stream,
@@ -75,8 +76,6 @@ from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS,
 _CHUNK = 256
 # Gauss order per panel of center_rule_measure_1d
 _CENTER_RULE_ORDER = 8
-# f evaluation points per Monte Carlo kernel call in _McScan's blocks
-BLOCK_POINTS = 2 ** 15
 
 # merged always reads 0, since every interval is resolved; the key stays in
 # the byte-stable outputs until their schema changes
@@ -543,11 +542,7 @@ class _McScan(_Engine):
     unbiased for odd perturbations.  The node sets are stored
     coordinate-major, u_out of shape (C, d, n) and u_in of shape (C, d, m),
     holding the values of unit_ball_nodes transposed, which is the layout
-    mc_deviations builds its points in.  The kernel runs on blocks of (row,
-    radius) pairs whose n + 2 * ceil(n / 2) points per pair add up to at
-    most BLOCK_POINTS (at least one pair), so neither a large crossing
-    batch nor a scan gather grows the working set; each pair's arithmetic
-    is the same in any block.
+    mc_oscillation builds its points in; it bounds its own passes.
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, seed: int,
@@ -557,7 +552,6 @@ class _McScan(_Engine):
         m = max((n + 1) // 2, 1)
         self.f = f
         self.centers = centers
-        self.block = max(1, BLOCK_POINTS // (n + 2 * m))
         self.u_out = np.empty((c_rows, d, n))
         self.u_in = np.empty((c_rows, d, m))
         for i in range(c_rows):
@@ -566,13 +560,8 @@ class _McScan(_Engine):
             self.u_in[i] = unit_ball_nodes(d, m, stream(seed, KEY_BALL_IN, g)).T
 
     def m_at(self, rows, r):
-        out = np.empty(rows.size)
-        for start in range(0, rows.size, self.block):
-            blk = slice(start, start + self.block)
-            dev, _ = mc_deviations(self.f.eval, self.centers, r[blk],
-                                   self.u_out, self.u_in, rows[blk])
-            out[blk] = np.abs(dev, out=dev).mean(axis=1)
-        return require_finite(out)
+        return require_finite(mc_oscillation(self.f.eval, self.centers, r,
+                                             self.u_out, self.u_in, rows))
 
 
 def _make_engine(f, centers, spec, global_start):

@@ -261,6 +261,31 @@ def test_missing_config_file_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nfunction = linear:d=1:v=1\nr = 1\n",
+    "[DEFAULT]\nfunction = linear:d=1:v=1\n[ball]\nr = 1\n[run]\nq = 1\n",
+], ids=["alone", "beside-two-sections"])
+def test_config_reads_the_default_section(tmp_path, capsys, text):
+    # [DEFAULT] is a section like any other: its keys are neither dropped
+    # nor copied into the other sections as duplicates
+    ini = tmp_path / "default.ini"
+    ini.write_text(text)
+    assert main(["oscillation", "--config", str(ini),
+                 "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "oscillation.json").read_text())
+    assert payload["config"]["function"] == "linear:d=1:v=1"
+
+
+def test_config_values_are_read_literally(tmp_path, capsys):
+    # no %-interpolation: a percent sign is part of the value
+    out = tmp_path / "pct%dir"
+    ini = tmp_path / "pct.ini"
+    ini.write_text(f"[run]\nfunction = linear:d=1:v=1\nr = 1\n"
+                   f"out_dir = {out}\n")
+    assert main(["oscillation", "--config", str(ini)]) == 0
+    assert (out / "oscillation.json").exists()
+
+
 def test_curve_rejects_narrow_grid():
     with pytest.raises(SystemExit) as exc:
         main(["curve", "--function", "linear:d=1:v=1",

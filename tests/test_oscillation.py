@@ -32,7 +32,7 @@ from osclab import (
 )
 from osclab import oscillation
 from osclab.catalog import coordinate_dot
-from osclab.oscillation import mc_deviations
+from osclab.oscillation import mc_deviations, mc_oscillation
 from osclab.quadrature import KEY_INNER, KEY_OUTER, KEY_PAIR
 from osclab.verify import check_local_expansion, check_maximal_domination
 
@@ -419,6 +419,31 @@ def test_root_refined_edges_follow_the_sign_of_f_at_every_edge(f):
     assert np.all((lo[cross] < roots[cross]) & (roots[cross] < hi[cross]))
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_exact_oscillation_1d_bounds_its_passes(q):
+    # more balls than two passes hold, pairwise disjoint, so each point f
+    # sees belongs to one ball: no f.eval call may cover the balls of two
+    # passes, and every ball keeps the bits it has on its own
+    size = oscillation._EXACT_PASS
+    n = 2 * size + 3
+    a = np.linspace(-1.5, 1.5, n)
+    step = a[1] - a[0]
+    r = step * np.linspace(0.05, 0.45, n)
+    base = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    f, seen = _recording(base)
+    m, mu = exact_oscillation_1d(f, a.reshape(7, -1), r.reshape(7, -1), q)
+    assert m.shape == mu.shape == (7, n // 7)
+    passes = [np.unique(np.rint((x[..., 0] - a[0]) / step) // size)
+              for x in seen if x.size]
+    assert {len(p) for p in passes} == {1}
+    assert {int(p[0]) for p in passes} == {0, 1, 2}
+    for i in (0, 1, size - 1, size, size + 1, 2 * size - 1, 2 * size, n - 1):
+        one = exact_oscillation_1d(base, a[i], r[i], q)
+        assert one[0].shape == one[1].shape == ()
+        assert one[0].tobytes() == m.reshape(-1)[i].tobytes()
+        assert one[1].tobytes() == mu.reshape(-1)[i].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # memory layout of the Monte Carlo ball points
 # ---------------------------------------------------------------------------
@@ -470,6 +495,33 @@ def test_mc_deviations_antithetic_pairs_kill_the_odd_part():
     _, pair_sums = mc_deviations(lambda x: 5.0 + (x[..., 0] - c[0]) ** 3,
                                  c, 1.0, u_out, u_in)
     assert abs(0.5 * pair_sums.mean() - 5.0) <= 1e-12
+
+
+def test_mc_oscillation_passes_keep_each_pair_bits(monkeypatch):
+    # passes of two pairs give each (row, radius) pair the bits of one
+    # pass over all of them, and no f.eval call exceeds the pass budget
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    d, n, m, c_rows = 2, 96, 48, 7
+    centers = stream(6, 1).uniform(-1.2, 1.2, size=(c_rows, d))
+    u_out = np.stack([unit_ball_nodes(d, n, stream(6, 2, i)).T
+                      for i in range(c_rows)])
+    u_in = np.stack([unit_ball_nodes(d, m, stream(6, 3, i)).T
+                     for i in range(c_rows)])
+    rows = np.array([0, 3, 3, 6, 1, 5, 2, 4, 0])
+    radii = np.geomspace(1e-3, 3.0, rows.size)
+    dev, _ = mc_deviations(f.eval, centers, radii, u_out, u_in, rows)
+    whole = np.abs(dev).mean(axis=-1)
+    sizes = []
+
+    def ev(x):
+        sizes.append(math.prod(x.shape[:-1]))
+        return f.eval(x)
+
+    monkeypatch.setattr(oscillation, "BLOCK_POINTS", 2 * (n + 2 * m) + 1)
+    split = mc_oscillation(ev, centers, radii, u_out, u_in, rows)
+    assert split.tobytes() == whole.tobytes()
+    assert len(sizes) == 3 * math.ceil(rows.size / 2)
+    assert max(sizes) == 2 * n <= oscillation.BLOCK_POINTS
 
 
 def _recording(f):

@@ -47,9 +47,9 @@ from osclab import (
     write_curve_csv,
 )
 from osclab import catalog, weaknorm
+from osclab.oscillation import BLOCK_POINTS
 from osclab.quadrature import KEY_CENTERS, stream
 from osclab.weaknorm import (
-    BLOCK_POINTS,
     DistributionCurve,
     _below_floor_bracket,
     _bisect_crossings,

@@ -5,8 +5,12 @@ whatever certificates downstream estimators need: an exact gradient where one
 exists, an upper bound for the Lipschitz constant of that gradient, the
 radius outside which the function is constant, the radius of a ball around
 each point on which it is constant, the integral of |grad f|^p over a box,
-and, in dimension one, the breakpoints between which the function is a
-polynomial.  translate, dilate and scale_values map every certificate.
+in dimension one, the breakpoints between which the function is a
+polynomial, and, for radial entries, the centre and profile (Radial) from
+which the Monte Carlo curve evaluates f without building points.  Every
+non-linear entry is radial: the plateau and the indicator about their
+centres, and their images.  translate, dilate and scale_values map every
+certificate.
 Entries are immutable and safe to share across threads.  The plateau's L1
 mass and gradient norms are closed forms (integrals of polynomials and Beta
 functions), so the catalog needs numpy only.
@@ -72,6 +76,16 @@ def _beta(a: float, b: float) -> float:
         return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
+@dataclass(frozen=True, eq=False)
+class Radial:
+    """f(x) = profile(|x - center|^2): center has shape (dim,), and profile
+    maps an array of squared distances to values of f of the same shape.
+    profile may overwrite its input, so a caller hands it an array it owns
+    and does not read again."""
+    center: np.ndarray
+    profile: Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """A catalog entry.
@@ -102,6 +116,12 @@ class TestFunction:
     no such certificate.
     grad_norm_p, when present, maps (p, box ((lo, hi), ...)) to the integral
     of |grad f|^p over the box in closed form, or to None if it has none.
+    radial, when present, certifies eval(x) == radial.profile(|x - c|^2),
+    c = radial.center, up to rounding, and the Monte Carlo curve evaluates f
+    through it instead of through eval; None (linear and custom entries)
+    means f is not known to be radial.  A dataclasses.replace that swaps
+    eval must also replace or drop radial, or the curve keeps evaluating
+    the old function.
     """
     function_id: str
     dim: int
@@ -115,6 +135,7 @@ class TestFunction:
     l1_mass: Optional[float] = None
     flat_radius: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_norm_p: Optional[Callable[[float, tuple], Optional[float]]] = None
+    radial: Optional[Radial] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -192,29 +213,33 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
     gmax = abs(A) * _SPRIME_MAX / w
     fid = f"plateau:d={d}:a={_fmt(A)}:ri={_fmt(ri)}:ro={_fmt(ro)}"
 
-    def ev(x: np.ndarray) -> np.ndarray:
-        # A (1 - S(s)) with s = clip((|x| - ri) / w, 0, 1), by the operations
-        # of coordinate_dot and the taper in their order, written into three
-        # buffers instead of a new array per operation: the same bits
-        x = np.asarray(x, dtype=float)
-        s = np.multiply(x[..., 0], x[..., 0], out=np.empty(x.shape[:-1]))
-        tmp = np.empty_like(s)
-        for k in range(1, x.shape[-1]):
-            s += np.multiply(x[..., k], x[..., k], out=tmp)
-        np.sqrt(s, out=s)
+    def profile(q: np.ndarray) -> np.ndarray:
+        # A (1 - S(s)) with s = clip((sqrt(q) - ri) / w, 0, 1), in place in
+        # q and one more buffer instead of a new array per operation
+        s = np.sqrt(q, out=q)
         s -= ri
         s /= w
         np.maximum(s, 0.0, out=s)
         np.minimum(s, 1.0, out=s)
         val = np.multiply(s, s, out=np.empty_like(s))
         val *= s
-        np.multiply(s, 6.0, out=tmp)
+        tmp = np.multiply(s, 6.0)
         tmp += -15.0
         tmp *= s
         tmp += 10.0
         val *= tmp
         np.subtract(1.0, val, out=val)
         val *= A
+        return val
+
+    def ev(x: np.ndarray) -> np.ndarray:
+        # |x|^2 by the operations of coordinate_dot in their order, into one
+        # buffer that the profile then overwrites: the same bits
+        x = np.asarray(x, dtype=float)
+        q = np.multiply(x[..., 0], x[..., 0], out=np.empty(x.shape[:-1]))
+        for k in range(1, x.shape[-1]):
+            q += x[..., k] * x[..., k]
+        val = profile(q)
         return val if val.ndim else val[()]
 
     def gr(x: np.ndarray) -> np.ndarray:
@@ -249,7 +274,8 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
         function_id=fid, dim=d, eval=ev, grad=gr,
         grad_lipschitz=lip, support_radius=ro, grad_max=gmax,
         breakpoints_1d=(-ro, -ri, ri, ro) if d == 1 else (),
-        far_value=0.0, l1_mass=mass, flat_radius=flat, grad_norm_p=gnorm)
+        far_value=0.0, l1_mass=mass, flat_radius=flat, grad_norm_p=gnorm,
+        radial=Radial(np.zeros(d), profile))
 
 
 def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
@@ -274,9 +300,12 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
         cid = ":c=" + ",".join(_fmt(x) for x in c)
     fid = f"indicator:d={d}:r={_fmt(R)}" + cid
 
+    def profile(q: np.ndarray) -> np.ndarray:
+        return (np.sqrt(q) <= R).astype(float)
+
     def ev(x: np.ndarray) -> np.ndarray:
         y = np.asarray(x, dtype=float) - c
-        return (np.sqrt(coordinate_dot(y, y)) <= R).astype(float)
+        return profile(coordinate_dot(y, y))
 
     def flat(a: np.ndarray) -> np.ndarray:
         # distance to the sphere |x - c| = R, where the only jump sits
@@ -288,7 +317,8 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
         function_id=fid, dim=d, eval=ev, grad=None,
         grad_lipschitz=None, support_radius=R + float(np.linalg.norm(c)),
         grad_max=None, breakpoints_1d=bps, far_value=0.0,
-        l1_mass=unit_ball_volume(d) * R ** d, flat_radius=flat)
+        l1_mass=unit_ball_volume(d) * R ** d, flat_radius=flat,
+        radial=Radial(c, profile))
 
 
 def _then(value, fn):
@@ -323,14 +353,16 @@ def translate(f: TestFunction, shift) -> TestFunction:
 
     return replace(
         f,
-        function_id=f.function_id + ":shifted",
+        function_id=f.function_id + ":shifted=" + ",".join(_fmt(v) for v in h),
         eval=shifted(f.eval),
         grad=_then(f.grad, shifted),
         support_radius=_then(f.support_radius,
                              lambda R: R + float(np.linalg.norm(h))),
         breakpoints_1d=tuple(b + h[0] for b in f.breakpoints_1d),
         flat_radius=_then(f.flat_radius, shifted),
-        grad_norm_p=_then(f.grad_norm_p, shifted_norm))
+        grad_norm_p=_then(f.grad_norm_p, shifted_norm),
+        radial=_then(f.radial, lambda rad: Radial(rad.center + h,
+                                                  rad.profile)))
 
 
 def scale_values(f: TestFunction, lam: float) -> TestFunction:
@@ -347,7 +379,9 @@ def scale_values(f: TestFunction, lam: float) -> TestFunction:
         far_value=lam * f.far_value,
         l1_mass=_then(f.l1_mass, lambda m: abs(lam) * m),
         grad_norm_p=_then(f.grad_norm_p, lambda n: lambda p, box: _then(
-            n(p, box), lambda v: abs(lam) ** p * v)))
+            n(p, box), lambda v: abs(lam) ** p * v)),
+        radial=_then(f.radial, lambda rad: Radial(
+            rad.center, lambda q, _g=rad.profile: lam * _g(q))))
 
 
 def dilate(f: TestFunction, s: float) -> TestFunction:
@@ -371,7 +405,10 @@ def dilate(f: TestFunction, s: float) -> TestFunction:
         l1_mass=_then(f.l1_mass, lambda m: m * s ** f.dim),
         grad_norm_p=_then(f.grad_norm_p, lambda n: lambda p, box: _then(
             n(p, tuple((lo / s, hi / s) for lo, hi in box)),
-            lambda v: s ** (f.dim - p) * v)))
+            lambda v: s ** (f.dim - p) * v)),
+        radial=_then(f.radial, lambda rad: Radial(
+            s * rad.center,
+            lambda q, _g=rad.profile: _g(np.divide(q, s * s, out=q)))))
 
 
 def _parse_fields(fid: str) -> dict:

@@ -8,8 +8,9 @@ computed as a genuine two-pass estimate: the inner ball average first, then
 the average of the absolute deviation, on an independent node set.
 
 There is one kernel per rule, and one batch entry per rule, which runs it
-on any number of balls in passes of bounded size: exact_oscillation_1d and
-mc_oscillation.  No other module splits a batch into passes.
+on any number of balls in passes of bounded size: exact_oscillation_1d, and
+for Monte Carlo mc_oscillation and its radial route mc_radial_oscillation.
+No other module splits a batch into passes.
 
 exact_oscillation_1d (dimension one, method "gauss_1d") is fully
 deterministic: the interval is split at the function's breakpoints, the
@@ -29,6 +30,16 @@ Its nodes, and those of pair_oscillation and maximal_gradient, are stored
 coordinate-major, (d, n), so each array operation on the points runs over
 the n nodes instead of the d coordinates; f receives (n, d) views.
 
+mc_radial_oscillation is the same estimate for a radial entry, f(x) =
+profile(|x - c|^2) (catalog.Radial), on the same nodes: with y = a - c,
+|a + r u - c|^2 = |y|^2 + r (2 y.u + r |u|^2), and the antithetic pair has
+(|y|^2 + r^2 |u|^2) +- 2 r y.u.  It takes those per-node features of each
+centre (RadialNodes) instead of points, so its cost does not grow with d,
+and it reduces mu, f - mu and the mean of |f - mu| in mc_deviations'
+order.  Its m differs from mc_oscillation's only by the rounding of the
+squared distances.  The single-ball rules below keep to mc_deviations and
+f.eval.
+
 The single-ball rules take one BallSample and a QuadratureSpec:
 q_oscillation and mean_oscillation follow the spec's method;
 pair_oscillation is Monte Carlo in every dimension and refuses gauss_1d;
@@ -43,6 +54,7 @@ curve engine draws one stream per centre and does not use the memo.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,18 +209,108 @@ def mc_deviations(ev, centers, radii, u_out, u_in, rows=slice(None)):
     return dev, pair_sums
 
 
+def _mc_passes(count: int, points_per_pair: int):
+    """Slices of count (row, radius) pairs whose points_per_pair points per
+    pair add up to at most BLOCK_POINTS a pass (at least one pair), so the
+    working set does not grow with the batch."""
+    per_pass = max(1, BLOCK_POINTS // points_per_pair)
+    return (slice(lo, lo + per_pass) for lo in range(0, count, per_pass))
+
+
 def mc_oscillation(ev, centers, radii, u_out, u_in, rows) -> np.ndarray:
-    """m for each (row, radius) pair of mc_deviations' balls, in passes
-    whose n + 2m points per pair add up to at most BLOCK_POINTS (at least
-    one pair), so the working set does not grow with the batch."""
+    """m for each (row, radius) pair of mc_deviations' balls, in passes of
+    at most BLOCK_POINTS evaluation points (n + 2m per pair)."""
     radii = np.asarray(radii, dtype=float)
-    per_pass = max(1, BLOCK_POINTS // (u_out.shape[-1] + 2 * u_in.shape[-1]))
     out = np.empty(len(rows))
-    for lo in range(0, len(rows), per_pass):
-        at = slice(lo, lo + per_pass)
+    for at in _mc_passes(len(rows), u_out.shape[-1] + 2 * u_in.shape[-1]):
         dev, _ = mc_deviations(ev, centers, radii[at], u_out, u_in, rows[at])
         out[at] = np.abs(dev, out=dev).mean(axis=-1)
     return out
+
+
+@dataclass(frozen=True)
+class RadialNodes:
+    """The node features mc_radial_oscillation takes, one row per centre.
+
+    For the centre a of row i, y = a - c (c the entry's radial centre), its
+    outer nodes u and its inner nodes v: yy[i] = |y|^2, out_dot[i] = 2 y.u,
+    out_sq[i] = |u|^2, in_dot[i] = 2 y.v and in_sq[i] = |v|^2, of shapes
+    (C,), (C, n), (C, n), (C, m) and (C, m).  empty allocates them and put
+    fills one row.
+    """
+    yy: np.ndarray
+    out_dot: np.ndarray
+    out_sq: np.ndarray
+    in_dot: np.ndarray
+    in_sq: np.ndarray
+
+    @classmethod
+    def empty(cls, rows: int, n: int, m: int) -> "RadialNodes":
+        return cls(np.empty(rows), np.empty((rows, n)), np.empty((rows, n)),
+                   np.empty((rows, m)), np.empty((rows, m)))
+
+    def put(self, i: int, y: np.ndarray, u_out: np.ndarray,
+            u_in: np.ndarray) -> None:
+        """Row i from y, shape (d,), and the nodes as unit_ball_nodes gives
+        them, (n, d) and (m, d); every sum over coordinates runs in index
+        order (coordinate_dot), so the bits do not depend on the layout."""
+        self.yy[i] = coordinate_dot(y, y)
+        self.out_dot[i] = 2.0 * coordinate_dot(u_out, y)
+        self.out_sq[i] = coordinate_dot(u_out, u_out)
+        self.in_dot[i] = 2.0 * coordinate_dot(u_in, y)
+        self.in_sq[i] = coordinate_dot(u_in, u_in)
+
+
+def mc_radial_oscillation(profile, nodes: RadialNodes, radii,
+                          rows) -> np.ndarray:
+    """mc_oscillation for a radial entry f = profile(|x - c|^2): m for each
+    (row, radius) pair, on the node features of nodes, in passes of at most
+    BLOCK_POINTS evaluation points (_radial_pass)."""
+    radii = np.asarray(radii, dtype=float)
+    n = nodes.out_dot.shape[-1]
+    m = nodes.in_dot.shape[-1]
+    out = np.empty(len(rows))
+    for at in _mc_passes(len(rows), n + 2 * m):
+        out[at] = _radial_pass(profile, nodes, radii[at][:, None], rows[at])
+    return out
+
+
+def _radial_pass(profile, nodes: RadialNodes, r: np.ndarray,
+                 i: np.ndarray) -> np.ndarray:
+    """m for rows i of nodes at radii r, shape (P, 1): one pass of
+    mc_radial_oscillation, whose arrays are freed before the next pass
+    allocates its own.
+
+    The squared distances of the outer points and of both antithetic
+    points, q = |y|^2 + r (2 y.u + r |u|^2) and
+    q+- = (|y|^2 + r^2 |v|^2) +- r 2 y.v, go into three contiguous runs of
+    one buffer, which profile gets in one call.  Rounding can leave q just
+    below 0 where a point meets c, so q is clamped at 0 first.
+    """
+    p = r.shape[0]
+    n = nodes.out_dot.shape[-1]
+    m = nodes.in_dot.shape[-1]
+    yy = nodes.yy[i][:, None]
+    q = np.empty(p * (n + 2 * m))
+    q_out = q[:p * n].reshape(p, n)
+    q_plus = q[p * n:p * (n + m)].reshape(p, m)
+    q_minus = q[p * (n + m):].reshape(p, m)
+    np.multiply(nodes.out_sq[i], r, out=q_out)
+    q_out += nodes.out_dot[i]
+    q_out *= r
+    q_out += yy
+    np.multiply(nodes.in_sq[i], r * r, out=q_plus)
+    q_plus += yy
+    r_dot = np.multiply(nodes.in_dot[i], r)
+    np.subtract(q_plus, r_dot, out=q_minus)
+    q_plus += r_dot
+    np.maximum(q, 0.0, out=q)
+    vals = profile(q)
+    dev = vals[:p * n].reshape(p, n)
+    pair_sums = (vals[p * n:p * (n + m)].reshape(p, m)
+                 + vals[p * (n + m):].reshape(p, m))
+    dev -= 0.5 * pair_sums.mean(axis=-1)[:, None]
+    return np.abs(dev, out=dev).mean(axis=-1)
 
 
 def _point_major(x: np.ndarray) -> np.ndarray:

@@ -49,8 +49,9 @@ compactly supported function and a box containing its support, that
 contribution vanishes in the kappa^p-scaled limit).
 
 m_f comes from the batch entries of oscillation (exact_oscillation_1d, and
-mc_oscillation for Monte Carlo), which bound the size of their own kernel
-passes; single-ball queries run the same kernels.  Every center
+for Monte Carlo mc_oscillation, or mc_radial_oscillation on a radial
+entry's node features), which bound the size of their own kernel passes;
+single-ball queries run the same rules.  Every center
 gets its own node stream keyed by global sample index, so results are
 independent of chunking and thread count, and one scan is shared across
 all thresholds (common random numbers), which makes the curve exactly
@@ -65,15 +66,20 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import TestFunction, require_box_dimension, unit_ball_volume
-from .oscillation import (SKIP_MARGIN, exact_oscillation_1d, flat_balls,
-                          mc_oscillation)
+from .catalog import (TestFunction, coordinate_dot, require_box_dimension,
+                      unit_ball_volume)
+from .oscillation import (SKIP_MARGIN, RadialNodes, exact_oscillation_1d,
+                          flat_balls, mc_oscillation, mc_radial_oscillation)
 from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS,
                          QuadratureError, QuadratureSpec, gauss_rule,
                          require_finite, require_method_dimension, stream,
                          unit_ball_nodes)
 
 _CHUNK = 256
+# the largest gap between a radial entry's profile and its eval at a
+# chunk's centres, relative to the largest value there, that still takes
+# the radial route; rounding of |a - c|^2 leaves gaps near 1e-16
+_RADIAL_PROBE_RTOL = 1e-9
 # Gauss order per panel of center_rule_measure_1d
 _CENTER_RULE_ORDER = 8
 
@@ -532,6 +538,23 @@ class _Exact1D(_Engine):
         return require_finite(m)
 
 
+def _profile_matches_eval(f: TestFunction, centers: np.ndarray,
+                          y: np.ndarray) -> bool:
+    """Whether f.radial.profile(|a - c|^2), with y = a - c, reproduces
+    f.eval(a) at every centre a, to _RADIAL_PROBE_RTOL of the largest
+    |f.eval(a)|.
+
+    This checks the certificate where the chunk uses it: an entry whose
+    eval was replaced without its radial certificate, or whose eval is not
+    finite at a centre, takes the generic route, so the curve never
+    evaluates a stale profile.  The centres reach eval coordinate-major,
+    as the kernels' points do.
+    """
+    ev = np.asarray(f.eval(np.ascontiguousarray(centers.T).T), dtype=float)
+    gap = np.abs(f.radial.profile(coordinate_dot(y, y)) - ev)
+    return bool(np.all(gap <= _RADIAL_PROBE_RTOL * np.max(np.abs(ev))))
+
+
 class _McScan(_Engine):
     """Per-center pinned node sets in the ball-local frame.
 
@@ -539,10 +562,17 @@ class _McScan(_Engine):
     a deterministic, r-continuous function per center and results do not
     depend on chunk boundaries or thread count.  The inner mean uses an
     independent antithetic stream, which keeps the two-pass estimate
-    unbiased for odd perturbations.  The node sets are stored
-    coordinate-major, u_out of shape (C, d, n) and u_in of shape (C, d, m),
-    holding the values of unit_ball_nodes transposed, which is the layout
-    mc_oscillation builds its points in; it bounds its own passes.
+    unbiased for odd perturbations.
+
+    For a radial entry (f.radial) whose profile matches eval at the chunk's
+    centres (_profile_matches_eval), the engine keeps only the node
+    features of each centre (RadialNodes: |a - c|^2, and 2 (a - c).u and
+    |u|^2 per node), computed centre by centre from the same draws, and
+    m_at runs mc_radial_oscillation on them.  Otherwise it keeps the node
+    sets coordinate-major, u_out of shape (C, d, n) and u_in of shape
+    (C, d, m), holding the values of unit_ball_nodes transposed, which is
+    the layout mc_oscillation builds its points in.  Both kernels bound
+    their own passes.
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, seed: int,
@@ -552,16 +582,31 @@ class _McScan(_Engine):
         m = max((n + 1) // 2, 1)
         self.f = f
         self.centers = centers
-        self.u_out = np.empty((c_rows, d, n))
-        self.u_in = np.empty((c_rows, d, m))
+        y = None if f.radial is None else centers - f.radial.center
+        self.radial = y is not None and _profile_matches_eval(f, centers, y)
+        if self.radial:
+            self.nodes = RadialNodes.empty(c_rows, n, m)
+        else:
+            self.u_out = np.empty((c_rows, d, n))
+            self.u_in = np.empty((c_rows, d, m))
         for i in range(c_rows):
             g = global_start + i
-            self.u_out[i] = unit_ball_nodes(d, n, stream(seed, KEY_BALL_OUT, g)).T
-            self.u_in[i] = unit_ball_nodes(d, m, stream(seed, KEY_BALL_IN, g)).T
+            u_out = unit_ball_nodes(d, n, stream(seed, KEY_BALL_OUT, g))
+            u_in = unit_ball_nodes(d, m, stream(seed, KEY_BALL_IN, g))
+            if self.radial:
+                self.nodes.put(i, y[i], u_out, u_in)
+            else:
+                self.u_out[i] = u_out.T
+                self.u_in[i] = u_in.T
 
     def m_at(self, rows, r):
-        return require_finite(mc_oscillation(self.f.eval, self.centers, r,
-                                             self.u_out, self.u_in, rows))
+        if self.radial:
+            m = mc_radial_oscillation(self.f.radial.profile, self.nodes, r,
+                                      rows)
+        else:
+            m = mc_oscillation(self.f.eval, self.centers, r, self.u_out,
+                               self.u_in, rows)
+        return require_finite(m)
 
 
 def _make_engine(f, centers, spec, global_start):

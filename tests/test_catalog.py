@@ -21,6 +21,7 @@ from osclab import (
     translate,
     unit_ball_nodes,
 )
+from osclab.catalog import coordinate_dot
 from osclab.oscillation import SKIP_MARGIN as _SKIP_MARGIN
 
 DIFFERENTIABLE = [f for f in default_catalog() if f.grad is not None]
@@ -319,6 +320,64 @@ def test_flat_radius_certifies_constancy(f, a, t, seed):
     if f.grad is not None:
         assert np.all(f.grad(a + r * u) == 0.0), (f.function_id, a, r)
         assert np.all(f.grad(a) == 0.0), (f.function_id, a, r)
+
+
+RADIAL_ENTRIES = [
+    make_plateau_bump(1, 1.0, 0.5, 1.0),
+    make_plateau_bump(2, -2.5, 0.3, 1.7),
+    make_plateau_bump(3, 1.0, 0.5, 1.0),
+    make_ball_indicator(1, 0.5),
+    make_ball_indicator(1, 0.5, center=[0.25]),
+    make_ball_indicator(2, 0.6, center=[0.3, -0.2]),
+    make_ball_indicator(3, 0.5),
+]
+RADIAL_IMAGES = [image(f) for f in RADIAL_ENTRIES for image in (
+    lambda f: translate(f, [0.3, -0.2, 0.1][:f.dim]),
+    lambda f: dilate(f, 1.7),
+    lambda f: dilate(f, 0.4),
+    lambda f: scale_values(f, -0.6),
+    lambda f: scale_values(dilate(translate(f, [-0.4, 0.7, 0.2][:f.dim]),
+                                  2.5), 3.0),
+)]
+
+
+@given(case=st.sampled_from([(f, True) for f in RADIAL_ENTRIES]
+                            + [(f, False) for f in RADIAL_IMAGES]),
+       x=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_radial_certificate_describes_eval(case, x):
+    # eval(x) == profile(|x - c|^2): bit for bit on the entries, which
+    # build eval from the profile, and within 1e-12 on their images, whose
+    # |x - c|^2 rounds differently; a jump entry is compared off its jump
+    # set, where that rounding cannot move a point across it
+    f, exact = case
+    pts = np.array(x).reshape(4, 3)[:, :f.dim]
+    y = pts - f.radial.center
+    got = f.radial.profile(coordinate_dot(y, y))
+    want = f.eval(pts)
+    if exact:
+        assert got.tobytes() == want.tobytes(), f.function_id
+        return
+    if f.grad is None:
+        assume(np.all(f.flat_radius(pts) > 1e-9))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12,
+                               err_msg=f.function_id)
+
+
+def test_linear_entries_are_not_radial():
+    f = make_linear(2, [1.0, -2.0])
+    for g in (f, translate(f, [0.5, 0.5]), dilate(f, 2.0),
+              scale_values(f, 3.0), make_linear(1, [1.0])):
+        assert g.radial is None, g.function_id
+
+
+def test_translate_names_its_shift():
+    # two shifts of one entry are two functions, with two identifiers
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    assert (translate(f, [0.3, 0.0]).function_id
+            == "plateau:d=2:a=1:ri=0.5:ro=1:shifted=0.3,0")
+    assert (translate(f, [0.0, -0.7]).function_id
+            == "plateau:d=2:a=1:ri=0.5:ro=1:shifted=0,-0.7")
 
 
 def test_flat_radius_values():

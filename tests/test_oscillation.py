@@ -32,7 +32,8 @@ from osclab import (
 )
 from osclab import oscillation
 from osclab.catalog import coordinate_dot
-from osclab.oscillation import mc_deviations, mc_oscillation
+from osclab.oscillation import (RadialNodes, mc_deviations, mc_oscillation,
+                                mc_radial_oscillation)
 from osclab.quadrature import KEY_INNER, KEY_OUTER, KEY_PAIR
 from osclab.verify import check_local_expansion, check_maximal_domination
 
@@ -524,8 +525,76 @@ def test_mc_oscillation_passes_keep_each_pair_bits(monkeypatch):
     assert max(sizes) == 2 * n <= oscillation.BLOCK_POINTS
 
 
+def _radial_nodes(f, centers, u_out, u_in):
+    # the features of RadialNodes from point-major node sets (C, n, d)
+    nodes = RadialNodes.empty(centers.shape[0], u_out.shape[1],
+                              u_in.shape[1])
+    for i, a in enumerate(centers):
+        nodes.put(i, a - f.radial.center, u_out[i], u_in[i])
+    return nodes
+
+
+def test_mc_radial_oscillation_passes_keep_each_pair_bits(monkeypatch):
+    # the radial route splits its batch as mc_oscillation does: passes of
+    # two pairs give each pair the bits of one pass over all of them, no
+    # profile call exceeds the pass budget, and m agrees with the generic
+    # route on the same nodes up to the rounding of |x - c|^2
+    f = translate(make_plateau_bump(2, 1.0, 0.5, 1.0), [0.2, -0.1])
+    d, n, m, c_rows = 2, 96, 48, 7
+    centers = stream(6, 1).uniform(-1.2, 1.2, size=(c_rows, d))
+    u_out = np.stack([unit_ball_nodes(d, n, stream(6, 2, i))
+                      for i in range(c_rows)])
+    u_in = np.stack([unit_ball_nodes(d, m, stream(6, 3, i))
+                     for i in range(c_rows)])
+    nodes = _radial_nodes(f, centers, u_out, u_in)
+    rows = np.array([0, 3, 3, 6, 1, 5, 2, 4, 0])
+    radii = np.geomspace(1e-3, 3.0, rows.size)
+    whole = mc_radial_oscillation(f.radial.profile, nodes, radii, rows)
+    generic = mc_oscillation(f.eval, centers, radii,
+                             np.ascontiguousarray(np.swapaxes(u_out, 1, 2)),
+                             np.ascontiguousarray(np.swapaxes(u_in, 1, 2)),
+                             rows)
+    np.testing.assert_allclose(whole, generic, rtol=0.0, atol=1e-14)
+    sizes = []
+
+    def profile(q):
+        sizes.append(q.size)
+        return f.radial.profile(q)
+
+    monkeypatch.setattr(oscillation, "BLOCK_POINTS", 2 * (n + 2 * m) + 1)
+    split = mc_radial_oscillation(profile, nodes, radii, rows)
+    assert split.tobytes() == whole.tobytes()
+    assert sizes == [2 * (n + 2 * m)] * 4 + [n + 2 * m]
+
+
+def test_mc_radial_oscillation_clamps_rounding_below_zero():
+    # a ball whose centre sits at -r u from c for one of its outer nodes u
+    # puts that point on c; q = |y|^2 + r (2 y.u + r |u|^2) can then round
+    # below 0, where sqrt would give NaN, and the kernel clamps it to 0
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    u_out = unit_ball_nodes(1, 64, stream(7, 0))[None]
+    u_in = unit_ball_nodes(1, 32, stream(7, 1))[None]
+    r = 0.75
+    for u in u_out[0, :, 0]:
+        y = np.array([-r * u])
+        nodes = _radial_nodes(f, y[None], u_out, u_in)
+        q = nodes.yy + r * (nodes.out_dot + r * nodes.out_sq)
+        if q.min() < 0.0:
+            break
+    assert q.min() < 0.0
+    m = mc_radial_oscillation(f.radial.profile, nodes, np.array([r]),
+                              np.array([0]))
+    assert np.isfinite(m).all()
+    np.testing.assert_allclose(
+        m, mc_oscillation(f.eval, y[None], np.array([r]),
+                          np.swapaxes(u_out, 1, 2), np.swapaxes(u_in, 1, 2),
+                          np.array([0])), rtol=0.0, atol=1e-14)
+
+
 def _recording(f):
-    """f whose eval and grad record the arrays they are handed."""
+    """f whose eval and grad record the arrays they are handed; the radial
+    certificate goes with the replaced eval, so the Monte Carlo curve hands
+    its points to this eval rather than to the profile."""
     seen = []
 
     def ev(x):
@@ -536,7 +605,7 @@ def _recording(f):
         seen.append(x)
         return f.grad(x)
 
-    return dataclasses.replace(f, eval=ev, grad=gr), seen
+    return dataclasses.replace(f, eval=ev, grad=gr, radial=None), seen
 
 
 def _not_coordinate_major(seen):

@@ -868,6 +868,41 @@ def test_mc_scan_columns_equal_single_radius_calls():
                                       eng.m_at(rows, np.full(rows.size, r)))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mc_radial_route_agrees_with_the_generic_route(d):
+    # the radial route changes only the rounding of |x - c|^2: on random
+    # balls, centres in the default window and radii from 1e-4 to 25, the
+    # engine's m matches the generic route's (radial=None) to 1e-12
+    f = make_plateau_bump(d, 1.0, 0.5, 1.0)
+    centers, _, _ = sample_centers(default_domain(f), 64, seed=30 + d)
+    engines = [_McScan(g, centers, seed=d, node_count=128, global_start=9)
+               for g in (f, dataclasses.replace(f, radial=None))]
+    assert [eng.radial for eng in engines] == [True, False]
+    rng = stream(40, d)
+    rows = rng.integers(0, centers.shape[0], 2000)
+    r = np.exp(rng.uniform(math.log(1e-4), math.log(25.0), rows.size))
+    radial, generic = (eng.m_at(rows, r) for eng in engines)
+    # many balls meet the taper, where m is neither 0 nor a rounded 0
+    assert np.mean(radial > 1e-6) > 0.3
+    np.testing.assert_allclose(radial, generic, rtol=0.0, atol=1e-12)
+
+
+def test_mc_curve_checks_the_radial_certificate_against_eval():
+    # an eval replaced without its radial certificate no longer matches the
+    # profile at the chunk's centres, so the curve takes the generic route
+    # and measures the new eval, not the stale profile
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    stale = dataclasses.replace(f, eval=lambda x: 2.0 * f.eval(x))
+    dom = Domain(box=((-1.25, 1.25),) * 2, r_max=5.0, r_min=1e-3)
+    spec = QuadratureSpec(method="monte_carlo", node_count=64, seed=2)
+    grid = np.geomspace(2.0, 2e-3, 9)
+    curves = [distribution_curve(g, 2.0, grid, dom, spec, samples=64)
+              for g in (f, stale, dataclasses.replace(stale, radial=None))]
+    assert not np.array_equal(curves[0].nu, curves[1].nu)
+    np.testing.assert_array_equal(curves[1].nu, curves[2].nu)
+    np.testing.assert_array_equal(curves[1].nu_stderr, curves[2].nu_stderr)
+
+
 def test_gauss_node_count_drives_exact_curve():
     # a Gaussian is no piecewise polynomial, so the inner mean's Gauss
     # order shows in the curve; node_count must reach the 1-d route
@@ -951,21 +986,29 @@ def test_curve_rejects_non_finite_oscillation(d):
 
 
 def test_mc_kernel_calls_stay_within_block_budget():
-    # no f.eval call on the Monte Carlo curve path gets more points than
-    # one kernel block, however many rows the scan or the batch holds
+    # no call on the Monte Carlo curve path gets more points than one
+    # kernel block, however many rows the scan or the batch holds: f.eval
+    # on the generic route (radial=None), the profile on the radial one
     f = make_plateau_bump(2, 1.0, 0.5, 1.0)
-    sizes = []
+    sizes = {"eval": [], "profile": []}
 
     def ev(x):
-        sizes.append(math.prod(x.shape[:-1]))
+        sizes["eval"].append(math.prod(x.shape[:-1]))
         return f.eval(x)
 
-    g = dataclasses.replace(f, eval=ev)
+    def profile(q):
+        sizes["profile"].append(q.size)
+        return f.radial.profile(q)
+
     dom = Domain(box=((-1.25, 1.25),) * 2, r_max=5.0, r_min=1e-3)
     spec = QuadratureSpec(method="monte_carlo", node_count=512, seed=4)
-    distribution_curve(g, 2.0, np.geomspace(2.0, 2e-3, 9), dom, spec,
-                       samples=128)
-    assert sizes and max(sizes) <= BLOCK_POINTS
+    for g in (dataclasses.replace(f, eval=ev, radial=None),
+              dataclasses.replace(f, radial=catalog.Radial(f.radial.center,
+                                                           profile))):
+        distribution_curve(g, 2.0, np.geomspace(2.0, 2e-3, 9), dom, spec,
+                           samples=128)
+    for route, seen in sizes.items():
+        assert len(seen) > 1 and max(seen) <= BLOCK_POINTS, route
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -1078,24 +1121,37 @@ def test_skip_mask_keeps_curve_bytes_and_saves_points(monkeypatch, tmp_path,
     f, spec, dom, grid, samples = SKIP_CURVES[case]
     dom = dom or default_domain(f)
     grid = default_kappa_grid(f) if grid is None else grid
+    # f's points are counted where the route evaluates f: at eval on the
+    # generic route (radial=None), and at the profile on the radial one
     points = []
 
     def ev(x):
         points.append(math.prod(x.shape[:-1]))
         return f.eval(x)
 
-    g = dataclasses.replace(f, eval=ev)
-    out = {}
-    for label in ("masked", "full"):
-        if label == "full":
-            monkeypatch.setattr(weaknorm, "_skip_mask", _no_skip)
-        points.clear()
-        cur = distribution_curve(g, 2.0 if f.grad is not None else 1.0,
-                                 grid, dom, spec, samples=samples)
-        write_curve_csv(cur, tmp_path / f"{label}.csv")
-        out[label] = ((tmp_path / f"{label}.csv").read_bytes(), sum(points))
-    assert out["masked"][0] == out["full"][0]
-    assert out["masked"][1] < out["full"][1]
+    def profile(q):
+        points.append(q.size)
+        return f.radial.profile(q)
+
+    routes = {"eval": dataclasses.replace(f, eval=ev, radial=None)}
+    if spec.method == "monte_carlo":
+        routes["profile"] = dataclasses.replace(
+            f, radial=catalog.Radial(f.radial.center, profile))
+    for route, g in routes.items():
+        out = {}
+        for label in ("masked", "full"):
+            with monkeypatch.context() as patch:
+                if label == "full":
+                    patch.setattr(weaknorm, "_skip_mask", _no_skip)
+                points.clear()
+                cur = distribution_curve(
+                    g, 2.0 if f.grad is not None else 1.0, grid, dom, spec,
+                    samples=samples)
+            path = tmp_path / f"{route}-{label}.csv"
+            write_curve_csv(cur, path)
+            out[label] = (path.read_bytes(), sum(points))
+        assert out["masked"][0] == out["full"][0], route
+        assert out["masked"][1] < out["full"][1], route
 
 
 def test_grid_validation():

@@ -40,7 +40,7 @@ from .oscillation import (UnsupportedFunctionError, exact_oscillation_1d,
                           maximal_gradient, mean_oscillation)
 from .quadrature import (KEY_VERIFY, BallSample, QuadratureSpec, default_spec,
                          gauss_rule, segment_integrals, stream)
-from .weaknorm import (Domain, c_d_prime, center_rule_measure_1d,
+from .weaknorm import (Domain, c_d_prime, distribution_curve,
                        expansion_remainder_coeff, interval_weight,
                        reference_scaled_limit)
 # check_bv_divergence's kappa_grid parameter would shadow the builder
@@ -671,8 +671,8 @@ def check_bv_divergence(radius: float, kappa_grid,
     proportionally to the threshold, and at fixed threshold the truncated
     measure grows by sides * sqrt(1-2 kappa) * ln(factor) per radius-floor
     refinement, without saturating.  A smooth contrast case checks the
-    plateau bump stays bounded at p = 1, on the composite Gauss centre rule
-    of center_rule_measure_1d (160 nodes, with the 80-node rule for its
+    plateau bump stays bounded at p = 1, on distribution_curve's composite
+    Gauss centre rule (panels=4: 160 nodes, with the 80-node rule for its
     error estimate), and the p = 2 behavior of the jump is recorded as
     divergent too.  Fewer than two thresholds inside (0, 1/2), or a window
     whose box holds neither support edge +-radius, raise ValueError before
@@ -764,17 +764,18 @@ def check_bv_divergence(radius: float, kappa_grid,
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
     dom = Domain(box=((-1.5, 1.5),), r_max=20.0, r_min=1e-4)
     grid = _kappa_grid(0.25, 2.5e-4, 10.0 ** 0.375)
-    nu, err = center_rule_measure_1d(f, 1.0, grid, dom,
-                                     QuadratureSpec("gauss_1d", 8), panels=4)
+    curve = distribution_curve(f, 1.0, grid, dom,
+                               QuadratureSpec("gauss_1d", 8), panels=4)
     ref = reference_scaled_limit(f, 1.0, dom)
     # The rule's scaled curve peaks at 1.6775 * ref (err 1.3e-4 * ref) at
     # kappa = 0.25 before descending to the gradient limit, so 2 * ref is a
     # boundedness regression bound, not a limit statement.
     cases.append(_case(
         "smooth_contrast_bounded",
-        {"max_scaled": float(np.max(grid * nu)),
-         "max_scaled_err": float(np.max(grid * err)), "reference": ref},
-        float(np.max(grid * (nu + err))), 2.0 * ref,
+        {"max_scaled": float(np.max(grid * curve.nu)),
+         "max_scaled_err": float(np.max(grid * curve.nu_stderr)),
+         "reference": ref},
+        float(np.max(grid * (curve.nu + curve.nu_stderr))), 2.0 * ref,
         note="plateau bump at p = 1 stays bounded where the jump diverges"))
 
     return VerificationReport(suite_name="bv_divergence", cases=tuple(cases))

@@ -20,11 +20,11 @@ the crossing search costs a fixed number of calls of m per chunk however
 many thresholds the grid holds.  A side is decided by m > kappa, so a ball
 where f is not finite raises QuadratureError rather than count as below
 every threshold.  Only the center integral is approximated, in one of two
-ways.  distribution_curve samples it, stratified and uniform over the
-window, which makes it statistical, with a standard error.
-center_rule_measure_1d integrates it in d = 1 on Gauss panels aligned
-with f's breakpoints, where the weight of a center is a deterministic,
-piecewise smooth function of it, with a deterministic error estimate.
+ways.  distribution_curve(samples=...) samples it, stratified and uniform
+over the window, which makes it statistical, with a standard error;
+panels=... integrates it in d = 1 on Gauss panels aligned with f's
+breakpoints, where the weight of a center is a deterministic, piecewise
+smooth function of it, with a deterministic error estimate.
 
 The window's r_min is a numerical floor, not a truncation: scanning starts
 at min(r_min, certified floor) and any section already above threshold at
@@ -80,7 +80,7 @@ _CHUNK = 256
 # chunk's centres, relative to the largest value there, that still takes
 # the radial route; rounding of |a - c|^2 leaves gaps near 1e-16
 _RADIAL_PROBE_RTOL = 1e-9
-# Gauss order per panel of center_rule_measure_1d
+# Gauss order per panel of the d = 1 centre rule (distribution_curve's panels)
 _CENTER_RULE_ORDER = 8
 
 # merged always reads 0, since every interval is resolved; the key stays in
@@ -624,9 +624,12 @@ class DistributionCurve:
     """Superlevel measure against threshold, with scaled values and bounds.
 
     kappa_grid is strictly decreasing; nu is the window-restricted measure
-    estimate with nu_stderr its center-sampling standard error (bracket
-    ambiguities included); scaled is kappa^p * nu; tail_bound bounds the
-    weight beyond r_max that the window cannot see (measure units).
+    estimate with nu_stderr its center-sampling standard error, or the
+    centre rule's error estimate (bracket ambiguities included); scaled is
+    kappa^p * nu; tail_bound bounds the weight beyond r_max that the window
+    cannot see (measure units).  samples counts the centers whose weights
+    make nu (for a rule curve the rule's nodes), and counters sum over every
+    evaluated center (for a rule curve the half-panel rule's nodes too).
     """
     function_id: str
     dim: int
@@ -706,22 +709,51 @@ def _center_weights(f, centers, kappas, p, spec, grid, threads):
     return weights, ambig, counters
 
 
+def _center_rule_1d(f: TestFunction, domain: Domain, n: int):
+    """Nodes and Gauss weights of distribution_curve's d = 1 centre rule
+    on n panels per piece."""
+    lo, hi = domain.box[0]
+    cuts = np.array(sorted({lo, hi} | {float(b) for b in f.breakpoints_1d
+                                       if lo < b < hi}))
+    t, g = gauss_rule(_CENTER_RULE_ORDER)
+    s = np.linspace(0.0, 1.0, n + 1)
+    edges = cuts[:-1, None] + (cuts[1:] - cuts[:-1])[:, None] * s
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])[..., None]
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None]
+    return (mid + half * t).ravel(), (half * g).ravel()
+
+
 def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
                   domain: Domain, spec: QuadratureSpec, samples: int,
-                  threads: int) -> DistributionCurve:
-    centers, strata, n_strata = sample_centers(domain, samples, spec.seed)
+                  threads: int, panels: Optional[int] = None
+                  ) -> DistributionCurve:
+    if panels is None:
+        centers, strata, n_strata = sample_centers(domain, samples, spec.seed)
+    else:
+        # the rule's nodes, then those of the rule on half the panels, which
+        # only the error estimate reads
+        fine, g_fine = _center_rule_1d(f, domain, panels)
+        coarse, g_coarse = _center_rule_1d(f, domain, panels // 2)
+        centers = np.concatenate([fine, coarse])[:, None]
+        samples = fine.size
     grid = _scan_grid(f, domain, float(kappas[-1]))
     weights, ambig, counters = _center_weights(f, centers, kappas, p, spec,
                                                grid, threads)
 
-    vol = domain.volume
-    nu = vol * weights.mean(axis=1)
-    # sample_centers sorts the centres by stratum, so each stratum is one
-    # run of columns; the variances add up in stratum order
-    acc = np.zeros(kappas.size)
-    for grp in np.split(weights, np.flatnonzero(np.diff(strata)) + 1, axis=1):
-        acc += grp.var(axis=1, ddof=1) / grp.shape[1]
-    se = vol * np.sqrt(acc) / n_strata + vol * ambig.mean(axis=1)
+    if panels is None:
+        vol = domain.volume
+        nu = vol * weights.mean(axis=1)
+        # sample_centers sorts the centres by stratum, so each stratum is
+        # one run of columns; the variances add up in stratum order
+        acc = np.zeros(kappas.size)
+        for grp in np.split(weights, np.flatnonzero(np.diff(strata)) + 1,
+                            axis=1):
+            acc += grp.var(axis=1, ddof=1) / grp.shape[1]
+        se = vol * np.sqrt(acc) / n_strata + vol * ambig.mean(axis=1)
+    else:
+        nu = weights[:, :samples] @ g_fine
+        se = (np.abs(nu - weights[:, samples:] @ g_coarse)
+              + ambig[:, :samples] @ g_fine)
 
     tail = np.array([_r_tail_bound(f, float(k), p, domain) for k in kappas])
     return DistributionCurve(
@@ -731,10 +763,35 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
         node_count=spec.node_count, counters=counters)
 
 
-def _checked_grid(f: TestFunction, p: float, kappa_grid, domain: Domain,
-                  spec: QuadratureSpec) -> np.ndarray:
-    """The input checks of every curve, before any scan; returns the
-    threshold grid as a float array."""
+def distribution_curve(f: TestFunction, p: float, kappa_grid,
+                       domain: Domain, spec: QuadratureSpec,
+                       samples: Optional[int] = None, threads: int = 1,
+                       panels: Optional[int] = None) -> DistributionCurve:
+    """Estimate the superlevel measure for a whole threshold grid at once.
+
+    Exactly one of samples and panels gives the center integral.  samples
+    (an integer >= 2) samples the centers, stratified and uniform over the
+    window, with a standard error.  panels (an even integer >= 2) is the
+    d = 1 centre rule of the gauss_1d route: there the weight w(a, kappa)
+    of a centre is smooth between f's breakpoints, so a composite
+    Gauss-Legendre rule integrates it far better than sampling (Davis and
+    Rabinowitz, Methods of Numerical Integration, 1984, ch. 2).  The box
+    splits at its ends and at the breakpoints_1d inside it, each piece into
+    panels equal panels of _CENTER_RULE_ORDER nodes a_i with Gauss weights
+    g_i, and nu = sum_i g_i w(a_i, kappa).  nu_stderr is |nu - nu_half|,
+    nu_half being the same rule on panels / 2 panels per piece (its nodes
+    share the weight evaluation), plus sum_i g_i times a_i's ambiguity.
+
+    The grid must be geometric-like: at least 8 decreasing points spanning
+    at least 3 decades.  One radius scan per center is shared by every
+    threshold (common random numbers), so the returned curve is monotone in
+    kappa up to bisection tolerance.  Work is split into fixed-size chunks
+    whose results are combined in order; threads changes wall time only,
+    never the values.  Every input is checked before any scan: p must be a
+    finite real >= 1, and a bad grid, count or plan raises ValueError; a
+    gauss_1d spec needs dimension one, and panels the gauss_1d route
+    (QuadratureError otherwise).
+    """
     _check_p(p)
     require_box_dimension(domain.box, f.dim)
     require_method_dimension(spec.method, f.dim)
@@ -747,83 +804,24 @@ def _checked_grid(f: TestFunction, p: float, kappa_grid, domain: Domain,
         raise ValueError("threshold grid must be strictly decreasing")
     if kappas[0] / kappas[-1] < 999.99:
         raise ValueError("threshold grid must span at least 3 decades")
-    return kappas
-
-
-def distribution_curve(f: TestFunction, p: float, kappa_grid,
-                       domain: Domain, spec: QuadratureSpec,
-                       samples: int, threads: int = 1) -> DistributionCurve:
-    """Estimate the superlevel measure for a whole threshold grid at once.
-
-    The grid must be geometric-like: at least 8 decreasing points spanning
-    at least 3 decades.  One radius scan per center is shared by every
-    threshold (common random numbers), so the returned curve is monotone in
-    kappa up to bisection tolerance.  Work is split into fixed-size chunks
-    whose results are combined in order; threads changes wall time only,
-    never the values.  p must be a finite real >= 1 (ValueError otherwise),
-    and a gauss_1d spec needs dimension one (QuadratureError otherwise);
-    both are checked before any scan.
-    """
-    kappas = _checked_grid(f, p, kappa_grid, domain, spec)
-    if samples < 2:
-        raise ValueError("need at least 2 center samples for a standard error")
-    if threads < 1:
-        raise ValueError(f"need at least 1 worker thread, got {threads}")
-    return _curve_engine(f, float(p), kappas, domain, spec, samples, threads)
-
-
-def center_rule_measure_1d(f: TestFunction, p: float, kappa_grid,
-                           domain: Domain, spec: QuadratureSpec,
-                           panels: int):
-    """The superlevel measure of a d = 1 entry by a composite Gauss rule in
-    the centre, with a deterministic error estimate.
-
-    On the gauss_1d route the weight w(a, kappa) of a centre a is a
-    deterministic function of a, smooth between f's breakpoints, so a
-    composite Gauss-Legendre rule integrates it far better than sampling
-    (Davis and Rabinowitz, Methods of Numerical Integration, 1984, ch. 2).
-    The box splits at its ends and at the breakpoints_1d inside it; each
-    piece splits into panels equal panels of _CENTER_RULE_ORDER nodes, and
-    nu = sum_i g_i w(a_i, kappa) over the nodes a_i and Gauss weights g_i.
-    The weights come from the scan and crossing search of
-    distribution_curve.
-
-    Returns (nu, err), one entry per threshold.  err is |nu - nu_half|,
-    where nu_half is the same rule on panels / 2 panels per piece, plus
-    the rule's sum of the nodes' bracket ambiguities.  Both rules' nodes
-    share one weight evaluation.  The inputs get distribution_curve's
-    checks; a spec other than gauss_1d raises QuadratureError, and panels
-    must be an even integer >= 2 (ValueError).
-    """
-    kappas = _checked_grid(f, p, kappa_grid, domain, spec)
-    if spec.method != "gauss_1d":
+    if (samples is None) == (panels is None):
+        raise ValueError("give exactly one of samples (sampled centers) and "
+                         "panels (the d = 1 centre rule)")
+    if panels is None:
+        if not (isinstance(samples, (int, np.integer)) and samples >= 2):
+            raise ValueError(f"need an integer count of at least 2 center "
+                             f"samples for a standard error, got {samples!r}")
+        samples = int(samples)
+    elif spec.method != "gauss_1d":
         raise QuadratureError(
             f"the centre rule needs the gauss_1d route, got {spec.method}")
-    if not (isinstance(panels, (int, np.integer)) and panels >= 2
-            and panels % 2 == 0):
+    elif not (isinstance(panels, (int, np.integer)) and panels >= 2
+              and panels % 2 == 0):
         raise ValueError(f"panels must be an even integer >= 2, got {panels}")
-    lo, hi = domain.box[0]
-    cuts = np.array(sorted({lo, hi} | {float(b) for b in f.breakpoints_1d
-                                       if lo < b < hi}))
-    t, g = gauss_rule(_CENTER_RULE_ORDER)
-
-    def rule(n):
-        # n equal panels on each piece, as (nodes, Gauss weights)
-        s = np.linspace(0.0, 1.0, n + 1)
-        edges = cuts[:-1, None] + (cuts[1:] - cuts[:-1])[:, None] * s
-        half = 0.5 * (edges[:, 1:] - edges[:, :-1])[..., None]
-        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None]
-        return (mid + half * t).ravel(), (half * g).ravel()
-
-    fine, g_fine = rule(panels)
-    coarse, g_coarse = rule(panels // 2)
-    centers = np.concatenate([fine, coarse])[:, None]
-    grid = _scan_grid(f, domain, float(kappas[-1]))
-    w, ambig, _ = _center_weights(f, centers, kappas, float(p), spec, grid, 1)
-    nu = w[:, :fine.size] @ g_fine
-    err = (np.abs(nu - w[:, fine.size:] @ g_coarse)
-           + ambig[:, :fine.size] @ g_fine)
-    return nu, err
+    if threads < 1:
+        raise ValueError(f"need at least 1 worker thread, got {threads}")
+    return _curve_engine(f, float(p), kappas, domain, spec, samples, threads,
+                         panels)
 
 
 @dataclass(frozen=True)

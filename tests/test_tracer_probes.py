@@ -41,15 +41,17 @@ def test_every_catalog_builder_resolves(spans):
 
 def test_curve_counters_reach_the_traced_benchmark(spans):
     # the traced benchmark sums each curve's own counters by key, so a key
-    # it reads must stay in DistributionCurve.counters; a floor of 0.2 puts
-    # many indicator sections below the scan
+    # it reads must stay in DistributionCurve.counters, on either centre
+    # plan; a floor of 0.2 puts many indicator sections below the scan
     f = make_ball_indicator(1, 0.5)
     dom = Domain(box=((-1.0, 1.0),), r_max=10.0, r_min=0.2)
     spec = QuadratureSpec(method="gauss_1d", node_count=8, seed=1)
-    curve = distribution_curve(f, 1.0, np.geomspace(0.4, 4e-4, 9), dom,
-                               spec, samples=32)
-    counts = Counter()
-    spans._curve_counters(counts, (), {}, curve)
-    assert counts["weaknorm.below_floor"] == curve.counters["below_floor"] > 0
-    assert "weaknorm.merged" in counts
-    assert counts["weaknorm.merged"] == curve.counters["merged"] == 0
+    for plan in ({"samples": 32}, {"panels": 2}):
+        curve = distribution_curve(f, 1.0, np.geomspace(0.4, 4e-4, 9), dom,
+                                   spec, **plan)
+        counts = Counter()
+        spans._curve_counters(counts, (), {}, curve)
+        assert (counts["weaknorm.below_floor"]
+                == curve.counters["below_floor"] > 0), plan
+        assert "weaknorm.merged" in counts
+        assert counts["weaknorm.merged"] == curve.counters["merged"] == 0

@@ -20,7 +20,6 @@ from osclab import (
     QuadratureSpec,
     c_d_prime,
     c_dp,
-    center_rule_measure_1d,
     default_domain,
     default_kappa_grid,
     distribution_curve,
@@ -850,6 +849,16 @@ def test_threads_do_not_change_results():
                                  threads=t) for t in (1, 2))
     np.testing.assert_array_equal(c1.nu, c2.nu)
     np.testing.assert_array_equal(c1.nu_stderr, c2.nu_stderr)
+    # the d = 1 centre rule on a three-piece box: 288 rule nodes and 144
+    # half-panel nodes fill two chunks
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    dom = Domain(box=((-0.75, 0.75),), r_max=10.0, r_min=1e-4)
+    grid = np.geomspace(0.2, 2e-4, 9)
+    c1, c4 = (distribution_curve(f, 2.0, grid, dom, GAUSS, threads=t,
+                                 panels=12) for t in (1, 4))
+    assert c1.samples == 288
+    assert c1.nu.tobytes() == c4.nu.tobytes()
+    assert c1.nu_stderr.tobytes() == c4.nu_stderr.tobytes()
 
 
 def test_mc_scan_columns_equal_single_radius_calls():
@@ -1197,7 +1206,7 @@ GAUSS_OFF_D1 = {
         f, 0.0, 0.5, mu_nodes=spec.node_count),
     "distribution_curve": lambda f, spec: distribution_curve(
         f, 2.0, default_kappa_grid(f), default_domain(f), spec, samples=8),
-    "center_rule_measure_1d": lambda f, spec: center_rule_measure_1d(
+    "rule_curve": lambda f, spec: distribution_curve(
         f, 2.0, default_kappa_grid(f), default_domain(f), spec, panels=2),
 }
 
@@ -1230,7 +1239,7 @@ SMOOTH_CONTRAST = (make_plateau_bump(1, 1.0, 0.5, 1.0), 1.0,
 
 @pytest.fixture(scope="module")
 def smooth_contrast_rule():
-    return center_rule_measure_1d(*SMOOTH_CONTRAST, GAUSS, panels=4)
+    return distribution_curve(*SMOOTH_CONTRAST, GAUSS, panels=4)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -1239,17 +1248,17 @@ def test_center_rule_matches_the_linear_closed_form(p):
     f = parse_function_id("linear:d=1:v=1")
     dom = default_domain(f)
     grid = default_kappa_grid(f)
-    nu, err = center_rule_measure_1d(f, p, grid, dom, GAUSS, panels=2)
+    curve = distribution_curve(f, p, grid, dom, GAUSS, panels=2)
     exact = dom.volume * ((2.0 * grid) ** -p - dom.r_max ** -p) / p
     # the crossing tolerance, 1e-6 in r, moves the weight by about p 1e-6
-    np.testing.assert_allclose(nu, exact, rtol=2e-6, atol=0.0)
-    assert np.all(err <= 2e-6 * nu)
+    np.testing.assert_allclose(curve.nu, exact, rtol=2e-6, atol=0.0)
+    assert np.all(curve.nu_stderr <= 2e-6 * curve.nu)
 
 
 def test_center_rule_error_bounds_a_rule_with_16_times_the_panels(
         smooth_contrast_rule):
-    nu, err = smooth_contrast_rule
-    fine, _ = center_rule_measure_1d(*SMOOTH_CONTRAST, GAUSS, panels=64)
+    nu, err = smooth_contrast_rule.nu, smooth_contrast_rule.nu_stderr
+    fine = distribution_curve(*SMOOTH_CONTRAST, GAUSS, panels=64).nu
     assert np.all(np.abs(nu - fine) <= err)
     assert np.all(err <= 1e-4 * nu)
 
@@ -1257,26 +1266,42 @@ def test_center_rule_error_bounds_a_rule_with_16_times_the_panels(
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_stratified_curve_agrees_with_the_center_rule(smooth_contrast_rule,
                                                       seed):
-    nu, _ = smooth_contrast_rule
+    nu = smooth_contrast_rule.nu
     spec = dataclasses.replace(GAUSS, seed=seed)
     curve = distribution_curve(*SMOOTH_CONTRAST, spec, samples=1024)
     assert np.all(np.abs(curve.nu - nu) <= 4.0 * curve.nu_stderr)
 
 
-@pytest.mark.parametrize("spec,panels,error", [
+@pytest.mark.parametrize("spec,plan,error", [
     (GAUSS, 3, ValueError),
     (GAUSS, 0, ValueError),
     (GAUSS, 2.0, ValueError),
     (QuadratureSpec("monte_carlo", 64, 1), 2, QuadratureError),
+    pytest.param(GAUSS, {"samples": 100.0}, ValueError, id="samples=100.0"),
+    pytest.param(GAUSS, {"samples": 2.5}, ValueError, id="samples=2.5"),
+    pytest.param(GAUSS, {"samples": 64, "panels": 2}, ValueError, id="both"),
+    pytest.param(GAUSS, {}, ValueError, id="neither"),
 ])
 def test_center_rule_refuses_its_inputs_before_any_scan(monkeypatch, spec,
-                                                        panels, error):
+                                                        plan, error):
+    # a bare number is panels; a dict holds the centre plan's keywords
     def no_engine(*args):
         raise AssertionError("an engine was built for refused inputs")
 
     monkeypatch.setattr(weaknorm, "_make_engine", no_engine)
     with pytest.raises(error):
-        center_rule_measure_1d(*SMOOTH_CONTRAST, spec, panels=panels)
+        distribution_curve(*SMOOTH_CONTRAST, spec,
+                           **(plan if isinstance(plan, dict)
+                              else {"panels": plan}))
+
+
+def test_sample_count_is_stored_as_a_python_int():
+    # the count reaches curve.json, whose writer refuses an np.int64
+    f = make_linear(1, [1.0])
+    dom = Domain(box=((-0.5, 0.5),), r_max=50.0, r_min=1e-4)
+    cur = distribution_curve(f, 2.0, np.geomspace(0.02, 2e-5, 13), dom,
+                             GAUSS, samples=np.int64(8))
+    assert type(cur.samples) is int and cur.samples == 8
 
 
 # ---------------------------------------------------------------------------

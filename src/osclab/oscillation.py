@@ -8,9 +8,9 @@ computed as a genuine two-pass estimate: the inner ball average first, then
 the average of the absolute deviation, on an independent node set.
 
 There is one kernel per rule, and one batch entry per rule, which runs it
-on any number of balls in passes of bounded size: exact_oscillation_1d, and
-for Monte Carlo mc_oscillation and its radial route mc_radial_oscillation.
-No other module splits a batch into passes.
+on any number of balls in passes of bounded size: exact_oscillation_1d,
+and mc_oscillation for Monte Carlo.  No other module splits a batch into
+passes.
 
 exact_oscillation_1d (dimension one, method "gauss_1d") is fully
 deterministic: the interval is split at the function's breakpoints, the
@@ -30,15 +30,15 @@ Its nodes, and those of pair_oscillation and maximal_gradient, are stored
 coordinate-major, (d, n), so each array operation on the points runs over
 the n nodes instead of the d coordinates; f receives (n, d) views.
 
-mc_radial_oscillation is the same estimate for a radial entry, f(x) =
-profile(|x - c|^2) (catalog.Radial), on the same nodes: with y = a - c,
-|a + r u - c|^2 = |y|^2 + r (2 y.u + r |u|^2), and the antithetic pair has
-(|y|^2 + r^2 |u|^2) +- 2 r y.u.  It takes those per-node features of each
-centre (RadialNodes) instead of points, so its cost does not grow with d,
-and it reduces mu, f - mu and the mean of |f - mu| in mc_deviations'
-order.  Its m differs from mc_oscillation's only by the rounding of the
-squared distances.  The single-ball rules below keep to mc_deviations and
-f.eval.
+mc_oscillation takes the nodes of a batch's centres, which centre_nodes
+draws for the curve, one stream per centre, and stores in one of two ways.
+PointNodes holds the node sets for mc_deviations.  RadialNodes, for a
+radial entry f(x) = profile(|x - c|^2) (catalog.Radial), holds per-node
+features instead: with y = a - c, |a + r u - c|^2 = |y|^2 + r (2 y.u +
+r |u|^2), and the antithetic pair has (|y|^2 + r^2 |u|^2) +- 2 r y.u.  Its
+cost does not grow with d, it reduces mu, f - mu and the mean of |f - mu|
+in mc_deviations' order, and its m differs from the point route's only by
+the rounding of the squared distances.
 
 The single-ball rules take one BallSample and a QuadratureSpec:
 q_oscillation and mean_oscillation follow the spec's method;
@@ -48,19 +48,21 @@ the centered maximal function.  On Monte Carlo routes they take their
 node sets from _ball_nodes, which memoizes the draw on (d, n, seed, key)
 and keeps the 8 most recently used sets.  Repeated queries under one spec,
 such as a suite's balls, then draw each set once and get the same bits.
-The cached arrays are read-only because every caller shares them.  The
-curve engine draws one stream per centre and does not use the memo.
+The cached arrays are read-only because every caller shares them.
+centre_nodes does not use the memo.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .catalog import TestFunction, coordinate_dot
-from .quadrature import (KEY_INNER, KEY_OUTER, KEY_PAIR, BallSample,
-                         EstimatedValue, QuadratureError, QuadratureSpec,
+from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_INNER, KEY_OUTER,
+                         KEY_PAIR, BallSample, EstimatedValue,
+                         QuadratureError, QuadratureSpec,
                          require_finite, require_method_dimension,
                          segment_edges, segment_integrals, segment_mean,
                          stream, unit_ball_nodes)
@@ -73,6 +75,10 @@ SKIP_MARGIN = 1e-9
 _NODE_SETS_KEPT = 8
 # f evaluation points per Monte Carlo pass of mc_oscillation
 BLOCK_POINTS = 2 ** 15
+# the largest gap between a radial entry's profile and its eval at a
+# chunk's centres, relative to the largest value there, that still takes
+# the radial route; rounding of |a - c|^2 leaves gaps near 1e-16
+_RADIAL_PROBE_RTOL = 1e-9
 # balls per pass of exact_oscillation_1d: on the 2048-centre d = 1 curve
 # (Python 3.11, Xeon, one BLAS thread) 8192 cut the peak from 69.5 to 56-58
 # MB in the same time; 4096 and 2048 took x1.09 and x1.19 (1 ms per pass)
@@ -186,6 +192,11 @@ def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,
 # Monte Carlo two-pass kernel, any dimension
 # ---------------------------------------------------------------------------
 
+def inner_count(n: int) -> int:
+    """Antithetic inner nodes that go with n outer nodes: half, at least 1."""
+    return max((n + 1) // 2, 1)
+
+
 def mc_deviations(ev, centers, radii, u_out, u_in, rows=slice(None)):
     """(f - mu at the outer nodes, antithetic pair sums) for each ball.
 
@@ -209,6 +220,127 @@ def mc_deviations(ev, centers, radii, u_out, u_in, rows=slice(None)):
     return dev, pair_sums
 
 
+@dataclass(frozen=True)
+class PointNodes:
+    """Node sets of C centres for f.eval: centers (C, d), and u_out and u_in
+    coordinate-major, (C, d, n) and (C, d, m), as mc_deviations takes them."""
+    ev: Callable[[np.ndarray], np.ndarray]
+    centers: np.ndarray
+    u_out: np.ndarray
+    u_in: np.ndarray
+
+    @property
+    def pair_points(self) -> int:
+        return self.u_out.shape[-1] + 2 * self.u_in.shape[-1]
+
+    def deviations(self, radii, rows):
+        return mc_deviations(self.ev, self.centers, radii, self.u_out,
+                             self.u_in, rows)
+
+
+@dataclass(frozen=True)
+class RadialNodes:
+    """Node features of C centres for a radial entry f = profile(|x - c|^2).
+
+    For the centre a of row i, y = a - c, its outer nodes u and its inner
+    nodes v: yy[i] = |y|^2, out_dot[i] = 2 y.u, out_sq[i] = |u|^2,
+    in_dot[i] = 2 y.v and in_sq[i] = |v|^2, of shapes (C,), (C, n), (C, n),
+    (C, m) and (C, m).
+    """
+    profile: Callable[[np.ndarray], np.ndarray]
+    yy: np.ndarray
+    out_dot: np.ndarray
+    out_sq: np.ndarray
+    in_dot: np.ndarray
+    in_sq: np.ndarray
+
+    @property
+    def pair_points(self) -> int:
+        return self.out_dot.shape[-1] + 2 * self.in_dot.shape[-1]
+
+    def deviations(self, radii, rows):
+        """mc_deviations' (dev, pair_sums) for rows at radii, shape (P,).
+
+        The squared distances of the outer points and of both antithetic
+        points, q = |y|^2 + r (2 y.u + r |u|^2) and
+        q+- = (|y|^2 + r^2 |v|^2) +- r 2 y.v, go into three contiguous runs
+        of one buffer, which profile gets in one call.  Rounding can leave q
+        just below 0 where a point meets c, so q is clamped at 0 first.
+        """
+        r = radii[:, None]
+        p = r.shape[0]
+        n = self.out_dot.shape[-1]
+        m = self.in_dot.shape[-1]
+        yy = self.yy[rows][:, None]
+        q = np.empty(p * (n + 2 * m))
+        q_out = q[:p * n].reshape(p, n)
+        q_plus = q[p * n:p * (n + m)].reshape(p, m)
+        q_minus = q[p * (n + m):].reshape(p, m)
+        np.multiply(self.out_sq[rows], r, out=q_out)
+        q_out += self.out_dot[rows]
+        q_out *= r
+        q_out += yy
+        np.multiply(self.in_sq[rows], r * r, out=q_plus)
+        q_plus += yy
+        r_dot = np.multiply(self.in_dot[rows], r)
+        np.subtract(q_plus, r_dot, out=q_minus)
+        q_plus += r_dot
+        np.maximum(q, 0.0, out=q)
+        vals = self.profile(q)
+        dev = vals[:p * n].reshape(p, n)
+        pair_sums = (vals[p * n:p * (n + m)].reshape(p, m)
+                     + vals[p * (n + m):].reshape(p, m))
+        dev -= 0.5 * pair_sums.mean(axis=-1)[:, None]
+        return dev, pair_sums
+
+
+def centre_nodes(f: TestFunction, centers: np.ndarray, seed: int,
+                 node_count: int, global_start: int):
+    """The Monte Carlo nodes of a chunk of curve centres, (C, d).
+
+    The centre of row i draws node_count outer and inner_count(node_count)
+    inner nodes from its own streams, KEY_BALL_OUT and KEY_BALL_IN keyed by
+    its global index global_start + i, so its m does not depend on the
+    chunk.  For a radial entry whose profile reproduces eval at every
+    centre, to _RADIAL_PROBE_RTOL of the largest |eval| there, the result
+    is RadialNodes, else PointNodes.  That probe checks the certificate
+    where the chunk uses it: an eval replaced without its radial
+    certificate, or not finite at a centre, takes the point route, so a
+    curve never evaluates a stale profile.  Every sum over coordinates runs
+    in index order (coordinate_dot), so no bit depends on a layout.
+    """
+    c_rows, d = centers.shape
+    n, m = node_count, inner_count(node_count)
+    radial = f.radial is not None
+    if radial:
+        y = centers - f.radial.center
+        yy = coordinate_dot(y, y)
+        ev = np.asarray(f.eval(np.ascontiguousarray(centers.T).T),
+                        dtype=float)
+        gap = np.abs(f.radial.profile(yy.copy()) - ev)
+        radial = bool(np.all(gap <= _RADIAL_PROBE_RTOL * np.max(np.abs(ev))))
+    if radial:
+        nodes = RadialNodes(f.radial.profile, yy, np.empty((c_rows, n)),
+                            np.empty((c_rows, n)), np.empty((c_rows, m)),
+                            np.empty((c_rows, m)))
+    else:
+        nodes = PointNodes(f.eval, centers, np.empty((c_rows, d, n)),
+                           np.empty((c_rows, d, m)))
+    for i in range(c_rows):
+        g = global_start + i
+        u_out = unit_ball_nodes(d, n, stream(seed, KEY_BALL_OUT, g))
+        u_in = unit_ball_nodes(d, m, stream(seed, KEY_BALL_IN, g))
+        if radial:
+            nodes.out_dot[i] = 2.0 * coordinate_dot(u_out, y[i])
+            nodes.out_sq[i] = coordinate_dot(u_out, u_out)
+            nodes.in_dot[i] = 2.0 * coordinate_dot(u_in, y[i])
+            nodes.in_sq[i] = coordinate_dot(u_in, u_in)
+        else:
+            nodes.u_out[i] = u_out.T
+            nodes.u_in[i] = u_in.T
+    return nodes
+
+
 def _mc_passes(count: int, points_per_pair: int):
     """Slices of count (row, radius) pairs whose points_per_pair points per
     pair add up to at most BLOCK_POINTS a pass (at least one pair), so the
@@ -217,99 +349,20 @@ def _mc_passes(count: int, points_per_pair: int):
     return (slice(lo, lo + per_pass) for lo in range(0, count, per_pass))
 
 
-def mc_oscillation(ev, centers, radii, u_out, u_in, rows) -> np.ndarray:
-    """m for each (row, radius) pair of mc_deviations' balls, in passes of
-    at most BLOCK_POINTS evaluation points (n + 2m per pair)."""
+def mc_oscillation(nodes, radii, rows) -> np.ndarray:
+    """m for each (row, radius) pair of nodes (PointNodes or RadialNodes),
+    in passes of at most BLOCK_POINTS evaluation points (n + 2m per pair)."""
     radii = np.asarray(radii, dtype=float)
     out = np.empty(len(rows))
-    for at in _mc_passes(len(rows), u_out.shape[-1] + 2 * u_in.shape[-1]):
-        dev, _ = mc_deviations(ev, centers, radii[at], u_out, u_in, rows[at])
-        out[at] = np.abs(dev, out=dev).mean(axis=-1)
+    for at in _mc_passes(len(rows), nodes.pair_points):
+        out[at] = _mc_pass(nodes, radii[at], rows[at])
     return out
 
 
-@dataclass(frozen=True)
-class RadialNodes:
-    """The node features mc_radial_oscillation takes, one row per centre.
-
-    For the centre a of row i, y = a - c (c the entry's radial centre), its
-    outer nodes u and its inner nodes v: yy[i] = |y|^2, out_dot[i] = 2 y.u,
-    out_sq[i] = |u|^2, in_dot[i] = 2 y.v and in_sq[i] = |v|^2, of shapes
-    (C,), (C, n), (C, n), (C, m) and (C, m).  empty allocates them and put
-    fills one row.
-    """
-    yy: np.ndarray
-    out_dot: np.ndarray
-    out_sq: np.ndarray
-    in_dot: np.ndarray
-    in_sq: np.ndarray
-
-    @classmethod
-    def empty(cls, rows: int, n: int, m: int) -> "RadialNodes":
-        return cls(np.empty(rows), np.empty((rows, n)), np.empty((rows, n)),
-                   np.empty((rows, m)), np.empty((rows, m)))
-
-    def put(self, i: int, y: np.ndarray, u_out: np.ndarray,
-            u_in: np.ndarray) -> None:
-        """Row i from y, shape (d,), and the nodes as unit_ball_nodes gives
-        them, (n, d) and (m, d); every sum over coordinates runs in index
-        order (coordinate_dot), so the bits do not depend on the layout."""
-        self.yy[i] = coordinate_dot(y, y)
-        self.out_dot[i] = 2.0 * coordinate_dot(u_out, y)
-        self.out_sq[i] = coordinate_dot(u_out, u_out)
-        self.in_dot[i] = 2.0 * coordinate_dot(u_in, y)
-        self.in_sq[i] = coordinate_dot(u_in, u_in)
-
-
-def mc_radial_oscillation(profile, nodes: RadialNodes, radii,
-                          rows) -> np.ndarray:
-    """mc_oscillation for a radial entry f = profile(|x - c|^2): m for each
-    (row, radius) pair, on the node features of nodes, in passes of at most
-    BLOCK_POINTS evaluation points (_radial_pass)."""
-    radii = np.asarray(radii, dtype=float)
-    n = nodes.out_dot.shape[-1]
-    m = nodes.in_dot.shape[-1]
-    out = np.empty(len(rows))
-    for at in _mc_passes(len(rows), n + 2 * m):
-        out[at] = _radial_pass(profile, nodes, radii[at][:, None], rows[at])
-    return out
-
-
-def _radial_pass(profile, nodes: RadialNodes, r: np.ndarray,
-                 i: np.ndarray) -> np.ndarray:
-    """m for rows i of nodes at radii r, shape (P, 1): one pass of
-    mc_radial_oscillation, whose arrays are freed before the next pass
-    allocates its own.
-
-    The squared distances of the outer points and of both antithetic
-    points, q = |y|^2 + r (2 y.u + r |u|^2) and
-    q+- = (|y|^2 + r^2 |v|^2) +- r 2 y.v, go into three contiguous runs of
-    one buffer, which profile gets in one call.  Rounding can leave q just
-    below 0 where a point meets c, so q is clamped at 0 first.
-    """
-    p = r.shape[0]
-    n = nodes.out_dot.shape[-1]
-    m = nodes.in_dot.shape[-1]
-    yy = nodes.yy[i][:, None]
-    q = np.empty(p * (n + 2 * m))
-    q_out = q[:p * n].reshape(p, n)
-    q_plus = q[p * n:p * (n + m)].reshape(p, m)
-    q_minus = q[p * (n + m):].reshape(p, m)
-    np.multiply(nodes.out_sq[i], r, out=q_out)
-    q_out += nodes.out_dot[i]
-    q_out *= r
-    q_out += yy
-    np.multiply(nodes.in_sq[i], r * r, out=q_plus)
-    q_plus += yy
-    r_dot = np.multiply(nodes.in_dot[i], r)
-    np.subtract(q_plus, r_dot, out=q_minus)
-    q_plus += r_dot
-    np.maximum(q, 0.0, out=q)
-    vals = profile(q)
-    dev = vals[:p * n].reshape(p, n)
-    pair_sums = (vals[p * n:p * (n + m)].reshape(p, m)
-                 + vals[p * (n + m):].reshape(p, m))
-    dev -= 0.5 * pair_sums.mean(axis=-1)[:, None]
+def _mc_pass(nodes, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """m for one pass of mc_oscillation; a function of its own, so that a
+    pass's arrays are freed before the next pass allocates its own."""
+    dev, _ = nodes.deviations(radii, rows)
     return np.abs(dev, out=dev).mean(axis=-1)
 
 
@@ -379,7 +432,7 @@ def q_oscillation(f: TestFunction, ball: BallSample, q: float,
 
     n = spec.node_count
     d = ball.dim
-    half = max((n + 1) // 2, 1)
+    half = inner_count(n)
     u_out = _ball_nodes(d, n, spec.seed, KEY_OUTER)
     u_in = _ball_nodes(d, half, spec.seed, KEY_INNER)
     dev, pair_sums = mc_deviations(f.eval, ball.center, ball.radius,

@@ -48,14 +48,14 @@ see, and centers outside the box contribute nothing by construction (for a
 compactly supported function and a box containing its support, that
 contribution vanishes in the kappa^p-scaled limit).
 
-m_f comes from the batch entries of oscillation (exact_oscillation_1d, and
-for Monte Carlo mc_oscillation, or mc_radial_oscillation on a radial
-entry's node features), which bound the size of their own kernel passes;
-single-ball queries run the same rules.  Every center
-gets its own node stream keyed by global sample index, so results are
-independent of chunking and thread count, and one scan is shared across
-all thresholds (common random numbers), which makes the curve exactly
-monotone in kappa up to bisection tolerance.
+m_f comes from the batch entries of oscillation, exact_oscillation_1d and
+mc_oscillation, which bound the size of their own kernel passes; single-
+ball queries run the same rules.  Every center gets its own node stream
+keyed by global sample index (oscillation.centre_nodes, which also picks
+how the nodes are stored), so results are independent of chunking and
+thread count, and one scan is shared across all thresholds (common random
+numbers), which makes the curve exactly monotone in kappa up to bisection
+tolerance.
 """
 from __future__ import annotations
 
@@ -66,20 +66,14 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import (TestFunction, coordinate_dot, require_box_dimension,
-                      unit_ball_volume)
-from .oscillation import (SKIP_MARGIN, RadialNodes, exact_oscillation_1d,
-                          flat_balls, mc_oscillation, mc_radial_oscillation)
-from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_CENTERS,
-                         QuadratureError, QuadratureSpec, gauss_rule,
-                         require_finite, require_method_dimension, stream,
-                         unit_ball_nodes)
+from .catalog import TestFunction, require_box_dimension, unit_ball_volume
+from .oscillation import (SKIP_MARGIN, centre_nodes, exact_oscillation_1d,
+                          flat_balls, mc_oscillation)
+from .quadrature import (KEY_CENTERS, QuadratureError, QuadratureSpec,
+                         gauss_rule, require_finite, require_method_dimension,
+                         stream)
 
 _CHUNK = 256
-# the largest gap between a radial entry's profile and its eval at a
-# chunk's centres, relative to the largest value there, that still takes
-# the radial route; rounding of |a - c|^2 leaves gaps near 1e-16
-_RADIAL_PROBE_RTOL = 1e-9
 # Gauss order per panel of the d = 1 centre rule (distribution_curve's panels)
 _CENTER_RULE_ORDER = 8
 
@@ -157,7 +151,7 @@ def interval_weight(r_lo, r_hi, p: float):
     hi = np.asarray(r_hi, dtype=float)
     if np.any(hi < lo):
         raise ValueError("interval must have r_hi >= r_lo")
-    return (lo ** (-p) - np.where(np.isinf(hi), 0.0, hi) ** (-p)) / p
+    return (lo ** (-p) - hi ** (-p)) / p
 
 
 # ---------------------------------------------------------------------------
@@ -538,75 +532,21 @@ class _Exact1D(_Engine):
         return require_finite(m)
 
 
-def _profile_matches_eval(f: TestFunction, centers: np.ndarray,
-                          y: np.ndarray) -> bool:
-    """Whether f.radial.profile(|a - c|^2), with y = a - c, reproduces
-    f.eval(a) at every centre a, to _RADIAL_PROBE_RTOL of the largest
-    |f.eval(a)|.
-
-    This checks the certificate where the chunk uses it: an entry whose
-    eval was replaced without its radial certificate, or whose eval is not
-    finite at a centre, takes the generic route, so the curve never
-    evaluates a stale profile.  The centres reach eval coordinate-major,
-    as the kernels' points do.
-    """
-    ev = np.asarray(f.eval(np.ascontiguousarray(centers.T).T), dtype=float)
-    gap = np.abs(f.radial.profile(coordinate_dot(y, y)) - ev)
-    return bool(np.all(gap <= _RADIAL_PROBE_RTOL * np.max(np.abs(ev))))
-
-
 class _McScan(_Engine):
-    """Per-center pinned node sets in the ball-local frame.
-
-    Each center's nodes are keyed by its global sample index, so m(a, r) is
-    a deterministic, r-continuous function per center and results do not
-    depend on chunk boundaries or thread count.  The inner mean uses an
-    independent antithetic stream, which keeps the two-pass estimate
-    unbiased for odd perturbations.
-
-    For a radial entry (f.radial) whose profile matches eval at the chunk's
-    centres (_profile_matches_eval), the engine keeps only the node
-    features of each centre (RadialNodes: |a - c|^2, and 2 (a - c).u and
-    |u|^2 per node), computed centre by centre from the same draws, and
-    m_at runs mc_radial_oscillation on them.  Otherwise it keeps the node
-    sets coordinate-major, u_out of shape (C, d, n) and u_in of shape
-    (C, d, m), holding the values of unit_ball_nodes transposed, which is
-    the layout mc_oscillation builds its points in.  Both kernels bound
-    their own passes.
+    """The Monte Carlo route: m_at runs mc_oscillation on the chunk's nodes
+    from centre_nodes, which keys each centre's streams by its global sample
+    index, so m(a, r) is a deterministic, r-continuous function per centre
+    and results do not depend on chunk boundaries or thread count.  The
+    inner mean uses an independent antithetic stream, which keeps the
+    two-pass estimate unbiased for odd perturbations.
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, seed: int,
                  node_count: int, global_start: int):
-        c_rows, d = centers.shape
-        n = node_count
-        m = max((n + 1) // 2, 1)
-        self.f = f
-        self.centers = centers
-        y = None if f.radial is None else centers - f.radial.center
-        self.radial = y is not None and _profile_matches_eval(f, centers, y)
-        if self.radial:
-            self.nodes = RadialNodes.empty(c_rows, n, m)
-        else:
-            self.u_out = np.empty((c_rows, d, n))
-            self.u_in = np.empty((c_rows, d, m))
-        for i in range(c_rows):
-            g = global_start + i
-            u_out = unit_ball_nodes(d, n, stream(seed, KEY_BALL_OUT, g))
-            u_in = unit_ball_nodes(d, m, stream(seed, KEY_BALL_IN, g))
-            if self.radial:
-                self.nodes.put(i, y[i], u_out, u_in)
-            else:
-                self.u_out[i] = u_out.T
-                self.u_in[i] = u_in.T
+        self.nodes = centre_nodes(f, centers, seed, node_count, global_start)
 
     def m_at(self, rows, r):
-        if self.radial:
-            m = mc_radial_oscillation(self.f.radial.profile, self.nodes, r,
-                                      rows)
-        else:
-            m = mc_oscillation(self.f.eval, self.centers, r, self.u_out,
-                               self.u_in, rows)
-        return require_finite(m)
+        return require_finite(mc_oscillation(self.nodes, r, rows))
 
 
 def _make_engine(f, centers, spec, global_start):
@@ -818,8 +758,9 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
     elif not (isinstance(panels, (int, np.integer)) and panels >= 2
               and panels % 2 == 0):
         raise ValueError(f"panels must be an even integer >= 2, got {panels}")
-    if threads < 1:
-        raise ValueError(f"need at least 1 worker thread, got {threads}")
+    if not (isinstance(threads, (int, np.integer)) and threads >= 1):
+        raise ValueError(f"need an integer count of at least 1 worker "
+                         f"thread, got {threads!r}")
     return _curve_engine(f, float(p), kappas, domain, spec, samples, threads,
                          panels)
 

@@ -24,6 +24,7 @@ from osclab import (
     maximal_gradient,
     mean_oscillation,
     pair_oscillation,
+    parse_function_id,
     q_oscillation,
     scale_values,
     stream,
@@ -32,8 +33,8 @@ from osclab import (
 )
 from osclab import oscillation
 from osclab.catalog import coordinate_dot
-from osclab.oscillation import (RadialNodes, mc_deviations, mc_oscillation,
-                                mc_radial_oscillation)
+from osclab.oscillation import (PointNodes, RadialNodes, mc_deviations,
+                                mc_oscillation)
 from osclab.quadrature import KEY_INNER, KEY_OUTER, KEY_PAIR
 from osclab.verify import check_local_expansion, check_maximal_domination
 
@@ -498,6 +499,28 @@ def test_mc_deviations_antithetic_pairs_kill_the_odd_part():
     assert abs(0.5 * pair_sums.mean() - 5.0) <= 1e-12
 
 
+@pytest.mark.parametrize("function_id", ["plateau:d=2:a=1:ri=0.5:ro=1",
+                                         "linear:d=3:v=1,2,2"])
+def test_single_ball_and_batch_share_one_estimator(function_id):
+    # q_oscillation at q = 1 and mc_oscillation run one estimator: on the
+    # node sets that _ball_nodes draws for the spec, each ball's m has the
+    # same bits from either entry
+    f = parse_function_id(function_id)
+    spec = _mc(seed=4, n=512)
+    u_out = oscillation._ball_nodes(f.dim, 512, 4, KEY_OUTER)
+    u_in = oscillation._ball_nodes(f.dim, oscillation.inner_count(512), 4,
+                                   KEY_INNER)
+    centers = stream(4, 1).uniform(-1.2, 1.2, size=(5, f.dim))
+    radii = np.geomspace(0.05, 2.0, 5)
+    nodes = PointNodes(f.eval, centers,
+                       np.broadcast_to(u_out, (5,) + u_out.shape),
+                       np.broadcast_to(u_in, (5,) + u_in.shape))
+    batch = mc_oscillation(nodes, radii, np.arange(5))
+    for a, r, m in zip(centers, radii, batch):
+        one = q_oscillation(f, BallSample(a, r), 1.0, spec).value
+        assert np.float64(one).tobytes() == m.tobytes()
+
+
 def test_mc_oscillation_passes_keep_each_pair_bits(monkeypatch):
     # passes of two pairs give each (row, radius) pair the bits of one
     # pass over all of them, and no f.eval call exceeds the pass budget
@@ -519,7 +542,7 @@ def test_mc_oscillation_passes_keep_each_pair_bits(monkeypatch):
         return f.eval(x)
 
     monkeypatch.setattr(oscillation, "BLOCK_POINTS", 2 * (n + 2 * m) + 1)
-    split = mc_oscillation(ev, centers, radii, u_out, u_in, rows)
+    split = mc_oscillation(PointNodes(ev, centers, u_out, u_in), radii, rows)
     assert split.tobytes() == whole.tobytes()
     assert len(sizes) == 3 * math.ceil(rows.size / 2)
     assert max(sizes) == 2 * n <= oscillation.BLOCK_POINTS
@@ -527,15 +550,23 @@ def test_mc_oscillation_passes_keep_each_pair_bits(monkeypatch):
 
 def _radial_nodes(f, centers, u_out, u_in):
     # the features of RadialNodes from point-major node sets (C, n, d)
-    nodes = RadialNodes.empty(centers.shape[0], u_out.shape[1],
-                              u_in.shape[1])
-    for i, a in enumerate(centers):
-        nodes.put(i, a - f.radial.center, u_out[i], u_in[i])
-    return nodes
+    y = centers - f.radial.center
+    return RadialNodes(f.radial.profile, coordinate_dot(y, y),
+                       2.0 * coordinate_dot(u_out, y[:, None]),
+                       coordinate_dot(u_out, u_out),
+                       2.0 * coordinate_dot(u_in, y[:, None]),
+                       coordinate_dot(u_in, u_in))
 
 
-def test_mc_radial_oscillation_passes_keep_each_pair_bits(monkeypatch):
-    # the radial route splits its batch as mc_oscillation does: passes of
+def _point_nodes(f, centers, u_out, u_in):
+    # PointNodes from point-major node sets (C, n, d)
+    return PointNodes(f.eval, centers,
+                      np.ascontiguousarray(np.swapaxes(u_out, 1, 2)),
+                      np.ascontiguousarray(np.swapaxes(u_in, 1, 2)))
+
+
+def test_mc_oscillation_on_radial_nodes_keeps_each_pair_bits(monkeypatch):
+    # radial nodes split their batch as point nodes do: passes of
     # two pairs give each pair the bits of one pass over all of them, no
     # profile call exceeds the pass budget, and m agrees with the generic
     # route on the same nodes up to the rounding of |x - c|^2
@@ -549,10 +580,8 @@ def test_mc_radial_oscillation_passes_keep_each_pair_bits(monkeypatch):
     nodes = _radial_nodes(f, centers, u_out, u_in)
     rows = np.array([0, 3, 3, 6, 1, 5, 2, 4, 0])
     radii = np.geomspace(1e-3, 3.0, rows.size)
-    whole = mc_radial_oscillation(f.radial.profile, nodes, radii, rows)
-    generic = mc_oscillation(f.eval, centers, radii,
-                             np.ascontiguousarray(np.swapaxes(u_out, 1, 2)),
-                             np.ascontiguousarray(np.swapaxes(u_in, 1, 2)),
+    whole = mc_oscillation(nodes, radii, rows)
+    generic = mc_oscillation(_point_nodes(f, centers, u_out, u_in), radii,
                              rows)
     np.testing.assert_allclose(whole, generic, rtol=0.0, atol=1e-14)
     sizes = []
@@ -562,12 +591,13 @@ def test_mc_radial_oscillation_passes_keep_each_pair_bits(monkeypatch):
         return f.radial.profile(q)
 
     monkeypatch.setattr(oscillation, "BLOCK_POINTS", 2 * (n + 2 * m) + 1)
-    split = mc_radial_oscillation(profile, nodes, radii, rows)
+    split = mc_oscillation(dataclasses.replace(nodes, profile=profile),
+                           radii, rows)
     assert split.tobytes() == whole.tobytes()
     assert sizes == [2 * (n + 2 * m)] * 4 + [n + 2 * m]
 
 
-def test_mc_radial_oscillation_clamps_rounding_below_zero():
+def test_radial_nodes_clamp_rounding_below_zero():
     # a ball whose centre sits at -r u from c for one of its outer nodes u
     # puts that point on c; q = |y|^2 + r (2 y.u + r |u|^2) can then round
     # below 0, where sqrt would give NaN, and the kernel clamps it to 0
@@ -582,13 +612,11 @@ def test_mc_radial_oscillation_clamps_rounding_below_zero():
         if q.min() < 0.0:
             break
     assert q.min() < 0.0
-    m = mc_radial_oscillation(f.radial.profile, nodes, np.array([r]),
-                              np.array([0]))
+    m = mc_oscillation(nodes, np.array([r]), np.array([0]))
     assert np.isfinite(m).all()
     np.testing.assert_allclose(
-        m, mc_oscillation(f.eval, y[None], np.array([r]),
-                          np.swapaxes(u_out, 1, 2), np.swapaxes(u_in, 1, 2),
-                          np.array([0])), rtol=0.0, atol=1e-14)
+        m, mc_oscillation(_point_nodes(f, y[None], u_out, u_in),
+                          np.array([r]), np.array([0])), rtol=0.0, atol=1e-14)
 
 
 def _recording(f):

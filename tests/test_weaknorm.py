@@ -46,7 +46,7 @@ from osclab import (
     write_curve_csv,
 )
 from osclab import catalog, weaknorm
-from osclab.oscillation import BLOCK_POINTS
+from osclab.oscillation import BLOCK_POINTS, PointNodes, RadialNodes
 from osclab.quadrature import KEY_CENTERS, stream
 from osclab.weaknorm import (
     DistributionCurve,
@@ -104,6 +104,10 @@ def test_interval_weight_tail():
     for p in (1.0, 2.5):
         for R in (0.2, 3.0):
             assert abs(interval_weight(R, None, p) - R**(-p) / p) <= 1e-14
+            assert interval_weight(R, np.inf, p) == interval_weight(R, None, p)
+    # an infinite upper radius is the tail, in an array too
+    np.testing.assert_array_equal(
+        interval_weight(1.0, np.array([np.inf, 4.0]), 2.0), [0.5, 0.5 - 1 / 32])
 
 
 @given(
@@ -886,7 +890,7 @@ def test_mc_radial_route_agrees_with_the_generic_route(d):
     centers, _, _ = sample_centers(default_domain(f), 64, seed=30 + d)
     engines = [_McScan(g, centers, seed=d, node_count=128, global_start=9)
                for g in (f, dataclasses.replace(f, radial=None))]
-    assert [eng.radial for eng in engines] == [True, False]
+    assert [type(eng.nodes) for eng in engines] == [RadialNodes, PointNodes]
     rng = stream(40, d)
     rows = rng.integers(0, centers.shape[0], 2000)
     r = np.exp(rng.uniform(math.log(1e-4), math.log(25.0), rows.size))
@@ -1281,6 +1285,8 @@ def test_stratified_curve_agrees_with_the_center_rule(smooth_contrast_rule,
     pytest.param(GAUSS, {"samples": 2.5}, ValueError, id="samples=2.5"),
     pytest.param(GAUSS, {"samples": 64, "panels": 2}, ValueError, id="both"),
     pytest.param(GAUSS, {}, ValueError, id="neither"),
+    pytest.param(GAUSS, {"samples": 64, "threads": 2.5}, ValueError,
+                 id="threads=2.5"),
 ])
 def test_center_rule_refuses_its_inputs_before_any_scan(monkeypatch, spec,
                                                         plan, error):

@@ -76,6 +76,12 @@ def _beta(a: float, b: float) -> float:
         return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
+def _require_dimension(d: int) -> None:
+    """Refuse a dimension below 1 (ValueError), before any arithmetic on it."""
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+
+
 @dataclass(frozen=True, eq=False)
 class Radial:
     """f(x) = profile(|x - center|^2): center has shape (dim,), and profile
@@ -138,8 +144,7 @@ class TestFunction:
     radial: Optional[Radial] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
+        _require_dimension(self.dim)
         if self.support_radius is not None and self.support_radius <= 0:
             raise ValueError("support_radius must be positive when present")
         if self.grad_lipschitz is not None and self.grad_lipschitz < 0:
@@ -157,6 +162,7 @@ def _fmt(x: float) -> str:
 
 def make_linear(d: int, v) -> TestFunction:
     """f(x) = v . x, the function whose oscillation is exactly linear in r."""
+    _require_dimension(d)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (d,):
         raise ValueError(f"direction must have shape ({d},), got {v.shape}")
@@ -197,6 +203,7 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
     integral of |grad f|^p, p > 0, is d omega_d w (30 |A| / w)^p times
     sum_k C(d-1, k) ri^(d-1-k) w^k B(2p + k + 1, 2p + 1).
     """
+    _require_dimension(d)
     A = float(amplitude)
     ri = float(inner_radius)
     ro = float(outer_radius)
@@ -285,6 +292,7 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
     The choice only affects a measure-zero set and is fixed here so that the
     function is reproducible pointwise.
     """
+    _require_dimension(d)
     R = float(radius)
     if not (np.isfinite(R) and R > 0):
         raise ValueError("radius must be finite and positive")

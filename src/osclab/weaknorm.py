@@ -8,21 +8,30 @@ resolved deterministically.  A geometric scan at ratio 1.25 brackets every
 sign change of m_f(a, .) - kappa between neighbouring scanned radii (an
 interval narrower than one scan step can fall between two of them), and
 each run of scanned radii above kappa is one interval, however many runs
-a row holds (nothing in the theory bounds their number).  A bracketed inverse quadratic interpolation (Chandrupatla's
-method) started from the scanned end values shrinks each bracket, and a
-replay of the bisection path on it picks the crossing (the bisection
-result at a fraction of its evaluations: about 4.5 per bracket on the
-plateau curves, against the 2 * iters + 1 it may spend).  The weight of the
-resulting union of intervals has the closed form (lo^-p - hi^-p) / p per
-interval.  The brackets of every threshold, interval and direction in a
-chunk of centers go into one such solve, whose rows are independent, so
-the crossing search costs a fixed number of calls of m per chunk however
-many thresholds the grid holds.  A side is decided by m > kappa, so a ball
-where f is not finite raises QuadratureError rather than count as below
-every threshold.  Only the center integral is approximated, in one of two
-ways.  distribution_curve(samples=...) samples it, stratified and uniform
-over the window, which makes it statistical, with a standard error;
-panels=... integrates it in d = 1 on Gauss panels aligned with f's
+a row holds (nothing in the theory bounds their number).  A bracketed
+inverse quadratic interpolation (Chandrupatla's method) started from the
+scanned end values shrinks each bracket.  On the exact route, and on the
+Monte Carlo route for an entry without a gradient, a replay of the
+bisection path on it then picks the crossing: the 18-step bisection result
+(1e-6 of r) at a fraction of its evaluations, about 4.5 per bracket on the
+d = 1 plateau curve, against the 2 * iters + 1 it may spend.  On the Monte
+Carlo route for an entry with a gradient, m carries a node error of about
+1 / sqrt(n) relative, so a crossing is solved only to that budget: the
+solve stops once the bracket is 2^-k of its scan cell, k = ceil(log2(0.25
+sqrt(n))) (3 at 512 nodes, a bracket within r / sqrt(n)), and returns the
+secant through the bracket's ends, about 2 evaluations per bracket on the
+d = 2 plateau curve against 4.7 for the 18-step crossing (see
+_mc_crossing_iters).  The weight of the resulting union of intervals has
+the closed form (lo^-p - hi^-p) / p per interval.  The brackets of every
+threshold, interval and direction in a chunk of centers go into one such
+solve, whose rows are independent, so the crossing search costs a fixed
+number of calls of m per chunk however many thresholds the grid holds.  A
+side is decided by m > kappa, so a ball where f is not finite raises
+QuadratureError rather than count as below every threshold.  Only the
+center integral is approximated, in one of two ways.
+distribution_curve(samples=...) samples it, stratified and uniform over
+the window, which makes it statistical, with a standard error; panels=...
+integrates it in d = 1 on Gauss panels aligned with f's
 breakpoints, where the weight of a center is a deterministic, piecewise
 smooth function of it, with a deterministic error estimate.
 
@@ -40,7 +49,12 @@ _skip_mask): balls inside the region where f is constant (the catalog's
 flat_radius), and balls too small for f to vary by that threshold
 (2 r grad_max below it).  They read 0, which is on the same side of every
 threshold as the estimate they stand for, so the sign pattern, and with it
-every crossing the replayed bisection returns, stays the same.
+every crossing the replayed bisection returns, stays the same.  A budgeted
+Monte Carlo crossing reads that 0 as the value at its bracket's lower end,
+so next to a skipped cell it can move inside its certified bracket; that
+needs m above kappa_min at a radius within one scan step of the skip bound,
+which the plateau, with m near c'_d r |grad f| <= r grad_max / 2, never
+approaches.
 
 Two systematic truncations stay visible rather than hidden: the per-kappa
 tail_bound column bounds the weight beyond r_max that the window cannot
@@ -54,8 +68,8 @@ ball queries run the same rules.  Every center gets its own node stream
 keyed by global sample index (oscillation.centre_nodes, which also picks
 how the nodes are stored), so results are independent of chunking and
 thread count, and one scan is shared across all thresholds (common random
-numbers), which makes the curve exactly monotone in kappa up to bisection
-tolerance.
+numbers), which makes the curve exactly monotone in kappa up to the
+crossing tolerance.
 """
 from __future__ import annotations
 
@@ -82,7 +96,9 @@ _CENTER_RULE_ORDER = 8
 _COUNTER_KEYS = ("below_floor", "open_at_r_max", "merged")
 # the scan ratio of the radius grid and the bisection steps that bring a
 # crossing to relative tolerance 1e-6 inside one scan cell (18): every
-# radius section is resolved on this grid, by _resolve_sections
+# radius section is resolved on this grid, by _resolve_sections, and every
+# crossing of the exact route (and of a Monte Carlo entry without a
+# gradient) to this tolerance; _mc_crossing_iters gives the others theirs
 _SCAN_RATIO = 1.25
 _BISECT_ITERS = math.ceil(math.log2(math.log(_SCAN_RATIO) / 1e-6))
 # the default window's margin, the default threshold grid's span in
@@ -322,16 +338,35 @@ def _skip_mask(f: TestFunction, centers: np.ndarray, grid: np.ndarray,
     return skip
 
 
-def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi):
+def _mc_crossing_iters(node_count: int) -> int:
+    """Halvings k of a scan cell that solve a Monte Carlo crossing to the
+    node noise: k = ceil(log2((_SCAN_RATIO - 1) sqrt(n))), clipped to
+    [1, _BISECT_ITERS].
+
+    An estimate of m on n nodes carries a relative error of about
+    1 / sqrt(n).  Where m(a, .) grows or falls at least like a power r or
+    1 / r (the small-radius expansion m ~ c'_d r |grad f(a)|, the decay
+    beyond the support), that error moves its crossing of kappa by about
+    r / sqrt(n), so a finer crossing resolves the node draw, not m_f.  A
+    scan cell [r, _SCAN_RATIO r] is (_SCAN_RATIO - 1) r wide, so a bracket
+    of 2^-k of it is at most r / sqrt(n) wide, and the secant that
+    _bisect_crossings returns from it errs at second order in that width.
+    At n = 512, k = 3: a bracket of 1/8 of the cell, 3.1 % of r, against a
+    node noise of 4.4 %.
+    """
+    k = math.ceil(math.log2((_SCAN_RATIO - 1.0) * math.sqrt(node_count)))
+    return min(max(k, 1), _BISECT_ITERS)
+
+
+def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
+                      replay=True):
     """Crossing of m(row, .) through kappa in each bracket [lo, hi].
 
-    Returns what iters lockstep bisection steps return, the midpoint of the
-    final cell, at a fraction of the evaluations.  There is one entry of
-    rows (the row of m, which may repeat), lo, hi and rising per bracket,
-    and kappa is a scalar or one threshold per bracket.  m_lo and m_hi are
-    the values of m at the bracket ends (from the scan, so they cost
-    nothing); any value on the same side of kappa as m serves, such as the
-    0 a skipped scan cell holds.  A side counts as high when
+    There is one entry of rows (the row of m, which may repeat), lo, hi and
+    rising per bracket, and kappa is a scalar or one threshold per bracket.
+    m_lo and m_hi are the values of m at the bracket ends (from the scan,
+    so they cost nothing); any value on the same side of kappa as m serves,
+    such as the 0 a skipped scan cell holds.  A side counts as high when
     (m > kappa) == rising, as in bisection.
 
     First a Chandrupatla solve (Chandrupatla, Advances in Engineering
@@ -345,15 +380,27 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi):
     m - kappa), and bisects otherwise.  With eps = (hi - lo) / 2^(iters + 1)
     every step lands at least eps / 2 from x1 and from x2, so once the
     interpolant sits on the crossing the next step straddles it; a row
-    stops when b - a <= 2 eps, bisection's last cell, or after iters + 1
-    steps.  The values of m - kappa only place points; the side of a point
-    is decided by the rule above.  Then the bisection path is replayed from
-    [lo, hi]: a midpoint <= a goes low, one >= b goes high, and only a
-    midpoint strictly inside (a, b) is evaluated.  With one crossing in
-    the bracket the result is bit-identical to plain bisection; with
-    several it is another crossing, within the same tolerance.  Each row
-    costs at most 2 * iters + 1 evaluations, and the whole call at most
-    2 * iters + 1 calls of m_at, however many rows.
+    stops when b - a <= 2 eps, 2^-iters of its bracket.  The values of
+    m - kappa only place points; the side of a point is decided by the rule
+    above.
+
+    With replay (the default), a row also stops after iters + 1 steps, and
+    the result is what iters lockstep bisection steps return, the midpoint
+    of the final cell, at a fraction of the evaluations: the bisection
+    path is replayed from [lo, hi], a midpoint <= a goes low, one >= b goes
+    high, and only a midpoint strictly inside (a, b) is evaluated.  With
+    one crossing in the bracket the result is bit-identical to plain
+    bisection; with several it is another crossing, within the same
+    tolerance.  Each row costs at most 2 * iters + 1 evaluations.
+
+    Without replay, iters is a budget (_mc_crossing_iters): a row past
+    iters + 1 steps bisects until b - a <= 2 eps, which takes at most iters
+    more, and the result is the secant through the final bracket's two
+    evaluated ends, clipped into [a, b].  It costs no further evaluation,
+    lies in an evaluated bracket no wider than 2^-iters of [lo, hi], and
+    errs at second order in its width where m is smooth.  A row costs at
+    most 2 * iters + 1 evaluations here too, and the whole call, either
+    way, at most 2 * iters + 1 calls of m_at, however many rows.
     """
     kappa = np.broadcast_to(np.asarray(kappa, dtype=float), rows.shape)
     eps = (hi - lo) / 2.0 ** (iters + 1)
@@ -364,10 +411,12 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi):
     # ends lie on either side
     t = y1 / (y1 - y2)
     act = np.arange(rows.size)
-    for _ in range(iters + 1):
+    for step in range(2 * iters + 1):
         act = act[np.abs(x2[act] - x1[act]) > 2.0 * eps[act]]
-        if not act.size:
+        if not act.size or (replay and step > iters):
             break
+        if step > iters:
+            t[act] = 0.5
         p1, p2, f1, f2 = x1[act], x2[act], y1[act], y2[act]
         floor = 0.5 * eps[act] / np.abs(p2 - p1)
         x = p1 + np.clip(t[act], floor, 1.0 - floor) * (p2 - p1)
@@ -390,6 +439,10 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi):
         x1[act], x2[act], y1[act], y2[act] = p1, p2, f1, f2
     a = np.minimum(x1, x2)
     b = np.maximum(x1, x2)
+    if not replay:
+        # x1 and x2 lie on either side, so at most one of y1, y2 is 0 and
+        # their signs differ
+        return np.clip(x1 - y1 * (x2 - x1) / (y2 - y1), a, b)
 
     lo = lo.copy()
     hi = hi.copy()
@@ -440,7 +493,8 @@ def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
     return lo, hi
 
 
-def _resolve_sections(m_at, scan, grid, kappas, f, centers, p):
+def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
+                      iters=_BISECT_ITERS, replay=True):
     """Radius sections per threshold and row, from the scanned m values.
 
     kappas is the array of K thresholds sharing the scan.  Each run of scan
@@ -448,7 +502,9 @@ def _resolve_sections(m_at, scan, grid, kappas, f, centers, p):
     holds.  The interval starts at the crossing in the gap before the run
     and ends at the crossing in the gap after it; gap g lies between
     grid[g - 1] and grid[g], gap 0 below the scan and gap J beyond it.
-    Every bracket of every threshold goes into one _bisect_crossings call.
+    Every bracket of every threshold goes into one _bisect_crossings call,
+    with iters and replay (the engine's: _BISECT_ITERS and the replay, or a
+    Monte Carlo budget).
     A run that starts at grid[0] takes the midpoint of _below_floor_bracket
     as its lower end and that bracket's weight as its ambiguity; a run
     still above at r_max ends there.
@@ -480,8 +536,8 @@ def _resolve_sections(m_at, scan, grid, kappas, f, centers, p):
     jb = np.concatenate([rise[inner_lo], fall[inner_hi]])
     rising = np.arange(t.size) < inner_lo.size
     x = _bisect_crossings(m_at, rows, grid[jb - 1], grid[jb], kappas[k[t]],
-                          rising, _BISECT_ITERS, scan[rows, jb - 1],
-                          scan[rows, jb])
+                          rising, iters, scan[rows, jb - 1], scan[rows, jb],
+                          replay)
     lo[inner_lo] = x[rising]
     hi[inner_hi] = x[~rising]
 
@@ -502,8 +558,12 @@ class _Engine:
 
     m_at raises QuadratureError on a ball where f is not finite: a side is
     decided by m > kappa, which is False for NaN, so such a ball would
-    otherwise count as below every threshold.
+    otherwise count as below every threshold.  iters and replay are the
+    crossing search's (see _bisect_crossings): by default _BISECT_ITERS
+    steps and the bisection result.
     """
+    iters = _BISECT_ITERS
+    replay = True
 
     def scan(self, grid: np.ndarray, skip: np.ndarray) -> np.ndarray:
         """m at every (row, grid radius) cell, shape (C, J).
@@ -535,15 +595,24 @@ class _Exact1D(_Engine):
 class _McScan(_Engine):
     """The Monte Carlo route: m_at runs mc_oscillation on the chunk's nodes
     from centre_nodes, which keys each centre's streams by its global sample
-    index, so m(a, r) is a deterministic, r-continuous function per centre
-    and results do not depend on chunk boundaries or thread count.  The
-    inner mean uses an independent antithetic stream, which keeps the
-    two-pass estimate unbiased for odd perturbations.
+    index, so m(a, r) is a deterministic function per centre and results do
+    not depend on chunk boundaries or thread count.  The inner mean uses an
+    independent antithetic stream, which keeps the two-pass estimate
+    unbiased for odd perturbations.
+
+    For an entry with a gradient, f and so m(a, .) are continuous, and the
+    crossings are solved to the node noise (_mc_crossing_iters) and
+    interpolated.  Without one (the indicator) m(a, .) jumps where a node
+    crosses the sphere, a secant across the jump can land anywhere in its
+    bracket, and the crossings keep the bisection result.
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, seed: int,
                  node_count: int, global_start: int):
         self.nodes = centre_nodes(f, centers, seed, node_count, global_start)
+        if f.grad is not None:
+            self.iters = _mc_crossing_iters(node_count)
+            self.replay = False
 
     def m_at(self, rows, r):
         return require_finite(mc_oscillation(self.nodes, r, rows))
@@ -610,7 +679,7 @@ def _curve_chunk(f, centers, global_start, kappas, p, spec, grid):
     eng = _make_engine(f, centers, spec, global_start)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas.min())))
     k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, kappas, f, centers, p)
+        eng.m_at, scan, grid, kappas, f, centers, p, eng.iters, eng.replay)
     # each (threshold, row) cell adds its intervals in radius order
     shape = (kappas.size, centers.shape[0])
     w = np.zeros(shape)

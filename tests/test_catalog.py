@@ -219,6 +219,18 @@ def test_identifier_rejects_malformed(bad):
         parse_function_id(bad)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("family", [
+    "linear:d={d}:v=1", "plateau:d={d}:a=1:ri=0.5:ro=1",
+    "indicator:d={d}:r=0.5"])
+def test_identifier_rejects_a_dimension_below_one(family, d):
+    # refused before any arithmetic on d: the plateau's mass divides by d,
+    # and numpy refuses negative shapes with its own message
+    with pytest.raises(ValueError, match=f"dimension must be positive, "
+                                         f"got {d}$"):
+        parse_function_id(family.format(d=d))
+
+
 def test_indicator_center_field_round_trip():
     f = make_ball_indicator(1, 0.5, center=[0.25])
     assert "c=" in f.function_id

@@ -114,6 +114,22 @@ def test_oscillation_usage_errors(args):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["curve", "oscillation"])
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("family", [
+    "linear:d={d}:v=1", "plateau:d={d}:a=1:ri=0.5:ro=1",
+    "indicator:d={d}:r=0.5"])
+def test_a_dimension_below_one_is_a_usage_error(tmp_path, capsys, command,
+                                                family, d):
+    args = [command, "--function", family.format(d=d)]
+    args += (["--out-dir", str(tmp_path)] if command == "curve"
+             else ["--r", "1"])
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"dimension must be positive, got {d}" in capsys.readouterr().err
+
+
 def test_oscillation_on_a_zero_width_ball_is_a_usage_error(capsys):
     # 3 +- 1e-17 rounds to 3: a clean usage error, with no numpy warning
     with warnings.catch_warnings():

@@ -255,19 +255,22 @@ def _section(f, a, kappa, dom, spec, grid=None):
     resolves them: one centre's engine scanned on grid (by default the
     curve's own _scan_grid), then _resolve_sections.  An interval's flags
     may hold "below_scan_floor" and "open_at_r_max"; its
-    endpoint_uncertainty is the crossing tolerance 1e-6 * r_hi, or half the
-    first scanned radius for a lower end below the scan."""
+    endpoint_uncertainty is the crossing tolerance, 1e-6 * r_hi or a
+    budgeted Monte Carlo crossing's 2^-iters of a scan cell below r_hi, or
+    half the first scanned radius for a lower end below the scan."""
     centers = np.atleast_1d(np.asarray(a, dtype=float))[None, :]
     if grid is None:
         grid = _scan_grid(f, dom, kappa)
     eng = _make_engine(f, centers, spec, 0)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, kappa))
     _, _, lo, hi, _, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, np.array([kappa]), f, centers, 1.0)
+        eng.m_at, scan, grid, np.array([kappa]), f, centers, 1.0, eng.iters,
+        eng.replay)
+    tol = 1e-6 if eng.replay else 0.25 / 2.0 ** eng.iters
     out = []
     for i in range(lo.size):
         flags = ()
-        err = 1e-6 * hi[i]
+        err = tol * hi[i]
         if below_floor[i]:
             flags += ("below_scan_floor",)
             err = max(err, 0.5 * grid[0])
@@ -639,6 +642,199 @@ def test_solver_evaluations_per_bracket():
     scale = 1.0 / t ** 20
     assert _mean_evaluations(lambda rows, r: scale[rows] * r ** 20,
                              lo, hi, 1.0, True) <= 14.0
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo crossing budget
+# ---------------------------------------------------------------------------
+
+MC512 = QuadratureSpec(method="monte_carlo", node_count=512, seed=11)
+
+
+def test_mc_crossing_budget_from_the_node_count():
+    # k = ceil(log2(0.25 sqrt(n))), clipped to [1, 18]: 2^-k of a scan cell
+    # [r, 1.25 r] is at most r / sqrt(n) wide wherever k is not clipped
+    iters = weaknorm._mc_crossing_iters
+    assert [iters(n) for n in (1, 16, 64, 128, 512, 65536, 2 ** 60)] == [
+        1, 1, 1, 2, 3, 6, weaknorm._BISECT_ITERS]
+    for n in range(16, 100000, 97):
+        assert 0.25 / 2.0 ** iters(n) <= 1.0 / math.sqrt(n)
+
+
+class _Logged:
+    """m(row, r) wrapper that keeps every (row, r, m) it evaluates."""
+
+    def __init__(self, m):
+        self.m = m
+        self.seen = []
+
+    def __call__(self, rows, r):
+        val = self.m(rows, r)
+        self.seen.append((rows.copy(), np.array(r, dtype=float), val.copy()))
+        return val
+
+    @property
+    def calls(self):
+        return len(self.seen)
+
+
+def _evaluated_sides(m, rows, lo, hi, kappa, rising, m_lo, m_hi):
+    """Per bracket, the points of [lo, hi] that the _Logged m evaluated on
+    its row, the ends with their given values among them, and whether each
+    lies on the high side."""
+    ev_row, ev_r, ev_m = (np.concatenate(x) for x in zip(*m.seen))
+    kappa = np.broadcast_to(kappa, rows.shape)
+    for i in range(rows.size):
+        sel = (ev_row == rows[i]) & (ev_r >= lo[i]) & (ev_r <= hi[i])
+        pts = np.concatenate([[lo[i], hi[i]], ev_r[sel]])
+        high = (np.concatenate([[m_lo[i], m_hi[i]], ev_m[sel]])
+                > kappa[i]) == rising[i]
+        yield pts, high
+
+
+def _assert_certified(x, width, m, *brackets):
+    """Each x[i] lies between an evaluated point on its bracket's low side
+    and one on its high side, at most width[i] apart; brackets are the
+    solve's (rows, lo, hi, kappa, rising, m_lo, m_hi)."""
+    for i, (pts, high) in enumerate(_evaluated_sides(m, *brackets)):
+        a = pts[~high & (pts <= x[i])].max()
+        b = pts[high & (pts >= x[i])].min()
+        assert b - a <= width[i], (i, a, b, width[i])
+
+
+def _chunk_brackets(monkeypatch, f, spec, dom, kappas, count):
+    """The engine of one chunk of count sampled centres, and the arguments
+    its _resolve_sections hands _bisect_crossings."""
+    centers, _, _ = sample_centers(dom, count, spec.seed)
+    eng = _make_engine(f, centers, spec, 0)
+    grid = _scan_grid(f, dom, float(kappas[-1]))
+    scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas[-1])))
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        return _bisect_crossings(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(weaknorm, "_bisect_crossings", record)
+        _resolve_sections(eng.m_at, scan, grid, kappas, f, centers, 2.0,
+                          eng.iters, eng.replay)
+    (args,) = seen
+    return eng, args
+
+
+@pytest.mark.parametrize("power", [1, 20])
+@pytest.mark.parametrize("fid, nodes", [
+    ("plateau:d=2:a=1:ri=0.5:ro=1", RadialNodes),
+    ("linear:d=2:v=1,0", PointNodes)])
+def test_budgeted_mc_crossings_lie_in_certified_brackets(monkeypatch, fid,
+                                                         nodes, power):
+    # a Monte Carlo entry with a gradient solves its crossings to the node
+    # budget, k = 3 at 512 nodes: each one lies in an evaluated bracket no
+    # wider than 2^-k of its scan cell, so within that width of the 18-step
+    # crossing.  m^20 against kappa^20 has the sides of m, and with them its
+    # crossings and bisection results, but defeats the interpolation, so
+    # rows run past the step cap and bisect until they meet the bound
+    f = parse_function_id(fid)
+    dom = Domain(box=((-1.25, 1.25),) * 2, r_max=22.5, r_min=1e-4)
+    eng, args = _chunk_brackets(monkeypatch, f, MC512, dom,
+                                np.geomspace(1.6, 1.6e-4, 13), 32)
+    m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi, replay = args
+    assert type(eng.nodes) is nodes
+    assert (eng.iters, eng.replay) == (iters, replay) == (3, False)
+    assert rows.size > 300
+    m = _Logged(lambda r, x: m_at(r, x) ** power)
+    x = _bisect_crossings(m, rows, lo, hi, kappa ** power, rising, iters,
+                          m_lo ** power, m_hi ** power, replay)
+    width = (hi - lo) / 2.0 ** iters
+    _assert_certified(x, width, m, rows, lo, hi, kappa ** power, rising,
+                      m_lo ** power, m_hi ** power)
+    assert m.calls <= 2 * iters + 1
+    if power > 1:
+        assert m.calls > iters + 1
+    full = _bisect_crossings(m_at, rows, lo, hi, kappa, rising, ITERS, m_lo,
+                             m_hi)
+    assert np.all(np.abs(x - full) <= width + (hi - lo) / 2.0 ** (ITERS + 1))
+
+
+def test_budgeted_solve_bisects_rows_past_the_step_cap():
+    # a steep power law makes Chandrupatla's steps land close to one end,
+    # so some rows are still wider than the bound after iters + 1 steps;
+    # they bisect on, each row within 2 iters + 1 evaluations, and the
+    # secant through the last bracket errs far below its width
+    lo, hi = _geometric_cells(400)
+    t = lo + np.random.default_rng(3).uniform(0.02, 0.98, lo.size) * (hi - lo)
+    scale = 1.0 / t ** 20
+    rows = np.arange(lo.size)
+    rising = np.full(lo.size, True)
+    for iters in (2, 3, 4):
+        per_row = _Counted(lambda r, x: scale[r] * np.asarray(x) ** 20,
+                           lo.size)
+        m = _Logged(per_row)
+        x = _bisect_crossings(m, rows, lo, hi, 1.0, rising, iters,
+                              scale * lo ** 20, scale * hi ** 20, False)
+        width = (hi - lo) / 2.0 ** iters
+        _assert_certified(x, width, m, rows, lo, hi, 1.0, rising,
+                          scale * lo ** 20, scale * hi ** 20)
+        assert per_row.per_row.max() <= 2 * iters + 1
+        assert np.all(np.abs(x - t) <= 0.2 * width)
+        if iters > 2:
+            assert np.sum(per_row.per_row > iters + 1) > 10
+
+
+@pytest.mark.parametrize("fid, spec", [
+    ("plateau:d=1:a=1:ri=0.5:ro=1", GAUSS),
+    ("indicator:d=2:r=0.5", MC512)])
+def test_replayed_crossings_equal_plain_bisection(monkeypatch, fid, spec):
+    # the exact route, and a Monte Carlo entry without a gradient (whose
+    # estimate jumps where a node crosses the sphere), keep the 18-step
+    # bisection result bit for bit.  The indicator's estimate can cross
+    # kappa several times in one scan cell; there the replay returns
+    # another crossing, as it always has: an evaluated sign change lies
+    # within bisection's tolerance of it
+    f = parse_function_id(fid)
+    kappas = (default_kappa_grid(f) if f.grad_max else
+              np.geomspace(0.45, 4.5e-4, 13))
+    eng, args = _chunk_brackets(monkeypatch, f, spec, default_domain(f),
+                                kappas, 64)
+    m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi, replay = args
+    assert (eng.iters, eng.replay) == (iters, replay) == (ITERS, True)
+    assert rows.size > 500
+    m = _Logged(m_at)
+    got = _bisect_crossings(m, *args[1:])
+    other = got != _reference_bisection(m_at, rows, lo, hi, kappa, rising,
+                                        ITERS)
+    assert other.sum() <= (0 if f.grad is not None else 0.01 * rows.size)
+    tol = (hi - lo) / 2.0 ** (ITERS + 1) + 1e-15 * hi
+    sides = _evaluated_sides(m, rows, lo, hi, kappa, rising, m_lo, m_hi)
+    for i, (pts, high) in enumerate(sides):
+        if other[i]:
+            near = np.abs(pts - got[i]) <= tol[i]
+            assert pts[near & ~high].min() < pts[near & high].max(), i
+
+
+def test_budgeted_mc_curve_agrees_with_the_bisection_curve(monkeypatch):
+    # the plateau d = 2 curve on 512 nodes, with its crossings solved to
+    # the node budget and with the 18-step bisection put back, on the same
+    # seed: nu agrees to 1e-4 relative at every threshold
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    dom = Domain(box=((-1.25, 1.25),) * 2, r_max=22.5, r_min=1e-4)
+    grid = np.geomspace(20.0, 0.02, 13)
+    budget = distribution_curve(f, 2.0, grid, dom, MC512, samples=256)
+    solve = weaknorm._bisect_crossings
+
+    def bisection(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
+                  replay):
+        return solve(m_at, rows, lo, hi, kappa, rising, ITERS, m_lo, m_hi)
+
+    monkeypatch.setattr(weaknorm, "_bisect_crossings", bisection)
+    full = distribution_curve(f, 2.0, grid, dom, MC512, samples=256)
+    live = full.nu > 0
+    assert live.sum() >= 6
+    np.testing.assert_array_equal(budget.nu[~live], 0.0)
+    assert not np.array_equal(budget.nu, full.nu)
+    np.testing.assert_allclose(budget.nu[live], full.nu[live], rtol=1e-4,
+                               atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ import numpy as np
 from .catalog import TestFunction, coordinate_dot
 from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_INNER, KEY_OUTER,
                          KEY_PAIR, BallSample, EstimatedValue,
-                         QuadratureError, QuadratureSpec,
+                         QuadratureError, QuadratureSpec, require_balls,
                          require_finite, require_method_dimension,
                          segment_edges, segment_integrals, segment_mean,
                          stream, unit_ball_nodes)
@@ -79,10 +79,13 @@ BLOCK_POINTS = 2 ** 15
 # chunk's centres, relative to the largest value there, that still takes
 # the radial route; rounding of |a - c|^2 leaves gaps near 1e-16
 _RADIAL_PROBE_RTOL = 1e-9
-# balls per pass of exact_oscillation_1d: on the 2048-centre d = 1 curve
-# (Python 3.11, Xeon, one BLAS thread) 8192 cut the peak from 69.5 to 56-58
-# MB in the same time; 4096 and 2048 took x1.09 and x1.19 (1 ms per pass)
-_EXACT_PASS = 8192
+# balls per pass of exact_oscillation_1d.  On the 2048-centre d = 1 curve
+# (Python 3.11, numpy 2.4, shared 2-core x86-64, second-best of 4 runs),
+# passes of 8192, 4096, 2048, 1024 and 512 balls took 0.76, 0.73, 0.74,
+# 0.80 and 0.89 s at a peak RSS of 51.9, 46.8, 43.4, 42.3 and 41.4 MB;
+# with a zero-padded matmul sum in the segment rule, 8192 and 2048 read
+# 0.73 s / 56.8 MB and 0.85 s / 44.8 MB
+_EXACT_PASS = 2048
 
 _ROOT_ITERS = 30
 _GL_ORDER = 8
@@ -151,11 +154,14 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
     _EXACT_PASS balls, so the working set does not grow with the batch and
     a ball's bits do not depend on its pass.  Exact to roundoff for
     piecewise-polynomial f of degree <= 2*mu_nodes - 1 per segment when q
-    is 1, 2, or 3.
+    is 1, 2, or 3.  A centre that is not finite, or a radius that is not
+    finite and positive, raises QuadratureError before any pass, as
+    BallSample would (quadrature.require_balls).
     """
     require_method_dimension("gauss_1d", f.dim)
     a, r = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(r, dtype=float))
+    require_balls(r, a)
     out = np.empty((2, a.size))
     for lo in range(0, a.size, _EXACT_PASS):
         at = slice(lo, lo + _EXACT_PASS)
@@ -351,8 +357,11 @@ def _mc_passes(count: int, points_per_pair: int):
 
 def mc_oscillation(nodes, radii, rows) -> np.ndarray:
     """m for each (row, radius) pair of nodes (PointNodes or RadialNodes),
-    in passes of at most BLOCK_POINTS evaluation points (n + 2m per pair)."""
+    in passes of at most BLOCK_POINTS evaluation points (n + 2m per pair).
+    A radius that is not finite and positive raises QuadratureError before
+    any pass, as BallSample would."""
     radii = np.asarray(radii, dtype=float)
+    require_balls(radii)
     out = np.empty(len(rows))
     for at in _mc_passes(len(rows), nodes.pair_points):
         out[at] = _mc_pass(nodes, radii[at], rows[at])

@@ -11,6 +11,9 @@ segments only, those with hi > lo, gathered into one (L, n) array; each
 arg is indexed like the edges' leading axes and reaches g gathered the
 same way.  Dead segments, the zero-width ones that clipped breakpoints and
 root placeholders leave, integrate to exactly 0 without evaluating g.
+Each live segment's values are summed against the weights in one fixed
+order, with no BLAS call, so a segment's integral has the same bits in any
+batch, at any position and in any pass.
 
 Every random stream is counter-based: a node set is derived from
 (seed, key...) through an independent Philox generator, so results never
@@ -77,6 +80,21 @@ def require_method_dimension(method: str, dim: int) -> None:
             f"gauss_1d applies to dimension one only, got dimension {dim}")
 
 
+def require_balls(radii, centers=None) -> None:
+    """Refuse the balls BallSample refuses, for arrays of them: a centre
+    coordinate that is not finite, or a radius that is not finite and
+    positive; QuadratureError, with BallSample's messages.  A positive
+    radius whose ends round together passes here; segment_mean refuses its
+    zero width."""
+    if centers is not None and not np.all(np.isfinite(centers)):
+        raise QuadratureError("ball center must be finite")
+    radii = np.asarray(radii, dtype=float)
+    bad = ~(np.isfinite(radii) & (radii > 0.0))
+    if np.any(bad):
+        raise QuadratureError("ball radius must be finite and positive, "
+                              f"got {float(radii[bad][0])}")
+
+
 @dataclass(frozen=True)
 class BallSample:
     """A Euclidean ball, the basic averaging region.
@@ -90,11 +108,8 @@ class BallSample:
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if c.ndim != 1 or c.size == 0:
             raise QuadratureError("ball center must be a nonempty 1-d point")
-        if not np.all(np.isfinite(c)):
-            raise QuadratureError("ball center must be finite")
         r = float(self.radius)
-        if not np.isfinite(r) or r <= 0.0:
-            raise QuadratureError(f"ball radius must be finite and positive, got {r}")
+        require_balls(r, c)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
 
@@ -250,6 +265,13 @@ def segment_edges(breakpoints, lo, hi) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+# live segments from which segment_integrals sums its weighted values
+# column by column (n numpy calls on L values each) rather than by
+# np.add.accumulate along each row (one call on L n values): the two take
+# equal time near L = 300-500 at n = 8, 12 and 64, and give the same bits
+_COLUMN_SUM_FROM = 256
+
+
 def segment_integrals(g: Callable, edges: np.ndarray, n: int,
                       *args) -> np.ndarray:
     """Per-segment n-point Gauss-Legendre integrals of g over consecutive
@@ -260,32 +282,49 @@ def segment_integrals(g: Callable, edges: np.ndarray, n: int,
     Each arg is indexed like the leading axes of edges: it is extended with
     trailing axes to the segment shape (..., K+1), broadcast to it, and
     handed to g as the (L, 1) column of its entries on those segments.  A
-    zero-width segment is not evaluated: its integral, 0 * (g @ w), is 0.
-    The values go into a zero-filled (..., K+1, n) array and the sums run
-    as half * (vals @ w) on that full shape, since the BLAS row sum depends
-    on the row count and a matmul over the live rows alone moves last bits.
-    Rows of different lengths can share one call when each is padded by
-    repeating its last edge: the padding integrates to exactly 0, and a row
-    of 4k segments keeps the bits it has alone (BLAS takes the rows of the
-    matmul in blocks of four; a row of another count may move a last bit).
+    zero-width segment is not evaluated and integrates to exactly 0.
+    A live segment with values v gets half * (w[0] v[0] + w[1] v[1] + ...),
+    with half its half-width: each product and each sum is rounded on its
+    own, the products are added first to last, and no BLAS call takes
+    part.  Fewer than _COLUMN_SUM_FROM live segments are summed by
+    np.add.accumulate along their rows, more column by column in n steps;
+    both add in that order, so the choice moves no bit, and a few segments
+    at a high order (16384 in the acceptance tests) run no Python loop of
+    n steps.  A segment's integral therefore has the bits it has alone,
+    whatever the batch, its position there and the pass.  Rows of
+    different lengths can share one call when each is padded by repeating
+    its last edge: the padding integrates to exactly 0 and every row keeps
+    its own bits, whatever its count.
     """
     t, w = gauss_rule(n)
     lo = edges[..., :-1]
     hi = edges[..., 1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    # flat indices of the live segments; take gathers from a flat view
+    # flat indices of the live segments; take and put index flat views
     live = np.flatnonzero(hi > lo)
-    x = mid.take(live)[:, None] + half.take(live)[:, None] * t
+    # the columns are gathered before the nodes: the other order read 0.7
+    # to 2 MB more peak RSS on the 2048-centre d = 1 curve
     cols = []
     for arg in args:
         arg = np.asarray(arg)
         arg = arg.reshape(arg.shape + (1,) * (half.ndim - arg.ndim))
         cols.append(np.broadcast_to(arg, half.shape).reshape(-1)
                     .take(live)[:, None])
-    vals = np.zeros(half.shape + (n,))
-    vals.reshape(-1, n)[live] = g(x, *cols)
-    return half * (vals @ w)
+    half_live = half.take(live)
+    x = mid.take(live)[:, None] + half_live[:, None] * t
+    vals = g(x, *cols)
+    if live.size < _COLUMN_SUM_FROM:
+        # accumulate adds along a row first to last, by its definition
+        terms = vals * w
+        total = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    else:
+        total = vals[:, 0] * w[0]
+        for j in range(1, n):
+            total += vals[:, j] * w[j]
+    out = np.zeros(half.shape)
+    out.put(live, half_live * total)
+    return out
 
 
 def segment_mean(g: Callable, edges: np.ndarray, n: int,
@@ -294,11 +333,16 @@ def segment_mean(g: Callable, edges: np.ndarray, n: int,
     which receives args unchanged.
 
     The sum of the segment integrals is divided by the width the edges
-    span, not by the nominal interval length.  The Gauss weights of order 8
-    sum to exactly 2, so a constant g has exactly its value as mean; those
-    of 49 of the orders 1-64 miss 2 by up to 6.7e-16 relative (order 2
-    gives a constant 1 the mean 1.0000000000000002).  A width of
-    0, as when a + r rounds to a - r, has no mean: QuadratureError.
+    span, not by the nominal interval length.  Added first to last, as
+    segment_integrals adds them, the Gauss weights of 12 of the orders
+    1-64 sum to exactly 2: 1, 7, 8, 9, 20, 23, 28, 36, 43, 52, 54 and 63
+    (numpy 2.4, x86-64).  Those of the other 52 miss 2 by 1 to 6 units of
+    2^-53 relative, up to 6.7e-16 (order 2 gives a constant 1 the mean
+    1.0000000000000002).  At order 8 a constant g then has exactly its
+    value as mean on balls whose segment widths add up to their width, as
+    with dyadic ends, when that value is short in binary (1, 0.75, 3, ...);
+    a value such as 0.7 can miss it by an ulp or two.  A width of 0, as
+    when a + r rounds to a - r, has no mean: QuadratureError.
     """
     width = edges[..., -1] - edges[..., 0]
     if np.any(width == 0.0):

@@ -24,6 +24,8 @@ The mollification suite draws all its balls first, in the order of its
 random stream, and then evaluates them together: one exact_oscillation_1d
 call gives every left side, and one more, inside one segment_integrals
 call, every right side; the kernel bounds the size of its own passes.
+segment_integrals sums each segment on its own, in a fixed order, so with
+any panel count every case keeps the bits of its one-case computation.
 """
 from __future__ import annotations
 
@@ -345,7 +347,7 @@ def check_local_expansion(f: TestFunction, n_samples: int,
 # ---------------------------------------------------------------------------
 
 # Coarse panels per piece of the mollifier's window (the fine rule takes
-# twice as many); a multiple of 4, see _oscillation_convolved_with.
+# twice as many).
 _MOLLIFY_PANELS = 12
 
 
@@ -359,8 +361,8 @@ def _oscillation_convolved_with(f: TestFunction, phi: Mollifier, a, r):
     call, each padded by repeating its last edge, which gives zero-width
     segments that are never evaluated.  The integrand hands all the nodes to
     one exact_oscillation_1d call, and each row is summed over its own
-    segments only.  With a panel count that is a multiple of 4
-    (segment_integrals) every case then gets the bits of its own one-case
+    segments only.  segment_integrals sums each segment on its own, so
+    with any panel count every case gets the bits of its own one-case
     computation.
     """
     t = phi.scale

@@ -17,6 +17,8 @@ from osclab import (
     UnsupportedFunctionError,
     dilate,
     distribution_curve,
+    default_domain,
+    default_kappa_grid,
     exact_oscillation_1d,
     make_ball_indicator,
     make_linear,
@@ -427,7 +429,7 @@ def test_exact_oscillation_1d_bounds_its_passes(q):
     # sees belongs to one ball: no f.eval call may cover the balls of two
     # passes, and every ball keeps the bits it has on its own
     size = oscillation._EXACT_PASS
-    n = 2 * size + 3
+    n = 7 * -(-(2 * size + 3) // 7)  # fills 7 rows at any pass size
     a = np.linspace(-1.5, 1.5, n)
     step = a[1] - a[0]
     r = step * np.linspace(0.05, 0.45, n)
@@ -444,6 +446,97 @@ def test_exact_oscillation_1d_bounds_its_passes(q):
         assert one[0].shape == one[1].shape == ()
         assert one[0].tobytes() == m.reshape(-1)[i].tobytes()
         assert one[1].tobytes() == mu.reshape(-1)[i].tobytes()
+
+
+@pytest.mark.parametrize("q", [1.0, 2.5])
+def test_pass_size_moves_no_bit_of_exact_oscillation(monkeypatch, q):
+    # the segment rule sums each segment on its own, so a ball's m and mu
+    # keep their bytes whether its pass holds 7 balls or all of them
+    n = 3 * 2048 + 5
+    rng = np.random.default_rng(35)
+    a = rng.uniform(-1.5, 1.5, n)
+    r = np.exp(rng.uniform(np.log(1e-4), np.log(3.0), n))
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    got = set()
+    for size in (7, 2048, 8192):
+        monkeypatch.setattr(oscillation, "_EXACT_PASS", size)
+        m, mu = exact_oscillation_1d(f, a, r, q)
+        got.add(m.tobytes() + mu.tobytes())
+    assert len(got) == 1
+
+
+def test_pass_size_moves_no_bit_of_a_d1_curve(monkeypatch):
+    # passes of a prime 61 balls cut the engine's batches anywhere, at a
+    # ninth of the time passes of 7 take
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    spec = QuadratureSpec("gauss_1d", 8, seed=3)
+    for plan in ({"samples": 256}, {"panels": 8}):
+        got = set()
+        for size in (61, 2048, 8192):
+            monkeypatch.setattr(oscillation, "_EXACT_PASS", size)
+            curve = distribution_curve(f, 2.0, default_kappa_grid(f),
+                                       default_domain(f), spec, **plan)
+            got.add(curve.nu.tobytes() + curve.nu_stderr.tobytes())
+        assert len(got) == 1, plan
+
+
+_BAD_RADII = [-0.1, 0.0, -0.0, float("nan"), float("inf"), -float("inf")]
+
+
+def _ballsample_error(center, r):
+    with pytest.raises(QuadratureError) as refused:
+        BallSample(center, r)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("r", _BAD_RADII)
+def test_exact_oscillation_refuses_the_balls_ballsample_refuses(r):
+    # BallSample's message, before any pass evaluates f, for a scalar ball
+    # and for one bad ball in an array
+    f, seen = _recording(make_plateau_bump(1, 0.7, 0.5, 1.0))
+    want = _ballsample_error(np.array([0.3]), r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, radius in ((0.3, r), (np.array([0.3, -0.2, 0.9]),
+                                     np.array([0.2, r, 0.4]))):
+            with pytest.raises(QuadratureError) as got:
+                exact_oscillation_1d(f, a, radius)
+            assert str(got.value) == want
+        if not np.isfinite(r):
+            # the same value as a centre
+            want = _ballsample_error(np.array([r]), 0.2)
+            for a in (r, np.array([0.3, r, 0.9])):
+                with pytest.raises(QuadratureError) as got:
+                    exact_oscillation_1d(f, a, 0.2)
+                assert str(got.value) == want
+    assert seen == []
+
+
+@pytest.mark.parametrize("function_id", ["plateau:d=2:a=1:ri=0.5:ro=1",
+                                         "linear:d=2:v=1,0"])
+@pytest.mark.parametrize("r", _BAD_RADII)
+def test_mc_oscillation_refuses_the_radii_ballsample_refuses(function_id, r):
+    # a negative radius would otherwise give the reflected ball's m; radial
+    # and point nodes alike refuse it before any pass reaches f
+    f = parse_function_id(function_id)
+    nodes = oscillation.centre_nodes(f, np.array([[0.1, 0.2], [0.3, -0.4]]),
+                                     5, 16, 0)
+    calls = []
+    if isinstance(nodes, RadialNodes):
+        nodes = dataclasses.replace(
+            nodes, profile=lambda q: calls.append(q) or f.radial.profile(q))
+    else:
+        nodes = dataclasses.replace(
+            nodes, ev=lambda x: calls.append(x) or f.eval(x))
+    want = _ballsample_error(np.array([0.1, 0.2]), r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for radii, rows in ((np.array([r]), np.array([0])),
+                            (np.array([0.2, r, 0.4]), np.array([0, 1, 1]))):
+            with pytest.raises(QuadratureError) as got:
+                mc_oscillation(nodes, radii, rows)
+            assert str(got.value) == want
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osclab import (QuadratureError, QuadratureSpec, gauss_rule,
                     make_plateau_bump, oscillation, stream, unit_ball_nodes,
                     unit_ball_volume)
+from osclab import quadrature
 from osclab.quadrature import segment_edges, segment_integrals, segment_mean
 
 
@@ -123,6 +126,14 @@ def test_unit_ball_volume_closed_forms():
 PLATEAU_1D = make_plateau_bump(1, 1.0, 0.5, 1.0)
 
 
+def _fixed_order_sum(vals, w):
+    # w[0] v[0] + w[1] v[1] + ... over the last axis, added first to last
+    total = vals[..., 0] * w[0]
+    for j in range(1, w.size):
+        total = total + vals[..., j] * w[j]
+    return total
+
+
 def _dense_segment_integrals(g, edges, n):
     # the rule as it reads with every segment evaluated, dead ones included
     t, w = gauss_rule(n)
@@ -130,7 +141,7 @@ def _dense_segment_integrals(g, edges, n):
     hi = edges[..., 1:]
     half = 0.5 * (hi - lo)
     x = (0.5 * (hi + lo))[..., None] + half[..., None] * t
-    return half * (g(x) @ w)
+    return half * _fixed_order_sum(g(x), w)
 
 
 def _has_dead_segments(edges):
@@ -162,6 +173,12 @@ def test_segment_integrals_match_the_dense_rule_on_a_batch_of_balls():
     stacked = np.stack([edges, edges[::-1]])
     assert np.array_equal(segment_integrals(fev, stacked, 8),
                           _dense_segment_integrals(fev, stacked, 8))
+    # and enough balls to reach the column-by-column sum
+    many = np.tile(edges, (60, 1))
+    live = np.count_nonzero(many[:, 1:] > many[:, :-1])
+    assert live >= quadrature._COLUMN_SUM_FROM
+    assert np.array_equal(segment_integrals(fev, many, 8),
+                          _dense_segment_integrals(fev, many, 8))
 
 
 def _refined_batch():
@@ -213,30 +230,57 @@ def test_segment_integrals_broadcast_a_column_arg_per_row():
     assert np.array_equal(got, want)
 
 
+def _padded_row(row, width):
+    # row's edges, padded to width by repeating its last edge
+    return np.pad(row, (0, width - row.size), mode="edge")
+
+
 def test_segment_integrals_of_a_row_padded_by_its_last_edge_keep_their_bits():
     # ragged rows stacked into one call, each padded by repeating its last
     # edge, as the mollification suite stacks its cases: the padding adds
-    # zero-width segments worth exactly 0.  A row of 4k segments keeps the
-    # bits it has alone, sums included; the suite's rows have 12k and 24k.
-    # BLAS takes the rows of vals @ w in blocks of four, so a row of another
-    # count may move in its last bits, but no further.
+    # zero-width segments worth exactly 0, and every row keeps the bits it
+    # has alone, sums included, whatever its segment count.  The batch has
+    # enough live segments for the column sum, each row alone too few.
     rng = np.random.default_rng(5)
     fev = PLATEAU_1D.eval_1d
     rows = [np.sort(rng.uniform(-1.3, 1.3, size=n + 1))
-            for n in (4, 12, 24, 48, 1, 3, 15, 37)]
+            for n in (4, 12, 24, 48, 1, 3, 15, 37, 160)]
+    assert (sum(row.size - 1 for row in rows) >= quadrature._COLUMN_SUM_FROM
+            > max(row.size - 1 for row in rows))
     width = max(row.size for row in rows)
-    padded = np.stack([np.pad(row, (0, width - row.size), mode="edge")
-                       for row in rows])
+    padded = np.stack([_padded_row(row, width) for row in rows])
     shift = rng.uniform(-0.2, 0.2, size=len(rows))
     got = segment_integrals(lambda x, c: fev(x - c), padded, 8, shift)
     for i, row in enumerate(rows):
         alone = segment_integrals(lambda x: fev(x - shift[i]), row, 8)
         own = got[i, :row.size - 1]
         assert np.all(got[i, row.size - 1:] == 0.0)
-        if (row.size - 1) % 4 == 0:
-            assert np.array_equal(own, alone)
-            assert own.sum() == alone.sum()
-        np.testing.assert_allclose(own, alone, rtol=1e-15, atol=1e-300)
+        assert own.tobytes() == alone.tobytes(), row.size - 1
+        assert own.sum() == alone.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 8, 12, 13]),
+       counts=st.lists(st.integers(1, 40), min_size=1, max_size=9),
+       pick=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_segment_integral_does_not_depend_on_its_batch(n, counts, pick,
+                                                          seed):
+    # any row, stacked at any position among random rows and padded by its
+    # last edge, has the bits of its own call, segment by segment
+    rng = np.random.default_rng(seed)
+    fev = PLATEAU_1D.eval_1d
+    rows = [np.sort(rng.uniform(-1.3, 1.3, size=k + 1)) for k in counts]
+    pick %= len(rows)
+    width = max(row.size for row in rows)
+    padded = np.stack([_padded_row(row, width) for row in rows])
+    shift = rng.uniform(-0.2, 0.2, size=len(rows))
+    got = segment_integrals(lambda x, c: np.cos(3.0 * x) + fev(x - c),
+                            padded, n, shift)
+    row = rows[pick]
+    alone = segment_integrals(lambda x: np.cos(3.0 * x) + fev(x - shift[pick]),
+                              row, n)
+    assert got[pick, :row.size - 1].tobytes() == alone.tobytes()
+    assert np.all(got[pick, row.size - 1:] == 0.0)
 
 
 def test_segment_integrals_call_g_on_live_segments_only():
@@ -252,6 +296,35 @@ def test_segment_integrals_call_g_on_live_segments_only():
     assert out[0, 0] == out[0, 2] == out[1, 1] == 0.0
     assert abs(out[0, 1] - 10.5) <= 1e-14
     assert abs(out[1, 0] - 0.5 * 22.25) <= 1e-13
+
+
+def test_weight_sums_in_the_fixed_order_as_segment_mean_states():
+    # one segment [-1, 1] of g = 1 integrates to the weights' sum, added
+    # first to last: exactly 2 at order 8 (and 1), within 6 units of 2^-53
+    # relative at every order 1-64
+    for n in range(1, 65):
+        total = segment_integrals(lambda x: np.ones_like(x),
+                                  np.array([-1.0, 1.0]), n)[0]
+        assert abs(total - 2.0) / 2.0 <= 6 * 2.0 ** -53, n
+        if n in (1, 8):
+            assert total == 2.0, n
+
+
+def test_order_8_gives_a_constant_its_value_as_mean_across_breakpoints():
+    # the fact the skip certificate of weaknorm relies on: dyadic balls,
+    # most of them straddling some of the plateau's breakpoints, so their
+    # segment widths add up to the width exactly
+    a = np.repeat(np.arange(-80, 81) / 64.0, 40)
+    r = np.tile(np.arange(1, 41) / 32.0, 161)
+    edges = segment_edges(PLATEAU_1D.breakpoints_1d, a - r, a + r)
+    inside = (edges[:, 1:-1] > edges[:, :1]) & (edges[:, 1:-1] < edges[:, -1:])
+    assert inside.any(axis=1).mean() > 0.8 and inside.sum(axis=1).max() == 4
+    for c in (1.0, -1.0, 0.5, 0.75, 3.0, 0.0):
+        mean = segment_mean(lambda x: np.full_like(x, c), edges, 8)
+        assert np.all(mean == c), c
+    for c in (0.7, 0.3, np.pi):
+        mean = segment_mean(lambda x: np.full_like(x, c), edges, 8)
+        assert np.max(np.abs(mean - c)) <= 2 * np.spacing(c), c
 
 
 def test_segment_mean_refuses_a_zero_width_interval():

@@ -246,6 +246,21 @@ def test_batched_mollification_matches_one_case_evaluation(make, t):
         assert abs(case.inputs["quad_error"] - err) <= 4 * np.finfo(float).eps * abs(rhs)
 
 
+@pytest.mark.parametrize("panels", [5, 7])
+def test_any_panel_count_keeps_one_case_bits(monkeypatch, panels):
+    # the segment rule sums each segment on its own, so panel counts that
+    # are not a multiple of 4 keep each case's one-case bits as well
+    monkeypatch.setattr(verify, "_MOLLIFY_PANELS", panels)
+    f, phi = make_plateau_bump(1, 1.0, 0.5, 1.0), Mollifier(0.2)
+    rep = check_mollification(f, phi, 6, GAUSS.seed)
+    cases = [c for c in rep.cases if c.name.startswith("mollified_vs_averaged")]
+    assert len(cases) == 6
+    for case in cases:
+        rhs, _ = _one_case_rhs(f, phi, case.inputs["a"], case.inputs["r"],
+                               panels)
+        assert case.inputs["rhs"] == rhs
+
+
 def test_mollification_kernel_calls_do_not_grow_with_samples(monkeypatch):
     sizes = []
     kernel = verify.exact_oscillation_1d

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osclab import (
@@ -37,7 +37,8 @@ from osclab import oscillation
 from osclab.catalog import coordinate_dot
 from osclab.oscillation import (PointNodes, RadialNodes, mc_deviations,
                                 mc_oscillation)
-from osclab.quadrature import KEY_INNER, KEY_OUTER, KEY_PAIR
+from osclab.quadrature import (KEY_INNER, KEY_OUTER, KEY_PAIR, segment_edges,
+                               segment_integrals, segment_mean)
 from osclab.verify import check_local_expansion, check_maximal_domination
 
 GAUSS = QuadratureSpec(method="gauss_1d", node_count=16, seed=9)
@@ -385,11 +386,12 @@ def _eval_counted(f):
     (0.0, 0.2, 18),
     # straddling ri, [0.3, 0.7]: edges [.3, .3, .3, .5, .7, .7], 2 live
     # segments, 16.  Root search: the 2 ends and the breakpoint .5 inside,
-    # then f - mu changes sign on [.5, .7] only (f = 1 > mu at .5, f < mu
-    # at .7), 30 bisection steps of one point, 33.  Refined: [.3, .3, .3,
-    # .3, .3, .5, .5, root, .7, .7, .7], 3 live, 24.  16 + 33 + 24 = 73
-    # (dense: 40 + 36 + 80 = 156).
-    (0.5, 0.2, 73),
+    # 3, then f - mu changes sign on [.5, .7] only (f = 1 > mu at .5,
+    # f < mu at .7), 12 bisection steps of one point, and the regula falsi
+    # step evaluates nothing: 3 + 12 = 15.  Refined: [.3, .3, .3, .3, .3,
+    # .5, .5, root, .7, .7, .7], 3 live, 24.  16 + (3 + 12) + 24 = 55
+    # (dense: 40 + (6 + 12) + 80 = 138).
+    (0.5, 0.2, 55),
 ])
 def test_exact_oscillation_1d_evaluates_live_segments_only(a, r, points):
     f, seen = _eval_counted(make_plateau_bump(1, 1.0, 0.5, 1.0))
@@ -421,6 +423,119 @@ def test_root_refined_edges_follow_the_sign_of_f_at_every_edge(f):
     assert np.array_equal(out[..., 0::2], edges)
     assert np.array_equal(roots[~cross], hi[~cross])
     assert np.all((lo[cross] < roots[cross]) & (roots[cross] < hi[cross]))
+
+
+def _bisected_m(f, a, r):
+    """m of the 1-d balls (a, r) with each root of f - mu the midpoint of
+    30 plain bisections, on exact_oscillation_1d's edges and mu: the
+    reference of its root step."""
+    fev = f.eval_1d
+    edges = segment_edges(f.breakpoints_1d, a - r, a + r)
+    mu = segment_mean(fev, edges, 8)
+    g = fev(edges) - mu[..., None]
+    lo, hi = edges[..., :-1], edges[..., 1:]
+    cross = np.sign(g[..., :-1]) * np.sign(g[..., 1:]) < 0
+    blo, bhi = lo[cross], hi[cross]
+    side = np.sign(g[..., :-1][cross])
+    mu_rows = np.broadcast_to(mu[..., None], cross.shape)[cross]
+    for _ in range(30):
+        mid = 0.5 * (blo + bhi)
+        keep = np.sign(fev(mid) - mu_rows) == side
+        blo, bhi = np.where(keep, mid, blo), np.where(keep, bhi, mid)
+    root = hi.copy()
+    root[cross] = 0.5 * (blo + bhi)
+    refined = np.empty(edges.shape[:-1] + (2 * edges.shape[-1] - 1,))
+    refined[..., 0::2] = edges
+    refined[..., 1::2] = root
+    seg = segment_integrals(lambda x, m: fev(x) - m, refined, 8, mu)
+    return np.abs(seg).sum(axis=-1) / (edges[..., -1] - edges[..., 0])
+
+
+def _d1_entries():
+    """(f, max |f|, length scale, shift) for the d = 1 catalog entries and
+    their translate, dilate and scale_values images; a ball of f is a unit
+    ball moved by the shift and scaled by the length scale."""
+    out = []
+    for f, top in ((make_plateau_bump(1, 1.0, 0.5, 1.0), 1.0),
+                   (make_plateau_bump(1, -2.0, 0.3, 0.9), 2.0),
+                   (make_ball_indicator(1, 0.5, center=[0.25]), 1.0)):
+        out += [(f, top, 1.0, 0.0), (translate(f, 0.37), top, 1.0, 0.37),
+                (dilate(f, 0.01), top, 0.01, 0.0),
+                (dilate(f, 30.0), top, 30.0, 0.0),
+                (scale_values(f, -2.5), 2.5 * top, 1.0, 0.0)]
+    return out
+
+
+_D1_ENTRIES = _d1_entries()
+_UNIT_BALLS = st.lists(
+    st.tuples(st.floats(-1.5, 1.5),
+              st.floats(math.log(1e-3), math.log(3.0)).map(math.exp)),
+    min_size=1, max_size=32)
+
+
+@given(entry=st.sampled_from(_D1_ENTRIES), balls=_UNIT_BALLS)
+# the indicator's ball [0.74190, 0.75000428] ends 4.3e-6 past the jump at
+# 0.75: 30 bisections put the root 2e-15 past it, the outer Gauss node of
+# [0.75, root] rounds onto 0.75, where the closed indicator is 1, and the
+# reference misses the exact m by 1.24e-14 = 56 eps (12 steps and the
+# regula falsi step: 5e-17)
+@example(entry=_D1_ENTRIES[10],
+         balls=[(0.7459506739867905, 0.004053606709783293)])
+@settings(max_examples=150, deadline=None)
+def test_root_step_keeps_m_of_thirty_bisections(entry, balls):
+    # a root error delta moves m by about |f'| delta^2, so 12 bisections and
+    # one regula falsi step leave m where 30 bisections put it, to rounding:
+    # 8 eps max|f|, times 1 + |a| / r, the condition of m in the ball's
+    # ends, since both place their nodes in coordinates of size |a|
+    f, top, scale, shift = entry
+    u, rho = np.array(balls).T
+    a = shift + scale * u
+    r = scale * rho
+    m, _ = exact_oscillation_1d(f, a, r)
+    tol = 8.0 * np.finfo(float).eps * top * (1.0 + np.abs(a) / r)
+    assert np.all(np.abs(m - _bisected_m(f, a, r)) <= tol)
+
+
+def test_root_step_stays_in_the_final_bracket():
+    # f jumps at 0 inside [lo, h], h > 0 tiny, so every bisection keeps the
+    # right end: the final bracket is [about lo / 2^12, h], with g = 1 and
+    # -h at its ends.  The step lo + g_lo (hi - lo) / (g_lo - g_hi) rounds
+    # hi - lo up for several of these pairs and would land past h; the clip
+    # keeps every root inside its segment
+    h = np.array([c * 2.0 ** -e for e in range(60, 68)
+                  for c in (0.55, 0.75, 0.9, 1.5, 3.3)])
+    lo = np.repeat([-0.7, -0.9, -1.3], h.size)
+    edges = np.stack([lo, np.tile(h, 3)], axis=-1)
+    out = oscillation._root_refined_edges(
+        lambda x: np.where(x < 0.0, 1.0, -x), edges, np.zeros(lo.size))
+    assert np.all((edges[:, :1] < out[:, 1:2]) & (out[:, 1:2] <= edges[:, 1:]))
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, 0.5, float("nan"), float("inf")])
+def test_exact_oscillation_refuses_q_as_the_single_ball_rules_do(q):
+    # unchecked, q = 0 divides by zero, q = -1 gives 0.0229 and q = NaN NaN
+    f, seen = _recording(make_plateau_bump(1, 1.0, 0.5, 1.0))
+    with pytest.raises(ValueError) as single:
+        q_oscillation(f, BallSample(np.array([0.5]), 0.2), q, GAUSS)
+    with pytest.raises(ValueError) as batch:
+        exact_oscillation_1d(f, np.array([0.5, -0.3]), 0.2, q)
+    assert type(batch.value) is ValueError
+    assert str(batch.value) == str(single.value)
+    assert str(batch.value) == f"q must be a real number >= 1, got {q}"
+    assert seen == []
+
+
+@pytest.mark.parametrize("mu_nodes, message", [
+    (0, "Gauss order must be at least 1"),
+    (2.5, "Gauss order must be an integer, got 2.5"),
+])
+def test_exact_oscillation_refuses_a_gauss_order_gauss_rule_refuses(mu_nodes,
+                                                                     message):
+    f, seen = _recording(make_plateau_bump(1, 1.0, 0.5, 1.0))
+    with pytest.raises(QuadratureError) as got:
+        exact_oscillation_1d(f, np.array([0.5, -0.3]), 0.2, mu_nodes=mu_nodes)
+    assert str(got.value) == message
+    assert seen == []
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])

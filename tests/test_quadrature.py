@@ -59,6 +59,27 @@ def test_gauss_rule_integrates_exp_at_high_order():
     assert abs(float(w @ np.exp(x)) - exact) <= 1e-15 * exact
 
 
+@pytest.mark.parametrize("n", [2.5, 8.9, float("nan"), float("inf"), "8"])
+def test_gauss_rule_refuses_an_order_that_is_not_integral(n):
+    # int() would truncate 2.5 to the order-2 rule
+    with pytest.raises(QuadratureError,
+                       match="Gauss order must be an integer"):
+        gauss_rule(n)
+
+
+@pytest.mark.parametrize("n", [0, -3, np.int64(0)])
+def test_gauss_rule_refuses_an_order_below_one(n):
+    with pytest.raises(QuadratureError, match="Gauss order must be at least 1"):
+        gauss_rule(n)
+
+
+def test_gauss_rule_takes_numpy_integers_and_whole_floats():
+    want = gauss_rule(8)
+    for n in (np.int64(8), np.int32(8), np.uint8(8), 8.0):
+        got = gauss_rule(n)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_stream_deterministic_and_key_separated():
     a = stream(123, 0, 5).standard_normal(8)
     b = stream(123, 0, 5).standard_normal(8)

@@ -6,8 +6,9 @@ exists, an upper bound for the Lipschitz constant of that gradient, the
 radius outside which the function is constant, the radius of a ball around
 each point on which it is constant, the integral of |grad f|^p over a box,
 in dimension one, the breakpoints between which the function is a
-polynomial, and, for radial entries, the centre and profile (Radial) from
-which the Monte Carlo curve evaluates f without building points.  Every
+polynomial and a bound on the degree of those polynomials, and, for radial
+entries, the centre and profile (Radial) from which the Monte Carlo curve
+evaluates f without building points.  Every
 non-linear entry is radial: the plateau and the indicator about their
 centres, and their images.  translate, dilate and scale_values map every
 certificate.
@@ -111,7 +112,10 @@ class TestFunction:
     or None when the gradient does not exist as a function.
     support_radius is a radius outside which f is constant, or None.
     grad_max bounds sup |grad f|; breakpoints_1d lists the points (dimension
-    one only) between which f is a single polynomial.
+    one only) between which f is a single polynomial.  degree_1d, when
+    present, bounds the degree of those polynomials (dimension one only),
+    an integer >= 0; the exact 1-d kernel sizes its Gauss rule by it.  None
+    (custom and mollified entries) means no such bound.
     l1_mass is the integral of |f - far_value| when finite, else None.
     flat_radius, when present, maps centers of shape (..., dim) to radii of
     shape (...,) such that f is constant on the open ball of that radius
@@ -126,8 +130,10 @@ class TestFunction:
     c = radial.center, up to rounding, and the Monte Carlo curve evaluates f
     through it instead of through eval; None (linear and custom entries)
     means f is not known to be radial.  A dataclasses.replace that swaps
-    eval must also replace or drop radial, or the curve keeps evaluating
-    the old function.
+    eval must also replace or drop the certificates that describe it,
+    radial and degree_1d among them, or the curve keeps evaluating the old
+    function through its profile, or integrates the new one with a Gauss
+    rule sized for the old one.
     """
     function_id: str
     dim: int
@@ -142,9 +148,16 @@ class TestFunction:
     flat_radius: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_norm_p: Optional[Callable[[float, tuple], Optional[float]]] = None
     radial: Optional[Radial] = None
+    degree_1d: Optional[int] = None
 
     def __post_init__(self):
         _require_dimension(self.dim)
+        if self.degree_1d is not None and not (
+                isinstance(self.degree_1d, (int, np.integer))
+                and not isinstance(self.degree_1d, bool)
+                and self.degree_1d >= 0):
+            raise ValueError("degree_1d must be an integer >= 0 when present, "
+                             f"got {self.degree_1d!r}")
         if self.support_radius is not None and self.support_radius <= 0:
             raise ValueError("support_radius must be positive when present")
         if self.grad_lipschitz is not None and self.grad_lipschitz < 0:
@@ -185,7 +198,8 @@ def make_linear(d: int, v) -> TestFunction:
     return TestFunction(
         function_id=fid, dim=d, eval=ev, grad=gr,
         grad_lipschitz=0.0, support_radius=None, grad_max=vn,
-        breakpoints_1d=(), far_value=0.0, l1_mass=None, grad_norm_p=gnorm)
+        breakpoints_1d=(), far_value=0.0, l1_mass=None, grad_norm_p=gnorm,
+        degree_1d=1 if d == 1 else None)
 
 
 def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
@@ -282,7 +296,7 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
         grad_lipschitz=lip, support_radius=ro, grad_max=gmax,
         breakpoints_1d=(-ro, -ri, ri, ro) if d == 1 else (),
         far_value=0.0, l1_mass=mass, flat_radius=flat, grad_norm_p=gnorm,
-        radial=Radial(np.zeros(d), profile))
+        radial=Radial(np.zeros(d), profile), degree_1d=5 if d == 1 else None)
 
 
 def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
@@ -326,7 +340,7 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
         grad_lipschitz=None, support_radius=R + float(np.linalg.norm(c)),
         grad_max=None, breakpoints_1d=bps, far_value=0.0,
         l1_mass=unit_ball_volume(d) * R ** d, flat_radius=flat,
-        radial=Radial(c, profile))
+        radial=Radial(c, profile), degree_1d=0 if d == 1 else None)
 
 
 def _then(value, fn):

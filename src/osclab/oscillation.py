@@ -14,12 +14,14 @@ passes.
 
 exact_oscillation_1d (dimension one, method "gauss_1d") is fully
 deterministic: the interval is split at the function's breakpoints, the
-inner mean is a per-segment Gauss-Legendre rule of order node_count (exact
-for piecewise polynomials), the sign changes of f - mean are located by
-a short bisection and one regula falsi step, and the outer integral is
-evaluated per sign-constant segment.  Both integrals use the segment rule
-of quadrature.  For the piecewise-polynomial catalog entries the result is
-exact to roundoff and std_error is reported as 0.
+inner mean is a per-segment Gauss-Legendre rule of order node_count,
+capped at the order that is exact for the entry's polynomial pieces
+(TestFunction.degree_1d), the sign changes of f - mean are located by a
+short bisection and one regula falsi step, and the outer integral is
+evaluated per sign-constant segment at the same order, reusing the inner
+mean's integral of every segment without a sign change.  Both integrals
+use the segment rule of quadrature.  For the piecewise-polynomial catalog
+entries the result is exact to roundoff and std_error is reported as 0.
 
 mc_deviations (any dimension, method "monte_carlo") uses two independent
 uniform node sets in the ball's local frame.  The inner pass is antithetic
@@ -66,7 +68,7 @@ from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_INNER, KEY_OUTER,
                          require_finite, require_gauss_order,
                          require_method_dimension,
                          segment_edges, segment_integrals, segment_mean,
-                         stream, unit_ball_nodes)
+                         segment_width, stream, unit_ball_nodes)
 
 # relative slack of flat_balls against the rounding of a + r u, of |x| and
 # of f itself, which are a few ulps of the coordinates and values
@@ -81,11 +83,12 @@ BLOCK_POINTS = 2 ** 15
 # the radial route; rounding of |a - c|^2 leaves gaps near 1e-16
 _RADIAL_PROBE_RTOL = 1e-9
 # balls per pass of exact_oscillation_1d.  On the 2048-centre d = 1 curve
-# (Python 3.11, numpy 2.4, shared 2-core x86-64, second-best of 4 runs),
-# passes of 8192, 4096, 2048, 1024 and 512 balls took 0.76, 0.73, 0.74,
-# 0.80 and 0.89 s at a peak RSS of 51.9, 46.8, 43.4, 42.3 and 41.4 MB;
-# with a zero-padded matmul sum in the segment rule, 8192 and 2048 read
-# 0.73 s / 56.8 MB and 0.85 s / 44.8 MB
+# (Python 3.11, numpy 2.4, shared 2-core x86-64, fresh interpreters),
+# with the plateau on 3-point rules and the deviation reusing the mean
+# pass, passes of 8192, 4096, 2048, 1024 and 512 balls took 0.54, 0.57,
+# 0.59, 0.64 and 0.78 s (medians of 8) at a peak RSS of 43.3, 42.1, 41.0,
+# 41.0 and 40.9 MB: larger passes are a little faster but take more
+# memory, smaller ones are slower for no memory
 _EXACT_PASS = 2048
 
 # bisections per root of f - mu before the regula falsi step
@@ -98,6 +101,10 @@ _EXACT_PASS = 2048
 # 8118, the best of 7 runs took 0.60-0.70 s of CPU instead of 0.91-0.93 s,
 # and the curve's bytes did not change
 _ROOT_ITERS = 12
+# Gauss order of the 1-d rules that no degree_1d certificate sizes: the
+# default mu_nodes of exact_oscillation_1d (both passes of an entry
+# without the certificate, exact to degree 15 per segment), the graded
+# panels of its q != 1 deviation, and maximal_gradient's segments
 _GL_ORDER = 8
 _GRADE_PANELS = 8
 
@@ -110,7 +117,8 @@ class UnsupportedFunctionError(ValueError):
 # deterministic dimension-one machinery, vectorized over (a, r) pair arrays
 # ---------------------------------------------------------------------------
 
-def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray,
+                        degree=None) -> np.ndarray:
     """Insert one root of f - mu per segment where the sign flips.
 
     Returns edges of shape (..., 2K+3): original edges interleaved with the
@@ -133,8 +141,13 @@ def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray) -> np.ndarray:
     that premise, the error is still bounded by the final bracket.  Where
     only f's value at a breakpoint makes the sign change (the closed
     indicator at its jump), g has one sign on both sides of the root, and
-    the root moves the integral by rounding only.
+    the root moves the integral by rounding only.  So pieces of degree 0
+    (degree, f's degree_1d certificate) get no root search: f is constant
+    inside each of them, every segment gets its placeholder, and f is not
+    evaluated.
     """
+    if degree == 0:
+        return _interleave(edges, edges[..., 1:])
     first = edges[..., :1]
     live = (edges > first) & (edges < edges[..., -1:])
     live[..., [0, -1]] = True
@@ -172,7 +185,11 @@ def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray) -> np.ndarray:
         step = blo + gblo * (bhi - blo) / np.where(flat, 1.0, gblo - gbhi)
         root[idx] = np.where(flat, 0.5 * (blo + bhi),
                              np.clip(step, blo, bhi))
+    return _interleave(edges, root)
 
+
+def _interleave(edges: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """edges (..., K+2) with root (..., K+1) between each pair of them."""
     out = np.empty(edges.shape[:-1] + (2 * edges.shape[-1] - 1,),
                    dtype=float)
     out[..., 0::2] = edges
@@ -186,9 +203,13 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
 
     Vectorized over broadcastable a and r arrays, in passes of at most
     _EXACT_PASS balls, so the working set does not grow with the batch and
-    a ball's bits do not depend on its pass.  Exact to roundoff for
-    piecewise-polynomial f of degree <= 2*mu_nodes - 1 per segment when q
-    is 1, 2, or 3.  A centre that is not finite, or a radius that is not
+    a ball's bits do not depend on its pass.  The inner mean, and for
+    q = 1 the deviation, take the Gauss order n = min(mu_nodes,
+    f.degree_1d // 2 + 1), or mu_nodes where f carries no degree_1d
+    (_exact_pass).  Exact to roundoff for piecewise-polynomial f of degree
+    <= 2 n - 1 per segment when q is 1, and when q is 2 or 3 with
+    (f - mu)^q of degree <= 15, which the deviation's 8-point graded
+    panels integrate.  A centre that is not finite, or a radius that is not
     finite and positive, raises QuadratureError before any pass, as
     BallSample would (quadrature.require_balls).  So do an exponent q that
     is not a finite real >= 1 (ValueError, as for the single-ball rules)
@@ -212,16 +233,36 @@ def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,
                 mu_nodes: int):
     """(m, inner mean) of the balls (a, r), shape (B,), on one pass of the
     exact segment route: the average of |f - mu|^q over the segments
-    between f's breakpoints and the roots of f - mu."""
+    between f's breakpoints and the roots of f - mu.
+
+    The mean takes the integrals I_k of the pieces between f's breakpoints
+    at the Gauss order n = min(mu_nodes, degree_1d // 2 + 1), exact for
+    pieces of degree_1d, or mu_nodes where f carries no degree.  For q = 1
+    the deviation reuses them at the same order: a root-free piece gives
+    I_k - mu len_k, and a piece with a root evaluates only its left part
+    [lo, root] and gives the right part as (I_k - mu len_k) - left.  In
+    exact arithmetic the n weights integrate 1 exactly, so that is the
+    n-point integral of f - mu on each side of the root.
+    """
     fev = f.eval_1d
+    degree = f.degree_1d
+    n = mu_nodes if degree is None else min(mu_nodes, degree // 2 + 1)
     edges = segment_edges(f.breakpoints_1d, a - r, a + r)
-    width = edges[..., -1] - edges[..., 0]
-    mu = segment_mean(fev, edges, mu_nodes)
-    refined = _root_refined_edges(fev, edges, mu)
+    width = segment_width(edges)
+    whole = segment_integrals(fev, edges, n)
+    mu = whole.sum(axis=-1) / width
+    refined = _root_refined_edges(fev, edges, mu, degree)
     if q == 1.0:
-        seg = segment_integrals(lambda x, m: fev(x) - m, refined,
-                                _GL_ORDER, mu)
-        return np.abs(seg).sum(axis=-1) / width, mu
+        lo = edges[..., :-1]
+        hi = edges[..., 1:]
+        root = refined[..., 1::2]
+        # [lo, lo], which is not evaluated, where a piece has no root
+        left = segment_integrals(
+            lambda x, m: fev(x) - m,
+            np.stack([lo, np.where(root < hi, root, lo)], axis=-1), n,
+            mu)[..., 0]
+        dev = whole - mu[:, None] * (hi - lo)
+        return (np.abs(left) + np.abs(dev - left)).sum(axis=-1) / width, mu
     # graded subdivision toward segment ends handles the |.|^q kink
     frac = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, _GRADE_PANELS + 1)))
     lo = refined[..., :-1]

@@ -105,8 +105,8 @@ def require_balls(radii, centers=None) -> None:
     """Refuse the balls BallSample refuses, for arrays of them: a centre
     coordinate that is not finite, or a radius that is not finite and
     positive; QuadratureError, with BallSample's messages.  A positive
-    radius whose ends round together passes here; segment_mean refuses its
-    zero width."""
+    radius whose ends round together passes here; segment_width refuses
+    its zero width."""
     if centers is not None and not np.all(np.isfinite(centers)):
         raise QuadratureError("ball center must be finite")
     radii = np.asarray(radii, dtype=float)
@@ -145,13 +145,15 @@ class QuadratureSpec:
 
     method: "gauss_1d" (deterministic, dimension one only) or "monte_carlo".
     node_count: an integer, at least 2.  For monte_carlo, the nodes per
-    pass.  For gauss_1d, the Gauss order per segment of the inner mean; the
-    deviation integral of the oscillation keeps a fixed 8-point rule on
-    root-refined segments.  default_spec picks order 8 for the inner mean
-    as well: it is exact to degree 15 per segment, and the catalog's 1-d
-    entries are piecewise polynomials of degree at most 5 (the plateau's
-    quintic taper), their mollifications (verify.mollify_1d) of degree at
-    most 12.
+    pass.  For gauss_1d, the Gauss order per segment of both passes of the
+    exact oscillation, the inner mean and the deviation, capped at the
+    order exact for the entry's polynomial pieces, degree_1d // 2 + 1,
+    when it carries degree_1d: 3 for the plateau's quintic taper, 1 for
+    linear entries and the indicator (the deviation for q != 1 takes
+    8-point rules on graded panels).  default_spec picks order 8: it is
+    exact to degree 15 per segment, which covers the entries without the
+    certificate that osclab builds, the mollifications (verify.mollify_1d),
+    piecewise polynomials of degree at most 12.
     seed: integer master seed for node generation; ignored by gauss_1d.
     A node_count or seed that is not integral raises QuadratureError.
     """
@@ -354,11 +356,26 @@ def segment_mean(g: Callable, edges: np.ndarray, n: int,
     1.0000000000000002).  At order 8 a constant g then has exactly its
     value as mean on balls whose segment widths add up to their width, as
     with dyadic ends, when that value is short in binary (1, 0.75, 3, ...);
-    a value such as 0.7 can miss it by an ulp or two.  A width of 0, as
-    when a + r rounds to a - r, has no mean: QuadratureError.
+    a value such as 0.7 can miss it by an ulp or two.  Order 3, which the
+    exact kernel takes for the plateau's quintic pieces, is not among the
+    twelve: its weights add up to 2 - 2^-51.  A constant piece (the
+    plateau's core, or its zero outside) then integrates to its value
+    times its width less 2 units of 2^-53, relative, and the mean of the
+    core value 1 on any ball inside it reads 0.9999999999999998; m there
+    stays 0 to rounding, since the deviation subtracts that mean times the
+    width from the same integral.  A width of 0, as when a + r rounds to
+    a - r, has no mean: QuadratureError (segment_width).
     """
+    width = segment_width(edges)
+    return segment_integrals(g, edges, n, *args).sum(axis=-1) / width
+
+
+def segment_width(edges: np.ndarray) -> np.ndarray:
+    """edges[..., -1] - edges[..., 0], the width the edges span, once no
+    width is 0; QuadratureError otherwise, since such an interval (a + r
+    rounded to a - r) has no mean."""
     width = edges[..., -1] - edges[..., 0]
     if np.any(width == 0.0):
         raise QuadratureError("interval has zero width: its ends round to "
                               "the same point, so it has no mean")
-    return segment_integrals(g, edges, n, *args).sum(axis=-1) / width
+    return width

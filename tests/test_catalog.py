@@ -1,5 +1,6 @@
 """Test function catalog: certificates, identifiers, transforms."""
 
+import dataclasses
 import itertools
 import math
 
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 
 from osclab import (
     DEFAULT_IDS,
+    Mollifier,
+    catalog,
     default_catalog,
     dilate,
     make_ball_indicator,
     make_linear,
     make_plateau_bump,
+    mollify_1d,
     parse_function_id,
     scale_values,
     stream,
@@ -22,6 +26,7 @@ from osclab import (
     unit_ball_nodes,
 )
 from osclab.catalog import coordinate_dot
+from osclab.quadrature import gauss_rule
 from osclab.oscillation import SKIP_MARGIN as _SKIP_MARGIN
 
 DIFFERENTIABLE = [f for f in default_catalog() if f.grad is not None]
@@ -381,6 +386,66 @@ def test_linear_entries_are_not_radial():
     for g in (f, translate(f, [0.5, 0.5]), dilate(f, 2.0),
               scale_values(f, 3.0), make_linear(1, [1.0])):
         assert g.radial is None, g.function_id
+
+
+def _d1_images():
+    out = []
+    for f in (make_linear(1, [1.3]), make_plateau_bump(1, 1.0, 0.5, 1.0),
+              make_plateau_bump(1, -2.5, 0.3, 1.7),
+              make_ball_indicator(1, 0.5, center=[0.25])):
+        out += [f, translate(f, [0.37]), dilate(f, 0.01), dilate(f, 30.0),
+                scale_values(f, -3.3)]
+    return out
+
+
+@pytest.mark.parametrize("f", _d1_images(), ids=lambda f: f.function_id)
+def test_degree_certificate_sizes_an_exact_gauss_rule(f):
+    # on each piece between the breakpoints, and on a stretch of each outer
+    # piece as long as the breakpoints' span, osclab's Gauss rule of the
+    # order degree_1d // 2 + 1 integrates f as numpy's 16-point rule
+    # (exact to degree 31) does, to rounding: on the whole piece and on 20
+    # random parts of it.  A whole taper piece alone would not show a
+    # missing degree: 1 - S(s) - 1/2 is odd about its middle
+    t, w = gauss_rule(f.degree_1d // 2 + 1)
+    t16, w16 = np.polynomial.legendre.leggauss(16)
+    bps = list(f.breakpoints_1d)
+    span = bps[-1] - bps[0] if bps else 1.0
+    cuts = [bps[0] - span, *bps, bps[-1] + span] if bps else [-1.0, 1.0]
+    rng = np.random.default_rng(3)
+    for p_lo, p_hi in zip(cuts, cuts[1:]):
+        parts = np.sort(rng.uniform(p_lo, p_hi, (20, 2)), axis=1)
+        for lo, hi in [(p_lo, p_hi), *parts]:
+            half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+            vals = f.eval_1d(mid + half * t16)
+            exact = half * float(w16 @ vals)
+            got = half * float(w @ f.eval_1d(mid + half * t))
+            tol = 64.0 * np.finfo(float).eps * np.max(np.abs(vals)) * (hi - lo)
+            assert abs(got - exact) <= tol, (f.function_id, lo, hi)
+
+
+def test_degree_certificate_of_each_entry():
+    # transforms keep the degree; entries with no polynomial pieces in d = 1
+    # (d >= 2, mollified, built by hand) carry none
+    for f, degree in ((make_linear(1, [2.0]), 1),
+                      (make_plateau_bump(1, 1.0, 0.5, 1.0), 5),
+                      (make_ball_indicator(1, 0.5, center=[0.25]), 0)):
+        for g in (f, translate(f, [0.3]), dilate(f, 2.0),
+                  scale_values(f, -3.0)):
+            assert g.degree_1d == degree, g.function_id
+    plateau = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    for g in (make_linear(2, [1.0, 0.0]), make_plateau_bump(2, 1.0, 0.5, 1.0),
+              make_ball_indicator(2, 0.5), mollify_1d(plateau, Mollifier(0.1)),
+              catalog.TestFunction("custom", 1, plateau.eval, None, None,
+                                   None)):
+        assert g.degree_1d is None, g.function_id
+
+
+@pytest.mark.parametrize("degree", [-1, 2.5, True])
+def test_degree_certificate_must_be_an_integer_of_at_least_zero(degree):
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="degree_1d must be an integer >= 0"):
+        dataclasses.replace(f, degree_1d=degree)
+    assert dataclasses.replace(f, degree_1d=np.int64(4)).degree_1d == 4
 
 
 def test_translate_names_its_shift():

@@ -33,7 +33,7 @@ from osclab import (
     translate,
     unit_ball_nodes,
 )
-from osclab import oscillation
+from osclab import catalog, oscillation
 from osclab.catalog import coordinate_dot
 from osclab.oscillation import (PointNodes, RadialNodes, mc_deviations,
                                 mc_oscillation)
@@ -375,23 +375,24 @@ def _eval_counted(f):
 
 
 @pytest.mark.parametrize("a, r, points", [
-    # inside the core, [-0.2, 0.2]: the edges are clip(-1), clip(-0.5),
-    # clip(0.5), clip(1) between the ends, [-.2, -.2, -.2, .2, .2, .2], so
-    # 1 of 5 segments is live.  Inner mean: 1 x 8 = 8.  Root search: the 2
-    # ends, which the 4 clipped breakpoints copy, and f - mu has no sign
-    # change (f is constant).  The refined edges put each segment's right
-    # end after it as a placeholder,
-    # [-.2, -.2, -.2, -.2, -.2, .2, .2, .2, .2, .2, .2]: 1 of 10 live, 8.
-    # 8 + 2 + 8 = 18 (the dense rule: 40 + 6 + 80 = 126).
-    (0.0, 0.2, 18),
+    # the plateau's pieces are quintics (degree_1d 5), so both passes take
+    # the 3-point rule.  Inside the core, [-0.2, 0.2]: the edges are
+    # clip(-1), clip(-0.5), clip(0.5), clip(1) between the ends,
+    # [-.2, -.2, -.2, .2, .2, .2], so 1 of 5 segments is live.  Inner mean:
+    # 1 x 3 = 3.  Root search: the 2 ends, which the 4 clipped breakpoints
+    # copy, and f - mu has no sign change (f is constant).  Deviation: no
+    # piece has a root, so each reuses its inner-mean integral and nothing
+    # is evaluated.  3 + 2 + 0 = 5.
+    (0.0, 0.2, 5),
     # straddling ri, [0.3, 0.7]: edges [.3, .3, .3, .5, .7, .7], 2 live
-    # segments, 16.  Root search: the 2 ends and the breakpoint .5 inside,
+    # segments, 6.  Root search: the 2 ends and the breakpoint .5 inside,
     # 3, then f - mu changes sign on [.5, .7] only (f = 1 > mu at .5,
     # f < mu at .7), 12 bisection steps of one point, and the regula falsi
-    # step evaluates nothing: 3 + 12 = 15.  Refined: [.3, .3, .3, .3, .3,
-    # .5, .5, root, .7, .7, .7], 3 live, 24.  16 + (3 + 12) + 24 = 55
-    # (dense: 40 + (6 + 12) + 80 = 138).
-    (0.5, 0.2, 55),
+    # step evaluates nothing: 3 + 12 = 15.  Deviation: only the left part
+    # [.5, root] of the piece with the root is evaluated, 3; its right part
+    # and the root-free [.3, .5] reuse the inner-mean integrals.
+    # 6 + (3 + 12) + 3 = 24.
+    (0.5, 0.2, 24),
 ])
 def test_exact_oscillation_1d_evaluates_live_segments_only(a, r, points):
     f, seen = _eval_counted(make_plateau_bump(1, 1.0, 0.5, 1.0))
@@ -427,8 +428,9 @@ def test_root_refined_edges_follow_the_sign_of_f_at_every_edge(f):
 
 def _bisected_m(f, a, r):
     """m of the 1-d balls (a, r) with each root of f - mu the midpoint of
-    30 plain bisections, on exact_oscillation_1d's edges and mu: the
-    reference of its root step."""
+    30 plain bisections, on exact_oscillation_1d's edges, with 8-point
+    rules for mu and for f - mu on every segment: the reference of its
+    root step, of its Gauss order and of its reuse of the mean pass."""
     fev = f.eval_1d
     edges = segment_edges(f.breakpoints_1d, a - r, a + r)
     mu = segment_mean(fev, edges, 8)
@@ -451,10 +453,23 @@ def _bisected_m(f, a, r):
     return np.abs(seg).sum(axis=-1) / (edges[..., -1] - edges[..., 0])
 
 
+def _sine_entry():
+    """sin(3x), split at its extrema over [-6.3, 6.3], so it is monotone
+    between its breakpoints: a custom entry with no polynomial pieces and
+    no degree_1d, which the exact kernel integrates at mu_nodes."""
+    return catalog.TestFunction(
+        function_id="sine:k=3", dim=1,
+        eval=lambda x: np.sin(3.0 * np.asarray(x, dtype=float)[..., 0]),
+        grad=None, grad_lipschitz=None, support_radius=None,
+        breakpoints_1d=tuple((0.5 + j) * math.pi / 3.0
+                             for j in range(-6, 6)))
+
+
 def _d1_entries():
     """(f, max |f|, length scale, shift) for the d = 1 catalog entries and
-    their translate, dilate and scale_values images; a ball of f is a unit
-    ball moved by the shift and scaled by the length scale."""
+    their translate, dilate and scale_values images, then the sine; a ball
+    of f is a unit ball moved by the shift and scaled by the length
+    scale."""
     out = []
     for f, top in ((make_plateau_bump(1, 1.0, 0.5, 1.0), 1.0),
                    (make_plateau_bump(1, -2.0, 0.3, 0.9), 2.0),
@@ -463,7 +478,7 @@ def _d1_entries():
                 (dilate(f, 0.01), top, 0.01, 0.0),
                 (dilate(f, 30.0), top, 30.0, 0.0),
                 (scale_values(f, -2.5), 2.5 * top, 1.0, 0.0)]
-    return out
+    return out + [(_sine_entry(), 1.0, 1.0, 0.0)]
 
 
 _D1_ENTRIES = _d1_entries()
@@ -484,7 +499,9 @@ _UNIT_BALLS = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_root_step_keeps_m_of_thirty_bisections(entry, balls):
     # a root error delta moves m by about |f'| delta^2, so 12 bisections and
-    # one regula falsi step leave m where 30 bisections put it, to rounding:
+    # one regula falsi step leave m where 30 bisections put it, to rounding;
+    # so do the Gauss order sized by degree_1d and the deviation that reuses
+    # the mean pass, on the sine at the reference's own order 8:
     # 8 eps max|f|, times 1 + |a| / r, the condition of m in the ball's
     # ends, since both place their nodes in coordinates of size |a|
     f, top, scale, shift = entry
@@ -494,6 +511,24 @@ def test_root_step_keeps_m_of_thirty_bisections(entry, balls):
     m, _ = exact_oscillation_1d(f, a, r)
     tol = 8.0 * np.finfo(float).eps * top * (1.0 + np.abs(a) / r)
     assert np.all(np.abs(m - _bisected_m(f, a, r)) <= tol)
+
+
+def test_constant_pieces_take_no_root_search():
+    # the closed indicator is constant between its breakpoints (degree_1d
+    # 0): its inner mean takes 1 point per live segment, and neither the
+    # root search nor the deviation evaluates f.  Each root search there
+    # found only the sign change that f's value 1 at the jump makes, and
+    # 12 evaluations moved m by rounding
+    base = make_ball_indicator(1, 0.5, center=[0.25])
+    f, seen = _eval_counted(base)
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-1.5, 1.5, 20000)
+    r = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), 20000))
+    m, _ = exact_oscillation_1d(f, a, r)
+    edges = segment_edges(base.breakpoints_1d, a - r, a + r)
+    assert seen[0] == np.count_nonzero(edges[:, 1:] > edges[:, :-1])
+    tol = 8.0 * np.finfo(float).eps * (1.0 + np.abs(a) / r)
+    assert np.all(np.abs(m - _bisected_m(base, a, r)) <= tol)
 
 
 def test_root_step_stays_in_the_final_bracket():

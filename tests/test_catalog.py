@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from osclab import (
     DEFAULT_IDS,
     Mollifier,
-    catalog,
     default_catalog,
     dilate,
     make_ball_indicator,
@@ -25,9 +24,10 @@ from osclab import (
     translate,
     unit_ball_nodes,
 )
+from osclab import catalog
 from osclab.catalog import coordinate_dot
-from osclab.quadrature import gauss_rule
 from osclab.oscillation import SKIP_MARGIN as _SKIP_MARGIN
+from osclab.quadrature import gauss_rule
 
 DIFFERENTIABLE = [f for f in default_catalog() if f.grad is not None]
 

@@ -454,9 +454,10 @@ def _bisected_m(f, a, r):
 
 
 def _sine_entry():
-    """sin(3x), split at its extrema over [-6.3, 6.3], so it is monotone
-    between its breakpoints: a custom entry with no polynomial pieces and
-    no degree_1d, which the exact kernel integrates at mu_nodes."""
+    """sin(3x), split at its extrema from -5.8 to 5.8, past every ball of
+    _UNIT_BALLS, so it is monotone between its breakpoints: a custom entry
+    with no polynomial pieces and no degree_1d, which the exact kernel
+    integrates at mu_nodes."""
     return catalog.TestFunction(
         function_id="sine:k=3", dim=1,
         eval=lambda x: np.sin(3.0 * np.asarray(x, dtype=float)[..., 0]),
@@ -516,9 +517,9 @@ def test_root_step_keeps_m_of_thirty_bisections(entry, balls):
 def test_constant_pieces_take_no_root_search():
     # the closed indicator is constant between its breakpoints (degree_1d
     # 0): its inner mean takes 1 point per live segment, and neither the
-    # root search nor the deviation evaluates f.  Each root search there
-    # found only the sign change that f's value 1 at the jump makes, and
-    # 12 evaluations moved m by rounding
+    # root search nor the deviation evaluates f.  The only sign change of
+    # f - mu there is f's value 1 at the jump, where a root moves m by
+    # rounding only
     base = make_ball_indicator(1, 0.5, center=[0.25])
     f, seen = _eval_counted(base)
     rng = np.random.default_rng(11)

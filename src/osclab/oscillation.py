@@ -13,15 +13,18 @@ and mc_oscillation for Monte Carlo.  No other module splits a batch into
 passes.
 
 exact_oscillation_1d (dimension one, method "gauss_1d") is fully
-deterministic: the interval is split at the function's breakpoints, the
-inner mean is a per-segment Gauss-Legendre rule of order node_count,
-capped at the order that is exact for the entry's polynomial pieces
+deterministic: the interval is split at the function's breakpoints into
+one flat list of the live segments of every ball in a pass, the inner
+mean is a per-segment Gauss-Legendre rule of order node_count, capped at
+the order that is exact for the entry's polynomial pieces
 (TestFunction.degree_1d), the sign changes of f - mean are located by a
 short bisection and one regula falsi step, and the outer integral is
 evaluated per sign-constant segment at the same order, reusing the inner
 mean's integral of every segment without a sign change.  Both integrals
 use the segment rule of quadrature.  For the piecewise-polynomial catalog
 entries the result is exact to roundoff and std_error is reported as 0.
+With slope=True it also returns dm/dr, from the values the pass already
+holds, for the curve's crossing search.
 
 mc_deviations (any dimension, method "monte_carlo") uses two independent
 uniform node sets in the ball's local frame.  The inner pass is antithetic
@@ -84,15 +87,15 @@ BLOCK_POINTS = 2 ** 15
 _RADIAL_PROBE_RTOL = 1e-9
 # balls per pass of exact_oscillation_1d.  On the 2048-centre d = 1 curve
 # (Python 3.11, numpy 2.4, shared 2-core x86-64, fresh interpreters),
-# with the plateau on 3-point rules and the deviation reusing the mean
-# pass, passes of 8192, 4096, 2048, 1024 and 512 balls took 0.54, 0.57,
-# 0.59, 0.64 and 0.78 s (medians of 8) at a peak RSS of 43.3, 42.1, 41.0,
-# 41.0 and 40.9 MB: larger passes are a little faster but take more
-# memory, smaller ones are slower for no memory
+# with the pass on the flat list of live segments and the crossing search
+# on the slopes of m, passes of 8192, 4096, 2048, 1024 and 512 balls took
+# 0.46, 0.47, 0.51, 0.56 and 0.71 s (medians of 8) at a peak RSS of 43.3,
+# 42.0, 41.3, 40.9 and 41.4 MB: larger passes are a little faster but
+# take more memory, and 1024 saves 0.4 MB for 10 % more time
 _EXACT_PASS = 2048
 
 # bisections per root of f - mu before the regula falsi step
-# (_root_refined_edges).  Against 30 plain bisections, on 20 000 random
+# (_segment_roots).  Against 30 plain bisections, on 20 000 random
 # balls (r log-uniform in [1e-3, 3]) for each d = 1 plateau and its
 # translate, dilate (x0.01, x30) and scale_values images, m moved at most
 # 2.2e-11, 8.7e-14, 1.2e-15 and 9.0e-16 of max|f| at 8, 10, 12 and 14
@@ -117,17 +120,84 @@ class UnsupportedFunctionError(ValueError):
 # deterministic dimension-one machinery, vectorized over (a, r) pair arrays
 # ---------------------------------------------------------------------------
 
-def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray,
-                        degree=None) -> np.ndarray:
-    """Insert one root of f - mu per segment where the sign flips.
+@dataclass(frozen=True)
+class _Segments:
+    """The live segments of B balls [lo, hi] split at K breakpoints, as one
+    flat list ordered by ball, then left to right: the segments of positive
+    width that segment_edges' (B, K+1) layout holds (a breakpoint repeated
+    inside a ball leaves a zero-width one, which segment_integrals skips).
 
-    Returns edges of shape (..., 2K+3): original edges interleaved with the
-    roots; segments without a sign change get a zero-width placeholder at
-    their right end, which segment_integrals skips.  Assumes at most one
-    root per segment, which holds for the catalog entries (each is
-    monotone between its breakpoints).  f is evaluated once at each end of
-    the ball and at each breakpoint strictly inside it; segment_edges
-    clips the other breakpoints onto an end, whose value they copy.
+    edges (L, 2) holds each segment's ends, with the same values as in that
+    layout, ball the ball of each and flat its flat index there; first and
+    last are the indices of each ball's first and last segments.
+    """
+    edges: np.ndarray
+    ball: np.ndarray
+    flat: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    shape: tuple
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self.edges[:, 0]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.edges[:, 1]
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-ball sums of values, one per segment: the sum over the
+        ball's row of the (B, K+1) layout with 0 at its dead segments, by
+        the reduction that layout took, so each sum keeps its bits."""
+        out = np.zeros(self.shape)
+        out.reshape(-1).put(self.flat, values)
+        return out.sum(axis=-1)
+
+    def refined_edges(self, edges: np.ndarray, root: np.ndarray) -> np.ndarray:
+        """segment_edges' edges (B, K+2) with each segment's root (or right
+        end, the placeholder where it has none) between its two edges:
+        (B, 2K+3), the edges of the q != 1 deviation's panels."""
+        full = edges[..., 1:].copy()
+        full.reshape(-1).put(self.flat, root)
+        out = np.empty(edges.shape[:-1] + (2 * edges.shape[-1] - 1,))
+        out[..., 0::2] = edges
+        out[..., 1::2] = full
+        return out
+
+
+def _live_segments(breakpoints, lo: np.ndarray, hi: np.ndarray) -> _Segments:
+    """The live segments of the balls [lo, hi], shape (B,), hi > lo: each
+    ball's segments run from lo through the breakpoints strictly inside it
+    to hi."""
+    bp = np.sort(np.asarray(breakpoints, dtype=float))
+    first = np.searchsorted(bp, lo, side="right")
+    count = np.searchsorted(bp, hi, side="left") - first + 1
+    stop = np.cumsum(count)
+    start = stop - count
+    ball = np.repeat(np.arange(lo.size), count)
+    col = first[ball] + np.arange(stop[-1]) - start[ball]
+    edges = np.empty((col.size, 2))
+    # the pad keeps take valid on an empty breakpoint list; the ends of the
+    # balls replace every value it gives
+    pad = np.append(bp, 0.0)
+    edges[:, 0] = pad.take(col - 1)
+    edges[start, 0] = lo
+    edges[:, 1] = pad.take(col)
+    edges[stop - 1, 1] = hi
+    col += ball * (bp.size + 1)
+    return _Segments(edges, ball, col, start, stop - 1,
+                     (lo.size, bp.size + 1))
+
+
+def _segment_roots(fev, segs: _Segments, mu: np.ndarray, degree=None):
+    """One root of f - mu per live segment where its sign flips, else the
+    segment's right end: root, shape (L,), and g = f - mu at the two ends
+    of each ball, (B,) each, or None where f was not evaluated.
+
+    Assumes at most one root per segment, which holds for the catalog
+    entries (each is monotone between its breakpoints).  f is evaluated
+    once at each end of a ball and at each breakpoint strictly inside it.
 
     Each root is bracketed by _ROOT_ITERS bisections of its segment, which
     carry g = f - mu at both ends of the bracket, and is then one regula
@@ -143,38 +213,34 @@ def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray,
     indicator at its jump), g has one sign on both sides of the root, and
     the root moves the integral by rounding only.  So pieces of degree 0
     (degree, f's degree_1d certificate) get no root search: f is constant
-    inside each of them, every segment gets its placeholder, and f is not
-    evaluated.
+    inside each of them, and f is not evaluated.
     """
     if degree == 0:
-        return _interleave(edges, edges[..., 1:])
-    first = edges[..., :1]
-    live = (edges > first) & (edges < edges[..., -1:])
-    live[..., [0, -1]] = True
-    at = np.flatnonzero(live)  # take and put index the flat views
-    f_edges = np.empty(edges.shape)
-    f_edges.put(at, fev(edges.take(at)))
-    g_edges = np.where(live, f_edges, np.where(
-        edges == first, f_edges[..., :1], f_edges[..., -1:])) - mu[..., None]
-    lo = edges[..., :-1]
-    hi = edges[..., 1:]
-    glo = g_edges[..., :-1]
-    ghi = g_edges[..., 1:]
-    cross = (np.sign(glo) * np.sign(ghi)) < 0
+        return segs.hi, None, None
+    size = segs.lo.size
+    vals = fev(np.concatenate([segs.lo, segs.hi[segs.last]]))
+    mu_seg = mu[segs.ball]
+    glo = vals[:size] - mu_seg
+    g_end = vals[size:] - mu
+    ghi = np.empty(size)
+    ghi[:-1] = glo[1:]
+    ghi[segs.last] = g_end
+    g_start = glo[segs.first]
 
-    root = hi.copy()
-    idx = np.nonzero(cross)
-    if idx[0].size:
-        blo = lo[idx]
-        bhi = hi[idx]
+    root = segs.hi.copy()
+    idx = np.flatnonzero(np.sign(glo) * np.sign(ghi) < 0)
+    if idx.size:
+        blo = segs.lo[idx]
+        bhi = segs.hi[idx]
         gblo = glo[idx]
         gbhi = ghi[idx]
         slo = np.sign(gblo)
-        mu_rows = np.broadcast_to(mu[..., None], cross.shape)[idx]
+        mu_rows = mu_seg[idx]
         for _ in range(_ROOT_ITERS):
             xm = 0.5 * (blo + bhi)
             gm = fev(xm) - mu_rows
-            same_side = np.sign(gm) == slo
+            # slo is +-1, so this is sign(gm) == slo, NaN and 0 included
+            same_side = gm * slo > 0.0
             blo = np.where(same_side, xm, blo)
             bhi = np.where(same_side, bhi, xm)
             gblo = np.where(same_side, gm, gblo)
@@ -185,21 +251,13 @@ def _root_refined_edges(fev, edges: np.ndarray, mu: np.ndarray,
         step = blo + gblo * (bhi - blo) / np.where(flat, 1.0, gblo - gbhi)
         root[idx] = np.where(flat, 0.5 * (blo + bhi),
                              np.clip(step, blo, bhi))
-    return _interleave(edges, root)
-
-
-def _interleave(edges: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """edges (..., K+2) with root (..., K+1) between each pair of them."""
-    out = np.empty(edges.shape[:-1] + (2 * edges.shape[-1] - 1,),
-                   dtype=float)
-    out[..., 0::2] = edges
-    out[..., 1::2] = root
-    return out
+    return root, g_start, g_end
 
 
 def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
-                         mu_nodes: int = _GL_ORDER):
-    """Deterministic (m_f, inner mean) over arrays of 1-d balls.
+                         mu_nodes: int = _GL_ORDER, *, slope: bool = False):
+    """Deterministic (m_f, inner mean) over arrays of 1-d balls, and with
+    slope=True also dm_f/dr: (m, mu, dm/dr).
 
     Vectorized over broadcastable a and r arrays, in passes of at most
     _EXACT_PASS balls, so the working set does not grow with the batch and
@@ -209,8 +267,11 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
     (_exact_pass).  Exact to roundoff for piecewise-polynomial f of degree
     <= 2 n - 1 per segment when q is 1, and when q is 2 or 3 with
     (f - mu)^q of degree <= 15, which the deviation's 8-point graded
-    panels integrate.  A centre that is not finite, or a radius that is not
-    finite and positive, raises QuadratureError before any pass, as
+    panels integrate.  The slope costs no integral: it comes from values
+    the pass holds (_exact_pass), and m and mu keep the bits they have
+    without it.  It is defined for q = 1 only; another q with slope=True
+    raises ValueError.  A centre that is not finite, or a radius that is
+    not finite and positive, raises QuadratureError before any pass, as
     BallSample would (quadrature.require_balls).  So do an exponent q that
     is not a finite real >= 1 (ValueError, as for the single-ball rules)
     and a mu_nodes that is not an integer >= 1 (QuadratureError, as
@@ -218,23 +279,30 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
     """
     require_method_dimension("gauss_1d", f.dim)
     _require_exponent(q)
+    if slope and q != 1.0:
+        raise ValueError(f"the slope of m is defined for q = 1 only, got {q}")
     mu_nodes = require_gauss_order(mu_nodes)
     a, r = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(r, dtype=float))
     require_balls(r, a)
-    out = np.empty((2, a.size))
+    out = np.empty((3 if slope else 2, a.size))
     for lo in range(0, a.size, _EXACT_PASS):
         at = slice(lo, lo + _EXACT_PASS)
-        out[:, at] = _exact_pass(f, a.flat[at], r.flat[at], q, mu_nodes)
-    return out[0].reshape(a.shape), out[1].reshape(a.shape)
+        out[:, at] = _exact_pass(f, a.flat[at], r.flat[at], q, mu_nodes,
+                                 slope)
+    return tuple(row.reshape(a.shape) for row in out)
 
 
 def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,
-                mu_nodes: int):
-    """(m, inner mean) of the balls (a, r), shape (B,), on one pass of the
-    exact segment route: the average of |f - mu|^q over the segments
-    between f's breakpoints and the roots of f - mu.
+                mu_nodes: int, slope: bool = False):
+    """(m, inner mean), and dm/dr with slope, of the balls (a, r), shape
+    (B,), on one pass of the exact segment route: the average of
+    |f - mu|^q over the segments between f's breakpoints and the roots of
+    f - mu.
 
+    The work runs on the flat list of live segments (_live_segments) with
+    the floating-point operations of the (B, K+1) layout of
+    segment_edges, so a ball's m and mu have the bits they have there.
     The mean takes the integrals I_k of the pieces between f's breakpoints
     at the Gauss order n = min(mu_nodes, degree_1d // 2 + 1), exact for
     pieces of degree_1d, or mu_nodes where f carries no degree.  For q = 1
@@ -243,35 +311,65 @@ def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,
     [lo, root] and gives the right part as (I_k - mu len_k) - left.  In
     exact arithmetic the n weights integrate 1 exactly, so that is the
     n-point integral of f - mu on each side of the root.
+
+    With M the integral of |f - mu| over the ball, m = M / (2 r) and
+    mu' = (f(a + r) + f(a - r) - 2 mu) / (2 r), so
+    M' = |f(a + r) - mu| + |f(a - r) - mu| - mu' S, with S the integral of
+    sign(f - mu), and dm/dr = (M' - 2 m) / (2 r).  S adds each piece's
+    length times the sign of its integral of f - mu, on each side of a
+    root; f at the ends comes from the root search, and only pieces of
+    degree 0, which have none, evaluate it for the slope.
     """
     fev = f.eval_1d
     degree = f.degree_1d
     n = mu_nodes if degree is None else min(mu_nodes, degree // 2 + 1)
-    edges = segment_edges(f.breakpoints_1d, a - r, a + r)
-    width = segment_width(edges)
-    whole = segment_integrals(fev, edges, n)
-    mu = whole.sum(axis=-1) / width
-    refined = _root_refined_edges(fev, edges, mu, degree)
-    if q == 1.0:
-        lo = edges[..., :-1]
-        hi = edges[..., 1:]
-        root = refined[..., 1::2]
-        # [lo, lo], which is not evaluated, where a piece has no root
+    lo = a - r
+    hi = a + r
+    width = segment_width(np.stack([lo, hi], axis=-1))
+    segs = _live_segments(f.breakpoints_1d, lo, hi)
+    whole = segment_integrals(fev, segs.edges, n)[:, 0]
+    mu = segs.row_sums(whole) / width
+    root, g_start, g_end = _segment_roots(fev, segs, mu, degree)
+    if q != 1.0:
+        # graded subdivision toward segment ends handles the |.|^q kink
+        frac = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi,
+                                               _GRADE_PANELS + 1)))
+        refined = segs.refined_edges(
+            segment_edges(f.breakpoints_1d, lo, hi), root)
+        p_lo = refined[..., :-1]
+        p_hi = refined[..., 1:]
+        sub = p_lo[..., None] + (p_hi - p_lo)[..., None] * frac
+        seg = segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q, sub,
+                                _GL_ORDER, mu)
+        moment = seg.sum(axis=(-2, -1)) / width
+        return np.maximum(moment, 0.0) ** (1.0 / q), mu
+
+    length = segs.hi - segs.lo
+    dev = whole - mu[segs.ball] * length
+    part = np.abs(dev)
+    cut = np.flatnonzero(root < segs.hi)
+    if cut.size:
         left = segment_integrals(
             lambda x, m: fev(x) - m,
-            np.stack([lo, np.where(root < hi, root, lo)], axis=-1), n,
-            mu)[..., 0]
-        dev = whole - mu[:, None] * (hi - lo)
-        return (np.abs(left) + np.abs(dev - left)).sum(axis=-1) / width, mu
-    # graded subdivision toward segment ends handles the |.|^q kink
-    frac = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, _GRADE_PANELS + 1)))
-    lo = refined[..., :-1]
-    hi = refined[..., 1:]
-    sub = lo[..., None] + (hi - lo)[..., None] * frac
-    seg = segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q, sub,
-                            _GL_ORDER, mu)
-    moment = seg.sum(axis=(-2, -1)) / width
-    return np.maximum(moment, 0.0) ** (1.0 / q), mu
+            np.stack([segs.lo[cut], root[cut]], axis=-1), n,
+            mu[segs.ball[cut]])[:, 0]
+        right = dev[cut] - left
+        part[cut] = np.abs(left) + np.abs(right)
+    m = segs.row_sums(part) / width
+    if not slope:
+        return m, mu
+
+    signed = np.sign(dev) * length
+    if cut.size:
+        signed[cut] = (np.sign(left) * (root[cut] - segs.lo[cut])
+                       + np.sign(right) * (segs.hi[cut] - root[cut]))
+    if g_start is None:
+        ends = fev(np.concatenate([lo, hi])) - np.tile(mu, 2)
+        g_start, g_end = ends[:lo.size], ends[lo.size:]
+    sign_integral = np.bincount(segs.ball, signed, minlength=lo.size)
+    dmu = (g_start + g_end) / width
+    return m, mu, (np.abs(g_start) + np.abs(g_end) - dmu * sign_integral
+                   - 2.0 * m) / width
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,25 @@ interval narrower than one scan step can fall between two of them), and
 each run of scanned radii above kappa is one interval, however many runs
 a row holds (nothing in the theory bounds their number).  A bracketed
 inverse quadratic interpolation (Chandrupatla's method) started from the
-scanned end values shrinks each bracket.  On the exact route, and on the
-Monte Carlo route for an entry without a gradient, a replay of the
-bisection path on it then picks the crossing: the 18-step bisection result
-(1e-6 of r) at a fraction of its evaluations, about 4.5 per bracket on the
-d = 1 plateau curve, against the 2 * iters + 1 it may spend.  On the Monte
-Carlo route for an entry with a gradient, m carries a node error of about
-1 / sqrt(n) relative, so a crossing is solved only to that budget: the
-solve stops once the bracket is 2^-k of its scan cell, k = ceil(log2(0.25
-sqrt(n))) (3 at 512 nodes, a bracket within r / sqrt(n)), and returns the
-secant through the bracket's ends, about 2 evaluations per bracket on the
-d = 2 plateau curve against 4.7 for the 18-step crossing (see
-_mc_crossing_iters).  The weight of the resulting union of intervals has
-the closed form (lo^-p - hi^-p) / p per interval.  The brackets of every
+scanned end values shrinks each bracket.  On the exact route the kernel
+also gives dm/dr, at no extra integral, at the scanned radii and at each
+point the solve evaluates; the solve then starts from the inverse cubic
+Hermite interpolant of log m through the bracket's ends and takes Newton
+steps on log m that land on the ends of a final bisection cell.  On the
+exact route, and on the Monte Carlo route for an entry without a gradient,
+a replay of the bisection path on the shrunk bracket then picks the
+crossing, in one call of m per round: the 18-step bisection result (1e-6
+of r) at a fraction of its evaluations, about 3.1 per bracket on the
+d = 1 plateau curve (4.5 with Chandrupatla's steps alone), against the
+2 * iters + 1 it may spend.  On the Monte Carlo route for an entry with a
+gradient, m carries a node error of about 1 / sqrt(n) relative, so a
+crossing is solved only to that budget: the solve stops once the bracket
+is 2^-k of its scan cell, k = ceil(log2(0.25 sqrt(n))) (3 at 512 nodes, a
+bracket within r / sqrt(n)), and returns the secant through the bracket's
+ends, about 2 evaluations per bracket on the d = 2 plateau curve against
+4.7 for the 18-step crossing (see _mc_crossing_iters).  The weight of the
+resulting union of intervals has the closed form (lo^-p - hi^-p) / p per
+interval.  The brackets of every
 threshold, interval and direction in a chunk of centers go into one such
 solve, whose rows are independent, so the crossing search costs a fixed
 number of calls of m per chunk however many thresholds the grid holds.  A
@@ -359,7 +365,7 @@ def _mc_crossing_iters(node_count: int) -> int:
 
 
 def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
-                      replay=True):
+                      replay=True, slopes=None):
     """Crossing of m(row, .) through kappa in each bracket [lo, hi].
 
     There is one entry of rows (the row of m, which may repeat), lo, hi and
@@ -384,14 +390,29 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
     m - kappa only place points; the side of a point is decided by the rule
     above.
 
+    With slopes, a pair (dm/dr at lo, dm/dr at hi) of arrays, m_at(rows, r,
+    slope=True) returns (m, dm/dr) as exact_oscillation_1d does, and the
+    slopes place points too, on y = log(m / kappa), which is nearer linear
+    in r than m where m grows or decays like a power of r.  The first step
+    takes the zero of the inverse cubic Hermite interpolant of y through
+    both ends, or the Newton step from the one end whose value and slope
+    serve (not the 0 of a skipped cell) (_hermite_step).  A later one,
+    wherever the Newton step from x1 lands strictly inside the bracket,
+    evaluates an end of the final bisection cell that holds the Newton
+    point, the end across it from x1 (_newton_cells).  A row whose bracket
+    lies inside that cell stops: no midpoint of the bisection path falls
+    strictly inside its bracket, so the replay evaluates none for it.
+    Elsewhere the steps above stand, their floors and stop rule included.
+
     With replay (the default), a row also stops after iters + 1 steps, and
     the result is what iters lockstep bisection steps return, the midpoint
     of the final cell, at a fraction of the evaluations: the bisection
     path is replayed from [lo, hi], a midpoint <= a goes low, one >= b goes
-    high, and only a midpoint strictly inside (a, b) is evaluated.  With
-    one crossing in the bracket the result is bit-identical to plain
-    bisection; with several it is another crossing, within the same
-    tolerance.  Each row costs at most 2 * iters + 1 evaluations.
+    high, and only a midpoint strictly inside (a, b) is evaluated
+    (_replay_bisection).  With one crossing in the bracket the result is
+    bit-identical to plain bisection, wherever the solve placed its points;
+    with several it is another crossing, within the same tolerance.  Each
+    row costs at most 2 * iters + 1 evaluations.
 
     Without replay, iters is a budget (_mc_crossing_iters): a row past
     iters + 1 steps bisects until b - a <= 2 eps, which takes at most iters
@@ -410,9 +431,19 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
     # step t from x1 toward x2, first the secant; y1 - y2 > 0 since the
     # ends lie on either side
     t = y1 / (y1 - y2)
+    if slopes is not None:
+        t = _hermite_step(x1, x2,
+                          *_log_residual(m_hi, slopes[1], kappa, sign),
+                          *_log_residual(m_lo, slopes[0], kappa, sign), t)
+        # dm/dr at x1, and the rows whose bracket lies in a final cell
+        dm1 = np.empty(rows.size)
+        done = np.zeros(rows.size, dtype=bool)
     act = np.arange(rows.size)
     for step in range(2 * iters + 1):
-        act = act[np.abs(x2[act] - x1[act]) > 2.0 * eps[act]]
+        keep = np.abs(x2[act] - x1[act]) > 2.0 * eps[act]
+        if slopes is not None:
+            keep &= ~done[act]
+        act = act[keep]
         if not act.size or (replay and step > iters):
             break
         if step > iters:
@@ -420,7 +451,15 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
         p1, p2, f1, f2 = x1[act], x2[act], y1[act], y2[act]
         floor = 0.5 * eps[act] / np.abs(p2 - p1)
         x = p1 + np.clip(t[act], floor, 1.0 - floor) * (p2 - p1)
-        m = m_at(rows[act], x)
+        if slopes is None:
+            m = m_at(rows[act], x)
+        else:
+            if step:
+                at, cell = _newton_cells(
+                    p1, p2, kappa[act] + sign[act] * f1, dm1[act],
+                    kappa[act], lo[act], hi[act], iters)
+                x[at] = cell[2]
+            m, dm1[act] = m_at(rows[act], x, slope=True)
         y = sign[act] * (m - kappa[act])
         # the new point replaces x1 when both lie on the same side
         same = ((m > kappa[act]) == rising[act]) == (p1 > p2)
@@ -437,24 +476,122 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
         t[act] = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
                           iqi, 0.5)
         x1[act], x2[act], y1[act], y2[act] = p1, p2, f1, f2
+        if slopes is not None and step:
+            done[act[at]] = ((cell[0] <= np.minimum(p1[at], p2[at]))
+                             & (np.maximum(p1[at], p2[at]) <= cell[1]))
     a = np.minimum(x1, x2)
     b = np.maximum(x1, x2)
     if not replay:
         # x1 and x2 lie on either side, so at most one of y1, y2 is 0 and
         # their signs differ
         return np.clip(x1 - y1 * (x2 - x1) / (y2 - y1), a, b)
+    return _replay_bisection(m_at, rows, lo, hi, kappa, rising, iters, a, b)
 
+
+def _log_residual(m, dm, kappa, sign):
+    """sign * log(m / kappa) and its slope sign * dm / m; not finite
+    where m is not positive."""
+    with np.errstate(all="ignore"):
+        return sign * np.log(m / kappa), sign * dm / m
+
+
+def _hermite_step(x1, x2, y1, d1, y2, d2, t):
+    """t of the first step from x1 = hi toward x2 = lo, from y = sign
+    log(m / kappa) and its slope d at both ends: the zero of the inverse
+    cubic Hermite interpolant x(y) through (y2, x2) and (y1, x1) with
+    x'(y) = 1 / d2 and 1 / d1 where both ends serve (y finite, on its
+    side, d positive), else the Newton step from the end that serves,
+    else the given t (the secant); each only when it lands strictly inside
+    the bracket."""
+    with np.errstate(all="ignore"):
+        dy = y1 - y2
+        u = -y2 / dy
+        uu = u * u
+        x = ((2.0 * u - 3.0) * uu + 1.0) * x2 + ((3.0 - 2.0 * u) * uu) * x1
+        x += (u * (u - 1.0) * dy) * ((u - 1.0) / d2 + u / d1)
+        span = x2 - x1
+        steps = ((x - x1) / span, -y1 / d1 / span, 1.0 + -y2 / d2 / span)
+    hi_ok = (d1 > 0.0) & (y1 > 0.0) & np.isfinite(y1)
+    lo_ok = (d2 > 0.0) & (y2 < 0.0) & np.isfinite(y2)
+    # the lowest priority first, so each later choice overrides it
+    for ok, step in zip((lo_ok, hi_ok, hi_ok & lo_ok), steps[::-1]):
+        t = np.where(ok & (step > 0.0) & (step < 1.0), step, t)
+    return t
+
+
+def _newton_cells(x1, x2, m1, dm1, kappa, lo, hi, iters):
+    """Where the Newton step on log(m / kappa) from the newest point x1,
+    z = x1 - log(m1 / kappa) m1 / dm1, lands strictly inside its bracket
+    (x1, x2): the indices of those rows and their (c, d, target), where
+    [c, d] is the final cell of the iters-step bisection path of [lo, hi]
+    that z takes (c < z <= d, the replay's tie rule) and target the end of
+    it across z from x1, or the other end if that one is not strictly
+    inside the bracket.  Rows where neither end is are left out."""
+    with np.errstate(all="ignore"):
+        z = x1 - np.log(m1 / kappa) * m1 / dm1
+    a = np.minimum(x1, x2)
+    b = np.maximum(x1, x2)
+    at = np.flatnonzero((z > a) & (z < b))
+    z, a, b = z[at], a[at], b[at]
+    c, d = lo[at], hi[at]
+    mid = np.empty(at.size)
+    up = np.empty(at.size, dtype=bool)
+    for _ in range(iters):
+        # 0.5 (c + d) by the replay's operations, in place
+        np.add(c, d, out=mid)
+        mid *= 0.5
+        np.greater_equal(mid, z, out=up)
+        np.copyto(d, mid, where=up)
+        np.logical_not(up, out=up)
+        np.copyto(c, mid, where=up)
+    low = x1[at] < x2[at]
+    far, near = np.where(low, d, c), np.where(low, c, d)
+    target = np.where((far > a) & (far < b), far, near)
+    ok = (target > a) & (target < b)
+    return at[ok], (c[ok], d[ok], target[ok])
+
+
+def _replay_bisection(m_at, rows, lo, hi, kappa, rising, iters, a, b):
+    """The iters-step bisection result of each bracket [lo, hi], given an
+    evaluated bracket [a, b] of its crossing, low side at a, high at b.
+
+    Each row walks its bisection path: a midpoint <= a goes low, one >= b
+    goes high, and a row stops at a midpoint strictly inside (a, b).  One
+    m_at call then evaluates the stopped midpoints of every row, which
+    decides their sides, and the rows walk on; so a round costs one call,
+    however many rows it serves, and a row whose bracket holds at most one
+    of its midpoints needs one round.  Each row evaluates only the
+    midpoints strictly inside (a, b), one per step at most.
+    """
     lo = lo.copy()
     hi = hi.copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        take_hi = mid >= b
-        inside = np.nonzero((mid > a) & (mid < b))[0]
-        if inside.size:
-            take_hi[inside] = ((m_at(rows[inside], mid[inside])
-                                > kappa[inside]) == rising[inside])
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
+    depth = np.zeros(rows.size, dtype=np.intp)
+    walk = np.arange(rows.size) if iters > 0 else np.arange(0)
+    while walk.size:
+        w_lo, w_hi, w_depth = lo[walk], hi[walk], depth[walk]
+        w_a, w_b = a[walk], b[walk]
+        moving = np.ones(walk.size, dtype=bool)
+        stopped = np.zeros(walk.size, dtype=bool)
+        while moving.any():
+            mid = 0.5 * (w_lo + w_hi)
+            inside = (mid > w_a) & (mid < w_b)
+            stopped |= moving & inside
+            moving &= ~inside
+            up = mid >= w_b
+            w_hi = np.where(moving & up, mid, w_hi)
+            w_lo = np.where(moving & ~up, mid, w_lo)
+            w_depth += moving
+            moving &= w_depth < iters
+        lo[walk], hi[walk], depth[walk] = w_lo, w_hi, w_depth
+        walk = walk[stopped]
+        if not walk.size:
+            break
+        mid = 0.5 * (lo[walk] + hi[walk])
+        up = (m_at(rows[walk], mid) > kappa[walk]) == rising[walk]
+        hi[walk] = np.where(up, mid, hi[walk])
+        lo[walk] = np.where(up, lo[walk], mid)
+        depth[walk] += 1
+        walk = walk[depth[walk] < iters]
     return 0.5 * (lo + hi)
 
 
@@ -494,7 +631,7 @@ def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
 
 
 def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
-                      iters=_BISECT_ITERS, replay=True):
+                      iters=_BISECT_ITERS, replay=True, slopes=None):
     """Radius sections per threshold and row, from the scanned m values.
 
     kappas is the array of K thresholds sharing the scan.  Each run of scan
@@ -504,7 +641,9 @@ def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
     grid[g - 1] and grid[g], gap 0 below the scan and gap J beyond it.
     Every bracket of every threshold goes into one _bisect_crossings call,
     with iters and replay (the engine's: _BISECT_ITERS and the replay, or a
-    Monte Carlo budget).
+    Monte Carlo budget), and with the slopes of m at the bracket ends when
+    slopes, dm/dr at every scan cell, is given (the exact engine's); m_at
+    then takes slope=True as _bisect_crossings says.
     A run that starts at grid[0] takes the midpoint of _below_floor_bracket
     as its lower end and that bracket's weight as its ambiguity; a run
     still above at r_max ends there.
@@ -522,6 +661,8 @@ def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
     # and the i-th fall bound the same interval
     k, row, rise = np.nonzero(above[..., 1:] & ~above[..., :-1])
     fall = np.nonzero(above[..., :-1] & ~above[..., 1:])[2]
+    # the (K, C, J + 2) mask is not needed during the crossing search
+    del above
     below_floor = rise == 0
     at_r_max = fall == j
     lo = np.empty(k.size)
@@ -535,9 +676,11 @@ def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
     rows = row[t]
     jb = np.concatenate([rise[inner_lo], fall[inner_hi]])
     rising = np.arange(t.size) < inner_lo.size
+    ends = (None if slopes is None else
+            (slopes[rows, jb - 1], slopes[rows, jb]))
     x = _bisect_crossings(m_at, rows, grid[jb - 1], grid[jb], kappas[k[t]],
                           rising, iters, scan[rows, jb - 1], scan[rows, jb],
-                          replay)
+                          replay, slopes=ends)
     lo[inner_lo] = x[rising]
     hi[inner_hi] = x[~rising]
 
@@ -560,10 +703,12 @@ class _Engine:
     decided by m > kappa, which is False for NaN, so such a ball would
     otherwise count as below every threshold.  iters and replay are the
     crossing search's (see _bisect_crossings): by default _BISECT_ITERS
-    steps and the bisection result.
+    steps and the bisection result.  slopes holds dm/dr at every scan cell
+    once scan has run, for an engine whose m_at gives it (else None).
     """
     iters = _BISECT_ITERS
     replay = True
+    slopes = None
 
     def scan(self, grid: np.ndarray, skip: np.ndarray) -> np.ndarray:
         """m at every (row, grid radius) cell, shape (C, J).
@@ -579,17 +724,32 @@ class _Engine:
 
 
 class _Exact1D(_Engine):
-    """The deterministic Gauss route of exact_oscillation_1d, d = 1."""
+    """The deterministic Gauss route of exact_oscillation_1d, d = 1.
+
+    m_at(rows, r, slope=True) returns (m, dm/dr), which the kernel gives
+    at no extra integral, and the scan keeps the slopes of its cells in
+    slopes (0 at a skipped cell), for the crossing search.
+    """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, mu_nodes: int):
         self.f = f
         self.centers = centers
         self.mu_nodes = mu_nodes
 
-    def m_at(self, rows, r):
-        m, _ = exact_oscillation_1d(self.f, self.centers[rows, 0], r,
-                                    mu_nodes=self.mu_nodes)
-        return require_finite(m)
+    def m_at(self, rows, r, slope=False):
+        out = exact_oscillation_1d(self.f, self.centers[rows, 0], r,
+                                   mu_nodes=self.mu_nodes, slope=slope)
+        m = require_finite(out[0])
+        return (m, out[2]) if slope else m
+
+    def scan(self, grid: np.ndarray, skip: np.ndarray) -> np.ndarray:
+        """_Engine.scan, keeping dm/dr at every cell in slopes."""
+        rows, cols = np.nonzero(~skip)
+        out = np.zeros(skip.shape)
+        self.slopes = np.zeros(skip.shape)
+        out[rows, cols], self.slopes[rows, cols] = self.m_at(
+            rows, grid[cols], slope=True)
+        return out
 
 
 class _McScan(_Engine):
@@ -679,7 +839,8 @@ def _curve_chunk(f, centers, global_start, kappas, p, spec, grid):
     eng = _make_engine(f, centers, spec, global_start)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas.min())))
     k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, kappas, f, centers, p, eng.iters, eng.replay)
+        eng.m_at, scan, grid, kappas, f, centers, p, eng.iters, eng.replay,
+        eng.slopes)
     # each (threshold, row) cell adds its intervals in radius order
     shape = (kappas.size, centers.shape[0])
     w = np.zeros(shape)
@@ -772,6 +933,13 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
         node_count=spec.node_count, counters=counters)
 
 
+def _is_count(value) -> bool:
+    """An int or numpy integer, and not a bool, which Python counts as an
+    int (True would run one thread or one centre sample)."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 def distribution_curve(f: TestFunction, p: float, kappa_grid,
                        domain: Domain, spec: QuadratureSpec,
                        samples: Optional[int] = None, threads: int = 1,
@@ -817,17 +985,16 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
         raise ValueError("give exactly one of samples (sampled centers) and "
                          "panels (the d = 1 centre rule)")
     if panels is None:
-        if not (isinstance(samples, (int, np.integer)) and samples >= 2):
+        if not (_is_count(samples) and samples >= 2):
             raise ValueError(f"need an integer count of at least 2 center "
                              f"samples for a standard error, got {samples!r}")
         samples = int(samples)
     elif spec.method != "gauss_1d":
         raise QuadratureError(
             f"the centre rule needs the gauss_1d route, got {spec.method}")
-    elif not (isinstance(panels, (int, np.integer)) and panels >= 2
-              and panels % 2 == 0):
+    elif not (_is_count(panels) and panels >= 2 and panels % 2 == 0):
         raise ValueError(f"panels must be an even integer >= 2, got {panels}")
-    if not (isinstance(threads, (int, np.integer)) and threads >= 1):
+    if not (_is_count(threads) and threads >= 1):
         raise ValueError(f"need an integer count of at least 1 worker "
                          f"thread, got {threads!r}")
     return _curve_engine(f, float(p), kappas, domain, spec, samples, threads,

@@ -400,6 +400,15 @@ def test_exact_oscillation_1d_evaluates_live_segments_only(a, r, points):
     assert seen[0] == points
 
 
+def _root_refined_edges(fev, breakpoints, edges, mu):
+    """segment_edges' edges (B, K+2) with the root of f - mu that
+    _segment_roots finds on each live segment, or its right end, between
+    each pair of them: (B, 2K+3)."""
+    segs = oscillation._live_segments(breakpoints, edges[:, 0], edges[:, -1])
+    root, _, _ = oscillation._segment_roots(fev, segs, mu)
+    return segs.refined_edges(edges, root)
+
+
 @pytest.mark.parametrize("f", [
     make_plateau_bump(1, 1.0, 0.5, 1.0),
     make_plateau_bump(1, -2.0, 0.3, 0.9),
@@ -418,7 +427,7 @@ def test_root_refined_edges_follow_the_sign_of_f_at_every_edge(f):
     g = f.eval_1d(edges) - mu[..., None]
     cross = np.sign(g[..., :-1]) * np.sign(g[..., 1:]) < 0
     lo, hi = edges[..., :-1], edges[..., 1:]
-    out = oscillation._root_refined_edges(f.eval_1d, edges, mu)
+    out = _root_refined_edges(f.eval_1d, f.breakpoints_1d, edges, mu)
     roots = out[..., 1::2]
     assert cross.any()
     assert np.array_equal(out[..., 0::2], edges)
@@ -542,8 +551,8 @@ def test_root_step_stays_in_the_final_bracket():
                   for c in (0.55, 0.75, 0.9, 1.5, 3.3)])
     lo = np.repeat([-0.7, -0.9, -1.3], h.size)
     edges = np.stack([lo, np.tile(h, 3)], axis=-1)
-    out = oscillation._root_refined_edges(
-        lambda x: np.where(x < 0.0, 1.0, -x), edges, np.zeros(lo.size))
+    out = _root_refined_edges(lambda x: np.where(x < 0.0, 1.0, -x), (),
+                              edges, np.zeros(lo.size))
     assert np.all((edges[:, :1] < out[:, 1:2]) & (out[:, 1:2] <= edges[:, 1:]))
 
 
@@ -572,6 +581,72 @@ def test_exact_oscillation_refuses_a_gauss_order_gauss_rule_refuses(mu_nodes,
         exact_oscillation_1d(f, np.array([0.5, -0.3]), 0.2, mu_nodes=mu_nodes)
     assert str(got.value) == message
     assert seen == []
+
+
+def test_exact_oscillation_refuses_a_bool_gauss_order():
+    # True is an int to Python: it ran the 1-point rule, and on this
+    # plateau ball m read 0.25952 against 0.28812
+    f, seen = _recording(make_plateau_bump(1, 1.0, 0.5, 1.0))
+    with pytest.raises(QuadratureError) as got:
+        exact_oscillation_1d(f, 0.7, 0.2, mu_nodes=True)
+    assert str(got.value) == "Gauss order must be an integer, got True"
+    assert seen == []
+
+
+def test_exact_oscillation_refuses_a_slope_off_q_one():
+    f, seen = _recording(make_plateau_bump(1, 1.0, 0.5, 1.0))
+    with pytest.raises(ValueError) as got:
+        exact_oscillation_1d(f, 0.7, 0.2, 2.0, slope=True)
+    assert str(got.value) == ("the slope of m is defined for q = 1 only, "
+                              "got 2.0")
+    assert seen == []
+
+
+_PLATEAU_1D = make_plateau_bump(1, 1.0, 0.5, 1.0)
+# sin(3 x) split at every extremum the balls below reach, so it is monotone
+# between its breakpoints, and with no degree_1d
+_SIN_1D = catalog.TestFunction(
+    function_id="sin3", dim=1, eval=lambda x: np.sin(3.0 * x[..., 0]),
+    grad=None, grad_lipschitz=None, support_radius=None,
+    breakpoints_1d=tuple(math.pi / 6.0 + k * math.pi / 3.0
+                         for k in range(-6, 6)))
+
+
+@pytest.mark.parametrize("f, scale", [
+    (_PLATEAU_1D, 1.0),
+    (translate(_PLATEAU_1D, [0.37]), 1.0),
+    (dilate(_PLATEAU_1D, 0.01), 0.01),
+    (dilate(_PLATEAU_1D, 30.0), 30.0),
+    (scale_values(_PLATEAU_1D, -3.3), 1.0),
+    (make_linear(1, [1.7]), 1.0),
+    (make_ball_indicator(1, 0.5, center=[0.25]), 1.0),
+    (_SIN_1D, 1.0),
+], ids=lambda v: getattr(v, "function_id", None))
+def test_exact_slope_matches_a_central_difference(f, scale):
+    # dm/dr keeps m and mu to the bit, and matches (m(r + h) - m(r - h)) /
+    # 2 h, h = 1e-5 r, to 1e-4 of max(|that|, m / r): near a maximum of
+    # m(a, .) the difference quotient is a rounding of m over h, so m / r,
+    # the size of dm/dr where m grows like a power of r, sets the scale.
+    # The balls have m >= 1e-4 max|f|, below which m's absolute rounding,
+    # near eps max|f|, swamps the quotient, and ends at least 1e-3 r from
+    # a breakpoint, where dm/dr has a kink
+    rng = np.random.default_rng(17)
+    a = rng.uniform(-1.5, 1.5, 4000) * scale
+    r = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), a.size)) * scale
+    m, mu, dm = exact_oscillation_1d(f, a, r, slope=True)
+    m0, mu0 = exact_oscillation_1d(f, a, r)
+    assert m.tobytes() == m0.tobytes() and mu.tobytes() == mu0.tobytes()
+    h = 1e-5 * r
+    diff = (exact_oscillation_1d(f, a, r + h)[0]
+            - exact_oscillation_1d(f, a, r - h)[0]) / (2.0 * h)
+    top = np.max(np.abs(f.eval_1d(np.linspace(-4.5, 4.5, 9001) * scale)))
+    ends = np.stack([a - r, a + r], axis=-1)[..., None]
+    gap = np.min(np.abs(ends - np.array(f.breakpoints_1d or [np.inf])),
+                 axis=(-2, -1))
+    ok = (m >= 1e-4 * top) & (gap >= 1e-3 * r)
+    assert ok.sum() > 1000
+    np.testing.assert_array_less(
+        np.abs(dm - diff)[ok], 1e-4 * np.maximum(np.abs(diff), m / r)[ok])
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])

@@ -206,7 +206,10 @@ def _refined_batch():
     fev = PLATEAU_1D.eval_1d
     edges = segment_edges(PLATEAU_1D.breakpoints_1d, _A - _R, _A + _R)
     mu = segment_mean(fev, edges, 8)
-    refined = oscillation._root_refined_edges(fev, edges, mu)
+    segs = oscillation._live_segments(PLATEAU_1D.breakpoints_1d, _A - _R,
+                                      _A + _R)
+    root, _, _ = oscillation._segment_roots(fev, segs, mu)
+    refined = segs.refined_edges(edges, root)
     assert _has_dead_segments(refined)
     return fev, refined, mu
 

@@ -410,10 +410,10 @@ class _Counted:
         self.per_row = np.zeros(n_rows, dtype=np.intp)
         self.calls = 0
 
-    def __call__(self, rows, r):
+    def __call__(self, rows, r, **kw):
         np.add.at(self.per_row, rows, 1)
         self.calls += 1
-        return self.m(rows, r)
+        return self.m(rows, r, **kw)
 
 
 def _solve(m, lo, hi, kappa, rising, iters=ITERS):
@@ -613,6 +613,78 @@ def test_solver_matches_bisection_on_random_brackets(brackets, iters):
     assert counted.calls <= 2 * iters + 1
 
 
+def _shape_slope(kind, par, t, r):
+    """dg/dr of _shape_value's g, by kind."""
+    out = np.empty(r.shape)
+    for k, g in enumerate((lambda a, c, x: a * c ** -a * x ** (a - 1.0),
+                           lambda a, c, x: a / c * np.exp(a * (x - c) / c),
+                           lambda a, c, x: 1.0 / (c + x))):
+        sel = kind == k
+        out[sel] = g(par[sel], t[sel], r[sel])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), _BRACKET), min_size=1, max_size=6),
+       st.integers(4, 24), st.sampled_from(["true", "garbage", "none"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_slopes_move_where_the_solver_looks_not_what_it_returns(
+        brackets, iters, slopes, seed):
+    # the brackets of the property above, and steps (m jumps through kappa
+    # at the crossing, with slope 0), solved with the true slopes of m,
+    # with garbage slopes of random sign and scale, and without slopes:
+    # each run returns the bits of plain bisection within the budgets
+    step = np.array([b[0] for b in brackets])
+    kind, par, lo, ratio, rising, skipped = (
+        np.array([b[1][i] for b in brackets]) for i in (0, 1, 2, 3, 4, 6))
+    hi = lo * ratio
+    t = np.empty(lo.size)
+    for i, where in enumerate(b[1][5] for b in brackets):
+        if isinstance(where, float):
+            t[i] = lo[i] + where * (hi[i] - lo[i])
+            continue
+        a, b = lo[i], hi[i]
+        for go_hi in where:
+            mid = 0.5 * (a + b)
+            a, b = (a, mid) if go_hi else (mid, b)
+        t[i] = 0.5 * (a + b)
+    gen = np.random.default_rng(seed)
+
+    def m(rows, r, slope=False):
+        r = np.asarray(r, dtype=float)
+        g = np.where(step[rows],
+                     np.where(r > t[rows], 2.0,
+                              np.where(r == t[rows], 1.0, 0.5)),
+                     _shape_value(kind[rows], par[rows], t[rows], r))
+        val = np.where(rising[rows], g, 1.0 / g)
+        if not slope:
+            return val
+        if slopes == "garbage":
+            return val, (gen.choice([-1.0, 1.0], r.size)
+                         * 10.0 ** gen.uniform(-9.0, 9.0, r.size))
+        dg = np.where(step[rows], 0.0,
+                      _shape_slope(kind[rows], par[rows], t[rows], r))
+        return val, np.where(rising[rows], dg, -dg / (g * g))
+
+    rows = np.arange(lo.size)
+    kappa = m(rows, t)
+    m_lo = np.where(rising & skipped, 0.0, m(rows, lo))
+    assert np.all((m_lo > kappa) != (m(rows, hi) > kappa))
+    ends = None
+    if slopes != "none":
+        ends = (m(rows, lo, slope=True)[1], m(rows, hi, slope=True)[1])
+        if slopes == "true":
+            # a skipped scan cell holds 0 for m and for its slope
+            ends = (np.where(rising & skipped, 0.0, ends[0]), ends[1])
+    counted = _Counted(m, lo.size)
+    got = _bisect_crossings(counted, rows, lo, hi, kappa, rising, iters,
+                            m_lo, m(rows, hi), slopes=ends)
+    np.testing.assert_array_equal(got, _reference_bisection(
+        m, rows, lo, hi, kappa, rising, iters))
+    assert counted.per_row.max() <= 2 * iters + 1
+    assert counted.calls <= 2 * iters + 1
+
+
 def _mean_evaluations(m, lo, hi, kappa, rising):
     rows = np.arange(lo.size)
     counted = _Counted(m, lo.size)
@@ -711,9 +783,9 @@ def _chunk_brackets(monkeypatch, f, spec, dom, kappas, count):
     scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas[-1])))
     seen = []
 
-    def record(*args):
+    def record(*args, **kw):
         seen.append(args)
-        return _bisect_crossings(*args)
+        return _bisect_crossings(*args, **kw)
 
     with monkeypatch.context() as patch:
         patch.setattr(weaknorm, "_bisect_crossings", record)
@@ -813,6 +885,37 @@ def test_replayed_crossings_equal_plain_bisection(monkeypatch, fid, spec):
             assert pts[near & ~high].min() < pts[near & high].max(), i
 
 
+def test_replay_adds_at_most_one_call_on_an_exact_chunk():
+    # with the slopes of m the solve leaves nearly every row's bracket in
+    # its final bisection cell, and the replay evaluates the midpoints
+    # left strictly inside the others' brackets in one m_at call.  A row
+    # stops once its bracket lies in that cell: the chunk then takes 3.1
+    # evaluations per bracket, and 3.6 if such rows went on to the stop
+    # rule b - a <= 2 eps, which rounding of the cell's ends can miss
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    dom = default_domain(f)
+    kappas = default_kappa_grid(f)
+    centers, _, _ = sample_centers(dom, 256, GAUSS.seed)
+    eng = _make_engine(f, centers, GAUSS, 0)
+    grid = _scan_grid(f, dom, float(kappas[-1]))
+    scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas[-1])))
+    asked = []
+
+    def m_at(rows, r, slope=False):
+        asked.append((slope, rows.size))
+        return eng.m_at(rows, r, slope=slope)
+
+    _resolve_sections(m_at, scan, grid, kappas, f, centers, 2.0, eng.iters,
+                      eng.replay, eng.slopes)
+    # the solve's first step evaluates every bracket once
+    brackets = asked[0][1]
+    replayed = [size for slope, size in asked if not slope]
+    assert brackets > 3000
+    assert sum(size for _, size in asked) <= 3.3 * brackets
+    assert len(replayed) <= 1
+    assert len(asked) <= 2 * ITERS + 1
+
+
 def test_budgeted_mc_curve_agrees_with_the_bisection_curve(monkeypatch):
     # the plateau d = 2 curve on 512 nodes, with its crossings solved to
     # the node budget and with the 18-step bisection put back, on the same
@@ -824,8 +927,9 @@ def test_budgeted_mc_curve_agrees_with_the_bisection_curve(monkeypatch):
     solve = weaknorm._bisect_crossings
 
     def bisection(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
-                  replay):
-        return solve(m_at, rows, lo, hi, kappa, rising, ITERS, m_lo, m_hi)
+                  replay, slopes=None):
+        return solve(m_at, rows, lo, hi, kappa, rising, ITERS, m_lo, m_hi,
+                     slopes=slopes)
 
     monkeypatch.setattr(weaknorm, "_bisect_crossings", bisection)
     full = distribution_curve(f, 2.0, grid, dom, MC512, samples=256)
@@ -1159,24 +1263,25 @@ def test_crossing_search_calls_do_not_grow_with_thresholds(monkeypatch,
 
 def test_crossing_search_evaluations_per_bracket_on_a_curve(monkeypatch):
     # the brackets of a real chunk (plateau d = 1, exact route, 256 centers)
-    # cost about 4.5 evaluations of m each, about 6.7 with an ITP phase;
+    # cost about 3.1 evaluations of m each with the slopes of m, against
+    # 4.5 by Chandrupatla's steps alone and about 6.7 with an ITP phase;
     # counted on the m_at the crossing search gets
     seen = {"brackets": 0, "evaluations": 0}
     solve = weaknorm._bisect_crossings
 
-    def counting(m_at, rows, *args):
-        def counted(r, x):
+    def counting(m_at, rows, *args, **kw):
+        def counted(r, x, **slope):
             seen["evaluations"] += r.size
-            return m_at(r, x)
+            return m_at(r, x, **slope)
         seen["brackets"] += rows.size
-        return solve(counted, rows, *args)
+        return solve(counted, rows, *args, **kw)
 
     monkeypatch.setattr(weaknorm, "_bisect_crossings", counting)
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
     distribution_curve(f, 2.0, default_kappa_grid(f), default_domain(f),
                        GAUSS, samples=256)
     assert seen["brackets"] > 1000
-    assert seen["evaluations"] <= 5.0 * seen["brackets"]
+    assert seen["evaluations"] <= 4.0 * seen["brackets"]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -1495,6 +1600,20 @@ def test_center_rule_refuses_its_inputs_before_any_scan(monkeypatch, spec,
         distribution_curve(*SMOOTH_CONTRAST, spec,
                            **(plan if isinstance(plan, dict)
                               else {"panels": plan}))
+
+
+def test_curve_refuses_a_bool_thread_count():
+    # True is an int to Python, and ran the curve on one thread
+    base = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    seen = []
+    f = dataclasses.replace(
+        base, eval=lambda x: seen.append(x) or base.eval(x))
+    with pytest.raises(ValueError) as got:
+        distribution_curve(f, 2.0, default_kappa_grid(f), default_domain(f),
+                           GAUSS, samples=64, threads=True)
+    assert str(got.value) == ("need an integer count of at least 1 worker "
+                              "thread, got True")
+    assert seen == []
 
 
 def test_sample_count_is_stored_as_a_python_int():

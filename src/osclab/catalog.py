@@ -8,7 +8,9 @@ each point on which it is constant, the integral of |grad f|^p over a box,
 in dimension one, the breakpoints between which the function is a
 polynomial and a bound on the degree of those polynomials, and, for radial
 entries, the centre and profile (Radial) from which the Monte Carlo curve
-evaluates f without building points.  Every
+evaluates f without building points, with the profile's breakpoints in
+the distance to the centre and its degree between them, on which the
+exact radial rule of oscillation splits its integrals.  Every
 non-linear entry is radial: the plateau and the indicator about their
 centres, and their images.  translate, dilate and scale_values map every
 certificate.
@@ -83,14 +85,38 @@ def _require_dimension(d: int) -> None:
         raise ValueError(f"dimension must be positive, got {d}")
 
 
+def _require_degree(name: str, value) -> None:
+    """Refuse a degree certificate that is not an integer >= 0 (a bool, a
+    float or a negative value): ValueError.  None, no certificate, and
+    numpy integers pass."""
+    if value is not None and not (
+            isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= 0):
+        raise ValueError(f"{name} must be an integer >= 0 when present, "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Radial:
     """f(x) = profile(|x - center|^2): center has shape (dim,), and profile
     maps an array of squared distances to values of f of the same shape.
     profile may overwrite its input, so a caller hands it an array it owns
-    and does not read again."""
+    and does not read again.
+
+    breakpoints, when present, lists the distances rho = |x - center| at
+    which the profile may change its formula: between two of them, and
+    past the last, f is a polynomial in rho of degree at most degree (an
+    integer >= 0, or None for no such bound).  The exact radial rule of
+    oscillation splits its integrals in rho there; None means no such
+    certificate, and that rule refuses the entry.
+    """
     center: np.ndarray
     profile: Callable[[np.ndarray], np.ndarray]
+    breakpoints: Optional[tuple] = None
+    degree: Optional[int] = None
+
+    def __post_init__(self):
+        _require_degree("Radial degree", self.degree)
 
 
 @dataclass(frozen=True)
@@ -127,13 +153,13 @@ class TestFunction:
     grad_norm_p, when present, maps (p, box ((lo, hi), ...)) to the integral
     of |grad f|^p over the box in closed form, or to None if it has none.
     radial, when present, certifies eval(x) == radial.profile(|x - c|^2),
-    c = radial.center, up to rounding, and the Monte Carlo curve evaluates f
-    through it instead of through eval; None (linear and custom entries)
-    means f is not known to be radial.  A dataclasses.replace that swaps
-    eval must also replace or drop the certificates that describe it,
-    radial and degree_1d among them, or the curve keeps evaluating the old
-    function through its profile, or integrates the new one with a Gauss
-    rule sized for the old one.
+    c = radial.center, up to rounding, and the Monte Carlo curve and the
+    exact radial rule evaluate f through it instead of through eval; None
+    (linear and custom entries) means f is not known to be radial.  A
+    dataclasses.replace that swaps eval must also replace or drop the
+    certificates that describe it, radial and degree_1d among them, or the
+    curve keeps evaluating the old function through its profile, or
+    integrates the new one with a Gauss rule sized for the old one.
     """
     function_id: str
     dim: int
@@ -152,12 +178,7 @@ class TestFunction:
 
     def __post_init__(self):
         _require_dimension(self.dim)
-        if self.degree_1d is not None and not (
-                isinstance(self.degree_1d, (int, np.integer))
-                and not isinstance(self.degree_1d, bool)
-                and self.degree_1d >= 0):
-            raise ValueError("degree_1d must be an integer >= 0 when present, "
-                             f"got {self.degree_1d!r}")
+        _require_degree("degree_1d", self.degree_1d)
         if self.support_radius is not None and self.support_radius <= 0:
             raise ValueError("support_radius must be positive when present")
         if self.grad_lipschitz is not None and self.grad_lipschitz < 0:
@@ -296,7 +317,8 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
         grad_lipschitz=lip, support_radius=ro, grad_max=gmax,
         breakpoints_1d=(-ro, -ri, ri, ro) if d == 1 else (),
         far_value=0.0, l1_mass=mass, flat_radius=flat, grad_norm_p=gnorm,
-        radial=Radial(np.zeros(d), profile), degree_1d=5 if d == 1 else None)
+        radial=Radial(np.zeros(d), profile, (ri, ro), 5),
+        degree_1d=5 if d == 1 else None)
 
 
 def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
@@ -340,7 +362,7 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
         grad_lipschitz=None, support_radius=R + float(np.linalg.norm(c)),
         grad_max=None, breakpoints_1d=bps, far_value=0.0,
         l1_mass=unit_ball_volume(d) * R ** d, flat_radius=flat,
-        radial=Radial(c, profile), degree_1d=0 if d == 1 else None)
+        radial=Radial(c, profile, (R,), 0), degree_1d=0 if d == 1 else None)
 
 
 def _then(value, fn):
@@ -383,8 +405,8 @@ def translate(f: TestFunction, shift) -> TestFunction:
         breakpoints_1d=tuple(b + h[0] for b in f.breakpoints_1d),
         flat_radius=_then(f.flat_radius, shifted),
         grad_norm_p=_then(f.grad_norm_p, shifted_norm),
-        radial=_then(f.radial, lambda rad: Radial(rad.center + h,
-                                                  rad.profile)))
+        radial=_then(f.radial, lambda rad: replace(rad,
+                                                   center=rad.center + h)))
 
 
 def scale_values(f: TestFunction, lam: float) -> TestFunction:
@@ -402,8 +424,8 @@ def scale_values(f: TestFunction, lam: float) -> TestFunction:
         l1_mass=_then(f.l1_mass, lambda m: abs(lam) * m),
         grad_norm_p=_then(f.grad_norm_p, lambda n: lambda p, box: _then(
             n(p, box), lambda v: abs(lam) ** p * v)),
-        radial=_then(f.radial, lambda rad: Radial(
-            rad.center, lambda q, _g=rad.profile: lam * _g(q))))
+        radial=_then(f.radial, lambda rad: replace(
+            rad, profile=lambda q, _g=rad.profile: lam * _g(q))))
 
 
 def dilate(f: TestFunction, s: float) -> TestFunction:
@@ -428,9 +450,11 @@ def dilate(f: TestFunction, s: float) -> TestFunction:
         grad_norm_p=_then(f.grad_norm_p, lambda n: lambda p, box: _then(
             n(p, tuple((lo / s, hi / s) for lo, hi in box)),
             lambda v: s ** (f.dim - p) * v)),
-        radial=_then(f.radial, lambda rad: Radial(
-            s * rad.center,
-            lambda q, _g=rad.profile: _g(np.divide(q, s * s, out=q)))))
+        radial=_then(f.radial, lambda rad: replace(
+            rad, center=s * rad.center,
+            profile=lambda q, _g=rad.profile: _g(np.divide(q, s * s, out=q)),
+            breakpoints=_then(rad.breakpoints,
+                              lambda bps: tuple(b * s for b in bps)))))
 
 
 def _parse_fields(fid: str) -> dict:

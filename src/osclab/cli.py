@@ -486,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("--samples", type=int, default=DEFAULT_SAMPLES,
         help="per-suite sample budget (default %(default)s)")
     add("--nodes", type=int, default=DEFAULT_NODE_COUNT,
-        help="quadrature nodes (default %(default)s)")
+        help="Monte Carlo nodes per ball for the non-radial entries in "
+             "d >= 2 (default %(default)s); d = 1 takes Gauss order 8 and "
+             "radial entries in d >= 2 the exact radial rule")
     add("--fault-inject", dest="fault_inject", metavar="NAME[,NAME]",
         help=f"perturb a verified constant; names: "
              f"{sorted(_FAULT_PRESETS)}")

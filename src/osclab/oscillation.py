@@ -9,8 +9,9 @@ the average of the absolute deviation, on an independent node set.
 
 There is one kernel per rule, and one batch entry per rule, which runs it
 on any number of balls in passes of bounded size: exact_oscillation_1d,
-and mc_oscillation for Monte Carlo.  No other module splits a batch into
-passes.
+mc_oscillation for Monte Carlo, and ball_estimates, which serves the
+single-ball rules on every method, the radial rule included.  No other
+module splits a batch into passes.
 
 exact_oscillation_1d (dimension one, method "gauss_1d") is fully
 deterministic: the interval is split at the function's breakpoints into
@@ -45,22 +46,38 @@ cost does not grow with d, it reduces mu, f - mu and the mean of |f - mu|
 in mc_deviations' order, and its m differs from the point route's only by
 the rounding of the squared distances.
 
-The single-ball rules take one BallSample and a QuadratureSpec:
-q_oscillation and mean_oscillation follow the spec's method;
-pair_oscillation is Monte Carlo in every dimension and refuses gauss_1d;
+The radial rule (method "radial", dimensions two and three) is
+deterministic too.  For a radial entry f(x) = g(|x - c|) (catalog.Radial,
+with the profile's breakpoints in rho = |x - c| and its degree there) and
+a ball at distance t from c with radius r, every ball average is a 1-d
+integral in rho against sigma(rho), the measure of the sphere of radius
+rho inside the ball: m = integral of |g - mu| sigma / integral of sigma.
+The integrals split at |t - r|, t + r, the breakpoints and the root of
+g - mu, which _segment_roots finds as in the 1-d kernel, and take the
+segment rule of quadrature on each piece.  In d = 3 sigma is a polynomial
+in rho and the rule is exact at the order the degree sets.  In d = 2
+sigma has square-root zeros at |t - r| and t + r; the pieces that cross
+the ball's boundary are integrated in s with rho = |t - r| + s^2 or
+t + r - s^2, and graded toward |t - r|, so the integrands are smooth.
+The ball average of |grad f| uses the same pieces.
+
+The single-ball rules take one BallSample and a QuadratureSpec, and are
+one-ball calls of ball_estimates, which takes arrays of centres and
+radii: q_oscillation and mean_oscillation follow the spec's method;
 maximal_gradient gives the ball average of |grad f|, the radius-r term of
-the centered maximal function.  On Monte Carlo routes they take their
-node sets from _ball_nodes, which memoizes the draw on (d, n, seed, key)
-and keeps the 8 most recently used sets.  Repeated queries under one spec,
-such as a suite's balls, then draw each set once and get the same bits.
-The cached arrays are read-only because every caller shares them.
-centre_nodes does not use the memo.
+the centered maximal function.  pair_oscillation is Monte Carlo in every
+dimension and refuses the Gauss rules.  On Monte Carlo routes the rules
+take their node sets from _ball_nodes, which memoizes the draw on
+(d, n, seed, key) and keeps the 8 most recently used sets.  Repeated
+queries under one spec, such as a suite's balls, then draw each set once
+and get the same bits.  The cached arrays are read-only because every
+caller shares them.  centre_nodes does not use the memo.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -576,6 +593,251 @@ def _ball_nodes(d: int, n: int, seed: int, key: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# exact radial machinery, dimensions two and three
+# ---------------------------------------------------------------------------
+
+# Gauss order of the radial rule that the battery takes (verify.run_all).
+# In d = 2, on 3000 balls of the d = 2 plateau drawn to stress the rule
+# (r log-uniform in [1e-3, 5]; a quarter of them with |t - r| / r in
+# [1e-12, 1], a half with a zero of the sphere measure within 1e-9 to 0.1
+# of a breakpoint), m at orders 12, 16 and 20 missed an order-64 rule on
+# four times as many pieces by at most 0.54, 0.12 and 0.094 of
+# 1e-12 m + 16 eps; 20 sits at that rounding floor.  In d = 3 the rule
+# is exact at the order the profile's degree sets, 5 for the plateau.
+RADIAL_ORDER = 20
+# the pieces of a d = 2 ball near the inner zero |t - r| of the sphere
+# measure are graded at |t - r| + c 64^k, k < _GRADE_CUTS, with c =
+# max(2 |t - r|, _GRADE_FROM max(t, r)): the measure carries
+# sqrt(rho - |t - r| + 2 |t - r|) there, singular 2 |t - r| past the
+# piece, and the part of the ball below the first cut weighs at most
+# about _GRADE_FROM^2 of it.  Without the cuts, order 24 missed the
+# order-64 rule by 17 times the bound above on balls with |t - r| near
+# 1e-5 r
+_GRADE_FROM = 1e-8
+_GRADE_RATIO = 64.0
+_GRADE_CUTS = 5
+# kinds of the pieces in rho: the sphere of radius rho lies inside the
+# ball (_FULL), or crosses its boundary: in d = 2 below max(t, r)
+# (_LOWER) or above it (_UPPER), in d = 3 anywhere (_CAP)
+_FULL, _LOWER, _UPPER, _CAP = 0, 1, 2, 3
+
+
+def _row_segments(cuts: np.ndarray) -> _Segments:
+    """The live segments of rows of sorted cut points, cuts (B, J), as one
+    flat list (_Segments, with the (B, J - 1) layout); every row holds one
+    at least."""
+    lo = cuts[:, :-1]
+    hi = cuts[:, 1:]
+    flat = np.flatnonzero(hi > lo)
+    ball = flat // lo.shape[1]
+    edges = np.stack([lo.reshape(-1)[flat], hi.reshape(-1)[flat]], axis=-1)
+    rows = np.arange(cuts.shape[0])
+    return _Segments(edges, ball, flat, np.searchsorted(ball, rows),
+                     np.searchsorted(ball, rows, side="right") - 1, lo.shape)
+
+
+def _radial_pieces(breakpoints, t: np.ndarray, r: np.ndarray, d: int):
+    """The pieces in rho of the balls at distance t from a radial entry's
+    centre with radii r, (B,) each: (_Segments, kind of each piece).
+
+    A ball meets the spheres of radius rho in [max(t - r, 0), t + r]; it
+    holds the whole sphere below |t - r| when t < r.  The pieces split
+    there, at the profile's breakpoints and, in d = 2, at max(t, r), which
+    parts the two square-root zeros of the sphere measure, and at the
+    graded cuts above |t - r| (_GRADE_FROM).  A ball whose range in rho
+    rounds to a point raises QuadratureError (segment_width).
+    """
+    rho_min = np.maximum(t - r, 0.0)
+    inner = np.abs(t - r)
+    outer = t + r
+    segment_width(np.stack([rho_min, outer], axis=-1))
+    cols = [rho_min, inner, outer]
+    cols += [np.full(t.shape, float(b)) for b in breakpoints]
+    if d == 2:
+        mid = np.maximum(t, r)
+        step = np.maximum(2.0 * inner, _GRADE_FROM * mid)
+        cols.append(mid)
+        cols += [np.minimum(inner + step * _GRADE_RATIO ** k, mid)
+                 for k in range(_GRADE_CUTS)]
+    cuts = np.sort(np.clip(np.stack(cols, axis=-1), rho_min[:, None],
+                           outer[:, None]), axis=-1)
+    segs = _row_segments(cuts)
+    hi = segs.hi
+    full = hi <= inner[segs.ball]
+    if d == 3:
+        return segs, np.where(full, _FULL, _CAP)
+    return segs, np.where(full, _FULL, np.where(hi <= mid[segs.ball],
+                                                _LOWER, _UPPER))
+
+
+def _piece_coordinates(lo, hi, kind, t, r):
+    """The ends of pieces [lo, hi] in rho in their integration variable s:
+    rho itself, or on a _LOWER (_UPPER) piece of d = 2 the root of the
+    distance to the zero |t - r| (t + r) of the sphere measure, so that
+    rho = |t - r| + s^2 (t + r - s^2); that substitution takes the zero's
+    square root out of the integrand."""
+    s_lo = lo.copy()
+    s_hi = hi.copy()
+    low = kind == _LOWER
+    up = kind == _UPPER
+    inner = np.abs(t[low] - r[low])
+    s_lo[low] = np.sqrt(lo[low] - inner)
+    s_hi[low] = np.sqrt(hi[low] - inner)
+    outer = t[up] + r[up]
+    s_lo[up] = np.sqrt(outer - hi[up])
+    s_hi[up] = np.sqrt(outer - lo[up])
+    return s_lo, s_hi
+
+
+def _sphere_measure(s, kind, t, r, d: int):
+    """(rho, w) at the nodes s (L, n) of pieces of kind, for balls at
+    distance t with radius r ((L, 1) columns): the radius rho of the node
+    and w, the measure of the sphere of radius rho inside the ball times
+    drho/ds.
+
+    d = 3: w = 4 pi rho^2 on a full sphere, else the cap
+    pi rho (t + r - rho) (rho - (t - r)) / t.  d = 2: w = 2 pi rho on a
+    full circle, else 2 rho theta 2 s, where theta, the half angle of the
+    arc inside the ball, is 2 atan2(sqrt(d_hi P), sqrt(Q (rho + t + r))),
+    with d_lo = rho - |t - r| and d_hi = t + r - rho, one of them s^2
+    and the other 2 min(t, r) - s^2 on the substituted pieces, and
+    {P, Q} = {d_lo, d_lo + 2 |t - r|}: no difference of nearly equal
+    numbers is formed.
+    """
+    kind = kind[:, 0]
+    full = kind == _FULL
+    part = ~full
+    w = np.empty_like(s)
+    w[full] = (2.0 * np.pi * s[full] if d == 2
+               else 4.0 * np.pi * s[full] ** 2)
+    tp = t[part]
+    rp = r[part]
+    sp = s[part]
+    if d == 3:
+        w[part] = np.pi * sp * ((tp + rp) - sp) * (sp - (tp - rp)) / tp
+        return s, w
+    low = (kind == _LOWER)[part][:, None]
+    sq = sp * sp
+    gap = np.abs(tp - rp)
+    rest = 2.0 * np.minimum(tp, rp) - sq
+    d_lo = np.where(low, sq, rest)
+    d_hi = np.where(low, rest, sq)
+    inside = tp < rp
+    rho_p = np.where(low, gap + sq, (tp + rp) - sq)
+    theta = 2.0 * np.arctan2(
+        np.sqrt(d_hi * (d_lo + np.where(inside, 2.0 * gap, 0.0))),
+        np.sqrt((d_lo + np.where(inside, 0.0, 2.0 * gap))
+                * (rho_p + tp + rp)))
+    rho = s.copy()
+    rho[part] = rho_p
+    w[part] = 4.0 * rho_p * theta * sp
+    return rho, w
+
+
+def _radial_integrals(h, d: int, lo, hi, kind, t, r, n: int, *args):
+    """Per-piece integrals over rho in [lo, hi] of h(rho, *args) times the
+    measure of the sphere of radius rho inside the ball, or of that
+    measure alone for h None: shape (L,), by segment_integrals at order n
+    in each piece's variable (_piece_coordinates); t and r are each
+    piece's ball, and args reach h as segment_integrals hands them on."""
+    s_lo, s_hi = _piece_coordinates(lo, hi, kind, t, r)
+
+    def g(s, k, tk, rk, *cols):
+        rho, w = _sphere_measure(s, k, tk, rk, d)
+        return w if h is None else h(rho, *cols) * w
+
+    return segment_integrals(g, np.stack([s_lo, s_hi], axis=-1), n,
+                             kind, t, r, *args)[:, 0]
+
+
+def _radial_profile(f: TestFunction, centers: np.ndarray) -> np.ndarray:
+    """|a - c|^2 for the ball centres a (B, d) and f's radial centre c,
+    once f.radial holds breakpoints and its profile reproduces eval to
+    _RADIAL_PROBE_RTOL of the largest |eval|, the probe centre_nodes
+    takes, at the centres and at one point of each piece between the
+    breakpoints, on a ray from c (so balls centred off the support do not
+    leave a stale profile unprobed); UnsupportedFunctionError otherwise."""
+    rad = f.radial
+    if rad is None or rad.breakpoints is None:
+        raise UnsupportedFunctionError(
+            f"{f.function_id} carries no radial profile with breakpoints; "
+            "the radial rule does not apply")
+    ends = [0.0, *rad.breakpoints, 2.0 * max(rad.breakpoints, default=0.5)]
+    ray = np.tile(rad.center, (len(ends) - 1, 1))
+    ray[:, 0] += 0.5 * (np.array(ends[:-1]) + np.array(ends[1:]))
+    points = np.concatenate([centers, ray])
+    y = points - rad.center
+    yy = coordinate_dot(y, y)
+    ev = np.asarray(f.eval(points), dtype=float)
+    gap = np.abs(rad.profile(yy.copy()) - ev)
+    if not np.all(gap <= _RADIAL_PROBE_RTOL * np.max(np.abs(ev))):
+        raise UnsupportedFunctionError(
+            f"the radial profile of {f.function_id} does not reproduce its "
+            "eval; the radial rule refuses a stale certificate")
+    return yy[:len(centers)]
+
+
+def _radial_pass(f: TestFunction, t, r, n: int, oscillation: bool,
+                 gradient):
+    """(m, ball average of |grad f|) of the balls at distance t from f's
+    radial centre with radii r, shape (B,) each, on one pass of the radial
+    rule: None for what is not asked; gradient is None, or the mask of the
+    balls whose average to compute (the others read 0).
+
+    With rho = |x - c| and g the profile in rho, the mean is
+    mu = integral of g sigma / integral of sigma, sigma the measure of the
+    sphere of radius rho inside the ball (_sphere_measure), and
+    m = integral of |g - mu| sigma / integral of sigma, over the pieces of
+    _radial_pieces split further at the root of g - mu (_segment_roots;
+    the profile is monotone between its breakpoints).  As in _exact_pass
+    a piece without a root gives I_k - mu S_k, with I_k and S_k its
+    integrals of g sigma and sigma, and a piece with one evaluates its
+    left part only.  Both divide by the integrated sigma, not by |B_r|,
+    so a ball on which f is constant reads 0 to rounding.
+    """
+    rad = f.radial
+    d = f.dim
+    segs, kind = _radial_pieces(rad.breakpoints, t, r, d)
+    tk = t[segs.ball]
+    rk = r[segs.ball]
+    measure = _radial_integrals(None, d, segs.lo, segs.hi, kind, tk, rk, n)
+    volume = segs.row_sums(measure)
+    m = avg = None
+    if oscillation:
+        def fev(rho, mu=0.0):
+            return rad.profile(rho * rho) - mu
+
+        whole = _radial_integrals(fev, d, segs.lo, segs.hi, kind, tk, rk, n)
+        mu = segs.row_sums(whole) / volume
+        root, _, _ = _segment_roots(fev, segs, mu, rad.degree)
+        dev = whole - mu[segs.ball] * measure
+        part = np.abs(dev)
+        cut = np.flatnonzero(root < segs.hi)
+        if cut.size:
+            left = _radial_integrals(fev, d, segs.lo[cut], root[cut],
+                                     kind[cut], tk[cut], rk[cut], n,
+                                     mu[segs.ball[cut]])
+            part[cut] = np.abs(left) + np.abs(dev[cut] - left)
+        m = segs.row_sums(part) / volume
+    if gradient is not None:
+        def gmag(rho):
+            x = np.empty(rho.shape + (d,))
+            x[...] = rad.center
+            x[..., 0] += rho
+            g = np.asarray(f.grad(x), dtype=float)
+            return np.sqrt(coordinate_dot(g, g))
+
+        live = np.flatnonzero(gradient[segs.ball])
+        integral = np.zeros(segs.lo.size)
+        if live.size:
+            integral[live] = _radial_integrals(
+                gmag, d, segs.lo[live], segs.hi[live], kind[live], tk[live],
+                rk[live], n)
+        avg = segs.row_sums(integral) / volume
+    return m, avg
+
+
+# ---------------------------------------------------------------------------
 # public single-ball operations
 # ---------------------------------------------------------------------------
 
@@ -585,15 +847,19 @@ def _require_exponent(q: float) -> None:
         raise ValueError(f"q must be a real number >= 1, got {q}")
 
 
-def _check_query(f: TestFunction, ball: BallSample, spec: QuadratureSpec,
+def _check_query(f: TestFunction, dim: int, spec: QuadratureSpec,
                  q: float = 1.0) -> None:
-    """Refuse a single-ball query that has no meaning: an exponent q that
-    is not a finite real >= 1, a ball of another dimension than f, or the
-    gauss_1d rule off dimension one.  BallSample checks the ball itself."""
+    """Refuse a query that has no meaning: an exponent q that is not a
+    finite real >= 1, balls of another dimension dim than f, a rule off
+    its dimensions (require_method_dimension), or the radial rule with
+    q != 1.  BallSample and require_balls check the balls themselves."""
     _require_exponent(q)
-    if ball.dim != f.dim:
-        raise ValueError(f"ball dimension {ball.dim} does not match function dimension {f.dim}")
+    if dim != f.dim:
+        raise ValueError(f"ball dimension {dim} does not match function dimension {f.dim}")
     require_method_dimension(spec.method, f.dim)
+    if spec.method == "radial" and q != 1.0:
+        raise QuadratureError("the radial rule computes the mean "
+                              f"oscillation, q = 1, only; got {q}")
 
 
 def _power_mean(y: np.ndarray, q: float, se_extra: float) -> EstimatedValue:
@@ -610,30 +876,143 @@ def _power_mean(y: np.ndarray, q: float, se_extra: float) -> EstimatedValue:
                           (1.0 / q) * m_q ** (1.0 / q - 1.0) * se_m + se_extra)
 
 
-def q_oscillation(f: TestFunction, ball: BallSample, q: float,
-                  spec: QuadratureSpec) -> EstimatedValue:
-    """(average over the ball of |f - mean|^q)^(1/q).
-
-    Nondecreasing in q for fixed inputs; q = 1 is the plain mean oscillation.
-    """
-    _check_query(f, ball, spec, q)
-    if spec.method == "gauss_1d":
-        mom, _ = exact_oscillation_1d(f, ball.center[0], ball.radius, q,
-                                      mu_nodes=spec.node_count)
-        return EstimatedValue(float(mom), 0.0)
-
-    n = spec.node_count
-    d = ball.dim
+def _mc_ball(f: TestFunction, a: np.ndarray, r: float, q: float, n: int,
+             seed: int) -> EstimatedValue:
+    """q-oscillation of one ball on the spec's outer and antithetic inner
+    node sets (_ball_nodes), with its standard error."""
     half = inner_count(n)
-    u_out = _ball_nodes(d, n, spec.seed, KEY_OUTER)
-    u_in = _ball_nodes(d, half, spec.seed, KEY_INNER)
-    dev, pair_sums = mc_deviations(f.eval, ball.center, ball.radius,
-                                   u_out, u_in)
+    u_out = _ball_nodes(f.dim, n, seed, KEY_OUTER)
+    u_in = _ball_nodes(f.dim, half, seed, KEY_INNER)
+    dev, pair_sums = mc_deviations(f.eval, a, r, u_out, u_in)
     require_finite(dev)
     require_finite(pair_sums)
     pair_vals = 0.5 * pair_sums
     se_mu = float(np.std(pair_vals, ddof=1) / np.sqrt(half)) if half > 1 else 0.0
     return _power_mean(np.abs(dev, out=dev) ** q, q, se_mu)
+
+
+def _mc_gradient(f: TestFunction, a: np.ndarray, r: float, n: int,
+                 seed: int) -> float:
+    """Mean of |grad f| over a + r u, u the outer node set of the spec."""
+    u = _ball_nodes(f.dim, n, seed, KEY_OUTER)
+    g = np.asarray(f.grad(_point_major(a[:, None] + r * u)), dtype=float)
+    return float(np.mean(require_finite(np.sqrt(coordinate_dot(g, g)),
+                                        "gradient")))
+
+
+def _gauss_gradient(f: TestFunction, a: np.ndarray, r: np.ndarray):
+    """Mean of |f'| over each 1-d ball [a - r, a + r], shape (B,), by the
+    _GL_ORDER segment rule between f's breakpoints."""
+    def gmag(x):
+        return np.abs(f.grad(x[..., None])[..., 0])
+
+    edges = segment_edges(f.breakpoints_1d, a - r, a + r)
+    return segment_mean(gmag, edges, _GL_ORDER)
+
+
+@dataclass(frozen=True)
+class BallEstimates:
+    """What ball_estimates returns, arrays of shape (B,) or None where not
+    asked for: value, the q-oscillation of each ball, with std_error, its
+    one-sigma error (0 on the deterministic rules), and gradient, the
+    ball average of |grad f|."""
+    value: Optional[np.ndarray]
+    std_error: Optional[np.ndarray]
+    gradient: Optional[np.ndarray]
+
+
+def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
+                   q: float = 1.0, *, oscillation: bool = True,
+                   gradient: bool = False, seeds=None) -> BallEstimates:
+    """The q-oscillation and, with gradient=True, the ball average of
+    |grad f| of the balls B_radii[i](centers[i]), centers (B, d) and
+    radii (B,), under spec: the one entry behind every single-ball rule
+    but pair_oscillation.
+
+    gauss_1d makes one exact_oscillation_1d call, and takes the average
+    of |f'| by the _GL_ORDER segment rule between f's breakpoints in one
+    more.  radial makes one pass of the radial rule (_radial_pass) per
+    _EXACT_PASS balls, after the probe of _radial_profile.  monte_carlo
+    takes ball i on its own, on the node sets of seed seeds[i] (spec.seed
+    when seeds is None) that _ball_nodes memoizes: the outer and inner set
+    for the oscillation, and the outer set again for the gradient.  A ball
+    on which flat_radius certifies f constant gets the gradient average 0
+    without an evaluation, since grad is exactly 0 there.  Functions
+    without a gradient are refused for gradient=True
+    (UnsupportedFunctionError), and so are the queries _check_query and
+    require_balls refuse.  A value that is not finite raises
+    QuadratureError.
+    """
+    if gradient and f.grad is None:
+        raise UnsupportedFunctionError(
+            f"{f.function_id} has no gradient; maximal averages are undefined")
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    if centers.ndim != 2 or radii.shape != centers.shape[:1]:
+        raise ValueError("need centers of shape (B, d) and radii of shape "
+                         f"(B,), got {centers.shape} and {radii.shape}")
+    _check_query(f, centers.shape[1], spec, q)
+    require_balls(radii, centers)
+    count = radii.size
+    value = np.empty(count) if oscillation else None
+    std_error = np.zeros(count) if oscillation else None
+    avg = np.zeros(count) if gradient else None
+    if gradient:
+        live = (~flat_balls(f, centers, radii[:, None])[:, 0]
+                if f.flat_radius is not None else np.ones(count, dtype=bool))
+    if spec.method == "monte_carlo":
+        for i in range(count):
+            seed = spec.seed if seeds is None else int(seeds[i])
+            if oscillation:
+                est = _mc_ball(f, centers[i], radii[i], q, spec.node_count,
+                               seed)
+                value[i], std_error[i] = est.value, est.std_error
+            if gradient and live[i]:
+                avg[i] = _mc_gradient(f, centers[i], radii[i],
+                                      spec.node_count, seed)
+        return BallEstimates(value, std_error, avg)
+
+    if spec.method == "gauss_1d":
+        if oscillation:
+            value[:] = exact_oscillation_1d(f, centers[:, 0], radii, q,
+                                            mu_nodes=spec.node_count)[0]
+        if gradient and live.any():
+            avg[live] = _gauss_gradient(f, centers[live, 0], radii[live])
+    else:
+        t = np.sqrt(_radial_profile(f, centers))
+        n = spec.node_count
+        if f.dim == 3 and f.radial.degree is not None:
+            n = min(n, (f.radial.degree + 3) // 2 + 1)
+        for lo in range(0, count, _EXACT_PASS):
+            at = slice(lo, lo + _EXACT_PASS)
+            m, mean_grad = _radial_pass(f, t[at], radii[at], n, oscillation,
+                                        live[at] if gradient else None)
+            if oscillation:
+                value[at] = m
+            if gradient:
+                avg[at] = mean_grad
+    if oscillation:
+        require_finite(value, "oscillation")
+    if gradient:
+        require_finite(avg, "gradient")
+    return BallEstimates(value, std_error, avg)
+
+
+def _one_ball(f: TestFunction, ball: BallSample, spec: QuadratureSpec,
+              q: float = 1.0, **what) -> BallEstimates:
+    """ball_estimates on the one ball of a single-ball rule."""
+    return ball_estimates(f, ball.center[None, :], np.array([ball.radius]),
+                          spec, q, **what)
+
+
+def q_oscillation(f: TestFunction, ball: BallSample, q: float,
+                  spec: QuadratureSpec) -> EstimatedValue:
+    """(average over the ball of |f - mean|^q)^(1/q), by ball_estimates.
+
+    Nondecreasing in q for fixed inputs; q = 1 is the plain mean oscillation.
+    """
+    est = _one_ball(f, ball, spec, q)
+    return EstimatedValue(est.value[0], est.std_error[0])
 
 
 def mean_oscillation(f: TestFunction, ball: BallSample,
@@ -648,10 +1027,10 @@ def pair_oscillation(f: TestFunction, ball: BallSample, q: float,
 
     Statistical in every dimension: two independent uniform samples of
     spec.node_count points are paired, so spec must be monte_carlo; a
-    gauss_1d spec, whose node_count is a Gauss order, raises
+    gauss_1d or radial spec, whose node_count is a Gauss order, raises
     QuadratureError.  Sandwiched between the centered variant and twice it.
     """
-    _check_query(f, ball, spec, q)
+    _check_query(f, ball.dim, spec, q)
     if spec.method != "monte_carlo":
         raise QuadratureError(
             f"pair_oscillation is a Monte Carlo rule; got method {spec.method!r}")
@@ -678,33 +1057,16 @@ def flat_balls(f: TestFunction, centers, radii) -> np.ndarray:
 
 def maximal_gradient(f: TestFunction, ball: BallSample,
                      spec: QuadratureSpec) -> float:
-    """Ball average of |grad f| over the ball B_r(a).
+    """Ball average of |grad f| over the ball B_r(a), by ball_estimates.
 
     This is the radius-r term of the centered maximal function of |grad f|
     at a, hence a lower bound for M|grad f|(a) (exact in dimension one with
-    gauss_1d, statistical otherwise).  Functions without a gradient are
-    rejected.  A ball on which flat_radius certifies f constant returns 0.0
-    before any evaluation, since grad is exactly 0 there.  The Monte Carlo
-    route averages over the outer node set that q_oscillation draws for the
-    same spec.
+    gauss_1d, and in dimension three with radial; to RADIAL_ORDER's
+    accuracy in dimension two; statistical on monte_carlo).  Functions
+    without a gradient are rejected.  A ball on which flat_radius
+    certifies f constant returns 0.0 before any evaluation, since grad is
+    exactly 0 there.  The Monte Carlo route averages over the outer node
+    set that q_oscillation draws for the same spec.
     """
-    if f.grad is None:
-        raise UnsupportedFunctionError(
-            f"{f.function_id} has no gradient; maximal averages are undefined")
-    _check_query(f, ball, spec)
-    a, r = ball.center, ball.radius
-    if f.flat_radius is not None and flat_balls(f, a, np.array([r]))[0]:
-        return 0.0
-
-    if spec.method == "gauss_1d":
-        def gmag(x):
-            return np.abs(f.grad(x[..., None])[..., 0])
-
-        edges = segment_edges(f.breakpoints_1d, a[0] - r, a[0] + r)
-        return float(require_finite(segment_mean(gmag, edges, _GL_ORDER),
-                                    "gradient"))
-
-    u = _ball_nodes(f.dim, spec.node_count, spec.seed, KEY_OUTER)
-    g = np.asarray(f.grad(_point_major(a[:, None] + r * u)), dtype=float)
-    return float(np.mean(require_finite(np.sqrt(coordinate_dot(g, g)),
-                                        "gradient")))
+    return float(_one_ball(f, ball, spec, oscillation=False,
+                           gradient=True).gradient[0])

@@ -1,8 +1,10 @@
 """Quadrature over Euclidean balls: the rules the oscillation kernels use.
 
-Two rules serve the kernels of oscillation: a deterministic split-interval
-Gauss-Legendre rule for dimension one, and uniform Monte-Carlo nodes for
-any dimension.  segment_integrals is osclab's one Gauss segment rule, on
+Three rules serve the kernels of oscillation: a deterministic
+split-interval Gauss-Legendre rule for dimension one, a deterministic
+Gauss-Legendre rule in the distance to the centre for radial entries in
+dimensions two and three, and uniform Monte-Carlo nodes for any
+dimension.  segment_integrals is osclab's one Gauss segment rule, on
 edges that segment_edges splits at breakpoints, and segment_mean turns its
 sums into the mean over the integrated width; the nodes and weights come
 from gauss_rule, which needs numpy only, so importing osclab does not load
@@ -36,7 +38,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-METHODS = ("gauss_1d", "monte_carlo")
+METHODS = ("gauss_1d", "monte_carlo", "radial")
+# dimensions in which the radial rule knows the sphere measure in a ball
+RADIAL_DIMS = (2, 3)
 
 
 class QuadratureError(ValueError):
@@ -74,10 +78,15 @@ def require_finite(values, what: str = "integrand"):
 
 
 def require_method_dimension(method: str, dim: int) -> None:
-    """Refuse the gauss_1d rule off dimension one: QuadratureError."""
+    """Refuse the gauss_1d rule off dimension one, and the radial rule off
+    dimensions two and three: QuadratureError."""
     if method == "gauss_1d" and dim != 1:
         raise QuadratureError(
             f"gauss_1d applies to dimension one only, got dimension {dim}")
+    if method == "radial" and dim not in RADIAL_DIMS:
+        raise QuadratureError(
+            f"radial applies to dimensions {RADIAL_DIMS} only, "
+            f"got dimension {dim}")
 
 
 def _require_integer(name: str, value) -> int:
@@ -144,9 +153,16 @@ class BallSample:
 class QuadratureSpec:
     """Which rule the oscillation kernels use on a ball, and how finely.
 
-    method: "gauss_1d" (deterministic, dimension one only) or "monte_carlo".
+    method: "gauss_1d" (deterministic, dimension one only), "radial"
+    (deterministic, radial entries in dimensions two and three) or
+    "monte_carlo".
     node_count: an integer, at least 2.  For monte_carlo, the nodes per
-    pass.  For gauss_1d, the Gauss order per segment of both passes of the
+    pass.  For radial, the Gauss order per piece of the integrals in the
+    distance rho to the entry's centre, capped in dimension three, where
+    the sphere measure in a ball is a polynomial in rho, at the order
+    exact for the profile's degree, (degree + 3) // 2 + 1 (5 for the
+    plateau); oscillation.RADIAL_ORDER, which the battery takes, is 20.
+    For gauss_1d, the Gauss order per segment of both passes of the
     exact oscillation, the inner mean and the deviation, capped at the
     order exact for the entry's polynomial pieces, degree_1d // 2 + 1,
     when it carries degree_1d: 3 for the plateau's quintic taper, 1 for
@@ -155,7 +171,8 @@ class QuadratureSpec:
     exact to degree 15 per segment, which covers the entries without the
     certificate that osclab builds, the mollifications (verify.mollify_1d),
     piecewise polynomials of degree at most 12.
-    seed: integer master seed for node generation; ignored by gauss_1d.
+    seed: integer master seed for node generation; ignored by gauss_1d
+    and radial.
     A node_count or seed that is not integral raises QuadratureError.
     """
     method: str = "monte_carlo"

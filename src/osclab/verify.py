@@ -26,10 +26,13 @@ call gives every left side, and one more, inside one segment_integrals
 call, every right side; the kernel bounds the size of its own passes.
 segment_integrals sums each segment on its own, in a fixed order, so with
 any panel count every case keeps the bits of its one-case computation.
+The local expansion, domination and tail suites likewise draw all their
+balls first and evaluate them in one oscillation.ball_estimates call,
+which gives each ball the bits of its single-ball rule.  run_all gives
+the radial entries in d >= 2 the exact radial rule.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -38,9 +41,9 @@ import numpy as np
 
 from .catalog import (TestFunction, make_ball_indicator, make_linear,
                       make_plateau_bump, unit_ball_volume)
-from .oscillation import (UnsupportedFunctionError, exact_oscillation_1d,
-                          maximal_gradient, mean_oscillation)
-from .quadrature import (KEY_VERIFY, BallSample, QuadratureSpec, default_spec,
+from .oscillation import (RADIAL_ORDER, UnsupportedFunctionError,
+                          ball_estimates, exact_oscillation_1d)
+from .quadrature import (KEY_VERIFY, QuadratureSpec, default_spec,
                          gauss_rule, segment_integrals, stream)
 from .weaknorm import (Domain, c_d_prime, distribution_curve,
                        expansion_remainder_coeff, interval_weight,
@@ -308,20 +311,24 @@ def check_local_expansion(f: TestFunction, n_samples: int,
     slope = c_d_prime(d) * fault.slope_factor
     coeff = expansion_remainder_coeff(d, lip) * fault.expansion_factor
 
-    cases = []
+    centers = np.empty((n_samples, d))
+    radii = np.empty(n_samples)
     for i in range(n_samples):
-        a = rng.uniform(-1.1 * scale, 1.1 * scale, size=d)
-        r = float(np.exp(rng.uniform(np.log(_EXPANSION_R_CEILING / 50.0),
-                                     np.log(_EXPANSION_R_CEILING))))
-        est = mean_oscillation(f, BallSample(a, r), spec)
+        centers[i] = rng.uniform(-1.1 * scale, 1.1 * scale, size=d)
+        radii[i] = np.exp(rng.uniform(np.log(_EXPANSION_R_CEILING / 50.0),
+                                      np.log(_EXPANSION_R_CEILING)))
+    est = ball_estimates(f, centers, radii, spec)
+
+    cases = []
+    for i, (a, r) in enumerate(zip(centers, radii.tolist())):
+        m, se = float(est.value[i]), float(est.std_error[i])
         g = float(np.linalg.norm(np.asarray(f.grad(a[None, :]))[0]))
         ref = slope * r * g
-        margin = abs(est.value - ref) - 3.0 * est.std_error
+        margin = abs(m - ref) - 3.0 * se
         tol = coeff * r * r + 1e-12 * max(1.0, ref)
         cases.append(_case(
             f"expansion[{i}]",
-            {"a": a, "r": r, "m": est.value, "std_error": est.std_error,
-             "reference": ref},
+            {"a": a, "r": r, "m": m, "std_error": se, "reference": ref},
             margin, tol))
 
     oracle = _slope_constant_oracle(d)
@@ -491,23 +498,28 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
     rng = stream(spec.seed, KEY_VERIFY, 2)
     local = stream(spec.seed, KEY_VERIFY, 2, 0)
 
+    centers = np.empty((n_samples, d))
+    radii = np.empty(n_samples)
+    for i in range(n_samples):
+        centers[i] = local.uniform(-1.3 * scale, 1.3 * scale, size=d)
+        radii[i] = np.exp(local.uniform(np.log(5e-3 * scale),
+                                        np.log(5.0 * scale)))
+    # ball i draws its Monte Carlo nodes from seed spec.seed + i: its
+    # oscillation draws the outer node set first, and the gradient average
+    # reuses it from oscillation's node memo
+    est = ball_estimates(f, centers, radii, spec, gradient=True,
+                         seeds=spec.seed + np.arange(n_samples))
+
     cases = []
     ratios = []
-    for i in range(n_samples):
-        a = local.uniform(-1.3 * scale, 1.3 * scale, size=d)
-        r = float(np.exp(local.uniform(np.log(5e-3 * scale),
-                                       np.log(5.0 * scale))))
-        sub = dataclasses.replace(spec, seed=spec.seed + i)
-        # the oscillation draws the outer node set first, and the gradient
-        # average reuses it from oscillation's node memo
-        ball = BallSample(a, r)
-        est = mean_oscillation(f, ball, sub)
-        avg = maximal_gradient(f, ball, sub)
-        low = max(est.value - 3.0 * est.std_error, 0.0)
-        ratio = est.value / (r * avg) if avg > 0 else math.inf
+    for i, (a, r) in enumerate(zip(centers, radii.tolist())):
+        m, se = float(est.value[i]), float(est.std_error[i])
+        avg = float(est.gradient[i])
+        low = max(m - 3.0 * se, 0.0)
+        ratio = m / (r * avg) if avg > 0 else math.inf
         cases.append(_case(
             f"poincare[{i}]",
-            {"a": a, "r": r, "m": est.value, "ball_gradient_average": avg,
+            {"a": a, "r": r, "m": m, "ball_gradient_average": avg,
              "ratio": ratio},
             low - r * avg, 1e-12,
             note="m <= r * ball average of |grad f| (L^1 Poincare); "
@@ -518,8 +530,8 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
             # the 0/0 guard: no gradient mass in the ball means no oscillation
             cases.append(_case(
                 f"zero_gradient_guard[{i}]",
-                {"a": a, "r": r, "m": est.value},
-                est.value - 3.0 * est.std_error, 1e-12))
+                {"a": a, "r": r, "m": m},
+                m - 3.0 * se, 1e-12))
 
     if ratios:
         max_ratio = max(ratios)
@@ -806,28 +818,41 @@ def check_tail_bounds(f: TestFunction, n_samples: int,
     gamma = 2.0 * f.l1_mass / unit_ball_volume(d)
     rng = stream(spec.seed, KEY_VERIFY, 3)
 
-    cases = []
+    # the balls of both kinds are drawn first, in the order of the
+    # stream, and then evaluated in one call
+    centers = np.empty((2 * n_samples, d))
+    radii = np.empty(2 * n_samples)
+    seps = []
     for i in range(n_samples):
         r = float(np.exp(rng.uniform(np.log(0.05 * r0), np.log(3.0 * r0))))
         direction = rng.normal(size=d)
         direction /= np.linalg.norm(direction)
         sep = float(rng.uniform(0.05, 2.0)) * r0
-        a = direction * (r0 + r + sep)
-        est = mean_oscillation(f, BallSample(a, r), spec)
+        centers[i] = direction * (r0 + r + sep)
+        radii[i] = r
+        seps.append(sep)
+    for i in range(n_samples, 2 * n_samples):
+        centers[i] = rng.uniform(-3.0 * r0, 3.0 * r0, size=d)
+        radii[i] = np.exp(rng.uniform(np.log(0.3 * r0), np.log(30.0 * r0)))
+    est = ball_estimates(f, centers, radii, spec)
+    low = est.value - 3.0 * est.std_error
+
+    cases = []
+    for i, sep in enumerate(seps):
         cases.append(_case(
             f"vanishes_outside[{i}]",
-            {"a": a, "r": r, "m": est.value, "separation": sep},
-            est.value - 3.0 * est.std_error, 1e-12))
-
+            {"a": centers[i], "r": float(radii[i]),
+             "m": float(est.value[i]), "separation": sep},
+            low[i], 1e-12))
     for i in range(n_samples):
-        a = rng.uniform(-3.0 * r0, 3.0 * r0, size=d)
-        r = float(np.exp(rng.uniform(np.log(0.3 * r0), np.log(30.0 * r0))))
-        est = mean_oscillation(f, BallSample(a, r), spec)
+        j = n_samples + i
+        r = float(radii[j])
         bound = gamma * r ** (-d)
         cases.append(_case(
             f"mass_bound[{i}]",
-            {"a": a, "r": r, "m": est.value, "bound": bound},
-            est.value - 3.0 * est.std_error - bound, 1e-12))
+            {"a": centers[j], "r": r, "m": float(est.value[j]),
+             "bound": bound},
+            low[j] - bound, 1e-12))
 
     return VerificationReport(
         suite_name=f"tail_bounds[{f.function_id}]", cases=tuple(cases))
@@ -858,6 +883,10 @@ def run_all(seed: int = DEFAULT_SEED, fault: Optional[FaultSpec] = None,
     zero = make_linear(1, [0.0])
 
     def spec(f: TestFunction) -> QuadratureSpec:
+        # radial entries in d >= 2 take the exact radial rule, the others
+        # osclab's rule for their dimension
+        if f.dim > 1 and f.radial is not None:
+            return QuadratureSpec("radial", RADIAL_ORDER, seed)
         return default_spec(f.dim, seed, node_count)
 
     moll_samples = max(n_samples // 3, 8)

@@ -388,6 +388,72 @@ def test_linear_entries_are_not_radial():
         assert g.radial is None, g.function_id
 
 
+def _radial_images():
+    out = []
+    for fid in (*DEFAULT_IDS, "plateau:d=2:a=-2.5:ri=0.3:ro=1.7",
+                "indicator:d=2:r=0.5:c=0.3,0", "indicator:d=3:r=0.7"):
+        f = parse_function_id(fid)
+        if f.radial is not None:
+            out += [f, translate(f, np.linspace(0.37, -0.21, f.dim)),
+                    dilate(f, 0.01), dilate(f, 30.0), scale_values(f, -3.3)]
+    return out
+
+
+def _fit_miss(rho, vals, degree):
+    """Largest miss of the least-squares polynomial of degree to vals."""
+    fit = np.polynomial.Polynomial.fit(rho, vals, degree)
+    return float(np.max(np.abs(fit(rho) - vals)))
+
+
+@pytest.mark.parametrize("f", _radial_images(), ids=lambda f: f.function_id)
+def test_radial_breakpoints_and_degree_describe_the_profile(f):
+    # the profile in rho = |x - c|, evaluated densely, is a polynomial of
+    # the stated degree below the first radial breakpoint, between two of
+    # them and past the last: a least-squares fit of that degree misses
+    # none of 400 values per piece by more than 1e-9 of max|f|.  Each
+    # breakpoint is one (a fit of the degree across it misses by more
+    # than 1e-6), and the degree is no higher than needed (a fit of one
+    # less misses some piece by more than 1e-6)
+    bps = f.radial.breakpoints
+    degree = f.radial.degree
+    cuts = [0.0, *bps, 3.0 * bps[-1]]
+
+    def profile(lo, hi):
+        rho = np.linspace(lo, hi, 402)[1:-1]
+        return rho, f.radial.profile(rho * rho)
+
+    size = max(np.max(np.abs(profile(0.0, cuts[-1])[1])), 1e-300)
+    lower = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        assert _fit_miss(*profile(lo, hi), degree) <= 1e-9 * size
+        if degree > 0:
+            lower = max(lower, _fit_miss(*profile(lo, hi), degree - 1))
+    assert degree == 0 or lower > 1e-6 * size
+    for lo, hi in zip(cuts[:-2], cuts[2:]):
+        assert _fit_miss(*profile(lo, hi), degree) > 1e-6 * size
+
+
+def test_radial_certificate_of_each_entry():
+    # the plateau breaks at ri and ro with quintic pieces, the indicator
+    # at its radius with constant ones; transforms keep the degree and
+    # dilate scales the breakpoints.  Radial(center, profile) carries no
+    # breakpoints and no degree, and a degree that is not an integer >= 0
+    # is refused
+    plateau = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    indicator = make_ball_indicator(3, 0.7, center=[0.1, 0.0, 0.2])
+    for f, bps, degree in ((plateau, (0.5, 1.0), 5), (indicator, (0.7,), 0)):
+        for g, s in ((f, 1.0), (translate(f, np.full(f.dim, 0.3)), 1.0),
+                     (dilate(f, 2.5), 2.5), (scale_values(f, -3.0), 1.0)):
+            assert g.radial.breakpoints == tuple(s * b for b in bps)
+            assert g.radial.degree == degree
+    bare = catalog.Radial(np.zeros(2), plateau.radial.profile)
+    assert bare.breakpoints is None and bare.degree is None
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="Radial degree must be an "
+                                             "integer >= 0"):
+            catalog.Radial(np.zeros(2), plateau.radial.profile, (1.0,), bad)
+
+
 def _d1_images():
     out = []
     for f in (make_linear(1, [1.3]), make_plateau_bump(1, 1.0, 0.5, 1.0),

@@ -322,13 +322,13 @@ def test_poincare_case_catches_inflated_oscillation(monkeypatch):
     poincare = [c for c in rep.cases if c.name.startswith("poincare")]
     assert len(poincare) == 60 and rep.passed
     assert "ratio_stability_under_doubling" not in {c.name for c in rep.cases}
-    honest = verify.mean_oscillation
+    honest = verify.ball_estimates
 
-    def inflated(*args):
-        est = honest(*args)
-        return type(est)(1.1 * est.value, est.std_error)
+    def inflated(*args, **kwargs):
+        est = honest(*args, **kwargs)
+        return dataclasses.replace(est, value=1.1 * est.value)
 
-    monkeypatch.setattr(verify, "mean_oscillation", inflated)
+    monkeypatch.setattr(verify, "ball_estimates", inflated)
     rep = check_maximal_domination(f, 60, GAUSS)
     failed = {c.name.split("[")[0] for c in rep.cases if c.verdict == "fail"}
     assert failed == {"poincare"}
@@ -365,34 +365,31 @@ def test_maximal_domination_case_layout(f, n, spec):
         assert ratio == []
 
 
-def test_maximal_domination_evaluates_grad_once_per_ball(monkeypatch):
-    # each ball pays at most one f.grad call, for its own radius, and none
-    # when flat_radius certifies f constant on it
-    from osclab import verify
+def test_maximal_domination_evaluates_grad_once_per_ball():
+    # the balls' gradient averages take one f.grad call, which evaluates
+    # each ball's own segments once and no point of a ball on which
+    # flat_radius certifies f constant
+    from osclab import oscillation
     from osclab.oscillation import flat_balls
+    from osclab.quadrature import segment_edges
     plateau = make_plateau_bump(1, 1.0, 0.5, 1.0)
-    grad_calls = []
+    grad_points = []
 
     def counting_grad(x):
-        grad_calls.append(np.shape(x))
+        grad_points.append(math.prod(np.shape(x)[:-1]))
         return plateau.grad(x)
 
     f = dataclasses.replace(plateau, grad=counting_grad)
-    per_ball = []
-    honest = verify.maximal_gradient
-
-    def recording(*args):
-        before = len(grad_calls)
-        out = honest(*args)
-        per_ball.append(len(grad_calls) - before)
-        return out
-
-    monkeypatch.setattr(verify, "maximal_gradient", recording)
     rep = check_maximal_domination(f, 60, GAUSS)
     balls = [c.inputs for c in rep.cases if c.name.startswith("poincare[")]
     flat = [bool(flat_balls(f, b["a"], np.array([b["r"]]))[0]) for b in balls]
-    assert per_ball == [0 if fl else 1 for fl in flat]
-    assert len(grad_calls) == sum(per_ball)
+    segments = 0
+    for b, fl in zip(balls, flat):
+        if not fl:
+            edges = segment_edges(f.breakpoints_1d, b["a"][0] - b["r"],
+                                  b["a"][0] + b["r"])
+            segments += int(np.sum(edges[1:] > edges[:-1]))
+    assert grad_points == [oscillation._GL_ORDER * segments]
     # these 60 balls hold both kinds, so the layout test above sees both
     # the guard and the ratio branch on plateau-d1
     assert any(flat) and not all(flat)

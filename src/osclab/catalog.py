@@ -257,20 +257,22 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
 
     def profile(q: np.ndarray) -> np.ndarray:
         # A (1 - S(s)) with s = clip((sqrt(q) - ri) / w, 0, 1), in place in
-        # q and one more buffer instead of a new array per operation
+        # q and one more buffer instead of a new array per operation.
+        # 1 - S(s) = (1 - s)^3 (1 + 3 s + 6 s^2) keeps its relative accuracy
+        # as s -> 1, where 1 - (10 - 15 s + 6 s^2) s^3 cancels
         s = np.sqrt(q, out=q)
         s -= ri
         s /= w
         np.maximum(s, 0.0, out=s)
         np.minimum(s, 1.0, out=s)
-        val = np.multiply(s, s, out=np.empty_like(s))
+        val = np.multiply(s, 6.0, out=np.empty_like(s))
+        val += 3.0
         val *= s
-        tmp = np.multiply(s, 6.0)
-        tmp += -15.0
-        tmp *= s
-        tmp += 10.0
-        val *= tmp
-        np.subtract(1.0, val, out=val)
+        val += 1.0
+        u = np.subtract(1.0, s, out=s)
+        val *= u
+        val *= u
+        val *= u
         val *= A
         return val
 

@@ -10,25 +10,24 @@ interval narrower than one scan step can fall between two of them), and
 each run of scanned radii above kappa is one interval, however many runs
 a row holds (nothing in the theory bounds their number).  A bracketed
 inverse quadratic interpolation (Chandrupatla's method) started from the
-scanned end values shrinks each bracket.  On the exact route the kernel
-also gives dm/dr, at no extra integral, at the scanned radii and at each
-point the solve evaluates; the solve then starts from the inverse cubic
-Hermite interpolant of log m through the bracket's ends and takes Newton
-steps on log m that land on the ends of a final bisection cell.  On the
-exact route, and on the Monte Carlo route for an entry without a gradient,
-a replay of the bisection path on the shrunk bracket then picks the
-crossing, in one call of m per round: the 18-step bisection result (1e-6
-of r) at a fraction of its evaluations, about 3.1 per bracket on the
-d = 1 plateau curve (4.5 with Chandrupatla's steps alone), against the
-2 * iters + 1 it may spend.  On the Monte Carlo route for an entry with a
-gradient, m carries a node error of about 1 / sqrt(n) relative, so a
-crossing is solved only to that budget: the solve stops once the bracket
-is 2^-k of its scan cell, k = ceil(log2(0.25 sqrt(n))) (3 at 512 nodes, a
-bracket within r / sqrt(n)), and returns the secant through the bracket's
-ends, about 2 evaluations per bracket on the d = 2 plateau curve against
-4.7 for the 18-step crossing (see _mc_crossing_iters).  The weight of the
-resulting union of intervals has the closed form (lo^-p - hi^-p) / p per
-interval.  The brackets of every
+scanned end values shrinks each bracket to 2^-k of its scan cell, and the
+crossing is the secant through the final bracket's two evaluated ends,
+clipped into it.  On the exact route the kernel also gives dm/dr, at no
+extra integral, at the scanned radii and at each point the solve
+evaluates; the solve then starts from the inverse cubic Hermite
+interpolant of log m through the bracket's ends and takes Newton steps on
+log m that land on the ends of a final bisection cell.  On the exact
+route, and on the Monte Carlo route for an entry without a gradient,
+k = 18 (a bracket within 1e-6 of r), which on the exact route leaves the
+secant within roundoff of the crossing, at about 3.1 evaluations per
+bracket on the d = 1 plateau curve (4.5 with Chandrupatla's steps alone)
+against the 2 k + 1 it may spend.  On the Monte Carlo route for an entry
+with a gradient, m carries a node error of about 1 / sqrt(n) relative, so
+a crossing is solved only to that budget, k = ceil(log2(0.25 sqrt(n))) (3
+at 512 nodes, a bracket within r / sqrt(n)), at about 2 evaluations per
+bracket on the d = 2 plateau curve against 4.7 for k = 18 (see
+_mc_crossing_iters).  The weight of the resulting union of intervals has
+the closed form (lo^-p - hi^-p) / p per interval.  The brackets of every
 threshold, interval and direction in a chunk of centers go into one such
 solve, whose rows are independent, so the crossing search costs a fixed
 number of calls of m per chunk however many thresholds the grid holds.  A
@@ -55,12 +54,11 @@ _skip_mask): balls inside the region where f is constant (the catalog's
 flat_radius), and balls too small for f to vary by that threshold
 (2 r grad_max below it).  They read 0, which is on the same side of every
 threshold as the estimate they stand for, so the sign pattern, and with it
-every crossing the replayed bisection returns, stays the same.  A budgeted
-Monte Carlo crossing reads that 0 as the value at its bracket's lower end,
-so next to a skipped cell it can move inside its certified bracket; that
-needs m above kappa_min at a radius within one scan step of the skip bound,
-which the plateau, with m near c'_d r |grad f| <= r grad_max / 2, never
-approaches.
+every bracket the solve certifies, stays the same.  The secant reads that
+0 as the value at its bracket's lower end, so next to a skipped cell a
+crossing can move inside its certified bracket; that needs m above
+kappa_min at a radius within one scan step of the skip bound, which the
+plateau, with m near c'_d r |grad f| <= r grad_max / 2, never approaches.
 
 Two systematic truncations stay visible rather than hidden: the per-kappa
 tail_bound column bounds the weight beyond r_max that the window cannot
@@ -365,8 +363,9 @@ def _mc_crossing_iters(node_count: int) -> int:
 
 
 def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
-                      replay=True, slopes=None):
-    """Crossing of m(row, .) through kappa in each bracket [lo, hi].
+                      *, slopes=None):
+    """Crossing of m(row, .) through kappa in each bracket [lo, hi], solved
+    to an evaluated bracket of 2^-iters of it.
 
     There is one entry of rows (the row of m, which may repeat), lo, hi and
     rising per bracket, and kappa is a scalar or one threshold per bracket.
@@ -396,32 +395,23 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
     in r than m where m grows or decays like a power of r.  The first step
     takes the zero of the inverse cubic Hermite interpolant of y through
     both ends, or the Newton step from the one end whose value and slope
-    serve (not the 0 of a skipped cell) (_hermite_step).  A later one,
-    wherever the Newton step from x1 lands strictly inside the bracket,
-    evaluates an end of the final bisection cell that holds the Newton
-    point, the end across it from x1 (_newton_cells).  A row whose bracket
-    lies inside that cell stops: no midpoint of the bisection path falls
-    strictly inside its bracket, so the replay evaluates none for it.
+    serve (not the 0 of a skipped cell) (_hermite_step).  A later one of
+    the first iters + 1, wherever the Newton step from x1 lands strictly
+    inside the bracket, evaluates an end of the final bisection cell that
+    holds the Newton point, the end across it from x1 (_newton_cells).  A
+    row whose bracket lies inside that cell stops: the cell is 2^-iters of
+    [lo, hi] wide, up to an ulp of hi in the rounding of its ends.
     Elsewhere the steps above stand, their floors and stop rule included.
 
-    With replay (the default), a row also stops after iters + 1 steps, and
-    the result is what iters lockstep bisection steps return, the midpoint
-    of the final cell, at a fraction of the evaluations: the bisection
-    path is replayed from [lo, hi], a midpoint <= a goes low, one >= b goes
-    high, and only a midpoint strictly inside (a, b) is evaluated
-    (_replay_bisection).  With one crossing in the bracket the result is
-    bit-identical to plain bisection, wherever the solve placed its points;
-    with several it is another crossing, within the same tolerance.  Each
-    row costs at most 2 * iters + 1 evaluations.
-
-    Without replay, iters is a budget (_mc_crossing_iters): a row past
-    iters + 1 steps bisects until b - a <= 2 eps, which takes at most iters
-    more, and the result is the secant through the final bracket's two
-    evaluated ends, clipped into [a, b].  It costs no further evaluation,
-    lies in an evaluated bracket no wider than 2^-iters of [lo, hi], and
-    errs at second order in its width where m is smooth.  A row costs at
-    most 2 * iters + 1 evaluations here too, and the whole call, either
-    way, at most 2 * iters + 1 calls of m_at, however many rows.
+    A row past iters + 1 steps bisects until b - a <= 2 eps, which takes at
+    most iters more.  The result is the secant through the final bracket's
+    two evaluated ends, clipped into [a, b].  It costs no further
+    evaluation, lies in an evaluated sign change no wider than 2^-iters of
+    [lo, hi] (with several crossings in the bracket, next to one of them),
+    and errs at second order in that width where m is smooth: on the exact
+    route, at _BISECT_ITERS, within roundoff of the crossing.  A row costs
+    at most 2 * iters + 1 evaluations, and the whole call at most
+    2 * iters + 1 calls of m_at, however many rows.
     """
     kappa = np.broadcast_to(np.asarray(kappa, dtype=float), rows.shape)
     eps = (hi - lo) / 2.0 ** (iters + 1)
@@ -444,17 +434,18 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
         if slopes is not None:
             keep &= ~done[act]
         act = act[keep]
-        if not act.size or (replay and step > iters):
+        if not act.size:
             break
         if step > iters:
             t[act] = 0.5
+        newton = slopes is not None and 0 < step <= iters
         p1, p2, f1, f2 = x1[act], x2[act], y1[act], y2[act]
         floor = 0.5 * eps[act] / np.abs(p2 - p1)
         x = p1 + np.clip(t[act], floor, 1.0 - floor) * (p2 - p1)
         if slopes is None:
             m = m_at(rows[act], x)
         else:
-            if step:
+            if newton:
                 at, cell = _newton_cells(
                     p1, p2, kappa[act] + sign[act] * f1, dm1[act],
                     kappa[act], lo[act], hi[act], iters)
@@ -476,16 +467,13 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
         t[act] = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
                           iqi, 0.5)
         x1[act], x2[act], y1[act], y2[act] = p1, p2, f1, f2
-        if slopes is not None and step:
+        if newton:
             done[act[at]] = ((cell[0] <= np.minimum(p1[at], p2[at]))
                              & (np.maximum(p1[at], p2[at]) <= cell[1]))
-    a = np.minimum(x1, x2)
-    b = np.maximum(x1, x2)
-    if not replay:
-        # x1 and x2 lie on either side, so at most one of y1, y2 is 0 and
-        # their signs differ
-        return np.clip(x1 - y1 * (x2 - x1) / (y2 - y1), a, b)
-    return _replay_bisection(m_at, rows, lo, hi, kappa, rising, iters, a, b)
+    # x1 and x2 lie on either side, so at most one of y1, y2 is 0 and their
+    # signs differ
+    return np.clip(x1 - y1 * (x2 - x1) / (y2 - y1), np.minimum(x1, x2),
+                   np.maximum(x1, x2))
 
 
 def _log_residual(m, dm, kappa, sign):
@@ -524,7 +512,7 @@ def _newton_cells(x1, x2, m1, dm1, kappa, lo, hi, iters):
     z = x1 - log(m1 / kappa) m1 / dm1, lands strictly inside its bracket
     (x1, x2): the indices of those rows and their (c, d, target), where
     [c, d] is the final cell of the iters-step bisection path of [lo, hi]
-    that z takes (c < z <= d, the replay's tie rule) and target the end of
+    that z takes (c < z <= d: a midpoint at z goes high) and target the end of
     it across z from x1, or the other end if that one is not strictly
     inside the bracket.  Rows where neither end is are left out."""
     with np.errstate(all="ignore"):
@@ -537,7 +525,7 @@ def _newton_cells(x1, x2, m1, dm1, kappa, lo, hi, iters):
     mid = np.empty(at.size)
     up = np.empty(at.size, dtype=bool)
     for _ in range(iters):
-        # 0.5 (c + d) by the replay's operations, in place
+        # 0.5 (c + d) as plain bisection computes it, in place
         np.add(c, d, out=mid)
         mid *= 0.5
         np.greater_equal(mid, z, out=up)
@@ -549,50 +537,6 @@ def _newton_cells(x1, x2, m1, dm1, kappa, lo, hi, iters):
     target = np.where((far > a) & (far < b), far, near)
     ok = (target > a) & (target < b)
     return at[ok], (c[ok], d[ok], target[ok])
-
-
-def _replay_bisection(m_at, rows, lo, hi, kappa, rising, iters, a, b):
-    """The iters-step bisection result of each bracket [lo, hi], given an
-    evaluated bracket [a, b] of its crossing, low side at a, high at b.
-
-    Each row walks its bisection path: a midpoint <= a goes low, one >= b
-    goes high, and a row stops at a midpoint strictly inside (a, b).  One
-    m_at call then evaluates the stopped midpoints of every row, which
-    decides their sides, and the rows walk on; so a round costs one call,
-    however many rows it serves, and a row whose bracket holds at most one
-    of its midpoints needs one round.  Each row evaluates only the
-    midpoints strictly inside (a, b), one per step at most.
-    """
-    lo = lo.copy()
-    hi = hi.copy()
-    depth = np.zeros(rows.size, dtype=np.intp)
-    walk = np.arange(rows.size) if iters > 0 else np.arange(0)
-    while walk.size:
-        w_lo, w_hi, w_depth = lo[walk], hi[walk], depth[walk]
-        w_a, w_b = a[walk], b[walk]
-        moving = np.ones(walk.size, dtype=bool)
-        stopped = np.zeros(walk.size, dtype=bool)
-        while moving.any():
-            mid = 0.5 * (w_lo + w_hi)
-            inside = (mid > w_a) & (mid < w_b)
-            stopped |= moving & inside
-            moving &= ~inside
-            up = mid >= w_b
-            w_hi = np.where(moving & up, mid, w_hi)
-            w_lo = np.where(moving & ~up, mid, w_lo)
-            w_depth += moving
-            moving &= w_depth < iters
-        lo[walk], hi[walk], depth[walk] = w_lo, w_hi, w_depth
-        walk = walk[stopped]
-        if not walk.size:
-            break
-        mid = 0.5 * (lo[walk] + hi[walk])
-        up = (m_at(rows[walk], mid) > kappa[walk]) == rising[walk]
-        hi[walk] = np.where(up, mid, hi[walk])
-        lo[walk] = np.where(up, lo[walk], mid)
-        depth[walk] += 1
-        walk = walk[depth[walk] < iters]
-    return 0.5 * (lo + hi)
 
 
 def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
@@ -631,7 +575,7 @@ def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
 
 
 def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
-                      iters=_BISECT_ITERS, replay=True, slopes=None):
+                      iters=_BISECT_ITERS, slopes=None):
     """Radius sections per threshold and row, from the scanned m values.
 
     kappas is the array of K thresholds sharing the scan.  Each run of scan
@@ -640,8 +584,8 @@ def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
     and ends at the crossing in the gap after it; gap g lies between
     grid[g - 1] and grid[g], gap 0 below the scan and gap J beyond it.
     Every bracket of every threshold goes into one _bisect_crossings call,
-    with iters and replay (the engine's: _BISECT_ITERS and the replay, or a
-    Monte Carlo budget), and with the slopes of m at the bracket ends when
+    with iters (the engine's: _BISECT_ITERS, or a Monte Carlo budget), and
+    with the slopes of m at the bracket ends when
     slopes, dm/dr at every scan cell, is given (the exact engine's); m_at
     then takes slope=True as _bisect_crossings says.
     A run that starts at grid[0] takes the midpoint of _below_floor_bracket
@@ -680,7 +624,7 @@ def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
             (slopes[rows, jb - 1], slopes[rows, jb]))
     x = _bisect_crossings(m_at, rows, grid[jb - 1], grid[jb], kappas[k[t]],
                           rising, iters, scan[rows, jb - 1], scan[rows, jb],
-                          replay, slopes=ends)
+                          slopes=ends)
     lo[inner_lo] = x[rising]
     hi[inner_hi] = x[~rising]
 
@@ -701,13 +645,12 @@ class _Engine:
 
     m_at raises QuadratureError on a ball where f is not finite: a side is
     decided by m > kappa, which is False for NaN, so such a ball would
-    otherwise count as below every threshold.  iters and replay are the
-    crossing search's (see _bisect_crossings): by default _BISECT_ITERS
-    steps and the bisection result.  slopes holds dm/dr at every scan cell
+    otherwise count as below every threshold.  iters is the crossing
+    search's (see _bisect_crossings), by default _BISECT_ITERS.  slopes
+    holds dm/dr at every scan cell
     once scan has run, for an engine whose m_at gives it (else None).
     """
     iters = _BISECT_ITERS
-    replay = True
     slopes = None
 
     def scan(self, grid: np.ndarray, skip: np.ndarray) -> np.ndarray:
@@ -761,10 +704,10 @@ class _McScan(_Engine):
     unbiased for odd perturbations.
 
     For an entry with a gradient, f and so m(a, .) are continuous, and the
-    crossings are solved to the node noise (_mc_crossing_iters) and
-    interpolated.  Without one (the indicator) m(a, .) jumps where a node
-    crosses the sphere, a secant across the jump can land anywhere in its
-    bracket, and the crossings keep the bisection result.
+    crossings are solved to the node noise (_mc_crossing_iters).  Without
+    one (the indicator) m(a, .) jumps where a node crosses the sphere, so
+    the crossings are solved to _BISECT_ITERS steps: the secant across a
+    jump can land anywhere in its bracket, which is then 2^-18 of a cell.
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, seed: int,
@@ -772,7 +715,6 @@ class _McScan(_Engine):
         self.nodes = centre_nodes(f, centers, seed, node_count, global_start)
         if f.grad is not None:
             self.iters = _mc_crossing_iters(node_count)
-            self.replay = False
 
     def m_at(self, rows, r):
         return require_finite(mc_oscillation(self.nodes, r, rows))
@@ -839,8 +781,7 @@ def _curve_chunk(f, centers, global_start, kappas, p, spec, grid):
     eng = _make_engine(f, centers, spec, global_start)
     scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas.min())))
     k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, kappas, f, centers, p, eng.iters, eng.replay,
-        eng.slopes)
+        eng.m_at, scan, grid, kappas, f, centers, p, eng.iters, eng.slopes)
     # each (threshold, row) cell adds its intervals in radius order
     shape = (kappas.size, centers.shape[0])
     w = np.zeros(shape)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,22 @@ def test_plateau_gradient_norm_squared_is_40_over_7_to_two_ulps():
     exact = 40.0 / 7.0
     got = f.grad_norm_p(2.0, _support_box(f))
     assert abs(got - exact) <= 2.0 * math.ulp(exact)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_plateau_taper_keeps_its_relative_accuracy_near_the_outer_radius(d):
+    # 1 - S(s) = 1 - 10 s^3 + 15 s^4 - 6 s^5 vanishes like 10 (1 - s)^3 as
+    # s -> 1; eval stays within 4 eps relative of its exact rational value
+    # at the s it computes, on points along the diagonal at s = 1 - 10^-k
+    f = make_plateau_bump(d, 1.0, 0.5, 1.0)
+    for k in range(1, 7):
+        x = np.full((1, d), (0.5 + 0.5 * (1.0 - 10.0 ** -k)) / math.sqrt(d))
+        s = np.clip((np.sqrt(coordinate_dot(x, x)) - 0.5) / 0.5, 0.0, 1.0)
+        t = Fraction(float(s[0]))
+        exact = 1 - 10 * t ** 3 + 15 * t ** 4 - 6 * t ** 5
+        assert exact > 0
+        err = abs(Fraction(float(f.eval(x)[0])) - exact) / exact
+        assert err <= 4 * Fraction(np.finfo(float).eps), (k, float(err))
 
 
 PLATEAU_PARAMS = [(1.0, 0.5, 1.0), (-2.0, 0.3, 0.9), (0.4, 1.5, 1.75)]
@@ -620,7 +637,8 @@ def test_plateau_eval_matches_its_formula_bit_for_bit(d, amp, ri, ro):
     x[0, 0, 0], x[0, 1, 0], x[0, 2, 0] = ri, ro, -ri
     rho = np.sqrt(sum(x[..., k] * x[..., k] for k in range(d)))
     s = np.minimum(np.maximum((rho - ri) / (ro - ri), 0.0), 1.0)
-    expect = amp * (1.0 - s * s * s * (10.0 + s * (-15.0 + 6.0 * s)))
+    u = 1.0 - s
+    expect = amp * (((6.0 * s + 3.0) * s + 1.0) * u * u * u)
     assert _same_bits(f.eval(x), expect)
     one = f.eval(x[0, 5])
     assert type(one) is np.float64 and one == expect[0, 5]

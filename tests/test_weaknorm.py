@@ -255,9 +255,9 @@ def _section(f, a, kappa, dom, spec, grid=None):
     resolves them: one centre's engine scanned on grid (by default the
     curve's own _scan_grid), then _resolve_sections.  An interval's flags
     may hold "below_scan_floor" and "open_at_r_max"; its
-    endpoint_uncertainty is the crossing tolerance, 1e-6 * r_hi or a
-    budgeted Monte Carlo crossing's 2^-iters of a scan cell below r_hi, or
-    half the first scanned radius for a lower end below the scan."""
+    endpoint_uncertainty is the crossing tolerance, 2^-iters of a scan cell
+    below r_hi (about 1e-6 * r_hi at 18 steps), or half the first scanned
+    radius for a lower end below the scan."""
     centers = np.atleast_1d(np.asarray(a, dtype=float))[None, :]
     if grid is None:
         grid = _scan_grid(f, dom, kappa)
@@ -265,8 +265,8 @@ def _section(f, a, kappa, dom, spec, grid=None):
     scan = eng.scan(grid, _skip_mask(f, centers, grid, kappa))
     _, _, lo, hi, _, below_floor, at_r_max = _resolve_sections(
         eng.m_at, scan, grid, np.array([kappa]), f, centers, 1.0, eng.iters,
-        eng.replay)
-    tol = 1e-6 if eng.replay else 0.25 / 2.0 ** eng.iters
+        eng.slopes)
+    tol = 0.25 / 2.0 ** eng.iters
     out = []
     for i in range(lo.size):
         flags = ()
@@ -391,7 +391,8 @@ ITERS = 18
 
 
 def _reference_bisection(m_at, rows, lo, hi, kappa, rising, iters):
-    """Plain lockstep bisection, the behavior the solver must reproduce."""
+    """Plain lockstep bisection: the midpoint of its final cell, which holds
+    a crossing, is the reference the solver's crossings lie near."""
     lo = lo.copy()
     hi = hi.copy()
     for _ in range(iters):
@@ -416,12 +417,82 @@ class _Counted:
         return self.m(rows, r, **kw)
 
 
+class _Logged:
+    """m(row, r) wrapper that keeps every (row, r, m) it evaluates."""
+
+    def __init__(self, m):
+        self.m = m
+        self.seen = []
+
+    def __call__(self, rows, r, **kw):
+        out = self.m(rows, r, **kw)
+        val = out[0] if kw.get("slope") else out
+        self.seen.append((rows.copy(), np.array(r, dtype=float), val.copy()))
+        return out
+
+    @property
+    def calls(self):
+        return len(self.seen)
+
+
+def _evaluated_sides(m, rows, lo, hi, kappa, rising, m_lo, m_hi):
+    """Per bracket, the points of [lo, hi] that the _Logged m evaluated on
+    its row, the ends with their given values among them, and whether each
+    lies on the high side."""
+    ev_row, ev_r, ev_m = (np.concatenate(x) for x in zip(*m.seen))
+    kappa = np.broadcast_to(kappa, rows.shape)
+    for i in range(rows.size):
+        sel = (ev_row == rows[i]) & (ev_r >= lo[i]) & (ev_r <= hi[i])
+        pts = np.concatenate([[lo[i], hi[i]], ev_r[sel]])
+        high = (np.concatenate([[m_lo[i], m_hi[i]], ev_m[sel]])
+                > kappa[i]) == rising[i]
+        yield pts, high
+
+
+def _assert_certified(x, width, m, *brackets):
+    """Each x[i] lies between an evaluated point on its bracket's low side
+    and one on its high side, at most width[i] apart; brackets are the
+    solve's (rows, lo, hi, kappa, rising, m_lo, m_hi)."""
+    for i, (pts, high) in enumerate(_evaluated_sides(m, *brackets)):
+        a = pts[~high & (pts <= x[i])].max()
+        b = pts[high & (pts >= x[i])].min()
+        assert b - a <= width[i], (i, a, b, width[i])
+
+
+def _assert_near_bisection(got, want, lo, hi, iters=ITERS, reach=1.0):
+    """Each crossing lies within reach widths w = 2^-iters (hi - lo) of
+    plain bisection's result want.  With one crossing per bracket, 1.5
+    holds for any m: the crossing lies in the evaluated bracket of width w
+    that holds got, and in bisection's final cell, whose centre is want; a
+    smooth m, whose secant errs at second order in w, keeps within 1, and
+    so does a step symmetric about kappa, whose secant is the middle of its
+    bracket."""
+    width = (hi - lo) / 2.0 ** iters
+    assert np.all(np.abs(got - want) <= reach * width), np.max(
+        np.abs(got - want) / width)
+
+
+def _certified_solve(m, n_rows, rows, lo, hi, kappa, rising, iters, m_lo,
+                     m_hi, slopes=None, slack=0.0):
+    """_bisect_crossings on m over n_rows rows: the crossings, each checked
+    to lie in an evaluated sign change no wider than 2^-iters of its
+    bracket (plus slack), and the _Counted m."""
+    counted = _Counted(m, n_rows)
+    logged = _Logged(counted)
+    got = _bisect_crossings(logged, rows, lo, hi, kappa, rising, iters, m_lo,
+                            m_hi, slopes=slopes)
+    _assert_certified(got, (hi - lo) / 2.0 ** iters + slack, logged, rows,
+                      lo, hi, kappa, rising, m_lo, m_hi)
+    return got, counted
+
+
 def _solve(m, lo, hi, kappa, rising, iters=ITERS):
+    """The solver's certified crossings (_certified_solve), plain
+    bisection's results, and the solver's evaluations per row."""
     rows = np.arange(lo.size)
-    counted = _Counted(m, lo.size)
     flags = np.full(lo.size, rising)
-    got = _bisect_crossings(counted, rows, lo, hi, kappa, flags, iters,
-                            m(rows, lo), m(rows, hi))
+    got, counted = _certified_solve(m, lo.size, rows, lo, hi, kappa, flags,
+                                    iters, m(rows, lo), m(rows, hi))
     want = _reference_bisection(m, rows, lo, hi, kappa, flags, iters)
     return got, want, counted.per_row
 
@@ -445,7 +516,7 @@ def test_solver_matches_bisection_on_monotone_brackets():
 
     for m, rising in ((rising_m, True), (falling_m, False)):
         got, want, per_row = _solve(m, lo, hi, 1.0, rising)
-        np.testing.assert_array_equal(got, want)
+        _assert_near_bisection(got, want, lo, hi)
         assert per_row.max() <= 2 * ITERS + 1
 
 
@@ -463,7 +534,7 @@ def test_solver_matches_bisection_on_ties_at_midpoints():
 
     for m, rising in ((rising_m, True), (falling_m, False)):
         got, want, per_row = _solve(m, lo, hi, 1.5, rising)
-        np.testing.assert_array_equal(got, want)
+        _assert_near_bisection(got, want, lo, hi)
         assert per_row.max() <= 2 * ITERS + 1
 
 
@@ -496,7 +567,7 @@ def test_solver_worst_case_on_a_step():
         return np.where(np.asarray(r) > t[rows], 1.0, 0.0)
 
     got, want, per_row = _solve(m, lo, hi, 0.5, True)
-    np.testing.assert_array_equal(got, want)
+    _assert_near_bisection(got, want, lo, hi)
     assert per_row.max() <= 2 * ITERS + 1
 
 
@@ -508,7 +579,7 @@ def test_solver_saves_evaluations_on_smooth_m():
         return np.log1p(np.asarray(r) / t[rows])
 
     got, want, per_row = _solve(m, lo, hi, math.log(2.0), True)
-    np.testing.assert_array_equal(got, want)
+    _assert_near_bisection(got, want, lo, hi)
     assert per_row.sum() <= 0.5 * lo.size * ITERS
 
 
@@ -539,13 +610,14 @@ def test_batched_solve_equals_per_threshold_calls():
             for lo, hi, kappa, rising in cells]
     lo, hi, kappa, rising = (np.concatenate(x) for x in zip(*cells))
     rows = np.tile(rows, len(cells))
-    assert np.all((m(rows, lo) > kappa) != (m(rows, hi) > kappa))
-    counted = _Counted(m, n)
-    got = _bisect_crossings(counted, rows, lo, hi, kappa, rising, ITERS,
-                            m(rows, lo), m(rows, hi))
+    m_lo, m_hi = m(rows, lo), m(rows, hi)
+    assert np.all((m_lo > kappa) != (m_hi > kappa))
+    got, counted = _certified_solve(m, n, rows, lo, hi, kappa, rising, ITERS,
+                                    m_lo, m_hi)
+    # the rows are independent, so batching keeps every bit
     np.testing.assert_array_equal(got, np.concatenate(want))
-    np.testing.assert_array_equal(got, _reference_bisection(
-        m, rows, lo, hi, kappa, rising, ITERS))
+    _assert_near_bisection(got, _reference_bisection(
+        m, rows, lo, hi, kappa, rising, ITERS), lo, hi)
     # each center holds len(cells) brackets of the batch
     assert counted.per_row.max() <= len(cells) * (2 * ITERS + 1)
     assert counted.calls <= 2 * ITERS + 1
@@ -580,7 +652,9 @@ def test_solver_matches_bisection_on_random_brackets(brackets, iters):
     # a single crossing per bracket, wherever it falls: at a random point,
     # or a tie m == kappa at a midpoint of the bisection path (reached by
     # the listed turns); a rising row's low end may hold the 0 of a skipped
-    # scan cell while m there is positive and below kappa
+    # scan cell while m there is positive and below kappa.  Each result lies
+    # in an evaluated sign change of 2^-iters of its bracket, near plain
+    # bisection's, within the budgets
     kind, par, lo, ratio, rising, skipped = (
         np.array([b[i] for b in brackets]) for i in (0, 1, 2, 3, 4, 6))
     hi = lo * ratio
@@ -601,14 +675,13 @@ def test_solver_matches_bisection_on_random_brackets(brackets, iters):
 
     rows = np.arange(lo.size)
     kappa = m(rows, t)
-    m_lo = np.where(rising & skipped, 0.0, m(rows, lo))
+    m_lo, m_hi = np.where(rising & skipped, 0.0, m(rows, lo)), m(rows, hi)
     assert np.all(m(rows, lo) > 0.0)
-    assert np.all((m_lo > kappa) != (m(rows, hi) > kappa))
-    counted = _Counted(m, lo.size)
-    got = _bisect_crossings(counted, rows, lo, hi, kappa, rising, iters,
-                            m_lo, m(rows, hi))
-    np.testing.assert_array_equal(got, _reference_bisection(
-        m, rows, lo, hi, kappa, rising, iters))
+    assert np.all((m_lo > kappa) != (m_hi > kappa))
+    got, counted = _certified_solve(m, lo.size, rows, lo, hi, kappa, rising,
+                                    iters, m_lo, m_hi)
+    _assert_near_bisection(got, _reference_bisection(
+        m, rows, lo, hi, kappa, rising, iters), lo, hi, iters, reach=1.5)
     assert counted.per_row.max() <= 2 * iters + 1
     assert counted.calls <= 2 * iters + 1
 
@@ -624,6 +697,10 @@ def _shape_slope(kind, par, t, r):
     return out
 
 
+# garbage slopes whose Newton targets, were they taken past step
+# iters + 1, would keep the row's bracket at 1.5 times the bound
+@example(brackets=[(False, (1, 2.0, 1.0, 2.0, True, 0.5, True))], iters=4,
+         slopes="garbage", seed=186)
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), _BRACKET), min_size=1, max_size=6),
        st.integers(4, 24), st.sampled_from(["true", "garbage", "none"]),
@@ -633,7 +710,8 @@ def test_slopes_move_where_the_solver_looks_not_what_it_returns(
     # the brackets of the property above, and steps (m jumps through kappa
     # at the crossing, with slope 0), solved with the true slopes of m,
     # with garbage slopes of random sign and scale, and without slopes:
-    # each run returns the bits of plain bisection within the budgets
+    # each run returns a crossing in an evaluated sign change of 2^-iters of
+    # its bracket, near plain bisection's, within the budgets
     step = np.array([b[0] for b in brackets])
     kind, par, lo, ratio, rising, skipped = (
         np.array([b[1][i] for b in brackets]) for i in (0, 1, 2, 3, 4, 6))
@@ -668,19 +746,21 @@ def test_slopes_move_where_the_solver_looks_not_what_it_returns(
 
     rows = np.arange(lo.size)
     kappa = m(rows, t)
-    m_lo = np.where(rising & skipped, 0.0, m(rows, lo))
-    assert np.all((m_lo > kappa) != (m(rows, hi) > kappa))
+    m_lo, m_hi = np.where(rising & skipped, 0.0, m(rows, lo)), m(rows, hi)
+    assert np.all((m_lo > kappa) != (m_hi > kappa))
     ends = None
     if slopes != "none":
         ends = (m(rows, lo, slope=True)[1], m(rows, hi, slope=True)[1])
         if slopes == "true":
             # a skipped scan cell holds 0 for m and for its slope
             ends = (np.where(rising & skipped, 0.0, ends[0]), ends[1])
-    counted = _Counted(m, lo.size)
-    got = _bisect_crossings(counted, rows, lo, hi, kappa, rising, iters,
-                            m_lo, m(rows, hi), slopes=ends)
-    np.testing.assert_array_equal(got, _reference_bisection(
-        m, rows, lo, hi, kappa, rising, iters))
+    # a row that stops in its final bisection cell has a bracket no wider
+    # than that cell, whose ends are midpoints rounded to an ulp of hi
+    got, counted = _certified_solve(m, lo.size, rows, lo, hi, kappa, rising,
+                                    iters, m_lo, m_hi, slopes=ends,
+                                    slack=2.0 * np.spacing(hi))
+    _assert_near_bisection(got, _reference_bisection(
+        m, rows, lo, hi, kappa, rising, iters), lo, hi, iters, reach=1.5)
     assert counted.per_row.max() <= 2 * iters + 1
     assert counted.calls <= 2 * iters + 1
 
@@ -733,47 +813,6 @@ def test_mc_crossing_budget_from_the_node_count():
         assert 0.25 / 2.0 ** iters(n) <= 1.0 / math.sqrt(n)
 
 
-class _Logged:
-    """m(row, r) wrapper that keeps every (row, r, m) it evaluates."""
-
-    def __init__(self, m):
-        self.m = m
-        self.seen = []
-
-    def __call__(self, rows, r):
-        val = self.m(rows, r)
-        self.seen.append((rows.copy(), np.array(r, dtype=float), val.copy()))
-        return val
-
-    @property
-    def calls(self):
-        return len(self.seen)
-
-
-def _evaluated_sides(m, rows, lo, hi, kappa, rising, m_lo, m_hi):
-    """Per bracket, the points of [lo, hi] that the _Logged m evaluated on
-    its row, the ends with their given values among them, and whether each
-    lies on the high side."""
-    ev_row, ev_r, ev_m = (np.concatenate(x) for x in zip(*m.seen))
-    kappa = np.broadcast_to(kappa, rows.shape)
-    for i in range(rows.size):
-        sel = (ev_row == rows[i]) & (ev_r >= lo[i]) & (ev_r <= hi[i])
-        pts = np.concatenate([[lo[i], hi[i]], ev_r[sel]])
-        high = (np.concatenate([[m_lo[i], m_hi[i]], ev_m[sel]])
-                > kappa[i]) == rising[i]
-        yield pts, high
-
-
-def _assert_certified(x, width, m, *brackets):
-    """Each x[i] lies between an evaluated point on its bracket's low side
-    and one on its high side, at most width[i] apart; brackets are the
-    solve's (rows, lo, hi, kappa, rising, m_lo, m_hi)."""
-    for i, (pts, high) in enumerate(_evaluated_sides(m, *brackets)):
-        a = pts[~high & (pts <= x[i])].max()
-        b = pts[high & (pts >= x[i])].min()
-        assert b - a <= width[i], (i, a, b, width[i])
-
-
 def _chunk_brackets(monkeypatch, f, spec, dom, kappas, count):
     """The engine of one chunk of count sampled centres, and the arguments
     its _resolve_sections hands _bisect_crossings."""
@@ -790,7 +829,7 @@ def _chunk_brackets(monkeypatch, f, spec, dom, kappas, count):
     with monkeypatch.context() as patch:
         patch.setattr(weaknorm, "_bisect_crossings", record)
         _resolve_sections(eng.m_at, scan, grid, kappas, f, centers, 2.0,
-                          eng.iters, eng.replay)
+                          eng.iters)
     (args,) = seen
     return eng, args
 
@@ -811,13 +850,13 @@ def test_budgeted_mc_crossings_lie_in_certified_brackets(monkeypatch, fid,
     dom = Domain(box=((-1.25, 1.25),) * 2, r_max=22.5, r_min=1e-4)
     eng, args = _chunk_brackets(monkeypatch, f, MC512, dom,
                                 np.geomspace(1.6, 1.6e-4, 13), 32)
-    m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi, replay = args
+    m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi = args
     assert type(eng.nodes) is nodes
-    assert (eng.iters, eng.replay) == (iters, replay) == (3, False)
+    assert eng.iters == iters == 3
     assert rows.size > 300
     m = _Logged(lambda r, x: m_at(r, x) ** power)
     x = _bisect_crossings(m, rows, lo, hi, kappa ** power, rising, iters,
-                          m_lo ** power, m_hi ** power, replay)
+                          m_lo ** power, m_hi ** power)
     width = (hi - lo) / 2.0 ** iters
     _assert_certified(x, width, m, rows, lo, hi, kappa ** power, rising,
                       m_lo ** power, m_hi ** power)
@@ -844,7 +883,7 @@ def test_budgeted_solve_bisects_rows_past_the_step_cap():
                            lo.size)
         m = _Logged(per_row)
         x = _bisect_crossings(m, rows, lo, hi, 1.0, rising, iters,
-                              scale * lo ** 20, scale * hi ** 20, False)
+                              scale * lo ** 20, scale * hi ** 20)
         width = (hi - lo) / 2.0 ** iters
         _assert_certified(x, width, m, rows, lo, hi, 1.0, rising,
                           scale * lo ** 20, scale * hi ** 20)
@@ -857,40 +896,37 @@ def test_budgeted_solve_bisects_rows_past_the_step_cap():
 @pytest.mark.parametrize("fid, spec", [
     ("plateau:d=1:a=1:ri=0.5:ro=1", GAUSS),
     ("indicator:d=2:r=0.5", MC512)])
-def test_replayed_crossings_equal_plain_bisection(monkeypatch, fid, spec):
+def test_18_step_crossings_lie_within_a_cell_of_plain_bisection(monkeypatch,
+                                                               fid, spec):
     # the exact route, and a Monte Carlo entry without a gradient (whose
-    # estimate jumps where a node crosses the sphere), keep the 18-step
-    # bisection result bit for bit.  The indicator's estimate can cross
-    # kappa several times in one scan cell; there the replay returns
-    # another crossing, as it always has: an evaluated sign change lies
-    # within bisection's tolerance of it
+    # estimate jumps where a node crosses the sphere), solve each crossing
+    # to an evaluated sign change of 2^-18 of its scan cell, within that
+    # width of the 18-step bisection result, or 1.5 widths where the
+    # secant crosses a jump (see _assert_near_bisection).  The indicator's
+    # estimate can cross kappa several times in one scan cell; there the
+    # two may pick different crossings
     f = parse_function_id(fid)
     kappas = (default_kappa_grid(f) if f.grad_max else
               np.geomspace(0.45, 4.5e-4, 13))
     eng, args = _chunk_brackets(monkeypatch, f, spec, default_domain(f),
                                 kappas, 64)
-    m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi, replay = args
-    assert (eng.iters, eng.replay) == (iters, replay) == (ITERS, True)
+    m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi = args
+    assert eng.iters == iters == ITERS
     assert rows.size > 500
     m = _Logged(m_at)
     got = _bisect_crossings(m, *args[1:])
-    other = got != _reference_bisection(m_at, rows, lo, hi, kappa, rising,
-                                        ITERS)
-    assert other.sum() <= (0 if f.grad is not None else 0.01 * rows.size)
-    tol = (hi - lo) / 2.0 ** (ITERS + 1) + 1e-15 * hi
-    sides = _evaluated_sides(m, rows, lo, hi, kappa, rising, m_lo, m_hi)
-    for i, (pts, high) in enumerate(sides):
-        if other[i]:
-            near = np.abs(pts - got[i]) <= tol[i]
-            assert pts[near & ~high].min() < pts[near & high].max(), i
+    width = (hi - lo) / 2.0 ** ITERS
+    _assert_certified(got, width, m, rows, lo, hi, kappa, rising, m_lo, m_hi)
+    reach = 1.0 if f.grad is not None else 1.5
+    far = np.abs(got - _reference_bisection(m_at, rows, lo, hi, kappa, rising,
+                                            ITERS)) > reach * width
+    assert far.sum() <= (0 if f.grad is not None else 0.01 * rows.size)
 
 
-def test_replay_adds_at_most_one_call_on_an_exact_chunk():
+def test_exact_chunk_solve_stays_within_its_budgets():
     # with the slopes of m the solve leaves nearly every row's bracket in
-    # its final bisection cell, and the replay evaluates the midpoints
-    # left strictly inside the others' brackets in one m_at call.  A row
-    # stops once its bracket lies in that cell: the chunk then takes 3.1
-    # evaluations per bracket, and 3.6 if such rows went on to the stop
+    # its final bisection cell, where the row stops: the chunk then takes
+    # 3.1 evaluations per bracket, and 3.6 if such rows went on to the stop
     # rule b - a <= 2 eps, which rounding of the cell's ends can miss
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
     dom = default_domain(f)
@@ -902,17 +938,15 @@ def test_replay_adds_at_most_one_call_on_an_exact_chunk():
     asked = []
 
     def m_at(rows, r, slope=False):
-        asked.append((slope, rows.size))
+        asked.append(rows.size)
         return eng.m_at(rows, r, slope=slope)
 
     _resolve_sections(m_at, scan, grid, kappas, f, centers, 2.0, eng.iters,
-                      eng.replay, eng.slopes)
+                      eng.slopes)
     # the solve's first step evaluates every bracket once
-    brackets = asked[0][1]
-    replayed = [size for slope, size in asked if not slope]
+    brackets = asked[0]
     assert brackets > 3000
-    assert sum(size for _, size in asked) <= 3.3 * brackets
-    assert len(replayed) <= 1
+    assert sum(asked) <= 3.3 * brackets
     assert len(asked) <= 2 * ITERS + 1
 
 
@@ -926,8 +960,8 @@ def test_budgeted_mc_curve_agrees_with_the_bisection_curve(monkeypatch):
     budget = distribution_curve(f, 2.0, grid, dom, MC512, samples=256)
     solve = weaknorm._bisect_crossings
 
-    def bisection(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
-                  replay, slopes=None):
+    def bisection(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi, *,
+                  slopes=None):
         return solve(m_at, rows, lo, hi, kappa, rising, ITERS, m_lo, m_hi,
                      slopes=slopes)
 
@@ -939,6 +973,26 @@ def test_budgeted_mc_curve_agrees_with_the_bisection_curve(monkeypatch):
     assert not np.array_equal(budget.nu, full.nu)
     np.testing.assert_allclose(budget.nu[live], full.nu[live], rtol=1e-4,
                                atol=0.0)
+
+
+def test_rule_curve_agrees_with_a_40_step_bisection_curve(monkeypatch):
+    # the d = 1 plateau rule curve, whose crossings are secants through
+    # evaluated brackets of 2^-18 of a scan cell, against the same curve
+    # with every crossing bisected 40 times: nu agrees to roundoff at every
+    # threshold (the midpoint of the 18-step bisection cell missed by
+    # 1.4e-7 relative)
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    grid = default_kappa_grid(f)
+    dom = default_domain(f)
+    curve = distribution_curve(f, 2.0, grid, dom, GAUSS, panels=16)
+
+    def bisection(m_at, rows, lo, hi, kappa, rising, *args, **kw):
+        return _reference_bisection(m_at, rows, lo, hi, kappa, rising, 40)
+
+    monkeypatch.setattr(weaknorm, "_bisect_crossings", bisection)
+    ref = distribution_curve(f, 2.0, grid, dom, GAUSS, panels=16)
+    assert np.count_nonzero(ref.nu) >= 10
+    np.testing.assert_allclose(curve.nu, ref.nu, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -979,9 +1033,10 @@ _MANY_RUNS = ([[3, 0] * 5 + [3], [0] * 11, [0, 2, 0, 2, 1, 2, 0, 2, 0, 2, 0]],
 def test_sections_are_the_runs_of_the_scan(scans):
     # each run of scan cells above a threshold is one interval, however
     # many a row holds; an inner end is the crossing in the gap next to the
-    # run, bit for bit what plain bisection returns on that gap, a run at
-    # grid[0] starts at the midpoint of the below-floor bracket and one at
-    # the last radius ends at r_max
+    # run, in an evaluated sign change of 2^-18 of that gap and near what
+    # plain bisection returns there (m is a step), a run at grid[0] starts
+    # at the midpoint of the below-floor bracket and one at the last radius
+    # ends at r_max
     level, cut, kappas = (np.array(x, dtype=float) for x in scans)
     n_rows, j = level.shape
     grid = np.geomspace(1e-3, 10.0, j)
@@ -993,31 +1048,39 @@ def test_sections_are_the_runs_of_the_scan(scans):
 
     f = make_ball_indicator(1, 0.5)
     centers = np.linspace(-0.9, 0.9, n_rows)[:, None]
-    got = _resolve_sections(m, level, grid, kappas, f, centers, 2.0)
+    logged = _Logged(m)
+    got = _resolve_sections(logged, level, grid, kappas, f, centers, 2.0)
     assert all(x.shape == got[0].shape for x in got)
-    want = []
+    # want holds None for an inner end; ends lists each as (interval, field
+    # of got, row, gap, kappa, rising)
+    want, ends = [], []
     for ki, kappa in enumerate(kappas):
         for row in range(n_rows):
             for first, end in _runs(level[row] > kappa):
-                one = np.array([row])
+                lo, hi, ambig = None, grid[-1], 0.0
                 if first == 0:
-                    blo, bhi = _below_floor_bracket(f, centers, one, kappa,
-                                                    grid[0])
-                    lo = 0.5 * (blo + bhi)
-                    ambig = interval_weight(blo, bhi, 2.0)
+                    blo, bhi = _below_floor_bracket(
+                        f, centers, np.array([row]), kappa, grid[0])
+                    lo = 0.5 * (blo[0] + bhi[0])
+                    ambig = interval_weight(blo, bhi, 2.0)[0]
                 else:
-                    lo = _reference_bisection(m, one, grid[first - 1:first],
-                                              grid[first:first + 1], kappa,
-                                              True, ITERS)
-                    ambig = [0.0]
-                hi = (grid[-1:] if end == j else _reference_bisection(
-                    m, one, grid[end - 1:end], grid[end:end + 1], kappa,
-                    False, ITERS))
-                want.append((ki, row, lo[0], hi[0], ambig[0], first == 0,
-                             end == j))
+                    ends.append((len(want), 2, row, first, kappa, True))
+                if end < j:
+                    hi = None
+                    ends.append((len(want), 3, row, end, kappa, False))
+                want.append((ki, row, lo, hi, ambig, first == 0, end == j))
     assert len(want) == got[0].size
     for i, interval in enumerate(want):
-        assert tuple(x[i] for x in got) == interval
+        assert all(w is None or x[i] == w for x, w in zip(got, interval))
+    if ends:
+        i, field, rows, g, kappa, rising = (np.array(x) for x in zip(*ends))
+        x = np.array([got[fi][ii] for fi, ii in zip(field, i)])
+        lo, hi = grid[g - 1], grid[g]
+        m_lo, m_hi = level[rows, g - 1], level[rows, g]
+        _assert_certified(x, (hi - lo) / 2.0 ** ITERS, logged, rows, lo, hi,
+                          kappa, rising, m_lo, m_hi)
+        _assert_near_bisection(x, _reference_bisection(
+            m, rows, lo, hi, kappa, rising, ITERS), lo, hi, reach=1.5)
 
 
 def _cosine():
@@ -1095,14 +1158,19 @@ def test_linear_distribution_closed_form_1d():
     bias = (cur.kappa_grid / (0.5 * 50.0)) ** 2.0
     dev = np.abs(cur.scaled - target * (1 - bias))
     assert dev.max() <= 3e-5 * target
-    assert cur.nu_stderr.max() == 0.0
+    # every centre's weight is the same up to the roundoff of its crossings
+    assert np.all(cur.nu_stderr <= 1e-12 * cur.nu)
     spread = cur.scaled.max() / cur.scaled.min() - 1
     assert spread <= 1e-5
 
 
 def test_distribution_curve_frozen_regression():
+    # the first threshold's kappa^p nu is the closed form
+    # c_{1,2} (1 - (kappa / (c'_1 r_max))^2), with c'_1 = 1/2 for |v| = 1
     _, cur = _linear_curve()
-    assert cur.scaled[0] == pytest.approx(0.12499988489793691, rel=1e-12)
+    kappa = cur.kappa_grid[0]
+    assert cur.scaled[0] == pytest.approx(
+        c_dp(1, 2.0) * (1.0 - (kappa / (0.5 * 50.0)) ** 2), rel=1e-12)
 
 
 def test_nu_decreasing_in_kappa():

@@ -107,8 +107,9 @@ class Radial:
     which the profile may change its formula: between two of them, and
     past the last, f is a polynomial in rho of degree at most degree (an
     integer >= 0, or None for no such bound).  The exact radial rule of
-    oscillation splits its integrals in rho there; None means no such
-    certificate, and that rule refuses the entry.
+    oscillation splits its integrals in rho there, and its stale-profile
+    probe, which the Monte Carlo curve shares, checks the profile between
+    them; None means no such certificate, and both refuse the entry.
     """
     center: np.ndarray
     profile: Callable[[np.ndarray], np.ndarray]

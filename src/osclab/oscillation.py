@@ -15,15 +15,15 @@ module splits a batch into passes.
 
 exact_oscillation_1d (dimension one, method "gauss_1d") is fully
 deterministic: the interval is split at the function's breakpoints into
-one flat list of the live segments of every ball in a pass (_Segments,
-the one segment layout of the exact rules, whose per-ball sums add each
-ball's values left to right), the inner mean is a per-segment
-Gauss-Legendre rule of order node_count, capped at the order that is
-exact for the entry's polynomial pieces (TestFunction.degree_1d), the
-sign changes of f - mean are located by a short bisection and one regula
-falsi step, and the outer integral is evaluated per sign-constant segment
-at the same order, reusing the inner mean's integral of every segment
-without a sign change.  That mean, root and deviation pass
+one flat list of the live segments of every ball in a pass
+(quadrature.Segments, the one segment layout of every Gauss sum, whose
+per-ball sums add each ball's values left to right), the inner mean is a
+per-segment Gauss-Legendre rule of order node_count, capped at the order
+that is exact for the entry's polynomial pieces (TestFunction.degree_1d),
+the sign changes of f - mean are located by a short bisection and one
+regula falsi step, and the outer integral is evaluated per sign-constant
+segment at the same order, reusing the inner mean's integral of every
+segment without a sign change.  That mean, root and deviation pass
 (_split_deviation) is shared with the radial rule below, which hands it
 another weight.  Both integrals use the segment rule of quadrature.  For
 the piecewise-polynomial catalog entries the result is exact to roundoff
@@ -90,11 +90,11 @@ import numpy as np
 from .catalog import TestFunction, coordinate_dot
 from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_INNER, KEY_OUTER,
                          KEY_PAIR, BallSample, EstimatedValue,
-                         QuadratureError, QuadratureSpec, require_balls,
-                         require_finite, require_gauss_order,
-                         require_method_dimension,
-                         segment_edges, segment_integrals, segment_mean,
-                         segment_width, stream, unit_ball_nodes)
+                         QuadratureError, QuadratureSpec, Segments,
+                         live_segments, require_balls, require_finite,
+                         require_gauss_order, require_method_dimension,
+                         row_segments, segment_integrals, segment_width,
+                         stream, unit_ball_nodes)
 
 # relative slack of flat_balls against the rounding of a + r u, of |x| and
 # of f itself, which are a few ulps of the coordinates and values
@@ -143,60 +143,7 @@ class UnsupportedFunctionError(ValueError):
 # deterministic dimension-one machinery, vectorized over (a, r) pair arrays
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Segments:
-    """The live segments of B balls, the one segment layout of the exact
-    rules: a flat list ordered by ball, then left to right, of the segments
-    of positive width between each ball's cuts (f's breakpoints on the
-    line, _live_segments; the cuts in rho of the radial rule,
-    _row_segments).
-
-    edges (L, 2) holds each segment's ends and ball the ball of each;
-    first and last are the indices of each ball's first and last segments.
-    """
-    edges: np.ndarray
-    ball: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
-
-    @property
-    def lo(self) -> np.ndarray:
-        return self.edges[:, 0]
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self.edges[:, 1]
-
-    def row_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-ball sums of values, one per segment, each added left to
-        right from 0 (np.bincount), so a ball's sum has the bits it has
-        alone, whatever the other balls of the list."""
-        return np.bincount(self.ball, values, minlength=self.first.size)
-
-
-def _live_segments(breakpoints, lo: np.ndarray, hi: np.ndarray) -> _Segments:
-    """The live segments of the balls [lo, hi], shape (B,), hi > lo: each
-    ball's segments run from lo through the breakpoints strictly inside it
-    to hi."""
-    bp = np.sort(np.asarray(breakpoints, dtype=float))
-    first = np.searchsorted(bp, lo, side="right")
-    count = np.searchsorted(bp, hi, side="left") - first + 1
-    stop = np.cumsum(count)
-    start = stop - count
-    ball = np.repeat(np.arange(lo.size), count)
-    col = first[ball] + np.arange(stop[-1]) - start[ball]
-    edges = np.empty((col.size, 2))
-    # the pad keeps take valid on an empty breakpoint list; the ends of the
-    # balls replace every value it gives
-    pad = np.append(bp, 0.0)
-    edges[:, 0] = pad.take(col - 1)
-    edges[start, 0] = lo
-    edges[:, 1] = pad.take(col)
-    edges[stop - 1, 1] = hi
-    return _Segments(edges, ball, start, stop - 1)
-
-
-def _segment_roots(fev, segs: _Segments, mu: np.ndarray, degree=None):
+def _segment_roots(fev, segs: Segments, mu: np.ndarray, degree=None):
     """One root of f - mu per live segment where its sign flips, else the
     segment's right end: root, shape (L,), and g = f - mu at the two ends
     of each ball, (B,) each, or None where f was not evaluated.
@@ -260,7 +207,7 @@ def _segment_roots(fev, segs: _Segments, mu: np.ndarray, degree=None):
     return root, g_start, g_end
 
 
-def _split_deviation(fev, segs: _Segments, integrate, measure: np.ndarray,
+def _split_deviation(fev, segs: Segments, integrate, measure: np.ndarray,
                      volume: np.ndarray, degree=None):
     """(m, mu, root, cut, dev, left, g_start, g_end) of the balls of segs:
     the mean, root and q = 1 deviation pass of both exact rules, the line
@@ -273,8 +220,9 @@ def _split_deviation(fev, segs: _Segments, integrate, measure: np.ndarray,
     integrals of f (fev); root is f - mu's on each segment (_segment_roots,
     with g_start and g_end).  A segment without one adds |dev|, dev = I_k -
     mu S_k; one in cut evaluates only left, the integral of f - mu over
-    [lo, root], and adds |left| + |dev - left|, the two sides of its root
-    where the rule integrates the weight exactly.  m = the sum / volume.
+    [lo, root] (exactly 0 where the root is lo), and adds |left| +
+    |dev - left|, the two sides of its root where the rule integrates the
+    weight exactly.  m = the sum / volume.
     """
     whole = integrate(fev, segs.edges, slice(None))
     mu = segs.row_sums(whole) / volume
@@ -338,15 +286,31 @@ def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,
     |f - mu|^q over the segments between f's breakpoints and the roots of
     f - mu.
 
-    The work runs on the flat list of live segments (_live_segments).  The
+    The work runs on the flat list of live segments (live_segments).  The
     mean takes the integrals I_k of the pieces between f's breakpoints at
     the Gauss order n = min(mu_nodes, degree_1d // 2 + 1), exact for
     pieces of degree_1d, or mu_nodes where f carries no degree.  For q = 1
     the deviation is _split_deviation's, with S_k = each piece's length
     and the ball's width as its volume; in exact arithmetic the n weights
-    integrate 1 exactly.  For another q each live segment splits at its
-    root, and each part is graded toward its ends into _GRADE_PANELS
-    panels of the _GL_ORDER rule, which handle the kink of |f - mu|^q.
+    integrate 1 exactly.  In floating point, added first to last as
+    segment_integrals adds them, the weights of 12 of the orders 1-64 sum
+    to exactly 2: 1, 7, 8, 9, 20, 23, 28, 36, 43, 52, 54 and 63 (numpy
+    2.4, x86-64); those of the others miss 2 by 1 to 6 units of 2^-53
+    relative.  At order 8 a constant f then has exactly its value as mean
+    on balls whose segment widths add up to their width, as with dyadic
+    ends, when that value is short in binary (1, 0.75, 3, ...).  Order 3,
+    which the plateau's quintic pieces take, is not among the twelve: its
+    weights add up to 2 - 2^-51, a constant piece integrates to its value
+    times its length less 2 units of 2^-53, relative, and the mean of the
+    plateau's core value 1 reads 0.9999999999999998 on a dyadic ball inside
+    the core (within an ulp of it on others).  m stays 0 there, since the
+    deviation subtracts that mean times each length from the same
+    integrals (weaknorm's skip certificate rests on m reading 0 on a
+    constant ball).  For another q each live segment splits at its root,
+    and each part is graded toward its ends into _GRADE_PANELS panels of
+    the _GL_ORDER rule, which handle the kink of |f - mu|^q: the
+    2 _GRADE_PANELS + 1 cuts of each segment go to row_segments, which
+    drops the zero-width panels of a segment without a root.
 
     With M the integral of |f - mu| over the ball, m = M / (2 r) and
     mu' = (f(a + r) + f(a - r) - 2 mu) / (2 r), so
@@ -361,23 +325,25 @@ def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,
     n = mu_nodes if degree is None else min(mu_nodes, degree // 2 + 1)
     lo = a - r
     hi = a + r
-    width = segment_width(np.stack([lo, hi], axis=-1))
-    segs = _live_segments(f.breakpoints_1d, lo, hi)
+    width = segment_width(lo, hi)
+    segs = live_segments(f.breakpoints_1d, lo, hi)
 
     def integrate(h, edges, idx, *args):
-        return segment_integrals(h, edges, n, *args)[:, 0]
+        return segment_integrals(h, edges, n, *args)
 
     if q != 1.0:
         mu = segs.row_sums(integrate(fev, segs.edges, slice(None))) / width
-        root = _segment_roots(fev, segs, mu, degree)[0]
+        root = _segment_roots(fev, segs, mu, degree)[0][:, None]
         frac = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi,
                                                _GRADE_PANELS + 1)))
-        parts = np.stack([segs.lo, root, segs.hi], axis=-1)
-        p_lo = parts[:, :-1]
-        sub = p_lo[..., None] + (parts[:, 1:] - p_lo)[..., None] * frac
-        seg = segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q, sub,
-                                _GL_ORDER, mu[segs.ball])
-        moment = segs.row_sums(seg.sum(axis=(-2, -1))) / width
+        s_lo = segs.lo[:, None]
+        panels = row_segments(np.concatenate(
+            [s_lo + (root - s_lo) * frac[:-1],
+             root + (segs.hi[:, None] - root) * frac], axis=1))
+        seg = segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q,
+                                panels.edges, _GL_ORDER,
+                                mu[segs.ball[panels.ball]])
+        moment = segs.row_sums(panels.row_sums(seg)) / width
         return np.maximum(moment, 0.0) ** (1.0 / q), mu
 
     length = segs.hi - segs.lo
@@ -630,22 +596,9 @@ _GRADE_CUTS = 5
 _FULL, _LOWER, _UPPER, _CAP = 0, 1, 2, 3
 
 
-def _row_segments(cuts: np.ndarray) -> _Segments:
-    """The live segments of rows of sorted cut points, cuts (B, J), as one
-    flat list (_Segments); every row holds one at least."""
-    lo = cuts[:, :-1]
-    hi = cuts[:, 1:]
-    flat = np.flatnonzero(hi > lo)
-    ball = flat // lo.shape[1]
-    edges = np.stack([lo.reshape(-1)[flat], hi.reshape(-1)[flat]], axis=-1)
-    rows = np.arange(cuts.shape[0])
-    return _Segments(edges, ball, np.searchsorted(ball, rows),
-                     np.searchsorted(ball, rows, side="right") - 1)
-
-
 def _radial_pieces(breakpoints, t: np.ndarray, r: np.ndarray, d: int):
     """The pieces in rho of the balls at distance t from a radial entry's
-    centre with radii r, (B,) each: (_Segments, kind of each piece).
+    centre with radii r, (B,) each: (Segments, kind of each piece).
 
     A ball meets the spheres of radius rho in [max(t - r, 0), t + r]; it
     holds the whole sphere below |t - r| when t < r.  The pieces split
@@ -657,7 +610,7 @@ def _radial_pieces(breakpoints, t: np.ndarray, r: np.ndarray, d: int):
     rho_min = np.maximum(t - r, 0.0)
     inner = np.abs(t - r)
     outer = t + r
-    segment_width(np.stack([rho_min, outer], axis=-1))
+    segment_width(rho_min, outer)
     cols = [rho_min, inner, outer]
     cols += [np.full(t.shape, float(b)) for b in breakpoints]
     if d == 2:
@@ -668,7 +621,7 @@ def _radial_pieces(breakpoints, t: np.ndarray, r: np.ndarray, d: int):
                  for k in range(_GRADE_CUTS)]
     cuts = np.sort(np.clip(np.stack(cols, axis=-1), rho_min[:, None],
                            outer[:, None]), axis=-1)
-    segs = _row_segments(cuts)
+    segs = row_segments(cuts)
     hi = segs.hi
     full = hi <= inner[segs.ball]
     if d == 3:
@@ -754,7 +707,7 @@ def _radial_integrals(h, d: int, edges, kind, t, r, n: int, *args):
         return w if h is None else h(rho, *cols) * w
 
     return segment_integrals(g, np.stack([s_lo, s_hi], axis=-1), n,
-                             kind, t, r, *args)[:, 0]
+                             kind, t, r, *args)
 
 
 def _radial_profile(f: TestFunction, centers: np.ndarray) -> np.ndarray:
@@ -898,12 +851,18 @@ def _mc_gradient(f: TestFunction, a: np.ndarray, r: float, n: int,
 
 def _gauss_gradient(f: TestFunction, a: np.ndarray, r: np.ndarray):
     """Mean of |f'| over each 1-d ball [a - r, a + r], shape (B,), by the
-    _GL_ORDER segment rule between f's breakpoints."""
+    _GL_ORDER segment rule on the live segments between f's breakpoints,
+    divided by the width they span; a width of 0 raises QuadratureError
+    (segment_width)."""
     def gmag(x):
         return np.abs(f.grad(x[..., None])[..., 0])
 
-    edges = segment_edges(f.breakpoints_1d, a - r, a + r)
-    return segment_mean(gmag, edges, _GL_ORDER)
+    lo = a - r
+    hi = a + r
+    width = segment_width(lo, hi)
+    segs = live_segments(f.breakpoints_1d, lo, hi)
+    integrals = segment_integrals(gmag, segs.edges, _GL_ORDER)
+    return segs.row_sums(integrals) / width
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,17 @@ Three rules serve the kernels of oscillation: a deterministic
 split-interval Gauss-Legendre rule for dimension one, a deterministic
 Gauss-Legendre rule in the distance to the centre for radial entries in
 dimensions two and three, and uniform Monte-Carlo nodes for any
-dimension.  segment_integrals is osclab's one Gauss segment rule, on
-edges that segment_edges splits at breakpoints, and segment_mean turns its
-sums into the mean over the integrated width; the nodes and weights come
-from gauss_rule, which needs numpy only, so importing osclab does not load
-scipy.  The integrand is called as g(x, *args) on the nodes of the live
-segments only, those with hi > lo, gathered into one (L, n) array; each
-arg is indexed like the edges' leading axes and reaches g gathered the
-same way.  Dead segments, the zero-width ones that clipped breakpoints and
-root placeholders leave, integrate to exactly 0 without evaluating g.
-Each live segment's values are summed against the weights in one fixed
-order, with no BLAS call, so a segment's integral has the same bits in any
-batch, at any position and in any pass.
+dimension.  segment_integrals is osclab's one Gauss segment rule; the
+nodes and weights come from gauss_rule, which needs numpy only, so
+importing osclab does not load scipy.  It takes one segment layout, the
+flat list of the live segments (those of positive width) of a batch of
+balls, Segments, built from fixed breakpoints by live_segments or from
+cuts that vary per row by row_segments; its row_sums adds each ball's
+integrals left to right.  The integrand is called as g(x, *cols) on the
+(L, n) nodes of the L segments, with one (L, 1) column per arg.  Each
+segment's values are summed against the weights in one fixed order, with
+no BLAS call, so a segment's integral has the same bits in any batch, at
+any position and in any pass.
 
 Every random stream is counter-based: a node set is derived from
 (seed, key...) through an independent Philox generator, so results never
@@ -285,72 +284,104 @@ def unit_ball_nodes(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return z / norms * u
 
 
-def segment_edges(breakpoints, lo, hi) -> np.ndarray:
-    """Segment edges of [lo, hi] split at breakpoints, shape (..., K+2).
+@dataclass(frozen=True)
+class Segments:
+    """The live segments of B balls, the one segment layout of every Gauss
+    sum: a flat list ordered by ball, then left to right, of the segments
+    of positive width between each ball's cuts (fixed breakpoints,
+    live_segments; cuts that vary per row, row_segments).
 
-    Breakpoints outside an interval are clipped to its ends; the zero-width
-    segments that result integrate to zero, so every row has one layout.
+    edges (L, 2) holds each segment's ends and ball the ball of each;
+    first and last are the indices of each ball's first and last segments.
     """
-    cols = [lo]
-    for b in sorted(breakpoints):
-        cols.append(np.clip(b, lo, hi))
-    cols.append(hi)
-    return np.stack(cols, axis=-1)
+    edges: np.ndarray
+    ball: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self.edges[:, 0]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.edges[:, 1]
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-ball sums of values, one per segment, each added left to
+        right from 0 (np.bincount), so a ball's sum has the bits it has
+        alone, whatever the other balls of the list."""
+        return np.bincount(self.ball, values, minlength=self.first.size)
 
 
-# live segments from which segment_integrals sums its weighted values
-# column by column (n numpy calls on L values each) rather than by
-# np.add.accumulate along each row (one call on L n values): the two take
-# equal time near L = 300-500 at n = 8, 12 and 64, and give the same bits
+def live_segments(breakpoints, lo: np.ndarray, hi: np.ndarray) -> Segments:
+    """The live segments of the balls [lo, hi], shape (B,), hi > lo: each
+    ball's segments run from lo through the breakpoints strictly inside it
+    to hi.  The same list as row_segments of the breakpoints clipped to
+    each ball, built without the clipped copies."""
+    bp = np.sort(np.asarray(breakpoints, dtype=float))
+    first = np.searchsorted(bp, lo, side="right")
+    count = np.searchsorted(bp, hi, side="left") - first + 1
+    stop = np.cumsum(count)
+    start = stop - count
+    ball = np.repeat(np.arange(lo.size), count)
+    col = first[ball] + np.arange(stop[-1]) - start[ball]
+    edges = np.empty((col.size, 2))
+    # the pad keeps take valid on an empty breakpoint list; the ends of the
+    # balls replace every value it gives
+    pad = np.append(bp, 0.0)
+    edges[:, 0] = pad.take(col - 1)
+    edges[start, 0] = lo
+    edges[:, 1] = pad.take(col)
+    edges[stop - 1, 1] = hi
+    return Segments(edges, ball, start, stop - 1)
+
+
+def row_segments(cuts: np.ndarray) -> Segments:
+    """The live segments of rows of sorted cut points, cuts (B, J), as one
+    flat list: the zero-width segments of repeated cuts are left out."""
+    lo = cuts[:, :-1]
+    hi = cuts[:, 1:]
+    flat = np.flatnonzero(hi > lo)
+    ball = flat // lo.shape[1]
+    edges = np.stack([lo.reshape(-1)[flat], hi.reshape(-1)[flat]], axis=-1)
+    rows = np.arange(cuts.shape[0])
+    return Segments(edges, ball, np.searchsorted(ball, rows),
+                     np.searchsorted(ball, rows, side="right") - 1)
+
+
+# segments from which segment_integrals sums its weighted values column by
+# column (n numpy calls on L values each) rather than by np.add.accumulate
+# along each row (one call on L n values): the two take equal time near
+# L = 300-500 at n = 8, 12 and 64, and give the same bits
 _COLUMN_SUM_FROM = 256
 
 
 def segment_integrals(g: Callable, edges: np.ndarray, n: int,
-                      *args) -> np.ndarray:
-    """Per-segment n-point Gauss-Legendre integrals of g over consecutive
-    edges, shape (..., K+1).
+                      *cols) -> np.ndarray:
+    """n-point Gauss-Legendre integrals of g over the segments edges (L, 2),
+    shape (L,).
 
-    g(x, *args) maps an (L, n) array of nodes, n for each of the L
-    segments of positive width (hi > lo), to values of the same shape.
-    Each arg is indexed like the leading axes of edges: it is extended with
-    trailing axes to the segment shape (..., K+1), broadcast to it, and
-    handed to g as the (L, 1) column of its entries on those segments.  A
-    zero-width segment is not evaluated and integrates to exactly 0.
-    A live segment with values v gets half * (w[0] v[0] + w[1] v[1] + ...),
-    with half its half-width: each product and each sum is rounded on its
-    own, the products are added first to last, and no BLAS call takes
-    part.  Fewer than _COLUMN_SUM_FROM live segments are summed by
-    np.add.accumulate along their rows, more column by column in n steps;
-    both add in that order, so the choice moves no bit, and a few segments
-    at a high order (16384 in the acceptance tests) run no Python loop of
-    n steps.  A segment's integral therefore has the bits it has alone,
-    whatever the batch, its position there and the pass.  Rows of
-    different lengths can share one call when each is padded by repeating
-    its last edge: the padding integrates to exactly 0 and every row keeps
-    its own bits, whatever its count.  Edges whose segments are all live,
-    such as the exact 1-d kernel's list of live segments (one row of two
-    edges each), are read in place rather than gathered into copies.
+    g(x, *cols) maps an (L, n) array of nodes, n for each segment, to
+    values of the same shape; each col holds one entry per segment, shape
+    (L,), and reaches g as an (L, 1) column.  A segment with values v gets
+    half * (w[0] v[0] + w[1] v[1] + ...), with half its half-width: each
+    product and each sum is rounded on its own, the products are added
+    first to last, and no BLAS call takes part.  Fewer than
+    _COLUMN_SUM_FROM segments are summed by np.add.accumulate along their
+    rows, more column by column in n steps; both add in that order, so the
+    choice moves no bit, and a few segments at a high order (16384 in the
+    acceptance tests) run no Python loop of n steps.  A segment's integral
+    therefore has the bits it has alone, whatever the batch, its position
+    there and the pass.  A zero-width segment is evaluated at its one
+    point and integrates to exactly 0 wherever g is finite there.
     """
     t, w = gauss_rule(n)
-    lo = edges[..., :-1]
-    hi = edges[..., 1:]
+    lo = edges[:, 0]
+    hi = edges[:, 1]
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    # flat indices of the live segments, which index flat views; every
-    # segment when all are live, without a gather
-    live = np.flatnonzero(hi > lo)
-    if live.size == half.size:
-        live = slice(None)
-    # the columns are gathered before the nodes: the other order read 0.7
-    # to 2 MB more peak RSS on the 2048-centre d = 1 curve
-    cols = []
-    for arg in args:
-        arg = np.asarray(arg)
-        arg = arg.reshape(arg.shape + (1,) * (half.ndim - arg.ndim))
-        cols.append(np.broadcast_to(arg, half.shape).reshape(-1)[live, None])
-    half_live = half.reshape(-1)[live]
-    x = mid.reshape(-1)[live, None] + half_live[:, None] * t
-    vals = g(x, *cols)
+    x = (0.5 * (hi + lo))[:, None] + half[:, None] * t
+    vals = g(x, *(np.asarray(col)[:, None] for col in cols))
     del x  # the nodes are not needed past g; the sums below allocate
     if vals.shape[0] < _COLUMN_SUM_FROM:
         # accumulate adds along a row first to last, by its definition
@@ -360,44 +391,14 @@ def segment_integrals(g: Callable, edges: np.ndarray, n: int,
         total = vals[:, 0] * w[0]
         for j in range(1, n):
             total += vals[:, j] * w[j]
-    out = np.zeros(half.shape)
-    out.reshape(-1)[live] = half_live * total
-    return out
+    return half * total
 
 
-def segment_mean(g: Callable, edges: np.ndarray, n: int,
-                 *args) -> np.ndarray:
-    """Mean of g over edges[..., 0] to edges[..., -1] by segment_integrals,
-    which receives args unchanged.
-
-    The sum of the segment integrals is divided by the width the edges
-    span, not by the nominal interval length.  Added first to last, as
-    segment_integrals adds them, the Gauss weights of 12 of the orders
-    1-64 sum to exactly 2: 1, 7, 8, 9, 20, 23, 28, 36, 43, 52, 54 and 63
-    (numpy 2.4, x86-64).  Those of the other 52 miss 2 by 1 to 6 units of
-    2^-53 relative, up to 6.7e-16 (order 2 gives a constant 1 the mean
-    1.0000000000000002).  At order 8 a constant g then has exactly its
-    value as mean on balls whose segment widths add up to their width, as
-    with dyadic ends, when that value is short in binary (1, 0.75, 3, ...);
-    a value such as 0.7 can miss it by an ulp or two.  Order 3, which the
-    exact kernel takes for the plateau's quintic pieces, is not among the
-    twelve: its weights add up to 2 - 2^-51.  A constant piece (the
-    plateau's core, or its zero outside) then integrates to its value
-    times its width less 2 units of 2^-53, relative, and the mean of the
-    core value 1 on any ball inside it reads 0.9999999999999998; m there
-    stays 0 to rounding, since the deviation subtracts that mean times the
-    width from the same integral.  A width of 0, as when a + r rounds to
-    a - r, has no mean: QuadratureError (segment_width).
-    """
-    width = segment_width(edges)
-    return segment_integrals(g, edges, n, *args).sum(axis=-1) / width
-
-
-def segment_width(edges: np.ndarray) -> np.ndarray:
-    """edges[..., -1] - edges[..., 0], the width the edges span, once no
-    width is 0; QuadratureError otherwise, since such an interval (a + r
-    rounded to a - r) has no mean."""
-    width = edges[..., -1] - edges[..., 0]
+def segment_width(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """hi - lo, the width of the intervals [lo, hi], once no width is 0;
+    QuadratureError otherwise, since such an interval (a + r rounded to
+    a - r) has no mean."""
+    width = hi - lo
     if np.any(width == 0.0):
         raise QuadratureError("interval has zero width: its ends round to "
                               "the same point, so it has no mean")

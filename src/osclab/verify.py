@@ -22,10 +22,12 @@ curve or the battery does.
 
 The mollification suite draws all its balls first, in the order of its
 random stream, and then evaluates them together: one exact_oscillation_1d
-call gives every left side, and one more, inside one segment_integrals
-call, every right side; the kernel bounds the size of its own passes.
-segment_integrals sums each segment on its own, in a fixed order, so with
-any panel count every case keeps the bits of its one-case computation.
+call gives every left side, and per panel refinement one segment_integrals
+call on the flat list of every case's segments, whose integrand makes one
+more, gives every right side; the kernel bounds the size of its own
+passes.  segment_integrals sums each segment on its own, in a fixed order,
+and row_sums adds each case's segments left to right, so with any panel
+count every case keeps the bits of its one-case computation.
 The local expansion, domination and tail suites likewise draw all their
 balls first and evaluate them in one oscillation.ball_estimates call,
 which gives each ball the bits of its single-ball rule.  run_all gives
@@ -44,7 +46,7 @@ from .catalog import (TestFunction, make_ball_indicator, make_linear,
 from .oscillation import (RADIAL_ORDER, UnsupportedFunctionError,
                           ball_estimates, exact_oscillation_1d)
 from .quadrature import (KEY_VERIFY, QuadratureSpec, default_spec,
-                         gauss_rule, segment_integrals, stream)
+                         gauss_rule, row_segments, segment_integrals, stream)
 from .weaknorm import (Domain, c_d_prime, distribution_curve,
                        expansion_remainder_coeff, interval_weight,
                        reference_scaled_limit)
@@ -205,8 +207,10 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
     """Convolution of a piecewise-polynomial line function with the bump.
 
     Evaluated by per-point Gauss segments split at the kernel window's
-    intersections with the breakpoints of f; exact to roundoff for the
-    catalog families (polynomial degree stays within the rule's reach).
+    intersections with the breakpoints of f (the live segments of the
+    clipped cuts, quadrature.row_segments), each point's integrals added
+    left to right; exact to roundoff for the catalog families (polynomial
+    degree stays within the rule's reach).
     The result's breakpoints are the spread originals plus the midpoint of
     their span, which keeps every segment monotone for the symmetric
     unimodal entries.
@@ -219,16 +223,15 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
     def ev(pts):
         # eval contract takes (..., 1) points
         x = np.asarray(pts, dtype=float)[..., 0]
-        flat = x.reshape(-1)[..., None]
+        flat = x.reshape(-1)
         # the window's breakpoints z = x - b ascend per point: bps descend
-        cols = [np.full_like(flat, -t)]
-        for b in bps:
-            cols.append(np.clip(flat - b, -t, t))
-        cols.append(np.full_like(flat, t))
-        edges = np.concatenate(cols, axis=-1)
+        segs = row_segments(np.stack(
+            [np.full_like(flat, -t), *(np.clip(flat - b, -t, t) for b in bps),
+             np.full_like(flat, t)], axis=-1))
         seg = segment_integrals(
-            lambda z, y: phi.density(z) * f.eval_1d(y - z), edges, 12, flat)
-        return seg.sum(axis=-1).reshape(x.shape)
+            lambda z, y: phi.density(z) * f.eval_1d(y - z), segs.edges, 12,
+            flat[segs.ball])
+        return segs.row_sums(seg).reshape(x.shape)
 
     new_bps = set()
     for b in bps:
@@ -363,40 +366,36 @@ def _oscillation_convolved_with(f: TestFunction, phi: Mollifier, a, r):
     refinement error bar; returns the arrays (fine, |fine - coarse|).
 
     Each case's window [-t, t] is split where a ball edge a_i +- r_i - z
-    meets a breakpoint of f, and each piece into _MOLLIFY_PANELS (coarse)
-    and twice as many (fine) equal parts.  All rows go to one segment_integrals
-    call, each padded by repeating its last edge, which gives zero-width
-    segments that are never evaluated.  The integrand hands all the nodes to
-    one exact_oscillation_1d call, and each row is summed over its own
-    segments only.  segment_integrals sums each segment on its own, so
-    with any panel count every case gets the bits of its own one-case
-    computation.
+    meets a breakpoint of f (the edges clipped to the window), and each
+    piece into _MOLLIFY_PANELS (coarse) and twice as many (fine) equal
+    parts, with the steps np.linspace takes.  Per refinement, the live
+    segments of every case go to one segment_integrals call as one flat
+    list (quadrature.row_segments, which drops the zero-width pieces of
+    clipped or repeated edges), whose integrand hands all the nodes to one
+    exact_oscillation_1d call, and row_sums adds each case's segments left
+    to right.  So with any panel count every case gets the bits of its own
+    one-case computation.
     """
     t = phi.scale
-    rows = []
-    for ai, ri in zip(a, r):
-        pts = {-t, t}
-        for b in f.breakpoints_1d:
-            for edge in (ai - ri - b, ai + ri - b):
-                if -t < edge < t:
-                    pts.add(edge)
-        base = np.array(sorted(pts))
-        for k in (_MOLLIFY_PANELS, 2 * _MOLLIFY_PANELS):
-            rows.append(np.concatenate(
-                [np.linspace(lo, hi, k + 1)[:-1]
-                 for lo, hi in zip(base[:-1], base[1:])] + [base[-1:]]))
-    width = max(row.size for row in rows)
-    edges = np.stack([np.pad(row, (0, width - row.size), mode="edge")
-                      for row in rows])
+    # each case's cuts: the window's ends and its ball edges, clipped to it
+    base = np.sort(np.stack(
+        [np.full_like(a, -t), np.full_like(a, t)]
+        + [np.clip(a + s * r - b, -t, t)
+           for b in f.breakpoints_1d for s in (-1.0, 1.0)], axis=-1), axis=-1)
+    lo = base[:, :-1, None]
+    width = base[:, 1:, None] - lo
 
     def integrand(z, centre, radius):
         return phi.density(z) * exact_oscillation_1d(f, centre - z, radius)[0]
 
-    seg = segment_integrals(integrand, edges, 8,
-                            np.repeat(a, 2), np.repeat(r, 2))
-    sums = np.array([seg[i, :row.size - 1].sum()
-                     for i, row in enumerate(rows)])
-    coarse, fine = sums[0::2], sums[1::2]
+    sums = []
+    for k in (_MOLLIFY_PANELS, 2 * _MOLLIFY_PANELS):
+        # np.linspace(lo, hi, k + 1) of every piece, less its last point
+        cuts = (lo + np.arange(k) * (width / k)).reshape(a.size, -1)
+        segs = row_segments(np.concatenate([cuts, base[:, -1:]], axis=1))
+        sums.append(segs.row_sums(segment_integrals(
+            integrand, segs.edges, 8, a[segs.ball], r[segs.ball])))
+    coarse, fine = sums
     return fine, np.abs(fine - coarse)
 
 
@@ -411,9 +410,10 @@ def check_mollification(f: TestFunction, phi: Mollifier, n_samples: int,
     right); a case whose error estimate swamps the comparison is recorded
     as inconclusive rather than failed.  The n_samples balls are drawn one
     (a, r) pair at a time from the suite's stream, then evaluated in a
-    batch: one exact_oscillation_1d call for the left sides and one
-    segment_integrals call for the right sides, whose integrand makes one
-    more.  Each case has the bits it would get evaluated on its own.
+    batch: one exact_oscillation_1d call for the left sides and, per panel
+    refinement, one segment_integrals call for the right sides, whose
+    integrand makes one more.  Each case has the bits it would get
+    evaluated on its own.
     """
     if f.dim != 1:
         raise UnsupportedFunctionError("mollification checks run in dimension one")

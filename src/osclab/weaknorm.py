@@ -331,7 +331,8 @@ def _skip_mask(f: TestFunction, centers: np.ndarray, grid: np.ndarray,
     it cannot serve here.)  On a constant ball both routes read 0 up to
     rounding: the Monte Carlo estimate is a mean of equal values minus
     itself, and the exact route divides its Gauss sums by the width it
-    integrates over.
+    integrates over (oscillation._exact_pass states the weight sums behind
+    that).
     """
     r = grid[None, :]
     skip = np.zeros((centers.shape[0], grid.size), dtype=bool)

@@ -37,8 +37,8 @@ from osclab import catalog, oscillation
 from osclab.catalog import coordinate_dot
 from osclab.oscillation import (PointNodes, RadialNodes, mc_deviations,
                                 mc_oscillation)
-from osclab.quadrature import (KEY_INNER, KEY_OUTER, KEY_PAIR, segment_edges,
-                               segment_integrals, segment_mean)
+from osclab.quadrature import (KEY_INNER, KEY_OUTER, KEY_PAIR, live_segments,
+                               segment_integrals)
 from osclab.verify import check_local_expansion, check_maximal_domination
 
 GAUSS = QuadratureSpec(method="gauss_1d", node_count=16, seed=9)
@@ -217,7 +217,7 @@ def test_q_oscillation_on_many_segments_matches_mpmath(q):
     rng = np.random.default_rng(5)
     a = rng.uniform(-1.0, 1.0, 12)
     r = rng.uniform(1.0, 1.5, 12)
-    segs = oscillation._live_segments(f.breakpoints_1d, a - r, a + r)
+    segs = live_segments(f.breakpoints_1d, a - r, a + r)
     assert np.bincount(segs.ball).min() >= 8
     got = exact_oscillation_1d(f, a, r, q)[0]
     want = [_mp_q_oscillation(bps, vals, a[i] - r[i], a[i] + r[i], q)
@@ -492,22 +492,11 @@ def test_exact_oscillation_1d_evaluates_live_segments_only(a, r, points):
     assert seen[0] == points
 
 
-def _root_refined_edges(fev, breakpoints, edges, mu):
-    """segment_edges' edges (B, K+2) with the root of f - mu that
-    _segment_roots finds on each live segment, or its right end, between
-    each pair of them: (B, 2K+3).  The live segments of that layout,
-    np.flatnonzero(hi > lo), are those of the flat list, in its order."""
-    segs = oscillation._live_segments(breakpoints, edges[:, 0], edges[:, -1])
-    root, _, _ = oscillation._segment_roots(fev, segs, mu)
-    hi = edges[:, 1:].copy()
-    live = np.flatnonzero(hi > edges[:, :-1])
-    assert np.array_equal(segs.edges, np.stack(
-        [edges[:, :-1].reshape(-1)[live], hi.reshape(-1)[live]], axis=-1))
-    hi.reshape(-1)[live] = root
-    out = np.empty((edges.shape[0], 2 * edges.shape[1] - 1))
-    out[:, 0::2] = edges
-    out[:, 1::2] = hi
-    return out
+def _gauss_mean(fev, breakpoints, lo, hi):
+    """The 8-point Gauss mean of f over each ball [lo, hi], on its live
+    segments."""
+    segs = live_segments(breakpoints, lo, hi)
+    return segs.row_sums(segment_integrals(fev, segs.edges, 8)) / (hi - lo)
 
 
 @pytest.mark.parametrize("f", [
@@ -515,52 +504,52 @@ def _root_refined_edges(fev, breakpoints, edges, mu):
     make_plateau_bump(1, -2.0, 0.3, 0.9),
     make_ball_indicator(1, 0.5, center=[0.25]),
 ], ids=lambda f: f.function_id)
-def test_root_refined_edges_follow_the_sign_of_f_at_every_edge(f):
-    # the clipped breakpoints copy the values at the ends instead of
-    # evaluating f there; the segments with a root must still be those
-    # where f - mu changes sign between f's values at all K + 2 edges
-    from osclab.quadrature import segment_edges, segment_mean
+def test_segment_roots_follow_the_sign_of_f_at_every_edge(f):
+    # the root search evaluates f once at each breakpoint and hands the
+    # value to both segments that share it; the segments with a root must
+    # still be those where f - mu changes sign between f's values at their
+    # own two ends
     rng = np.random.default_rng(7)
     a = rng.uniform(-1.5, 1.5, 400)
     r = np.exp(rng.uniform(np.log(1e-3), np.log(3.0), 400))
-    edges = segment_edges(f.breakpoints_1d, a - r, a + r)
-    mu = segment_mean(f.eval_1d, edges, 8)
-    g = f.eval_1d(edges) - mu[..., None]
-    cross = np.sign(g[..., :-1]) * np.sign(g[..., 1:]) < 0
-    lo, hi = edges[..., :-1], edges[..., 1:]
-    out = _root_refined_edges(f.eval_1d, f.breakpoints_1d, edges, mu)
-    roots = out[..., 1::2]
+    mu = _gauss_mean(f.eval_1d, f.breakpoints_1d, a - r, a + r)
+    segs = live_segments(f.breakpoints_1d, a - r, a + r)
+    root, _, _ = oscillation._segment_roots(f.eval_1d, segs, mu)
+    mu_seg = mu[segs.ball]
+    cross = (np.sign(f.eval_1d(segs.lo) - mu_seg)
+             * np.sign(f.eval_1d(segs.hi) - mu_seg) < 0)
     assert cross.any()
-    assert np.array_equal(out[..., 0::2], edges)
-    assert np.array_equal(roots[~cross], hi[~cross])
-    assert np.all((lo[cross] < roots[cross]) & (roots[cross] < hi[cross]))
+    assert np.array_equal(root[~cross], segs.hi[~cross])
+    assert np.all((segs.lo[cross] < root[cross])
+                  & (root[cross] < segs.hi[cross]))
 
 
 def _bisected_m(f, a, r):
     """m of the 1-d balls (a, r) with each root of f - mu the midpoint of
-    30 plain bisections, on exact_oscillation_1d's edges, with 8-point
-    rules for mu and for f - mu on every segment: the reference of its
-    root step, of its Gauss order and of its reuse of the mean pass."""
+    30 plain bisections, on exact_oscillation_1d's live segments, with
+    8-point rules for mu and for f - mu on every part: the reference of
+    its root step, of its Gauss order and of its reuse of the mean pass."""
     fev = f.eval_1d
-    edges = segment_edges(f.breakpoints_1d, a - r, a + r)
-    mu = segment_mean(fev, edges, 8)
-    g = fev(edges) - mu[..., None]
-    lo, hi = edges[..., :-1], edges[..., 1:]
-    cross = np.sign(g[..., :-1]) * np.sign(g[..., 1:]) < 0
-    blo, bhi = lo[cross], hi[cross]
-    side = np.sign(g[..., :-1][cross])
-    mu_rows = np.broadcast_to(mu[..., None], cross.shape)[cross]
+    lo, hi = a - r, a + r
+    segs = live_segments(f.breakpoints_1d, lo, hi)
+    mu = _gauss_mean(fev, f.breakpoints_1d, lo, hi)[segs.ball]
+    side = np.sign(fev(segs.lo) - mu)
+    cross = side * np.sign(fev(segs.hi) - mu) < 0
+    blo, bhi = segs.lo[cross], segs.hi[cross]
+    side, mu_rows = side[cross], mu[cross]
     for _ in range(30):
         mid = 0.5 * (blo + bhi)
         keep = np.sign(fev(mid) - mu_rows) == side
         blo, bhi = np.where(keep, mid, blo), np.where(keep, bhi, mid)
-    root = hi.copy()
+    root = segs.hi.copy()
     root[cross] = 0.5 * (blo + bhi)
-    refined = np.empty(edges.shape[:-1] + (2 * edges.shape[-1] - 1,))
-    refined[..., 0::2] = edges
-    refined[..., 1::2] = root
-    seg = segment_integrals(lambda x, m: fev(x) - m, refined, 8, mu)
-    return np.abs(seg).sum(axis=-1) / (edges[..., -1] - edges[..., 0])
+    # [lo, root] and [root, hi] of each segment, the second of zero width
+    # where it has no root
+    parts = np.stack([segs.lo, root, root, segs.hi], axis=-1).reshape(-1, 2)
+    seg = segment_integrals(lambda x, m: fev(x) - m, parts, 8,
+                            np.repeat(mu, 2))
+    return (np.bincount(np.repeat(segs.ball, 2), np.abs(seg),
+                        minlength=lo.size) / (hi - lo))
 
 
 def _sine_entry():
@@ -636,10 +625,26 @@ def test_constant_pieces_take_no_root_search():
     a = rng.uniform(-1.5, 1.5, 20000)
     r = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), 20000))
     m, _ = exact_oscillation_1d(f, a, r)
-    edges = segment_edges(base.breakpoints_1d, a - r, a + r)
-    assert seen[0] == np.count_nonzero(edges[:, 1:] > edges[:, :-1])
+    assert seen[0] == live_segments(base.breakpoints_1d, a - r,
+                                     a + r).lo.size
     tol = 8.0 * np.finfo(float).eps * (1.0 + np.abs(a) / r)
     assert np.all(np.abs(m - _bisected_m(base, a, r)) <= tol)
+
+
+def test_plateau_core_mean_reads_the_order_3_weight_sum_and_m_stays_0():
+    # _exact_pass's weight-sum facts: order 3, the plateau's, has weights
+    # that add up to 2 - 2^-51, so the core value 1 has the mean
+    # 0.9999999999999998 = 1 - 2^-52 on dyadic balls inside the core and
+    # is within an ulp of it on others, and m reads exactly 0 on all of them
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    m, mu = exact_oscillation_1d(f, np.array([0.0, 0.125, -0.25]),
+                                 np.array([0.25, 0.125, 0.0625]))
+    assert np.all(mu == 0.9999999999999998) and np.all(m == 0.0)
+    rng = np.random.default_rng(2)
+    m, mu = exact_oscillation_1d(f, rng.uniform(-0.25, 0.25, 2000),
+                                 rng.uniform(1e-6, 0.25, 2000))
+    assert np.all(np.abs(mu - (1.0 - 2.0 ** -52)) <= 2.0 ** -53)
+    assert np.all(m == 0.0)
 
 
 def test_root_step_stays_in_the_final_bracket():
@@ -651,10 +656,11 @@ def test_root_step_stays_in_the_final_bracket():
     h = np.array([c * 2.0 ** -e for e in range(60, 68)
                   for c in (0.55, 0.75, 0.9, 1.5, 3.3)])
     lo = np.repeat([-0.7, -0.9, -1.3], h.size)
-    edges = np.stack([lo, np.tile(h, 3)], axis=-1)
-    out = _root_refined_edges(lambda x: np.where(x < 0.0, 1.0, -x), (),
-                              edges, np.zeros(lo.size))
-    assert np.all((edges[:, :1] < out[:, 1:2]) & (out[:, 1:2] <= edges[:, 1:]))
+    hi = np.tile(h, 3)
+    root, _, _ = oscillation._segment_roots(
+        lambda x: np.where(x < 0.0, 1.0, -x), live_segments((), lo, hi),
+        np.zeros(lo.size))
+    assert np.all((lo < root) & (root <= hi))
 
 
 @pytest.mark.parametrize("q", [0.0, -1.0, 0.5, float("nan"), float("inf")])

@@ -1,17 +1,16 @@
 """Seeded quadrature: exactness, uniform law, determinism."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osclab import (QuadratureError, QuadratureSpec, gauss_rule,
-                    make_plateau_bump, oscillation, stream, unit_ball_nodes,
-                    unit_ball_volume)
+                    make_ball_indicator, make_linear, make_plateau_bump,
+                    oscillation, stream, unit_ball_nodes, unit_ball_volume)
 from osclab import quadrature
-from osclab.quadrature import segment_edges, segment_integrals, segment_mean
+from osclab.quadrature import (live_segments, row_segments,
+                               segment_integrals, segment_width)
 
 
 def test_gauss_rule_polynomial_exactness():
@@ -120,18 +119,29 @@ def test_unit_ball_nodes_law_halfspace():
     assert abs(frac - 0.5) <= 4 * se
 
 
-def test_segment_mean_exact_linear():
+def _mean(g, breakpoints, lo, hi, n=8):
+    # the mean of g over each ball [lo, hi] as the kernels take it: the
+    # segment rule on the live segments, added left to right per ball and
+    # divided by the width
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    segs = live_segments(breakpoints, lo, hi)
+    return (segs.row_sums(segment_integrals(g, segs.edges, n))
+            / segment_width(lo, hi))
+
+
+def test_segment_rule_mean_exact_linear():
     f = lambda x: 3.0 * x + 1.0
-    mean = segment_mean(f, segment_edges((), -0.25, 0.75), 8)
-    assert abs(mean - (3.0 * 0.25 + 1.0)) <= 1e-14
+    mean = _mean(f, (), -0.25, 0.75)
+    assert abs(mean[0] - (3.0 * 0.25 + 1.0)) <= 1e-14
 
 
-def test_segment_mean_breakpoints_make_kinks_exact():
+def test_segment_rule_breakpoints_make_kinks_exact():
     # average of an indicator over an interval straddling its jump
     b = 0.2
     f = lambda x: (x < b).astype(float)
-    mean = segment_mean(f, segment_edges((b,), -1.0, 1.0), 8)
-    assert abs(mean - (b - (-1.0)) / 2.0) <= 1e-14
+    mean = _mean(f, (b,), -1.0, 1.0)
+    assert abs(mean[0] - (b - (-1.0)) / 2.0) <= 1e-14
 
 
 def test_unit_ball_volume_closed_forms():
@@ -141,7 +151,7 @@ def test_unit_ball_volume_closed_forms():
 
 
 # ---------------------------------------------------------------------------
-# the segment rule skips zero-width segments without moving a bit
+# the segment rule on the flat list of live segments
 # ---------------------------------------------------------------------------
 
 PLATEAU_1D = make_plateau_bump(1, 1.0, 0.5, 1.0)
@@ -155,141 +165,103 @@ def _fixed_order_sum(vals, w):
     return total
 
 
-def _dense_segment_integrals(g, edges, n):
-    # the rule as it reads with every segment evaluated, dead ones included
+def _dense_segment_integrals(g, edges, n, *cols):
+    # the rule as it reads with every segment evaluated, zero-width ones
+    # included, and its weighted values added in one loop
     t, w = gauss_rule(n)
-    lo = edges[..., :-1]
-    hi = edges[..., 1:]
+    lo = edges[:, 0]
+    hi = edges[:, 1]
     half = 0.5 * (hi - lo)
-    x = (0.5 * (hi + lo))[..., None] + half[..., None] * t
-    return half * _fixed_order_sum(g(x), w)
-
-
-def _has_dead_segments(edges):
-    return bool(np.any(edges[..., 1:] == edges[..., :-1]))
+    x = (0.5 * (hi + lo))[:, None] + half[:, None] * t
+    return half * _fixed_order_sum(g(x, *(c[:, None] for c in cols)), w)
 
 
 # balls inside the core, straddling ri and ro, outside the support and
-# covering all of it: each keeps some clipped, zero-width segments
+# covering all of it
 _A = np.array([0.0, 0.5, -0.45, 0.9, 1.7, 0.2, -0.8, 0.05])
 _R = np.array([0.2, 0.2, 0.3, 0.25, 0.4, 3.0, 0.05, 1.0])
 
 
 def test_segment_integrals_match_the_dense_rule_on_a_scalar_ball():
     fev = PLATEAU_1D.eval_1d
-    edges = segment_edges(PLATEAU_1D.breakpoints_1d, 0.5 - 0.2, 0.5 + 0.2)
-    assert edges.shape == (6,) and _has_dead_segments(edges)
+    segs = live_segments(PLATEAU_1D.breakpoints_1d, np.array([0.5 - 0.2]),
+                          np.array([0.5 + 0.2]))
+    assert segs.edges.shape == (2, 2)
     for n in (2, 8, 13):
-        assert np.array_equal(segment_integrals(fev, edges, n),
-                              _dense_segment_integrals(fev, edges, n))
+        assert np.array_equal(segment_integrals(fev, segs.edges, n),
+                              _dense_segment_integrals(fev, segs.edges, n))
 
 
 def test_segment_integrals_match_the_dense_rule_on_a_batch_of_balls():
     fev = PLATEAU_1D.eval_1d
-    edges = segment_edges(PLATEAU_1D.breakpoints_1d, _A - _R, _A + _R)
-    assert edges.shape == (_A.size, 6) and _has_dead_segments(edges)
+    edges = live_segments(PLATEAU_1D.breakpoints_1d, _A - _R, _A + _R).edges
     assert np.array_equal(segment_integrals(fev, edges, 8),
                           _dense_segment_integrals(fev, edges, 8))
-    # and a (2, N) stack of the same balls, as the curve engine's blocks
-    stacked = np.stack([edges, edges[::-1]])
-    assert np.array_equal(segment_integrals(fev, stacked, 8),
-                          _dense_segment_integrals(fev, stacked, 8))
     # and enough balls to reach the column-by-column sum
     many = np.tile(edges, (60, 1))
-    live = np.count_nonzero(many[:, 1:] > many[:, :-1])
-    assert live >= quadrature._COLUMN_SUM_FROM
+    assert many.shape[0] >= quadrature._COLUMN_SUM_FROM
     assert np.array_equal(segment_integrals(fev, many, 8),
                           _dense_segment_integrals(fev, many, 8))
 
 
-def _refined_batch():
+def _split_batch():
+    # the q = 1 deviation's parts: each live segment split at the root of
+    # f - mu that _segment_roots finds, or at its right end, into [lo, root]
+    # and [root, hi], with mu for each part
     fev = PLATEAU_1D.eval_1d
-    edges = segment_edges(PLATEAU_1D.breakpoints_1d, _A - _R, _A + _R)
-    mu = segment_mean(fev, edges, 8)
-    segs = oscillation._live_segments(PLATEAU_1D.breakpoints_1d, _A - _R,
-                                      _A + _R)
+    segs = live_segments(PLATEAU_1D.breakpoints_1d, _A - _R, _A + _R)
+    mu = _mean(fev, PLATEAU_1D.breakpoints_1d, _A - _R, _A + _R)
     root, _, _ = oscillation._segment_roots(fev, segs, mu)
-    # each live segment's root, or its right end, between its two edges in
-    # the (N, 2K+3) layout; the flat list holds the live segments,
-    # np.flatnonzero(hi > lo), in order
-    full = edges[:, 1:].copy()
-    live = np.flatnonzero(full > edges[:, :-1])
-    assert live.size == root.size
-    full.reshape(-1)[live] = root
-    refined = np.empty((_A.size, 2 * edges.shape[1] - 1))
-    refined[:, 0::2] = edges
-    refined[:, 1::2] = full
-    assert _has_dead_segments(refined)
-    return fev, refined, mu
+    parts = np.stack([segs.lo, root, root, segs.hi], axis=-1).reshape(-1, 2)
+    assert np.any(parts[:, 1] == parts[:, 0]) and np.any(root < segs.hi)
+    return fev, segs, parts, np.repeat(mu[segs.ball], 2)
 
 
 def test_segment_integrals_with_an_arg_match_the_dense_rule():
-    # the q = 1 deviation integral: mu is indexed like the balls
-    fev, refined, mu = _refined_batch()
-    got = segment_integrals(lambda x, m: fev(x) - m, refined, 8, mu)
-    want = _dense_segment_integrals(lambda x: fev(x) - mu[:, None, None],
-                                    refined, 8)
+    # the q = 1 deviation integral, zero-width parts included: each reads
+    # exactly 0
+    fev, _, parts, mu = _split_batch()
+    got = segment_integrals(lambda x, m: fev(x) - m, parts, 8, mu)
+    want = _dense_segment_integrals(lambda x, m: fev(x) - m, parts, 8, mu)
     assert np.array_equal(got, want)
+    assert np.all(got[parts[:, 1] == parts[:, 0]] == 0.0)
 
 
 def test_segment_integrals_on_graded_sub_panels_match_the_dense_rule():
-    # the q != 1 route: (N, S, G) sub-panels, the arg still indexed by ball
-    fev, refined, mu = _refined_batch()
+    # the q != 1 route: each live segment's 2 P + 1 graded cuts, split at
+    # its root, as one flat list of live panels, mu indexed by ball
+    fev, segs, parts, _ = _split_batch()
+    mu = _mean(fev, PLATEAU_1D.breakpoints_1d, _A - _R, _A + _R)
     frac = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 9)))
-    lo = refined[..., :-1]
-    hi = refined[..., 1:]
-    sub = lo[..., None] + (hi - lo)[..., None] * frac
-    assert sub.shape == (_A.size, 10, 9) and _has_dead_segments(sub)
+    lo = segs.lo[:, None]
+    root = parts[0::2, 1:]
+    panels = row_segments(np.concatenate(
+        [lo + (root - lo) * frac[:-1],
+         root + (segs.hi[:, None] - root) * frac], axis=1))
+    assert np.array_equal(np.bincount(panels.ball),
+                          np.where(root[:, 0] < segs.hi, 16, 8))
+    col = mu[segs.ball[panels.ball]]
     q = 2.5
-    got = segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q, sub, 8, mu)
-    want = _dense_segment_integrals(
-        lambda x: np.abs(fev(x) - mu[:, None, None, None]) ** q, sub, 8)
+    got = segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q,
+                            panels.edges, 8, col)
+    want = _dense_segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q,
+                                    panels.edges, 8, col)
     assert np.array_equal(got, want)
 
 
-def test_segment_integrals_broadcast_a_column_arg_per_row():
-    # mollify_1d's call: points y of shape (P, 1), one window row each
-    fev = PLATEAU_1D.eval_1d
-    y = np.linspace(-1.3, 1.3, 11)[:, None]
-    t = 0.3
-    cols = [np.full_like(y, -t)]
-    cols += [np.clip(y - b, -t, t) for b in PLATEAU_1D.breakpoints_1d]
-    cols.append(np.full_like(y, t))
-    edges = np.sort(np.concatenate(cols, axis=-1), axis=-1)
-    assert _has_dead_segments(edges)
-    got = segment_integrals(lambda z, p: np.cos(z) * fev(p - z), edges, 12, y)
-    want = _dense_segment_integrals(
-        lambda z: np.cos(z) * fev(y[..., None] - z), edges, 12)
-    assert np.array_equal(got, want)
+def test_segment_integrals_evaluate_every_segment_and_zero_width_ones_give_0():
+    calls = []
 
+    def g(x, m):
+        calls.append((x.shape, m.shape))
+        return x + m
 
-def _padded_row(row, width):
-    # row's edges, padded to width by repeating its last edge
-    return np.pad(row, (0, width - row.size), mode="edge")
-
-
-def test_segment_integrals_of_a_row_padded_by_its_last_edge_keep_their_bits():
-    # ragged rows stacked into one call, each padded by repeating its last
-    # edge, as the mollification suite stacks its cases: the padding adds
-    # zero-width segments worth exactly 0, and every row keeps the bits it
-    # has alone, sums included, whatever its segment count.  The batch has
-    # enough live segments for the column sum, each row alone too few.
-    rng = np.random.default_rng(5)
-    fev = PLATEAU_1D.eval_1d
-    rows = [np.sort(rng.uniform(-1.3, 1.3, size=n + 1))
-            for n in (4, 12, 24, 48, 1, 3, 15, 37, 160)]
-    assert (sum(row.size - 1 for row in rows) >= quadrature._COLUMN_SUM_FROM
-            > max(row.size - 1 for row in rows))
-    width = max(row.size for row in rows)
-    padded = np.stack([_padded_row(row, width) for row in rows])
-    shift = rng.uniform(-0.2, 0.2, size=len(rows))
-    got = segment_integrals(lambda x, c: fev(x - c), padded, 8, shift)
-    for i, row in enumerate(rows):
-        alone = segment_integrals(lambda x: fev(x - shift[i]), row, 8)
-        own = got[i, :row.size - 1]
-        assert np.all(got[i, row.size - 1:] == 0.0)
-        assert own.tobytes() == alone.tobytes(), row.size - 1
-        assert own.sum() == alone.sum()
+    edges = np.array([[0.0, 0.0], [0.0, 1.0], [2.5, 2.5], [2.5, 3.0]])
+    out = segment_integrals(g, edges, 4, np.array([10.0, 10.0, 20.0, 20.0]))
+    assert calls == [((4, 4), (4, 1))]
+    assert out[0] == out[2] == 0.0
+    assert abs(out[1] - 10.5) <= 1e-14
+    assert abs(out[3] - 0.5 * 22.75) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,49 +270,36 @@ def test_segment_integrals_of_a_row_padded_by_its_last_edge_keep_their_bits():
        pick=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
 def test_a_segment_integral_does_not_depend_on_its_batch(n, counts, pick,
                                                           seed):
-    # any row, stacked at any position among random rows and padded by its
-    # last edge, has the bits of its own call, segment by segment
+    # any row's segments, at any position in a flat list among the
+    # segments of random rows, have the bits of their own call
     rng = np.random.default_rng(seed)
     fev = PLATEAU_1D.eval_1d
     rows = [np.sort(rng.uniform(-1.3, 1.3, size=k + 1)) for k in counts]
     pick %= len(rows)
-    width = max(row.size for row in rows)
-    padded = np.stack([_padded_row(row, width) for row in rows])
     shift = rng.uniform(-0.2, 0.2, size=len(rows))
+    edges = np.concatenate([np.stack([row[:-1], row[1:]], axis=-1)
+                            for row in rows])
+    ball = np.repeat(np.arange(len(rows)), counts)
     got = segment_integrals(lambda x, c: np.cos(3.0 * x) + fev(x - c),
-                            padded, n, shift)
+                            edges, n, shift[ball])
     row = rows[pick]
     alone = segment_integrals(lambda x: np.cos(3.0 * x) + fev(x - shift[pick]),
-                              row, n)
-    assert got[pick, :row.size - 1].tobytes() == alone.tobytes()
-    assert np.all(got[pick, row.size - 1:] == 0.0)
+                              np.stack([row[:-1], row[1:]], axis=-1), n)
+    assert got[ball == pick].tobytes() == alone.tobytes()
 
 
-def test_segment_integrals_call_g_on_live_segments_only():
-    calls = []
-
-    def g(x, m):
-        calls.append((x.shape, m.shape))
-        return x + m
-
-    edges = np.array([[0.0, 0.0, 1.0, 1.0], [2.0, 2.5, 2.5, 3.0]])
-    out = segment_integrals(g, edges, 4, np.array([10.0, 20.0]))
-    assert calls == [((3, 4), (3, 1))]
-    assert out[0, 0] == out[0, 2] == out[1, 1] == 0.0
-    assert abs(out[0, 1] - 10.5) <= 1e-14
-    assert abs(out[1, 0] - 0.5 * 22.25) <= 1e-13
-
-
-def test_weight_sums_in_the_fixed_order_as_segment_mean_states():
+def test_weight_sums_in_the_fixed_order_as_exact_pass_states():
     # one segment [-1, 1] of g = 1 integrates to the weights' sum, added
-    # first to last: exactly 2 at order 8 (and 1), within 6 units of 2^-53
-    # relative at every order 1-64
+    # first to last: exactly 2 at order 8 (and 1), 2 - 2^-51 at order 3,
+    # the plateau's, within 6 units of 2^-53 relative at every order 1-64
     for n in range(1, 65):
         total = segment_integrals(lambda x: np.ones_like(x),
-                                  np.array([-1.0, 1.0]), n)[0]
+                                  np.array([[-1.0, 1.0]]), n)[0]
         assert abs(total - 2.0) / 2.0 <= 6 * 2.0 ** -53, n
         if n in (1, 8):
             assert total == 2.0, n
+        if n == 3:
+            assert total == 2.0 - 2.0 ** -51
 
 
 def test_order_8_gives_a_constant_its_value_as_mean_across_breakpoints():
@@ -349,27 +308,46 @@ def test_order_8_gives_a_constant_its_value_as_mean_across_breakpoints():
     # segment widths add up to the width exactly
     a = np.repeat(np.arange(-80, 81) / 64.0, 40)
     r = np.tile(np.arange(1, 41) / 32.0, 161)
-    edges = segment_edges(PLATEAU_1D.breakpoints_1d, a - r, a + r)
-    inside = (edges[:, 1:-1] > edges[:, :1]) & (edges[:, 1:-1] < edges[:, -1:])
-    assert inside.any(axis=1).mean() > 0.8 and inside.sum(axis=1).max() == 4
+    count = np.bincount(live_segments(PLATEAU_1D.breakpoints_1d, a - r,
+                                       a + r).ball)
+    assert (count > 1).mean() > 0.8 and count.max() == 5
     for c in (1.0, -1.0, 0.5, 0.75, 3.0, 0.0):
-        mean = segment_mean(lambda x: np.full_like(x, c), edges, 8)
+        mean = _mean(lambda x: np.full_like(x, c), PLATEAU_1D.breakpoints_1d,
+                     a - r, a + r)
         assert np.all(mean == c), c
     for c in (0.7, 0.3, np.pi):
-        mean = segment_mean(lambda x: np.full_like(x, c), edges, 8)
+        mean = _mean(lambda x: np.full_like(x, c), PLATEAU_1D.breakpoints_1d,
+                     a - r, a + r)
         assert np.max(np.abs(mean - c)) <= 2 * np.spacing(c), c
 
 
-def test_segment_mean_refuses_a_zero_width_interval():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(QuadratureError, match="zero width"):
-            segment_mean(lambda x: x, segment_edges((), 3.0 - 1e-17,
-                                                    3.0 + 1e-17), 8)
-        with pytest.raises(QuadratureError, match="zero width"):
-            segment_mean(lambda x: x,
-                         segment_edges((), np.array([0.0, 3.0 - 1e-17]),
-                                       np.array([1.0, 3.0 + 1e-17])), 8)
+@pytest.mark.parametrize("f", [
+    PLATEAU_1D, make_ball_indicator(1, 0.5, center=[0.25]),
+    make_linear(1, [1.0]),
+], ids=lambda f: f.function_id)
+def test_live_segments_are_the_row_segments_of_the_clipped_cuts(f):
+    # live_segments builds, without the clipped copies, the list that
+    # row_segments makes of the breakpoints clipped to each ball: edges,
+    # balls, first and last, bit for bit.  The balls lie inside the core,
+    # straddle breakpoints, start or end exactly at one ([0, 0.5],
+    # [0.5, 1], [0, 1]) and cover the support; the linear entry has no
+    # breakpoints
+    rng = np.random.default_rng(3)
+    a = np.concatenate([[0.0, 0.5, -0.45, 0.25, 0.75, 0.5, 0.0],
+                        rng.uniform(-1.5, 1.5, 300)])
+    r = np.concatenate([[0.2, 0.2, 0.3, 0.25, 0.25, 0.5, 3.0],
+                        np.exp(rng.uniform(np.log(1e-3), np.log(3.0), 300))])
+    lo, hi = a - r, a + r
+    bp = sorted(f.breakpoints_1d)
+    assert f is not PLATEAU_1D or (np.isin(lo, bp).any()
+                                   and np.isin(hi, bp).sum() >= 3)
+    cuts = np.clip(np.stack([lo, *(np.full_like(lo, b) for b in bp), hi],
+                            axis=-1), lo[:, None], hi[:, None])
+    live = live_segments(f.breakpoints_1d, lo, hi)
+    rows = row_segments(cuts)
+    assert live.edges.tobytes() == rows.edges.tobytes()
+    for name in ("ball", "first", "last"):
+        assert np.array_equal(getattr(live, name), getattr(rows, name)), name
 
 
 @pytest.mark.parametrize("kwargs", [

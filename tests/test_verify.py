@@ -206,7 +206,8 @@ def test_mollification_strictly_helps_the_jump():
 
 def _one_case_rhs(f, phi, a, r, panels=verify._MOLLIFY_PANELS):
     # the right side of one case on its own: its own panel edges, one
-    # segment_integrals call per refinement, the oscillation of scalar a
+    # segment_integrals call per refinement, the oscillation of scalar a,
+    # and its segments added left to right, as row_sums adds them
     t = phi.scale
     pts = {-t, t}
     for b in f.breakpoints_1d:
@@ -221,8 +222,11 @@ def _one_case_rhs(f, phi, a, r, panels=verify._MOLLIFY_PANELS):
                                + [base[-1:]])
         seg = segment_integrals(
             lambda z: phi.density(z) * exact_oscillation_1d(f, a - z, r)[0],
-            edges, 8)
-        sums.append(float(seg.sum()))
+            np.stack([edges[:-1], edges[1:]], axis=-1), 8)
+        total = 0.0
+        for value in seg:
+            total += value
+        sums.append(float(total))
     coarse, fine = sums
     return fine, abs(fine - coarse)
 
@@ -274,9 +278,9 @@ def test_mollification_kernel_calls_do_not_grow_with_samples(monkeypatch):
     for n in (2, 40):
         sizes.clear()
         check_mollification(f, phi, n, GAUSS.seed)
-        # one call for every left side and one for every right side; the
-        # kernel bounds its own passes
-        assert len(sizes) == 2
+        # one call for every left side and one per panel refinement for
+        # every right side; the kernel bounds its own passes
+        assert len(sizes) == 3
         assert sizes[0] == n
 
 
@@ -371,7 +375,7 @@ def test_maximal_domination_evaluates_grad_once_per_ball():
     # flat_radius certifies f constant
     from osclab import oscillation
     from osclab.oscillation import flat_balls
-    from osclab.quadrature import segment_edges
+    from osclab.quadrature import live_segments
     plateau = make_plateau_bump(1, 1.0, 0.5, 1.0)
     grad_points = []
 
@@ -386,9 +390,9 @@ def test_maximal_domination_evaluates_grad_once_per_ball():
     segments = 0
     for b, fl in zip(balls, flat):
         if not fl:
-            edges = segment_edges(f.breakpoints_1d, b["a"][0] - b["r"],
-                                  b["a"][0] + b["r"])
-            segments += int(np.sum(edges[1:] > edges[:-1]))
+            a = np.asarray(b["a"], dtype=float)
+            segments += live_segments(f.breakpoints_1d, a - b["r"],
+                                       a + b["r"]).lo.size
     assert grad_points == [oscillation._GL_ORDER * segments]
     # these 60 balls hold both kinds, so the layout test above sees both
     # the guard and the ratio branch on plateau-d1

@@ -16,16 +16,18 @@ clipped into it.  On the exact route the kernel also gives dm/dr, at no
 extra integral, at the scanned radii and at each point the solve
 evaluates; the solve then starts from the inverse cubic Hermite
 interpolant of log m through the bracket's ends and takes Newton steps on
-log m that land on the ends of a final bisection cell.  On the exact
-route, and on the Monte Carlo route for an entry without a gradient,
-k = 18 (a bracket within 1e-6 of r), which on the exact route leaves the
-secant within roundoff of the crossing, at about 3.1 evaluations per
-bracket on the d = 1 plateau curve (4.5 with Chandrupatla's steps alone)
-against the 2 k + 1 it may spend.  On the Monte Carlo route for an entry
-with a gradient, m carries a node error of about 1 / sqrt(n) relative, so
-a crossing is solved only to that budget, k = ceil(log2(0.25 sqrt(n))) (3
-at 512 nodes, a bracket within r / sqrt(n)), at about 2 evaluations per
-bracket on the d = 2 plateau curve against 4.7 for k = 18 (see
+log m, each carried a quarter of the final bracket's width past its zero,
+so that a converged step lands across the crossing and the bracket meets
+the stop rule every route shares.  On the exact route, and on the Monte
+Carlo route for an entry without a gradient, k = 18 (a bracket within
+1e-6 of r), which on the exact route leaves the secant within roundoff
+of the crossing, at about 3.1 evaluations per bracket on the d = 1
+plateau curve (4.5 with Chandrupatla's steps alone) against the 2 k + 1
+it may spend.  On the Monte Carlo route for an entry with a gradient, m
+carries a node error of about 1 / sqrt(n) relative, so a crossing is
+solved only to that budget, k = ceil(log2(0.25 sqrt(n))) (3 at 512
+nodes, a bracket within r / sqrt(n)), at about 2 evaluations per bracket
+on the d = 2 plateau curve against 4.7 for k = 18 (see
 _mc_crossing_iters).  The weight of the resulting union of intervals has
 the closed form (lo^-p - hi^-p) / p per interval.  The brackets of every
 threshold, interval and direction in a chunk of centers go into one such
@@ -396,13 +398,16 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
     in r than m where m grows or decays like a power of r.  The first step
     takes the zero of the inverse cubic Hermite interpolant of y through
     both ends, or the Newton step from the one end whose value and slope
-    serve (not the 0 of a skipped cell) (_hermite_step).  A later one of
-    the first iters + 1, wherever the Newton step from x1 lands strictly
-    inside the bracket, evaluates an end of the final bisection cell that
-    holds the Newton point, the end across it from x1 (_newton_cells).  A
-    row whose bracket lies inside that cell stops: the cell is 2^-iters of
-    [lo, hi] wide, up to an ulp of hi in the rounding of its ends.
-    Elsewhere the steps above stand, their floors and stop rule included.
+    serve (not the 0 of a skipped cell) (_hermite_step).  After each
+    evaluation the Newton step on y from the new x1, with the dm/dr that
+    m_at returned there, is carried eps / 2 past its zero, away from x1;
+    where that lands strictly inside the bracket it replaces
+    Chandrupatla's step.  Once Newton has converged each such point lands
+    eps / 2 past the crossing, across it from x1, so two in turn leave a
+    bracket about eps wide, which meets the stop rule: on smooth m a row
+    takes the Hermite step, one Newton step and the carried one.
+    Chandrupatla's floor, the stop rule and the phase below stay as they
+    are.
 
     A row past iters + 1 steps bisects until b - a <= 2 eps, which takes at
     most iters more.  The result is the secant through the final bracket's
@@ -426,32 +431,20 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
         t = _hermite_step(x1, x2,
                           *_log_residual(m_hi, slopes[1], kappa, sign),
                           *_log_residual(m_lo, slopes[0], kappa, sign), t)
-        # dm/dr at x1, and the rows whose bracket lies in a final cell
-        dm1 = np.empty(rows.size)
-        done = np.zeros(rows.size, dtype=bool)
     act = np.arange(rows.size)
     for step in range(2 * iters + 1):
-        keep = np.abs(x2[act] - x1[act]) > 2.0 * eps[act]
-        if slopes is not None:
-            keep &= ~done[act]
-        act = act[keep]
+        act = act[np.abs(x2[act] - x1[act]) > 2.0 * eps[act]]
         if not act.size:
             break
         if step > iters:
             t[act] = 0.5
-        newton = slopes is not None and 0 < step <= iters
         p1, p2, f1, f2 = x1[act], x2[act], y1[act], y2[act]
         floor = 0.5 * eps[act] / np.abs(p2 - p1)
         x = p1 + np.clip(t[act], floor, 1.0 - floor) * (p2 - p1)
         if slopes is None:
             m = m_at(rows[act], x)
         else:
-            if newton:
-                at, cell = _newton_cells(
-                    p1, p2, kappa[act] + sign[act] * f1, dm1[act],
-                    kappa[act], lo[act], hi[act], iters)
-                x[at] = cell[2]
-            m, dm1[act] = m_at(rows[act], x, slope=True)
+            m, dm = m_at(rows[act], x, slope=True)
         y = sign[act] * (m - kappa[act])
         # the new point replaces x1 when both lie on the same side
         same = ((m > kappa[act]) == rising[act]) == (p1 > p2)
@@ -467,10 +460,16 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
                    + (p3 - p1) / (p2 - p1) * f1 / (f3 - f1) * f2 / (f3 - f2))
         t[act] = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
                           iqi, 0.5)
+        if slopes is not None:
+            # the Newton step on log(m / kappa) from x1, carried eps / 2
+            # past its zero, where that lands strictly inside the bracket
+            # (only a step toward x2 can, and the carry adds to it)
+            ly, ld = _log_residual(m, dm, kappa[act], sign[act])
+            carry = 0.5 * eps[act] / np.abs(p2 - p1)
+            with np.errstate(all="ignore"):
+                tn = carry - ly / ld / (p2 - p1)
+            t[act] = np.where((tn > carry) & (tn < 1.0), tn, t[act])
         x1[act], x2[act], y1[act], y2[act] = p1, p2, f1, f2
-        if newton:
-            done[act[at]] = ((cell[0] <= np.minimum(p1[at], p2[at]))
-                             & (np.maximum(p1[at], p2[at]) <= cell[1]))
     # x1 and x2 lie on either side, so at most one of y1, y2 is 0 and their
     # signs differ
     return np.clip(x1 - y1 * (x2 - x1) / (y2 - y1), np.minimum(x1, x2),
@@ -506,38 +505,6 @@ def _hermite_step(x1, x2, y1, d1, y2, d2, t):
     for ok, step in zip((lo_ok, hi_ok, hi_ok & lo_ok), steps[::-1]):
         t = np.where(ok & (step > 0.0) & (step < 1.0), step, t)
     return t
-
-
-def _newton_cells(x1, x2, m1, dm1, kappa, lo, hi, iters):
-    """Where the Newton step on log(m / kappa) from the newest point x1,
-    z = x1 - log(m1 / kappa) m1 / dm1, lands strictly inside its bracket
-    (x1, x2): the indices of those rows and their (c, d, target), where
-    [c, d] is the final cell of the iters-step bisection path of [lo, hi]
-    that z takes (c < z <= d: a midpoint at z goes high) and target the end of
-    it across z from x1, or the other end if that one is not strictly
-    inside the bracket.  Rows where neither end is are left out."""
-    with np.errstate(all="ignore"):
-        z = x1 - np.log(m1 / kappa) * m1 / dm1
-    a = np.minimum(x1, x2)
-    b = np.maximum(x1, x2)
-    at = np.flatnonzero((z > a) & (z < b))
-    z, a, b = z[at], a[at], b[at]
-    c, d = lo[at], hi[at]
-    mid = np.empty(at.size)
-    up = np.empty(at.size, dtype=bool)
-    for _ in range(iters):
-        # 0.5 (c + d) as plain bisection computes it, in place
-        np.add(c, d, out=mid)
-        mid *= 0.5
-        np.greater_equal(mid, z, out=up)
-        np.copyto(d, mid, where=up)
-        np.logical_not(up, out=up)
-        np.copyto(c, mid, where=up)
-    low = x1[at] < x2[at]
-    far, near = np.where(low, d, c), np.where(low, c, d)
-    target = np.where((far > a) & (far < b), far, near)
-    ok = (target > a) & (target < b)
-    return at[ok], (c[ok], d[ok], target[ok])
 
 
 def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,

@@ -473,16 +473,16 @@ def _assert_near_bisection(got, want, lo, hi, iters=ITERS, reach=1.0):
 
 
 def _certified_solve(m, n_rows, rows, lo, hi, kappa, rising, iters, m_lo,
-                     m_hi, slopes=None, slack=0.0):
+                     m_hi, slopes=None):
     """_bisect_crossings on m over n_rows rows: the crossings, each checked
     to lie in an evaluated sign change no wider than 2^-iters of its
-    bracket (plus slack), and the _Counted m."""
+    bracket, and the _Counted m."""
     counted = _Counted(m, n_rows)
     logged = _Logged(counted)
     got = _bisect_crossings(logged, rows, lo, hi, kappa, rising, iters, m_lo,
                             m_hi, slopes=slopes)
-    _assert_certified(got, (hi - lo) / 2.0 ** iters + slack, logged, rows,
-                      lo, hi, kappa, rising, m_lo, m_hi)
+    _assert_certified(got, (hi - lo) / 2.0 ** iters, logged, rows, lo, hi,
+                      kappa, rising, m_lo, m_hi)
     return got, counted
 
 
@@ -754,15 +754,41 @@ def test_slopes_move_where_the_solver_looks_not_what_it_returns(
         if slopes == "true":
             # a skipped scan cell holds 0 for m and for its slope
             ends = (np.where(rising & skipped, 0.0, ends[0]), ends[1])
-    # a row that stops in its final bisection cell has a bracket no wider
-    # than that cell, whose ends are midpoints rounded to an ulp of hi
     got, counted = _certified_solve(m, lo.size, rows, lo, hi, kappa, rising,
-                                    iters, m_lo, m_hi, slopes=ends,
-                                    slack=2.0 * np.spacing(hi))
+                                    iters, m_lo, m_hi, slopes=ends)
     _assert_near_bisection(got, _reference_bisection(
         m, rows, lo, hi, kappa, rising, iters), lo, hi, iters, reach=1.5)
     assert counted.per_row.max() <= 2 * iters + 1
     assert counted.calls <= 2 * iters + 1
+
+
+@pytest.mark.parametrize("g, dg, kappa, rising", [
+    (lambda u: u ** 1.5, lambda u: 1.5 * u ** 0.5, 1.0, True),
+    (lambda u: u ** -2.0, lambda u: -2.0 * u ** -3.0, 1.0, False),
+    (lambda u: u ** 20, lambda u: 20.0 * u ** 19, 1.0, True),
+    (np.log1p, lambda u: 1.0 / (1.0 + u), math.log(2.0), True)],
+    ids=["r^1.5", "r^-2", "r^20", "log1p"])
+def test_true_slopes_solve_smooth_rows_in_three_evaluations(g, dg, kappa,
+                                                            rising):
+    # m(row, r) = g(r / t) crosses kappa at the row's t, anywhere in its
+    # cell.  With the true slopes each row takes the Hermite step, one
+    # Newton step and the Newton step carried eps / 2 past the crossing,
+    # which straddles it: at most 3 evaluations per row and 3 calls of m,
+    # and a secant within 1e-10 of the cell's width of t
+    lo, hi = _geometric_cells(2000)
+    t = lo + np.random.default_rng(9).uniform(0.0, 1.0, lo.size) * (hi - lo)
+
+    def m(rows, r, slope=False):
+        u = np.asarray(r, dtype=float) / t[rows]
+        return (g(u), dg(u) / t[rows]) if slope else g(u)
+
+    rows = np.arange(lo.size)
+    got, counted = _certified_solve(
+        m, lo.size, rows, lo, hi, kappa, np.full(lo.size, rising), ITERS,
+        m(rows, lo), m(rows, hi), slopes=(dg(lo / t) / t, dg(hi / t) / t))
+    assert counted.per_row.max() <= 3
+    assert counted.calls <= 3
+    assert np.all(np.abs(got - t) <= 1e-10 * (hi - lo))
 
 
 def _mean_evaluations(m, lo, hi, kappa, rising):
@@ -924,10 +950,9 @@ def test_18_step_crossings_lie_within_a_cell_of_plain_bisection(monkeypatch,
 
 
 def test_exact_chunk_solve_stays_within_its_budgets():
-    # with the slopes of m the solve leaves nearly every row's bracket in
-    # its final bisection cell, where the row stops: the chunk then takes
-    # 3.1 evaluations per bracket, and 3.6 if such rows went on to the stop
-    # rule b - a <= 2 eps, which rounding of the cell's ends can miss
+    # with the slopes of m the Newton steps, carried eps / 2 past their
+    # zero, straddle nearly every crossing within a few evaluations: the
+    # chunk takes 3.1 evaluations per bracket
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
     dom = default_domain(f)
     kappas = default_kappa_grid(f)

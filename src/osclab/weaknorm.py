@@ -35,12 +35,15 @@ solve, whose rows are independent, so the crossing search costs a fixed
 number of calls of m per chunk however many thresholds the grid holds.  A
 side is decided by m > kappa, so a ball where f is not finite raises
 QuadratureError rather than count as below every threshold.  Only the
-center integral is approximated, in one of two ways.
-distribution_curve(samples=...) samples it, stratified and uniform over
-the window, which makes it statistical, with a standard error; panels=...
-integrates it in d = 1 on Gauss panels aligned with f's
-breakpoints, where the weight of a center is a deterministic, piecewise
-smooth function of it, with a deterministic error estimate.
+center integral is approximated, by one of two centre plans, each of which
+gives the centres, the count the curve reports and the reduction of the
+per-centre weights to nu and its error.  distribution_curve(samples=...)
+samples it (_sampled_plan), stratified and uniform over the window, which
+makes it statistical, with a standard error; panels=... integrates it in
+d = 1 on Gauss panels aligned with f's breakpoints (_rule_plan_1d), where
+the weight of a center is a deterministic, piecewise smooth function of
+it, with a deterministic error estimate.  The curve picks its plan once,
+and every plan's centres go through the same chunked scan and solve.
 
 The window's r_min is a numerical floor, not a truncation: scanning starts
 at min(r_min, certified floor) and any section already above threshold at
@@ -70,7 +73,9 @@ contribution vanishes in the kappa^p-scaled limit).
 
 m_f comes from the batch entries of oscillation, exact_oscillation_1d and
 mc_oscillation, which bound the size of their own kernel passes; single-
-ball queries run the same rules.  Every center gets its own node stream
+ball queries run the same rules.  Both curve engines share one radius
+scan (_Engine.scan), which asks each for dm/dr and keeps it where the
+kernel gives it, on the exact route.  Every center gets its own node stream
 keyed by global sample index (oscillation.centre_nodes, which also picks
 how the nodes are stored), so results are independent of chunking and
 thread count, and one scan is shared across all thresholds (common random
@@ -611,12 +616,14 @@ def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
 class _Engine:
     """m(row, r) on a chunk of centers, plus the radius scan built on it.
 
-    m_at raises QuadratureError on a ball where f is not finite: a side is
-    decided by m > kappa, which is False for NaN, so such a ball would
-    otherwise count as below every threshold.  iters is the crossing
-    search's (see _bisect_crossings), by default _BISECT_ITERS.  slopes
-    holds dm/dr at every scan cell
-    once scan has run, for an engine whose m_at gives it (else None).
+    m_at(rows, r) returns m at each (row, radius) pair, and m_at(rows, r,
+    slope=True) the pair (m, dm/dr), whose dm/dr is None where the kernel
+    gives none (the Monte Carlo route).  m_at raises QuadratureError on a
+    ball where f is not finite: a side is decided by m > kappa, which is
+    False for NaN, so such a ball would otherwise count as below every
+    threshold.  iters is the crossing search's (see _bisect_crossings), by
+    default _BISECT_ITERS.  slopes holds dm/dr at every scan cell once scan
+    has run, for an engine whose m_at gives it, and is None otherwise.
     """
     iters = _BISECT_ITERS
     slopes = None
@@ -625,12 +632,16 @@ class _Engine:
         """m at every (row, grid radius) cell, shape (C, J).
 
         Cells where the (C, J) mask skip is True are not evaluated and read
-        0; the others go to m_at as one gather of (row, radius) pairs, so
-        each value is the one m_at returns for that pair.
+        0; the others go to m_at(..., slope=True) as one gather of (row,
+        radius) pairs, so each value is the one m_at returns for that pair.
+        Where dm/dr comes back, slopes keeps it, 0 at a skipped cell.
         """
         rows, cols = np.nonzero(~skip)
         out = np.zeros(skip.shape)
-        out[rows, cols] = self.m_at(rows, grid[cols])
+        out[rows, cols], dm = self.m_at(rows, grid[cols], slope=True)
+        if dm is not None:
+            self.slopes = np.zeros(skip.shape)
+            self.slopes[rows, cols] = dm
         return out
 
 
@@ -638,8 +649,8 @@ class _Exact1D(_Engine):
     """The deterministic Gauss route of exact_oscillation_1d, d = 1.
 
     m_at(rows, r, slope=True) returns (m, dm/dr), which the kernel gives
-    at no extra integral, and the scan keeps the slopes of its cells in
-    slopes (0 at a skipped cell), for the crossing search.
+    at no extra integral and with the same bits of m, so the shared scan
+    keeps the slopes of its cells for the crossing search.
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, mu_nodes: int):
@@ -652,15 +663,6 @@ class _Exact1D(_Engine):
                                    mu_nodes=self.mu_nodes, slope=slope)
         m = require_finite(out[0])
         return (m, out[2]) if slope else m
-
-    def scan(self, grid: np.ndarray, skip: np.ndarray) -> np.ndarray:
-        """_Engine.scan, keeping dm/dr at every cell in slopes."""
-        rows, cols = np.nonzero(~skip)
-        out = np.zeros(skip.shape)
-        self.slopes = np.zeros(skip.shape)
-        out[rows, cols], self.slopes[rows, cols] = self.m_at(
-            rows, grid[cols], slope=True)
-        return out
 
 
 class _McScan(_Engine):
@@ -684,8 +686,9 @@ class _McScan(_Engine):
         if f.grad is not None:
             self.iters = _mc_crossing_iters(node_count)
 
-    def m_at(self, rows, r):
-        return require_finite(mc_oscillation(self.nodes, r, rows))
+    def m_at(self, rows, r, slope=False):
+        m = require_finite(mc_oscillation(self.nodes, r, rows))
+        return (m, None) if slope else m
 
 
 def _make_engine(f, centers, spec, global_start):
@@ -745,47 +748,68 @@ def _r_tail_bound(f: TestFunction, kappa: float, p: float,
     return domain.volume * float(interval_weight(domain.r_max, r_top, p))
 
 
-def _curve_chunk(f, centers, global_start, kappas, p, spec, grid):
-    eng = _make_engine(f, centers, spec, global_start)
-    scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas.min())))
-    k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, kappas, f, centers, p, eng.iters, eng.slopes)
-    # each (threshold, row) cell adds its intervals in radius order
-    shape = (kappas.size, centers.shape[0])
-    w = np.zeros(shape)
-    np.add.at(w, (k, row), interval_weight(lo, hi, p))
-    ambig = np.zeros(shape)
-    np.add.at(ambig, (k, row), amb)
-    counters = {"below_floor": int(below_floor.sum()),
-                "open_at_r_max": int(at_r_max.sum())}
-    return w, ambig, counters
-
-
 def _center_weights(f, centers, kappas, p, spec, grid, threads):
     """Per-centre weights and bracket ambiguities, each of shape (K, C),
     and the counters summed over every chunk.
 
-    The centres run in chunks of _CHUNK, each keyed by its global start, and
-    the chunk results join in order, so threads changes wall time only.
+    The centres run in chunks of _CHUNK, each scanned by its own engine
+    keyed by its global start, and the chunk results join in order, so
+    threads changes wall time only.
     """
-    jobs = [(centers[s:s + _CHUNK], s)
-            for s in range(0, centers.shape[0], _CHUNK)]
+    starts = range(0, centers.shape[0], _CHUNK)
 
-    def run(job):
-        chunk_centers, start = job
-        return _curve_chunk(f, chunk_centers, start, kappas, p, spec, grid)
+    def run(start):
+        chunk = centers[start:start + _CHUNK]
+        eng = _make_engine(f, chunk, spec, start)
+        scan = eng.scan(grid, _skip_mask(f, chunk, grid, float(kappas.min())))
+        k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
+            eng.m_at, scan, grid, kappas, f, chunk, p, eng.iters, eng.slopes)
+        # each (threshold, row) cell adds its intervals in radius order
+        shape = (kappas.size, chunk.shape[0])
+        w = np.zeros(shape)
+        np.add.at(w, (k, row), interval_weight(lo, hi, p))
+        ambig = np.zeros(shape)
+        np.add.at(ambig, (k, row), amb)
+        return w, ambig, {"below_floor": int(below_floor.sum()),
+                          "open_at_r_max": int(at_r_max.sum())}
 
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            results = list(pool.map(run, jobs))
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+            results = list(pool.map(run, starts))
     else:
-        results = [run(job) for job in jobs]
+        results = [run(start) for start in starts]
 
     weights = np.concatenate([w for w, _, _ in results], axis=1)
     ambig = np.concatenate([am for _, am, _ in results], axis=1)
     counters = {key: sum(cnt.get(key, 0) for _, _, cnt in results)
                 for key in _COUNTER_KEYS}
     return weights, ambig, counters
+
+
+# ---------------------------------------------------------------------------
+# centre plans: the centres, the count a curve reports, and reduce(weights,
+# ambig) -> (nu, nu_stderr) over the (K, C) arrays of _center_weights
+# ---------------------------------------------------------------------------
+
+def _sampled_plan(domain: Domain, samples: int, seed: int):
+    """The centres of sample_centers; nu is the window's volume times the
+    mean weight, and its error the stratified standard error plus the
+    volume times the mean ambiguity."""
+    centers, strata, n_strata = sample_centers(domain, samples, seed)
+    vol = domain.volume
+    # sample_centers sorts the centres by stratum, so each stratum is one
+    # run of columns
+    cuts = np.flatnonzero(np.diff(strata)) + 1
+
+    def reduce(weights, ambig):
+        # the variances add up in stratum order
+        acc = np.zeros(weights.shape[0])
+        for grp in np.split(weights, cuts, axis=1):
+            acc += grp.var(axis=1, ddof=1) / grp.shape[1]
+        return (vol * weights.mean(axis=1),
+                vol * np.sqrt(acc) / n_strata + vol * ambig.mean(axis=1))
+
+    return centers, samples, reduce
 
 
 def _center_rule_1d(f: TestFunction, domain: Domain, n: int):
@@ -802,38 +826,33 @@ def _center_rule_1d(f: TestFunction, domain: Domain, n: int):
     return (mid + half * t).ravel(), (half * g).ravel()
 
 
+def _rule_plan_1d(f: TestFunction, domain: Domain, panels: int):
+    """The nodes of the d = 1 centre rule on panels panels per piece, then
+    those of the rule on half the panels, which only the error estimate
+    reads; the count is the first rule's.  nu is the rule's sum, and its
+    error |nu - nu_half| plus the rule's sum of the ambiguities."""
+    fine, g_fine = _center_rule_1d(f, domain, panels)
+    coarse, g_coarse = _center_rule_1d(f, domain, panels // 2)
+
+    def reduce(weights, ambig):
+        nu = weights[:, :fine.size] @ g_fine
+        return nu, (np.abs(nu - weights[:, fine.size:] @ g_coarse)
+                    + ambig[:, :fine.size] @ g_fine)
+
+    return np.concatenate([fine, coarse])[:, None], fine.size, reduce
+
+
 def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
                   domain: Domain, spec: QuadratureSpec, samples: int,
                   threads: int, panels: Optional[int] = None
                   ) -> DistributionCurve:
-    if panels is None:
-        centers, strata, n_strata = sample_centers(domain, samples, spec.seed)
-    else:
-        # the rule's nodes, then those of the rule on half the panels, which
-        # only the error estimate reads
-        fine, g_fine = _center_rule_1d(f, domain, panels)
-        coarse, g_coarse = _center_rule_1d(f, domain, panels // 2)
-        centers = np.concatenate([fine, coarse])[:, None]
-        samples = fine.size
+    centers, samples, reduce = (
+        _sampled_plan(domain, samples, spec.seed) if panels is None
+        else _rule_plan_1d(f, domain, panels))
     grid = _scan_grid(f, domain, float(kappas[-1]))
     weights, ambig, counters = _center_weights(f, centers, kappas, p, spec,
                                                grid, threads)
-
-    if panels is None:
-        vol = domain.volume
-        nu = vol * weights.mean(axis=1)
-        # sample_centers sorts the centres by stratum, so each stratum is
-        # one run of columns; the variances add up in stratum order
-        acc = np.zeros(kappas.size)
-        for grp in np.split(weights, np.flatnonzero(np.diff(strata)) + 1,
-                            axis=1):
-            acc += grp.var(axis=1, ddof=1) / grp.shape[1]
-        se = vol * np.sqrt(acc) / n_strata + vol * ambig.mean(axis=1)
-    else:
-        nu = weights[:, :samples] @ g_fine
-        se = (np.abs(nu - weights[:, samples:] @ g_coarse)
-              + ambig[:, :samples] @ g_fine)
-
+    nu, se = reduce(weights, ambig)
     tail = np.array([_r_tail_bound(f, float(k), p, domain) for k in kappas])
     return DistributionCurve(
         function_id=f.function_id, dim=f.dim, p=float(p), kappa_grid=kappas,

@@ -24,6 +24,7 @@ from osclab import (
     stream,
     translate,
     unit_ball_nodes,
+    unit_ball_volume,
 )
 from osclab import catalog
 from osclab.catalog import coordinate_dot
@@ -575,6 +576,72 @@ def test_plateau_l1_mass_matches_quadrature():
                 lambda t: abs(f.eval_1d(np.array([t]))[0]) * surf * t**(d - 1),
                 0.0, 1.0, limit=200)
         assert abs(val - f.l1_mass) <= 1e-8 + 10 * err, (d, val, f.l1_mass)
+
+
+def _metadata_images():
+    out = []
+    for f in default_catalog():
+        out += [f, translate(f, np.linspace(0.37, -0.21, f.dim)),
+                dilate(f, 0.4), dilate(f, 1.7), scale_values(f, -2.5)]
+    return out
+
+
+def _unit_rays(d, count, seed):
+    """count unit vectors of R^d; in d = 1 the two of the line."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]])
+    u = stream(seed, 53).standard_normal((count, d))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("f", _metadata_images(), ids=lambda f: f.function_id)
+def test_l1_mass_of_each_entry_and_image_matches_a_quadrature(f):
+    # l1_mass feeds _r_tail_bound's gamma.  Every entry with a finite mass
+    # is radial, so |f - far_value| integrates along each ray from the
+    # centre against |S^(d-1)| rho^(d-1): 4 panels of 8 Gauss nodes on
+    # each piece between the radial breakpoints, and on a piece past the
+    # last as long again, integrate a polynomial piece exactly, so every
+    # ray gives the mass to rounding.  A linear entry has no finite mass
+    if f.radial is None:
+        assert f.l1_mass is None and f.support_radius is None
+        return
+    bps = (0.0, *f.radial.breakpoints, 2.0 * f.radial.breakpoints[-1])
+    edges = np.concatenate([np.linspace(lo, hi, 5)[:-1]
+                            for lo, hi in zip(bps[:-1], bps[1:])] + [bps[-1:]])
+    t, w = gauss_rule(8)
+    half = 0.5 * np.diff(edges)[:, None]
+    rho = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * t).ravel()
+    weight = (half * w).ravel() * f.dim * unit_ball_volume(f.dim)
+    for u in _unit_rays(f.dim, 8, 54):
+        vals = np.abs(f.eval(f.radial.center + rho[:, None] * u) - f.far_value)
+        got = float(weight @ (vals * rho ** (f.dim - 1)))
+        assert got == pytest.approx(f.l1_mass, rel=1e-12, abs=0.0), u
+
+
+@pytest.mark.parametrize("f", _metadata_images(), ids=lambda f: f.function_id)
+def test_grad_max_of_each_entry_and_image_bounds_the_gradient(f):
+    # grad_max feeds the skip mask and the certified floor.  |grad f| stays
+    # below it, up to the few ulps by which the computed norm rounds up
+    # (the skip mask's 1 + SKIP_MARGIN covers them), at 2000 uniform points
+    # of a cube around the support (around the origin for a linear entry)
+    # and at 2001 radii along each of 8 rays from a radial entry's centre;
+    # those points reach it to 1e-3 of it, so they probe where the bound
+    # is tight.  The indicator has neither a gradient nor a bound
+    if f.grad is None:
+        assert f.grad_max is None
+        return
+    if f.radial is None:
+        c, reach = np.zeros(f.dim), 2.0
+        rays = np.empty((0, f.dim))
+    else:
+        c, reach = f.radial.center, 1.5 * f.radial.breakpoints[-1]
+        rho = np.linspace(0.0, reach, 2001)
+        rays = (c + rho[:, None, None] * _unit_rays(f.dim, 8, 55)).reshape(
+            -1, f.dim)
+    cube = c + stream(104, 56).uniform(-reach, reach, size=(2000, f.dim))
+    norms = np.linalg.norm(f.grad(np.concatenate([cube, rays])), axis=-1)
+    assert norms.max() <= (1.0 + 8.0 * np.finfo(float).eps) * f.grad_max
+    assert norms.max() >= (1.0 - 1e-3) * f.grad_max
 
 
 # ---------------------------------------------------------------------------

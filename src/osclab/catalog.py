@@ -143,7 +143,8 @@ class TestFunction:
     present, bounds the degree of those polynomials (dimension one only),
     an integer >= 0; the exact 1-d kernel sizes its Gauss rule by it.  None
     (custom and mollified entries) means no such bound.
-    l1_mass is the integral of |f - far_value| when finite, else None.
+    l1_mass is the integral of |f - c| when finite, else None, with c the
+    constant that f takes outside support_radius.
     flat_radius, when present, maps centers of shape (..., dim) to radii of
     shape (...,) such that f is constant on the open ball of that radius
     around each center (a lower bound; 0 where no such ball is known), and
@@ -170,7 +171,6 @@ class TestFunction:
     support_radius: Optional[float]
     grad_max: Optional[float] = None
     breakpoints_1d: tuple = ()
-    far_value: float = 0.0
     l1_mass: Optional[float] = None
     flat_radius: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_norm_p: Optional[Callable[[float, tuple], Optional[float]]] = None
@@ -220,7 +220,7 @@ def make_linear(d: int, v) -> TestFunction:
     return TestFunction(
         function_id=fid, dim=d, eval=ev, grad=gr,
         grad_lipschitz=0.0, support_radius=None, grad_max=vn,
-        breakpoints_1d=(), far_value=0.0, l1_mass=None, grad_norm_p=gnorm,
+        breakpoints_1d=(), l1_mass=None, grad_norm_p=gnorm,
         degree_1d=1 if d == 1 else None)
 
 
@@ -319,7 +319,7 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
         function_id=fid, dim=d, eval=ev, grad=gr,
         grad_lipschitz=lip, support_radius=ro, grad_max=gmax,
         breakpoints_1d=(-ro, -ri, ri, ro) if d == 1 else (),
-        far_value=0.0, l1_mass=mass, flat_radius=flat, grad_norm_p=gnorm,
+        l1_mass=mass, flat_radius=flat, grad_norm_p=gnorm,
         radial=Radial(np.zeros(d), profile, (ri, ro), 5),
         degree_1d=5 if d == 1 else None)
 
@@ -363,7 +363,7 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
     return TestFunction(
         function_id=fid, dim=d, eval=ev, grad=None,
         grad_lipschitz=None, support_radius=R + float(np.linalg.norm(c)),
-        grad_max=None, breakpoints_1d=bps, far_value=0.0,
+        grad_max=None, breakpoints_1d=bps,
         l1_mass=unit_ball_volume(d) * R ** d, flat_radius=flat,
         radial=Radial(c, profile, (R,), 0), degree_1d=0 if d == 1 else None)
 
@@ -423,7 +423,6 @@ def scale_values(f: TestFunction, lam: float) -> TestFunction:
         grad=_then(f.grad, lambda g: lambda x: lam * g(x)),
         grad_lipschitz=_then(f.grad_lipschitz, lambda L: abs(lam) * L),
         grad_max=_then(f.grad_max, lambda m: abs(lam) * m),
-        far_value=lam * f.far_value,
         l1_mass=_then(f.l1_mass, lambda m: abs(lam) * m),
         grad_norm_p=_then(f.grad_norm_p, lambda n: lambda p, box: _then(
             n(p, box), lambda v: abs(lam) ** p * v)),

@@ -72,16 +72,16 @@ one-ball calls of ball_estimates, which takes arrays of centres and
 radii: q_oscillation and mean_oscillation follow the spec's method;
 maximal_gradient gives the ball average of |grad f|, the radius-r term of
 the centered maximal function.  pair_oscillation is Monte Carlo in every
-dimension and refuses the Gauss rules.  On Monte Carlo routes the rules
-take their node sets from _ball_nodes, which memoizes the draw on
-(d, n, seed, key) and keeps the 8 most recently used sets.  Repeated
-queries under one spec, such as a suite's balls, then draw each set once
-and get the same bits.  The cached arrays are read-only because every
-caller shares them.  centre_nodes does not use the memo.
+dimension and refuses the Gauss rules.  On Monte Carlo routes every ball
+of a call takes the spec's node sets, which _ball_nodes draws once at the
+top of the call: the outer set (KEY_OUTER), the antithetic inner set
+(KEY_INNER) for the oscillation, and pair_oscillation's second set
+(KEY_PAIR).  A suite makes one ball_estimates call, so its balls share
+the spec's node sets.  centre_nodes draws the curve's nodes on streams
+of their own, one per centre.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -99,9 +99,6 @@ from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_INNER, KEY_OUTER,
 # relative slack of flat_balls against the rounding of a + r u, of |x| and
 # of f itself, which are a few ulps of the coordinates and values
 SKIP_MARGIN = 1e-9
-# single-ball node sets _ball_nodes keeps: the three a spec can draw
-# (outer, inner, pair) with room to spare; 8 x 16384 x 3 doubles is 3.1 MB
-_NODE_SETS_KEPT = 8
 # f evaluation points per Monte Carlo pass of mc_oscillation
 BLOCK_POINTS = 2 ** 15
 # the largest gap between a radial entry's profile and its eval at the
@@ -550,20 +547,10 @@ def _point_major(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-@functools.lru_cache(maxsize=_NODE_SETS_KEPT)
 def _ball_nodes(d: int, n: int, seed: int, key: int) -> np.ndarray:
     """unit_ball_nodes(d, n, stream(seed, key)) stored coordinate-major,
-    (d, n), and read-only.
-
-    Memoized on (d, n, seed, key), the whole input of the draw, keeping the
-    _NODE_SETS_KEPT (8) most recently used sets: a single-ball rule called
-    again with the same spec gets the same bits without drawing them
-    again.  The array is shared by every caller that asks for the key, so
-    it is made read-only; a write raises instead of corrupting later calls.
-    """
-    u = np.ascontiguousarray(unit_ball_nodes(d, n, stream(seed, key)).T)
-    u.flags.writeable = False
-    return u
+    (d, n): a single-ball node set of the spec with that seed."""
+    return np.ascontiguousarray(unit_ball_nodes(d, n, stream(seed, key)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -825,13 +812,11 @@ def _power_mean(y: np.ndarray, q: float, se_extra: float) -> EstimatedValue:
                           (1.0 / q) * m_q ** (1.0 / q - 1.0) * se_m + se_extra)
 
 
-def _mc_ball(f: TestFunction, a: np.ndarray, r: float, q: float, n: int,
-             seed: int) -> EstimatedValue:
-    """q-oscillation of one ball on the spec's outer and antithetic inner
-    node sets (_ball_nodes), with its standard error."""
-    half = inner_count(n)
-    u_out = _ball_nodes(f.dim, n, seed, KEY_OUTER)
-    u_in = _ball_nodes(f.dim, half, seed, KEY_INNER)
+def _mc_ball(f: TestFunction, a: np.ndarray, r: float, q: float,
+             u_out: np.ndarray, u_in: np.ndarray) -> EstimatedValue:
+    """q-oscillation of one ball on the outer and antithetic inner node
+    sets u_out (d, n) and u_in (d, m), with its standard error."""
+    half = u_in.shape[-1]
     dev, pair_sums = mc_deviations(f.eval, a, r, u_out, u_in)
     require_finite(dev)
     require_finite(pair_sums)
@@ -840,10 +825,9 @@ def _mc_ball(f: TestFunction, a: np.ndarray, r: float, q: float, n: int,
     return _power_mean(np.abs(dev, out=dev) ** q, q, se_mu)
 
 
-def _mc_gradient(f: TestFunction, a: np.ndarray, r: float, n: int,
-                 seed: int) -> float:
-    """Mean of |grad f| over a + r u, u the outer node set of the spec."""
-    u = _ball_nodes(f.dim, n, seed, KEY_OUTER)
+def _mc_gradient(f: TestFunction, a: np.ndarray, r: float,
+                 u: np.ndarray) -> float:
+    """Mean of |grad f| over a + r u, u (d, n) the outer node set."""
     g = np.asarray(f.grad(_point_major(a[:, None] + r * u)), dtype=float)
     return float(np.mean(require_finite(np.sqrt(coordinate_dot(g, g)),
                                         "gradient")))
@@ -878,21 +862,23 @@ class BallEstimates:
 
 def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
                    q: float = 1.0, *, oscillation: bool = True,
-                   gradient: bool = False, seeds=None) -> BallEstimates:
+                   gradient: bool = False) -> BallEstimates:
     """The q-oscillation and, with gradient=True, the ball average of
     |grad f| of the balls B_radii[i](centers[i]), centers (B, d) and
     radii (B,), under spec: the one entry behind every single-ball rule
     but pair_oscillation.
 
     gauss_1d makes one exact_oscillation_1d call, and takes the average
-    of |f'| by the _GL_ORDER segment rule between f's breakpoints in one
-    more.  radial makes one pass of the radial rule (_radial_pass) per
-    _EXACT_PASS balls, after the probe of _radial_profile.  monte_carlo
-    takes ball i on its own, on the node sets of seed seeds[i] (spec.seed
-    when seeds is None) that _ball_nodes memoizes: the outer and inner set
-    for the oscillation, and the outer set again for the gradient.  A ball
-    on which flat_radius certifies f constant gets the gradient average 0
-    without an evaluation, since grad is exactly 0 there.  Functions
+    of |f'| by the _GL_ORDER segment rule between f's breakpoints in
+    passes of at most _EXACT_PASS balls.  radial makes one pass of the
+    radial rule (_radial_pass) per _EXACT_PASS balls, after the probe of
+    _radial_profile.  monte_carlo takes ball by ball, every ball on the
+    node sets of spec.seed, each drawn once at the top of the call
+    (_ball_nodes): the antithetic inner set for the oscillation only, and
+    the outer set, which the oscillation and the gradient share, only
+    when some ball needs it.  A ball on which flat_radius certifies f
+    constant gets the gradient average 0 without an evaluation, since
+    grad is exactly 0 there.  Functions
     without a gradient are refused for gradient=True
     (UnsupportedFunctionError), and so are the queries _check_query and
     require_balls refuse.  A value that is not finite raises
@@ -916,23 +902,28 @@ def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
         live = (~flat_balls(f, centers, radii[:, None])[:, 0]
                 if f.flat_radius is not None else np.ones(count, dtype=bool))
     if spec.method == "monte_carlo":
+        n = spec.node_count
+        if oscillation or (gradient and live.any()):
+            u_out = _ball_nodes(f.dim, n, spec.seed, KEY_OUTER)
+        if oscillation:
+            u_in = _ball_nodes(f.dim, inner_count(n), spec.seed, KEY_INNER)
         for i in range(count):
-            seed = spec.seed if seeds is None else int(seeds[i])
             if oscillation:
-                est = _mc_ball(f, centers[i], radii[i], q, spec.node_count,
-                               seed)
+                est = _mc_ball(f, centers[i], radii[i], q, u_out, u_in)
                 value[i], std_error[i] = est.value, est.std_error
             if gradient and live[i]:
-                avg[i] = _mc_gradient(f, centers[i], radii[i],
-                                      spec.node_count, seed)
+                avg[i] = _mc_gradient(f, centers[i], radii[i], u_out)
         return BallEstimates(value, std_error, avg)
 
     if spec.method == "gauss_1d":
         if oscillation:
             value[:] = exact_oscillation_1d(f, centers[:, 0], radii, q,
                                             mu_nodes=spec.node_count)[0]
-        if gradient and live.any():
-            avg[live] = _gauss_gradient(f, centers[live, 0], radii[live])
+        if gradient:
+            balls = np.flatnonzero(live)
+            for lo in range(0, balls.size, _EXACT_PASS):
+                at = balls[lo:lo + _EXACT_PASS]
+                avg[at] = _gauss_gradient(f, centers[at, 0], radii[at])
     else:
         t = np.sqrt(_radial_profile(f, centers))
         n = spec.node_count
@@ -1020,8 +1011,8 @@ def maximal_gradient(f: TestFunction, ball: BallSample,
     accuracy in dimension two; statistical on monte_carlo).  Functions
     without a gradient are rejected.  A ball on which flat_radius
     certifies f constant returns 0.0 before any evaluation, since grad is
-    exactly 0 there.  The Monte Carlo route averages over the outer node
-    set that q_oscillation draws for the same spec.
+    exactly 0 there.  The Monte Carlo route averages over the spec's outer
+    node set, the one q_oscillation draws for the same spec.
     """
     return float(_one_ball(f, ball, spec, oscillation=False,
                            gradient=True).gradient[0])

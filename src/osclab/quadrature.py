@@ -88,6 +88,14 @@ def require_method_dimension(method: str, dim: int) -> None:
             f"got dimension {dim}")
 
 
+def is_count(value) -> bool:
+    """Whether value is a count: an int or numpy integer, and not a bool,
+    which Python counts as an int (True would run one thread or one
+    sample).  A whole float is not a count."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 def _require_integer(name: str, value) -> int:
     """value as an int, once it is integral (a numpy integer or a whole
     float passes, a bool does not); QuadratureError naming it otherwise."""

@@ -46,7 +46,8 @@ from .catalog import (TestFunction, make_ball_indicator, make_linear,
 from .oscillation import (RADIAL_ORDER, UnsupportedFunctionError,
                           ball_estimates, exact_oscillation_1d)
 from .quadrature import (KEY_VERIFY, QuadratureSpec, default_spec,
-                         gauss_rule, row_segments, segment_integrals, stream)
+                         gauss_rule, is_count, row_segments,
+                         segment_integrals, stream)
 from .weaknorm import (Domain, c_d_prime, distribution_curve,
                        expansion_remainder_coeff, interval_weight,
                        reference_scaled_limit)
@@ -247,7 +248,6 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
         grad_lipschitz=None,
         support_radius=support,
         breakpoints_1d=tuple(sorted(new_bps)),
-        far_value=f.far_value,
         l1_mass=None,
     )
 
@@ -504,11 +504,7 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
         centers[i] = local.uniform(-1.3 * scale, 1.3 * scale, size=d)
         radii[i] = np.exp(local.uniform(np.log(5e-3 * scale),
                                         np.log(5.0 * scale)))
-    # ball i draws its Monte Carlo nodes from seed spec.seed + i: its
-    # oscillation draws the outer node set first, and the gradient average
-    # reuses it from oscillation's node memo
-    est = ball_estimates(f, centers, radii, spec, gradient=True,
-                         seeds=spec.seed + np.arange(n_samples))
+    est = ball_estimates(f, centers, radii, spec, gradient=True)
 
     cases = []
     ratios = []
@@ -864,16 +860,19 @@ def run_all(seed: int = DEFAULT_SEED, fault: Optional[FaultSpec] = None,
             n_samples: int = DEFAULT_SAMPLES) -> list:
     """Every suite over the default catalog matrix.
 
-    A budget the battery cannot run, node_count < 2 or n_samples < 1,
-    raises ValueError before any suite runs.  Suites run independently; an
-    exception in one is captured in its report and never aborts the
-    battery.  Returns the list of reports (use battery_passed /
+    A budget the battery cannot run, a node_count that is not an integer
+    >= 2 or an n_samples that is not an integer >= 1 (quadrature.is_count:
+    a bool or a float is not), raises ValueError before any suite runs.
+    Suites run independently; an exception in one is captured in its
+    report and never aborts the battery.  Returns the list of reports (use battery_passed /
     battery_to_dict for aggregation).
     """
-    if node_count < 2:
-        raise ValueError(f"node_count must be at least 2, got {node_count}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not (is_count(node_count) and node_count >= 2):
+        raise ValueError("node_count must be an integer of at least 2, "
+                         f"got {node_count!r}")
+    if not (is_count(n_samples) and n_samples >= 1):
+        raise ValueError("n_samples must be an integer of at least 1, "
+                         f"got {n_samples!r}")
     plateau = {d: make_plateau_bump(d, 1.0, 0.5, 1.0) for d in (1, 2, 3)}
     linear = {d: make_linear(d, [1.0] + [0.5] * (d - 1)) for d in (1, 2)}
     indicator = make_ball_indicator(1, 0.5)

@@ -95,8 +95,8 @@ from .catalog import TestFunction, require_box_dimension, unit_ball_volume
 from .oscillation import (SKIP_MARGIN, centre_nodes, exact_oscillation_1d,
                           flat_balls, mc_oscillation)
 from .quadrature import (KEY_CENTERS, QuadratureError, QuadratureSpec,
-                         gauss_rule, require_finite, require_method_dimension,
-                         stream)
+                         gauss_rule, is_count, require_finite,
+                         require_method_dimension, stream)
 
 _CHUNK = 256
 # Gauss order per panel of the d = 1 centre rule (distribution_curve's panels)
@@ -861,13 +861,6 @@ def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
         node_count=spec.node_count, counters=counters)
 
 
-def _is_count(value) -> bool:
-    """An int or numpy integer, and not a bool, which Python counts as an
-    int (True would run one thread or one centre sample)."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool))
-
-
 def distribution_curve(f: TestFunction, p: float, kappa_grid,
                        domain: Domain, spec: QuadratureSpec,
                        samples: Optional[int] = None, threads: int = 1,
@@ -895,11 +888,15 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
     never the values.  Every input is checked before any scan: p must be a
     finite real >= 1, and a bad grid, count or plan raises ValueError; a
     gauss_1d spec needs dimension one, and panels the gauss_1d route
-    (QuadratureError otherwise).
+    (QuadratureError otherwise).  A radial spec raises QuadratureError:
+    the curve has engines for gauss_1d and monte_carlo only.
     """
     _check_p(p)
     require_box_dimension(domain.box, f.dim)
     require_method_dimension(spec.method, f.dim)
+    if spec.method == "radial":
+        raise QuadratureError("the curve has no radial engine; take a "
+                              "gauss_1d or monte_carlo spec")
     kappas = np.asarray(kappa_grid, dtype=float)
     if kappas.ndim != 1 or kappas.size < 8:
         raise ValueError("threshold grid needs at least 8 points")
@@ -913,16 +910,16 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
         raise ValueError("give exactly one of samples (sampled centers) and "
                          "panels (the d = 1 centre rule)")
     if panels is None:
-        if not (_is_count(samples) and samples >= 2):
+        if not (is_count(samples) and samples >= 2):
             raise ValueError(f"need an integer count of at least 2 center "
                              f"samples for a standard error, got {samples!r}")
         samples = int(samples)
     elif spec.method != "gauss_1d":
         raise QuadratureError(
             f"the centre rule needs the gauss_1d route, got {spec.method}")
-    elif not (_is_count(panels) and panels >= 2 and panels % 2 == 0):
+    elif not (is_count(panels) and panels >= 2 and panels % 2 == 0):
         raise ValueError(f"panels must be an even integer >= 2, got {panels}")
-    if not (_is_count(threads) and threads >= 1):
+    if not (is_count(threads) and threads >= 1):
         raise ValueError(f"need an integer count of at least 1 worker "
                          f"thread, got {threads!r}")
     return _curve_engine(f, float(p), kappas, domain, spec, samples, threads,

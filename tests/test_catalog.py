@@ -83,13 +83,14 @@ def test_gradient_lipschitz_certificate(f):
     "f", [f for f in default_catalog() if f.support_radius is not None],
     ids=lambda f: f.function_id)
 def test_support_certificate(f):
-    # the function equals its far value outside the declared support radius
+    # the function is 0 outside the declared support radius, the constant
+    # that l1_mass is taken about
     rng = stream(103, 52)
     for _ in range(200):
         direction = rng.standard_normal(f.dim)
         direction /= np.linalg.norm(direction)
         x = direction * f.support_radius * rng.uniform(1.0 + 1e-9, 5.0)
-        assert f.eval(x) == f.far_value
+        assert f.eval(x) == 0.0
 
 
 def _support_box(f, center=None):
@@ -597,11 +598,12 @@ def _unit_rays(d, count, seed):
 @pytest.mark.parametrize("f", _metadata_images(), ids=lambda f: f.function_id)
 def test_l1_mass_of_each_entry_and_image_matches_a_quadrature(f):
     # l1_mass feeds _r_tail_bound's gamma.  Every entry with a finite mass
-    # is radial, so |f - far_value| integrates along each ray from the
-    # centre against |S^(d-1)| rho^(d-1): 4 panels of 8 Gauss nodes on
-    # each piece between the radial breakpoints, and on a piece past the
-    # last as long again, integrate a polynomial piece exactly, so every
-    # ray gives the mass to rounding.  A linear entry has no finite mass
+    # is radial and 0 outside its support, so |f| integrates along each
+    # ray from the centre against |S^(d-1)| rho^(d-1): 4 panels of 8 Gauss
+    # nodes on each piece between the radial breakpoints, and on a piece
+    # past the last as long again, integrate a polynomial piece exactly, so
+    # every ray gives the mass to rounding.  A linear entry has no finite
+    # mass
     if f.radial is None:
         assert f.l1_mass is None and f.support_radius is None
         return
@@ -613,7 +615,7 @@ def test_l1_mass_of_each_entry_and_image_matches_a_quadrature(f):
     rho = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * t).ravel()
     weight = (half * w).ravel() * f.dim * unit_ball_volume(f.dim)
     for u in _unit_rays(f.dim, 8, 54):
-        vals = np.abs(f.eval(f.radial.center + rho[:, None] * u) - f.far_value)
+        vals = np.abs(f.eval(f.radial.center + rho[:, None] * u))
         got = float(weight @ (vals * rho ** (f.dim - 1)))
         assert got == pytest.approx(f.l1_mass, rel=1e-12, abs=0.0), u
 

@@ -35,9 +35,9 @@ from osclab import (
 )
 from osclab import catalog, oscillation
 from osclab.catalog import coordinate_dot
-from osclab.oscillation import (PointNodes, RadialNodes, mc_deviations,
-                                mc_oscillation)
-from osclab.quadrature import (KEY_INNER, KEY_OUTER, KEY_PAIR, live_segments,
+from osclab.oscillation import (PointNodes, RadialNodes, ball_estimates,
+                                mc_deviations, mc_oscillation)
+from osclab.quadrature import (KEY_INNER, KEY_OUTER, live_segments,
                                segment_integrals)
 from osclab.verify import check_local_expansion, check_maximal_domination
 
@@ -798,6 +798,34 @@ def test_pass_size_moves_no_bit_of_exact_oscillation(monkeypatch, q):
     assert len(got) == 1
 
 
+def test_gauss_gradient_average_runs_in_bounded_passes(monkeypatch):
+    # ball_estimates hands _gauss_gradient at most _EXACT_PASS balls a
+    # call, the live ones each once, and every ball keeps the bits it has
+    # in a pass that holds them all
+    n = 60
+    rng = np.random.default_rng(36)
+    centers = rng.uniform(-1.5, 1.5, (n, 1))
+    radii = np.exp(rng.uniform(np.log(1e-3), np.log(3.0), n))
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    whole = ball_estimates(f, centers, radii, GAUSS, oscillation=False,
+                           gradient=True).gradient
+    sizes = []
+    real = oscillation._gauss_gradient
+
+    def counting(f, a, r):
+        sizes.append(a.size)
+        return real(f, a, r)
+
+    monkeypatch.setattr(oscillation, "_gauss_gradient", counting)
+    monkeypatch.setattr(oscillation, "_EXACT_PASS", 7)
+    split = ball_estimates(f, centers, radii, GAUSS, oscillation=False,
+                           gradient=True).gradient
+    live = ~oscillation.flat_balls(f, centers, radii[:, None])[:, 0]
+    assert 7 < live.sum() < n
+    assert max(sizes) == 7 and sum(sizes) == live.sum()
+    assert split.tobytes() == whole.tobytes()
+
+
 def test_pass_size_moves_no_bit_of_a_d1_curve(monkeypatch):
     # passes of a prime 61 balls cut the engine's batches anywhere, at a
     # ninth of the time passes of 7 take
@@ -957,7 +985,7 @@ def test_mc_deviations_antithetic_pairs_kill_the_odd_part():
                                          "linear:d=3:v=1,2,2"])
 def test_single_ball_and_batch_share_one_estimator(function_id):
     # q_oscillation at q = 1 and mc_oscillation run one estimator: on the
-    # node sets that _ball_nodes draws for the spec, each ball's m has the
+    # spec's node sets, which _ball_nodes draws, each ball's m has the
     # same bits from either entry
     f = parse_function_id(function_id)
     spec = _mc(seed=4, n=512)
@@ -1114,49 +1142,8 @@ def test_monte_carlo_points_reach_f_coordinate_major(d):
 
 
 # ---------------------------------------------------------------------------
-# the single-ball node memo
+# the single-ball node sets
 # ---------------------------------------------------------------------------
-
-_ball_nodes = oscillation._ball_nodes
-
-
-def _fresh_nodes(d, n, seed, key):
-    return np.ascontiguousarray(unit_ball_nodes(d, n, stream(seed, key)).T)
-
-
-@pytest.mark.parametrize("d, n, seed, key", [
-    (1, 64, 3, KEY_OUTER), (2, 1000, 7, KEY_INNER), (3, 257, 11, KEY_PAIR)])
-def test_ball_nodes_memo_returns_a_fresh_draw(d, n, seed, key):
-    _ball_nodes.cache_clear()
-    for _ in range(2):  # the miss, then the hit
-        u = _ball_nodes(d, n, seed, key)
-        assert u.shape == (d, n) and u.flags.c_contiguous
-        assert u.tobytes() == _fresh_nodes(d, n, seed, key).tobytes()
-    assert _ball_nodes.cache_info().hits == 1
-
-
-def test_ball_nodes_memo_is_read_only():
-    _ball_nodes.cache_clear()
-    u = _ball_nodes(2, 64, 5, KEY_OUTER)
-    with pytest.raises(ValueError):
-        u[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        u *= 2.0
-    assert u.tobytes() == _fresh_nodes(2, 64, 5, KEY_OUTER).tobytes()
-
-
-def test_ball_nodes_memo_redraws_an_evicted_set_bit_for_bit():
-    _ball_nodes.cache_clear()
-    kept = _ball_nodes.cache_info().maxsize
-    first = _ball_nodes(2, 128, 0, KEY_OUTER).tobytes()
-    for seed in range(1, kept + 3):
-        _ball_nodes(2, 128, seed, KEY_OUTER)
-        _ball_nodes(2, 64, seed, KEY_INNER)
-    assert _ball_nodes.cache_info().currsize == kept
-    misses = _ball_nodes.cache_info().misses
-    assert _ball_nodes(2, 128, 0, KEY_OUTER).tobytes() == first
-    assert _ball_nodes.cache_info().misses == misses + 1
-
 
 def _count_draws(monkeypatch):
     calls = []
@@ -1166,7 +1153,6 @@ def _count_draws(monkeypatch):
         calls.append((d, n))
         return real(d, n, rng)
 
-    _ball_nodes.cache_clear()
     monkeypatch.setattr(oscillation, "unit_ball_nodes", counting)
     return calls
 
@@ -1180,10 +1166,35 @@ def test_local_expansion_draws_each_node_set_once(monkeypatch):
     assert calls == [(2, 256), (2, 128)]
 
 
-def test_maximal_domination_draws_two_node_sets_per_ball(monkeypatch):
-    # each ball has its own seed; its gradient average reuses the outer
-    # set its oscillation drew
+def test_maximal_domination_draws_two_node_sets_per_call(monkeypatch):
+    # six balls under one spec share its outer and inner sets, and the
+    # gradient average reuses the outer set the oscillation takes
     calls = _count_draws(monkeypatch)
     f = make_plateau_bump(2, 1.0, 0.5, 1.0)
     check_maximal_domination(f, 6, _mc(seed=8, n=256))
-    assert calls == [(2, 256), (2, 128)] * 6
+    assert calls == [(2, 256), (2, 128)]
+
+
+@pytest.mark.parametrize("count", [1, 9])
+def test_a_monte_carlo_call_draws_each_node_set_once(monkeypatch, count):
+    # every call draws the sets it needs, once, whatever ran before: the
+    # outer and inner sets for the oscillation, the outer set alone for a
+    # gradient average, and none for a gradient average on balls where f
+    # is certified constant
+    calls = _count_draws(monkeypatch)
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    spec = _mc(seed=8, n=256)
+    centers = stream(8, 1).uniform(-1.2, 1.2, size=(count, 2))
+    radii = np.geomspace(0.05, 2.0, count)
+    core = np.zeros((count, 2))
+    for what, balls, want in [
+            ({}, (centers, radii), [(2, 256), (2, 128)]),
+            ({}, (centers, radii), [(2, 256), (2, 128)]),
+            ({"gradient": True}, (centers, radii), [(2, 256), (2, 128)]),
+            ({"oscillation": False, "gradient": True}, (centers, radii),
+             [(2, 256)]),
+            ({"oscillation": False, "gradient": True}, (core, radii / 10),
+             [])]:
+        calls.clear()
+        ball_estimates(f, *balls, spec, **what)
+        assert calls == want, what

@@ -79,6 +79,13 @@ def test_gauss_rule_takes_numpy_integers_and_whole_floats():
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("value, count", [
+    (3, True), (np.int64(3), True), (0, True), (True, False),
+    (np.bool_(True), False), (3.0, False), ("3", False), (None, False)])
+def test_is_count_takes_integers_and_refuses_bools_and_floats(value, count):
+    assert quadrature.is_count(value) is count
+
+
 def test_stream_deterministic_and_key_separated():
     a = stream(123, 0, 5).standard_normal(8)
     b = stream(123, 0, 5).standard_normal(8)

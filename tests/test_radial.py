@@ -239,18 +239,15 @@ _BITS_CASES = [
                               for f, s in _BITS_CASES])
 def test_ball_estimates_keeps_the_bits_of_each_ball(f, spec):
     # one batched call returns, ball for ball, the bits that the
-    # single-ball rules return; on Monte Carlo, ball i with seeds[i] gets
-    # the node sets of the spec with that seed
+    # single-ball rules return under the same spec
     centers, radii = _balls(f, 1.0, 40, 6)
-    seeds = spec.seed + 3 * np.arange(40)
-    est = ball_estimates(f, centers, radii, spec, gradient=True, seeds=seeds)
+    est = ball_estimates(f, centers, radii, spec, gradient=True)
     for i, (a, r) in enumerate(zip(centers, radii)):
-        sub = dataclasses.replace(spec, seed=int(seeds[i]))
-        one = mean_oscillation(f, BallSample(a, r), sub)
+        one = mean_oscillation(f, BallSample(a, r), spec)
         assert (est.value[i], est.std_error[i]) == (one.value, one.std_error)
-        assert est.gradient[i] == maximal_gradient(f, BallSample(a, r), sub)
+        assert est.gradient[i] == maximal_gradient(f, BallSample(a, r), spec)
     alone = ball_estimates(f, centers, radii, spec, oscillation=False,
-                           gradient=True, seeds=seeds)
+                           gradient=True)
     assert alone.value is None and alone.std_error is None
     assert np.array_equal(alone.gradient, est.gradient)
 

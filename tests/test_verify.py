@@ -69,7 +69,9 @@ def test_run_all_green():
     json.dumps(digest)  # report must be JSON-clean
 
 
-@pytest.mark.parametrize("budget", [{"n_samples": 0}, {"node_count": 1}])
+@pytest.mark.parametrize("budget", [
+    {"n_samples": 0}, {"node_count": 1}, {"n_samples": True},
+    {"n_samples": 2.5}, {"node_count": 2048.0}])
 def test_run_all_refuses_a_budget_before_any_suite(monkeypatch, budget):
     called = []
     for name in ("check_local_expansion", "check_mollification",

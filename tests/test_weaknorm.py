@@ -1664,6 +1664,20 @@ def test_gauss_rule_off_dimension_one_is_refused_with_one_message(
         GAUSS_OFF_D1[call](f, GAUSS)
 
 
+def test_curve_refuses_a_radial_spec_before_any_scan(monkeypatch):
+    # the curve has engines for gauss_1d and monte_carlo only: a radial
+    # spec must not run the Monte Carlo engine at its Gauss order and
+    # write method=radial
+    def no_engine(*args):
+        raise AssertionError("an engine was built for a refused spec")
+
+    monkeypatch.setattr(weaknorm, "_make_engine", no_engine)
+    f = parse_function_id("plateau:d=2:a=1:ri=0.5:ro=1")
+    with pytest.raises(QuadratureError, match="no radial engine"):
+        distribution_curve(f, 2.0, default_kappa_grid(f), default_domain(f),
+                           QuadratureSpec("radial", 20, 3), samples=64)
+
+
 # ---------------------------------------------------------------------------
 # the d = 1 centre rule
 # ---------------------------------------------------------------------------

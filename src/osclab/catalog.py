@@ -137,7 +137,12 @@ class TestFunction:
     strides.
     grad_lipschitz is a certified upper bound for |grad f(x) - grad f(y)| / |x - y|,
     or None when the gradient does not exist as a function.
-    support_radius is a radius outside which f is constant, or None.
+    support_radius is a radius about the origin outside which f is
+    constant, or None: f is constant where |x| > support_radius, so an
+    entry centred elsewhere adds its centre's norm (translate,
+    make_ball_indicator(c=)).  exact_oscillation_1d relies on that
+    centring when it evaluates a ball that covers the support once per
+    radius, at a = 0.
     grad_max bounds sup |grad f|; breakpoints_1d lists the points (dimension
     one only) between which f is a single polynomial.  degree_1d, when
     present, bounds the degree of those polynomials (dimension one only),

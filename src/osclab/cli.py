@@ -38,7 +38,6 @@ one failing suite), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import json
 import os
@@ -93,6 +92,9 @@ def _load_config(path: str) -> dict:
     Duplicate keys across sections are an error: keys are globally scoped.
     Values are read literally, and [DEFAULT] is an ordinary section.
     """
+    # imported here, so a run without --config does not load it at start
+    import configparser
+
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -253,12 +253,25 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
     panels integrate.  The slope costs no integral: it comes from values
     the pass holds (_exact_pass), and m and mu keep the bits they have
     without it.  It is defined for q = 1 only; another q with slope=True
-    raises ValueError.  A centre that is not finite, or a radius that is
-    not finite and positive, raises QuadratureError before any pass, as
-    BallSample would (quadrature.require_balls).  So do an exponent q that
-    is not a finite real >= 1 (ValueError, as for the single-ball rules)
-    and a mu_nodes that is not an integer >= 1 (QuadratureError, as
-    gauss_rule).
+    raises ValueError.
+
+    A ball that covers f's support, |a| + R + SKIP_MARGIN (|a| + r) <= r
+    with R = f.support_radius (a radius about the origin), holds every
+    point where f is not constant, and f takes its one outside constant on
+    both sides of the support.  So m, mu, the integral of |f - mu|^q and
+    the end values behind dm/dr depend on r alone, and each distinct
+    radius of such balls runs through the pass once, at a = 0: a covering
+    ball returns the bits of its radius's ball at a = 0, which differ from
+    those of its own centre by roundoff (the slope, which cancels, by a
+    few eps of its terms over 2 r).  The margin, flat_balls', keeps a ball
+    whose ends round across the support on its own centre.  Every other
+    ball, and every ball of an entry without support_radius, keeps its own.
+
+    A centre that is not finite, or a radius that is not finite and
+    positive, raises QuadratureError before any pass, as BallSample would
+    (quadrature.require_balls).  So do an exponent q that is not a finite
+    real >= 1 (ValueError, as for the single-ball rules) and a mu_nodes
+    that is not an integer >= 1 (QuadratureError, as gauss_rule).
     """
     require_method_dimension("gauss_1d", f.dim)
     _require_exponent(q)
@@ -268,12 +281,26 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
     a, r = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(r, dtype=float))
     require_balls(r, a)
-    out = np.empty((3 if slope else 2, a.size))
-    for lo in range(0, a.size, _EXACT_PASS):
+    shape = a.shape
+    a, r = a.ravel(), r.ravel()
+    # the balls that cover f's support run once per radius, at a = 0
+    covers = np.zeros(a.size, dtype=bool)
+    if f.support_radius is not None:
+        size = np.abs(a)
+        covers = size + f.support_radius + SKIP_MARGIN * (size + r) <= r
+    own = np.flatnonzero(~covers)
+    radii, which = np.unique(r[covers], return_inverse=True)
+    ball_a = np.concatenate([a[own], np.zeros(radii.size)])
+    ball_r = np.concatenate([r[own], radii])
+    res = np.empty((3 if slope else 2, ball_a.size))
+    for lo in range(0, ball_a.size, _EXACT_PASS):
         at = slice(lo, lo + _EXACT_PASS)
-        out[:, at] = _exact_pass(f, a.flat[at], r.flat[at], q, mu_nodes,
+        res[:, at] = _exact_pass(f, ball_a[at], ball_r[at], q, mu_nodes,
                                  slope)
-    return tuple(row.reshape(a.shape) for row in out)
+    out = np.empty((res.shape[0], a.size))
+    out[:, own] = res[:, :own.size]
+    out[:, covers] = res[:, own.size + which]
+    return tuple(row.reshape(shape) for row in out)
 
 
 def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,

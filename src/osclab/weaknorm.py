@@ -64,6 +64,13 @@ every bracket the solve certifies, stays the same.  The secant reads that
 crossing can move inside its certified bracket; that needs m above
 kappa_min at a radius within one scan step of the skip bound, which the
 plateau, with m near c'_d r |grad f| <= r grad_max / 2, never approaches.
+At the other end of the grid nothing is skipped, but on the exact route a
+ball that covers f's support (|a| + support_radius <= r, with the same
+margin) has an m that depends on r alone: exact_oscillation_1d evaluates
+each such radius once, at a = 0, and hands its bits to every centre.  So
+the covering cells of a chunk share bits across its centres, and the
+crossing rows bracketed there ask the kernel for the same radii, which it
+evaluates once.
 
 Two systematic truncations stay visible rather than hidden: the per-kappa
 tail_bound column bounds the weight beyond r_max that the window cannot
@@ -85,7 +92,6 @@ crossing tolerance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -774,6 +780,10 @@ def _center_weights(f, centers, kappas, p, spec, grid, threads):
                           "open_at_r_max": int(at_r_max.sum())}
 
     if threads > 1 and len(starts) > 1:
+        # imported here, so a single-threaded run does not load the pool's
+        # modules at start
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
             results = list(pool.map(run, starts))
     else:

@@ -34,7 +34,7 @@ from osclab import (
     unit_ball_nodes,
 )
 from osclab import catalog, oscillation
-from osclab.catalog import coordinate_dot
+from osclab.catalog import DEFAULT_IDS, coordinate_dot
 from osclab.oscillation import (PointNodes, RadialNodes, ball_estimates,
                                 mc_deviations, mc_oscillation)
 from osclab.quadrature import (KEY_INNER, KEY_OUTER, live_segments,
@@ -796,6 +796,114 @@ def test_pass_size_moves_no_bit_of_exact_oscillation(monkeypatch, q):
         m, mu = exact_oscillation_1d(f, a, r, q)
         got.add(m.tobytes() + mu.tobytes())
     assert len(got) == 1
+
+
+def _d1_entries_and_images():
+    out = []
+    for fid in DEFAULT_IDS:
+        f = parse_function_id(fid)
+        if f.dim == 1:
+            out += [f, translate(f, [0.3]), translate(f, [-0.7]),
+                    dilate(f, 0.4), dilate(f, 2.5), scale_values(f, -2.0)]
+    # support_radius 0.75 = 0.5 + |c|: the ball of radius 0.5 about 0 does
+    # not hold f's support
+    return out + [make_ball_indicator(1, 0.5, center=[0.25])]
+
+
+_D1_ENTRIES = _d1_entries_and_images()
+
+
+def _own_bits(f, a, r, q=1.0, slope=True):
+    """Each ball's result on the per-centre path, whose bits do not depend
+    on the pass that holds the ball."""
+    return oscillation._exact_pass(f, a, r, q, oscillation._GL_ORDER, slope)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("f", _D1_ENTRIES, ids=lambda f: f.function_id)
+def test_covering_balls_take_the_bits_of_their_radius_at_the_origin(f, q):
+    # a ball with |a| + support_radius <= r, past the margin, holds every
+    # point where f is not constant, so m, mu and dm/dr depend on r alone;
+    # the kernel returns the bits of the ball (0, r), and these differ from
+    # the ball's own by roundoff.  An entry without support_radius
+    # certifies no ball.
+    slope = q == 1.0
+    radius = f.support_radius or 1.0
+    rng = np.random.default_rng(48)
+    n = 2000
+    a = rng.uniform(-8.0, 8.0, n)
+    edge = (np.abs(a) + radius) * (1.0 + 1e-7)
+    r = np.where(rng.random(n) < 0.5,
+                 edge * (1.0 + rng.uniform(0.0, 1e-3, n)),
+                 rng.uniform(edge, 40.0))
+    got = exact_oscillation_1d(f, a, r, q, slope=slope)
+    own = _own_bits(f, a, r, q, slope)
+    if f.support_radius is None:
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in own]
+        return
+    at_origin = _own_bits(f, np.zeros(n), r, q, slope)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in at_origin]
+    m, mu = got[:2]
+    assert np.all(np.abs(m - own[0]) <= 1e-14 * own[0])
+    assert np.all(np.abs(mu - own[1]) <= 1e-14 * np.abs(own[1]))
+    if slope:
+        # dm/dr = (|g(a - r)| + |g(a + r)| - mu' S - 2 m) / 2 r, g = f - mu:
+        # the ends' g is c - mu, c the constant outside the support, and
+        # |mu' S| <= |g(a - r) + g(a + r)|, since |S| <= 2 r.  Each term
+        # carries a few units of roundoff relative to itself, so the two
+        # slopes differ by a few eps of the terms' magnitudes over 2 r,
+        # not of dm/dr, which cancels (2.7 eps at worst over these entries)
+        ends = np.abs(f.eval_1d(a + r) - own[1])
+        terms = 4.0 * ends + 2.0 * own[0]
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got[2] - own[2]) <= 16.0 * eps * terms / (2 * r))
+
+
+@pytest.mark.parametrize("f", [f for f in _D1_ENTRIES
+                               if f.support_radius is not None],
+                         ids=lambda f: f.function_id)
+def test_balls_short_of_the_cover_margin_keep_their_own_bits(f):
+    # r = |a| + support_radius within a few ulps, and balls well inside it,
+    # are not certified: each keeps the bits of its own centre
+    rng = np.random.default_rng(49)
+    a = rng.uniform(-8.0, 8.0, 300)
+    edge = np.abs(a) + f.support_radius
+    near = edge[:, None] + np.arange(-4, 5) * np.spacing(edge)[:, None]
+    inside = edge[:, None] * rng.uniform(0.05, 1.0, (a.size, 8))
+    r = np.concatenate([near, inside], axis=1).ravel()
+    a = np.repeat(a, 17)
+    got = exact_oscillation_1d(f, a, r, slope=True)
+    assert ([x.tobytes() for x in got]
+            == [x.tobytes() for x in _own_bits(f, a, r)])
+
+
+def test_covering_balls_reach_the_pass_once_per_radius(monkeypatch):
+    # 4096 covering balls on 7 radii and 100 that cover nothing: 107 balls
+    # reach _exact_pass, and every ball keeps its bits in passes of 3 and
+    # in reverse order
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    rng = np.random.default_rng(50)
+    radii = rng.choice([1.5, 2.0, 3.0, 5.5, 9.0, 17.0, 39.0], 4096)
+    cover = rng.uniform(-1.0, 1.0, 4096) * (radii - 1.0) * (1.0 - 1e-6)
+    order = rng.permutation(4196)
+    a = np.concatenate([cover, rng.uniform(-1.5, 1.5, 100)])[order]
+    r = np.concatenate([radii, rng.uniform(0.01, 0.45, 100)])[order]
+    sizes = []
+    real = oscillation._exact_pass
+
+    def counted(f, a, *args):
+        sizes.append(a.size)
+        return real(f, a, *args)
+
+    monkeypatch.setattr(oscillation, "_exact_pass", counted)
+    whole = exact_oscillation_1d(f, a, r, slope=True)
+    assert sum(sizes) == 107
+    sizes.clear()
+    monkeypatch.setattr(oscillation, "_EXACT_PASS", 3)
+    back = exact_oscillation_1d(f, a[::-1], r[::-1], slope=True)
+    assert max(sizes) == 3 and sum(sizes) == 107
+    assert ([x.tobytes() for x in whole]
+            == [x[::-1].tobytes() for x in back])
 
 
 def test_gauss_gradient_average_runs_in_bounded_passes(monkeypatch):

@@ -32,6 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .quadrature import is_count
+
 # quintic taper shape S on [0, 1]: S(0)=0, S(1)=1, S'=S''=0 at both ends
 _SPRIME_MAX = 15.0 / 8.0           # max of S' = 30 s^2 (1-s)^2, at s = 1/2
 _SSECOND_MAX = 10.0 / math.sqrt(3)  # max of |S''| = |60 s (1-s) (1-2s)|
@@ -89,9 +91,7 @@ def _require_degree(name: str, value) -> None:
     """Refuse a degree certificate that is not an integer >= 0 (a bool, a
     float or a negative value): ValueError.  None, no certificate, and
     numpy integers pass."""
-    if value is not None and not (
-            isinstance(value, (int, np.integer))
-            and not isinstance(value, bool) and value >= 0):
+    if value is not None and not (is_count(value) and value >= 0):
         raise ValueError(f"{name} must be an integer >= 0 when present, "
                          f"got {value!r}")
 
@@ -185,10 +185,14 @@ class TestFunction:
     def __post_init__(self):
         _require_dimension(self.dim)
         _require_degree("degree_1d", self.degree_1d)
-        if self.support_radius is not None and self.support_radius <= 0:
-            raise ValueError("support_radius must be positive when present")
-        if self.grad_lipschitz is not None and self.grad_lipschitz < 0:
-            raise ValueError("grad_lipschitz must be nonnegative")
+        if self.support_radius is not None and not (
+                np.isfinite(self.support_radius) and self.support_radius > 0):
+            raise ValueError("support_radius must be finite and positive "
+                             f"when present, got {self.support_radius}")
+        if self.grad_lipschitz is not None and not (
+                np.isfinite(self.grad_lipschitz) and self.grad_lipschitz >= 0):
+            raise ValueError("grad_lipschitz must be finite and nonnegative "
+                             f"when present, got {self.grad_lipschitz}")
 
     def eval_1d(self, x: np.ndarray) -> np.ndarray:
         """Convenience for dim == 1: accepts a bare coordinate array."""
@@ -387,11 +391,14 @@ def require_box_dimension(box, dim: int) -> None:
 
 def translate(f: TestFunction, shift) -> TestFunction:
     """g(x) = f(x - shift); metadata moves rigidly, and the gradient norm
-    over a box is f's over the box shifted by -shift.  A box of another
-    dimension than f's raises ValueError (require_box_dimension)."""
+    over a box is f's over the box shifted by -shift.  A shift that is not
+    finite or not of f's dimension raises ValueError, and so does a box of
+    another dimension than f's (require_box_dimension)."""
     h = np.atleast_1d(np.asarray(shift, dtype=float))
     if h.shape != (f.dim,):
         raise ValueError("shift dimension mismatch")
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"shift must be finite, got {h}")
 
     def shifted(g):
         return lambda x: g(np.asarray(x, dtype=float) - h)
@@ -419,8 +426,10 @@ def translate(f: TestFunction, shift) -> TestFunction:
 
 def scale_values(f: TestFunction, lam: float) -> TestFunction:
     """g(x) = lam * f(x); flat_radius carries over unchanged and gradient
-    norms gain |lam|^p."""
+    norms gain |lam|^p.  A lam that is not finite raises ValueError."""
     lam = float(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"value scale must be finite, got {lam}")
     return replace(
         f,
         function_id=f.function_id + f":times={_fmt(lam)}",
@@ -437,10 +446,12 @@ def scale_values(f: TestFunction, lam: float) -> TestFunction:
 
 def dilate(f: TestFunction, s: float) -> TestFunction:
     """g(x) = f(x / s) for s > 0; lengths scale by s, and the gradient norm
-    over a box is s^(d - p) times f's over the box divided by s."""
+    over a box is s^(d - p) times f's over the box divided by s.  An s that
+    is not finite and positive raises ValueError."""
     s = float(s)
-    if s <= 0:
-        raise ValueError("dilation factor must be positive")
+    if not (np.isfinite(s) and s > 0):
+        raise ValueError(
+            f"dilation factor must be finite and positive, got {s}")
     return replace(
         f,
         function_id=f.function_id + f":dilated={_fmt(s)}",

@@ -76,9 +76,12 @@ dimension and refuses the Gauss rules.  On Monte Carlo routes every ball
 of a call takes the spec's node sets, which _ball_nodes draws once at the
 top of the call: the outer set (KEY_OUTER), the antithetic inner set
 (KEY_INNER) for the oscillation, and pair_oscillation's second set
-(KEY_PAIR).  A suite makes one ball_estimates call, so its balls share
-the spec's node sets.  centre_nodes draws the curve's nodes on streams
-of their own, one per centre.
+(KEY_PAIR).  ball_estimates broadcasts the outer and inner sets over the
+balls of each pass of _mc_passes, the bounded passes of mc_oscillation,
+and reaches m through the same mc_deviations, so a batch of any size
+takes one code path.  A suite makes one ball_estimates call, so its
+balls share the spec's node sets.  centre_nodes draws the curve's nodes
+on streams of their own, one per centre.
 """
 from __future__ import annotations
 
@@ -91,15 +94,16 @@ from .catalog import TestFunction, coordinate_dot
 from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_INNER, KEY_OUTER,
                          KEY_PAIR, BallSample, EstimatedValue,
                          QuadratureError, QuadratureSpec, Segments,
-                         live_segments, require_balls, require_finite,
-                         require_gauss_order, require_method_dimension,
-                         row_segments, segment_integrals, segment_width,
-                         stream, unit_ball_nodes)
+                         live_segments, require_balls, require_exponent,
+                         require_finite, require_gauss_order,
+                         require_method_dimension, row_segments,
+                         segment_integrals, segment_width, stream,
+                         unit_ball_nodes)
 
 # relative slack of flat_balls against the rounding of a + r u, of |x| and
 # of f itself, which are a few ulps of the coordinates and values
 SKIP_MARGIN = 1e-9
-# f evaluation points per Monte Carlo pass of mc_oscillation
+# f evaluation points per Monte Carlo pass (_mc_passes)
 BLOCK_POINTS = 2 ** 15
 # the largest gap between a radial entry's profile and its eval at the
 # probe's points, relative to the largest value there, that still takes a
@@ -274,7 +278,7 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
     that is not an integer >= 1 (QuadratureError, as gauss_rule).
     """
     require_method_dimension("gauss_1d", f.dim)
-    _require_exponent(q)
+    require_exponent("q", q)
     if slope and q != 1.0:
         raise ValueError(f"the slope of m is defined for q = 1 only, got {q}")
     mu_nodes = require_gauss_order(mu_nodes)
@@ -541,9 +545,10 @@ def centre_nodes(f: TestFunction, centers: np.ndarray, seed: int,
 
 
 def _mc_passes(count: int, points_per_pair: int):
-    """Slices of count (row, radius) pairs whose points_per_pair points per
-    pair add up to at most BLOCK_POINTS a pass (at least one pair), so the
-    working set does not grow with the batch."""
+    """Slices of count (row, radius) pairs, or balls, whose points_per_pair
+    points per pair add up to at most BLOCK_POINTS a pass (at least one
+    pair), so the working set does not grow with the batch: the passes of
+    mc_oscillation and of ball_estimates' Monte Carlo balls."""
     per_pass = max(1, BLOCK_POINTS // points_per_pair)
     return (slice(lo, lo + per_pass) for lo in range(0, count, per_pass))
 
@@ -804,19 +809,13 @@ def _radial_pass(f: TestFunction, t, r, n: int, oscillation: bool,
 # public single-ball operations
 # ---------------------------------------------------------------------------
 
-def _require_exponent(q: float) -> None:
-    """Refuse an exponent q that is not a finite real >= 1: ValueError."""
-    if not (np.isfinite(q) and q >= 1.0):
-        raise ValueError(f"q must be a real number >= 1, got {q}")
-
-
 def _check_query(f: TestFunction, dim: int, spec: QuadratureSpec,
                  q: float = 1.0) -> None:
     """Refuse a query that has no meaning: an exponent q that is not a
     finite real >= 1, balls of another dimension dim than f, a rule off
     its dimensions (require_method_dimension), or the radial rule with
     q != 1.  BallSample and require_balls check the balls themselves."""
-    _require_exponent(q)
+    require_exponent("q", q)
     if dim != f.dim:
         raise ValueError(f"ball dimension {dim} does not match function dimension {f.dim}")
     require_method_dimension(spec.method, f.dim)
@@ -825,39 +824,60 @@ def _check_query(f: TestFunction, dim: int, spec: QuadratureSpec,
                               f"oscillation, q = 1, only; got {q}")
 
 
-def _power_mean(y: np.ndarray, q: float, se_extra: float) -> EstimatedValue:
-    """mean(y)^(1/q) for samples y of |deviation|^q, with its standard
-    error: the delta method on the q-th moment plus se_extra, the error
-    carried in from an estimated inner mean (1-Lipschitz propagation)."""
-    m_q = float(np.mean(y))
-    se_m = float(np.std(y, ddof=1) / np.sqrt(y.size))
+def _libm_power(x, e: float) -> np.ndarray:
+    """x ** e for each entry of x by Python's float power, the C library's
+    pow: numpy's array power takes a vector routine on CPUs with AVX-512
+    whose last bit differs from pow's on about one value in twenty."""
+    return np.array([v ** e for v in np.ravel(x).tolist()]).reshape(
+        np.shape(x))
+
+
+def _power_mean(y: np.ndarray, q: float, se_extra):
+    """(mean(y)^(1/q), its standard error) along the last axis of samples y
+    of |deviation|^q: the delta method on the q-th moment plus se_extra,
+    the error carried in from an estimated inner mean (1-Lipschitz
+    propagation).  A zero moment reads 0 with error se_extra."""
+    m_q = np.mean(y, axis=-1)
+    se_m = np.std(y, axis=-1, ddof=1) / np.sqrt(y.shape[-1])
     if q == 1.0:
-        return EstimatedValue(m_q, se_m + se_extra)
-    if m_q <= 0.0:
-        return EstimatedValue(0.0, se_extra)
-    return EstimatedValue(m_q ** (1.0 / q),
-                          (1.0 / q) * m_q ** (1.0 / q - 1.0) * se_m + se_extra)
+        return m_q, se_m + se_extra
+    flat = m_q <= 0.0
+    m_q = np.where(flat, 1.0, m_q)
+    return (np.where(flat, 0.0, _libm_power(m_q, 1.0 / q)),
+            np.where(flat, 0.0,
+                     (1.0 / q) * _libm_power(m_q, 1.0 / q - 1.0) * se_m)
+            + se_extra)
 
 
-def _mc_ball(f: TestFunction, a: np.ndarray, r: float, q: float,
-             u_out: np.ndarray, u_in: np.ndarray) -> EstimatedValue:
-    """q-oscillation of one ball on the outer and antithetic inner node
-    sets u_out (d, n) and u_in (d, m), with its standard error."""
-    half = u_in.shape[-1]
-    dev, pair_sums = mc_deviations(f.eval, a, r, u_out, u_in)
-    require_finite(dev)
-    require_finite(pair_sums)
-    pair_vals = 0.5 * pair_sums
-    se_mu = float(np.std(pair_vals, ddof=1) / np.sqrt(half)) if half > 1 else 0.0
-    return _power_mean(np.abs(dev, out=dev) ** q, q, se_mu)
-
-
-def _mc_gradient(f: TestFunction, a: np.ndarray, r: float,
-                 u: np.ndarray) -> float:
-    """Mean of |grad f| over a + r u, u (d, n) the outer node set."""
-    g = np.asarray(f.grad(_point_major(a[:, None] + r * u)), dtype=float)
-    return float(np.mean(require_finite(np.sqrt(coordinate_dot(g, g)),
-                                        "gradient")))
+def _mc_pass_estimates(f: TestFunction, centers: np.ndarray,
+                       radii: np.ndarray, q: float, u_out: np.ndarray,
+                       u_in: Optional[np.ndarray], live: Optional[np.ndarray]):
+    """(value, std_error, gradient) of one Monte Carlo pass of ball_estimates
+    on the balls (centers (P, d), radii (P,)), None where not asked: the
+    q-oscillation of every ball with its standard error when u_in is given,
+    and the mean of |grad f| over a + r u_out on the balls of the mask live
+    when it is given (0 on the others, unevaluated).  Every ball takes the
+    same outer set u_out (d, n) and inner set u_in (d, m), broadcast over
+    the rows; a function of its own, so that a pass's arrays are freed
+    before the next pass allocates its own."""
+    value = std_error = avg = None
+    if u_in is not None:
+        half = u_in.shape[-1]
+        dev, pair_sums = mc_deviations(f.eval, centers, radii, u_out, u_in)
+        require_finite(dev)
+        require_finite(pair_sums)
+        se_mu = 0.0
+        if half > 1:
+            se_mu = np.std(0.5 * pair_sums, axis=-1, ddof=1) / np.sqrt(half)
+        value, std_error = _power_mean(np.abs(dev, out=dev) ** q, q, se_mu)
+    if live is not None:
+        avg = np.zeros(radii.size)
+        at = np.flatnonzero(live)
+        if at.size:
+            points = centers[at][:, :, None] + radii[at][:, None, None] * u_out
+            g = np.asarray(f.grad(_point_major(points)), dtype=float)
+            avg[at] = np.sqrt(coordinate_dot(g, g)).mean(axis=-1)
+    return value, std_error, avg
 
 
 def _gauss_gradient(f: TestFunction, a: np.ndarray, r: np.ndarray):
@@ -899,17 +919,20 @@ def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
     of |f'| by the _GL_ORDER segment rule between f's breakpoints in
     passes of at most _EXACT_PASS balls.  radial makes one pass of the
     radial rule (_radial_pass) per _EXACT_PASS balls, after the probe of
-    _radial_profile.  monte_carlo takes ball by ball, every ball on the
-    node sets of spec.seed, each drawn once at the top of the call
-    (_ball_nodes): the antithetic inner set for the oscillation only, and
-    the outer set, which the oscillation and the gradient share, only
-    when some ball needs it.  A ball on which flat_radius certifies f
-    constant gets the gradient average 0 without an evaluation, since
-    grad is exactly 0 there.  Functions
-    without a gradient are refused for gradient=True
-    (UnsupportedFunctionError), and so are the queries _check_query and
-    require_balls refuse.  A value that is not finite raises
-    QuadratureError.
+    _radial_profile.  monte_carlo runs mc_deviations, the estimator of
+    the curve's mc_oscillation, in the same passes of at most
+    BLOCK_POINTS evaluation points (_mc_passes), with every ball of the
+    call on the node sets of spec.seed, each drawn once at the top of the
+    call (_ball_nodes) and broadcast over the balls of a pass: the
+    antithetic inner set for the oscillation only, and the outer set,
+    which the oscillation and the gradient share, only when some ball
+    needs it.  A ball's value therefore has the bits it has alone,
+    whatever the call and its pass.  A ball on which flat_radius
+    certifies f constant gets the gradient average 0 without an
+    evaluation, since grad is exactly 0 there.  Functions without a
+    gradient are refused for gradient=True (UnsupportedFunctionError),
+    and so are the queries _check_query and require_balls refuse.  A
+    value or standard error that is not finite raises QuadratureError.
     """
     if gradient and f.grad is None:
         raise UnsupportedFunctionError(
@@ -930,19 +953,24 @@ def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
                 if f.flat_radius is not None else np.ones(count, dtype=bool))
     if spec.method == "monte_carlo":
         n = spec.node_count
+        u_out = u_in = None
         if oscillation or (gradient and live.any()):
             u_out = _ball_nodes(f.dim, n, spec.seed, KEY_OUTER)
         if oscillation:
             u_in = _ball_nodes(f.dim, inner_count(n), spec.seed, KEY_INNER)
-        for i in range(count):
+        # f's points per ball: the outer and both antithetic inner sets for
+        # the oscillation, and the outer set again for the gradient
+        points = ((n + 2 * inner_count(n) if oscillation else 0)
+                  + (n if gradient else 0))
+        for at in _mc_passes(count, points) if u_out is not None else ():
+            val, err, grad = _mc_pass_estimates(
+                f, centers[at], radii[at], q, u_out, u_in,
+                live[at] if gradient else None)
             if oscillation:
-                est = _mc_ball(f, centers[i], radii[i], q, u_out, u_in)
-                value[i], std_error[i] = est.value, est.std_error
-            if gradient and live[i]:
-                avg[i] = _mc_gradient(f, centers[i], radii[i], u_out)
-        return BallEstimates(value, std_error, avg)
-
-    if spec.method == "gauss_1d":
+                value[at], std_error[at] = val, err
+            if gradient:
+                avg[at] = grad
+    elif spec.method == "gauss_1d":
         if oscillation:
             value[:] = exact_oscillation_1d(f, centers[:, 0], radii, q,
                                             mu_nodes=spec.node_count)[0]
@@ -966,6 +994,7 @@ def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
                 avg[at] = mean_grad
     if oscillation:
         require_finite(value, "oscillation")
+        require_finite(std_error, "standard error")
     if gradient:
         require_finite(avg, "gradient")
     return BallEstimates(value, std_error, avg)
@@ -1016,7 +1045,7 @@ def pair_oscillation(f: TestFunction, ball: BallSample, q: float,
         f.eval(_point_major(c + ball.radius * ux)), dtype=float))
     vy = require_finite(np.asarray(
         f.eval(_point_major(c + ball.radius * uy)), dtype=float))
-    return _power_mean(np.abs(vx - vy) ** q, q, 0.0)
+    return EstimatedValue(*_power_mean(np.abs(vx - vy) ** q, q, 0.0))
 
 
 def flat_balls(f: TestFunction, centers, radii) -> np.ndarray:

@@ -96,6 +96,15 @@ def is_count(value) -> bool:
             and not isinstance(value, bool))
 
 
+def require_exponent(name: str, value) -> None:
+    """Refuse an exponent that is not a finite real >= 1: ValueError,
+    naming it ("p must be ...").  That is the range of the oscillation
+    exponent q and of the weight exponent p, for which the theorem holds
+    on 1 < p < inf and p = 1 is the jump's divergent case."""
+    if not (np.isfinite(value) and value >= 1.0):
+        raise ValueError(f"{name} must be a real number >= 1, got {value}")
+
+
 def _require_integer(name: str, value) -> int:
     """value as an int, once it is integral (a numpy integer or a whole
     float passes, a bool does not); QuadratureError naming it otherwise."""
@@ -163,12 +172,14 @@ class QuadratureSpec:
     method: "gauss_1d" (deterministic, dimension one only), "radial"
     (deterministic, radial entries in dimensions two and three) or
     "monte_carlo".
-    node_count: an integer, at least 2.  For monte_carlo, the nodes per
-    pass.  For radial, the Gauss order per piece of the integrals in the
-    distance rho to the entry's centre, capped in dimension three, where
-    the sphere measure in a ball is a polynomial in rho, at the order
-    exact for the profile's degree, (degree + 3) // 2 + 1 (5 for the
-    plateau); oscillation.RADIAL_ORDER, which the battery takes, is 20.
+    node_count: an integer, at least 2.  For monte_carlo, the outer nodes
+    of each ball; its antithetic inner set takes
+    oscillation.inner_count(node_count), half as many.  For radial, the
+    Gauss order per piece of the integrals in the distance rho to the
+    entry's centre, capped in dimension three, where the sphere measure in
+    a ball is a polynomial in rho, at the order exact for the profile's
+    degree, (degree + 3) // 2 + 1 (5 for the plateau);
+    oscillation.RADIAL_ORDER, which the battery takes, is 20.
     For gauss_1d, the Gauss order per segment of both passes of the
     exact oscillation, the inner mean and the deviation, capped at the
     order exact for the entry's polynomial pieces, degree_1d // 2 + 1,
@@ -358,13 +369,6 @@ def row_segments(cuts: np.ndarray) -> Segments:
                      np.searchsorted(ball, rows, side="right") - 1)
 
 
-# segments from which segment_integrals sums its weighted values column by
-# column (n numpy calls on L values each) rather than by np.add.accumulate
-# along each row (one call on L n values): the two take equal time near
-# L = 300-500 at n = 8, 12 and 64, and give the same bits
-_COLUMN_SUM_FROM = 256
-
-
 def segment_integrals(g: Callable, edges: np.ndarray, n: int,
                       *cols) -> np.ndarray:
     """n-point Gauss-Legendre integrals of g over the segments edges (L, 2),
@@ -375,13 +379,9 @@ def segment_integrals(g: Callable, edges: np.ndarray, n: int,
     (L,), and reaches g as an (L, 1) column.  A segment with values v gets
     half * (w[0] v[0] + w[1] v[1] + ...), with half its half-width: each
     product and each sum is rounded on its own, the products are added
-    first to last, and no BLAS call takes part.  Fewer than
-    _COLUMN_SUM_FROM segments are summed by np.add.accumulate along their
-    rows, more column by column in n steps; both add in that order, so the
-    choice moves no bit, and a few segments at a high order (16384 in the
-    acceptance tests) run no Python loop of n steps.  A segment's integral
-    therefore has the bits it has alone, whatever the batch, its position
-    there and the pass.  A zero-width segment is evaluated at its one
+    first to last, column by column in n steps of L values each, and no
+    BLAS call takes part.  A segment's integral therefore has the bits it
+    has alone, whatever the batch, its position there and the pass.  A zero-width segment is evaluated at its one
     point and integrates to exactly 0 wherever g is finite there.
     """
     t, w = gauss_rule(n)
@@ -391,14 +391,9 @@ def segment_integrals(g: Callable, edges: np.ndarray, n: int,
     x = (0.5 * (hi + lo))[:, None] + half[:, None] * t
     vals = g(x, *(np.asarray(col)[:, None] for col in cols))
     del x  # the nodes are not needed past g; the sums below allocate
-    if vals.shape[0] < _COLUMN_SUM_FROM:
-        # accumulate adds along a row first to last, by its definition
-        terms = vals * w
-        total = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
-    else:
-        total = vals[:, 0] * w[0]
-        for j in range(1, n):
-            total += vals[:, j] * w[j]
+    total = vals[:, 0] * w[0]
+    for j in range(1, w.size):
+        total += vals[:, j] * w[j]
     return half * total
 
 

@@ -101,8 +101,8 @@ from .catalog import TestFunction, require_box_dimension, unit_ball_volume
 from .oscillation import (SKIP_MARGIN, centre_nodes, exact_oscillation_1d,
                           flat_balls, mc_oscillation)
 from .quadrature import (KEY_CENTERS, QuadratureError, QuadratureSpec,
-                         gauss_rule, is_count, require_finite,
-                         require_method_dimension, stream)
+                         gauss_rule, is_count, require_exponent,
+                         require_finite, require_method_dimension, stream)
 
 _CHUNK = 256
 # Gauss order per panel of the d = 1 centre rule (distribution_curve's panels)
@@ -147,16 +147,9 @@ def c_d_prime(d: int) -> float:
                     - math.lgamma((d + 3) / 2.0)) / math.sqrt(math.pi)
 
 
-def _check_p(p: float) -> None:
-    """Refuse a weight exponent outside [1, inf): the theorem is for
-    1 < p < inf, and p = 1 is the jump's divergent case."""
-    if not (np.isfinite(p) and p >= 1.0):
-        raise ValueError(f"p must be a real number >= 1, got {p}")
-
-
 def c_dp(d: int, p: float) -> float:
     """Limit constant for the scaled superlevel measure: c'_d^p / p."""
-    _check_p(p)
+    require_exponent("p", p)
     return c_d_prime(d) ** p / p
 
 
@@ -175,7 +168,7 @@ def interval_weight(r_lo, r_hi, p: float):
     r_hi may be None or inf for the full tail above r_lo.  Vectorized over
     array inputs.
     """
-    _check_p(p)
+    require_exponent("p", p)
     lo = np.asarray(r_lo, dtype=float)
     if np.any(lo <= 0):
         raise ValueError("interval weight requires a positive lower radius")
@@ -901,7 +894,7 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
     (QuadratureError otherwise).  A radial spec raises QuadratureError:
     the curve has engines for gauss_1d and monte_carlo only.
     """
-    _check_p(p)
+    require_exponent("p", p)
     require_box_dimension(domain.box, f.dim)
     require_method_dimension(spec.method, f.dim)
     if spec.method == "radial":

@@ -711,3 +711,30 @@ def test_plateau_eval_matches_its_formula_bit_for_bit(d, amp, ri, ro):
     assert _same_bits(f.eval(x), expect)
     one = f.eval(x[0, 5])
     assert type(one) is np.float64 and one == expect[0, 5]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_transforms_refuse_a_parameter_that_is_not_finite(value):
+    # each transform refuses it where it enters, before an entry with a
+    # NaN or infinite certificate can reach a kernel
+    for f in (make_plateau_bump(1, 1.0, 0.5, 1.0),
+              make_ball_indicator(2, 0.5)):
+        with pytest.raises(ValueError, match="dilation factor must be "
+                                             "finite and positive"):
+            dilate(f, value)
+        with pytest.raises(ValueError, match="value scale must be finite"):
+            scale_values(f, value)
+        shift = np.zeros(f.dim)
+        shift[-1] = value
+        with pytest.raises(ValueError, match="shift must be finite"):
+            translate(f, shift)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("support_radius", math.nan), ("support_radius", math.inf),
+    ("support_radius", 0.0), ("grad_lipschitz", math.nan),
+    ("grad_lipschitz", math.inf), ("grad_lipschitz", -1.0)])
+def test_entries_refuse_a_certificate_that_is_not_finite(field, value):
+    f = make_plateau_bump(1, 1.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        dataclasses.replace(f, **{field: value})

@@ -1306,3 +1306,65 @@ def test_a_monte_carlo_call_draws_each_node_set_once(monkeypatch, count):
         calls.clear()
         ball_estimates(f, *balls, spec, **what)
         assert calls == want, what
+
+
+def _parent_mc_ball(f, a, r, q, u_out, u_in):
+    # the per-ball Monte Carlo estimate in Python floats, as one ball
+    # alone computes it: mu from the antithetic pair sums, then the power
+    # mean of |f - mu|^q with the delta method's error plus mu's
+    x = a[:, None] + r * u_out
+    dev = np.asarray(f.eval(np.swapaxes(x, -1, -2)), dtype=float)
+    ru = r * u_in
+    pairs = (np.asarray(f.eval(np.swapaxes(a[:, None] + ru, -1, -2)))
+             + np.asarray(f.eval(np.swapaxes(a[:, None] - ru, -1, -2))))
+    dev -= 0.5 * pairs.mean(axis=-1)
+    half = u_in.shape[-1]
+    se_mu = float(np.std(0.5 * pairs, ddof=1) / np.sqrt(half))
+    y = np.abs(dev) ** q
+    m_q = float(np.mean(y))
+    se_m = float(np.std(y, ddof=1) / np.sqrt(y.size))
+    if q == 1.0:
+        return m_q, se_m + se_mu
+    if m_q <= 0.0:
+        return 0.0, se_mu
+    return (m_q ** (1.0 / q),
+            (1.0 / q) * m_q ** (1.0 / q - 1.0) * se_m + se_mu)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 2.5])
+def test_a_monte_carlo_batch_keeps_each_ball_bits_across_passes(
+        monkeypatch, q):
+    # 50 balls with the gradient at 512 nodes take 3 * 512 points each, so
+    # 21 balls a pass: each ball's value and std_error are its one-ball
+    # q_oscillation's bits, its gradient is its maximal_gradient, and a
+    # ball on which f is certified constant reads a gradient of 0
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    spec = _mc(seed=6, n=512)
+    centers = stream(6, 1).uniform(-1.6, 1.6, size=(50, 2))
+    radii = np.geomspace(0.02, 2.5, 50)
+    centers[:4] = [[0.0, 0.0], [0.1, -0.1], [3.0, 0.0], [0.0, -4.0]]
+    radii[:4] = [0.3, 0.2, 0.5, 1.0]
+    sizes = []
+    real = oscillation._mc_pass_estimates
+
+    def counting(f, centers, *args):
+        sizes.append(len(centers))
+        return real(f, centers, *args)
+
+    monkeypatch.setattr(oscillation, "_mc_pass_estimates", counting)
+    got = ball_estimates(f, centers, radii, spec, q, gradient=True)
+    assert sizes == [21, 21, 8]
+    flat = oscillation.flat_balls(f, centers, radii[:, None])[:, 0]
+    assert flat[:4].all() and 10 < np.count_nonzero(~flat) < 50
+    assert np.all(got.gradient[flat] == 0.0)
+    assert np.all(got.gradient[~flat] > 0.0)
+    u_out = oscillation._ball_nodes(2, 512, 6, KEY_OUTER)
+    u_in = oscillation._ball_nodes(2, 256, 6, KEY_INNER)
+    for i, (a, r) in enumerate(zip(centers, radii)):
+        one = q_oscillation(f, BallSample(a, r), q, spec)
+        assert got.value[i].tobytes() == np.float64(one.value).tobytes()
+        assert (got.std_error[i].tobytes()
+                == np.float64(one.std_error).tobytes())
+        assert (one.value, one.std_error) == _parent_mc_ball(
+            f, a, r, q, u_out, u_in)
+        assert got.gradient[i] == maximal_gradient(f, BallSample(a, r), spec)

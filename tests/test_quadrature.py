@@ -204,11 +204,21 @@ def test_segment_integrals_match_the_dense_rule_on_a_batch_of_balls():
     edges = live_segments(PLATEAU_1D.breakpoints_1d, _A - _R, _A + _R).edges
     assert np.array_equal(segment_integrals(fev, edges, 8),
                           _dense_segment_integrals(fev, edges, 8))
-    # and enough balls to reach the column-by-column sum
+    # and a batch 60 times that size: a segment's integral has its bits
+    # wherever it sits
     many = np.tile(edges, (60, 1))
-    assert many.shape[0] >= quadrature._COLUMN_SUM_FROM
     assert np.array_equal(segment_integrals(fev, many, 8),
                           _dense_segment_integrals(fev, many, 8))
+
+
+def test_segment_integrals_match_the_dense_rule_at_a_high_order():
+    # few segments at a high order: the same column-by-column sum
+    fev = PLATEAU_1D.eval_1d
+    edges = live_segments(PLATEAU_1D.breakpoints_1d, np.array([0.25]),
+                          np.array([1.15])).edges
+    assert edges.shape == (3, 2)
+    assert np.array_equal(segment_integrals(fev, edges, 4096),
+                          _dense_segment_integrals(fev, edges, 4096))
 
 
 def _split_batch():

@@ -99,9 +99,11 @@ def _require_degree(name: str, value) -> None:
 @dataclass(frozen=True, eq=False)
 class Radial:
     """f(x) = profile(|x - center|^2): center has shape (dim,), and profile
-    maps an array of squared distances to values of f of the same shape.
-    profile may overwrite its input, so a caller hands it an array it owns
-    and does not read again.
+    maps an array of squared distances to values of f of the same shape
+    and dtype: the Monte Carlo curve hands it float32 where its rounding
+    budget allows (oscillation.RadialNodes), and an upcast would cost that
+    route its speed.  profile may overwrite its input, so a caller hands it
+    an array it owns and does not read again.
 
     breakpoints, when present, lists the distances rho = |x - center| at
     which the profile may change its formula: between two of them, and

@@ -46,9 +46,14 @@ for a radial entry f(x) = profile(|x - c|^2) (catalog.Radial) that
 passes the radial rule's stale-profile probe, holds per-node features
 instead: with y = a - c, |a + r u - c|^2 = |y|^2 + r (2 y.u + r |u|^2),
 and the antithetic pair has (|y|^2 + r^2 |u|^2) +- 2 r y.u.  Its cost
-does not grow with d, it reduces mu, f - mu and the mean of |f - mu| in
-mc_deviations' order, and its m differs from the point route's only by
-the rounding of the squared distances.
+does not grow with d, and it reduces mu, f - mu and the mean of |f - mu|
+in mc_deviations' order.  With float64 features its m differs from the
+point route's only by the rounding of the squared distances.  With
+float32 features, which the curve takes where their rounding budget
+(float32_budget, derived in RadialNodes) is small against its thresholds,
+q, the profile and both means run in float32 and m moves by at most that
+budget, in expectation over the node draw; mc_oscillation returns m in
+float64 either way.
 
 The radial rule (method "radial", dimensions two and three) is
 deterministic too.  For a radial entry f(x) = g(|x - c|)
@@ -85,6 +90,7 @@ on streams of their own, one per centre.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -450,7 +456,35 @@ class RadialNodes:
     For the centre a of row i, y = a - c, its outer nodes u and its inner
     nodes v: yy[i] = |y|^2, out_dot[i] = 2 y.u, out_sq[i] = |u|^2,
     in_dot[i] = 2 y.v and in_sq[i] = |v|^2, of shapes (C,), (C, n), (C, n),
-    (C, m) and (C, m).
+    (C, m) and (C, m), all of one dtype, float64 or float32, in which
+    deviations runs and the profile is called (the catalog's profiles keep
+    their input's dtype).
+
+    float32 features round m by B(r) = float32_budget(f, r, n) at most, in
+    expectation over the node draw of a ball of radius r (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3-4), with
+    u = 2^-24, G = grad_max, R = support_radius and share = min(1,
+    (R / r)^d), the chance that a node of the ball lies in the support
+    |x| <= R.  f is 0 outside it and the float32 profile gives that 0
+    exactly, so only nodes inside it move, and m moves by at most the mean
+    move of its outer values plus that of mu.  Two terms:
+    - (a) the rounding of the profile and of the sums: each value in the
+      support moves by _PROFILE_ROUNDINGS u G R at most (sup |f| <= G R,
+      and G rho <= G R there), and each of the two means of numpy's
+      pairwise sum by its depth D(n) roundings of its terms:
+      u (2 _PROFILE_ROUNDINGS + 3 D(n) + 6) G R share.
+    - (b) the rounding of q: the five features, r and the four operations
+      of each q give |q32 - q64| <= _Q_ROUNDINGS u (|y| + r)^2, and
+      |y| <= rho + r for a node at distance rho from c.  That moves f by
+      at most G |q32 - q64| / rho on a node of the support, and the mean of
+      (rho + 2 r)^2 / rho over those nodes is at most W(r) = share (R + 4 r)
+      + 4 d / (d - 1) min(R, r)^(d - 1) r^(2 - d): the integral of 1 / rho
+      over a set of the ball's volume or the support's is largest on the
+      ball about c.  The term is 2 _Q_ROUNDINGS u G W(r).
+    In d >= 2 B(r) is bounded and largest at r = R; in d = 1 the integral
+    of 1 / rho diverges at c and B has no bound.  A single draw can exceed
+    B, which bounds an expectation, but the gaps measured on random balls
+    sit orders below it.
     """
     profile: Callable[[np.ndarray], np.ndarray]
     yy: np.ndarray
@@ -464,20 +498,24 @@ class RadialNodes:
         return self.out_dot.shape[-1] + 2 * self.in_dot.shape[-1]
 
     def deviations(self, radii, rows):
-        """mc_deviations' (dev, pair_sums) for rows at radii, shape (P,).
+        """mc_deviations' (dev, pair_sums) for rows at radii, shape (P,), in
+        the features' dtype.
 
         The squared distances of the outer points and of both antithetic
         points, q = |y|^2 + r (2 y.u + r |u|^2) and
         q+- = (|y|^2 + r^2 |v|^2) +- r 2 y.v, go into three contiguous runs
         of one buffer, which profile gets in one call.  Rounding can leave q
-        just below 0 where a point meets c, so q is clamped at 0 first.
+        just below 0 where a point meets c, so q is clamped at 0 first.  r
+        is cast to the features' dtype once, and q, the profile's values,
+        the pair sums and their mean keep it.
         """
-        r = radii[:, None]
+        dtype = self.yy.dtype
+        r = np.asarray(radii, dtype=dtype)[:, None]
         p = r.shape[0]
         n = self.out_dot.shape[-1]
         m = self.in_dot.shape[-1]
         yy = self.yy[rows][:, None]
-        q = np.empty(p * (n + 2 * m))
+        q = np.empty(p * (n + 2 * m), dtype=dtype)
         q_out = q[:p * n].reshape(p, n)
         q_plus = q[p * n:p * (n + m)].reshape(p, m)
         q_minus = q[p * (n + m):].reshape(p, m)
@@ -499,8 +537,44 @@ class RadialNodes:
         return dev, pair_sums
 
 
+# roundings of the catalog's profiles in float32, each at most u G R: the
+# plateau's taper takes 17 (the root, ri, the shift, w and the division in
+# s, 12 in the polynomial and its amplitude), and one scale_values and one
+# dilate layer 3 more
+_PROFILE_ROUNDINGS = 24
+# roundings of each q, relative to (|y| + r)^2: 7 on the float32 route and
+# the float64 route's own, far smaller
+_Q_ROUNDINGS = 8
+
+
+def _pairwise_depth(n: int) -> int:
+    """Roundings on the path of one term through numpy's pairwise sum of n
+    values: blocks of at most 128 values on eight accumulators (at most 15
+    additions each, 3 to join them, 7 for the rest), then one per halving."""
+    return 25 + max(0, math.ceil(math.log2(n / 128)))
+
+
+def float32_budget(f: TestFunction, r, node_count: int):
+    """B(r): the bound on |m32 - m64| of RadialNodes with float32 features,
+    for balls of radius r (an array or a float) of f at node_count outer
+    nodes, in expectation over the node draw (the RadialNodes docstring
+    derives it).  f must carry grad_max and support_radius, in d >= 2: in
+    d = 1 the bound grows without limit in r (ValueError)."""
+    u = 2.0 ** -24
+    d, g, big_r = f.dim, f.grad_max, f.support_radius
+    if d < 2:
+        raise ValueError("the float32 budget is bounded in d >= 2 only")
+    r = np.asarray(r, dtype=float)
+    share = np.minimum(1.0, (big_r / r) ** d)
+    profile = (2 * _PROFILE_ROUNDINGS + 3 * _pairwise_depth(node_count)
+               + 6) * big_r * share
+    weight = (share * (big_r + 4.0 * r) + 4.0 * d / (d - 1)
+              * np.minimum(big_r, r) ** (d - 1) * r ** (2 - d))
+    return u * g * (profile + 2 * _Q_ROUNDINGS * weight)
+
+
 def centre_nodes(f: TestFunction, centers: np.ndarray, seed: int,
-                 node_count: int, global_start: int):
+                 node_count: int, global_start: int, dtype=np.float64):
     """The Monte Carlo nodes of a chunk of curve centres, (C, d).
 
     The centre of row i draws node_count outer and inner_count(node_count)
@@ -513,6 +587,10 @@ def centre_nodes(f: TestFunction, centers: np.ndarray, seed: int,
     refuses it: no breakpoints, or an eval that the profile does not
     reproduce or that is not finite there.  Every sum over coordinates
     runs in index order (coordinate_dot), so no bit depends on a layout.
+    RadialNodes' features take dtype: they are computed in float64 and
+    stored into arrays of dtype, so float32 features are the float64 ones
+    rounded, and deviations then runs in dtype (the profile keeps its
+    input's dtype).  PointNodes stay float64.
     """
     c_rows, d = centers.shape
     n, m = node_count, inner_count(node_count)
@@ -523,9 +601,11 @@ def centre_nodes(f: TestFunction, centers: np.ndarray, seed: int,
     radial = yy is not None
     if radial:
         y = centers - f.radial.center
-        nodes = RadialNodes(f.radial.profile, yy, np.empty((c_rows, n)),
-                            np.empty((c_rows, n)), np.empty((c_rows, m)),
-                            np.empty((c_rows, m)))
+        nodes = RadialNodes(f.radial.profile, yy.astype(dtype, copy=False),
+                            np.empty((c_rows, n), dtype),
+                            np.empty((c_rows, n), dtype),
+                            np.empty((c_rows, m), dtype),
+                            np.empty((c_rows, m), dtype))
     else:
         nodes = PointNodes(f.eval, centers, np.empty((c_rows, d, n)),
                            np.empty((c_rows, d, m)))
@@ -555,7 +635,8 @@ def _mc_passes(count: int, points_per_pair: int):
 
 def mc_oscillation(nodes, radii, rows) -> np.ndarray:
     """m for each (row, radius) pair of nodes (PointNodes or RadialNodes),
-    in passes of at most BLOCK_POINTS evaluation points (n + 2m per pair).
+    in float64 whatever the nodes' dtype, in passes of at most BLOCK_POINTS
+    evaluation points (n + 2m per pair).
     A radius that is not finite and positive raises QuadratureError before
     any pass, as BallSample would."""
     radii = np.asarray(radii, dtype=float)

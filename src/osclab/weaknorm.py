@@ -84,10 +84,11 @@ ball queries run the same rules.  Both curve engines share one radius
 scan (_Engine.scan), which asks each for dm/dr and keeps it where the
 kernel gives it, on the exact route.  Every center gets its own node stream
 keyed by global sample index (oscillation.centre_nodes, which also picks
-how the nodes are stored), so results are independent of chunking and
-thread count, and one scan is shared across all thresholds (common random
-numbers), which makes the curve exactly monotone in kappa up to the
-crossing tolerance.
+how the nodes are stored, in the dtype that _node_dtype picks once per
+curve from its rounding budget and its smallest threshold), so results
+are independent of chunking and thread count, and one scan is shared
+across all thresholds (common random numbers), which makes the curve
+exactly monotone in kappa up to the crossing tolerance.
 """
 from __future__ import annotations
 
@@ -99,7 +100,7 @@ import numpy as np
 
 from .catalog import TestFunction, require_box_dimension, unit_ball_volume
 from .oscillation import (SKIP_MARGIN, centre_nodes, exact_oscillation_1d,
-                          flat_balls, mc_oscillation)
+                          flat_balls, float32_budget, mc_oscillation)
 from .quadrature import (KEY_CENTERS, QuadratureError, QuadratureSpec,
                          gauss_rule, is_count, require_exponent,
                          require_finite, require_method_dimension, stream)
@@ -666,7 +667,8 @@ class _Exact1D(_Engine):
 
 class _McScan(_Engine):
     """The Monte Carlo route: m_at runs mc_oscillation on the chunk's nodes
-    from centre_nodes, which keys each centre's streams by its global sample
+    from centre_nodes, whose radial features take dtype (the curve's
+    _node_dtype), and which keys each centre's streams by its global sample
     index, so m(a, r) is a deterministic function per centre and results do
     not depend on chunk boundaries or thread count.  The inner mean uses an
     independent antithetic stream, which keeps the two-pass estimate
@@ -680,8 +682,9 @@ class _McScan(_Engine):
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, seed: int,
-                 node_count: int, global_start: int):
-        self.nodes = centre_nodes(f, centers, seed, node_count, global_start)
+                 node_count: int, global_start: int, dtype=np.float64):
+        self.nodes = centre_nodes(f, centers, seed, node_count, global_start,
+                                  dtype)
         if f.grad is not None:
             self.iters = _mc_crossing_iters(node_count)
 
@@ -690,10 +693,32 @@ class _McScan(_Engine):
         return (m, None) if slope else m
 
 
-def _make_engine(f, centers, spec, global_start):
+def _make_engine(f, centers, spec, global_start, dtype=np.float64):
     if spec.method == "gauss_1d":
         return _Exact1D(f, centers, spec.node_count)
-    return _McScan(f, centers, spec.seed, spec.node_count, global_start)
+    return _McScan(f, centers, spec.seed, spec.node_count, global_start,
+                   dtype)
+
+
+def _node_dtype(f: TestFunction, spec: QuadratureSpec,
+                kappa_min: float):
+    """The dtype of a Monte Carlo curve's radial node features: float32
+    where f is radial in d >= 2, carries grad_max and support_radius, and
+    its rounding budget B (oscillation.float32_budget, largest at r = R)
+    is at most kappa_min / (10 sqrt(n)); float64 otherwise.
+
+    A crossing of kappa moves by about its m error over the slope of m,
+    and m's node noise, kappa / sqrt(n) there, moves it by the 2^-k
+    bracket of _mc_crossing_iters; so B keeps the shift from float32 at a
+    tenth of that bracket or less.
+    """
+    if (spec.method != "monte_carlo" or f.dim < 2 or f.radial is None
+            or f.grad_max is None or f.support_radius is None):
+        return np.float64
+    budget = float32_budget(f, f.support_radius, spec.node_count)
+    if budget <= kappa_min / (10.0 * math.sqrt(spec.node_count)):
+        return np.float32
+    return np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -747,19 +772,20 @@ def _r_tail_bound(f: TestFunction, kappa: float, p: float,
     return domain.volume * float(interval_weight(domain.r_max, r_top, p))
 
 
-def _center_weights(f, centers, kappas, p, spec, grid, threads):
+def _center_weights(f, centers, kappas, p, spec, grid, threads, dtype):
     """Per-centre weights and bracket ambiguities, each of shape (K, C),
     and the counters summed over every chunk.
 
     The centres run in chunks of _CHUNK, each scanned by its own engine
-    keyed by its global start, and the chunk results join in order, so
-    threads changes wall time only.
+    keyed by its global start, on the node dtype the curve picked
+    (_node_dtype), and the chunk results join in order, so threads
+    changes wall time only.
     """
     starts = range(0, centers.shape[0], _CHUNK)
 
     def run(start):
         chunk = centers[start:start + _CHUNK]
-        eng = _make_engine(f, chunk, spec, start)
+        eng = _make_engine(f, chunk, spec, start, dtype)
         scan = eng.scan(grid, _skip_mask(f, chunk, grid, float(kappas.min())))
         k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
             eng.m_at, scan, grid, kappas, f, chunk, p, eng.iters, eng.slopes)
@@ -847,14 +873,14 @@ def _rule_plan_1d(f: TestFunction, domain: Domain, panels: int):
 
 def _curve_engine(f: TestFunction, p: float, kappas: np.ndarray,
                   domain: Domain, spec: QuadratureSpec, samples: int,
-                  threads: int, panels: Optional[int] = None
-                  ) -> DistributionCurve:
+                  threads: int, panels: Optional[int] = None,
+                  dtype=np.float64) -> DistributionCurve:
     centers, samples, reduce = (
         _sampled_plan(domain, samples, spec.seed) if panels is None
         else _rule_plan_1d(f, domain, panels))
     grid = _scan_grid(f, domain, float(kappas[-1]))
     weights, ambig, counters = _center_weights(f, centers, kappas, p, spec,
-                                               grid, threads)
+                                               grid, threads, dtype)
     nu, se = reduce(weights, ambig)
     tail = np.array([_r_tail_bound(f, float(k), p, domain) for k in kappas])
     return DistributionCurve(
@@ -926,7 +952,7 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
         raise ValueError(f"need an integer count of at least 1 worker "
                          f"thread, got {threads!r}")
     return _curve_engine(f, float(p), kappas, domain, spec, samples, threads,
-                         panels)
+                         panels, _node_dtype(f, spec, float(kappas[-1])))
 
 
 @dataclass(frozen=True)

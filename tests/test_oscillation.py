@@ -1209,6 +1209,117 @@ def test_radial_nodes_clamp_rounding_below_zero():
                           np.array([r]), np.array([0])), rtol=0.0, atol=1e-14)
 
 
+# ---------------------------------------------------------------------------
+# float32 radial node features
+# ---------------------------------------------------------------------------
+
+_FEATURES = ("yy", "out_dot", "out_sq", "in_dot", "in_sq")
+
+
+def _plateau_images(d):
+    f = make_plateau_bump(d, 1.0, 0.5, 1.0)
+    return [f, translate(f, [0.3] + [-0.2] * (d - 1)), dilate(f, 0.4),
+            dilate(f, 2.5), scale_values(f, -2.0)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_centre_nodes_float32_features_are_the_float64_ones_rounded(d):
+    # the float32 features are the float64 ones cast, bit for bit, and m
+    # comes back in float64 whatever the features' dtype
+    f = translate(make_plateau_bump(d, 1.0, 0.5, 1.0), [0.3] * d)
+    centers = stream(8, d).uniform(-1.5, 1.5, size=(5, d))
+    wide, narrow = (oscillation.centre_nodes(f, centers, 3, 96, 17, dtype)
+                    for dtype in (np.float64, np.float32))
+    assert isinstance(narrow, RadialNodes)
+    for name in _FEATURES:
+        got = getattr(narrow, name)
+        assert got.dtype == np.float32, name
+        assert got.tobytes() == getattr(wide, name).astype(
+            np.float32).tobytes(), name
+    rows = np.array([0, 4, 2, 2])
+    radii = np.array([0.1, 0.7, 1.3, 9.0])
+    m = mc_oscillation(narrow, radii, rows)
+    assert m.dtype == np.float64
+    np.testing.assert_allclose(m, mc_oscillation(wide, radii, rows),
+                               rtol=0.0, atol=1e-6)
+    # point nodes hold no features and stay float64
+    point = oscillation.centre_nodes(make_linear(d, [1.0] * d), centers, 3,
+                                     96, 17, np.float32)
+    assert isinstance(point, PointNodes)
+    assert point.u_out.dtype == point.u_in.dtype == np.float64
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_float32_profiles_keep_their_dtype_and_their_zero(d):
+    # a profile that upcast float32 would give the float32 route's time
+    # back; and B takes f = 0 past the support in float32 exactly
+    for f in _plateau_images(d):
+        q = np.linspace(0.0, 4.0 * f.support_radius ** 2, 1001,
+                        dtype=np.float32)
+        vals = f.radial.profile(q.copy())
+        assert vals.dtype == np.float32, f.function_id
+        outside = q > f.support_radius ** 2
+        assert outside.any() and np.all(vals[outside] == 0.0), f.function_id
+        nodes = oscillation.centre_nodes(
+            f, np.zeros((2, d)), 4, 32, 0, np.float32)
+        dev, pair_sums = nodes.deviations(np.array([0.3, 2.0]),
+                                          np.array([0, 1]))
+        assert dev.dtype == pair_sums.dtype == np.float32, f.function_id
+
+
+def _budget_balls(f, count, n, seed):
+    # count balls near c (centres in the default window, r log-uniform up
+    # to r_max) and count far ones (centres at R to R n^(1/d) from c, their
+    # spheres through the support), where |y| + r is large against the
+    # support and the rounding of q moves m most
+    dom = default_domain(f)
+    d, big_r = f.dim, f.support_radius
+    rng = stream(77, seed)
+    near = rng.uniform(dom.box[0][0], dom.box[0][1], size=(count, d))
+    r_near = np.exp(rng.uniform(math.log(dom.r_min), math.log(dom.r_max),
+                                count))
+    t = rng.uniform(big_r, big_r * n ** (1.0 / d), count)
+    z = rng.standard_normal((count, d))
+    far = f.radial.center + t[:, None] * z / np.linalg.norm(
+        z, axis=1, keepdims=True)
+    r_far = t + big_r * rng.uniform(-1.0, 1.0, count)
+    return np.concatenate([near, far]), np.concatenate([r_near, r_far])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_float32_radial_route_stays_within_its_budget(d):
+    # B bounds the gap's expectation over the node draw; with n share >= 1
+    # support nodes per ball on average, as on these balls, a draw stays
+    # near it.  The far balls of d = 2 are where the q term of B is needed:
+    # 6 to 13 of each image's exceed B without it, by up to 3.5 times
+    n = 128
+    for k, f in enumerate(_plateau_images(d)):
+        centers, radii = _budget_balls(f, 1000, n, 10 * d + k)
+        rows = np.arange(radii.size)
+        wide, narrow = (oscillation.centre_nodes(f, centers, k, n, 0, dtype)
+                        for dtype in (np.float64, np.float32))
+        gap = np.abs(mc_oscillation(narrow, radii, rows)
+                     - mc_oscillation(wide, radii, rows))
+        budget = oscillation.float32_budget(f, radii, n)
+        assert np.all(gap <= budget), f.function_id
+        # the float32 route rounds m, it does not take another estimator
+        assert np.mean(gap > 0.0) > 0.3, f.function_id
+
+
+def test_float32_budget_is_largest_at_the_support_radius():
+    # in d >= 2 B is bounded in r and peaks at r = R, which the curve's
+    # choice of dtype reads; in d = 1 it has no bound
+    for d in (2, 3):
+        for f in _plateau_images(d):
+            r = f.support_radius * np.geomspace(1e-6, 1e6, 1201)
+            top = oscillation.float32_budget(f, f.support_radius, 512)
+            assert np.all(oscillation.float32_budget(f, r, 512)
+                          <= top * (1.0 + 1e-12)), f.function_id
+    with pytest.raises(ValueError, match="d >= 2"):
+        oscillation.float32_budget(make_plateau_bump(1, 1.0, 0.5, 1.0), 1.0,
+                                   512)
+
+
 def _recording(f):
     """f whose eval and grad record the arrays they are handed; the radial
     certificate goes with the replaced eval, so the Monte Carlo curve hands

@@ -1332,6 +1332,60 @@ def test_mc_radial_route_agrees_with_the_generic_route(d):
     np.testing.assert_allclose(radial, generic, rtol=0.0, atol=1e-12)
 
 
+# the curve-mc-2d window: its box, r_max and 13 thresholds from 20 to 0.02
+_MC_2D_DOMAIN = Domain(box=((-1.25, 1.25),) * 2, r_max=22.5, r_min=1e-4)
+_MC_2D_GRID = np.geomspace(20.0, 0.02, 13)
+
+
+def _mc(n, seed=5):
+    return QuadratureSpec(method="monte_carlo", node_count=n, seed=seed)
+
+
+@pytest.mark.parametrize("fid, n, grid, want", [
+    # the curve-mc-2d window and the CI smoke window
+    ("plateau:d=2:a=1:ri=0.5:ro=1", 512, _MC_2D_GRID, np.float32),
+    ("plateau:d=2:a=1:ri=0.5:ro=1", 128, _MC_2D_GRID, np.float32),
+    # the default grids reach 1e-4 of kappa_top, below B's reach
+    ("plateau:d=2:a=1:ri=0.5:ro=1", 512, None, np.float64),
+    ("plateau:d=2:a=1:ri=0.5:ro=1", 128, None, np.float64),
+    ("plateau:d=3:a=1:ri=0.5:ro=1", 512, None, np.float64),
+    # no grad_max, no radial certificate, d = 1
+    ("indicator:d=2:r=0.5", 512, np.geomspace(0.45, 4.5e-4, 13), np.float64),
+    ("linear:d=2:v=1,0", 512, _MC_2D_GRID, np.float64),
+    ("plateau:d=1:a=1:ri=0.5:ro=1", 512, _MC_2D_GRID, np.float64),
+])
+def test_curve_takes_float32_nodes_only_where_the_budget_allows(
+        monkeypatch, fid, n, grid, want):
+    # the dtype is picked once per curve and reaches every chunk's nodes
+    f = parse_function_id(fid)
+    grid = default_kappa_grid(f) if grid is None else grid
+    assert weaknorm._node_dtype(f, _mc(n), float(grid[-1])) is want
+    seen = []
+    make = weaknorm.centre_nodes
+
+    def recording(*args):
+        seen.append(args[-1])
+        return make(*args)
+
+    monkeypatch.setattr(weaknorm, "centre_nodes", recording)
+    dom = Domain(box=((-1.25, 1.25),) * f.dim, r_max=5.0, r_min=1e-3)
+    distribution_curve(f, 2.0, grid, dom, _mc(8), samples=300)
+    picked = weaknorm._node_dtype(f, _mc(8), float(grid[-1]))
+    assert seen == [picked, picked]
+
+
+def test_float32_curve_keeps_its_bytes_across_threads():
+    # two chunks of the curve-mc-2d window on float32 nodes
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    spec = _mc(64, seed=9)
+    assert weaknorm._node_dtype(f, spec, 0.02) is np.float32
+    c1, c2 = (distribution_curve(f, 2.0, _MC_2D_GRID, _MC_2D_DOMAIN, spec,
+                                 samples=320, threads=t) for t in (1, 2))
+    assert c1.nu.tobytes() == c2.nu.tobytes()
+    assert c1.nu_stderr.tobytes() == c2.nu_stderr.tobytes()
+    assert np.any(c1.nu > 0.0)
+
+
 def test_mc_curve_checks_the_radial_certificate_against_eval():
     # an eval replaced without its radial certificate no longer matches the
     # profile at the chunk's centres, so the curve takes the generic route

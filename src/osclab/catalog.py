@@ -359,7 +359,7 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
     fid = f"indicator:d={d}:r={_fmt(R)}" + cid
 
     def profile(q: np.ndarray) -> np.ndarray:
-        return (np.sqrt(q) <= R).astype(float)
+        return (np.sqrt(q) <= R).astype(q.dtype)
 
     def ev(x: np.ndarray) -> np.ndarray:
         y = np.asarray(x, dtype=float) - c

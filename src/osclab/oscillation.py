@@ -344,7 +344,9 @@ def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,
     and each part is graded toward its ends into _GRADE_PANELS panels of
     the _GL_ORDER rule, which handle the kink of |f - mu|^q: the
     2 _GRADE_PANELS + 1 cuts of each segment go to row_segments, which
-    drops the zero-width panels of a segment without a root.
+    drops the zero-width panels of a segment without a root.  Both of its
+    powers, |f - mu|^q at the nodes and the moment's 1/q-th, take
+    _libm_power, so their bits are the C library's on every CPU.
 
     With M the integral of |f - mu| over the ball, m = M / (2 r) and
     mu' = (f(a + r) + f(a - r) - 2 mu) / (2 r), so
@@ -374,11 +376,11 @@ def _exact_pass(f: TestFunction, a: np.ndarray, r: np.ndarray, q: float,
         panels = row_segments(np.concatenate(
             [s_lo + (root - s_lo) * frac[:-1],
              root + (segs.hi[:, None] - root) * frac], axis=1))
-        seg = segment_integrals(lambda x, m: np.abs(fev(x) - m) ** q,
-                                panels.edges, _GL_ORDER,
-                                mu[segs.ball[panels.ball]])
+        seg = segment_integrals(
+            lambda x, m: _libm_power(np.abs(fev(x) - m), q), panels.edges,
+            _GL_ORDER, mu[segs.ball[panels.ball]])
         moment = segs.row_sums(panels.row_sums(seg)) / width
-        return np.maximum(moment, 0.0) ** (1.0 / q), mu
+        return _libm_power(np.maximum(moment, 0.0), 1.0 / q), mu
 
     length = segs.hi - segs.lo
     m, mu, root, cut, dev, left, g_start, g_end = _split_deviation(

@@ -45,14 +45,15 @@ the weight of a center is a deterministic, piecewise smooth function of
 it, with a deterministic error estimate.  The curve picks its plan once,
 and every plan's centres go through the same chunked scan and solve.
 
-The window's r_min is a numerical floor, not a truncation: scanning starts
-at min(r_min, certified floor) and any section already above threshold at
-the first scanned radius is resolved by a certified analytic bracket (the
-small-radius expansion for differentiable entries, the constancy radius
-flat_radius for entries without a gradient), with the bracket's weight
-spread reported as ambiguity.
-For entries with gradient certificates the certified floor sits below every
-crossing, so the analytic path is a guard rather than the common case.
+The window's r_min is a numerical floor, not a truncation.  For an entry
+with grad_max > 0 the scan starts at r_min or one scan step below the
+radius where the gradient skip below certifies the estimate under the
+smallest threshold, whichever is lower, so its first scanned radius is
+skipped on every row and no section starts below the scan.  For other
+entries it starts at r_min, and a section already above threshold there
+is resolved by an analytic bracket (_below_floor_bracket: the constancy
+radius flat_radius where the entry has one, certified), with the bracket's
+weight spread reported as ambiguity.
 The grid itself never moves, but the scan skips the cells whose estimate
 is certified below the smallest threshold before any quadrature (see
 _skip_mask): balls inside the region where f is constant (the catalog's
@@ -190,9 +191,10 @@ class Domain:
     """Box window for centers plus the radius range of interest.
 
     box is ((lo, hi), ...) per coordinate.  Radii are truncated above at
-    r_max; r_min is the numerical floor where scanning starts (sections
-    reaching below it are resolved by certified analytic brackets, so the
-    reported measure always refers to radii in (0, r_max]).
+    r_max; r_min is a numerical floor: scanning starts at it or below it
+    (_scan_grid), and sections reaching below the scan are resolved by
+    analytic brackets, so the reported measure always refers to radii in
+    (0, r_max].
     """
     box: tuple
     r_max: float
@@ -297,27 +299,21 @@ def sample_centers(domain: Domain, count: int, seed: int):
 # radius-section location: scan, runs, crossings
 # ---------------------------------------------------------------------------
 
-def _certified_floor(f: TestFunction, kappa: float) -> Optional[float]:
-    """A radius certified to sit below every crossing of the threshold."""
-    d = f.dim
-    if f.grad_max is not None and f.grad_max > 0:
-        r1 = kappa / (c_d_prime(d) * f.grad_max)
-        if f.grad_lipschitz:
-            c_rem = expansion_remainder_coeff(d, f.grad_lipschitz)
-            return 0.3 * min(r1, math.sqrt(kappa / c_rem))
-        return 0.3 * r1
-    return None
-
-
 def _scan_grid(f: TestFunction, domain: Domain,
                kappa_min: float) -> np.ndarray:
-    """Geometric radius grid at ratio _SCAN_RATIO from min(r_min, certified
-    floor of kappa_min) up to r_max, with at least 3 radii."""
-    start = domain.r_min
-    floor = _certified_floor(f, kappa_min)
-    if floor is not None:
-        start = min(start, floor)
-    start = min(start, domain.r_max / _SCAN_RATIO ** 2)
+    """Geometric radius grid at ratio _SCAN_RATIO up to r_max, with at
+    least 3 radii, from r_min or lower.
+
+    For an entry with grad_max > 0 it starts one scan step or more below
+    the radius kappa_min / (2 grad_max (1 + SKIP_MARGIN)) under which
+    _skip_mask certifies the estimate below kappa_min, so the first scanned
+    radius is skipped on every row, on either route and for every node
+    draw, and no section of such an entry starts below the scan.
+    """
+    start = min(domain.r_min, domain.r_max / _SCAN_RATIO ** 2)
+    if f.grad_max is not None and f.grad_max > 0:
+        start = min(start, kappa_min / (2.0 * f.grad_max * (1.0 + SKIP_MARGIN)
+                                        * _SCAN_RATIO))
     n = int(math.ceil(math.log(domain.r_max / start)
                       / math.log(_SCAN_RATIO))) + 1
     return np.geomspace(start, domain.r_max, max(n, 3))
@@ -334,8 +330,8 @@ def _skip_mask(f: TestFunction, centers: np.ndarray, grid: np.ndarray,
     averages |f - mean| over points of the ball, so m <= osc of f on the
     ball.  That oscillation is 0 when r < flat_radius(a), and at most
     2 r grad_max always.  Both conditions hold on a prefix of radii in each
-    row.  (The 0.3 factor of _certified_floor bounds the true m_f only, so
-    it cannot serve here.)  On a constant ball both routes read 0 up to
+    row, and _scan_grid starts the grid of an entry with grad_max > 0 inside
+    the second one's.  On a constant ball both routes read 0 up to
     rounding: the Monte Carlo estimate is a mean of equal values minus
     itself, and the exact route divides its Gauss sums by the width it
     integrates over (oscillation._exact_pass states the weight sums behind
@@ -513,37 +509,22 @@ def _hermite_step(x1, x2, y1, d1, y2, d2, t):
 
 
 def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
-                         kappa, floor: float):
+                         floor: float):
     """Certified (lo, hi) bracket for a crossing below the scanned range.
 
-    kappa is a scalar or one threshold per row.
-
-    For differentiable entries the small-radius expansion
-    m <= c' |grad f(a)| r + coeff r^2 gives the quadratic root.  For entries
-    without a gradient the constancy radius serves: m(a, r) = 0 while
-    r < flat_radius(a), in every dimension and under translate and dilate.
-    It is kept above floor * 1e-6, so a center on the jump set still gets a
-    finite weight.  Other entries fall back to 0.1 * floor, which nothing
-    certifies.  The scanned value at the floor being above threshold caps
-    the bracket.
+    Only entries without grad_max reach it (_scan_grid starts the others'
+    scan on a radius that _skip_mask skips).  For an entry with a
+    constancy radius it serves: m(a, r) = 0 while r < flat_radius(a), in
+    every dimension and under translate and dilate.  It is kept above
+    floor * 1e-6, so a center on the jump set still gets a finite weight.
+    Other entries fall back to 0.1 * floor, which nothing certifies.  The
+    scanned value at the floor being above threshold caps the bracket.
     """
     hi = np.full(rows.size, floor)
     lo = np.full(rows.size, floor * 0.1)
-    if f.grad is None and f.flat_radius is not None:
+    if f.flat_radius is not None:
         rho = np.asarray(f.flat_radius(centers[rows]), dtype=float)
         lo = np.clip(rho, floor * 1e-6, hi * 0.999999)
-    elif f.grad is not None and f.grad_max:
-        g = np.linalg.norm(np.asarray(f.grad(centers[rows]), dtype=float),
-                           axis=-1)
-        c1 = c_d_prime(f.dim) * g
-        crem = expansion_remainder_coeff(f.dim, f.grad_lipschitz or 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if crem > 0:
-                r1 = (-c1 + np.sqrt(c1 * c1 + 4.0 * crem * kappa)) / (2.0 * crem)
-            else:
-                r1 = kappa / c1
-        ok = np.isfinite(r1) & (r1 > 0)
-        lo = np.where(ok, np.minimum(r1, hi * 0.999999), lo)
     return lo, hi
 
 
@@ -603,7 +584,7 @@ def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
 
     if below_floor.any():
         blo, bhi = _below_floor_bracket(f, centers, row[below_floor],
-                                        kappas[k[below_floor]], grid[0])
+                                        grid[0])
         lo[below_floor] = 0.5 * (blo + bhi)
         ambig[below_floor] = interval_weight(blo, bhi, p)
     return k, row, lo, hi, ambig, below_floor, at_r_max

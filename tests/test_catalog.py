@@ -622,7 +622,7 @@ def test_l1_mass_of_each_entry_and_image_matches_a_quadrature(f):
 
 @pytest.mark.parametrize("f", _metadata_images(), ids=lambda f: f.function_id)
 def test_grad_max_of_each_entry_and_image_bounds_the_gradient(f):
-    # grad_max feeds the skip mask and the certified floor.  |grad f| stays
+    # grad_max feeds the skip mask and the scan start.  |grad f| stays
     # below it, up to the few ulps by which the computed norm rounds up
     # (the skip mask's 1 + SKIP_MARGIN covers them), at 2000 uniform points
     # of a cube around the support (around the origin for a linear entry)

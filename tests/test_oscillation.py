@@ -798,6 +798,28 @@ def test_pass_size_moves_no_bit_of_exact_oscillation(monkeypatch, q):
     assert len(got) == 1
 
 
+@pytest.mark.parametrize("q", [2.0, 2.5])
+def test_exact_q_powers_take_the_c_library_pow(monkeypatch, q):
+    # numpy's array power misses pow's last bit on some CPUs, so both
+    # powers of the exact q != 1 route go through _libm_power: |f - mu|^q
+    # at its nodes and the moment's 1/q-th power, once per ball (no ball
+    # here covers the support, so each is evaluated on its own)
+    calls = []
+    power = oscillation._libm_power
+
+    def counting(x, e):
+        calls.append((np.size(x), e))
+        return power(x, e)
+
+    monkeypatch.setattr(oscillation, "_libm_power", counting)
+    a = np.linspace(-1.2, 1.2, 41)
+    r = np.geomspace(1e-3, 0.9, 41)
+    exact_oscillation_1d(make_plateau_bump(1, 1.0, 0.5, 1.0), a, r, q)
+    assert {e for _, e in calls} == {q, 1.0 / q}
+    assert sum(n for n, e in calls if e == 1.0 / q) == a.size
+    assert sum(n for n, e in calls if e == q) > a.size
+
+
 def _d1_entries_and_images():
     out = []
     for fid in DEFAULT_IDS:
@@ -1252,8 +1274,12 @@ def test_centre_nodes_float32_features_are_the_float64_ones_rounded(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_float32_profiles_keep_their_dtype_and_their_zero(d):
     # a profile that upcast float32 would give the float32 route's time
-    # back; and B takes f = 0 past the support in float32 exactly
-    for f in _plateau_images(d):
+    # back; and B takes f = 0 past the support in float32 exactly.  The
+    # indicator, whose curve stays float64, keeps its input's dtype too
+    ind = make_ball_indicator(d, 0.5)
+    for f in _plateau_images(d) + [
+            ind, make_ball_indicator(d, 0.5, center=[0.2] + [-0.1] * (d - 1)),
+            dilate(ind, 2.5)]:
         q = np.linspace(0.0, 4.0 * f.support_radius ** 2, 1001,
                         dtype=np.float32)
         vals = f.radial.profile(q.copy())

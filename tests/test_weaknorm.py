@@ -358,8 +358,7 @@ def test_below_floor_bracket_reaches_the_sphere(case):
     assert "below_scan_floor" in iv.flags
     assert iv.r_lo - iv.endpoint_uncertainty <= t
     assert iv.r_lo + iv.endpoint_uncertainty >= 2.0 * t
-    lo, hi = _below_floor_bracket(f, a[None, :], np.array([0]), kappa,
-                                  dom.r_min)
+    lo, hi = _below_floor_bracket(f, a[None, :], np.array([0]), dom.r_min)
     assert 0.0 < lo[0] <= t and hi[0] == dom.r_min
 
 
@@ -372,8 +371,7 @@ def test_below_floor_bracket_of_the_1d_indicator(a, c, floor):
     # off center the two round differently, by at most an ulp of |a - c|
     # and one of c -+ R
     f = make_ball_indicator(1, 0.5, center=[c])
-    lo, hi = _below_floor_bracket(f, np.array([[a]]), np.array([0]), 0.1,
-                                  floor)
+    lo, hi = _below_floor_bracket(f, np.array([[a]]), np.array([0]), floor)
     t = min(abs(a - (c - 0.5)), abs(a - (c + 0.5)))
     want = min(max(t, floor * 1e-6), floor * 0.999999)
     if c == 0.0:
@@ -1087,7 +1085,7 @@ def test_sections_are_the_runs_of_the_scan(scans):
                 lo, hi, ambig = None, grid[-1], 0.0
                 if first == 0:
                     blo, bhi = _below_floor_bracket(
-                        f, centers, np.array([row]), kappa, grid[0])
+                        f, centers, np.array([row]), grid[0])
                     lo = 0.5 * (blo[0] + bhi[0])
                     ambig = interval_weight(blo, bhi, 2.0)[0]
                 else:
@@ -1513,9 +1511,11 @@ def test_mc_kernel_calls_stay_within_block_budget():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_thresholds_are_solved_independently(d):
-    # with r_min below every threshold's certified floor the scan grid is
-    # the same for one threshold as for the whole grid, so batching the
-    # crossing search must reproduce each single-threshold measure exactly
+    # with r_min below the scan start of every threshold (one step below
+    # its gradient skip bound) the scan grid is the same for one threshold
+    # as for the whole grid, so batching the crossing search must reproduce
+    # each single-threshold measure exactly; _curve_engine's node dtype
+    # defaults to float64, as the whole grid's is here
     f = make_plateau_bump(d, 1.0, 0.5, 1.0)
     dom = Domain(box=((-1.25, 1.25),) * d, r_max=5.0, r_min=1e-7)
     spec = (GAUSS if d == 1 else
@@ -1536,7 +1536,8 @@ def test_thresholds_are_solved_independently(d):
 # ---------------------------------------------------------------------------
 
 def _skip_setup(f):
-    # a floor below the certified one, so the Lipschitz skip has cells
+    # r_min two decades below the default, so the Lipschitz skip covers
+    # several columns
     dom = default_domain(f)
     dom = dataclasses.replace(dom, r_min=1e-2 * dom.r_min)
     kappa_min = (default_kappa_grid(f)[-1] if f.grad_max is not None
@@ -1652,6 +1653,39 @@ def test_skip_mask_keeps_curve_bytes_and_saves_points(monkeypatch, tmp_path,
             out[label] = (path.read_bytes(), sum(points))
         assert out["masked"][0] == out["full"][0], route
         assert out["masked"][1] < out["full"][1], route
+
+
+GRADIENT_ENTRIES = [
+    g for f in default_catalog() if f.grad_max
+    for g in (f, translate(f, [0.3] + [-0.2] * (f.dim - 1)), dilate(f, 0.4),
+              dilate(f, 3.0), scale_values(f, -0.7))]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["r_min-above",
+                                                      "r_min-below"])
+@pytest.mark.parametrize("f", GRADIENT_ENTRIES, ids=lambda f: f.function_id)
+def test_first_scanned_radius_is_skipped_for_gradient_entries(f, below):
+    # the scan of an entry with grad_max starts one scan step below the
+    # radius where the gradient skip certifies the estimate under
+    # kappa_min (or at a lower r_min), so its first column is skipped on
+    # every row and no section starts below the scan, on the exact route
+    # in d = 1 and on the Monte Carlo route in d = 2 and 3
+    kappas = default_kappa_grid(f)
+    kappa_min = float(kappas[-1])
+    dom = default_domain(f)
+    bound = kappa_min / (2.0 * f.grad_max)
+    # every default r_min sits above the start, one step below this bound
+    assert bound / weaknorm._SCAN_RATIO < dom.r_min
+    if below:
+        dom = dataclasses.replace(dom, r_min=1e-2 * bound)
+    grid = _scan_grid(f, dom, kappa_min)
+    assert grid[0] <= dom.r_min
+    centers, _, _ = sample_centers(dom, 64, seed=5)
+    assert _skip_mask(f, centers, grid, kappa_min)[:, 0].all()
+    spec = (GAUSS if f.dim == 1 else
+            QuadratureSpec(method="monte_carlo", node_count=32, seed=5))
+    cur = distribution_curve(f, 2.0, kappas, dom, spec, samples=32)
+    assert cur.counters["below_floor"] == 0
 
 
 def test_grid_validation():

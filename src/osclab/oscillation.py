@@ -10,8 +10,8 @@ the average of the absolute deviation, on an independent node set.
 There is one kernel per rule, and one batch entry per rule, which runs it
 on any number of balls in passes of bounded size: exact_oscillation_1d,
 mc_oscillation for Monte Carlo, and ball_estimates, which serves the
-single-ball rules on every method, the radial rule included.  No other
-module splits a batch into passes.
+single-ball rules on every method, the radial rule included.  Every pass
+is a slice of _passes, and no other module splits a batch into passes.
 
 exact_oscillation_1d (dimension one, method "gauss_1d") is fully
 deterministic: the interval is split at the function's breakpoints into
@@ -82,11 +82,11 @@ of a call takes the spec's node sets, which _ball_nodes draws once at the
 top of the call: the outer set (KEY_OUTER), the antithetic inner set
 (KEY_INNER) for the oscillation, and pair_oscillation's second set
 (KEY_PAIR).  ball_estimates broadcasts the outer and inner sets over the
-balls of each pass of _mc_passes, the bounded passes of mc_oscillation,
-and reaches m through the same mc_deviations, so a batch of any size
-takes one code path.  A suite makes one ball_estimates call, so its
-balls share the spec's node sets.  centre_nodes draws the curve's nodes
-on streams of their own, one per centre.
+balls of each pass and reaches m through the same mc_deviations, so a
+batch of any size takes one code path; at q != 1 every power takes the C
+library's pow (_power_mean).  A suite makes one ball_estimates call, so
+its balls share the spec's node sets.  centre_nodes draws the curve's
+nodes on streams of their own, one per centre.
 """
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ from .quadrature import (KEY_BALL_IN, KEY_BALL_OUT, KEY_INNER, KEY_OUTER,
 # relative slack of flat_balls against the rounding of a + r u, of |x| and
 # of f itself, which are a few ulps of the coordinates and values
 SKIP_MARGIN = 1e-9
-# f evaluation points per Monte Carlo pass (_mc_passes)
+# f evaluation points per Monte Carlo pass (_passes)
 BLOCK_POINTS = 2 ** 15
 # the largest gap between a radial entry's profile and its eval at the
 # probe's points, relative to the largest value there, that still takes a
@@ -144,6 +144,13 @@ _GRADE_PANELS = 8
 
 class UnsupportedFunctionError(ValueError):
     """Raised when an operation needs metadata the function does not carry."""
+
+
+def _passes(count: int, size: int):
+    """Slices of count balls, size a pass: every batch entry's passes, of
+    max(1, BLOCK_POINTS // points per ball) by Monte Carlo, else of
+    _EXACT_PASS, so the working set does not grow with the batch."""
+    return (slice(lo, lo + size) for lo in range(0, count, size))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +255,11 @@ def _split_deviation(fev, segs: Segments, integrate, measure: np.ndarray,
 
 
 def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
-                         mu_nodes: int = _GL_ORDER, *, slope: bool = False):
+                         mu_nodes: int = _GL_ORDER, slope: bool = False):
     """Deterministic (m_f, inner mean) over arrays of 1-d balls, and with
     slope=True also dm_f/dr: (m, mu, dm/dr).
 
-    Vectorized over broadcastable a and r arrays, in passes of at most
+    Vectorized over broadcastable a and r arrays, in _passes of
     _EXACT_PASS balls, so the working set does not grow with the batch and
     a ball's bits do not depend on its pass.  The inner mean, and for
     q = 1 the deviation, take the Gauss order n = min(mu_nodes,
@@ -303,8 +310,7 @@ def exact_oscillation_1d(f: TestFunction, a, r, q: float = 1.0,
     ball_a = np.concatenate([a[own], np.zeros(radii.size)])
     ball_r = np.concatenate([r[own], radii])
     res = np.empty((3 if slope else 2, ball_a.size))
-    for lo in range(0, ball_a.size, _EXACT_PASS):
-        at = slice(lo, lo + _EXACT_PASS)
+    for at in _passes(ball_a.size, _EXACT_PASS):
         res[:, at] = _exact_pass(f, ball_a[at], ball_r[at], q, mu_nodes,
                                  slope)
     out = np.empty((res.shape[0], a.size))
@@ -626,25 +632,16 @@ def centre_nodes(f: TestFunction, centers: np.ndarray, seed: int,
     return nodes
 
 
-def _mc_passes(count: int, points_per_pair: int):
-    """Slices of count (row, radius) pairs, or balls, whose points_per_pair
-    points per pair add up to at most BLOCK_POINTS a pass (at least one
-    pair), so the working set does not grow with the batch: the passes of
-    mc_oscillation and of ball_estimates' Monte Carlo balls."""
-    per_pass = max(1, BLOCK_POINTS // points_per_pair)
-    return (slice(lo, lo + per_pass) for lo in range(0, count, per_pass))
-
-
 def mc_oscillation(nodes, radii, rows) -> np.ndarray:
     """m for each (row, radius) pair of nodes (PointNodes or RadialNodes),
-    in float64 whatever the nodes' dtype, in passes of at most BLOCK_POINTS
-    evaluation points (n + 2m per pair).
+    in float64 whatever the nodes' dtype, in _passes of at most
+    BLOCK_POINTS evaluation points (n + 2m per pair).
     A radius that is not finite and positive raises QuadratureError before
     any pass, as BallSample would."""
     radii = np.asarray(radii, dtype=float)
     require_balls(radii)
     out = np.empty(len(rows))
-    for at in _mc_passes(len(rows), nodes.pair_points):
+    for at in _passes(len(rows), max(1, BLOCK_POINTS // nodes.pair_points)):
         out[at] = _mc_pass(nodes, radii[at], rows[at])
     return out
 
@@ -845,7 +842,8 @@ def _radial_pass(f: TestFunction, t, r, n: int, oscillation: bool,
     """(m, ball average of |grad f|) of the balls at distance t from f's
     radial centre with radii r, shape (B,) each, on one pass of the radial
     rule: None for what is not asked; gradient is None, or the mask of the
-    balls whose average to compute (the others read 0).
+    balls whose average to compute (the others read 0).  In d = 3 the Gauss
+    order n is capped at (degree + 3) // 2 + 1, where the rule is exact.
 
     The rule is geometry only: the pieces in rho (_radial_pieces), the
     measure sigma(rho) of the sphere of radius rho inside the ball
@@ -858,6 +856,8 @@ def _radial_pass(f: TestFunction, t, r, n: int, oscillation: bool,
     """
     rad = f.radial
     d = f.dim
+    if d == 3 and rad.degree is not None:
+        n = min(n, (rad.degree + 3) // 2 + 1)
     segs, kind = _radial_pieces(rad.breakpoints, t, r, d)
     tk = t[segs.ball]
     rk = r[segs.ball]
@@ -915,11 +915,13 @@ def _libm_power(x, e: float) -> np.ndarray:
         np.shape(x))
 
 
-def _power_mean(y: np.ndarray, q: float, se_extra):
-    """(mean(y)^(1/q), its standard error) along the last axis of samples y
-    of |deviation|^q: the delta method on the q-th moment plus se_extra,
-    the error carried in from an estimated inner mean (1-Lipschitz
+def _power_mean(dev: np.ndarray, q: float, se_extra):
+    """(mean(y)^(1/q), its standard error) along the last axis of y =
+    dev^q, dev the samples of |deviation|, with every power by _libm_power
+    unless q = 1: the delta method on the q-th moment plus se_extra, the
+    error carried in from an estimated inner mean (1-Lipschitz
     propagation).  A zero moment reads 0 with error se_extra."""
+    y = dev if q == 1.0 else _libm_power(dev, q)
     m_q = np.mean(y, axis=-1)
     se_m = np.std(y, axis=-1, ddof=1) / np.sqrt(y.shape[-1])
     if q == 1.0:
@@ -952,7 +954,7 @@ def _mc_pass_estimates(f: TestFunction, centers: np.ndarray,
         se_mu = 0.0
         if half > 1:
             se_mu = np.std(0.5 * pair_sums, axis=-1, ddof=1) / np.sqrt(half)
-        value, std_error = _power_mean(np.abs(dev, out=dev) ** q, q, se_mu)
+        value, std_error = _power_mean(np.abs(dev, out=dev), q, se_mu)
     if live is not None:
         avg = np.zeros(radii.size)
         at = np.flatnonzero(live)
@@ -998,19 +1000,19 @@ def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
     radii (B,), under spec: the one entry behind every single-ball rule
     but pair_oscillation.
 
-    gauss_1d makes one exact_oscillation_1d call, and takes the average
-    of |f'| by the _GL_ORDER segment rule between f's breakpoints in
-    passes of at most _EXACT_PASS balls.  radial makes one pass of the
-    radial rule (_radial_pass) per _EXACT_PASS balls, after the probe of
-    _radial_profile.  monte_carlo runs mc_deviations, the estimator of
-    the curve's mc_oscillation, in the same passes of at most
-    BLOCK_POINTS evaluation points (_mc_passes), with every ball of the
-    call on the node sets of spec.seed, each drawn once at the top of the
-    call (_ball_nodes) and broadcast over the balls of a pass: the
-    antithetic inner set for the oscillation only, and the outer set,
-    which the oscillation and the gradient share, only when some ball
-    needs it.  A ball's value therefore has the bits it has alone,
-    whatever the call and its pass.  A ball on which flat_radius
+    Every rule runs in _passes.  gauss_1d makes one exact_oscillation_1d
+    call, and takes the average of |f'| by the _GL_ORDER segment rule
+    between f's breakpoints in passes of _EXACT_PASS balls.  radial makes
+    one pass of the radial rule (_radial_pass) per _EXACT_PASS balls,
+    after the probe of _radial_profile.  monte_carlo runs mc_deviations,
+    the estimator of the curve's mc_oscillation, in its passes of at most
+    BLOCK_POINTS evaluation points, with every ball of the call on the
+    node sets of spec.seed, each drawn once at the top of the call
+    (_ball_nodes) and broadcast over the balls of a pass: the antithetic
+    inner set for the oscillation only, and the outer set, which the
+    oscillation and the gradient share, only when some ball needs it.  A
+    ball's value therefore has the bits it has alone, whatever the call
+    and its pass.  A ball on which flat_radius
     certifies f constant gets the gradient average 0 without an
     evaluation, since grad is exactly 0 there.  Functions without a
     gradient are refused for gradient=True (UnsupportedFunctionError),
@@ -1045,7 +1047,8 @@ def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
         # the oscillation, and the outer set again for the gradient
         points = ((n + 2 * inner_count(n) if oscillation else 0)
                   + (n if gradient else 0))
-        for at in _mc_passes(count, points) if u_out is not None else ():
+        for at in (_passes(count, max(1, BLOCK_POINTS // points))
+                   if u_out is not None else ()):
             val, err, grad = _mc_pass_estimates(
                 f, centers[at], radii[at], q, u_out, u_in,
                 live[at] if gradient else None)
@@ -1059,17 +1062,14 @@ def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
                                             mu_nodes=spec.node_count)[0]
         if gradient:
             balls = np.flatnonzero(live)
-            for lo in range(0, balls.size, _EXACT_PASS):
-                at = balls[lo:lo + _EXACT_PASS]
+            for part in _passes(balls.size, _EXACT_PASS):
+                at = balls[part]
                 avg[at] = _gauss_gradient(f, centers[at, 0], radii[at])
     else:
         t = np.sqrt(_radial_profile(f, centers))
-        n = spec.node_count
-        if f.dim == 3 and f.radial.degree is not None:
-            n = min(n, (f.radial.degree + 3) // 2 + 1)
-        for lo in range(0, count, _EXACT_PASS):
-            at = slice(lo, lo + _EXACT_PASS)
-            m, mean_grad = _radial_pass(f, t[at], radii[at], n, oscillation,
+        for at in _passes(count, _EXACT_PASS):
+            m, mean_grad = _radial_pass(f, t[at], radii[at], spec.node_count,
+                                        oscillation,
                                         live[at] if gradient else None)
             if oscillation:
                 value[at] = m
@@ -1128,7 +1128,7 @@ def pair_oscillation(f: TestFunction, ball: BallSample, q: float,
         f.eval(_point_major(c + ball.radius * ux)), dtype=float))
     vy = require_finite(np.asarray(
         f.eval(_point_major(c + ball.radius * uy)), dtype=float))
-    return EstimatedValue(*_power_mean(np.abs(vx - vy) ** q, q, 0.0))
+    return EstimatedValue(*_power_mean(np.abs(vx - vy), q, 0.0))
 
 
 def flat_balls(f: TestFunction, centers, radii) -> np.ndarray:

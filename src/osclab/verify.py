@@ -20,18 +20,18 @@ osclab's own Gauss rule (quadrature.gauss_rule, segment_integrals), which
 they check, and they load no scipy: neither importing osclab nor running a
 curve or the battery does.
 
-The mollification suite draws all its balls first, in the order of its
-random stream, and then evaluates them together: one exact_oscillation_1d
-call gives every left side, and per panel refinement one segment_integrals
-call on the flat list of every case's segments, whose integrand makes one
-more, gives every right side; the kernel bounds the size of its own
-passes.  segment_integrals sums each segment on its own, in a fixed order,
-and row_sums adds each case's segments left to right, so with any panel
-count every case keeps the bits of its one-case computation.
-The local expansion, domination and tail suites likewise draw all their
-balls first and evaluate them in one oscillation.ball_estimates call,
-which gives each ball the bits of its single-ball rule.  run_all gives
-the radial entries in d >= 2 the exact radial rule.
+The suites draw all their balls first (_draw_balls, save the tail suite's
+first kind), then evaluate them.  The mollification suite's one
+exact_oscillation_1d call gives every left side, and per panel refinement
+one segment_integrals call on the flat list of every case's segments,
+whose integrand makes one more, gives every right side; the kernel bounds
+the size of its own passes.  segment_integrals sums each segment on its
+own, in a fixed order, and row_sums adds each case's segments left to
+right, so with any panel count every case keeps the bits of its one-case
+computation.  The local expansion, domination and tail suites evaluate
+theirs in one oscillation.ball_estimates call, which gives each ball the
+bits of its single-ball rule.  run_all gives the radial entries in d >= 2
+the exact radial rule.
 """
 from __future__ import annotations
 
@@ -256,6 +256,19 @@ def mollify_1d(f: TestFunction, phi: Mollifier) -> TestFunction:
 # suite: small-radius expansion
 # ---------------------------------------------------------------------------
 
+def _draw_balls(rng, n: int, d: int, half_width: float, r_lo: float,
+                r_hi: float):
+    """Centres (n, d) and radii (n,) of n balls drawn in turn from rng: a
+    centre uniform in [-half_width, half_width]^d, then a radius
+    log-uniform in [r_lo, r_hi]."""
+    centers = np.empty((n, d))
+    radii = np.empty(n)
+    for i in range(n):
+        centers[i] = rng.uniform(-half_width, half_width, size=d)
+        radii[i] = np.exp(rng.uniform(np.log(r_lo), np.log(r_hi)))
+    return centers, radii
+
+
 def _legendre_panels(n: int, lo, hi):
     """Nodes and weights of numpy's n-point Gauss-Legendre rule on [lo, hi].
 
@@ -314,12 +327,9 @@ def check_local_expansion(f: TestFunction, n_samples: int,
     slope = c_d_prime(d) * fault.slope_factor
     coeff = expansion_remainder_coeff(d, lip) * fault.expansion_factor
 
-    centers = np.empty((n_samples, d))
-    radii = np.empty(n_samples)
-    for i in range(n_samples):
-        centers[i] = rng.uniform(-1.1 * scale, 1.1 * scale, size=d)
-        radii[i] = np.exp(rng.uniform(np.log(_EXPANSION_R_CEILING / 50.0),
-                                      np.log(_EXPANSION_R_CEILING)))
+    centers, radii = _draw_balls(rng, n_samples, d, 1.1 * scale,
+                                 _EXPANSION_R_CEILING / 50.0,
+                                 _EXPANSION_R_CEILING)
     est = ball_estimates(f, centers, radii, spec)
 
     cases = []
@@ -409,8 +419,8 @@ def check_mollification(f: TestFunction, phi: Mollifier, n_samples: int,
     the left, refined panel quadrature with an error estimate on the
     right); a case whose error estimate swamps the comparison is recorded
     as inconclusive rather than failed.  The n_samples balls are drawn one
-    (a, r) pair at a time from the suite's stream, then evaluated in a
-    batch: one exact_oscillation_1d call for the left sides and, per panel
+    (a, r) pair at a time (_draw_balls), then evaluated in a batch: one
+    exact_oscillation_1d call for the left sides and, per panel
     refinement, one segment_integrals call for the right sides, whose
     integrand makes one more.  Each case has the bits it would get
     evaluated on its own.
@@ -425,11 +435,9 @@ def check_mollification(f: TestFunction, phi: Mollifier, n_samples: int,
         "mollifier_unit_mass",
         {"scale": phi.scale, "mass_defect": phi.mass_defect},
         phi.mass_defect, 1e-10)]
-    a = np.empty(n_samples)
-    r = np.empty(n_samples)
-    for i in range(n_samples):
-        a[i] = rng.uniform(-1.1 * scale, 1.1 * scale)
-        r[i] = np.exp(rng.uniform(np.log(0.05 * scale), np.log(0.8 * scale)))
+    centres, r = _draw_balls(rng, n_samples, 1, 1.1 * scale, 0.05 * scale,
+                             0.8 * scale)
+    a = centres[:, 0]
     lhs = exact_oscillation_1d(g, a, r)[0]
     rhs, err = _oscillation_convolved_with(f, phi, a, r)
     for i in range(n_samples):
@@ -498,12 +506,8 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
     rng = stream(spec.seed, KEY_VERIFY, 2)
     local = stream(spec.seed, KEY_VERIFY, 2, 0)
 
-    centers = np.empty((n_samples, d))
-    radii = np.empty(n_samples)
-    for i in range(n_samples):
-        centers[i] = local.uniform(-1.3 * scale, 1.3 * scale, size=d)
-        radii[i] = np.exp(local.uniform(np.log(5e-3 * scale),
-                                        np.log(5.0 * scale)))
+    centers, radii = _draw_balls(local, n_samples, d, 1.3 * scale,
+                                 5e-3 * scale, 5.0 * scale)
     est = ball_estimates(f, centers, radii, spec, gradient=True)
 
     cases = []
@@ -824,9 +828,8 @@ def check_tail_bounds(f: TestFunction, n_samples: int,
         centers[i] = direction * (r0 + r + sep)
         radii[i] = r
         seps.append(sep)
-    for i in range(n_samples, 2 * n_samples):
-        centers[i] = rng.uniform(-3.0 * r0, 3.0 * r0, size=d)
-        radii[i] = np.exp(rng.uniform(np.log(0.3 * r0), np.log(30.0 * r0)))
+    centers[n_samples:], radii[n_samples:] = _draw_balls(
+        rng, n_samples, d, 3.0 * r0, 0.3 * r0, 30.0 * r0)
     est = ball_estimates(f, centers, radii, spec)
     low = est.value - 3.0 * est.std_error
 

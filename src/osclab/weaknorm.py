@@ -81,9 +81,10 @@ contribution vanishes in the kappa^p-scaled limit).
 
 m_f comes from the batch entries of oscillation, exact_oscillation_1d and
 mc_oscillation, which bound the size of their own kernel passes; single-
-ball queries run the same rules.  Both curve engines share one radius
-scan (_Engine.scan), which asks each for dm/dr and keeps it where the
-kernel gives it, on the exact route.  Every center gets its own node stream
+ball queries run the same rules.  Both curve engines answer one batch
+protocol, m_at(rows, r) -> (m, dm/dr or None), and share one radius scan
+(_Engine.scan), which returns the slopes with m where the kernel gives
+them, on the exact route.  Every center gets its own node stream
 keyed by global sample index (oscillation.centre_nodes, which also picks
 how the nodes are stored, in the dtype that _node_dtype picks once per
 curve from its rounding budget and its smallest threshold), so results
@@ -371,8 +372,9 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
     """Crossing of m(row, .) through kappa in each bracket [lo, hi], solved
     to an evaluated bracket of 2^-iters of it.
 
-    There is one entry of rows (the row of m, which may repeat), lo, hi and
-    rising per bracket, and kappa is a scalar or one threshold per bracket.
+    m_at(rows, r) returns (m, dm/dr or None), as _Engine's does.  There is
+    one entry of rows (the row of m, which may repeat), lo, hi and rising
+    per bracket, and kappa is a scalar or one threshold per bracket.
     m_lo and m_hi are the values of m at the bracket ends (from the scan,
     so they cost nothing); any value on the same side of kappa as m serves,
     such as the 0 a skipped scan cell holds.  A side counts as high when
@@ -393,10 +395,9 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
     m - kappa only place points; the side of a point is decided by the rule
     above.
 
-    With slopes, a pair (dm/dr at lo, dm/dr at hi) of arrays, m_at(rows, r,
-    slope=True) returns (m, dm/dr) as exact_oscillation_1d does, and the
-    slopes place points too, on y = log(m / kappa), which is nearer linear
-    in r than m where m grows or decays like a power of r.  The first step
+    With slopes, a pair (dm/dr at lo, dm/dr at hi) of arrays, the slopes
+    place points too, on y = log(m / kappa), which is nearer linear in r
+    than m where m grows or decays like a power of r.  The first step
     takes the zero of the inverse cubic Hermite interpolant of y through
     both ends, or the Newton step from the one end whose value and slope
     serve (not the 0 of a skipped cell) (_hermite_step).  After each
@@ -442,10 +443,7 @@ def _bisect_crossings(m_at, rows, lo, hi, kappa, rising, iters, m_lo, m_hi,
         p1, p2, f1, f2 = x1[act], x2[act], y1[act], y2[act]
         floor = 0.5 * eps[act] / np.abs(p2 - p1)
         x = p1 + np.clip(t[act], floor, 1.0 - floor) * (p2 - p1)
-        if slopes is None:
-            m = m_at(rows[act], x)
-        else:
-            m, dm = m_at(rows[act], x, slope=True)
+        m, dm = m_at(rows[act], x)
         y = sign[act] * (m - kappa[act])
         # the new point replaces x1 when both lie on the same side
         same = ((m > kappa[act]) == rising[act]) == (p1 > p2)
@@ -528,23 +526,21 @@ def _below_floor_bracket(f: TestFunction, centers: np.ndarray, rows,
     return lo, hi
 
 
-def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
-                      iters=_BISECT_ITERS, slopes=None):
-    """Radius sections per threshold and row, from the scanned m values.
+def _resolve_sections(eng, scan, slopes, grid, kappas, p):
+    """Radius sections per threshold and row of eng's chunk, from the
+    (m, slopes) that eng.scan returned on grid.
 
     kappas is the array of K thresholds sharing the scan.  Each run of scan
     cells above a threshold is one interval, however many runs a row
     holds.  The interval starts at the crossing in the gap before the run
     and ends at the crossing in the gap after it; gap g lies between
     grid[g - 1] and grid[g], gap 0 below the scan and gap J beyond it.
-    Every bracket of every threshold goes into one _bisect_crossings call,
-    with iters (the engine's: _BISECT_ITERS, or a Monte Carlo budget), and
-    with the slopes of m at the bracket ends when
-    slopes, dm/dr at every scan cell, is given (the exact engine's); m_at
-    then takes slope=True as _bisect_crossings says.
+    Every bracket of every threshold goes into one _bisect_crossings call
+    on eng.m_at, with eng.iters (_BISECT_ITERS, or a Monte Carlo budget),
+    and with the slopes of m at the bracket ends unless slopes is None.
     A run that starts at grid[0] takes the midpoint of _below_floor_bracket
-    as its lower end and that bracket's weight as its ambiguity; a run
-    still above at r_max ends there.
+    (on eng.f and eng.centers) as its lower end and that bracket's weight
+    as its ambiguity; a run still above at r_max ends there.
 
     Returns flat arrays, one entry per interval, ordered by threshold, row
     and radius: the threshold index, the row, lo, hi, the ambiguity weight,
@@ -576,14 +572,14 @@ def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
     rising = np.arange(t.size) < inner_lo.size
     ends = (None if slopes is None else
             (slopes[rows, jb - 1], slopes[rows, jb]))
-    x = _bisect_crossings(m_at, rows, grid[jb - 1], grid[jb], kappas[k[t]],
-                          rising, iters, scan[rows, jb - 1], scan[rows, jb],
-                          slopes=ends)
+    x = _bisect_crossings(eng.m_at, rows, grid[jb - 1], grid[jb],
+                          kappas[k[t]], rising, eng.iters, scan[rows, jb - 1],
+                          scan[rows, jb], slopes=ends)
     lo[inner_lo] = x[rising]
     hi[inner_hi] = x[~rising]
 
     if below_floor.any():
-        blo, bhi = _below_floor_bracket(f, centers, row[below_floor],
+        blo, bhi = _below_floor_bracket(eng.f, eng.centers, row[below_floor],
                                         grid[0])
         lo[below_floor] = 0.5 * (blo + bhi)
         ambig[below_floor] = interval_weight(blo, bhi, p)
@@ -595,55 +591,53 @@ def _resolve_sections(m_at, scan, grid, kappas, f, centers, p,
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """m(row, r) on a chunk of centers, plus the radius scan built on it.
+    """m(row, r) for f on a chunk of centers (C, d), and the radius scan.
 
-    m_at(rows, r) returns m at each (row, radius) pair, and m_at(rows, r,
-    slope=True) the pair (m, dm/dr), whose dm/dr is None where the kernel
+    m_at(rows, r) returns the pair (m, dm/dr) at each (row, radius) pair,
+    the one batch protocol of both engines; dm/dr is None where the kernel
     gives none (the Monte Carlo route).  m_at raises QuadratureError on a
     ball where f is not finite: a side is decided by m > kappa, which is
     False for NaN, so such a ball would otherwise count as below every
     threshold.  iters is the crossing search's (see _bisect_crossings), by
-    default _BISECT_ITERS.  slopes holds dm/dr at every scan cell once scan
-    has run, for an engine whose m_at gives it, and is None otherwise.
+    default _BISECT_ITERS.
     """
     iters = _BISECT_ITERS
-    slopes = None
 
-    def scan(self, grid: np.ndarray, skip: np.ndarray) -> np.ndarray:
-        """m at every (row, grid radius) cell, shape (C, J).
+    def scan(self, grid: np.ndarray, skip: np.ndarray):
+        """(m, slopes) at every (row, grid radius) cell, shape (C, J) each;
+        slopes is None where m_at gives no dm/dr.
 
         Cells where the (C, J) mask skip is True are not evaluated and read
-        0; the others go to m_at(..., slope=True) as one gather of (row,
-        radius) pairs, so each value is the one m_at returns for that pair.
-        Where dm/dr comes back, slopes keeps it, 0 at a skipped cell.
+        0 in both; the others go to m_at as one gather of (row, radius)
+        pairs, so each value is the one m_at returns for that pair.
         """
         rows, cols = np.nonzero(~skip)
         out = np.zeros(skip.shape)
-        out[rows, cols], dm = self.m_at(rows, grid[cols], slope=True)
-        if dm is not None:
-            self.slopes = np.zeros(skip.shape)
-            self.slopes[rows, cols] = dm
-        return out
+        out[rows, cols], dm = self.m_at(rows, grid[cols])
+        if dm is None:
+            return out, None
+        slopes = np.zeros(skip.shape)
+        slopes[rows, cols] = dm
+        return out, slopes
 
 
 class _Exact1D(_Engine):
     """The deterministic Gauss route of exact_oscillation_1d, d = 1.
 
-    m_at(rows, r, slope=True) returns (m, dm/dr), which the kernel gives
-    at no extra integral and with the same bits of m, so the shared scan
-    keeps the slopes of its cells for the crossing search.
+    m_at asks the kernel for dm/dr too, which it gives at no extra integral
+    and with the same bits of m, so the scan returns the slopes of its cells
+    for the crossing search.
     """
 
     def __init__(self, f: TestFunction, centers: np.ndarray, mu_nodes: int):
-        self.f = f
-        self.centers = centers
+        self.f, self.centers = f, centers
         self.mu_nodes = mu_nodes
 
-    def m_at(self, rows, r, slope=False):
-        out = exact_oscillation_1d(self.f, self.centers[rows, 0], r,
-                                   mu_nodes=self.mu_nodes, slope=slope)
-        m = require_finite(out[0])
-        return (m, out[2]) if slope else m
+    def m_at(self, rows, r):
+        # q = 1, with dm/dr
+        m, _, dm = exact_oscillation_1d(self.f, self.centers[rows, 0], r, 1.0,
+                                        self.mu_nodes, True)
+        return require_finite(m), dm
 
 
 class _McScan(_Engine):
@@ -653,7 +647,7 @@ class _McScan(_Engine):
     index, so m(a, r) is a deterministic function per centre and results do
     not depend on chunk boundaries or thread count.  The inner mean uses an
     independent antithetic stream, which keeps the two-pass estimate
-    unbiased for odd perturbations.
+    unbiased for odd perturbations.  It gives no dm/dr.
 
     For an entry with a gradient, f and so m(a, .) are continuous, and the
     crossings are solved to the node noise (_mc_crossing_iters).  Without
@@ -664,14 +658,14 @@ class _McScan(_Engine):
 
     def __init__(self, f: TestFunction, centers: np.ndarray, seed: int,
                  node_count: int, global_start: int, dtype=np.float64):
+        self.f, self.centers = f, centers
         self.nodes = centre_nodes(f, centers, seed, node_count, global_start,
                                   dtype)
         if f.grad is not None:
             self.iters = _mc_crossing_iters(node_count)
 
-    def m_at(self, rows, r, slope=False):
-        m = require_finite(mc_oscillation(self.nodes, r, rows))
-        return (m, None) if slope else m
+    def m_at(self, rows, r):
+        return require_finite(mc_oscillation(self.nodes, r, rows)), None
 
 
 def _make_engine(f, centers, spec, global_start, dtype=np.float64):
@@ -767,9 +761,10 @@ def _center_weights(f, centers, kappas, p, spec, grid, threads, dtype):
     def run(start):
         chunk = centers[start:start + _CHUNK]
         eng = _make_engine(f, chunk, spec, start, dtype)
-        scan = eng.scan(grid, _skip_mask(f, chunk, grid, float(kappas.min())))
+        scan, slopes = eng.scan(grid, _skip_mask(f, chunk, grid,
+                                                 float(kappas.min())))
         k, row, lo, hi, amb, below_floor, at_r_max = _resolve_sections(
-            eng.m_at, scan, grid, kappas, f, chunk, p, eng.iters, eng.slopes)
+            eng, scan, slopes, grid, kappas, p)
         # each (threshold, row) cell adds its intervals in radius order
         shape = (kappas.size, chunk.shape[0])
         w = np.zeros(shape)

@@ -487,6 +487,81 @@ def test_verify_unknown_fault_is_usage_error():
     assert exc.value.code == 2
 
 
+# argv, the config file's text (or None) and the message's start; each
+# case reaches a raise of the front end's own checks
+_FRONT_END_ERRORS = {
+    "kappa-min-alone": (
+        ["curve", "--function", "linear:d=1:v=1", "--kappa-min", "0.001"],
+        None, "--kappa-min and --kappa-max must be given together"),
+    "curve-without-function": (
+        ["curve", "--p", "2"], None, "curve needs --function"),
+    "oscillation-without-function": (
+        ["oscillation", "--r", "1"], None, "oscillation needs --function"),
+    "omega-without-colon": (
+        LINEAR_CURVE_FLAGS + ["--omega=-1"], None, "bad box axis '-1'"),
+    "omega-not-a-number": (
+        LINEAR_CURVE_FLAGS + ["--omega=a:1"], None, "bad box axis 'a:1'"),
+    "centre-not-a-number": (
+        ["oscillation", "--function", "linear:d=2:v=1,0", "--r", "1",
+         "--a", "0.1,x"], None, "bad point '0.1,x'"),
+    "key-before-any-section": (
+        ["oscillation", "--r", "1"], "function = linear:d=1:v=1\n",
+        "malformed config file"),
+    "key-in-two-sections": (
+        ["oscillation"],
+        "[ball]\nr = 1\n[run]\nfunction = linear:d=1:v=1\nr = 2\n",
+        "config key 'r' appears in more than one section"),
+    "p-not-a-number": (
+        ["curve"], "[run]\nfunction = linear:d=1:v=1\np = two\n",
+        "config key 'p'"),
+    "filter-d-not-an-integer": (
+        ["catalog", "--filter", "d=two"], None, "filter d wants an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRONT_END_ERRORS))
+def test_front_end_usage_errors(tmp_path, monkeypatch, capsys, case):
+    # each exits 2 with its message and writes no file, neither in the
+    # output directory nor in the working directory
+    argv, config, message = _FRONT_END_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OSCLAB_SEED", raising=False)
+    if config is not None:
+        (tmp_path / "run.ini").write_text(config)
+        argv = argv + ["--config", "run.ini"]
+    if argv[0] != "catalog":
+        argv = argv + ["--out-dir", "out"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"osclab: error: {message}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ([] if config is None
+                                            else ["run.ini"])
+
+
+@pytest.mark.parametrize("command", [
+    ["oscillation", "--function", "linear:d=1:v=1", "--r", "1"],
+    LINEAR_CURVE_FLAGS])
+def test_an_environment_seed_that_is_no_integer_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, command):
+    # with no --seed and no config seed, OSCLAB_SEED is read, and a value
+    # that is no integer exits 2 before anything is written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("OSCLAB_SEED", "not-a-seed")
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out-dir", "out"])
+    assert exc.value.code == 2
+    assert ("osclab: error: OSCLAB_SEED must be an integer, got "
+            "'not-a-seed'" in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == []
+
+
+def test_catalog_filter_by_kind(capsys):
+    assert main(["catalog", "--filter", "kind=plateau"]) == 0
+    ids = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()]
+    assert ids == [f"plateau:d={d}:a=1:ri=0.5:ro=1" for d in (1, 2, 3)]
+
+
 def test_console_script_end_to_end():
     proc = subprocess.run(
         [sys.executable, "-m", "osclab.cli", "oscillation",

@@ -37,8 +37,8 @@ from osclab import catalog, oscillation
 from osclab.catalog import DEFAULT_IDS, coordinate_dot
 from osclab.oscillation import (PointNodes, RadialNodes, ball_estimates,
                                 mc_deviations, mc_oscillation)
-from osclab.quadrature import (KEY_INNER, KEY_OUTER, live_segments,
-                               segment_integrals)
+from osclab.quadrature import (KEY_INNER, KEY_OUTER, KEY_PAIR,
+                               live_segments, segment_integrals)
 from osclab.verify import check_local_expansion, check_maximal_domination
 
 GAUSS = QuadratureSpec(method="gauss_1d", node_count=16, seed=9)
@@ -820,6 +820,39 @@ def test_exact_q_powers_take_the_c_library_pow(monkeypatch, q):
     assert sum(n for n, e in calls if e == q) > a.size
 
 
+def test_monte_carlo_q_powers_take_the_c_library_pow(monkeypatch):
+    # the per-node powers of the Monte Carlo rules at q != 1, |f - mu|^q in
+    # ball_estimates and |f(x) - f(y)|^q in pair_oscillation, go through
+    # _libm_power, one value per node, so the pair value equals its
+    # Python-float reference bit for bit
+    q = 2.5
+    calls = []
+    power = oscillation._libm_power
+
+    def counting(x, e):
+        calls.append((np.size(x), e))
+        return power(x, e)
+
+    monkeypatch.setattr(oscillation, "_libm_power", counting)
+    f = make_plateau_bump(2, 1.0, 0.5, 1.0)
+    spec = _mc(seed=6, n=512)
+    centers = np.array([[0.3, 0.2], [0.5, -0.4], [0.0, 0.9]])
+    ball_estimates(f, centers, np.array([0.4, 0.3, 0.6]), spec, q)
+    assert sum(n for n, e in calls if e == q) == centers.shape[0] * 512
+    calls.clear()
+    ball = BallSample(centers[0], 0.4)
+    got = pair_oscillation(f, ball, q, spec)
+    assert [n for n, e in calls if e == q] == [512]
+    vx, vy = (f.eval(ball.center + ball.radius
+                     * oscillation._ball_nodes(2, 512, 6, key).T).tolist()
+              for key in (KEY_OUTER, KEY_PAIR))
+    y = np.array([abs(x - z) ** q for x, z in zip(vx, vy)])
+    m_q = float(np.mean(y))
+    se = float(np.std(y, ddof=1) / np.sqrt(y.size))
+    assert got.value == m_q ** (1.0 / q)
+    assert got.std_error == (1.0 / q) * m_q ** (1.0 / q - 1.0) * se
+
+
 def _d1_entries_and_images():
     out = []
     for fid in DEFAULT_IDS:
@@ -1457,7 +1490,7 @@ def _parent_mc_ball(f, a, r, q, u_out, u_in):
     dev -= 0.5 * pairs.mean(axis=-1)
     half = u_in.shape[-1]
     se_mu = float(np.std(0.5 * pairs, ddof=1) / np.sqrt(half))
-    y = np.abs(dev) ** q
+    y = np.array([v ** q for v in np.abs(dev).tolist()])
     m_q = float(np.mean(y))
     se_m = float(np.std(y, ddof=1) / np.sqrt(y.size))
     if q == 1.0:

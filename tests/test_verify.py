@@ -35,9 +35,9 @@ from osclab import (
     run_all,
     translate,
 )
-from osclab import verify, weaknorm
+from osclab import cli, verify, weaknorm
 from osclab.oscillation import exact_oscillation_1d
-from osclab.quadrature import segment_integrals
+from osclab.quadrature import KEY_VERIFY, segment_integrals, stream
 
 GAUSS = QuadratureSpec(method="gauss_1d", node_count=16, seed=8)
 
@@ -82,6 +82,64 @@ def test_run_all_refuses_a_budget_before_any_suite(monkeypatch, budget):
     with pytest.raises(ValueError, match="at least"):
         run_all(**budget)
     assert called == []
+
+
+def test_an_inconclusive_case_is_counted_and_fails_no_suite():
+    # a case built with inconclusive=True reads "inconclusive" whatever its
+    # margin, its suite still passes, and both the report and the battery
+    # digest count it
+    murky = verify._case("murky", {}, 2.0, 1.0, inconclusive=True)
+    assert (murky.verdict, murky.passed) == ("inconclusive", False)
+    rep = verify.VerificationReport(
+        "suite", (murky, verify._case("clear", {}, 0.5, 1.0)))
+    assert rep.passed
+    assert (rep.pass_count, rep.fail_count, rep.inconclusive_count) == (
+        1, 0, 1)
+    other = verify.VerificationReport(
+        "other", (verify._case("tie", {}, 0.0, 1.0, inconclusive=True),))
+    digest = battery_to_dict([rep, other])
+    assert digest["passed"] and not digest["failed_suites"]
+    assert digest["inconclusive_total"] == 2
+    assert [r["inconclusive_count"] for r in digest["reports"]] == [1, 1]
+
+
+def test_ball_draws_keep_the_scalar_draws_of_the_mollification_suite():
+    # _draw_balls draws each centre with size=d; in d = 1 that size-1 draw
+    # has the bits of the scalar draw the mollification suite's loop took,
+    # with the radii interleaved as before
+    rng = stream(7, KEY_VERIFY, 1)
+    a, r = np.empty(50), np.empty(50)
+    for i in range(50):
+        a[i] = rng.uniform(-1.1, 1.1)
+        r[i] = np.exp(rng.uniform(np.log(0.05), np.log(0.8)))
+    centers, radii = verify._draw_balls(stream(7, KEY_VERIFY, 1), 50, 1, 1.1,
+                                        0.05, 0.8)
+    assert centers.shape == (50, 1)
+    assert centers[:, 0].tobytes() == a.tobytes()
+    assert radii.tobytes() == r.tobytes()
+
+
+def _broken_suite(*args, **kw):
+    raise RuntimeError("suite broke")
+
+
+def test_a_suite_that_raises_is_reported_and_the_others_run(monkeypatch,
+                                                            capsys):
+    # run_all captures the exception in that suite's report and runs every
+    # other suite; the battery fails, and the command line prints the
+    # error and exits 1
+    monkeypatch.setattr(verify, "check_bv_divergence", _broken_suite)
+    reports = run_all(n_samples=1, node_count=64)
+    (broken,) = [r for r in reports if r.error]
+    assert broken.suite_name == "bv_divergence" and broken.cases == ()
+    assert broken.error == "RuntimeError: suite broke" and not broken.passed
+    assert len(reports) == 19 and all(r.cases for r in reports
+                                      if r is not broken)
+    assert not battery_passed(reports)
+    assert "bv_divergence" in battery_to_dict(reports)["failed_suites"]
+    assert cli.main(["verify", "--samples", "1", "--nodes", "64"]) == 1
+    assert ("FAIL bv_divergence: 0 passed, 0 failed, 0 inconclusive  "
+            "error: RuntimeError: suite broke" in capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("fault,expect_suite", [

@@ -263,10 +263,9 @@ def _section(f, a, kappa, dom, spec, grid=None):
     if grid is None:
         grid = _scan_grid(f, dom, kappa)
     eng = _make_engine(f, centers, spec, 0)
-    scan = eng.scan(grid, _skip_mask(f, centers, grid, kappa))
+    scan, slopes = eng.scan(grid, _skip_mask(f, centers, grid, kappa))
     _, _, lo, hi, _, below_floor, at_r_max = _resolve_sections(
-        eng.m_at, scan, grid, np.array([kappa]), f, centers, 1.0, eng.iters,
-        eng.slopes)
+        eng, scan, slopes, grid, np.array([kappa]), 1.0)
     tol = 0.25 / 2.0 ** eng.iters
     out = []
     for i in range(lo.size):
@@ -396,37 +395,43 @@ def _reference_bisection(m_at, rows, lo, hi, kappa, rising, iters):
     hi = hi.copy()
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        take_hi = (m_at(rows, mid) > kappa) == rising
+        take_hi = (m_at(rows, mid)[0] > kappa) == rising
         hi = np.where(take_hi, mid, hi)
         lo = np.where(take_hi, lo, mid)
     return 0.5 * (lo + hi)
 
 
+def _pairs(m):
+    """The m_at of a plain m(rows, r): it returns (m, None), as the Monte
+    Carlo engine's m_at does."""
+    return lambda rows, r: (m(rows, r), None)
+
+
 class _Counted:
-    """m(row, r) wrapper that counts evaluations per row, and calls."""
+    """m_at(rows, r) wrapper that counts evaluations per row, and calls."""
 
     def __init__(self, m, n_rows):
         self.m = m
         self.per_row = np.zeros(n_rows, dtype=np.intp)
         self.calls = 0
 
-    def __call__(self, rows, r, **kw):
+    def __call__(self, rows, r):
         np.add.at(self.per_row, rows, 1)
         self.calls += 1
-        return self.m(rows, r, **kw)
+        return self.m(rows, r)
 
 
 class _Logged:
-    """m(row, r) wrapper that keeps every (row, r, m) it evaluates."""
+    """m_at(rows, r) wrapper that keeps every (row, r, m) it evaluates."""
 
     def __init__(self, m):
         self.m = m
         self.seen = []
 
-    def __call__(self, rows, r, **kw):
-        out = self.m(rows, r, **kw)
-        val = out[0] if kw.get("slope") else out
-        self.seen.append((rows.copy(), np.array(r, dtype=float), val.copy()))
+    def __call__(self, rows, r):
+        out = self.m(rows, r)
+        self.seen.append((rows.copy(), np.array(r, dtype=float),
+                          out[0].copy()))
         return out
 
     @property
@@ -473,9 +478,9 @@ def _assert_near_bisection(got, want, lo, hi, iters=ITERS, reach=1.0):
 
 def _certified_solve(m, n_rows, rows, lo, hi, kappa, rising, iters, m_lo,
                      m_hi, slopes=None):
-    """_bisect_crossings on m over n_rows rows: the crossings, each checked
-    to lie in an evaluated sign change no wider than 2^-iters of its
-    bracket, and the _Counted m."""
+    """_bisect_crossings on the m_at m over n_rows rows: the crossings, each
+    checked to lie in an evaluated sign change no wider than 2^-iters of
+    its bracket, and the _Counted m."""
     counted = _Counted(m, n_rows)
     logged = _Logged(counted)
     got = _bisect_crossings(logged, rows, lo, hi, kappa, rising, iters, m_lo,
@@ -490,9 +495,9 @@ def _solve(m, lo, hi, kappa, rising, iters=ITERS):
     bisection's results, and the solver's evaluations per row."""
     rows = np.arange(lo.size)
     flags = np.full(lo.size, rising)
-    got, counted = _certified_solve(m, lo.size, rows, lo, hi, kappa, flags,
-                                    iters, m(rows, lo), m(rows, hi))
-    want = _reference_bisection(m, rows, lo, hi, kappa, flags, iters)
+    got, counted = _certified_solve(_pairs(m), lo.size, rows, lo, hi, kappa,
+                                    flags, iters, m(rows, lo), m(rows, hi))
+    want = _reference_bisection(_pairs(m), rows, lo, hi, kappa, flags, iters)
     return got, want, counted.per_row
 
 
@@ -604,19 +609,20 @@ def test_batched_solve_equals_per_threshold_calls():
                           np.full(n, rising)))
 
     rows = np.arange(n)
-    want = [_bisect_crossings(m, rows, lo, hi, kappa[0], rising, ITERS,
+    m_at = _pairs(m)
+    want = [_bisect_crossings(m_at, rows, lo, hi, kappa[0], rising, ITERS,
                               m(rows, lo), m(rows, hi))
             for lo, hi, kappa, rising in cells]
     lo, hi, kappa, rising = (np.concatenate(x) for x in zip(*cells))
     rows = np.tile(rows, len(cells))
     m_lo, m_hi = m(rows, lo), m(rows, hi)
     assert np.all((m_lo > kappa) != (m_hi > kappa))
-    got, counted = _certified_solve(m, n, rows, lo, hi, kappa, rising, ITERS,
-                                    m_lo, m_hi)
+    got, counted = _certified_solve(m_at, n, rows, lo, hi, kappa, rising,
+                                    ITERS, m_lo, m_hi)
     # the rows are independent, so batching keeps every bit
     np.testing.assert_array_equal(got, np.concatenate(want))
     _assert_near_bisection(got, _reference_bisection(
-        m, rows, lo, hi, kappa, rising, ITERS), lo, hi)
+        m_at, rows, lo, hi, kappa, rising, ITERS), lo, hi)
     # each center holds len(cells) brackets of the batch
     assert counted.per_row.max() <= len(cells) * (2 * ITERS + 1)
     assert counted.calls <= 2 * ITERS + 1
@@ -677,10 +683,11 @@ def test_solver_matches_bisection_on_random_brackets(brackets, iters):
     m_lo, m_hi = np.where(rising & skipped, 0.0, m(rows, lo)), m(rows, hi)
     assert np.all(m(rows, lo) > 0.0)
     assert np.all((m_lo > kappa) != (m_hi > kappa))
-    got, counted = _certified_solve(m, lo.size, rows, lo, hi, kappa, rising,
-                                    iters, m_lo, m_hi)
+    got, counted = _certified_solve(_pairs(m), lo.size, rows, lo, hi, kappa,
+                                    rising, iters, m_lo, m_hi)
     _assert_near_bisection(got, _reference_bisection(
-        m, rows, lo, hi, kappa, rising, iters), lo, hi, iters, reach=1.5)
+        _pairs(m), rows, lo, hi, kappa, rising, iters), lo, hi, iters,
+        reach=1.5)
     assert counted.per_row.max() <= 2 * iters + 1
     assert counted.calls <= 2 * iters + 1
 
@@ -727,18 +734,25 @@ def test_slopes_move_where_the_solver_looks_not_what_it_returns(
         t[i] = 0.5 * (a + b)
     gen = np.random.default_rng(seed)
 
-    def m(rows, r, slope=False):
+    def shape(rows, r):
+        return np.where(step[rows],
+                        np.where(r > t[rows], 2.0,
+                                 np.where(r == t[rows], 1.0, 0.5)),
+                        _shape_value(kind[rows], par[rows], t[rows], r))
+
+    def m(rows, r):
+        g = shape(rows, np.asarray(r, dtype=float))
+        return np.where(rising[rows], g, 1.0 / g)
+
+    def m_at(rows, r):
         r = np.asarray(r, dtype=float)
-        g = np.where(step[rows],
-                     np.where(r > t[rows], 2.0,
-                              np.where(r == t[rows], 1.0, 0.5)),
-                     _shape_value(kind[rows], par[rows], t[rows], r))
-        val = np.where(rising[rows], g, 1.0 / g)
-        if not slope:
-            return val
+        val = m(rows, r)
+        if slopes == "none":
+            return val, None
         if slopes == "garbage":
             return val, (gen.choice([-1.0, 1.0], r.size)
                          * 10.0 ** gen.uniform(-9.0, 9.0, r.size))
+        g = shape(rows, r)
         dg = np.where(step[rows], 0.0,
                       _shape_slope(kind[rows], par[rows], t[rows], r))
         return val, np.where(rising[rows], dg, -dg / (g * g))
@@ -749,14 +763,15 @@ def test_slopes_move_where_the_solver_looks_not_what_it_returns(
     assert np.all((m_lo > kappa) != (m_hi > kappa))
     ends = None
     if slopes != "none":
-        ends = (m(rows, lo, slope=True)[1], m(rows, hi, slope=True)[1])
+        ends = (m_at(rows, lo)[1], m_at(rows, hi)[1])
         if slopes == "true":
             # a skipped scan cell holds 0 for m and for its slope
             ends = (np.where(rising & skipped, 0.0, ends[0]), ends[1])
-    got, counted = _certified_solve(m, lo.size, rows, lo, hi, kappa, rising,
-                                    iters, m_lo, m_hi, slopes=ends)
+    got, counted = _certified_solve(m_at, lo.size, rows, lo, hi, kappa,
+                                    rising, iters, m_lo, m_hi, slopes=ends)
     _assert_near_bisection(got, _reference_bisection(
-        m, rows, lo, hi, kappa, rising, iters), lo, hi, iters, reach=1.5)
+        _pairs(m), rows, lo, hi, kappa, rising, iters), lo, hi, iters,
+        reach=1.5)
     assert counted.per_row.max() <= 2 * iters + 1
     assert counted.calls <= 2 * iters + 1
 
@@ -777,14 +792,14 @@ def test_true_slopes_solve_smooth_rows_in_three_evaluations(g, dg, kappa,
     lo, hi = _geometric_cells(2000)
     t = lo + np.random.default_rng(9).uniform(0.0, 1.0, lo.size) * (hi - lo)
 
-    def m(rows, r, slope=False):
+    def m_at(rows, r):
         u = np.asarray(r, dtype=float) / t[rows]
-        return (g(u), dg(u) / t[rows]) if slope else g(u)
+        return g(u), dg(u) / t[rows]
 
     rows = np.arange(lo.size)
     got, counted = _certified_solve(
-        m, lo.size, rows, lo, hi, kappa, np.full(lo.size, rising), ITERS,
-        m(rows, lo), m(rows, hi), slopes=(dg(lo / t) / t, dg(hi / t) / t))
+        m_at, lo.size, rows, lo, hi, kappa, np.full(lo.size, rising), ITERS,
+        g(lo / t), g(hi / t), slopes=(dg(lo / t) / t, dg(hi / t) / t))
     assert counted.per_row.max() <= 3
     assert counted.calls <= 3
     assert np.all(np.abs(got - t) <= 1e-10 * (hi - lo))
@@ -792,7 +807,7 @@ def test_true_slopes_solve_smooth_rows_in_three_evaluations(g, dg, kappa,
 
 def _mean_evaluations(m, lo, hi, kappa, rising):
     rows = np.arange(lo.size)
-    counted = _Counted(m, lo.size)
+    counted = _Counted(_pairs(m), lo.size)
     _bisect_crossings(counted, rows, lo, hi, kappa, np.full(lo.size, rising),
                       ITERS, m(rows, lo), m(rows, hi))
     return counted.per_row.mean()
@@ -840,11 +855,11 @@ def test_mc_crossing_budget_from_the_node_count():
 
 def _chunk_brackets(monkeypatch, f, spec, dom, kappas, count):
     """The engine of one chunk of count sampled centres, and the arguments
-    its _resolve_sections hands _bisect_crossings."""
+    its _resolve_sections hands _bisect_crossings without the slopes."""
     centers, _, _ = sample_centers(dom, count, spec.seed)
     eng = _make_engine(f, centers, spec, 0)
     grid = _scan_grid(f, dom, float(kappas[-1]))
-    scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas[-1])))
+    scan, _ = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas[-1])))
     seen = []
 
     def record(*args, **kw):
@@ -853,8 +868,7 @@ def _chunk_brackets(monkeypatch, f, spec, dom, kappas, count):
 
     with monkeypatch.context() as patch:
         patch.setattr(weaknorm, "_bisect_crossings", record)
-        _resolve_sections(eng.m_at, scan, grid, kappas, f, centers, 2.0,
-                          eng.iters)
+        _resolve_sections(eng, scan, None, grid, kappas, 2.0)
     (args,) = seen
     return eng, args
 
@@ -879,7 +893,7 @@ def test_budgeted_mc_crossings_lie_in_certified_brackets(monkeypatch, fid,
     assert type(eng.nodes) is nodes
     assert eng.iters == iters == 3
     assert rows.size > 300
-    m = _Logged(lambda r, x: m_at(r, x) ** power)
+    m = _Logged(lambda r, x: (m_at(r, x)[0] ** power, None))
     x = _bisect_crossings(m, rows, lo, hi, kappa ** power, rising, iters,
                           m_lo ** power, m_hi ** power)
     width = (hi - lo) / 2.0 ** iters
@@ -904,8 +918,8 @@ def test_budgeted_solve_bisects_rows_past_the_step_cap():
     rows = np.arange(lo.size)
     rising = np.full(lo.size, True)
     for iters in (2, 3, 4):
-        per_row = _Counted(lambda r, x: scale[r] * np.asarray(x) ** 20,
-                           lo.size)
+        per_row = _Counted(
+            _pairs(lambda r, x: scale[r] * np.asarray(x) ** 20), lo.size)
         m = _Logged(per_row)
         x = _bisect_crossings(m, rows, lo, hi, 1.0, rising, iters,
                               scale * lo ** 20, scale * hi ** 20)
@@ -959,15 +973,17 @@ def test_exact_chunk_solve_stays_within_its_budgets():
     centers, _, _ = sample_centers(dom, 256, GAUSS.seed)
     eng = _make_engine(f, centers, GAUSS, 0)
     grid = _scan_grid(f, dom, float(kappas[-1]))
-    scan = eng.scan(grid, _skip_mask(f, centers, grid, float(kappas[-1])))
+    scan, slopes = eng.scan(grid, _skip_mask(f, centers, grid,
+                                             float(kappas[-1])))
     asked = []
+    m_at = eng.m_at
 
-    def m_at(rows, r, slope=False):
+    def counting(rows, r):
         asked.append(rows.size)
-        return eng.m_at(rows, r, slope=slope)
+        return m_at(rows, r)
 
-    _resolve_sections(m_at, scan, grid, kappas, f, centers, 2.0, eng.iters,
-                      eng.slopes)
+    eng.m_at = counting
+    _resolve_sections(eng, scan, slopes, grid, kappas, 2.0)
     # the solve's first step evaluates every bracket once
     brackets = asked[0]
     assert brackets > 3000
@@ -1073,8 +1089,9 @@ def test_sections_are_the_runs_of_the_scan(scans):
 
     f = make_ball_indicator(1, 0.5)
     centers = np.linspace(-0.9, 0.9, n_rows)[:, None]
-    logged = _Logged(m)
-    got = _resolve_sections(logged, level, grid, kappas, f, centers, 2.0)
+    logged = _Logged(_pairs(m))
+    eng = SimpleNamespace(m_at=logged, iters=ITERS, f=f, centers=centers)
+    got = _resolve_sections(eng, level, None, grid, kappas, 2.0)
     assert all(x.shape == got[0].shape for x in got)
     # want holds None for an inner end; ends lists each as (interval, field
     # of got, row, gap, kappa, rising)
@@ -1105,7 +1122,7 @@ def test_sections_are_the_runs_of_the_scan(scans):
         _assert_certified(x, (hi - lo) / 2.0 ** ITERS, logged, rows, lo, hi,
                           kappa, rising, m_lo, m_hi)
         _assert_near_bisection(x, _reference_bisection(
-            m, rows, lo, hi, kappa, rising, ITERS), lo, hi, reach=1.5)
+            _pairs(m), rows, lo, hi, kappa, rising, ITERS), lo, hi, reach=1.5)
 
 
 def _cosine():
@@ -1267,16 +1284,17 @@ def test_mc_scan_columns_equal_single_radius_calls():
         12, seed=5)
     eng = _McScan(f, centers, seed=5, node_count=64, global_start=40)
     grid = np.geomspace(1e-2, 5.0, 7)
-    scan = eng.scan(grid, _no_skip(f, centers, grid, 0.0))
+    scan, _ = eng.scan(grid, _no_skip(f, centers, grid, 0.0))
     rows = np.arange(centers.shape[0])
     for j, r in enumerate(grid):
-        np.testing.assert_array_equal(scan[:, j],
-                                      eng.m_at(rows, np.full(rows.size, r)))
+        np.testing.assert_array_equal(
+            scan[:, j], eng.m_at(rows, np.full(rows.size, r))[0])
 
 
 def test_shared_scan_keeps_slopes_where_the_kernel_gives_them():
-    # both engines run _Engine.scan, which asks m_at for dm/dr: the exact
-    # engine's scan keeps the kernel's m and dm/dr bit for bit at every
+    # both engines run _Engine.scan, which returns m with the dm/dr m_at
+    # gives: the exact engine's scan keeps the kernel's m and dm/dr bit
+    # for bit at every
     # evaluated cell and reads 0 in both at a skipped cell; the Monte Carlo
     # engine gives no slopes, and its scan reads mc_oscillation's bits
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
@@ -1286,14 +1304,14 @@ def test_shared_scan_keeps_slopes_where_the_kernel_gives_them():
     skip = _skip_mask(f, centers, grid, 1e-3)
     assert skip.any() and not skip.all()
     eng = _make_engine(f, centers, GAUSS, 0)
-    scan = eng.scan(grid, skip)
+    scan, slopes = eng.scan(grid, skip)
     rows, cols = np.nonzero(~skip)
     m, _, dm = exact_oscillation_1d(f, centers[rows, 0], grid[cols],
                                     mu_nodes=GAUSS.node_count, slope=True)
-    assert eng.slopes.shape == scan.shape == skip.shape
+    assert slopes.shape == scan.shape == skip.shape
     assert scan[rows, cols].tobytes() == m.tobytes()
-    assert eng.slopes[rows, cols].tobytes() == dm.tobytes()
-    assert not scan[skip].any() and not eng.slopes[skip].any()
+    assert slopes[rows, cols].tobytes() == dm.tobytes()
+    assert not scan[skip].any() and not slopes[skip].any()
 
     f = make_plateau_bump(2, 1.0, 0.5, 1.0)
     centers, _, _ = sample_centers(
@@ -1303,8 +1321,8 @@ def test_shared_scan_keeps_slopes_where_the_kernel_gives_them():
     skip = _skip_mask(f, centers, grid, 0.2)
     assert skip.any() and not skip.all()
     eng = _make_engine(f, centers, QuadratureSpec("monte_carlo", 64, 5), 40)
-    scan = eng.scan(grid, skip)
-    assert eng.slopes is None
+    scan, slopes = eng.scan(grid, skip)
+    assert slopes is None
     rows, cols = np.nonzero(~skip)
     assert (scan[rows, cols].tobytes()
             == mc_oscillation(eng.nodes, grid[cols], rows).tobytes())
@@ -1324,7 +1342,7 @@ def test_mc_radial_route_agrees_with_the_generic_route(d):
     rng = stream(40, d)
     rows = rng.integers(0, centers.shape[0], 2000)
     r = np.exp(rng.uniform(math.log(1e-4), math.log(25.0), rows.size))
-    radial, generic = (eng.m_at(rows, r) for eng in engines)
+    radial, generic = (eng.m_at(rows, r)[0] for eng in engines)
     # many balls meet the taper, where m is neither 0 nor a rounded 0
     assert np.mean(radial > 1e-6) > 0.3
     np.testing.assert_allclose(radial, generic, rtol=0.0, atol=1e-12)
@@ -1454,9 +1472,9 @@ def test_crossing_search_evaluations_per_bracket_on_a_curve(monkeypatch):
     solve = weaknorm._bisect_crossings
 
     def counting(m_at, rows, *args, **kw):
-        def counted(r, x, **slope):
+        def counted(r, x):
             seen["evaluations"] += r.size
-            return m_at(r, x, **slope)
+            return m_at(r, x)
         seen["brackets"] += rows.size
         return solve(counted, rows, *args, **kw)
 
@@ -1572,7 +1590,7 @@ def test_skipped_cells_are_below_kappa_min(f, method):
     spec = QuadratureSpec(method=method, node_count=64, seed=8)
     eng = _make_engine(f, centers, spec, 0)
     rows, cols = np.nonzero(skip)
-    m = eng.m_at(rows, grid[cols])
+    m = eng.m_at(rows, grid[cols])[0]
     assert m.max() < kappa_min
     if f.flat_radius is not None:
         a, r = centers[rows], grid[cols]
@@ -1584,11 +1602,11 @@ def test_skipped_cells_are_below_kappa_min(f, method):
             allowance = np.full(rows.size, 1e-12)
         assert np.all(np.abs(m[flat]) <= allowance[flat])
     # the unskipped cells read what m_at returns there
-    scan = eng.scan(grid, skip)
+    scan, _ = eng.scan(grid, skip)
     assert np.all(scan[skip] == 0.0)
     keep_r, keep_c = np.nonzero(~skip)
     np.testing.assert_array_equal(scan[keep_r, keep_c],
-                                  eng.m_at(keep_r, grid[keep_c]))
+                                  eng.m_at(keep_r, grid[keep_c])[0])
 
 
 def _no_skip(f, centers, grid, kappa_min):

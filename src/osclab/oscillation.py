@@ -147,9 +147,9 @@ class UnsupportedFunctionError(ValueError):
 
 
 def _passes(count: int, size: int):
-    """Slices of count balls, size a pass: every batch entry's passes, of
-    max(1, BLOCK_POINTS // points per ball) by Monte Carlo, else of
-    _EXACT_PASS, so the working set does not grow with the batch."""
+    """Slices of count balls, size to a pass (the last may hold fewer): the
+    passes of every batch entry, size = max(1, BLOCK_POINTS // points per
+    ball) by Monte Carlo and _EXACT_PASS otherwise."""
     return (slice(lo, lo + size) for lo in range(0, count, size))
 
 

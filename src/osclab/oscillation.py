@@ -10,8 +10,10 @@ the average of the absolute deviation, on an independent node set.
 There is one kernel per rule, and one batch entry per rule, which runs it
 on any number of balls in passes of bounded size: exact_oscillation_1d,
 mc_oscillation for Monte Carlo, and ball_estimates, which serves the
-single-ball rules on every method, the radial rule included.  Every pass
-is a slice of _passes, and no other module splits a batch into passes.
+single-ball rules on every method, the radial rule included;
+gradient_averages does the same for the ball average of |grad f|.  Every
+pass is a slice of _passes, and no other module splits a batch into
+passes.
 
 exact_oscillation_1d (dimension one, method "gauss_1d") is fully
 deterministic: the interval is split at the function's breakpoints into
@@ -73,26 +75,29 @@ and graded toward |t - r|, so the integrands are smooth.  The ball
 average of |grad f| uses the same pieces.
 
 The single-ball rules take one BallSample and a QuadratureSpec, and are
-one-ball calls of ball_estimates, which takes arrays of centres and
-radii: q_oscillation and mean_oscillation follow the spec's method;
-maximal_gradient gives the ball average of |grad f|, the radius-r term of
+one-ball calls of the two batch entries, which take arrays of centres
+and radii and compute one quantity each: q_oscillation and
+mean_oscillation call ball_estimates, the q-oscillation with its
+standard error under the spec's method; maximal_gradient calls
+gradient_averages, the ball average of |grad f|, the radius-r term of
 the centered maximal function.  pair_oscillation is Monte Carlo in every
 dimension and refuses the Gauss rules.  On Monte Carlo routes every ball
 of a call takes the spec's node sets, which _ball_nodes draws once at the
-top of the call: the outer set (KEY_OUTER), the antithetic inner set
-(KEY_INNER) for the oscillation, and pair_oscillation's second set
-(KEY_PAIR).  ball_estimates broadcasts the outer and inner sets over the
-balls of each pass and reaches m through the same mc_deviations, so a
-batch of any size takes one code path; at q != 1 every power takes the C
-library's pow (_power_mean).  A suite makes one ball_estimates call, so
-its balls share the spec's node sets.  centre_nodes draws the curve's
-nodes on streams of their own, one per centre.
+top of the call: the outer set (KEY_OUTER), which both entries take, the
+antithetic inner set (KEY_INNER) for the oscillation, and
+pair_oscillation's second set (KEY_PAIR).  ball_estimates broadcasts the
+outer and inner sets over the balls of each pass and reaches m through
+the same mc_deviations, so a batch of any size takes one code path; at
+q != 1 every power takes the C library's pow (_power_mean).  A suite
+makes one call of each entry it needs, so its balls share the spec's
+node sets.  centre_nodes draws the curve's nodes on streams of their own,
+one per centre.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -837,22 +842,20 @@ def _radial_profile(f: TestFunction, centers: np.ndarray) -> np.ndarray:
     return yy[:len(centers)]
 
 
-def _radial_pass(f: TestFunction, t, r, n: int, oscillation: bool,
-                 gradient):
-    """(m, ball average of |grad f|) of the balls at distance t from f's
-    radial centre with radii r, shape (B,) each, on one pass of the radial
-    rule: None for what is not asked; gradient is None, or the mask of the
-    balls whose average to compute (the others read 0).  In d = 3 the Gauss
-    order n is capped at (degree + 3) // 2 + 1, where the rule is exact.
+def _radial_geometry(f: TestFunction, t, r, n: int):
+    """(segs, integrate, measure, volume) of the balls at distance t from
+    f's radial centre with radii r, shape (B,) each: the pieces in rho
+    (_radial_pieces), integrate(h, edges, idx, *args), the integral of
+    h(rho, *args) times sigma over parts edges of the pieces at idx
+    (_radial_integrals), measure, the integral of sigma over each piece,
+    and volume, their sum per ball.  In d = 3 the Gauss order n is capped
+    at (degree + 3) // 2 + 1, where the rule is exact.
 
-    The rule is geometry only: the pieces in rho (_radial_pieces), the
-    measure sigma(rho) of the sphere of radius rho inside the ball
-    (_sphere_measure) and the substitution in s on d = 2's boundary pieces
-    (_piece_coordinates).  With g the profile in rho, the mean and m are
-    _split_deviation's, with S_k the integral of sigma over each piece and
-    their sum as the volume (the profile is monotone between its
-    breakpoints).  Both divide by the integrated sigma, not by |B_r|, so a
-    ball on which f is constant reads 0 to rounding.
+    The rule is geometry only: the pieces in rho, the measure sigma(rho)
+    of the sphere of radius rho inside the ball (_sphere_measure) and the
+    substitution in s on d = 2's boundary pieces (_piece_coordinates).
+    Both passes divide by the integrated sigma, not by |B_r|, so a ball on
+    which f is constant reads 0 to rounding.
     """
     rad = f.radial
     d = f.dim
@@ -867,25 +870,34 @@ def _radial_pass(f: TestFunction, t, r, n: int, oscillation: bool,
                                  *args)
 
     measure = integrate(None, segs.edges, slice(None))
-    volume = segs.row_sums(measure)
-    m = avg = None
-    if oscillation:
-        m = _split_deviation(lambda rho: rad.profile(rho * rho), segs,
-                             integrate, measure, volume, rad.degree)[0]
-    if gradient is not None:
-        def gmag(rho):
-            x = np.empty(rho.shape + (d,))
-            x[...] = rad.center
-            x[..., 0] += rho
-            g = np.asarray(f.grad(x), dtype=float)
-            return np.sqrt(coordinate_dot(g, g))
+    return segs, integrate, measure, segs.row_sums(measure)
 
-        live = np.flatnonzero(gradient[segs.ball])
-        integral = np.zeros(segs.lo.size)
-        if live.size:
-            integral[live] = integrate(gmag, segs.edges[live], live)
-        avg = segs.row_sums(integral) / volume
-    return m, avg
+
+def _radial_pass(f: TestFunction, t, r, n: int) -> np.ndarray:
+    """m of the balls at distance t from f's radial centre with radii r,
+    shape (B,) each, on one pass of the radial rule (_radial_geometry):
+    with g the profile in rho, the mean and m are _split_deviation's, with
+    S_k the integral of sigma over each piece and their sum as the volume
+    (the profile is monotone between its breakpoints)."""
+    segs, integrate, measure, volume = _radial_geometry(f, t, r, n)
+    return _split_deviation(lambda rho: f.radial.profile(rho * rho), segs,
+                            integrate, measure, volume, f.radial.degree)[0]
+
+
+def _radial_gradient_pass(f: TestFunction, t, r, n: int) -> np.ndarray:
+    """The ball average of |grad f| of the balls of _radial_pass, on the
+    same pieces: the integral of |grad f| at the point at rho on a ray
+    from the centre, times sigma, over the integrated sigma."""
+    segs, integrate, _, volume = _radial_geometry(f, t, r, n)
+
+    def gmag(rho):
+        x = np.empty(rho.shape + (f.dim,))
+        x[...] = f.radial.center
+        x[..., 0] += rho
+        g = np.asarray(f.grad(x), dtype=float)
+        return np.sqrt(coordinate_dot(g, g))
+
+    return segs.row_sums(integrate(gmag, segs.edges, slice(None))) / volume
 
 
 # ---------------------------------------------------------------------------
@@ -936,33 +948,30 @@ def _power_mean(dev: np.ndarray, q: float, se_extra):
 
 def _mc_pass_estimates(f: TestFunction, centers: np.ndarray,
                        radii: np.ndarray, q: float, u_out: np.ndarray,
-                       u_in: Optional[np.ndarray], live: Optional[np.ndarray]):
-    """(value, std_error, gradient) of one Monte Carlo pass of ball_estimates
-    on the balls (centers (P, d), radii (P,)), None where not asked: the
-    q-oscillation of every ball with its standard error when u_in is given,
-    and the mean of |grad f| over a + r u_out on the balls of the mask live
-    when it is given (0 on the others, unevaluated).  Every ball takes the
-    same outer set u_out (d, n) and inner set u_in (d, m), broadcast over
-    the rows; a function of its own, so that a pass's arrays are freed
-    before the next pass allocates its own."""
-    value = std_error = avg = None
-    if u_in is not None:
-        half = u_in.shape[-1]
-        dev, pair_sums = mc_deviations(f.eval, centers, radii, u_out, u_in)
-        require_finite(dev)
-        require_finite(pair_sums)
-        se_mu = 0.0
-        if half > 1:
-            se_mu = np.std(0.5 * pair_sums, axis=-1, ddof=1) / np.sqrt(half)
-        value, std_error = _power_mean(np.abs(dev, out=dev), q, se_mu)
-    if live is not None:
-        avg = np.zeros(radii.size)
-        at = np.flatnonzero(live)
-        if at.size:
-            points = centers[at][:, :, None] + radii[at][:, None, None] * u_out
-            g = np.asarray(f.grad(_point_major(points)), dtype=float)
-            avg[at] = np.sqrt(coordinate_dot(g, g)).mean(axis=-1)
-    return value, std_error, avg
+                       u_in: np.ndarray):
+    """(value, std_error) of one Monte Carlo pass of ball_estimates on the
+    balls (centers (P, d), radii (P,)): the q-oscillation of every ball
+    with its standard error.  Every ball takes the same outer set u_out
+    (d, n) and inner set u_in (d, m), broadcast over the rows; a function
+    of its own, so that a pass's arrays are freed before the next pass
+    allocates its own."""
+    half = u_in.shape[-1]
+    dev, pair_sums = mc_deviations(f.eval, centers, radii, u_out, u_in)
+    require_finite(dev)
+    require_finite(pair_sums)
+    se_mu = 0.0
+    if half > 1:
+        se_mu = np.std(0.5 * pair_sums, axis=-1, ddof=1) / np.sqrt(half)
+    return _power_mean(np.abs(dev, out=dev), q, se_mu)
+
+
+def _mc_gradient(f: TestFunction, centers: np.ndarray, radii: np.ndarray,
+                 u_out: np.ndarray) -> np.ndarray:
+    """The mean of |grad f| over a + r u_out for each ball (centers (P, d),
+    radii (P,)), on one Monte Carlo pass of gradient_averages."""
+    points = centers[:, :, None] + radii[:, None, None] * u_out
+    g = np.asarray(f.grad(_point_major(points)), dtype=float)
+    return np.sqrt(coordinate_dot(g, g)).mean(axis=-1)
 
 
 def _gauss_gradient(f: TestFunction, a: np.ndarray, r: np.ndarray):
@@ -983,45 +992,18 @@ def _gauss_gradient(f: TestFunction, a: np.ndarray, r: np.ndarray):
 
 @dataclass(frozen=True)
 class BallEstimates:
-    """What ball_estimates returns, arrays of shape (B,) or None where not
-    asked for: value, the q-oscillation of each ball, with std_error, its
-    one-sigma error (0 on the deterministic rules), and gradient, the
-    ball average of |grad f|."""
-    value: Optional[np.ndarray]
-    std_error: Optional[np.ndarray]
-    gradient: Optional[np.ndarray]
+    """What ball_estimates returns, arrays of shape (B,): value, the
+    q-oscillation of each ball, and std_error, its one-sigma error (0 on
+    the deterministic rules)."""
+    value: np.ndarray
+    std_error: np.ndarray
 
 
-def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
-                   q: float = 1.0, *, oscillation: bool = True,
-                   gradient: bool = False) -> BallEstimates:
-    """The q-oscillation and, with gradient=True, the ball average of
-    |grad f| of the balls B_radii[i](centers[i]), centers (B, d) and
-    radii (B,), under spec: the one entry behind every single-ball rule
-    but pair_oscillation.
-
-    Every rule runs in _passes.  gauss_1d makes one exact_oscillation_1d
-    call, and takes the average of |f'| by the _GL_ORDER segment rule
-    between f's breakpoints in passes of _EXACT_PASS balls.  radial makes
-    one pass of the radial rule (_radial_pass) per _EXACT_PASS balls,
-    after the probe of _radial_profile.  monte_carlo runs mc_deviations,
-    the estimator of the curve's mc_oscillation, in its passes of at most
-    BLOCK_POINTS evaluation points, with every ball of the call on the
-    node sets of spec.seed, each drawn once at the top of the call
-    (_ball_nodes) and broadcast over the balls of a pass: the antithetic
-    inner set for the oscillation only, and the outer set, which the
-    oscillation and the gradient share, only when some ball needs it.  A
-    ball's value therefore has the bits it has alone, whatever the call
-    and its pass.  A ball on which flat_radius
-    certifies f constant gets the gradient average 0 without an
-    evaluation, since grad is exactly 0 there.  Functions without a
-    gradient are refused for gradient=True (UnsupportedFunctionError),
-    and so are the queries _check_query and require_balls refuse.  A
-    value or standard error that is not finite raises QuadratureError.
-    """
-    if gradient and f.grad is None:
-        raise UnsupportedFunctionError(
-            f"{f.function_id} has no gradient; maximal averages are undefined")
+def _ball_query(f: TestFunction, centers, radii, spec: QuadratureSpec,
+                q: float = 1.0):
+    """(centers (B, d), radii (B,)) as float arrays, once the query is one
+    that _check_query and require_balls accept; the prologue of both batch
+    entries."""
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if centers.ndim != 2 or radii.shape != centers.shape[:1]:
@@ -1029,65 +1011,97 @@ def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
                          f"(B,), got {centers.shape} and {radii.shape}")
     _check_query(f, centers.shape[1], spec, q)
     require_balls(radii, centers)
+    return centers, radii
+
+
+def ball_estimates(f: TestFunction, centers, radii, spec: QuadratureSpec,
+                   q: float = 1.0) -> BallEstimates:
+    """The q-oscillation, with its standard error, of the balls
+    B_radii[i](centers[i]), centers (B, d) and radii (B,), under spec: the
+    one entry behind q_oscillation and mean_oscillation.
+
+    Every rule runs in _passes.  gauss_1d makes one exact_oscillation_1d
+    call.  radial makes one pass of the radial rule (_radial_pass) per
+    _EXACT_PASS balls, after the probe of _radial_profile.  monte_carlo
+    runs mc_deviations, the estimator of the curve's mc_oscillation, in
+    passes of at most BLOCK_POINTS evaluation points, with every ball of
+    the call on the outer and antithetic inner node sets of spec.seed,
+    each drawn once at the top of the call (_ball_nodes) and broadcast
+    over the balls of a pass.  A ball's value therefore has the bits it
+    has alone, whatever the call and its pass.  A query that _check_query
+    or require_balls refuses raises before any pass, and a value or
+    standard error that is not finite raises QuadratureError.
+    """
+    centers, radii = _ball_query(f, centers, radii, spec, q)
     count = radii.size
-    value = np.empty(count) if oscillation else None
-    std_error = np.zeros(count) if oscillation else None
-    avg = np.zeros(count) if gradient else None
-    if gradient:
-        live = (~flat_balls(f, centers, radii[:, None])[:, 0]
-                if f.flat_radius is not None else np.ones(count, dtype=bool))
+    value = np.empty(count)
+    std_error = np.zeros(count)
     if spec.method == "monte_carlo":
         n = spec.node_count
-        u_out = u_in = None
-        if oscillation or (gradient and live.any()):
-            u_out = _ball_nodes(f.dim, n, spec.seed, KEY_OUTER)
-        if oscillation:
-            u_in = _ball_nodes(f.dim, inner_count(n), spec.seed, KEY_INNER)
-        # f's points per ball: the outer and both antithetic inner sets for
-        # the oscillation, and the outer set again for the gradient
-        points = ((n + 2 * inner_count(n) if oscillation else 0)
-                  + (n if gradient else 0))
-        for at in (_passes(count, max(1, BLOCK_POINTS // points))
-                   if u_out is not None else ()):
-            val, err, grad = _mc_pass_estimates(
-                f, centers[at], radii[at], q, u_out, u_in,
-                live[at] if gradient else None)
-            if oscillation:
-                value[at], std_error[at] = val, err
-            if gradient:
-                avg[at] = grad
+        u_out = _ball_nodes(f.dim, n, spec.seed, KEY_OUTER)
+        u_in = _ball_nodes(f.dim, inner_count(n), spec.seed, KEY_INNER)
+        # f's points per ball: the outer and both antithetic inner sets
+        size = max(1, BLOCK_POINTS // (n + 2 * inner_count(n)))
+        for at in _passes(count, size):
+            value[at], std_error[at] = _mc_pass_estimates(
+                f, centers[at], radii[at], q, u_out, u_in)
     elif spec.method == "gauss_1d":
-        if oscillation:
-            value[:] = exact_oscillation_1d(f, centers[:, 0], radii, q,
-                                            mu_nodes=spec.node_count)[0]
-        if gradient:
-            balls = np.flatnonzero(live)
-            for part in _passes(balls.size, _EXACT_PASS):
-                at = balls[part]
-                avg[at] = _gauss_gradient(f, centers[at, 0], radii[at])
+        value[:] = exact_oscillation_1d(f, centers[:, 0], radii, q,
+                                        mu_nodes=spec.node_count)[0]
     else:
         t = np.sqrt(_radial_profile(f, centers))
         for at in _passes(count, _EXACT_PASS):
-            m, mean_grad = _radial_pass(f, t[at], radii[at], spec.node_count,
-                                        oscillation,
-                                        live[at] if gradient else None)
-            if oscillation:
-                value[at] = m
-            if gradient:
-                avg[at] = mean_grad
-    if oscillation:
-        require_finite(value, "oscillation")
-        require_finite(std_error, "standard error")
-    if gradient:
-        require_finite(avg, "gradient")
-    return BallEstimates(value, std_error, avg)
+            value[at] = _radial_pass(f, t[at], radii[at], spec.node_count)
+    require_finite(value, "oscillation")
+    require_finite(std_error, "standard error")
+    return BallEstimates(value, std_error)
 
 
-def _one_ball(f: TestFunction, ball: BallSample, spec: QuadratureSpec,
-              q: float = 1.0, **what) -> BallEstimates:
-    """ball_estimates on the one ball of a single-ball rule."""
-    return ball_estimates(f, ball.center[None, :], np.array([ball.radius]),
-                          spec, q, **what)
+def gradient_averages(f: TestFunction, centers, radii,
+                      spec: QuadratureSpec) -> np.ndarray:
+    """The ball average of |grad f| of the balls B_radii[i](centers[i]),
+    centers (B, d) and radii (B,), under spec, shape (B,): the one entry
+    behind maximal_gradient.
+
+    A ball on which flat_radius certifies f constant (flat_balls) reads 0
+    without an evaluation, since grad is exactly 0 there, and the passes
+    run over the other balls only: gauss_1d takes the _GL_ORDER segment
+    rule between f's breakpoints (_gauss_gradient) and radial the pieces
+    of the radial rule (_radial_gradient_pass), after the probe of
+    _radial_profile, in passes of _EXACT_PASS balls; monte_carlo averages
+    over the spec's outer node set, the one ball_estimates draws for the
+    same spec, drawn once at the top of the call and only when some ball
+    is left, in passes of at most BLOCK_POINTS points.  A ball's average
+    has the bits it has alone.  A function without a gradient raises
+    UnsupportedFunctionError, a query that _check_query or require_balls
+    refuses raises before any pass, and an average that is not finite
+    raises QuadratureError.
+    """
+    if f.grad is None:
+        raise UnsupportedFunctionError(
+            f"{f.function_id} has no gradient; maximal averages are undefined")
+    centers, radii = _ball_query(f, centers, radii, spec)
+    avg = np.zeros(radii.size)
+    live = (np.flatnonzero(~flat_balls(f, centers, radii[:, None])[:, 0])
+            if f.flat_radius is not None else np.arange(radii.size))
+    if spec.method == "monte_carlo":
+        n = spec.node_count
+        u_out = (_ball_nodes(f.dim, n, spec.seed, KEY_OUTER) if live.size
+                 else None)
+        for part in _passes(live.size, max(1, BLOCK_POINTS // n)):
+            at = live[part]
+            avg[at] = _mc_gradient(f, centers[at], radii[at], u_out)
+    elif spec.method == "gauss_1d":
+        for part in _passes(live.size, _EXACT_PASS):
+            at = live[part]
+            avg[at] = _gauss_gradient(f, centers[at, 0], radii[at])
+    else:
+        t = np.sqrt(_radial_profile(f, centers))
+        for part in _passes(live.size, _EXACT_PASS):
+            at = live[part]
+            avg[at] = _radial_gradient_pass(f, t[at], radii[at],
+                                            spec.node_count)
+    return require_finite(avg, "gradient")
 
 
 def q_oscillation(f: TestFunction, ball: BallSample, q: float,
@@ -1096,7 +1110,8 @@ def q_oscillation(f: TestFunction, ball: BallSample, q: float,
 
     Nondecreasing in q for fixed inputs; q = 1 is the plain mean oscillation.
     """
-    est = _one_ball(f, ball, spec, q)
+    est = ball_estimates(f, ball.center[None, :], np.array([ball.radius]),
+                         spec, q)
     return EstimatedValue(est.value[0], est.std_error[0])
 
 
@@ -1142,7 +1157,7 @@ def flat_balls(f: TestFunction, centers, radii) -> np.ndarray:
 
 def maximal_gradient(f: TestFunction, ball: BallSample,
                      spec: QuadratureSpec) -> float:
-    """Ball average of |grad f| over the ball B_r(a), by ball_estimates.
+    """Ball average of |grad f| over the ball B_r(a), by gradient_averages.
 
     This is the radius-r term of the centered maximal function of |grad f|
     at a, hence a lower bound for M|grad f|(a) (exact in dimension one with
@@ -1153,5 +1168,5 @@ def maximal_gradient(f: TestFunction, ball: BallSample,
     exactly 0 there.  The Monte Carlo route averages over the spec's outer
     node set, the one q_oscillation draws for the same spec.
     """
-    return float(_one_ball(f, ball, spec, oscillation=False,
-                           gradient=True).gradient[0])
+    return float(gradient_averages(f, ball.center[None, :],
+                                   np.array([ball.radius]), spec)[0])

@@ -29,9 +29,10 @@ the size of its own passes.  segment_integrals sums each segment on its
 own, in a fixed order, and row_sums adds each case's segments left to
 right, so with any panel count every case keeps the bits of its one-case
 computation.  The local expansion, domination and tail suites evaluate
-theirs in one oscillation.ball_estimates call, which gives each ball the
-bits of its single-ball rule.  run_all gives the radial entries in d >= 2
-the exact radial rule.
+theirs in one oscillation.ball_estimates call, and the domination suite
+its gradient averages in one oscillation.gradient_averages call; both
+give each ball the bits of its single-ball rule.  run_all gives the
+radial entries in d >= 2 the exact radial rule.
 """
 from __future__ import annotations
 
@@ -44,7 +45,8 @@ import numpy as np
 from .catalog import (TestFunction, make_ball_indicator, make_linear,
                       make_plateau_bump, unit_ball_volume)
 from .oscillation import (RADIAL_ORDER, UnsupportedFunctionError,
-                          ball_estimates, exact_oscillation_1d)
+                          ball_estimates, exact_oscillation_1d,
+                          gradient_averages)
 from .quadrature import (KEY_VERIFY, QuadratureSpec, default_spec,
                          gauss_rule, is_count, row_segments,
                          segment_integrals, stream)
@@ -484,18 +486,20 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
     Each sampled ball gets the case m_f(a, r) <= r * (ball average of
     |grad f|), the L^1 Poincare inequality on a convex set with constant
     diam / 2 (Acosta and Duran, Proc. AMS 132, 2004); on Monte Carlo routes
-    m enters it lowered by three standard errors.  The bound is that
-    theorem, not a value observed from this implementation.  The ball
-    average is at most the centered maximal function of |grad f| at a, so
-    the case also implies the paper's domination m_f(a, r) <= r M|grad f|(a)
-    with constant 1.  A ball with no gradient mass (inside the plateau's
-    core or outside its support) also gets a guard case: its oscillation
-    must vanish.  The largest ratio m / (r * average) over the other balls
-    is recorded.  A weight-integral identity case recomputes the tail
-    weight (R, infinity) against direct quadrature, which makes exponent
-    faults visible.  The tail is mapped onto (0, 1], where the integrand
-    is a polynomial for p = 2; the quadrature error in its tolerance is
-    |I_16 - I_8|, the gap between the 16- and 8-point rules.
+    m enters it lowered by three standard errors.  One ball_estimates call
+    gives every m and one gradient_averages call, on the same balls and
+    spec, every average.  The bound is that theorem, not a value observed
+    from this implementation.  The ball average is at most the centered
+    maximal function of |grad f| at a, so the case also implies the
+    paper's domination m_f(a, r) <= r M|grad f|(a) with constant 1.  A
+    ball with no gradient mass (inside the plateau's core or outside its
+    support) also gets a guard case: its oscillation must vanish.  The
+    largest ratio m / (r * average) over the other balls is recorded.  A
+    weight-integral identity case recomputes the tail weight (R, infinity)
+    against direct quadrature, which makes exponent faults visible.  The
+    tail is mapped onto (0, 1], where the integrand is a polynomial for
+    p = 2; the quadrature error in its tolerance is |I_16 - I_8|, the gap
+    between the 16- and 8-point rules.
     """
     if f.grad is None:
         raise UnsupportedFunctionError(
@@ -508,13 +512,14 @@ def check_maximal_domination(f: TestFunction, n_samples: int,
 
     centers, radii = _draw_balls(local, n_samples, d, 1.3 * scale,
                                  5e-3 * scale, 5.0 * scale)
-    est = ball_estimates(f, centers, radii, spec, gradient=True)
+    est = ball_estimates(f, centers, radii, spec)
+    averages = gradient_averages(f, centers, radii, spec)
 
     cases = []
     ratios = []
     for i, (a, r) in enumerate(zip(centers, radii.tolist())):
         m, se = float(est.value[i]), float(est.std_error[i])
-        avg = float(est.gradient[i])
+        avg = float(averages[i])
         low = max(m - 3.0 * se, 0.0)
         ratio = m / (r * avg) if avg > 0 else math.inf
         cases.append(_case(

@@ -36,7 +36,8 @@ from osclab import (
 from osclab import catalog, oscillation
 from osclab.catalog import DEFAULT_IDS, coordinate_dot
 from osclab.oscillation import (PointNodes, RadialNodes, ball_estimates,
-                                mc_deviations, mc_oscillation)
+                                gradient_averages, mc_deviations,
+                                mc_oscillation)
 from osclab.quadrature import (KEY_INNER, KEY_OUTER, KEY_PAIR,
                                live_segments, segment_integrals)
 from osclab.verify import check_local_expansion, check_maximal_domination
@@ -962,7 +963,7 @@ def test_covering_balls_reach_the_pass_once_per_radius(monkeypatch):
 
 
 def test_gauss_gradient_average_runs_in_bounded_passes(monkeypatch):
-    # ball_estimates hands _gauss_gradient at most _EXACT_PASS balls a
+    # gradient_averages hands _gauss_gradient at most _EXACT_PASS balls a
     # call, the live ones each once, and every ball keeps the bits it has
     # in a pass that holds them all
     n = 60
@@ -970,8 +971,7 @@ def test_gauss_gradient_average_runs_in_bounded_passes(monkeypatch):
     centers = rng.uniform(-1.5, 1.5, (n, 1))
     radii = np.exp(rng.uniform(np.log(1e-3), np.log(3.0), n))
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)
-    whole = ball_estimates(f, centers, radii, GAUSS, oscillation=False,
-                           gradient=True).gradient
+    whole = gradient_averages(f, centers, radii, GAUSS)
     sizes = []
     real = oscillation._gauss_gradient
 
@@ -981,8 +981,7 @@ def test_gauss_gradient_average_runs_in_bounded_passes(monkeypatch):
 
     monkeypatch.setattr(oscillation, "_gauss_gradient", counting)
     monkeypatch.setattr(oscillation, "_EXACT_PASS", 7)
-    split = ball_estimates(f, centers, radii, GAUSS, oscillation=False,
-                           gradient=True).gradient
+    split = gradient_averages(f, centers, radii, GAUSS)
     live = ~oscillation.flat_balls(f, centers, radii[:, None])[:, 0]
     assert 7 < live.sum() < n
     assert max(sizes) == 7 and sum(sizes) == live.sum()
@@ -1445,12 +1444,21 @@ def test_local_expansion_draws_each_node_set_once(monkeypatch):
 
 
 def test_maximal_domination_draws_two_node_sets_per_call(monkeypatch):
-    # six balls under one spec share its outer and inner sets, and the
-    # gradient average reuses the outer set the oscillation takes
-    calls = _count_draws(monkeypatch)
+    # six balls under one spec share its outer and inner sets: the
+    # oscillation draws both, and the gradient average draws the outer set
+    # again, the same array
+    drawn = []
+    real = oscillation.unit_ball_nodes
+
+    def recording(d, n, rng):
+        drawn.append(real(d, n, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(oscillation, "unit_ball_nodes", recording)
     f = make_plateau_bump(2, 1.0, 0.5, 1.0)
     check_maximal_domination(f, 6, _mc(seed=8, n=256))
-    assert calls == [(2, 256), (2, 128)]
+    assert [x.shape for x in drawn] == [(256, 2), (128, 2), (256, 2)]
+    assert np.array_equal(drawn[0], drawn[2])
 
 
 @pytest.mark.parametrize("count", [1, 9])
@@ -1465,17 +1473,17 @@ def test_a_monte_carlo_call_draws_each_node_set_once(monkeypatch, count):
     centers = stream(8, 1).uniform(-1.2, 1.2, size=(count, 2))
     radii = np.geomspace(0.05, 2.0, count)
     core = np.zeros((count, 2))
-    for what, balls, want in [
-            ({}, (centers, radii), [(2, 256), (2, 128)]),
-            ({}, (centers, radii), [(2, 256), (2, 128)]),
-            ({"gradient": True}, (centers, radii), [(2, 256), (2, 128)]),
-            ({"oscillation": False, "gradient": True}, (centers, radii),
-             [(2, 256)]),
-            ({"oscillation": False, "gradient": True}, (core, radii / 10),
-             [])]:
+    for entries, balls, want in [
+            ((ball_estimates,), (centers, radii), [(2, 256), (2, 128)]),
+            ((ball_estimates,), (centers, radii), [(2, 256), (2, 128)]),
+            ((ball_estimates, gradient_averages), (centers, radii),
+             [(2, 256), (2, 128), (2, 256)]),
+            ((gradient_averages,), (centers, radii), [(2, 256)]),
+            ((gradient_averages,), (core, radii / 10), [])]:
         calls.clear()
-        ball_estimates(f, *balls, spec, **what)
-        assert calls == want, what
+        for entry in entries:
+            entry(f, *balls, spec)
+        assert calls == want, [entry.__name__ for entry in entries]
 
 
 def _parent_mc_ball(f, a, r, q, u_out, u_in):
@@ -1504,30 +1512,39 @@ def _parent_mc_ball(f, a, r, q, u_out, u_in):
 @pytest.mark.parametrize("q", [1.0, 2.0, 2.5])
 def test_a_monte_carlo_batch_keeps_each_ball_bits_across_passes(
         monkeypatch, q):
-    # 50 balls with the gradient at 512 nodes take 3 * 512 points each, so
-    # 21 balls a pass: each ball's value and std_error are its one-ball
-    # q_oscillation's bits, its gradient is its maximal_gradient, and a
-    # ball on which f is certified constant reads a gradient of 0
+    # at 2^13 points a pass, 50 balls at 512 nodes take 8 balls a pass for
+    # the oscillation (2 * 512 points each) and the 31 balls where f is not
+    # certified constant 16 a pass for the gradient (512 each): each ball's
+    # value and std_error are its one-ball q_oscillation's bits, its
+    # gradient is its maximal_gradient, and a ball on which f is certified
+    # constant reads a gradient of 0
     f = make_plateau_bump(2, 1.0, 0.5, 1.0)
     spec = _mc(seed=6, n=512)
     centers = stream(6, 1).uniform(-1.6, 1.6, size=(50, 2))
     radii = np.geomspace(0.02, 2.5, 50)
     centers[:4] = [[0.0, 0.0], [0.1, -0.1], [3.0, 0.0], [0.0, -4.0]]
     radii[:4] = [0.3, 0.2, 0.5, 1.0]
-    sizes = []
-    real = oscillation._mc_pass_estimates
+    sizes = {"_mc_pass_estimates": [], "_mc_gradient": []}
 
-    def counting(f, centers, *args):
-        sizes.append(len(centers))
-        return real(f, centers, *args)
+    def counting(name):
+        real = getattr(oscillation, name)
 
-    monkeypatch.setattr(oscillation, "_mc_pass_estimates", counting)
-    got = ball_estimates(f, centers, radii, spec, q, gradient=True)
-    assert sizes == [21, 21, 8]
+        def one_pass(f, centers, *args):
+            sizes[name].append(len(centers))
+            return real(f, centers, *args)
+        return one_pass
+
+    for name in sizes:
+        monkeypatch.setattr(oscillation, name, counting(name))
+    monkeypatch.setattr(oscillation, "BLOCK_POINTS", 2 ** 13)
+    got = ball_estimates(f, centers, radii, spec, q)
+    gradient = gradient_averages(f, centers, radii, spec)
+    assert sizes == {"_mc_pass_estimates": [8] * 6 + [2],
+                     "_mc_gradient": [16, 15]}
     flat = oscillation.flat_balls(f, centers, radii[:, None])[:, 0]
     assert flat[:4].all() and 10 < np.count_nonzero(~flat) < 50
-    assert np.all(got.gradient[flat] == 0.0)
-    assert np.all(got.gradient[~flat] > 0.0)
+    assert np.all(gradient[flat] == 0.0)
+    assert np.all(gradient[~flat] > 0.0)
     u_out = oscillation._ball_nodes(2, 512, 6, KEY_OUTER)
     u_in = oscillation._ball_nodes(2, 256, 6, KEY_INNER)
     for i, (a, r) in enumerate(zip(centers, radii)):
@@ -1537,4 +1554,4 @@ def test_a_monte_carlo_batch_keeps_each_ball_bits_across_passes(
                 == np.float64(one.std_error).tobytes())
         assert (one.value, one.std_error) == _parent_mc_ball(
             f, a, r, q, u_out, u_in)
-        assert got.gradient[i] == maximal_gradient(f, BallSample(a, r), spec)
+        assert gradient[i] == maximal_gradient(f, BallSample(a, r), spec)

@@ -1,4 +1,5 @@
-"""The exact radial rule and the batched single-ball entry, ball_estimates."""
+"""The exact radial rule and the batched single-ball entries,
+ball_estimates and gradient_averages."""
 
 import dataclasses
 
@@ -11,7 +12,8 @@ from osclab import (BallSample, QuadratureError, QuadratureSpec,
                     pair_oscillation, parse_function_id, q_oscillation,
                     scale_values, stream, translate)
 from osclab import catalog
-from osclab.oscillation import RADIAL_ORDER, ball_estimates
+from osclab.oscillation import (RADIAL_ORDER, ball_estimates,
+                                gradient_averages)
 
 EPS = np.finfo(float).eps
 RADIAL = QuadratureSpec("radial", RADIAL_ORDER, 0)
@@ -73,20 +75,20 @@ def test_radial_rule_matches_an_order_64_rule(f, scale, lam):
     centers = np.concatenate(
         [centers, f.radial.center + direction * near_t[:, None]])
     radii = np.concatenate([radii, near_r])
-    grad = f.grad is not None
-    est = ball_estimates(f, centers, radii, RADIAL, gradient=grad)
-    ref = ball_estimates(_uncapped(f), centers, radii,
-                         QuadratureSpec("radial", 64, 0), gradient=grad)
+    fine = QuadratureSpec("radial", 64, 0)
+    est = ball_estimates(f, centers, radii, RADIAL)
+    ref = ball_estimates(_uncapped(f), centers, radii, fine)
     size = abs(lam)
     assert np.all(est.std_error == 0.0)
     assert np.all(np.abs(est.value - ref.value)
                   <= 1e-12 * ref.value + 16 * EPS * size)
     assert np.any(est.value > 0.1 * size)
-    if grad:
+    if f.grad is not None:
         gmax = f.grad_max
-        assert np.all(np.abs(est.gradient - ref.gradient)
-                      <= 1e-12 * ref.gradient + 16 * EPS * gmax)
-        assert np.any(est.gradient > 0.1 * gmax)
+        got = gradient_averages(f, centers, radii, RADIAL)
+        want = gradient_averages(_uncapped(f), centers, radii, fine)
+        assert np.all(np.abs(got - want) <= 1e-12 * want + 16 * EPS * gmax)
+        assert np.any(got > 0.1 * gmax)
 
 
 def _lens_share(d, big, small, t):
@@ -168,11 +170,10 @@ def test_radial_rule_reads_zero_off_the_support_and_in_the_core(
     in_r = core * rng.uniform(1e-3, 0.5, 40)
     near = f.radial.center + direction * (
         (core - in_r) * rng.uniform(0.0, 0.999, 40))[:, None]
-    inner = ball_estimates(f, near, in_r, RADIAL,
-                           gradient=f.grad is not None)
+    inner = ball_estimates(f, near, in_r, RADIAL)
     assert np.all(inner.value <= 1e-15 * abs(lam))
     if f.grad is not None:
-        assert np.all(inner.gradient == 0.0)
+        assert np.all(gradient_averages(f, near, in_r, RADIAL) == 0.0)
 
 
 @pytest.mark.parametrize("f", BASES, ids=[f.function_id for f in BASES])
@@ -238,18 +239,19 @@ _BITS_CASES = [
                          ids=[f"{f.function_id}-{s.method}"
                               for f, s in _BITS_CASES])
 def test_ball_estimates_keeps_the_bits_of_each_ball(f, spec):
-    # one batched call returns, ball for ball, the bits that the
-    # single-ball rules return under the same spec
+    # one batched call of each entry returns, ball for ball, the bits
+    # that the single-ball rules return under the same spec, and the
+    # gradient averages do not depend on an oscillation call before them
     centers, radii = _balls(f, 1.0, 40, 6)
-    est = ball_estimates(f, centers, radii, spec, gradient=True)
+    est = ball_estimates(f, centers, radii, spec)
+    gradient = gradient_averages(f, centers, radii, spec)
     for i, (a, r) in enumerate(zip(centers, radii)):
         one = mean_oscillation(f, BallSample(a, r), spec)
         assert (est.value[i], est.std_error[i]) == (one.value, one.std_error)
-        assert est.gradient[i] == maximal_gradient(f, BallSample(a, r), spec)
-    alone = ball_estimates(f, centers, radii, spec, oscillation=False,
-                           gradient=True)
-    assert alone.value is None and alone.std_error is None
-    assert np.array_equal(alone.gradient, est.gradient)
+        assert gradient[i] == maximal_gradient(f, BallSample(a, r), spec)
+    assert set(vars(est)) == {"value", "std_error"}
+    alone = gradient_averages(f, centers, radii, spec)
+    assert np.array_equal(alone, gradient)
 
 
 def test_ball_estimates_refuses_mismatched_balls():

@@ -1,6 +1,8 @@
 """README's "Quick start in Python" block runs against the current API,
-and every line of its "Command line" block parses and runs."""
+every line of its "Command line" block parses and runs, and every private
+name it cites is still defined."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from osclab.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src" / "osclab"
 
 
 def _quick_start() -> str:
@@ -50,3 +53,35 @@ def test_command_line_runs(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert capsys.readouterr().out
+
+
+def _defined_names() -> set:
+    """Every name that src/osclab defines at any level: functions,
+    classes and assigned names, module constants and dataclass fields
+    included."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Store):
+                names.add(node.id)
+    return names
+
+
+def test_private_names_in_readme_are_defined():
+    # a backticked `_name`, `_Class.method` or `_name(args)` in README
+    # names code that a rename or deletion must not leave behind
+    cited = set()
+    for span in re.findall(r"`([^`\n]+)`",
+                           README.read_text(encoding="utf-8")):
+        match = re.fullmatch(r"(_\w*(?:\.\w+)*)(?:\(.*\))?", span)
+        if match:
+            cited.add(match.group(1))
+    assert len(cited) > 10
+    defined = _defined_names()
+    stale = sorted(name for name in cited
+                   if not set(name.split(".")) <= defined)
+    assert not stale, stale

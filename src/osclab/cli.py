@@ -192,9 +192,20 @@ def _load_function(fid: str) -> TestFunction:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    # strict JSON: a non-finite value fails here, not in the reader's parser
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    # streamed into a file beside the target, never held as one string, and
+    # moved onto it, so an artifact is written whole or not at all; strict
+    # JSON: a non-finite value fails here, not in the reader's parser, and
+    # leaves an earlier file at path as it was.  open() gives the file the
+    # mode write_text would (tempfile's is 0600)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _out_dir(args: argparse.Namespace) -> Optional[Path]:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -371,11 +372,46 @@ def test_curve_rejects_threads_below_one(tmp_path, threads, from_config):
 
 
 def test_write_json_refuses_non_finite_values(tmp_path):
-    # outputs are strict JSON: a NaN or Infinity token fails the write
+    # outputs are strict JSON: a NaN or Infinity token fails the write,
+    # which leaves an earlier artifact as it was and no partial file
+    target = tmp_path / "out.json"
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            cli._write_json(tmp_path / "out.json", {"v": value})
-    assert not (tmp_path / "out.json").exists()
+            cli._write_json(target, {"v": value})
+        assert list(tmp_path.iterdir()) == []
+    cli._write_json(target, {"v": 1.5})
+    before = target.read_bytes()
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._write_json(target, {"a": 1, "v": [0.0, value]})
+        assert target.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [target]
+
+
+def test_write_json_gives_an_artifact_the_mode_of_write_text(tmp_path):
+    cli._write_json(tmp_path / "out.json", {"v": 1})
+    (tmp_path / "plain.txt").write_text("x")
+    mode = (tmp_path / "plain.txt").stat().st_mode
+    assert (tmp_path / "out.json").stat().st_mode == mode
+
+
+def test_write_json_streams_a_large_document(tmp_path):
+    # the serialized document is never held in memory whole: the traced
+    # peak of the write stays far below the size of the file it writes
+    payload = {"rows": [{"i": i, "name": f"row{i}", "x": i * 0.5}
+                        for i in range(40000)]}
+    target = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        cli._write_json(target, payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    size = len(want.encode("utf-8"))
+    assert size >= 2_000_000
+    assert peak < size / 4
+    assert target.read_text(encoding="utf-8") == want
 
 
 def test_a_config_with_q_serves_oscillation_and_curve(tmp_path, capsys):

@@ -169,6 +169,9 @@ class TestFunction:
     certificates that describe it, radial and degree_1d among them, or the
     curve keeps evaluating the old function through its profile, or
     integrates the new one with a Gauss rule sized for the old one.
+    A support_radius that is not finite and positive, a grad_lipschitz that
+    is not finite and nonnegative, a degree_1d that is not an integer >= 0
+    and a dim below 1 raise ValueError.
     """
     function_id: str
     dim: int

@@ -37,7 +37,8 @@ uniform node sets in the ball's local frame.  The inner pass is antithetic
 (u, -u pairs), which integrates odd functions exactly; the outer pass is
 plain.  Error propagation is first-order additive: the mean-to-deviation
 map is 1-Lipschitz in the inner mean, so the two standard errors add.
-Its nodes, and those of pair_oscillation and maximal_gradient, are stored
+Its nodes, and the single-ball node sets that _ball_nodes draws for
+ball_estimates, gradient_averages and pair_oscillation, are stored
 coordinate-major, (d, n), so each array operation on the points runs over
 the n nodes instead of the d coordinates; f receives (n, d) views.
 
@@ -142,7 +143,8 @@ _ROOT_ITERS = 12
 # Gauss order of the 1-d rules that no degree_1d certificate sizes: the
 # default mu_nodes of exact_oscillation_1d (both passes of an entry
 # without the certificate, exact to degree 15 per segment), the graded
-# panels of its q != 1 deviation, and maximal_gradient's segments
+# panels of its q != 1 deviation, and the segments of _gauss_gradient,
+# which gradient_averages takes on gauss_1d
 _GL_ORDER = 8
 _GRADE_PANELS = 8
 

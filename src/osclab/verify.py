@@ -690,12 +690,14 @@ def check_bv_divergence(radius: float, kappa_grid,
     proportionally to the threshold, and at fixed threshold the truncated
     measure grows by sides * sqrt(1-2 kappa) * ln(factor) per radius-floor
     refinement, without saturating.  A smooth contrast case checks the
-    plateau bump stays bounded at p = 1, on distribution_curve's composite
-    Gauss centre rule (panels=4: 160 nodes, with the 80-node rule for its
-    error estimate), and the p = 2 behavior of the jump is recorded as
-    divergent too.  Fewer than two thresholds inside (0, 1/2), or a window
-    whose box holds neither support edge +-radius, raise ValueError before
-    any case: on such a window the measure is finite.
+    plateau bump stays bounded at p = 1: its scaled curve plus the error
+    estimate stays below twice the gradient reference, on
+    distribution_curve's composite Gauss centre rule (panels=4: 160 nodes,
+    with the 80-node rule for its error estimate), and the p = 2 behavior
+    of the jump is recorded as divergent too.  Fewer than two thresholds
+    inside (0, 1/2), or a window whose box holds neither support edge
+    +-radius, raise ValueError before any case: on such a window the
+    measure is finite.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))[::-1]
     if kappas.size < 2 or np.any(kappas <= 0) or np.any(kappas >= 0.5):

@@ -242,6 +242,8 @@ def kappa_grid(kappa_max: float, kappa_min: float,
     """Decreasing geometric grid from kappa_max to kappa_min with
     round(log(kappa_max / kappa_min) / log(ratio)) + 1 points, at least 2.
     ValueError unless ratio > 1 is finite and 0 < kappa_min < kappa_max < inf.
+    Every threshold grid is built here: default_kappa_grid and the
+    command line's explicit bounds call it.
     """
     if not (math.isfinite(ratio) and ratio > 1.0):
         raise ValueError(f"kappa ratio must be a finite real > 1, got {ratio}")
@@ -253,10 +255,19 @@ def kappa_grid(kappa_max: float, kappa_min: float,
 
 def default_kappa_grid(f: TestFunction,
                        ratio: float = DEFAULT_KAPPA_RATIO) -> np.ndarray:
-    """kappa_grid over four decades, top at the gradient scale."""
-    if f.grad_max is None or f.grad_max <= 0:
+    """kappa_grid over four decades, top at the gradient scale.
+
+    The scale needs a gradient bound: an entry without grad_max (the
+    indicator) raises ValueError, and so does one with grad_max 0, which
+    is constant and has no threshold scale.
+    """
+    if f.grad_max is None:
         raise ValueError(
             f"{f.function_id} has no gradient bound; pass thresholds explicitly")
+    if f.grad_max <= 0:
+        raise ValueError(
+            f"{f.function_id} has grad_max {f.grad_max!r}: it is constant, so "
+            "it has no threshold scale; pass thresholds explicitly")
     r_typ = f.support_radius if f.support_radius is not None else 1.0
     top = c_d_prime(f.dim) * r_typ * f.grad_max
     return kappa_grid(top, top * 10.0 ** (-_KAPPA_DECADES), ratio)
@@ -685,7 +696,9 @@ def _node_dtype(f: TestFunction, spec: QuadratureSpec,
     A crossing of kappa moves by about its m error over the slope of m,
     and m's node noise, kappa / sqrt(n) there, moves it by the 2^-k
     bracket of _mc_crossing_iters; so B keeps the shift from float32 at a
-    tenth of that bracket or less.
+    tenth of that bracket or less.  For the d = 2 plateau at 512 nodes B is
+    about 7.7e-5, so a grid that stops at kappa_min = 0.02 takes float32,
+    and the default grid, which reaches 1e-4 of its top, keeps float64.
     """
     if (spec.method != "monte_carlo" or f.dim < 2 or f.radial is None
             or f.grad_max is None or f.support_radius is None):
@@ -872,6 +885,12 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
                        panels: Optional[int] = None) -> DistributionCurve:
     """Estimate the superlevel measure for a whole threshold grid at once.
 
+    There is no single-threshold entry: the measure at one threshold is the
+    last point of a grid that ends there.  It depends on the grid's
+    smallest threshold at the rounding level, through the scan start
+    (_scan_grid) and, on the Monte Carlo route, the node dtype
+    (_node_dtype).
+
     Exactly one of samples and panels gives the center integral.  samples
     (an integer >= 2) samples the centers, stratified and uniform over the
     window, with a standard error.  panels (an even integer >= 2) is the
@@ -891,7 +910,9 @@ def distribution_curve(f: TestFunction, p: float, kappa_grid,
     kappa up to bisection tolerance.  Work is split into fixed-size chunks
     whose results are combined in order; threads changes wall time only,
     never the values.  Every input is checked before any scan: p must be a
-    finite real >= 1, and a bad grid, count or plan raises ValueError; a
+    finite real >= 1, and a window of another dimension than f's
+    (catalog.require_box_dimension), a bad grid, plan or count (a bool or
+    a float is not a count: quadrature.is_count) raises ValueError; a
     gauss_1d spec needs dimension one, and panels the gauss_1d route
     (QuadratureError otherwise).  A radial spec raises QuadratureError:
     the curve has engines for gauss_1d and monte_carlo only.

@@ -331,6 +331,20 @@ def test_curve_refuses_an_unfittable_grid_before_it_scans(tmp_path,
     assert not (tmp_path / "curve.json").exists()
 
 
+@pytest.mark.parametrize("fid, message", [
+    ("indicator:d=1:r=0.5", "has no gradient bound"),
+    ("linear:d=1:v=0", "it is constant, so it has no threshold scale")])
+def test_curve_without_a_gradient_scale_needs_kappa_bounds(
+        tmp_path, monkeypatch, capsys, fid, message):
+    # without --out-dir the curve writes into the working directory
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--function", fid, "--samples", "64"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("kmin, kmax", [("0.01", "inf"), ("nan", "0.02")])
 @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
 def test_curve_rejects_non_finite_kappa_bounds(tmp_path, kmin, kmax,

@@ -1,8 +1,10 @@
 """README's "Quick start in Python" block runs against the current API,
-every line of its "Command line" block parses and runs, and every private
-name it cites is still defined."""
+every line of its "Command line" block parses and runs, README cites no
+private name in its code, and it stays short.
 
-import ast
+README is the user's guide; each private contract lives in the docstring
+of the code it describes, so a refactor never has to edit README."""
+
 import re
 import shlex
 from pathlib import Path
@@ -12,7 +14,6 @@ import pytest
 from osclab.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-SRC = README.parent / "src" / "osclab"
 
 
 def _quick_start() -> str:
@@ -55,33 +56,28 @@ def test_command_line_runs(argv, capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().out
 
 
-def _defined_names() -> set:
-    """Every name that src/osclab defines at any level: functions,
-    classes and assigned names, module constants and dataclass fields
-    included."""
-    names = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                           ast.Store):
-                names.add(node.id)
-    return names
+def _code_spans(text: str) -> list:
+    """Every inline code span and every fenced block of text."""
+    block = re.compile(r"^```[^\n]*\n(.*?)^```", re.DOTALL | re.MULTILINE)
+    inline = re.findall(r"`([^`\n]+)`", block.sub("", text))
+    return block.findall(text) + inline
 
 
-def test_private_names_in_readme_are_defined():
-    # a backticked `_name`, `_Class.method` or `_name(args)` in README
-    # names code that a rename or deletion must not leave behind
-    cited = set()
-    for span in re.findall(r"`([^`\n]+)`",
-                           README.read_text(encoding="utf-8")):
-        match = re.fullmatch(r"(_\w*(?:\.\w+)*)(?:\(.*\))?", span)
-        if match:
-            cited.add(match.group(1))
-    assert len(cited) > 10
-    defined = _defined_names()
-    stale = sorted(name for name in cited
-                   if not set(name.split(".")) <= defined)
-    assert not stale, stale
+def test_readme_cites_no_private_name():
+    # a backticked `_name`, `_Class.attr`, `module._name` or `_name(args)`
+    # names code whose contract belongs in its docstring
+    spans = _code_spans(README.read_text(encoding="utf-8"))
+    assert len(spans) > 50
+    private = sorted({name for span in spans
+                      for name in re.findall(r"(?<![\w'])_[A-Za-z]\w*",
+                                             span)})
+    assert not private, private
+
+
+def test_readme_stays_short():
+    data = README.read_bytes()
+    assert len(data) <= 25_000, len(data)
+    # the section from its heading to the next one
+    layout = data[data.index(b"\n## Library layout\n") + 1:]
+    layout = layout.split(b"\n## ", 1)[0]
+    assert len(layout) <= 3_000, len(layout)

@@ -164,6 +164,20 @@ def test_default_kappa_grid_shape():
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
 
 
+# an entry without grad_max has no bound to scale by; one with grad_max 0
+# has a bound, but is constant and so has no threshold scale
+@pytest.mark.parametrize("fid, message", [
+    ("indicator:d=1:r=0.5", "indicator:d=1:r=0.5 has no gradient bound; "
+     "pass thresholds explicitly"),
+    ("linear:d=1:v=0", "linear:d=1:v=0 has grad_max 0.0: it is constant, so "
+     "it has no threshold scale; pass thresholds explicitly")])
+def test_default_kappa_grid_refuses_an_entry_without_a_gradient_scale(
+        fid, message):
+    with pytest.raises(ValueError) as exc:
+        default_kappa_grid(parse_function_id(fid))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("ratio", [1.0, 0.5, math.nan, math.inf])
 def test_threshold_grids_refuse_a_ratio_not_above_one(ratio):
     f = make_plateau_bump(1, 1.0, 0.5, 1.0)

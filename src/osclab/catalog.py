@@ -12,8 +12,9 @@ evaluates f without building points, with the profile's breakpoints in
 the distance to the centre and its degree between them, on which the
 exact radial rule of oscillation splits its integrals.  Every
 non-linear entry is radial: the plateau and the indicator about their
-centres, and their images.  translate, dilate and scale_values map every
-certificate.
+centres, and their images.  translate, dilate, scale_values and the
+indicator's c= are affine images g(x) = lam f((x - h) / s), and one rule
+(_image) maps every certificate of an image.
 Entries are immutable and safe to share across threads.  The plateau's L1
 mass and gradient norms are closed forms (integrals of polynomials and Beta
 functions), so the catalog needs numpy only.
@@ -160,7 +161,9 @@ class TestFunction:
     it without evaluating f or grad; None (linear and custom entries) means
     no such certificate.
     grad_norm_p, when present, maps (p, box ((lo, hi), ...)) to the integral
-    of |grad f|^p over the box in closed form, or to None if it has none.
+    of |grad f|^p over the box in closed form, or to None if it has none;
+    a box of another dimension than dim raises ValueError
+    (require_box_dimension).
     radial, when present, certifies eval(x) == radial.profile(|x - c|^2),
     c = radial.center, up to rounding, and the Monte Carlo curve and the
     exact radial rule evaluate f through it instead of through eval; None
@@ -229,6 +232,7 @@ def make_linear(d: int, v) -> TestFunction:
 
     def gnorm(p: float, box: tuple) -> float:
         # |grad f| = |v| everywhere, times the volume of the box
+        require_box_dimension(box, d)
         return vn ** p * math.prod(hi - lo for lo, hi in box)
 
     return TestFunction(
@@ -323,6 +327,7 @@ def make_plateau_bump(d: int, amplitude: float, inner_radius: float,
     mass = abs(A) * (surf * ri ** d / d + surf * shell)
 
     def gnorm(p: float, box: tuple) -> Optional[float]:
+        require_box_dimension(box, d)
         if not all(lo <= -ro and hi >= ro for lo, hi in box):
             return None
         shell = _shell_sum(ri, w, d,
@@ -349,37 +354,34 @@ def make_ball_indicator(d: int, radius: float, center=None) -> TestFunction:
     R = float(radius)
     if not (np.isfinite(R) and R > 0):
         raise ValueError("radius must be finite and positive")
-    if center is None:
-        c = np.zeros(d)
-        cid = ""
-    else:
-        c = np.atleast_1d(np.asarray(center, dtype=float))
-        if c.shape != (d,):
-            raise ValueError(f"center must have shape ({d},)")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("center must be finite")
-        cid = ":c=" + ",".join(_fmt(x) for x in c)
-    fid = f"indicator:d={d}:r={_fmt(R)}" + cid
 
     def profile(q: np.ndarray) -> np.ndarray:
         return (np.sqrt(q) <= R).astype(q.dtype)
 
     def ev(x: np.ndarray) -> np.ndarray:
-        y = np.asarray(x, dtype=float) - c
-        return profile(coordinate_dot(y, y))
+        x = np.asarray(x, dtype=float)
+        return profile(coordinate_dot(x, x))
 
     def flat(a: np.ndarray) -> np.ndarray:
-        # distance to the sphere |x - c| = R, where the only jump sits
-        y = np.asarray(a, dtype=float) - c
-        return np.abs(np.sqrt(coordinate_dot(y, y)) - R)
+        # distance to the sphere |x| = R, where the only jump sits
+        a = np.asarray(a, dtype=float)
+        return np.abs(np.sqrt(coordinate_dot(a, a)) - R)
 
-    bps = (float(c[0]) - R, float(c[0]) + R) if d == 1 else ()
-    return TestFunction(
-        function_id=fid, dim=d, eval=ev, grad=None,
-        grad_lipschitz=None, support_radius=R + float(np.linalg.norm(c)),
-        grad_max=None, breakpoints_1d=bps,
+    f = TestFunction(
+        function_id=f"indicator:d={d}:r={_fmt(R)}", dim=d, eval=ev,
+        grad=None, grad_lipschitz=None, support_radius=R, grad_max=None,
+        breakpoints_1d=(-R, R) if d == 1 else (),
         l1_mass=unit_ball_volume(d) * R ** d, flat_radius=flat,
-        radial=Radial(c, profile, (R,), 0), degree_1d=0 if d == 1 else None)
+        radial=Radial(np.zeros(d), profile, (R,), 0),
+        degree_1d=0 if d == 1 else None)
+    if center is None:
+        return f
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.shape != (d,):
+        raise ValueError(f"center must have shape ({d},)")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("center must be finite")
+    return _image(f, ":c=" + ",".join(_fmt(x) for x in c), h=c)
 
 
 def _then(value, fn):
@@ -394,90 +396,77 @@ def require_box_dimension(box, dim: int) -> None:
                          f"function dimension {dim}")
 
 
+def _image(f: TestFunction, suffix: str, h=None, s: float = 1.0,
+           lam: float = 1.0) -> TestFunction:
+    """g(x) = lam * f((x - h) / s), named f.function_id + suffix, with every
+    certificate of f mapped by that one rule; h (shape (dim,), the origin
+    when None), s > 0 and lam come checked.  Lengths scale by s and move by
+    h, gradients gain lam / s, and grad_norm_p gains |lam|^p s^(d - p) over
+    the box mapped back to f's coordinates.  No parameter is special-cased:
+    x - 0, x / 1 and 1 * v are exact, so an image keeps f's bits where it
+    leaves a certificate alone."""
+    d = f.dim
+    h = np.zeros(d) if h is None else h
+
+    def inner(x):
+        return (np.asarray(x, dtype=float) - h) / s
+
+    def norm(p, box):
+        # before zip, which would truncate a longer box
+        require_box_dimension(box, d)
+        return _then(f.grad_norm_p(p, tuple(((lo - hk) / s, (hi - hk) / s)
+                                            for (lo, hi), hk in zip(box, h))),
+                     lambda v: abs(lam) ** p * s ** (d - p) * v)
+
+    return replace(
+        f,
+        function_id=f.function_id + suffix,
+        eval=lambda x: lam * f.eval(inner(x)),
+        grad=_then(f.grad, lambda g: lambda x: lam * g(inner(x)) / s),
+        grad_lipschitz=_then(f.grad_lipschitz,
+                             lambda L: abs(lam) * L / s ** 2),
+        grad_max=_then(f.grad_max, lambda m: abs(lam) * m / s),
+        support_radius=_then(f.support_radius,
+                             lambda R: s * R + float(np.linalg.norm(h))),
+        breakpoints_1d=tuple(s * b + h[0] for b in f.breakpoints_1d),
+        l1_mass=_then(f.l1_mass, lambda m: abs(lam) * m * s ** d),
+        flat_radius=_then(f.flat_radius, lambda r: lambda a: s * r(inner(a))),
+        grad_norm_p=_then(f.grad_norm_p, lambda n: norm),
+        radial=_then(f.radial, lambda rad: replace(
+            rad, center=s * rad.center + h,
+            profile=lambda q: lam * rad.profile(np.divide(q, s * s, out=q)),
+            breakpoints=_then(rad.breakpoints,
+                              lambda bps: tuple(s * b for b in bps)))))
+
+
 def translate(f: TestFunction, shift) -> TestFunction:
-    """g(x) = f(x - shift); metadata moves rigidly, and the gradient norm
-    over a box is f's over the box shifted by -shift.  A shift that is not
-    finite or not of f's dimension raises ValueError, and so does a box of
-    another dimension than f's (require_box_dimension)."""
+    """g(x) = f(x - shift), an _image.  A shift that is not finite or not
+    of f's dimension raises ValueError."""
     h = np.atleast_1d(np.asarray(shift, dtype=float))
     if h.shape != (f.dim,):
         raise ValueError("shift dimension mismatch")
     if not np.all(np.isfinite(h)):
         raise ValueError(f"shift must be finite, got {h}")
-
-    def shifted(g):
-        return lambda x: g(np.asarray(x, dtype=float) - h)
-
-    def shifted_norm(n):
-        def norm(p, box):
-            require_box_dimension(box, f.dim)
-            return n(p, tuple((lo - hk, hi - hk)
-                              for (lo, hi), hk in zip(box, h)))
-        return norm
-
-    return replace(
-        f,
-        function_id=f.function_id + ":shifted=" + ",".join(_fmt(v) for v in h),
-        eval=shifted(f.eval),
-        grad=_then(f.grad, shifted),
-        support_radius=_then(f.support_radius,
-                             lambda R: R + float(np.linalg.norm(h))),
-        breakpoints_1d=tuple(b + h[0] for b in f.breakpoints_1d),
-        flat_radius=_then(f.flat_radius, shifted),
-        grad_norm_p=_then(f.grad_norm_p, shifted_norm),
-        radial=_then(f.radial, lambda rad: replace(rad,
-                                                   center=rad.center + h)))
+    return _image(f, ":shifted=" + ",".join(_fmt(v) for v in h), h=h)
 
 
 def scale_values(f: TestFunction, lam: float) -> TestFunction:
-    """g(x) = lam * f(x); flat_radius carries over unchanged and gradient
-    norms gain |lam|^p.  A lam that is not finite raises ValueError."""
+    """g(x) = lam * f(x), an _image.  A lam that is not finite raises
+    ValueError."""
     lam = float(lam)
     if not np.isfinite(lam):
         raise ValueError(f"value scale must be finite, got {lam}")
-    return replace(
-        f,
-        function_id=f.function_id + f":times={_fmt(lam)}",
-        eval=lambda x, _f=f.eval: lam * _f(x),
-        grad=_then(f.grad, lambda g: lambda x: lam * g(x)),
-        grad_lipschitz=_then(f.grad_lipschitz, lambda L: abs(lam) * L),
-        grad_max=_then(f.grad_max, lambda m: abs(lam) * m),
-        l1_mass=_then(f.l1_mass, lambda m: abs(lam) * m),
-        grad_norm_p=_then(f.grad_norm_p, lambda n: lambda p, box: _then(
-            n(p, box), lambda v: abs(lam) ** p * v)),
-        radial=_then(f.radial, lambda rad: replace(
-            rad, profile=lambda q, _g=rad.profile: lam * _g(q))))
+    return _image(f, f":times={_fmt(lam)}", lam=lam)
 
 
 def dilate(f: TestFunction, s: float) -> TestFunction:
-    """g(x) = f(x / s) for s > 0; lengths scale by s, and the gradient norm
-    over a box is s^(d - p) times f's over the box divided by s.  An s that
-    is not finite and positive raises ValueError."""
+    """g(x) = f(x / s) for s > 0, an _image.  An s that is not finite and
+    positive raises ValueError."""
     s = float(s)
     if not (np.isfinite(s) and s > 0):
         raise ValueError(
             f"dilation factor must be finite and positive, got {s}")
-    return replace(
-        f,
-        function_id=f.function_id + f":dilated={_fmt(s)}",
-        eval=lambda x, _f=f.eval: _f(np.asarray(x, dtype=float) / s),
-        grad=_then(f.grad, lambda g: lambda x:
-                   g(np.asarray(x, dtype=float) / s) / s),
-        grad_lipschitz=_then(f.grad_lipschitz, lambda L: L / s ** 2),
-        grad_max=_then(f.grad_max, lambda m: m / s),
-        support_radius=_then(f.support_radius, lambda R: R * s),
-        breakpoints_1d=tuple(b * s for b in f.breakpoints_1d),
-        flat_radius=_then(f.flat_radius, lambda r: lambda a:
-                          s * r(np.asarray(a, dtype=float) / s)),
-        l1_mass=_then(f.l1_mass, lambda m: m * s ** f.dim),
-        grad_norm_p=_then(f.grad_norm_p, lambda n: lambda p, box: _then(
-            n(p, tuple((lo / s, hi / s) for lo, hi in box)),
-            lambda v: s ** (f.dim - p) * v)),
-        radial=_then(f.radial, lambda rad: replace(
-            rad, center=s * rad.center,
-            profile=lambda q, _g=rad.profile: _g(np.divide(q, s * s, out=q)),
-            breakpoints=_then(rad.breakpoints,
-                              lambda bps: tuple(b * s for b in bps)))))
+    return _image(f, f":dilated={_fmt(s)}", s=s)
 
 
 def _parse_fields(fid: str) -> dict:

@@ -464,8 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="two-point oscillation instead of mean-centered (Monte Carlo "
              "in every dimension)")
     add("--nodes", type=int,
-        help=f"quadrature nodes (default {_QUERY_MC_NODES} by Monte Carlo, "
-             f"Gauss order 8 for d = 1 without --pairwise)")
+        help=f"quadrature nodes (default {_QUERY_MC_NODES} by Monte Carlo; "
+             f"for d = 1 without --pairwise, a cap on the Gauss order, 8 by "
+             f"default, which drops to the order exact for the entry's "
+             f"pieces when that is lower)")
     _add_common(add)
 
     add = _run_command(subs, "curve", "superlevel distribution experiment",
@@ -491,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads (default %(default)s; results identical)")
     add("--nodes", type=int,
         help=f"quadrature nodes per ball (default {_CURVE_MC_NODES} by Monte "
-             f"Carlo for d >= 2, Gauss order 8 for d = 1)")
+             f"Carlo for d >= 2; for d = 1 a cap on the Gauss order, 8 by "
+             f"default, which drops to the order exact for the entry's "
+             f"pieces when that is lower)")
     _add_common(add)
 
     add = _run_command(subs, "verify", "run the verification battery",
@@ -500,8 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-suite sample budget (default %(default)s)")
     add("--nodes", type=int, default=DEFAULT_NODE_COUNT,
         help="Monte Carlo nodes per ball for the non-radial entries in "
-             "d >= 2 (default %(default)s); d = 1 takes Gauss order 8 and "
-             "radial entries in d >= 2 the exact radial rule")
+             "d >= 2 (default %(default)s); d = 1 takes Gauss rules of order "
+             "at most 8, the order exact for an entry's polynomial pieces "
+             "when that is lower, and radial entries in d >= 2 the exact "
+             "radial rule")
     add("--fault-inject", dest="fault_inject", metavar="NAME[,NAME]",
         help=f"perturb a verified constant; names: "
              f"{sorted(_FAULT_PRESETS)}")

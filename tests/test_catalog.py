@@ -213,6 +213,127 @@ def test_transforms_keep_a_missing_gradient_norm_missing():
         assert g.grad_norm_p is None
 
 
+@pytest.mark.parametrize("f", [f for f in default_catalog()
+                               if f.grad_norm_p is not None],
+                         ids=lambda f: f.function_id)
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_grad_norm_p_refuses_a_box_of_another_dimension(f, extra):
+    # a box with one side too few or too many, on the entry and on each of
+    # its images (zip would drop a longer box's last side unseen)
+    box = ((-5.0, 5.0),) * (f.dim + extra)
+    for g in (f, translate(f, np.full(f.dim, 0.2)), dilate(f, 1.5),
+              scale_values(f, -2.0)):
+        with pytest.raises(ValueError, match="does not match function dim"):
+            g.grad_norm_p(2.0, box)
+
+
+def _image_rules():
+    """One rule per TestFunction field for g(x) = lam f((x - h) / s):
+    rule(f, g, h, s, lam, x), x points of shape (n, dim), asserts that g
+    carries f's certificate mapped by that rule."""
+    close = dict(rtol=1e-14, atol=0.0)
+
+    def both_or_none(a, b, check):
+        assert (a is None) == (b is None)
+        if a is not None:
+            check(a, b)
+
+    def inner(h, s, x):
+        return (x - h) / s
+
+    def fid(f, g, h, s, lam, x):
+        assert g.function_id == (
+            f.function_id + f":times={lam:g}:dilated={s:g}:shifted="
+            + ",".join(f"{v:g}" for v in h))
+
+    def dim(f, g, h, s, lam, x):
+        assert g.dim == f.dim
+
+    def ev(f, g, h, s, lam, x):
+        np.testing.assert_allclose(g.eval(x), lam * f.eval(inner(h, s, x)),
+                                   **close)
+
+    def grad(f, g, h, s, lam, x):
+        both_or_none(f.grad, g.grad, lambda fg, gg: np.testing.assert_allclose(
+            gg(x), lam * fg(inner(h, s, x)) / s, **close))
+
+    def scalar(name, factor):
+        def rule(f, g, h, s, lam, x):
+            both_or_none(getattr(f, name), getattr(g, name),
+                         lambda a, b: np.testing.assert_allclose(
+                             b, factor(a, h, s, lam, f.dim), **close))
+        return rule
+
+    def breakpoints(f, g, h, s, lam, x):
+        np.testing.assert_allclose(g.breakpoints_1d,
+                                   [s * b + h[0] for b in f.breakpoints_1d],
+                                   **close)
+
+    def flat(f, g, h, s, lam, x):
+        both_or_none(f.flat_radius, g.flat_radius,
+                     lambda fr, gr: np.testing.assert_allclose(
+                         gr(x), s * fr(inner(h, s, x)), **close))
+
+    def gnorm(f, g, h, s, lam, x):
+        def check(fn, gn):
+            R = g.support_radius
+            for box in (tuple((hk - R, hk + R) for hk in h),
+                        ((-0.3, 0.2),) * f.dim):
+                want = fn(2.5, tuple(((lo - hk) / s, (hi - hk) / s)
+                                     for (lo, hi), hk in zip(box, h)))
+                got = gn(2.5, box)
+                both_or_none(want, got,
+                             lambda w, v: np.testing.assert_allclose(
+                                 v, abs(lam) ** 2.5 * s ** (f.dim - 2.5) * w,
+                                 **close))
+        both_or_none(f.grad_norm_p, g.grad_norm_p, check)
+
+    def radial(f, g, h, s, lam, x):
+        def check(fr, gr):
+            np.testing.assert_allclose(gr.center, s * fr.center + h, **close)
+            q = np.linspace(0.0, 4.0, 97)
+            np.testing.assert_allclose(gr.profile(q.copy()),
+                                       lam * fr.profile(q / s ** 2), **close)
+            np.testing.assert_allclose(gr.breakpoints,
+                                       [s * b for b in fr.breakpoints],
+                                       **close)
+            assert gr.degree == fr.degree
+        both_or_none(f.radial, g.radial, check)
+
+    def degree(f, g, h, s, lam, x):
+        assert g.degree_1d == f.degree_1d
+
+    scalars = {
+        "grad_lipschitz": lambda L, h, s, lam, d: abs(lam) * L / s ** 2,
+        "grad_max": lambda m, h, s, lam, d: abs(lam) * m / s,
+        "support_radius": lambda R, h, s, lam, d: s * R + np.linalg.norm(h),
+        "l1_mass": lambda m, h, s, lam, d: abs(lam) * m * s ** d,
+    }
+    return {
+        "function_id": fid, "dim": dim, "eval": ev, "grad": grad,
+        "breakpoints_1d": breakpoints, "flat_radius": flat,
+        "grad_norm_p": gnorm, "radial": radial, "degree_1d": degree,
+        **{name: scalar(name, factor) for name, factor in scalars.items()},
+    }
+
+
+@pytest.mark.parametrize("fid", ["plateau:d=1:a=1:ri=0.5:ro=1",
+                                 "plateau:d=2:a=1:ri=0.5:ro=1",
+                                 "indicator:d=2:r=0.5:c=0.1,0"])
+def test_every_certificate_has_an_image_rule(fid):
+    # the table names exactly the fields of TestFunction, so a certificate
+    # added without a rule for the affine image fails here
+    rules = _image_rules()
+    assert set(rules) == {fld.name for fld in dataclasses.fields(
+        catalog.TestFunction)}
+    f = parse_function_id(fid)
+    h, s, lam = np.array([0.3, -0.45][:f.dim]), 1.7, -0.6
+    g = translate(dilate(scale_values(f, lam), s), h)
+    x = np.random.default_rng(3).uniform(-3.0, 3.0, size=(301, f.dim))
+    for rule in rules.values():
+        rule(f, g, h, s, lam, x)
+
+
 def test_plateau_l1_mass_is_a_float():
     for d in (1, 2, 3):
         assert type(make_plateau_bump(d, 1.0, 0.5, 1.0).l1_mass) is float

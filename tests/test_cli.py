@@ -82,8 +82,9 @@ def test_oscillation_writes_json_with_config_echo(tmp_path, capsys):
 
 
 def test_oscillation_pairwise_is_monte_carlo_in_one_dimension(tmp_path):
-    # d = 1 defaults to gauss_1d of order 8; --pairwise must not read that
-    # order as a sample count, but take the query's Monte Carlo default
+    # d = 1 defaults to gauss_1d with its order capped at 8; --pairwise
+    # must not read that cap as a sample count, but take the query's Monte
+    # Carlo default
     assert main(["oscillation", "--function", "plateau:d=1:a=1:ri=0.5:ro=1",
                  "--a", "0.7", "--r", "0.3", "--pairwise",
                  "--out-dir", str(tmp_path)]) == 0
@@ -227,8 +228,8 @@ def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
 ])
 def test_curve_monte_carlo_default_nodes(tmp_path, d, method, nodes):
     # a curve in d >= 2 without --nodes uses 512 nodes per ball, not the
-    # single-query default; in d = 1 the echoed count is the Gauss order
-    # the curve uses
+    # single-query default; in d = 1 the echoed count is the cap on the
+    # Gauss order, which the plateau's quintic pieces lower to 3
     assert main(["curve", "--function", f"plateau:d={d}:a=1:ri=0.5:ro=1",
                  "--samples", "8", "--out-dir", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "curve.json").read_text())
